@@ -1,10 +1,10 @@
-//! Kernel-focused scaling benchmark: times the synthesis kernel itself
-//! (not the sweep layer) on the paper's benchmarks and on progressively
-//! larger random CDFGs, serial vs. parallel candidate scoring, and
-//! writes the measurement to `BENCH_2.json` (`pchls-bench-v1`, workload
-//! `synthesis-kernel`). A second workload, `engine-amortized`, times a
-//! whole constraint sweep through one compile-once [`Session`] against
-//! the per-point-recompute free-function path and writes `BENCH_3.json`.
+//! Kernel-focused scaling benchmark: times the serial synthesis kernel
+//! itself (not the sweep layer) on the paper's benchmarks and on
+//! progressively larger random CDFGs, and writes the measurement to
+//! `BENCH_2.json` (`pchls-bench-v1`, workload `synthesis-kernel`). A
+//! second workload, `engine-amortized`, times a whole constraint sweep
+//! through one compile-once [`Session`] against the per-point-recompute
+//! free-function path and writes `BENCH_3.json`.
 //! A third workload, `service-throughput`, drives M concurrent clients
 //! × K requests each through the `pchls-serve` [`Service`] (bounded
 //! queue, worker pool, content-addressed compile cache) over a
@@ -17,10 +17,9 @@
 //! byte-identical designs, parity wall clock) and a genuinely stepwise
 //! envelope driving the slack-min ledger mode.
 //!
-//! A fifth workload, `scaling`, records honest per-thread-count
-//! wall-clock curves (`BENCH_6.json`): the sweep fan-out (one
-//! Figure 2 curve through [`Session::sweep`]) and the candidate-scoring
-//! fan-out (one large random-graph synthesis) are each timed under
+//! A fifth workload, `scaling`, records an honest per-thread-count
+//! wall-clock curve (`BENCH_6.json`): the sweep fan-out (one Figure 2
+//! curve through [`Session::sweep`]) is timed under
 //! [`pchls_par::with_thread_count`] at 1/2/4/8 workers capped at the
 //! pool width. On a single-core host the curve degrades gracefully to
 //! an explicit one-point record (`single_point: true`); on multi-core
@@ -67,12 +66,12 @@
 //! `--smoke` runs a seconds-scale subset (small graphs, one repetition)
 //! so CI can keep the workloads from rotting.
 //!
-//! Serial timings run under [`pchls_par::with_serial`], which forces
-//! every `par_map` inside the kernel onto the calling thread — the
-//! in-process A/B switch — and both sides are compared for exact
-//! equality (`outputs_identical`): parallel scoring must reproduce the
-//! serial decision trace bit for bit, and the amortized session must
-//! reproduce the free-function designs bit for bit.
+//! The synthesis kernel itself is serial; the cores are used at a
+//! coarser grain (sweep points, batch jobs, serve workers). Where a
+//! workload compares two paths, both sides are compared for exact
+//! equality (`outputs_identical`): the amortized session must reproduce
+//! the free-function designs bit for bit, and every thread count must
+//! reproduce the 1-thread sweep.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -109,13 +108,11 @@ struct CaseRecord {
     latency_bound: u32,
     /// Power constraint `P<`.
     power_bound: f64,
-    /// Synthesis repetitions per side.
+    /// Timed synthesis repetitions.
     reps: usize,
-    /// Wall-clock seconds for the serial-kernel side.
+    /// Wall-clock seconds for all `reps` kernel runs.
     serial_secs: f64,
-    /// Wall-clock seconds for the parallel-kernel side.
-    parallel_secs: f64,
-    /// Whether synthesis succeeded (both sides must agree).
+    /// Whether synthesis succeeded.
     feasible: bool,
 }
 
@@ -127,20 +124,12 @@ struct BenchRecord {
     schema: String,
     /// What is being timed.
     workload: String,
-    /// Synthesis runs per side (cases × reps).
+    /// Timed synthesis runs (cases × reps).
     points: usize,
-    /// Worker threads the parallel side may use.
-    threads: usize,
-    /// Host cores (`available_parallelism`); speedup is bounded by this.
+    /// Host cores (`available_parallelism`).
     host_cores: usize,
-    /// Wall-clock seconds for the serial-kernel side.
+    /// Sum of the per-case kernel seconds.
     serial_secs: f64,
-    /// Wall-clock seconds for the parallel-kernel side.
-    parallel_secs: f64,
-    /// `serial_secs / parallel_secs`.
-    speedup: f64,
-    /// Whether parallel scoring reproduced the serial designs exactly.
-    outputs_identical: bool,
     /// Per-case breakdown.
     cases: Vec<CaseRecord>,
 }
@@ -214,8 +203,8 @@ fn paper_case(graph: Cdfg, latency: u32, power: f64) -> Case {
     }
 }
 
-/// The `synthesis-kernel` workload: serial vs. parallel candidate
-/// scoring through one shared session per case (BENCH_2.json).
+/// The `synthesis-kernel` workload: the serial kernel timed through
+/// one shared session per case (BENCH_2.json).
 fn kernel_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     let (cases, reps) = if smoke {
         (
@@ -240,51 +229,29 @@ fn kernel_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     };
 
     let mut records = Vec::new();
-    let mut outputs_identical = true;
     println!(
-        "{:<12} {:>5} {:>4} {:>6} | {:>10} {:>10} {:>7} {:>9}",
-        "case", "nodes", "T", "P<", "serial_s", "par_s", "speedup", "identical"
+        "{:<12} {:>5} {:>4} {:>6} | {:>10}",
+        "case", "nodes", "T", "P<", "serial_s"
     );
-    println!("{}", "-".repeat(72));
+    println!("{}", "-".repeat(44));
     for case in &cases {
         let compiled = engine.compile(&case.graph);
         let session = engine.session(&compiled);
         // Warm-up (untimed) run so allocator state is comparable.
-        let _ = session.synthesize(case.constraints.clone(), opts);
+        let feasible = session.synthesize(case.constraints.clone(), opts).is_ok();
 
         let start = Instant::now();
-        let mut serial = Vec::new();
         for _ in 0..reps {
-            serial.push(pchls_par::with_serial(|| {
-                session.synthesize(case.constraints.clone(), opts)
-            }));
+            drop(session.synthesize(case.constraints.clone(), opts));
         }
         let serial_secs = start.elapsed().as_secs_f64();
-
-        let start = Instant::now();
-        let mut parallel = Vec::new();
-        for _ in 0..reps {
-            parallel.push(session.synthesize(case.constraints.clone(), opts));
-        }
-        let parallel_secs = start.elapsed().as_secs_f64();
-
-        let identical = serial.iter().zip(&parallel).all(|(s, p)| match (s, p) {
-            (Ok(a), Ok(b)) => a == b && a.stats == b.stats,
-            (Err(_), Err(_)) => true,
-            _ => false,
-        });
-        outputs_identical &= identical;
-        let feasible = serial[0].is_ok();
         println!(
-            "{:<12} {:>5} {:>4} {:>6} | {:>10.4} {:>10.4} {:>6.2}x {:>9}",
+            "{:<12} {:>5} {:>4} {:>6} | {:>10.4}",
             case.name,
             case.graph.len(),
             case.constraints.latency,
             case.constraints.max_power(),
             serial_secs,
-            parallel_secs,
-            serial_secs / parallel_secs,
-            identical,
         );
         records.push(CaseRecord {
             name: case.name.clone(),
@@ -293,33 +260,19 @@ fn kernel_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             power_bound: case.constraints.max_power(),
             reps,
             serial_secs,
-            parallel_secs,
             feasible,
         });
     }
 
-    let serial_secs: f64 = records.iter().map(|r| r.serial_secs).sum();
-    let parallel_secs: f64 = records.iter().map(|r| r.parallel_secs).sum();
     let record = BenchRecord {
         schema: "pchls-bench-v1".into(),
         workload: "synthesis-kernel".into(),
         points: records.len() * reps,
-        threads: pchls_par::thread_count(),
         host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        serial_secs,
-        parallel_secs,
-        speedup: serial_secs / parallel_secs,
-        outputs_identical,
+        serial_secs: records.iter().map(|r| r.serial_secs).sum(),
         cases: records,
     };
-    println!(
-        "\ntotal: serial {:.3}s | parallel {:.3}s | speedup {:.2}x | identical: {}",
-        record.serial_secs, record.parallel_secs, record.speedup, record.outputs_identical
-    );
-    assert!(
-        record.outputs_identical,
-        "parallel candidate scoring diverged from the serial decision trace"
-    );
+    println!("\ntotal: serial {:.3}s", record.serial_secs);
     let json = serde_json::to_string_pretty(&record).expect("serializable");
     std::fs::write("BENCH_2.json", json).expect("write BENCH_2.json");
     eprintln!("wrote BENCH_2.json");
@@ -391,10 +344,8 @@ fn amortized_workload(smoke: bool, opts: &SynthesisOptions) {
         let compiled = engine.compile(graph);
         let session = engine.session(&compiled);
         // Warm-up + equality check (untimed).
-        let reference =
-            pchls_par::with_serial(|| sweep_per_point(graph, &library, *latency, grid, opts));
-        let amortized_designs =
-            pchls_par::with_serial(|| sweep_amortized(&session, *latency, grid, opts));
+        let reference = sweep_per_point(graph, &library, *latency, grid, opts);
+        let amortized_designs = sweep_amortized(&session, *latency, grid, opts);
         let identical = reference
             .iter()
             .zip(&amortized_designs)
@@ -409,13 +360,12 @@ fn amortized_workload(smoke: bool, opts: &SynthesisOptions) {
         let mut amortized_secs = f64::INFINITY;
         for _ in 0..reps {
             let start = Instant::now();
-            let out =
-                pchls_par::with_serial(|| sweep_per_point(graph, &library, *latency, grid, opts));
+            let out = sweep_per_point(graph, &library, *latency, grid, opts);
             per_point_secs = per_point_secs.min(start.elapsed().as_secs_f64());
             drop(out);
 
             let start = Instant::now();
-            let out = pchls_par::with_serial(|| sweep_amortized(&session, *latency, grid, opts));
+            let out = sweep_amortized(&session, *latency, grid, opts);
             amortized_secs = amortized_secs.min(start.elapsed().as_secs_f64());
             drop(out);
         }
@@ -764,9 +714,9 @@ fn envelope_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         let stepwise_c =
             SynthesisConstraints::new(t, PowerBudget::steps(vec![(0, p * 1.5), (t / 2, p)]));
 
-        let scalar_d = pchls_par::with_serial(|| session.synthesize(scalar_c.clone(), opts));
-        let constant_d = pchls_par::with_serial(|| session.synthesize(constant_c.clone(), opts));
-        let stepwise_d = pchls_par::with_serial(|| session.synthesize(stepwise_c.clone(), opts));
+        let scalar_d = session.synthesize(scalar_c.clone(), opts);
+        let constant_d = session.synthesize(constant_c.clone(), opts);
+        let stepwise_d = session.synthesize(stepwise_c.clone(), opts);
         // Everything but the `constraints` field (which rightly records
         // the request's own budget spelling) must match bit for bit.
         let constant_identical = match (&scalar_d, &constant_d) {
@@ -796,7 +746,7 @@ fn envelope_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
                 .enumerate()
             {
                 let start = Instant::now();
-                let out = pchls_par::with_serial(|| session.synthesize(c.clone(), opts));
+                let out = session.synthesize(c.clone(), opts);
                 best[i] = best[i].min(start.elapsed().as_secs_f64());
                 drop(out);
             }
@@ -868,10 +818,9 @@ fn envelope_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
 /// One per-thread-count curve of the `scaling` workload.
 #[derive(Debug, Serialize)]
 struct ScalingCurve {
-    /// Curve label (`sweep/...` or `kernel/...`).
+    /// Curve label (`sweep/...`).
     name: String,
-    /// Synthesis points per repetition (grid points for the sweep
-    /// fan-out, 1 for the single-synthesis kernel fan-out).
+    /// Synthesis points per repetition (grid points of the sweep).
     points: usize,
     /// Timing repetitions (minimum taken per thread count).
     reps: usize,
@@ -906,21 +855,20 @@ struct ScalingRecord {
     /// without a `PCHLS_THREADS` override) — the curve is a single
     /// point and no efficiency claim is made.
     single_point: bool,
-    /// Whether every curve reproduced its 1-thread output at every
+    /// Whether the curve reproduced its 1-thread output at every
     /// thread count.
     outputs_identical: bool,
-    /// The measured curves.
+    /// The measured curves (the sweep fan-out).
     curves: Vec<ScalingCurve>,
 }
 
 /// Times `run` best-of-`reps` at every thread count and checks each
-/// output against the first (1-thread) one under `eq`. Returns the
-/// wall-clock vector and the identity verdict.
-fn time_scaling_curve<T>(
+/// output against the first (1-thread) one. Returns the wall-clock
+/// vector and the identity verdict.
+fn time_scaling_curve<T: PartialEq>(
     thread_counts: &[usize],
     reps: usize,
     mut run: impl FnMut() -> T,
-    mut eq: impl FnMut(&T, &T) -> bool,
 ) -> (Vec<f64>, bool) {
     // Warm-up (untimed) so allocator state is comparable across counts.
     drop(run());
@@ -939,7 +887,7 @@ fn time_scaling_curve<T>(
         let out = out.expect("reps >= 1");
         match &reference {
             None => reference = Some(out),
-            Some(r) => identical &= eq(r, &out),
+            Some(r) => identical &= *r == out,
         }
         wall.push(best);
     }
@@ -971,13 +919,10 @@ fn scaling_curve_record(
     }
 }
 
-/// The `scaling` workload: per-thread-count wall-clock curves for the
-/// sweep fan-out and the kernel's candidate-scoring fan-out
-/// (BENCH_6.json). Efficiency and monotonicity are asserted on the
-/// sweep curve (coarse-grained, one synthesis per work item) whenever
-/// more than one thread count is measurable; the kernel curve is
-/// recorded for honesty but its fine-grained fan-out makes no
-/// efficiency promise. Output identity is asserted on both, always.
+/// The `scaling` workload: the per-thread-count wall-clock curve of the
+/// sweep fan-out (BENCH_6.json). Efficiency and monotonicity are
+/// asserted whenever more than one thread count is measurable; output
+/// identity is asserted always.
 fn scaling_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let pool = pchls_par::thread_count();
@@ -994,24 +939,14 @@ fn scaling_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     };
     let sweep_graph = benchmarks::hal();
     let sweep_latency = 17u32;
-    let kernel_case = if smoke {
-        random_case(60, 11, 60.0)
-    } else {
-        random_case(120, 12, 60.0)
-    };
 
     let sweep_compiled = engine.compile(&sweep_graph);
     let sweep_session = engine.session(&sweep_compiled);
-    let (sweep_wall, sweep_identical) = time_scaling_curve(
-        &thread_counts,
-        reps,
-        || {
-            sweep_session
-                .sweep(&SweepSpec::power(sweep_latency, grid.clone()), opts)
-                .into_points()
-        },
-        |a, b| a == b,
-    );
+    let (sweep_wall, sweep_identical) = time_scaling_curve(&thread_counts, reps, || {
+        sweep_session
+            .sweep(&SweepSpec::power(sweep_latency, grid.clone()), opts)
+            .into_points()
+    });
     let sweep_curve = scaling_curve_record(
         &format!("sweep/{}-T{sweep_latency}", sweep_graph.name()),
         grid.len(),
@@ -1019,27 +954,6 @@ fn scaling_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         &thread_counts,
         sweep_wall,
         sweep_identical,
-    );
-
-    let kernel_compiled = engine.compile(&kernel_case.graph);
-    let kernel_session = engine.session(&kernel_compiled);
-    let (kernel_wall, kernel_identical) = time_scaling_curve(
-        &thread_counts,
-        reps,
-        || kernel_session.synthesize(kernel_case.constraints.clone(), opts),
-        |a, b| match (a, b) {
-            (Ok(x), Ok(y)) => x == y && x.stats == y.stats,
-            (Err(_), Err(_)) => true,
-            _ => false,
-        },
-    );
-    let kernel_curve = scaling_curve_record(
-        &format!("kernel/{}", kernel_case.name),
-        1,
-        reps,
-        &thread_counts,
-        kernel_wall,
-        kernel_identical,
     );
 
     println!(
@@ -1064,30 +978,28 @@ fn scaling_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             .join(" ")
     );
     println!("{}", "-".repeat(30 + 10 * thread_counts.len()));
-    for curve in [&sweep_curve, &kernel_curve] {
-        println!(
-            "{:<18} {:>7} | {}",
-            curve.name,
-            curve.points,
-            curve
-                .wall_secs
-                .iter()
-                .map(|w| format!("{w:>8.4}s"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        println!(
-            "{:<18} {:>7} | {}",
-            "",
-            "eff",
-            curve
-                .efficiency
-                .iter()
-                .map(|e| format!("{e:>8.2}x"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-    }
+    println!(
+        "{:<18} {:>7} | {}",
+        sweep_curve.name,
+        sweep_curve.points,
+        sweep_curve
+            .wall_secs
+            .iter()
+            .map(|w| format!("{w:>8.4}s"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
+    println!(
+        "{:<18} {:>7} | {}",
+        "",
+        "eff",
+        sweep_curve
+            .efficiency
+            .iter()
+            .map(|e| format!("{e:>8.2}x"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
 
     let record = ScalingRecord {
         schema: "pchls-bench-v1".into(),
@@ -1096,8 +1008,8 @@ fn scaling_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         threads: pool,
         thread_counts: thread_counts.clone(),
         single_point,
-        outputs_identical: sweep_curve.outputs_identical && kernel_curve.outputs_identical,
-        curves: vec![sweep_curve, kernel_curve],
+        outputs_identical: sweep_curve.outputs_identical,
+        curves: vec![sweep_curve],
     };
     println!(
         "identical across thread counts: {}",
@@ -1879,7 +1791,8 @@ struct PhasesRecord {
     power_bound: f64,
     /// Synthesis repetitions per side.
     reps: usize,
-    /// Worker threads the kernel may use.
+    /// Worker-pool width (`pchls_par::thread_count`); the kernel itself
+    /// is serial.
     threads: usize,
     /// Host cores.
     host_cores: usize,
@@ -2134,7 +2047,7 @@ struct EditsRecord {
     edits: usize,
     /// Timing repetitions per side per edit (minimum taken).
     reps: usize,
-    /// Worker threads the kernel may use.
+    /// Kernel threads: always 1, the kernel is serial.
     threads: usize,
     /// Host cores.
     host_cores: usize,
@@ -2248,12 +2161,10 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     // Record the base run once; every edit replays against this memo.
     let start = Instant::now();
     let compiled = engine.compile(&case.graph);
-    let (_, memo) = pchls_par::with_thread_count(1, || {
-        engine
-            .session(&compiled)
-            .synthesize_recorded(case.constraints.clone(), opts)
-            .expect("the scale cases are feasible")
-    });
+    let (_, memo) = engine
+        .session(&compiled)
+        .synthesize_recorded(case.constraints.clone(), opts)
+        .expect("the scale cases are feasible");
     let record_secs = start.elapsed().as_secs_f64();
 
     // Warm-up (untimed) so allocator state is comparable across sides.
@@ -2296,46 +2207,38 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         let (edited, kind) = random_edit(&case.graph, 1 + e as u64);
 
         // Cold side, stage-timed: a full compile of the edited graph,
-        // then a full kernel run. Both sides run the serial kernel
-        // (`with_thread_count(1)`) so the replay's algorithmic win is
-        // measured independently of host cores — BENCH_6 owns the
-        // thread-scaling story.
+        // then a full kernel run.
         let mut compile_secs = f64::INFINITY;
         let mut synth_secs = f64::INFINITY;
         let mut cold = None;
-        pchls_par::with_thread_count(1, || {
-            for _ in 0..reps {
-                let start = Instant::now();
-                let c = engine.try_compile(&edited);
-                compile_secs = compile_secs.min(start.elapsed().as_secs_f64());
-                let start = Instant::now();
-                let outcome = c.and_then(|c| {
-                    engine
-                        .session(&c)
-                        .synthesize(case.constraints.clone(), opts)
-                });
-                synth_secs = synth_secs.min(start.elapsed().as_secs_f64());
-                cold = Some(outcome);
-            }
-        });
+        for _ in 0..reps {
+            let start = Instant::now();
+            let c = engine.try_compile(&edited);
+            compile_secs = compile_secs.min(start.elapsed().as_secs_f64());
+            let start = Instant::now();
+            let outcome = c.and_then(|c| {
+                engine
+                    .session(&c)
+                    .synthesize(case.constraints.clone(), opts)
+            });
+            synth_secs = synth_secs.min(start.elapsed().as_secs_f64());
+            cold = Some(outcome);
+        }
 
         // Incremental side: diff + delta recompile, then memo-seeded
         // replay.
         let mut recompile_secs = f64::INFINITY;
         let mut resynth_secs = f64::INFINITY;
         let mut replayed = None;
-        pchls_par::with_thread_count(1, || {
-            for _ in 0..reps {
-                let start = Instant::now();
-                let rc = engine.recompile(&compiled, &edited);
-                recompile_secs = recompile_secs.min(start.elapsed().as_secs_f64());
-                let start = Instant::now();
-                let outcome =
-                    rc.and_then(|(c, delta)| engine.session(&c).resynthesize(&memo, &delta));
-                resynth_secs = resynth_secs.min(start.elapsed().as_secs_f64());
-                replayed = Some(outcome);
-            }
-        });
+        for _ in 0..reps {
+            let start = Instant::now();
+            let rc = engine.recompile(&compiled, &edited);
+            recompile_secs = recompile_secs.min(start.elapsed().as_secs_f64());
+            let start = Instant::now();
+            let outcome = rc.and_then(|(c, delta)| engine.session(&c).resynthesize(&memo, &delta));
+            resynth_secs = resynth_secs.min(start.elapsed().as_secs_f64());
+            replayed = Some(outcome);
+        }
 
         let cold = cold.expect("reps >= 1");
         let replayed = replayed.expect("reps >= 1");
@@ -2429,8 +2332,8 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         power_bound: case.constraints.max_power(),
         edits,
         reps,
-        // Both sides are pinned to the serial kernel (see the timing
-        // loops); BENCH_6 owns the thread-scaling story.
+        // Both sides run the serial kernel; BENCH_6 owns the
+        // thread-scaling story.
         threads: 1,
         host_cores,
         record_secs,

@@ -42,17 +42,11 @@ fn figure2_perf() -> BenchRecord {
     let curves = figure2_curves();
     let points = curves.len() * figure2_power_grid().len();
 
-    // `with_serial` keeps the reference fully serial: without it the
-    // kernel's own candidate-scoring fan-out (PR 2) would run inside
-    // the "serial" timing loop on multi-core hosts and silently change
-    // what this trajectory number means.
     let start = Instant::now();
-    let serial: Vec<_> = pchls_par::with_serial(|| {
-        curves
-            .iter()
-            .map(|(g, t)| run_curve_serial(g, &lib, *t))
-            .collect()
-    });
+    let serial: Vec<_> = curves
+        .iter()
+        .map(|(g, t)| run_curve_serial(g, &lib, *t))
+        .collect();
     let serial_secs = start.elapsed().as_secs_f64();
 
     let start = Instant::now();

@@ -1,9 +1,8 @@
 //! Byte-diffs the rand200 decision trace against a committed golden.
 //!
-//! The synthesis kernel promises that every optimization — parallel
-//! candidate scoring, the segment-tree ledger, the word-parallel
-//! enumeration pipeline — leaves the *decision trace* bit-identical to
-//! the naive reference. Within one build, differential tests enforce
+//! The synthesis kernel promises that every optimization — the
+//! segment-tree ledger, the word-parallel enumeration pipeline — leaves
+//! the *decision trace* bit-identical to the naive reference. Within one build, differential tests enforce
 //! that promise; **across** builds (and PRs), this test does: the full
 //! rand200 design — schedule, timing, binding, effort counters — is
 //! serialized to JSON and compared byte-for-byte against
@@ -40,9 +39,8 @@ fn rand200_decision_trace_matches_committed_golden() {
     let session = engine.session(&compiled);
     let opts = SynthesisOptions::default();
 
-    // The serial kernel is the reference; the parallel path is asserted
-    // equal to it elsewhere (BENCH_2's `outputs_identical`).
-    let design = pchls_par::with_serial(|| session.synthesize(constraints.clone(), &opts))
+    let design = session
+        .synthesize(constraints, &opts)
         .unwrap_or_else(|e| panic!("{name} must be feasible: {e}"));
     let mut trace = serde_json::to_string_pretty(&design).expect("design serializes");
     trace.push('\n');

@@ -43,7 +43,8 @@ use pchls_sched::{LockedStarts, OpTiming, PowerLedger, Schedule, TimingMap};
 use crate::constraints::SynthesisConstraints;
 use crate::options::SynthesisOptions;
 use crate::synthesis::{
-    existing_decision, fresh_decision, pair_decision, Context, Decision, Target, MAX_ATTEMPTS,
+    existing_decision, fresh_decision, pair_decision, rank_order, Context, Decision, Target,
+    MAX_ATTEMPTS,
 };
 
 /// Replay target of one recorded candidate, with instance identity
@@ -648,14 +649,7 @@ pub(crate) fn plan_gated_iteration(
 
     // The cold path's total order: score desc, start asc, op asc, then
     // the enumeration-isomorphic key.
-    entries.sort_by(|x, y| {
-        y.0.score
-            .partial_cmp(&x.0.score)
-            .expect("scores are finite")
-            .then(x.0.start.cmp(&y.0.start))
-            .then(x.0.op.cmp(&y.0.op))
-            .then(x.1.cmp(&y.1))
-    });
+    entries.sort_by(|x, y| rank_order(&x.0, &y.0).then(x.1.cmp(&y.1)));
 
     let mut exhaustive = it.complete;
     if !it.complete {

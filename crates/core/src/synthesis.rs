@@ -15,7 +15,7 @@ use crate::design::{SynthesisStats, SynthesizedDesign};
 use crate::engine::{CompiledGraph, Engine, KindCompat, Progress};
 use crate::error::SynthesisError;
 use crate::options::SynthesisOptions;
-use crate::replay::{plan_gated_iteration, ReplayState, SynthesisMemo};
+use crate::replay::{plan_gated_iteration, GatedPlan, ReplayState, SynthesisMemo};
 use crate::topk::TopK;
 
 /// One greedy decision over the compatibility structure, in decreasing
@@ -228,15 +228,6 @@ pub(crate) fn synthesize_session_mode(
 
         scratch.unbound_vec.clear();
         scratch.unbound_vec.extend(unbound.iter());
-        // Candidate scoring fans out across the worker pool only when
-        // the iteration is wide enough to amortize the spawn and a
-        // fan-out would actually happen (single-worker hosts and nested
-        // sweep workers stay on the buffer-free serial shape); both
-        // paths produce bit-identical decisions (see
-        // `enumerate_candidates`).
-        let parallel = scratch.unbound_vec.len() >= PAR_MIN_OPS
-            && pchls_par::would_parallelize(scratch.unbound_vec.len());
-
         instance_busy_into(&binding, &locked, &timing, &mut scratch.busy);
         // Open instances bucketed by module (ascending instance id per
         // row), so a candidate (op, module) only visits the instances it
@@ -247,12 +238,12 @@ pub(crate) fn synthesize_session_mode(
         for iid in binding.instance_ids() {
             scratch.by_module[binding.instance(iid).module().index()].push(iid);
         }
-        // Replay alignment: `Some` names the recorded iteration to gate
-        // this one against; `None` means replay fell back to the cold
-        // path for the rest of the run (or the mode never replays).
+        // Replay alignment: whether this iteration is gated against a
+        // recorded one; `false` means replay fell back to the cold path
+        // for the rest of the run (or the mode never replays).
         let gated = match &mut mode {
-            KernelMode::Replay(rs) => rs.align(&unbound),
-            _ => None,
+            KernelMode::Replay(rs) => rs.align(&unbound).is_some(),
+            _ => false,
         };
         if let KernelMode::Record(memo) = &mut mode {
             // Snapshot everything the replay-side quiet test compares —
@@ -270,241 +261,98 @@ pub(crate) fn synthesize_session_mode(
                 constraints.latency,
             );
         }
-        let mut ctx = Context {
-            graph,
-            library,
-            options,
-            reach,
-            compiled,
-            timing: &timing,
-            est_modules: &est_modules,
-            kind_modules,
-            binding: &binding,
-            locked: &locked,
-            ledger: &ledger,
-            busy: &scratch.busy,
-            by_module: &scratch.by_module,
-            kind_compat,
-            provisional: &provisional,
-            late,
-            constraints,
-            peak_power: constraints.max_power(),
-            start0: std::mem::take(&mut scratch.start0),
-            avoided: std::mem::take(&mut scratch.avoided),
-        };
-        if gated.is_some() {
-            let KernelMode::Replay(rs) = &mut mode else {
-                unreachable!("gated iterations only arise in replay mode")
-            };
-            let rs = &mut **rs;
-            // Gated iteration: trust the memo for every quiet operation
-            // (scores copied, not recomputed) and evaluate only the hot
-            // cone fresh. Attempts still run for real — state mutations,
-            // feasibility probes and effort counters are identical to
-            // the cold path by construction.
-            let plan = {
-                let mut patch_span = pchls_obs::span!("kernel.patch");
-                let plan =
-                    plan_gated_iteration(rs, &mut ctx, &scratch.unbound_vec, unbound.words());
-                patch_span.arg("hot", plan.hot_ops);
-                plan
-            };
-            scratch.start0 = std::mem::take(&mut ctx.start0);
-            scratch.avoided = std::mem::take(&mut ctx.avoided);
-            drop(ctx);
-            let mut commit_span = pchls_obs::span!("kernel.commit");
-            let mut attempts = 0u64;
-            let mut outcome = run_attempts(
-                plan.entries.iter(),
+
+        // Try candidates best-first; a candidate commits only if the
+        // remaining operations still admit a power-feasible schedule (the
+        // paper's feasibility check). Rejected candidates are undone and
+        // skipped; attempts are capped so a pathological iteration stays
+        // cheap.
+        //
+        // The candidates come from one of two sources. A gated iteration
+        // trusts the memo for every quiet operation (scores copied, not
+        // recomputed) and evaluates only the hot cone fresh; a cold one
+        // scores and ranks everything. Attempts run for real either way,
+        // so state mutations, feasibility probes and effort counters are
+        // identical by construction. A gated stream truncated at the
+        // recorded trust bound without a commit takes a second, cold pass
+        // that continues past the already-attempted prefix: every undo
+        // restored state bit-exactly, and the busy/bucket scratch rows
+        // are iteration-start snapshots the attempts never touch.
+        let mut plan: Option<GatedPlan> = None;
+        let mut attempts = 0u64;
+        let committed = loop {
+            let from_plan = gated && plan.is_none();
+            let mut ctx = Context {
                 graph,
                 library,
+                options,
+                reach,
+                compiled,
+                timing: &timing,
+                est_modules: &est_modules,
+                kind_modules,
+                binding: &binding,
+                locked: &locked,
+                ledger: &ledger,
+                busy: &scratch.busy,
+                by_module: &scratch.by_module,
+                kind_compat,
+                provisional: &provisional,
+                late,
                 constraints,
-                &budget,
-                &provisional,
-                &mut binding,
-                &mut locked,
-                &mut timing,
-                &mut ledger,
-                &mut unbound,
-                &mut unbound_count,
-                &mut stats,
-                &mut dirty,
-                &mut attempts,
-            );
-            if outcome.is_none() && !plan.exhaustive {
-                // The replayed stream was truncated at the recorded
-                // trust bound without committing: re-enumerate the whole
-                // iteration cold and continue past the already-attempted
-                // prefix (every undo restored state bit-exactly, and the
-                // busy/bucket scratch rows are iteration-start snapshots
-                // the attempts never touch). Repeated extensions mean
-                // the memo no longer predicts this run — `align` bails
-                // to the cold path after a few.
-                rs.extensions += 1;
-                let mut ctx = Context {
-                    graph,
-                    library,
-                    options,
-                    reach,
-                    compiled,
-                    timing: &timing,
-                    est_modules: &est_modules,
-                    kind_modules,
-                    binding: &binding,
-                    locked: &locked,
-                    ledger: &ledger,
-                    busy: &scratch.busy,
-                    by_module: &scratch.by_module,
-                    kind_compat,
-                    provisional: &provisional,
-                    late,
-                    constraints,
-                    peak_power: constraints.max_power(),
-                    start0: std::mem::take(&mut scratch.start0),
-                    avoided: std::mem::take(&mut scratch.avoided),
+                peak_power: constraints.max_power(),
+                start0: std::mem::take(&mut scratch.start0),
+                avoided: std::mem::take(&mut scratch.avoided),
+            };
+            let order: &[u32] = if from_plan {
+                let KernelMode::Replay(rs) = &mut mode else {
+                    unreachable!("gated iterations only arise in replay mode")
                 };
-                {
-                    let mut score_span = pchls_obs::span!("kernel.score");
-                    ctx.precompute_tables(&scratch.unbound_vec, parallel);
-                    scratch.candidates.clear();
-                    enumerate_candidates(
-                        &ctx,
-                        &scratch.unbound_vec,
-                        unbound.words(),
-                        parallel,
-                        &mut scratch.candidates,
-                        &mut scratch.pairs,
-                    );
-                    score_span.arg("candidates", scratch.candidates.len());
-                }
-                scratch.start0 = std::mem::take(&mut ctx.start0);
-                scratch.avoided = std::mem::take(&mut ctx.avoided);
-                drop(ctx);
-                let candidates: &[Decision] = &scratch.candidates;
-                let cmp = |&x: &u32, &y: &u32| {
-                    let (a, b) = (&candidates[x as usize], &candidates[y as usize]);
-                    b.score
-                        .partial_cmp(&a.score)
-                        .expect("scores are finite")
-                        .then(a.start.cmp(&b.start))
-                        .then(a.op.cmp(&b.op))
-                        .then(x.cmp(&y))
-                };
-                let order: &[u32] = {
-                    let _span = pchls_obs::span!("kernel.topk");
-                    scratch.top.clear();
-                    for i in 0..candidates.len() as u32 {
-                        scratch.top.push(i, cmp);
-                    }
-                    scratch.top.sorted(cmp)
-                };
-                let skip = attempts as usize;
-                debug_assert!(
-                    plan.entries
-                        .iter()
-                        .zip(order.iter())
-                        .all(|(e, &i)| *e == candidates[i as usize]),
-                    "replayed candidate prefix diverged from the cold ranking"
-                );
-                outcome = run_attempts(
-                    order.iter().skip(skip).map(|&i| &candidates[i as usize]),
-                    graph,
-                    library,
-                    constraints,
-                    &budget,
-                    &provisional,
-                    &mut binding,
-                    &mut locked,
-                    &mut timing,
-                    &mut ledger,
-                    &mut unbound,
-                    &mut unbound_count,
-                    &mut stats,
-                    &mut dirty,
-                    &mut attempts,
-                );
-            }
-            commit_span.arg("attempts", attempts);
-            drop(commit_span);
-            if outcome.is_none() {
-                backtrack_all(
-                    graph,
-                    &timing,
-                    constraints,
-                    &budget,
-                    options,
-                    &scratch.unbound_vec,
-                    &provisional,
-                    &mut locked,
-                    &mut ledger,
-                    &mut stats,
-                )?;
-                // A backtrack invalidates every later recorded
-                // iteration (recording stops at the first backtrack);
-                // finish the run on the cold path.
-                rs.full = true;
-            }
-        } else {
-            {
-                let mut score_span = pchls_obs::span!("kernel.score");
-                ctx.precompute_tables(&scratch.unbound_vec, parallel);
-                scratch.candidates.clear();
-                enumerate_candidates(
-                    &ctx,
+                let mut patch_span = pchls_obs::span!("kernel.patch");
+                let p = plan_gated_iteration(rs, &mut ctx, &scratch.unbound_vec, unbound.words());
+                patch_span.arg("hot", p.hot_ops);
+                plan = Some(p);
+                &[]
+            } else {
+                score_and_rank(
+                    &mut ctx,
                     &scratch.unbound_vec,
                     unbound.words(),
-                    parallel,
                     &mut scratch.candidates,
-                    &mut scratch.pairs,
-                );
-                score_span.arg("candidates", scratch.candidates.len());
-            }
-            if let KernelMode::Record(memo) = &mut mode {
-                memo.record_tables(&ctx.start0, &ctx.avoided);
-            }
-            // Hand the score tables back for the next iteration and release
-            // every `ctx` borrow before the commit loop mutates state.
+                    &mut scratch.top,
+                )
+            };
+            // Hand the score tables back for the next iteration and
+            // release every `ctx` borrow before the attempts mutate state.
             scratch.start0 = std::mem::take(&mut ctx.start0);
             scratch.avoided = std::mem::take(&mut ctx.avoided);
             drop(ctx);
             let candidates: &[Decision] = &scratch.candidates;
-            // Deterministic order: best score first, then earlier start, then
-            // smaller op id, then enumeration index — the index makes the
-            // comparison a *total* order, so the kept top-k set is unique
-            // and the bounded heap below equals a stable full sort truncated
-            // to `MAX_ATTEMPTS`. One pass, one persistent buffer: each
-            // also-ran candidate costs a single comparison against the
-            // heap's worst kept entry.
-            let cmp = |&x: &u32, &y: &u32| {
-                let (a, b) = (&candidates[x as usize], &candidates[y as usize]);
-                b.score
-                    .partial_cmp(&a.score)
-                    .expect("scores are finite")
-                    .then(a.start.cmp(&b.start))
-                    .then(a.op.cmp(&b.op))
-                    .then(x.cmp(&y))
-            };
-            let order: &[u32] = {
-                let _span = pchls_obs::span!("kernel.topk");
-                scratch.top.clear();
-                for i in 0..candidates.len() as u32 {
-                    scratch.top.push(i, cmp);
-                }
-                scratch.top.sorted(cmp)
-            };
             if let KernelMode::Record(memo) = &mut mode {
+                memo.record_tables(&scratch.start0, &scratch.avoided);
                 memo.record_top(order, candidates, &scratch.by_module, kind_modules, graph);
             }
-
-            // Try candidates best-first; a candidate commits only if the
-            // remaining operations still admit a power-feasible schedule (the
-            // paper's feasibility check). Rejected candidates are undone and
-            // skipped; attempts are capped so a pathological iteration stays
-            // cheap.
+            let planned: &[Decision] = match &plan {
+                Some(p) if from_plan => &p.entries,
+                _ => &[],
+            };
+            debug_assert!(
+                plan.as_ref().is_none_or(|p| p
+                    .entries
+                    .iter()
+                    .zip(order)
+                    .all(|(e, &i)| *e == candidates[i as usize])),
+                "replayed candidate prefix diverged from the cold ranking"
+            );
+            let tried = attempts;
             let mut commit_span = pchls_obs::span!("kernel.commit");
-            let mut attempts = 0u64;
-            let committed = run_attempts(
-                order.iter().map(|&i| &candidates[i as usize]),
+            let outcome = run_attempts(
+                planned.iter().chain(
+                    order
+                        .iter()
+                        .skip(tried as usize)
+                        .map(|&i| &candidates[i as usize]),
+                ),
                 graph,
                 library,
                 constraints,
@@ -520,36 +368,53 @@ pub(crate) fn synthesize_session_mode(
                 &mut dirty,
                 &mut attempts,
             );
-            commit_span.arg("attempts", attempts);
+            commit_span.arg("attempts", attempts - tried);
             drop(commit_span);
-            if let KernelMode::Record(memo) = &mut mode {
-                match committed {
-                    Some(d) => memo.commit_iteration(
-                        d.op,
-                        match d.target {
-                            Target::FreshPair { partner, .. } => Some(partner),
-                            _ => None,
-                        },
-                    ),
-                    // A backtracked iteration ends the usable recording:
-                    // replays go cold from here (see `ReplayState`).
-                    None => memo.abort_recording(),
+            match (&mut mode, &plan) {
+                // The gated stream ran out at the trust bound: extend
+                // into the cold pass. Repeated extensions mean the memo
+                // no longer predicts this run — `align` bails to the
+                // cold path after a few.
+                (KernelMode::Replay(rs), Some(p))
+                    if from_plan && outcome.is_none() && !p.exhaustive =>
+                {
+                    rs.extensions += 1;
                 }
+                _ => break outcome,
             }
-            if committed.is_none() {
-                backtrack_all(
-                    graph,
-                    &timing,
-                    constraints,
-                    &budget,
-                    options,
-                    &scratch.unbound_vec,
-                    &provisional,
-                    &mut locked,
-                    &mut ledger,
-                    &mut stats,
-                )?;
-            }
+        };
+        match &mut mode {
+            KernelMode::Record(memo) => match committed {
+                Some(d) => memo.commit_iteration(
+                    d.op,
+                    match d.target {
+                        Target::FreshPair { partner, .. } => Some(partner),
+                        _ => None,
+                    },
+                ),
+                // A backtracked iteration ends the usable recording:
+                // replays go cold from here (see `ReplayState`).
+                None => memo.abort_recording(),
+            },
+            // A backtrack invalidates every later recorded iteration
+            // (recording stops at the first backtrack); finish the run
+            // on the cold path.
+            KernelMode::Replay(rs) if committed.is_none() => rs.full = true,
+            _ => {}
+        }
+        if committed.is_none() {
+            backtrack_all(
+                graph,
+                &timing,
+                constraints,
+                &budget,
+                options,
+                &scratch.unbound_vec,
+                &provisional,
+                &mut locked,
+                &mut ledger,
+                &mut stats,
+            )?;
         }
     }
 
@@ -692,11 +557,6 @@ fn backtrack_all(
     Ok(())
 }
 
-/// Minimum unbound-op count at which one scoring iteration fans out
-/// across the worker pool: below this the per-iteration thread spawn
-/// costs more than the (identical) serial pass.
-const PAR_MIN_OPS: usize = 24;
-
 /// Candidate attempts per iteration: commits are tried best-first and a
 /// pathological iteration must stay cheap.
 pub(crate) const MAX_ATTEMPTS: usize = 64;
@@ -704,8 +564,7 @@ pub(crate) const MAX_ATTEMPTS: usize = 64;
 /// Read-only state shared by the candidate enumeration helpers, plus
 /// per-iteration score tables (every tabulated quantity depends only on
 /// state that is fixed for the whole enumeration pass, so the tables are
-/// filled up-front — in parallel on wide iterations — and the scoring
-/// context stays `Sync` for the fan-out).
+/// filled up-front).
 pub(crate) struct Context<'a> {
     pub(crate) graph: &'a Cdfg,
     pub(crate) library: &'a ModuleLibrary,
@@ -810,8 +669,6 @@ struct Scratch {
     by_module: Vec<Vec<InstanceId>>,
     /// The iteration's enumerated decisions.
     candidates: Vec<Decision>,
-    /// Pair-merge work list (parallel enumeration only).
-    pairs: Vec<(NodeId, NodeId)>,
     /// Bounded best-`MAX_ATTEMPTS` ranking over candidate indices.
     top: TopK<u32>,
     /// `Context::start0` score table, handed back after each iteration.
@@ -827,7 +684,6 @@ impl Scratch {
             busy: Vec::new(),
             by_module: vec![Vec::new(); lib_len],
             candidates: Vec::new(),
-            pairs: Vec::new(),
             top: TopK::new(MAX_ATTEMPTS),
             start0: Vec::new(),
             avoided: Vec::new(),
@@ -837,11 +693,8 @@ impl Scratch {
 
 impl Context<'_> {
     /// Fills the `start0`/`avoided` score tables for the unbound
-    /// operations, fanning the per-op rows across the worker pool on
-    /// wide iterations (each row is an independent pure function of the
-    /// iteration-fixed state, and [`pchls_par::par_map`] preserves input
-    /// order, so the tables are bit-identical to a serial fill).
-    fn precompute_tables(&mut self, unbound: &[NodeId], parallel: bool) {
+    /// operations.
+    fn precompute_tables(&mut self, unbound: &[NodeId]) {
         let lib_len = self.library.len();
         // The tables live in the caller's scratch between iterations:
         // clear + resize reuses their capacity while resetting every
@@ -850,24 +703,9 @@ impl Context<'_> {
         let mut start0 = std::mem::take(&mut self.start0);
         start0.clear();
         start0.resize(self.graph.len() * lib_len, None);
-        if parallel {
-            let rows: Vec<Vec<(ModuleId, Option<u32>)>> = pchls_par::par_map(unbound, |&u| {
-                self.kind_list(u)
-                    .iter()
-                    .map(|&m| (m, self.candidate_start(u, m, 0)))
-                    .collect()
-            });
-            for (&u, row) in unbound.iter().zip(&rows) {
-                for &(m, s) in row {
-                    start0[u.index() * lib_len + m.index()] = s;
-                }
-            }
-        } else {
-            // Narrow iteration: fill in place, no per-op row buffers.
-            for &u in unbound {
-                for &m in self.kind_list(u) {
-                    start0[u.index() * lib_len + m.index()] = self.candidate_start(u, m, 0);
-                }
+        for &u in unbound {
+            for &m in self.kind_list(u) {
+                start0[u.index() * lib_len + m.index()] = self.candidate_start(u, m, 0);
             }
         }
         let mut avoided = std::mem::take(&mut self.avoided);
@@ -1002,9 +840,55 @@ impl Context<'_> {
     }
 }
 
+/// Scores every feasible decision for the unbound operations into
+/// `candidates` and ranks the best `MAX_ATTEMPTS` of them into `top`,
+/// returning candidate indices best-first.
+///
+/// Deterministic order: [`rank_order`], then enumeration index — the
+/// index makes the comparison a *total* order, so the kept top-k set is
+/// unique and the bounded heap equals a stable full sort truncated to
+/// `MAX_ATTEMPTS`. One pass, one persistent buffer: each also-ran
+/// candidate costs a single comparison against the heap's worst kept
+/// entry.
+fn score_and_rank<'t>(
+    ctx: &mut Context<'_>,
+    unbound_vec: &[NodeId],
+    unbound_words: &[u64],
+    candidates: &mut Vec<Decision>,
+    top: &'t mut TopK<u32>,
+) -> &'t [u32] {
+    {
+        let mut score_span = pchls_obs::span!("kernel.score");
+        ctx.precompute_tables(unbound_vec);
+        candidates.clear();
+        enumerate_candidates(ctx, unbound_vec, unbound_words, candidates);
+        score_span.arg("candidates", candidates.len());
+    }
+    let cmp = |&x: &u32, &y: &u32| {
+        rank_order(&candidates[x as usize], &candidates[y as usize]).then(x.cmp(&y))
+    };
+    let _span = pchls_obs::span!("kernel.topk");
+    top.clear();
+    for i in 0..candidates.len() as u32 {
+        top.push(i, cmp);
+    }
+    top.sorted(cmp)
+}
+
+/// The ranking order on decisions: best score first, then earlier
+/// start, then smaller op id. Callers complete it into a total order
+/// with an enumeration-position tie-break.
+pub(crate) fn rank_order(a: &Decision, b: &Decision) -> std::cmp::Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .expect("scores are finite")
+        .then(a.start.cmp(&b.start))
+        .then(a.op.cmp(&b.op))
+}
+
 /// Enumerates every feasible decision for the unbound operations into
-/// `out` (cleared by the caller; `pair_buf` is the parallel path's
-/// reusable work-list buffer).
+/// `out` (cleared by the caller): each op's existing-instance merges and
+/// dedicated fallback, then every pair merge.
 ///
 /// Pair partners come from a word walk, not a nested scan: for each
 /// unbound `u`, `unbound ∧ compat_row(kind(u)) ∧ (id > u)` is two
@@ -1013,63 +897,25 @@ impl Context<'_> {
 /// have fed `pair_decisions` that pass its kind-compatibility
 /// early-return, in the same ascending order — dropped pairs produced
 /// no decisions, so enumeration indices (and the trace) are unchanged.
-///
-/// Scoring is embarrassingly parallel over a *deterministic* work list:
-/// one item per unbound op (its existing-instance merges and dedicated
-/// fallback) followed by one per surviving pair.
-/// [`pchls_par::par_map`] preserves item order, each item's decisions
-/// are generated in the same inner order as the serial loops, and the
-/// caller's ranking is stable over this enumeration index — a fixed
-/// `(score, start, op, enumeration index)` total order — so the
-/// committed decision, and therefore the whole synthesis trace, is
-/// bit-identical to a serial run regardless of thread count.
 fn enumerate_candidates(
     ctx: &Context<'_>,
     unbound_vec: &[NodeId],
     unbound_words: &[u64],
-    parallel: bool,
     out: &mut Vec<Decision>,
-    pair_buf: &mut Vec<(NodeId, NodeId)>,
 ) {
-    if !parallel {
-        // Narrow iteration: one shared output vector, no per-item
-        // buffers — the allocation profile of the fully serial loops.
-        for &u in unbound_vec {
-            single_decisions(ctx, u, out);
-        }
-        for &u in unbound_vec {
-            for v in iter_and_above(unbound_words, ctx.compat_row(u), u.index()) {
-                pair_decisions(ctx, u, v, out);
-            }
-        }
-        return;
+    for &u in unbound_vec {
+        single_decisions(ctx, u, out);
     }
-
-    let singles = pchls_par::par_map(unbound_vec, |&u| {
-        let mut items = Vec::new();
-        single_decisions(ctx, u, &mut items);
-        items
-    });
-    // (2) Pair merges: two unbound operations opening one shared unit,
-    // work list built by the same word walk as the serial loop.
-    pair_buf.clear();
     for &u in unbound_vec {
         for v in iter_and_above(unbound_words, ctx.compat_row(u), u.index()) {
-            pair_buf.push((u, v));
+            pair_decisions(ctx, u, v, out);
         }
     }
-    let paired = pchls_par::par_map(pair_buf, |&(u, v)| {
-        let mut items = Vec::new();
-        pair_decisions(ctx, u, v, &mut items);
-        items
-    });
-
-    out.extend(singles.into_iter().chain(paired).flatten());
 }
 
 /// Appends the decisions binding one unbound operation on its own:
 /// merges onto each compatible existing instance, plus the
-/// dedicated-instance fallback, in the serial enumeration order.
+/// dedicated-instance fallback, in enumeration order.
 fn single_decisions(ctx: &Context<'_>, u: NodeId, out: &mut Vec<Decision>) {
     for &m in ctx.modules_for(u) {
         // (1) Merge onto an existing instance: earliest start at which
@@ -1130,7 +976,7 @@ pub(crate) fn fresh_decision(ctx: &Context<'_>, u: NodeId, m: ModuleId) -> Optio
 }
 
 /// Appends the pair-merge decisions for one unordered pair of unbound
-/// operations, in the serial enumeration order.
+/// operations, in enumeration order.
 fn pair_decisions(ctx: &Context<'_>, u: NodeId, v: NodeId, out: &mut Vec<Decision>) {
     // Kind-incompatible pairs (no module covers both kinds) are already
     // dropped by the callers' compat-mask word walk.

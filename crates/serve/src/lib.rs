@@ -75,7 +75,6 @@ mod cache;
 mod lanes;
 mod net;
 mod protocol;
-mod queue;
 mod results;
 mod service;
 mod stats;
@@ -85,7 +84,6 @@ pub use cache::{CacheLookup, CacheStats, CompileCache, CompileOutcome};
 pub use lanes::{Lane, LaneQueues, PushRefusal};
 pub use net::{handle_connection, serve_stdio, serve_tcp, serve_tcp_with, ShutdownHandle};
 pub use protocol::{SubmitRequest, SubmitResponse};
-pub use queue::JobQueue;
 pub use results::{ResultCacheStats, ResultTier, StoreHandle, StoreTierStats};
 pub use service::{Service, ServiceConfig, SubmitOutcome};
 pub use stats::{render_serve_stats, LaneSnapshot, LatencyHistogram, ServiceStats};
