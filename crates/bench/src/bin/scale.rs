@@ -3,8 +3,8 @@
 //! progressively larger random CDFGs, and writes the measurement to
 //! `BENCH_2.json` (`pchls-bench-v1`, workload `synthesis-kernel`). A
 //! second workload, `engine-amortized`, times a whole constraint sweep
-//! through one compile-once [`Session`] against the per-point-recompute
-//! free-function path and writes `BENCH_3.json`.
+//! through one compile-once [`Session`] against a per-point-recompute
+//! path (a fresh engine and compile per point) and writes `BENCH_3.json`.
 //! A third workload, `service-throughput`, drives M concurrent clients
 //! × K requests each through the `pchls-serve` [`Service`] (bounded
 //! queue, worker pool, content-addressed compile cache) over a
@@ -57,9 +57,9 @@
 //! A ninth workload, `edits`, replays random single-op graph edits
 //! through the incremental re-synthesis path (`BENCH_10.json`): each
 //! edit is synthesized cold (full compile + full kernel run) and
-//! incrementally ([`Engine::recompile`] +
-//! [`Session::resynthesize`](pchls_core::Session) seeded from a
-//! recorded base run), the two designs are byte-diffed — decision
+//! incrementally ([`diff`] + a cold [`Engine::try_compile`] of the
+//! edited graph + [`Session::resynthesize`](pchls_core::Session) seeded
+//! from a recorded base run), the two designs are byte-diffed — decision
 //! traces and effort counters included — and the per-edit wall-clock
 //! ratio is recorded with its median asserted on multi-core hosts.
 //!
@@ -70,7 +70,7 @@
 //! coarser grain (sweep points, batch jobs, serve workers). Where a
 //! workload compares two paths, both sides are compared for exact
 //! equality (`outputs_identical`): the amortized session must reproduce
-//! the free-function designs bit for bit, and every thread count must
+//! the per-point designs bit for bit, and every thread count must
 //! reproduce the 1-thread sweep.
 
 use std::io::{BufRead, BufReader, Write};
@@ -80,7 +80,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use pchls_bench::{figure2_power_grid, scale_random_case};
-use pchls_cdfg::{benchmarks, write_cdfg, Cdfg};
+use pchls_cdfg::{benchmarks, diff, write_cdfg, Cdfg};
 use pchls_core::{
     Engine, PowerBudget, Session, SweepSpec, SynthesisConstraints, SynthesisOptions,
     SynthesisRequest, SynthesizedDesign,
@@ -148,8 +148,7 @@ struct AmortizedCaseRecord {
     /// Timing repetitions (minimum taken per side).
     reps: usize,
     /// Best wall-clock seconds for the per-point-recompute path (one
-    /// throwaway engine + compile per grid point — the deprecated
-    /// free-function behaviour).
+    /// throwaway engine + compile per grid point).
     per_point_secs: f64,
     /// Best wall-clock seconds for the compile-once session path.
     amortized_secs: f64,
@@ -177,8 +176,8 @@ struct AmortizedRecord {
     amortized_secs: f64,
     /// `per_point_secs / amortized_secs`.
     speedup: f64,
-    /// Whether the session designs equal the free-function designs
-    /// bit for bit on every point.
+    /// Whether the session designs equal the per-point designs bit for
+    /// bit on every point.
     outputs_identical: bool,
     /// Per-case breakdown.
     cases: Vec<AmortizedCaseRecord>,
@@ -279,8 +278,7 @@ fn kernel_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
 }
 
 /// One serial pass over `grid` through the per-point-recompute path:
-/// a throwaway engine + compile for every point, exactly what the
-/// deprecated free `synthesize` does.
+/// a throwaway engine + compile for every point.
 fn sweep_per_point(
     graph: &Cdfg,
     library: &ModuleLibrary,
@@ -411,7 +409,7 @@ fn amortized_workload(smoke: bool, opts: &SynthesisOptions) {
     );
     assert!(
         record.outputs_identical,
-        "compile-once session diverged from the per-point free-function path"
+        "compile-once session diverged from the per-point recompute path"
     );
     let json = serde_json::to_string_pretty(&record).expect("serializable");
     std::fs::write("BENCH_3.json", json).expect("write BENCH_3.json");
@@ -2010,16 +2008,14 @@ struct EditRecord {
     bailed: bool,
     /// Best wall-clock seconds for a full compile of the edited graph.
     compile_secs: f64,
-    /// Best wall-clock seconds for the delta recompile (structural diff
-    /// included).
-    recompile_secs: f64,
-    /// `compile_secs / recompile_secs` — the delta-compile stage win.
-    compile_speedup: f64,
+    /// Best wall-clock seconds for the incremental side's structural
+    /// diff plus its cold compile of the edited graph.
+    diff_compile_secs: f64,
     /// Best wall-clock seconds for the cold path (full compile + full
     /// kernel run on the edited graph).
     full_secs: f64,
-    /// Best wall-clock seconds for the incremental path (diff + delta
-    /// recompile + memo-seeded replay).
+    /// Best wall-clock seconds for the incremental path (diff + cold
+    /// compile + memo-seeded replay).
     incremental_secs: f64,
     /// `full_secs / incremental_secs` — the end-to-end win.
     speedup: f64,
@@ -2057,9 +2053,6 @@ struct EditsRecord {
     full_secs: f64,
     /// Sum of the per-edit best incremental-path seconds.
     incremental_secs: f64,
-    /// Median per-edit `compile/recompile` ratio — the delta-compile
-    /// stage, where reuse is structural and the ≥5x bound is asserted.
-    median_compile_speedup: f64,
     /// Median per-edit `full/incremental` end-to-end ratio over every
     /// edit. The replay must reproduce the cold kernel's attempt
     /// sequence bit-exactly, so its win depends on how local the edit's
@@ -2175,7 +2168,8 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
                 .session(&c)
                 .synthesize(case.constraints.clone(), opts)
         });
-        let _ = engine.recompile(&compiled, &edited).map(|(c, delta)| {
+        let delta = diff(&case.graph, &edited);
+        let _ = engine.try_compile(&edited).map(|c| {
             engine
                 .session(&c)
                 .resynthesize(&memo, &delta)
@@ -2184,7 +2178,7 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     }
 
     println!(
-        "{:<4} {:>7} {:>5} {:>5} {:>6} {:>4} {:>5} | {:>9} {:>9} {:>7} | {:>9} {:>9} {:>7} {:>5}",
+        "{:<4} {:>7} {:>5} {:>5} {:>6} {:>4} {:>5} | {:>9} {:>9} | {:>9} {:>9} {:>7} {:>5}",
         "edit",
         "kind",
         "cone",
@@ -2193,14 +2187,13 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         "ext",
         "bail",
         "comp_s",
-        "rcomp_s",
-        "cx",
+        "dcomp_s",
         "full_s",
         "inc_s",
         "e2e",
         "ident"
     );
-    println!("{}", "-".repeat(110));
+    println!("{}", "-".repeat(101));
     let mut records = Vec::new();
     let mut outputs_identical = true;
     for e in 0..edits {
@@ -2225,17 +2218,18 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             cold = Some(outcome);
         }
 
-        // Incremental side: diff + delta recompile, then memo-seeded
+        // Incremental side: diff + cold compile, then memo-seeded
         // replay.
-        let mut recompile_secs = f64::INFINITY;
+        let mut diff_compile_secs = f64::INFINITY;
         let mut resynth_secs = f64::INFINITY;
         let mut replayed = None;
         for _ in 0..reps {
             let start = Instant::now();
-            let rc = engine.recompile(&compiled, &edited);
-            recompile_secs = recompile_secs.min(start.elapsed().as_secs_f64());
+            let delta = diff(&case.graph, &edited);
+            let c = engine.try_compile(&edited);
+            diff_compile_secs = diff_compile_secs.min(start.elapsed().as_secs_f64());
             let start = Instant::now();
-            let outcome = rc.and_then(|(c, delta)| engine.session(&c).resynthesize(&memo, &delta));
+            let outcome = c.and_then(|c| engine.session(&c).resynthesize(&memo, &delta));
             resynth_secs = resynth_secs.min(start.elapsed().as_secs_f64());
             replayed = Some(outcome);
         }
@@ -2261,12 +2255,11 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         };
         outputs_identical &= identical;
         let full_secs = compile_secs + synth_secs;
-        let incremental_secs = recompile_secs + resynth_secs;
-        let compile_speedup = compile_secs / recompile_secs;
+        let incremental_secs = diff_compile_secs + resynth_secs;
         let speedup = full_secs / incremental_secs;
         println!(
-            "{:<4} {:>7} {:>5} {:>5} {:>6} {:>4} {:>5} | {:>9.4} {:>9.4} {:>6.1}x | {:>9.4} \
-             {:>9.4} {:>6.2}x {:>5}",
+            "{:<4} {:>7} {:>5} {:>5} {:>6} {:>4} {:>5} | {:>9.4} {:>9.4} | {:>9.4} {:>9.4} \
+             {:>6.2}x {:>5}",
             e,
             kind,
             cone,
@@ -2275,8 +2268,7 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             extensions,
             bailed,
             compile_secs,
-            recompile_secs,
-            compile_speedup,
+            diff_compile_secs,
             full_secs,
             incremental_secs,
             speedup,
@@ -2291,8 +2283,7 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             extensions,
             bailed,
             compile_secs,
-            recompile_secs,
-            compile_speedup,
+            diff_compile_secs,
             full_secs,
             incremental_secs,
             speedup,
@@ -2304,7 +2295,6 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         xs[xs.len() / 2]
     };
-    let median_compile_speedup = median(records.iter().map(|r| r.compile_speedup).collect());
     let median_speedup = median(records.iter().map(|r| r.speedup).collect());
     // "Tracked" replays followed the memo to the end of the run; bailed
     // ones abandoned it mid-run after the commit order diverged.
@@ -2339,7 +2329,6 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         record_secs,
         full_secs: records.iter().map(|r| r.full_secs).sum(),
         incremental_secs: records.iter().map(|r| r.incremental_secs).sum(),
-        median_compile_speedup,
         median_speedup,
         tracked_edits,
         tracked_median_speedup,

@@ -29,7 +29,7 @@ struct BenchRecord {
     host_cores: usize,
     /// Wall-clock seconds for the curve-at-a-time serial reference.
     serial_secs: f64,
-    /// Wall-clock seconds for the `sweep_many` whole-figure fan-out.
+    /// Wall-clock seconds for the `Engine::sweep_batch` whole-figure fan-out.
     parallel_secs: f64,
     /// `serial_secs / parallel_secs`.
     speedup: f64,
@@ -113,7 +113,7 @@ fn main() {
         );
     }
 
-    println!("\nFigure 2 regeneration (serial vs. parallel sweep_many)…");
+    println!("\nFigure 2 regeneration (serial vs. parallel sweep_batch)…");
     let record = figure2_perf();
     println!(
         "{} points | {} thread(s) on {} core(s) | serial {:.2}s | parallel {:.2}s | speedup {:.2}x | identical: {}",

@@ -80,7 +80,7 @@ pub fn run_curve_serial(graph: &Cdfg, library: &ModuleLibrary, latency: u32) -> 
 
 /// Regenerates **all** Figure 2 curves at once, fanning every grid point
 /// of every curve across the worker pool via
-/// [`sweep_many`](pchls_core::sweep_many). Returns one point vector per
+/// [`Engine::sweep_batch`]. Returns one point vector per
 /// curve, in [`figure2_curves`] order.
 #[must_use]
 pub fn run_figure2(library: &ModuleLibrary) -> Vec<Vec<SweepPoint>> {

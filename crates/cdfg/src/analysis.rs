@@ -1,6 +1,5 @@
 //! Graph analyses: reachability (transitive closure) and critical path.
 
-use crate::delta::GraphDelta;
 use crate::graph::{Cdfg, NodeId};
 
 /// Dense transitive-closure over a [`Cdfg`], answering ancestor /
@@ -68,97 +67,6 @@ impl Reachability {
                 anc[si * words + i / 64] |= 1u64 << (i % 64);
             }
         }
-        Reachability {
-            n,
-            words,
-            desc,
-            anc,
-        }
-    }
-
-    /// Recomputes the transitive closure of an edited graph, reusing
-    /// the bitset rows of `base` for every node outside the edit cone
-    /// of `delta` (= `diff(base_graph, graph)`).
-    ///
-    /// A node outside the cone has identical ancestor and descendant
-    /// subgraphs in both graphs under the delta's node mapping, so its
-    /// rows are the base rows with the bit positions remapped; only
-    /// in-cone rows are recomputed from the graph. The result is equal
-    /// to `Reachability::new(graph)` (and compares equal under `==`).
-    ///
-    /// Falls back to a full recomputation when the delta is
-    /// [`degenerate`](GraphDelta::degenerate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base`/`graph` node counts disagree with the delta's.
-    #[must_use]
-    pub fn incremental(graph: &Cdfg, base: &Reachability, delta: &GraphDelta) -> Reachability {
-        assert_eq!(base.n, delta.base_len(), "delta built for another base");
-        assert_eq!(
-            graph.len(),
-            delta.edited_len(),
-            "delta built for another edit"
-        );
-        if delta.degenerate() {
-            return Reachability::new(graph);
-        }
-        let n = graph.len();
-        let words = n.div_ceil(64);
-        let mut desc = vec![0u64; n * words];
-        let mut anc = vec![0u64; n * words];
-
-        // Clean rows: remap the base bits through the node mapping.
-        let mut clean = vec![false; n];
-        for id in graph.node_ids() {
-            let Some(b) = delta.clean_source(id) else {
-                continue;
-            };
-            clean[id.index()] = true;
-            let i = id.index();
-            for (src_row, dst_row) in [
-                (
-                    base.descendant_words(b),
-                    &mut desc[i * words..(i + 1) * words],
-                ),
-                (base.ancestor_words(b), &mut anc[i * words..(i + 1) * words]),
-            ] {
-                for bit in Reachability::iter_row(src_row) {
-                    let m = delta
-                        .map_base(bit)
-                        .expect("cone theorem: neighbors of clean nodes are mapped")
-                        .index();
-                    dst_row[m / 64] |= 1u64 << (m % 64);
-                }
-            }
-        }
-
-        // Dirty rows, exactly as in `new` but touching only in-cone
-        // nodes; the rows they read are either clean (prefilled) or
-        // dirty-but-already-final in the traversal order.
-        for &id in graph.topological().iter().rev() {
-            let i = id.index();
-            if clean[i] {
-                continue;
-            }
-            for &s in graph.successors(id) {
-                let si = s.index();
-                union_row(&mut desc, words, i, si);
-                desc[i * words + si / 64] |= 1u64 << (si % 64);
-            }
-        }
-        for &id in graph.topological() {
-            let si_outer = id.index();
-            for &s in graph.successors(id) {
-                if clean[s.index()] {
-                    continue;
-                }
-                let si = s.index();
-                union_row(&mut anc, words, si, si_outer);
-                anc[si * words + si_outer / 64] |= 1u64 << (si_outer % 64);
-            }
-        }
-
         Reachability {
             n,
             words,
@@ -286,20 +194,6 @@ impl AnalysisCache {
     #[must_use]
     pub fn new() -> AnalysisCache {
         AnalysisCache::default()
-    }
-
-    /// A cache preseeded with an already computed transitive closure —
-    /// the delta-compile path hands an incrementally patched
-    /// [`Reachability`] straight to the compiled artifact instead of
-    /// recomputing it on first request.
-    #[must_use]
-    pub fn with_reachability(reach: Reachability) -> AnalysisCache {
-        let cache = AnalysisCache::default();
-        cache
-            .reach
-            .set(reach)
-            .expect("freshly created cache is empty");
-        cache
     }
 
     /// The transitive closure of `graph`, computed on first call and
@@ -627,53 +521,6 @@ mod tests {
         assert_eq!(r.descendant_count(ids[1]), 3);
         // o reaches nothing
         assert_eq!(r.descendant_count(ids[4]), 0);
-    }
-
-    #[test]
-    fn incremental_reachability_matches_fresh() {
-        use crate::{diff, GraphEdit};
-        let g = crate::benchmarks::hal();
-        let base = Reachability::new(&g);
-
-        // One edit of each flavor, chained.
-        let add = g
-            .nodes()
-            .iter()
-            .find(|n| n.kind() == OpKind::Add)
-            .unwrap()
-            .id();
-        let inp = g.inputs().next().unwrap().id();
-        let mut edit = GraphEdit::new(&g);
-        let m = edit.add_op(OpKind::Mul, &[add, inp]).unwrap();
-        edit.rewire_edge(m, 1, add).unwrap();
-        let edited = edit.finish().unwrap();
-        let delta = diff(&g, &edited);
-        assert!(!delta.degenerate());
-        assert!(delta.cone_size() < edited.len(), "some rows stay clean");
-        let inc = Reachability::incremental(&edited, &base, &delta);
-        assert_eq!(inc, Reachability::new(&edited));
-
-        // Removal path (drop the op again).
-        let mut edit = GraphEdit::new(&edited);
-        edit.remove_op(m).unwrap();
-        let back = edit.finish().unwrap();
-        let delta_back = diff(&edited, &back);
-        let inc_back = Reachability::incremental(&back, &inc, &delta_back);
-        assert_eq!(inc_back, Reachability::new(&back));
-
-        // Degenerate deltas fall back to a full recompute.
-        let other = crate::benchmarks::cosine();
-        let d = diff(&g, &other);
-        let fresh = Reachability::incremental(&other, &base, &d);
-        assert_eq!(fresh, Reachability::new(&other));
-    }
-
-    #[test]
-    fn preseeded_cache_hands_back_the_seed() {
-        let g = crate::benchmarks::hal();
-        let reach = Reachability::new(&g);
-        let cache = AnalysisCache::with_reachability(reach.clone());
-        assert_eq!(cache.reachability(&g), &reach);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! (every node whose dependence cone the edit intersects) as a
 //! [`NodeSet`].
 //!
-//! The cone is the contract delta compilation is built on: a node
+//! The cone is the contract incremental replay is built on: a node
 //! outside the cone has a bit-for-bit identical ancestor subgraph and
 //! descendant subgraph in both graphs (under the node mapping), so any
 //! per-node artifact derived purely from those cones — reachability
@@ -170,22 +170,6 @@ impl GraphDelta {
     #[must_use]
     pub fn degenerate(&self) -> bool {
         self.degenerate
-    }
-
-    /// The base counterpart of edited node `id` when the node is
-    /// *clean*: mapped and outside the cone, i.e. every artifact
-    /// derived from its dependence cones may be reused from the base.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range for the edited graph.
-    #[must_use]
-    pub fn clean_source(&self, id: NodeId) -> Option<NodeId> {
-        if self.cone.contains(id) {
-            None
-        } else {
-            self.edited_to_base[id.index()]
-        }
     }
 }
 
@@ -402,7 +386,6 @@ mod tests {
         assert_eq!(d.cone_size(), 0);
         for id in g.node_ids() {
             assert_eq!(d.map_base(id), Some(id));
-            assert_eq!(d.clean_source(id), Some(id));
         }
     }
 
@@ -433,7 +416,6 @@ mod tests {
             !d.cone().contains(out),
             "output is unrelated to the new dead op"
         );
-        assert_eq!(d.clean_source(out), d.map_edited(out));
     }
 
     #[test]

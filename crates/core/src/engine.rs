@@ -2,11 +2,9 @@
 //! synthesis sessions, batched sweeps.
 //!
 //! The paper's exploration workflow (its Figure 2) synthesizes the
-//! *same* CDFG under dozens of `(T, P<)` constraint points. The free
-//! functions ([`synthesize`](crate::synthesize),
-//! [`power_sweep`](crate::power_sweep), …) re-derive library indexes,
-//! reachability bitsets and bootstrap module estimates from scratch on
-//! every call; this module splits those costs by lifetime instead:
+//! *same* CDFG under dozens of `(T, P<)` constraint points. Library
+//! indexes, reachability bitsets and bootstrap module estimates do not
+//! depend on the point, so this module splits those costs by lifetime:
 //!
 //! * [`Engine::new`] owns the **per-library** artifacts — kind-bucketed
 //!   module candidate lists and the kind-compatibility matrix — computed
@@ -21,8 +19,8 @@
 //!   [`synthesize`](Session::synthesize), [`sweep`](Session::sweep) and
 //!   [`batch`](Session::batch) calls share every compiled artifact
 //!   across thousands of constraint points with **no per-point
-//!   recompute** — and produce output byte-identical to the
-//!   free-function path (enforced by `tests/engine_equivalence.rs`).
+//!   recompute** — and produce output byte-identical to the serial
+//!   reference sweeps (enforced by `tests/engine_equivalence.rs`).
 //!
 //! # Example
 //!
@@ -50,11 +48,9 @@
 
 use std::ops::ControlFlow;
 
-use pchls_cdfg::{
-    diff, optimize, AnalysisCache, Cdfg, GraphDelta, OpKind, OptimizeStats, Reachability,
-};
+use pchls_cdfg::{optimize, AnalysisCache, Cdfg, GraphDelta, OpKind, OptimizeStats, Reachability};
 use pchls_fulib::{ModuleId, ModuleLibrary, SelectionPolicy};
-use pchls_sched::{alap, asap, OpTiming, PowerBudget, PowerProfile, Schedule, TimingMap};
+use pchls_sched::{alap, asap, PowerBudget, PowerProfile, Schedule, TimingMap};
 
 use crate::baseline::{trimmed_allocation_bind, two_step_bind, unconstrained_bind, BaselineDesign};
 use crate::constraints::SynthesisConstraints;
@@ -177,7 +173,7 @@ impl Engine {
             min_area_timing,
             asap_fastest,
             // Lazy: the kernel never reads the ALAP skeleton, so
-            // one-shot compiles (the deprecated shims) skip the pass.
+            // compiles that only synthesize skip the pass.
             alap_fastest: std::sync::OnceLock::new(),
             min_latency,
             asap_peak,
@@ -188,7 +184,7 @@ impl Engine {
     }
 
     /// [`try_compile`](Engine::try_compile), panicking on a library
-    /// coverage gap (the historical free-function behaviour).
+    /// coverage gap.
     ///
     /// # Panics
     ///
@@ -296,160 +292,6 @@ impl Engine {
                 finish_sweep(job.compiled, &job.spec, points)
             })
             .collect()
-    }
-
-    /// Recompiles an edited graph against a previous compile, reusing
-    /// every per-graph artifact outside the edit cone: the structural
-    /// delta is computed here (span `cdfg.diff`), then handed to
-    /// [`recompile_with_delta`](Engine::recompile_with_delta). The
-    /// compiled output is byte-identical to a cold
-    /// [`try_compile`](Engine::try_compile) of `edited` — asserted by
-    /// the differential tests via `CompiledGraph::artifacts_equal`.
-    ///
-    /// # Errors
-    ///
-    /// As [`try_compile`](Engine::try_compile).
-    pub fn recompile(
-        &self,
-        base: &CompiledGraph,
-        edited: &Cdfg,
-    ) -> Result<(CompiledGraph, GraphDelta), SynthesisError> {
-        let delta = {
-            let _span = pchls_obs::span!("cdfg.diff", "ops" => edited.len());
-            diff(base.graph(), edited)
-        };
-        let compiled = self.recompile_with_delta(base, edited, &delta)?;
-        Ok((compiled, delta))
-    }
-
-    /// [`recompile`](Engine::recompile) with a precomputed delta.
-    ///
-    /// Artifacts reused from `base` for every node outside the edit
-    /// cone: bootstrap module estimates, fastest/min-area timing
-    /// entries, ASAP starts (copied rather than re-propagated), and the
-    /// transitive closure (recomputed only for cone rows via
-    /// [`Reachability::incremental`]). Degenerate deltas (non-monotone
-    /// mapping) fall back to a full [`try_compile`](Engine::try_compile).
-    ///
-    /// # Errors
-    ///
-    /// As [`try_compile`](Engine::try_compile).
-    pub fn recompile_with_delta(
-        &self,
-        base: &CompiledGraph,
-        edited: &Cdfg,
-        delta: &GraphDelta,
-    ) -> Result<CompiledGraph, SynthesisError> {
-        if delta.degenerate()
-            || delta.base_len() != base.graph.len()
-            || delta.edited_len() != edited.len()
-        {
-            return self.try_compile(edited);
-        }
-        let mut span = pchls_obs::span!(
-            "engine.recompile",
-            "ops" => edited.len(),
-            "cone" => delta.cone_size()
-        );
-        for node in edited.nodes() {
-            if self.kind_modules[node.kind().index()].is_empty() {
-                return Err(SynthesisError::Uncovered { kind: node.kind() });
-            }
-        }
-        let n = edited.len();
-        let mut seed_modules = Vec::with_capacity(n);
-        let mut fastest_entries = Vec::with_capacity(n);
-        let mut min_area_entries = Vec::with_capacity(n);
-        for (i, node) in edited.nodes().iter().enumerate() {
-            let id = pchls_cdfg::NodeId::new(i as u32);
-            // Per-node selections depend on the node's kind alone, so
-            // any mapped node can copy the base entries verbatim
-            // (mapped nodes never change kind).
-            if let Some(b) = delta.map_edited(id) {
-                seed_modules.push(base.seed_modules[b.index()]);
-                fastest_entries.push(base.fastest_timing.of(b));
-                min_area_entries.push(base.min_area_timing.of(b));
-            } else {
-                let seed = self
-                    .library
-                    .select(node.kind(), SelectionPolicy::MinArea)
-                    .expect("coverage checked above");
-                seed_modules.push(seed);
-                let fm = self.library.module(
-                    self.library
-                        .select(node.kind(), SelectionPolicy::Fastest)
-                        .expect("coverage checked above"),
-                );
-                fastest_entries.push(OpTiming {
-                    delay: fm.latency(),
-                    power: fm.power(),
-                });
-                let am = self.library.module(seed);
-                min_area_entries.push(OpTiming {
-                    delay: am.latency(),
-                    power: am.power(),
-                });
-            }
-        }
-        let fastest_timing = TimingMap::from_entries(fastest_entries);
-        let min_area_timing = TimingMap::from_entries(min_area_entries);
-        let reach = Reachability::incremental(edited, base.reachability(), delta);
-        // ASAP starts: out-of-cone mapped nodes have edge-for-edge
-        // identical ancestor subgraphs with identical timing, so their
-        // base starts are copied; cone nodes re-propagate exactly as
-        // `pchls_sched::asap` would (same max-over-operands recurrence,
-        // same topological order restricted to these nodes).
-        let mut starts = vec![0u32; n];
-        let mut copied = 0usize;
-        for &id in edited.topological() {
-            if let (false, Some(b)) = (delta.cone().contains(id), delta.map_edited(id)) {
-                starts[id.index()] = base.asap_fastest.start(b);
-                copied += 1;
-            } else {
-                starts[id.index()] = edited
-                    .operands(id)
-                    .iter()
-                    .map(|&p| starts[p.index()] + fastest_timing.delay(p))
-                    .max()
-                    .unwrap_or(0);
-            }
-        }
-        span.arg("asap_copied", copied);
-        let asap_fastest = Schedule::new(starts);
-        let min_latency = asap_fastest.latency(&fastest_timing);
-        let asap_peak = PowerProfile::of(&asap_fastest, &fastest_timing).peak();
-        // Compatibility masks depend only on the node-kind sequence:
-        // identical when the mapping is the identity (no adds/removes —
-        // monotone total mappings are identities), rebuilt otherwise.
-        let mask_words = n.div_ceil(64);
-        let compat_masks = if delta.added().is_empty() && delta.removed().is_empty() {
-            base.compat_masks.clone()
-        } else {
-            let mut masks = vec![0u64; OpKind::ALL.len() * mask_words];
-            for (j, node) in edited.nodes().iter().enumerate() {
-                let kj = node.kind().index();
-                for k in 0..OpKind::ALL.len() {
-                    if self.kind_compat[k][kj] {
-                        masks[k * mask_words + j / 64] |= 1u64 << (j % 64);
-                    }
-                }
-            }
-            masks
-        };
-        Ok(CompiledGraph {
-            graph: edited.clone(),
-            analyses: AnalysisCache::with_reachability(reach),
-            seed_modules,
-            fastest_timing,
-            min_area_timing,
-            asap_fastest,
-            alap_fastest: std::sync::OnceLock::new(),
-            min_latency,
-            asap_peak,
-            compat_masks,
-            mask_words,
-            optimize_stats: None,
-        })
     }
 }
 
@@ -560,25 +402,6 @@ impl CompiledGraph {
     pub fn optimize_stats(&self) -> Option<&OptimizeStats> {
         self.optimize_stats.as_ref()
     }
-
-    /// Whether every eagerly computed compile artifact equals `other`'s
-    /// — the invariant [`Engine::recompile`] maintains against a cold
-    /// compile of the same graph. Test support; not part of the stable
-    /// API.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn artifacts_equal(&self, other: &CompiledGraph) -> bool {
-        self.graph == other.graph
-            && self.seed_modules == other.seed_modules
-            && self.fastest_timing == other.fastest_timing
-            && self.min_area_timing == other.min_area_timing
-            && self.asap_fastest == other.asap_fastest
-            && self.min_latency == other.min_latency
-            && self.asap_peak.to_bits() == other.asap_peak.to_bits()
-            && self.compat_masks == other.compat_masks
-            && self.mask_words == other.mask_words
-            && self.reachability() == other.reachability()
-    }
 }
 
 /// One iteration snapshot handed to a progress hook (see
@@ -647,9 +470,10 @@ impl<'e> Session<'e> {
     ///
     /// # Errors
     ///
-    /// As [`synthesize`](crate::synthesize): [`SynthesisError::Infeasible`]
-    /// outside the feasible region, internal validation failures
-    /// otherwise.
+    /// [`SynthesisError::Infeasible`] when no power-feasible schedule
+    /// fits the latency bound — the `(T, P<)` point is outside the
+    /// feasible region; [`SynthesisError::Schedule`] /
+    /// [`SynthesisError::Bind`] on internal validation failures.
     pub fn synthesize(
         &self,
         constraints: SynthesisConstraints,
@@ -708,34 +532,9 @@ impl<'e> Session<'e> {
         Ok((design, memo))
     }
 
-    /// [`synthesize_recorded`](Session::synthesize_recorded) with a
-    /// progress/cancel hook, for callers (like the serve tier) that
-    /// record replay seeds inside deadline-supervised requests.
-    ///
-    /// # Errors
-    ///
-    /// As [`synthesize_with_progress`](Session::synthesize_with_progress).
-    pub fn synthesize_recorded_with_progress(
-        &self,
-        constraints: SynthesisConstraints,
-        options: &SynthesisOptions,
-        hook: &mut dyn FnMut(Progress) -> ControlFlow<()>,
-    ) -> Result<(SynthesizedDesign, SynthesisMemo), SynthesisError> {
-        let mut memo = SynthesisMemo::empty(constraints.clone(), *options);
-        let design = synthesize_session_mode(
-            self.engine,
-            self.compiled,
-            &constraints,
-            options,
-            Some(hook),
-            KernelMode::Record(&mut memo),
-        )?;
-        Ok((design, memo))
-    }
-
     /// Re-synthesizes after a graph edit, seeding the kernel from a
     /// recorded base run: this session must hold the **edited** compiled
-    /// graph (typically from [`Engine::recompile`]), `memo` a recording
+    /// graph (a cold [`Engine::try_compile`] of it), `memo` a recording
     /// of the **base** graph under the constraints and options that are
     /// reused here, and `delta` the structural diff between the two.
     ///
@@ -823,9 +622,10 @@ impl<'e> Session<'e> {
         })
     }
 
-    /// The self-tightening refinement loop
-    /// ([`synthesize_refined`](crate::synthesize_refined)) over this
-    /// session's shared artifacts.
+    /// The self-tightening refinement loop over this session's shared
+    /// artifacts: re-synthesizes with the power bound ratcheted just
+    /// below each achieved peak and keeps the smallest design, never
+    /// larger than [`synthesize`](Session::synthesize)'s.
     ///
     /// # Errors
     ///
@@ -838,9 +638,9 @@ impl<'e> Session<'e> {
         refined_session(self.engine, self.compiled, &constraints, options)
     }
 
-    /// The portfolio entry point
-    /// ([`synthesize_portfolio`](crate::synthesize_portfolio)) over this
-    /// session's shared artifacts.
+    /// The portfolio entry point over this session's shared artifacts:
+    /// the smallest valid design of the refined loop and the
+    /// allocation-trimming baseline under both module policies.
     ///
     /// # Errors
     ///
@@ -856,8 +656,9 @@ impl<'e> Session<'e> {
     /// Sweeps one constraint axis, reusing the compiled graph for every
     /// grid point: raw points fan out over the worker pool, the
     /// monotone-envelope pass runs sequentially — output byte-identical
-    /// to the deprecated [`power_sweep`](crate::power_sweep) /
-    /// [`latency_sweep`](crate::latency_sweep) free functions.
+    /// to the serial references
+    /// [`power_sweep_serial`](crate::power_sweep_serial) /
+    /// [`latency_sweep_serial`](crate::latency_sweep_serial).
     #[must_use]
     pub fn sweep(&self, spec: &SweepSpec, options: &SynthesisOptions) -> SweepResult {
         let raw = pchls_par::par_map_indices(spec.len(), |i| {

@@ -1,10 +1,9 @@
 //! Design-space exploration: the sweeps behind Figure 2.
 //!
-//! The free sweep functions in this module predate the
-//! [`Engine`](crate::Engine) API and are kept as thin shims: each builds
-//! a throwaway engine, compiles the graph **once for the whole sweep**,
-//! and delegates to [`Session::sweep`](crate::Session::sweep). New code
-//! should compile once and sweep many times instead.
+//! [`Session::sweep`](crate::Session::sweep) and
+//! [`Engine::sweep_batch`](crate::Engine::sweep_batch) run the grid
+//! points in parallel; the serial reference sweeps here are the
+//! baseline the determinism tests and the perf suite compare against.
 
 use serde::{Deserialize, Serialize};
 
@@ -12,7 +11,7 @@ use pchls_cdfg::Cdfg;
 use pchls_fulib::ModuleLibrary;
 
 use crate::constraints::SynthesisConstraints;
-use crate::engine::{CompiledGraph, Engine, SweepSpec};
+use crate::engine::{CompiledGraph, Engine};
 use crate::options::SynthesisOptions;
 use crate::synthesis::synthesize_session;
 
@@ -53,7 +52,7 @@ pub(crate) enum SweepAxis {
 }
 
 /// Synthesizes `graph` at a fixed latency for every power bound in
-/// `powers`, producing one curve of Figure 2.
+/// `powers`, one synthesis at a time, producing one curve of Figure 2.
 ///
 /// Any design feasible under a tight power bound remains feasible under
 /// every looser one, so each point reports the best design found at any
@@ -62,36 +61,10 @@ pub(crate) enum SweepAxis {
 /// *less* pressure sends it down a worse path; the envelope is what a
 /// designer sweeping the constraint would actually keep.)
 ///
-/// Every grid point is an independent synthesis run, so the raw-points
-/// phase executes in parallel across all cores ([`pchls_par::par_map`]);
-/// the envelope pass then runs sequentially in ascending-bound order,
-/// making the output **byte-identical** to a serial sweep
-/// ([`power_sweep_serial`]). Set `PCHLS_THREADS=1` to force serial
-/// execution.
-#[deprecated(
-    since = "0.2.0",
-    note = "compile once and sweep many times: `engine.session(&compiled)\
-            .sweep(&SweepSpec::power(latency, powers.to_vec()), options)`"
-)]
-#[must_use]
-pub fn power_sweep(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    latency: u32,
-    powers: &[f64],
-    options: &SynthesisOptions,
-) -> Vec<SweepPoint> {
-    let engine = Engine::new(library.clone());
-    let compiled = engine.compile(graph);
-    engine
-        .session(&compiled)
-        .sweep(&SweepSpec::power(latency, powers.to_vec()), options)
-        .into_points()
-}
-
-/// Reference serial implementation of [`power_sweep`]: identical output,
-/// one synthesis at a time. Kept as the baseline the determinism tests
-/// and the perf suite compare against.
+/// This is the serial reference:
+/// [`Session::sweep`](crate::Session::sweep) with
+/// [`SweepSpec::power`](crate::SweepSpec::power) runs the raw points in
+/// parallel and must return exactly these points.
 #[must_use]
 pub fn power_sweep_serial(
     graph: &Cdfg,
@@ -117,34 +90,13 @@ pub fn power_sweep_serial(
 }
 
 /// Synthesizes `graph` at a fixed power bound for every latency in
-/// `latencies` (the orthogonal cut through the constraint space).
+/// `latencies` (the orthogonal cut through the constraint space), one
+/// synthesis at a time.
 ///
-/// As with [`power_sweep`], each point reports the best design found at
-/// any latency `≤ T` — a design meeting a tighter deadline meets every
-/// looser one. Raw points run in parallel; the envelope is sequential,
-/// so the output equals [`latency_sweep_serial`] exactly.
-#[deprecated(
-    since = "0.2.0",
-    note = "compile once and sweep many times: `engine.session(&compiled)\
-            .sweep(&SweepSpec::latency(power, latencies.to_vec()), options)`"
-)]
-#[must_use]
-pub fn latency_sweep(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    power: f64,
-    latencies: &[u32],
-    options: &SynthesisOptions,
-) -> Vec<SweepPoint> {
-    let engine = Engine::new(library.clone());
-    let compiled = engine.compile(graph);
-    engine
-        .session(&compiled)
-        .sweep(&SweepSpec::latency(power, latencies.to_vec()), options)
-        .into_points()
-}
-
-/// Reference serial implementation of [`latency_sweep`].
+/// Each point reports the best design found at any latency `≤ T` — a
+/// design meeting a tighter deadline meets every looser one. The serial
+/// reference for [`Session::sweep`](crate::Session::sweep) with
+/// [`SweepSpec::latency`](crate::SweepSpec::latency).
 #[must_use]
 pub fn latency_sweep_serial(
     graph: &Cdfg,
@@ -167,56 +119,6 @@ pub fn latency_sweep_serial(
         })
         .collect();
     envelope(raw, &latency_order(latencies), SweepAxis::Latency)
-}
-
-/// One whole-curve request for [`sweep_many`]: a graph swept over
-/// `powers` at a fixed `latency`.
-#[derive(Debug, Clone)]
-pub struct SweepRequest<'a> {
-    /// The benchmark graph.
-    pub graph: &'a Cdfg,
-    /// Latency constraint `T` for the whole curve.
-    pub latency: u32,
-    /// Power bounds of the curve's grid.
-    pub powers: &'a [f64],
-}
-
-/// Runs many power-sweep curves at once, fanning **all grid points of
-/// all curves** out across the worker pool.
-///
-/// This is the entry point for whole-figure regeneration (all six
-/// Figure 2 curves at once): flattening the `curves × grid` rectangle
-/// into one job list keeps every core busy even while the last few
-/// expensive points of one curve are still running, which a
-/// curve-at-a-time loop over [`power_sweep`] cannot do. Each returned
-/// curve is byte-identical to [`power_sweep_serial`] on the same inputs.
-#[deprecated(
-    since = "0.2.0",
-    note = "compile each graph once and use `engine.sweep_batch(&jobs, options)` \
-            with `SweepJob { compiled, spec }` entries"
-)]
-#[must_use]
-pub fn sweep_many(
-    requests: &[SweepRequest<'_>],
-    library: &ModuleLibrary,
-    options: &SynthesisOptions,
-) -> Vec<Vec<SweepPoint>> {
-    use crate::engine::SweepJob;
-    let engine = Engine::new(library.clone());
-    let compiled: Vec<CompiledGraph> = requests.iter().map(|r| engine.compile(r.graph)).collect();
-    let jobs: Vec<SweepJob<'_>> = requests
-        .iter()
-        .zip(&compiled)
-        .map(|(r, c)| SweepJob {
-            compiled: c,
-            spec: SweepSpec::power(r.latency, r.powers.to_vec()),
-        })
-        .collect();
-    engine
-        .sweep_batch(&jobs, options)
-        .into_iter()
-        .map(crate::engine::SweepResult::into_points)
-        .collect()
 }
 
 /// Ascending visit order over a float grid.
@@ -326,13 +228,52 @@ pub fn auto_power_grid(graph: &Cdfg, library: &ModuleLibrary, steps: usize) -> V
 
 #[cfg(test)]
 mod tests {
-    // These tests cover the deprecated shims on purpose: they must stay
-    // byte-identical to the session path until removed.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::engine::{SweepJob, SweepSpec};
     use pchls_cdfg::benchmarks;
     use pchls_fulib::paper_library;
+
+    /// The parallel session sweep over a fresh compile.
+    fn session_sweep(
+        graph: &Cdfg,
+        library: &ModuleLibrary,
+        spec: &SweepSpec,
+        options: &SynthesisOptions,
+    ) -> Vec<SweepPoint> {
+        let engine = Engine::new(library.clone());
+        let compiled = engine.compile(graph);
+        engine.session(&compiled).sweep(spec, options).into_points()
+    }
+
+    fn power_sweep(
+        graph: &Cdfg,
+        library: &ModuleLibrary,
+        latency: u32,
+        powers: &[f64],
+        options: &SynthesisOptions,
+    ) -> Vec<SweepPoint> {
+        session_sweep(
+            graph,
+            library,
+            &SweepSpec::power(latency, powers.to_vec()),
+            options,
+        )
+    }
+
+    fn latency_sweep(
+        graph: &Cdfg,
+        library: &ModuleLibrary,
+        power: f64,
+        latencies: &[u32],
+        options: &SynthesisOptions,
+    ) -> Vec<SweepPoint> {
+        session_sweep(
+            graph,
+            library,
+            &SweepSpec::latency(power, latencies.to_vec()),
+            options,
+        )
+    }
 
     #[test]
     fn power_sweep_area_is_monotone_nonincreasing_on_hal() {
@@ -429,22 +370,28 @@ mod tests {
         let grid = [10.0, 20.0, 40.0, 80.0];
         let opts = SynthesisOptions::default();
         let lib = paper_library();
-        let requests = [
-            SweepRequest {
-                graph: &hal,
-                latency: 17,
-                powers: &grid,
+        let engine = Engine::new(lib.clone());
+        let (hal_c, cosine_c) = (engine.compile(&hal), engine.compile(&cosine));
+        let jobs = [
+            SweepJob {
+                compiled: &hal_c,
+                spec: SweepSpec::power(17, grid.to_vec()),
             },
-            SweepRequest {
-                graph: &cosine,
-                latency: 15,
-                powers: &grid,
+            SweepJob {
+                compiled: &cosine_c,
+                spec: SweepSpec::power(15, grid.to_vec()),
             },
         ];
-        let many = sweep_many(&requests, &lib, &opts);
+        let many = engine.sweep_batch(&jobs, &opts);
         assert_eq!(many.len(), 2);
-        assert_eq!(many[0], power_sweep_serial(&hal, &lib, 17, &grid, &opts));
-        assert_eq!(many[1], power_sweep_serial(&cosine, &lib, 15, &grid, &opts));
+        assert_eq!(
+            many[0].points,
+            power_sweep_serial(&hal, &lib, 17, &grid, &opts)
+        );
+        assert_eq!(
+            many[1].points,
+            power_sweep_serial(&cosine, &lib, 15, &grid, &opts)
+        );
     }
 
     #[test]

@@ -27,9 +27,7 @@
 //! a [`Session`] synthesizes under any number of `(T, P<)` constraint
 //! points — one at a time ([`Session::synthesize`]), as a constraint
 //! sweep ([`Session::sweep`]), or as an arbitrary batched request list
-//! ([`Session::batch`]) — without recomputing any of it. The historical
-//! free functions ([`synthesize`], [`power_sweep`], …) survive as
-//! deprecated shims over a throwaway engine, byte-identical in output.
+//! ([`Session::batch`]) — without recomputing any of it.
 //!
 //! # Example
 //!
@@ -78,15 +76,8 @@ pub use engine::{
 pub use error::SynthesisError;
 pub use explore::{
     auto_power_grid, latency_sweep_serial, pareto_front, power_sweep_serial, SweepPoint,
-    SweepRequest,
 };
-#[allow(deprecated)]
-pub use explore::{latency_sweep, power_sweep, sweep_many};
 pub use options::{SynthesisOptions, SynthesisOptionsBuilder};
 pub use pchls_sched::PowerBudget;
-#[allow(deprecated)]
-pub use refine::{synthesize_portfolio, synthesize_refined};
 pub use replay::SynthesisMemo;
-#[allow(deprecated)]
-pub use synthesis::synthesize;
 pub use topk::TopK;

@@ -9,9 +9,6 @@
 //! those better-shared designs for free. The best design is reported
 //! against the caller's original constraints.
 
-use pchls_cdfg::Cdfg;
-use pchls_fulib::ModuleLibrary;
-
 use crate::constraints::SynthesisConstraints;
 use crate::design::SynthesizedDesign;
 use crate::engine::{CompiledGraph, Engine};
@@ -24,33 +21,14 @@ use crate::synthesis::synthesize_session;
 /// finite grid of module-power sums), but a cap keeps worst cases cheap.
 const MAX_RATCHETS: usize = 64;
 
-/// Like [`synthesize`](crate::synthesize), then repeatedly
-/// re-synthesizes with the power bound tightened to just below the
-/// achieved peak, keeping the smallest design. Never returns a larger
-/// design than plain synthesis does, and the result is validated
-/// against the *original* constraints.
-///
-/// # Errors
-///
-/// Exactly as [`synthesize`](crate::synthesize) — refinement only runs
-/// once a first design exists.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `engine.session(&compiled).synthesize_refined(constraints, options)`"
-)]
-pub fn synthesize_refined(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    constraints: SynthesisConstraints,
-    options: &SynthesisOptions,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    let engine = Engine::new(library.clone());
-    let compiled = engine.compile(graph);
-    refined_session(&engine, &compiled, &constraints, options)
-}
-
-/// [`synthesize_refined`] over precompiled session artifacts: every
-/// ratchet iteration reuses the same compiled graph.
+/// Synthesizes once, then repeatedly re-synthesizes with the power
+/// bound tightened to just below the achieved peak, keeping the smallest
+/// design; every ratchet iteration reuses the same compiled graph. Never
+/// returns a larger design than plain synthesis does, and the result is
+/// validated against the *original* constraints. Backs
+/// [`Session::synthesize_refined`](crate::Session::synthesize_refined);
+/// errors exactly as plain synthesis — refinement only runs once a first
+/// design exists.
 pub(crate) fn refined_session(
     engine: &Engine,
     compiled: &CompiledGraph,
@@ -99,28 +77,9 @@ pub(crate) fn refined_session(
 /// returning the smallest valid design. Different heuristics win in
 /// different regions of the constraint space (see the ablation table in
 /// `EXPERIMENTS.md`); a portfolio dominates every member by
-/// construction.
-///
-/// # Errors
-///
-/// Returns the combined algorithm's error only if *every* member fails —
-/// the portfolio is feasible whenever any member is.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `engine.session(&compiled).synthesize_portfolio(constraints, options)`"
-)]
-pub fn synthesize_portfolio(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    constraints: SynthesisConstraints,
-    options: &SynthesisOptions,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    let engine = Engine::new(library.clone());
-    let compiled = engine.compile(graph);
-    portfolio_session(&engine, &compiled, &constraints, options)
-}
-
-/// [`synthesize_portfolio`] over precompiled session artifacts.
+/// construction. Backs
+/// [`Session::synthesize_portfolio`](crate::Session::synthesize_portfolio);
+/// returns the combined algorithm's error only if *every* member fails.
 pub(crate) fn portfolio_session(
     engine: &Engine,
     compiled: &CompiledGraph,
@@ -169,24 +128,27 @@ pub(crate) fn portfolio_session(
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shims are under test on purpose: they must match
-    // the session path until removed.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::synthesis::synthesize;
-    use pchls_cdfg::benchmarks;
+    use pchls_cdfg::{benchmarks, Cdfg};
     use pchls_fulib::paper_library;
+
+    fn compile(g: &Cdfg) -> (Engine, CompiledGraph) {
+        let engine = Engine::new(paper_library());
+        let compiled = engine.compile(g);
+        (engine, compiled)
+    }
 
     #[test]
     fn refined_never_worse_than_plain() {
         let lib = paper_library();
+        let opts = SynthesisOptions::default();
         for g in benchmarks::paper_set() {
+            let (engine, compiled) = compile(&g);
+            let session = engine.session(&compiled);
             for (t, p) in [(30u32, 1e6), (20, 50.0)] {
                 let c = SynthesisConstraints::new(t, p);
-                let plain = synthesize(&g, &lib, c.clone(), &SynthesisOptions::default()).unwrap();
-                let refined =
-                    synthesize_refined(&g, &lib, c.clone(), &SynthesisOptions::default()).unwrap();
+                let plain = session.synthesize(c.clone(), &opts).unwrap();
+                let refined = session.synthesize_refined(c.clone(), &opts).unwrap();
                 assert!(
                     refined.area <= plain.area,
                     "{}: refined {} > plain {}",
@@ -204,11 +166,12 @@ mod tests {
     fn refinement_finds_sharing_on_generous_budgets() {
         // hal at T=30 with an unlimited budget: plain synthesis leaves
         // parallelism (and area) on the table that the ratchet recovers.
-        let lib = paper_library();
-        let g = benchmarks::hal();
+        let (engine, compiled) = compile(&benchmarks::hal());
+        let session = engine.session(&compiled);
         let c = SynthesisConstraints::new(30, 1e6);
-        let plain = synthesize(&g, &lib, c.clone(), &SynthesisOptions::default()).unwrap();
-        let refined = synthesize_refined(&g, &lib, c, &SynthesisOptions::default()).unwrap();
+        let opts = SynthesisOptions::default();
+        let plain = session.synthesize(c.clone(), &opts).unwrap();
+        let refined = session.synthesize_refined(c, &opts).unwrap();
         assert!(refined.area <= plain.area);
         // The refined design must still satisfy the caller's bound
         // trivially and stay within latency.
@@ -217,23 +180,28 @@ mod tests {
 
     #[test]
     fn refined_propagates_infeasibility() {
-        let lib = paper_library();
-        let g = benchmarks::hal();
+        let (engine, compiled) = compile(&benchmarks::hal());
         let c = SynthesisConstraints::new(4, 1e6);
-        assert!(synthesize_refined(&g, &lib, c, &SynthesisOptions::default()).is_err());
+        assert!(engine
+            .session(&compiled)
+            .synthesize_refined(c, &SynthesisOptions::default())
+            .is_err());
     }
 
     #[test]
     fn portfolio_dominates_every_member() {
         let lib = paper_library();
+        let opts = SynthesisOptions::default();
         for g in benchmarks::paper_set() {
+            let (engine, compiled) = compile(&g);
+            let session = engine.session(&compiled);
             for (t, p) in [(25u32, 40.0), (30, 12.0)] {
                 let c = SynthesisConstraints::new(t, p);
-                let port = synthesize_portfolio(&g, &lib, c.clone(), &SynthesisOptions::default())
+                let port = session
+                    .synthesize_portfolio(c.clone(), &opts)
                     .unwrap_or_else(|e| panic!("{} T={t} P={p}: {e}", g.name()));
                 port.validate(&g, &lib).unwrap();
-                if let Ok(d) = synthesize_refined(&g, &lib, c.clone(), &SynthesisOptions::default())
-                {
+                if let Ok(d) = session.synthesize_refined(c.clone(), &opts) {
                     assert!(port.area <= d.area, "{}: portfolio > refined", g.name());
                 }
                 if let Ok(d) = crate::baseline::trimmed_allocation_bind(
@@ -252,10 +220,13 @@ mod tests {
     fn portfolio_survives_points_where_members_fail() {
         // Low power: trim(Fastest) cannot run parallel multipliers under
         // P<=8, but the portfolio still succeeds via other members.
-        let lib = paper_library();
         let g = benchmarks::hal();
+        let (engine, compiled) = compile(&g);
         let c = SynthesisConstraints::new(40, 8.0);
-        let port = synthesize_portfolio(&g, &lib, c, &SynthesisOptions::default()).unwrap();
-        port.validate(&g, &lib).unwrap();
+        let port = engine
+            .session(&compiled)
+            .synthesize_portfolio(c, &SynthesisOptions::default())
+            .unwrap();
+        port.validate(&g, &paper_library()).unwrap();
     }
 }

@@ -58,45 +58,10 @@ pub(crate) enum KernelMode<'m, 'r> {
     Replay(&'r mut ReplayState<'m>),
 }
 
-/// Synthesizes `graph` under `constraints`, minimizing functional-unit
-/// area (see the crate-level documentation for the algorithm).
-///
-/// This is the legacy one-shot entry point: it builds a throwaway
-/// [`Engine`], compiles the graph, synthesizes once and discards both —
-/// re-deriving the library indexes and reachability bitsets every call.
-/// Callers synthesizing the same graph more than once should hold an
-/// [`Engine`] and a [`CompiledGraph`] instead; the output is
-/// byte-identical either way.
-///
-/// # Errors
-///
-/// * [`SynthesisError::Infeasible`] when no power-feasible schedule fits
-///   the latency bound — the `(T, P<)` point is outside the feasible
-///   region.
-/// * [`SynthesisError::Schedule`] / [`SynthesisError::Bind`] on internal
-///   validation failures (defended by tests; callers can treat any error
-///   as "no design produced").
-#[deprecated(
-    since = "0.2.0",
-    note = "build an `Engine` once and reuse it across constraint points: \
-            `Engine::new(library.clone())`, `engine.compile(graph)`, then \
-            `engine.session(&compiled).synthesize(constraints, options)`"
-)]
-pub fn synthesize(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    constraints: SynthesisConstraints,
-    options: &SynthesisOptions,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    let engine = Engine::new(library.clone());
-    let compiled = engine.compile(graph);
-    synthesize_session(&engine, &compiled, &constraints, options, None)
-}
-
 /// The combined loop over precompiled shared artifacts — the engine's
 /// library indexes and the compiled graph's reachability/bootstrap
-/// state. All public entry points ([`synthesize`],
-/// [`Session::synthesize`](crate::Session::synthesize), sweeps,
+/// state. All public entry points
+/// ([`Session::synthesize`](crate::Session::synthesize), sweeps,
 /// batches) funnel here.
 pub(crate) fn synthesize_session(
     engine: &Engine,
@@ -1299,21 +1264,6 @@ mod tests {
 
     fn synth(graph: &Cdfg, latency: u32, power: f64) -> Result<SynthesizedDesign, SynthesisError> {
         synth_opts(graph, latency, power, &SynthesisOptions::default())
-    }
-
-    #[test]
-    fn deprecated_free_function_matches_the_session_path() {
-        #[allow(deprecated)]
-        let via_shim = synthesize(
-            &benchmarks::hal(),
-            &paper_library(),
-            SynthesisConstraints::new(17, 25.0),
-            &SynthesisOptions::default(),
-        )
-        .unwrap();
-        let via_session = synth(&benchmarks::hal(), 17, 25.0).unwrap();
-        assert_eq!(via_shim, via_session);
-        assert_eq!(via_shim.stats, via_session.stats);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Differential tests for the incremental re-synthesis path: a
-//! recompile must reproduce a cold compile's artifacts bit-for-bit, and
-//! a replayed synthesis must reproduce a cold synthesis of the edited
-//! graph byte-for-byte — design, decision trace and effort counters —
-//! across random graphs × random single-op edits, on both sides of the
-//! fallback threshold.
+//! Differential tests for the incremental re-synthesis path: replaying
+//! a recorded base run over a cold compile of the edited graph must
+//! reproduce a cold synthesis of that graph byte-for-byte — design,
+//! decision trace and effort counters — across random graphs × random
+//! single-op edits, on both sides of the fallback threshold.
 
 use pchls_cdfg::{diff, random_dag, Cdfg, GraphEdit, NodeId, OpKind, RandomDagConfig};
 use pchls_core::{Engine, SynthesisConstraints, SynthesisOptions};
@@ -87,27 +86,6 @@ fn loose_constraints(compiled_min_latency: u32) -> SynthesisConstraints {
 }
 
 #[test]
-fn recompile_reproduces_cold_compile_artifacts() {
-    let engine = Engine::new(paper_library());
-    for gseed in [3u64, 11, 29] {
-        let base = graph(40, gseed);
-        let compiled = engine.compile(&base);
-        for eseed in 1..=6u64 {
-            let edited = random_edit(&base, gseed.wrapping_mul(1000) + eseed);
-            let (incremental, delta) = engine
-                .recompile(&compiled, &edited)
-                .expect("library covers every kind");
-            assert!(!delta.degenerate(), "single-op edits diff cleanly");
-            let cold = engine.try_compile(&edited).expect("covered");
-            assert!(
-                incremental.artifacts_equal(&cold),
-                "recompile diverged from cold compile (graph {gseed}, edit {eseed})"
-            );
-        }
-    }
-}
-
-#[test]
 fn recording_does_not_perturb_synthesis() {
     let engine = Engine::new(paper_library());
     let compiled = engine.compile(&graph(45, 7));
@@ -138,7 +116,8 @@ fn resynthesize_matches_fresh_synthesis_over_random_edits() {
             .expect("loose constraints are feasible");
         for eseed in 1..=8u64 {
             let edited = random_edit(&base, gseed.wrapping_mul(77) + eseed);
-            let (recompiled, delta) = engine.recompile(&compiled, &edited).expect("covered");
+            let delta = diff(&base, &edited);
+            let recompiled = engine.try_compile(&edited).expect("covered");
             let session = engine.session(&recompiled);
             let cold = session
                 .synthesize(memo.constraints().clone(), memo.options())
@@ -192,7 +171,8 @@ fn fallback_threshold_is_a_sharp_boundary() {
         .synthesize_recorded(constraints, &options)
         .expect("feasible");
     let edited = random_edit(&base, 4242);
-    let (recompiled, delta) = engine.recompile(&compiled, &edited).expect("covered");
+    let delta = diff(&base, &edited);
+    let recompiled = engine.try_compile(&edited).expect("covered");
     let cone = delta.cone_size();
     assert!(cone > 0, "the edit must touch something");
     let session = engine.session(&recompiled);
@@ -242,7 +222,7 @@ fn shape_mismatch_falls_back_to_cold_synthesis() {
     e.add_op(OpKind::Mul, &[inputs[0], inputs[1]]).unwrap();
     let twice = e.finish().unwrap();
     let delta = diff(&once, &twice);
-    let (recompiled, _) = engine.recompile(&compiled, &twice).expect("covered");
+    let recompiled = engine.try_compile(&twice).expect("covered");
     let session = engine.session(&recompiled);
     let cold = session
         .synthesize(memo.constraints().clone(), memo.options())

@@ -22,16 +22,19 @@
 //!
 //! ```
 //! use pchls_cdfg::benchmarks::hal;
-//! use pchls_core::{synthesize, SynthesisConstraints, SynthesisOptions};
+//! use pchls_core::{Engine, SynthesisConstraints, SynthesisOptions};
 //! use pchls_fulib::paper_library;
 //! use pchls_rtl::{simulate, Datapath};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = hal();
-//! let lib = paper_library();
-//! let design = synthesize(&g, &lib, SynthesisConstraints::new(17, 25.0),
-//!                         &SynthesisOptions::default())?;
-//! let dp = Datapath::build(&g, &design, &lib);
+//! let engine = Engine::new(paper_library());
+//! let compiled = engine.compile(&g);
+//! let design = engine.session(&compiled).synthesize(
+//!     SynthesisConstraints::new(17, 25.0),
+//!     &SynthesisOptions::default(),
+//! )?;
+//! let dp = Datapath::build(&g, &design, engine.library());
 //!
 //! let mut stim = pchls_cdfg::Stimulus::new();
 //! for (name, v) in [("x", 1), ("y", 2), ("u", 3), ("dx", 4), ("a", 99), ("three", 3)] {

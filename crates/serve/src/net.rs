@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pchls_net::{Backend, Interest, LineCodec, Reactor, TimerId, Token, Waker, WriteBuffer};
+use pchls_net::{Backend, Frame, Interest, LineCodec, Reactor, TimerId, Token, Waker, WriteBuffer};
 
 use crate::admission::TokenBucket;
 use crate::protocol::{SubmitRequest, SubmitResponse};
@@ -140,6 +140,73 @@ impl Conn {
             self.out.queue(line.as_bytes());
             self.out.queue(b"\n");
         }
+    }
+}
+
+/// What [`route_frame`] leaves to the transport.
+// One value per request line, moved straight to the transport — boxing
+// the (stats-bearing) reply would only add an allocation.
+#[allow(clippy::large_enum_variant)]
+enum Routed {
+    /// A blank line, or a `cancel` already applied: nothing to send.
+    Skip,
+    /// Answered inline: send this reply.
+    Reply(SubmitResponse),
+    /// A `synth` request, for the transport's own admission.
+    Synth(SubmitRequest),
+}
+
+/// The request router both transports share. Skips blank lines;
+/// answers framing errors, `bad request`, `stats`, `metrics` and
+/// `unknown op` inline; applies `cancel` to the connection's in-flight
+/// flags; and hands `synth` requests back for admission.
+fn route_frame(
+    service: &Service,
+    cancels: &mut HashMap<u64, Arc<AtomicBool>>,
+    frame: Frame,
+) -> Routed {
+    let line = match frame {
+        Ok(line) => line,
+        // The oversized line was discarded by the codec — answer with a
+        // parseable error instead of letting the buffer grow without
+        // bound.
+        Err(e) => return Routed::Reply(SubmitResponse::error(0, e.to_string())),
+    };
+    if line.iter().all(u8::is_ascii_whitespace) {
+        return Routed::Skip;
+    }
+    let request: SubmitRequest = match serde_json::from_slice(&line) {
+        Ok(r) => r,
+        Err(e) => return Routed::Reply(SubmitResponse::error(0, format!("bad request: {e}"))),
+    };
+    match request.op.as_str() {
+        "" | "synth" => {
+            // Lazily prune flags of finished requests (the worker
+            // dropped its clone, leaving ours the only one) so a
+            // long-lived connection's map stays bounded by its
+            // in-flight window, not its lifetime request count.
+            if cancels.len() >= 64 {
+                cancels.retain(|_, flag| Arc::strong_count(flag) > 1);
+            }
+            Routed::Synth(request)
+        }
+        "cancel" => {
+            // Best effort: unknown or finished ids are a no-op; the
+            // cancelled request sends its own reply.
+            if let Some(flag) = cancels.get(&request.id) {
+                flag.store(true, Ordering::Relaxed);
+            }
+            Routed::Skip
+        }
+        // `stats` and `metrics` are served inline — never queued behind
+        // synthesis, and exempt from rate limits: a scraper must see the
+        // overload it is diagnosing, not be shed by it.
+        "stats" => Routed::Reply(SubmitResponse::stats(request.id, service.stats())),
+        "metrics" => Routed::Reply(SubmitResponse::metrics(request.id, service.metrics_text())),
+        other => Routed::Reply(SubmitResponse::error(
+            request.id,
+            format!("unknown op `{other}`"),
+        )),
     }
 }
 
@@ -269,70 +336,19 @@ impl<'a> Server<'a> {
             }
         }
         while let Some(frame) = conn.codec.next_frame() {
-            match frame {
-                Ok(line) => self.dispatch_line(conn, &line),
-                Err(e) => {
-                    // The oversized line was discarded by the codec —
-                    // answer with a parseable error instead of letting
-                    // the buffer grow without bound.
-                    conn.queue_response(&SubmitResponse::error(0, e.to_string()));
-                }
+            match route_frame(self.service, &mut conn.cancels, frame) {
+                Routed::Skip => {}
+                Routed::Reply(response) => conn.queue_response(&response),
+                Routed::Synth(request) => self.dispatch_synth(conn, request),
             }
         }
         true
     }
 
-    /// Parses and executes one request line.
-    fn dispatch_line(&mut self, conn: &mut Conn, line: &[u8]) {
-        if line.iter().all(u8::is_ascii_whitespace) {
-            return;
-        }
-        let request: SubmitRequest = match serde_json::from_slice(line) {
-            Ok(r) => r,
-            Err(e) => {
-                conn.queue_response(&SubmitResponse::error(0, format!("bad request: {e}")));
-                return;
-            }
-        };
-        match request.op.as_str() {
-            "" | "synth" => self.dispatch_synth(conn, request),
-            "cancel" => {
-                // Best effort: unknown or finished ids are a no-op; the
-                // cancelled request sends its own reply.
-                if let Some(flag) = conn.cancels.get(&request.id) {
-                    flag.store(true, Ordering::Relaxed);
-                }
-            }
-            "stats" => {
-                // Served inline on the reactor thread — never queued
-                // behind synthesis.
-                conn.queue_response(&SubmitResponse::stats(request.id, self.service.stats()));
-            }
-            "metrics" => {
-                // Inline and rate-limit exempt, like `stats`: a scraper
-                // must see the overload it is diagnosing, not be shed
-                // by it.
-                conn.queue_response(&SubmitResponse::metrics(
-                    request.id,
-                    self.service.metrics_text(),
-                ));
-            }
-            other => {
-                conn.queue_response(&SubmitResponse::error(
-                    request.id,
-                    format!("unknown op `{other}`"),
-                ));
-            }
-        }
-    }
-
+    /// The reactor's admission for one routed `synth` request: the
+    /// connection's token bucket, non-blocking submission and the
+    /// deadline timer that covers time spent queued.
     fn dispatch_synth(&mut self, conn: &mut Conn, request: SubmitRequest) {
-        // Lazily prune flags of finished requests so a long-lived
-        // connection's map stays bounded by its in-flight window, not
-        // its lifetime request count.
-        if conn.cancels.len() >= 64 {
-            conn.cancels.retain(|_, flag| Arc::strong_count(flag) > 1);
-        }
         if let Some(bucket) = &mut conn.bucket {
             if !bucket.try_take(Instant::now()) {
                 self.service.note_rate_limited();
@@ -602,33 +618,13 @@ where
         };
         codec.push(&scratch[..n]);
         while let Some(frame) = codec.next_frame() {
-            let line = match frame {
-                Ok(line) => line,
-                Err(e) => {
-                    let _ = tx.send(SubmitResponse::error(0, e.to_string()));
-                    continue;
+            match route_frame(service, &mut cancels, frame) {
+                Routed::Skip => {}
+                Routed::Reply(response) => {
+                    let _ = tx.send(response);
                 }
-            };
-            if line.iter().all(u8::is_ascii_whitespace) {
-                continue;
-            }
-            let request: SubmitRequest = match serde_json::from_slice(&line) {
-                Ok(r) => r,
-                Err(e) => {
-                    let _ = tx.send(SubmitResponse::error(0, format!("bad request: {e}")));
-                    continue;
-                }
-            };
-            match request.op.as_str() {
-                "" | "synth" => {
+                Routed::Synth(request) => {
                     let id = request.id;
-                    // Lazily prune flags of finished requests (the
-                    // worker dropped its clone, leaving ours the only
-                    // one) so a long-lived connection's map stays
-                    // bounded by its in-flight window.
-                    if cancels.len() >= 64 {
-                        cancels.retain(|_, flag| Arc::strong_count(flag) > 1);
-                    }
                     match service.submit(request, tx.clone()) {
                         Ok(cancel) => {
                             cancels.insert(id, cancel);
@@ -637,25 +633,6 @@ where
                             let _ = tx.send(SubmitResponse::error(id, "service is shutting down"));
                         }
                     }
-                }
-                "cancel" => {
-                    // Best effort: unknown or finished ids are a no-op;
-                    // the cancelled request sends its own reply.
-                    if let Some(flag) = cancels.get(&request.id) {
-                        flag.store(true, Ordering::Relaxed);
-                    }
-                }
-                "stats" => {
-                    let _ = tx.send(SubmitResponse::stats(request.id, service.stats()));
-                }
-                "metrics" => {
-                    let _ = tx.send(SubmitResponse::metrics(request.id, service.metrics_text()));
-                }
-                other => {
-                    let _ = tx.send(SubmitResponse::error(
-                        request.id,
-                        format!("unknown op `{other}`"),
-                    ));
                 }
             }
         }

@@ -34,13 +34,13 @@ use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pchls_cdfg::{benchmarks, diff, graph_fingerprint, parse_cdfg, Cdfg};
+use pchls_cdfg::{benchmarks, graph_fingerprint, parse_cdfg, Cdfg};
 use pchls_core::{
-    CompiledGraph, Engine, SynthesisConstraints, SynthesisError, SynthesisMemo, SynthesisOptions,
-    SynthesisRequest, SynthesisResult,
+    Engine, SynthesisConstraints, SynthesisError, SynthesisOptions, SynthesisRequest,
+    SynthesisResult,
 };
 use pchls_obs::{Arg, Counter, MetricsRegistry};
 use pchls_par::WorkerPool;
@@ -191,29 +191,6 @@ enum Disposition {
     Cancelled,
 }
 
-/// How many recorded base runs (replay seeds) each shard keeps for the
-/// near-miss patcher. A seed carries the full iteration journal of its
-/// run (megabytes for large graphs), so the bound is deliberately tiny
-/// — the target workload is a client iterating on one design.
-const SEED_CAP: usize = 4;
-
-/// Largest edit cone the near-miss patcher accepts, as a divisor of the
-/// graph size: cones above `len / PATCH_CONE_DIVISOR` replay too much
-/// of the recorded run to reliably beat a cold synthesis, so they take
-/// the cold path without touching the seed.
-const PATCH_CONE_DIVISOR: usize = 8;
-
-/// One recorded cold run a shard retains as a patch seed: a later
-/// result-tier miss whose graph diffs against `graph` at a small cone,
-/// under the same constraint point, is answered by delta compile +
-/// incremental replay instead of cold synthesis.
-struct ReplaySeed {
-    constraints: SynthesisConstraints,
-    graph: Cdfg,
-    compiled: Arc<CompiledGraph>,
-    memo: SynthesisMemo,
-}
-
 /// One shard: compile cache, in-memory result tier and two-lane queue,
 /// all keyed by graphs whose `fingerprint % shards` selects this shard.
 struct Shard {
@@ -222,8 +199,6 @@ struct Shard {
     lanes: LaneQueues<Job>,
     /// Synth-lane depth at which `try_submit` sheds.
     shed_depth: usize,
-    /// Replay seeds for the near-miss patcher, newest last.
-    seeds: Mutex<Vec<Arc<ReplaySeed>>>,
 }
 
 /// State shared between the front ends, the shards and the workers.
@@ -256,8 +231,6 @@ struct Shared {
     cancelled: Counter,
     shed: Counter,
     rate_limited: Counter,
-    patched: Counter,
-    patch_fallbacks: Counter,
 }
 
 /// A running synthesis service: an [`Engine`] fronted by sharded
@@ -339,7 +312,6 @@ impl Service {
                 results: ResultTier::with_store(per(config.result_cap), store.clone()),
                 lanes: LaneQueues::new(lane_cap, lane_cap),
                 shed_depth,
-                seeds: Mutex::new(Vec::new()),
             })
             .collect();
         let builtin_graphs = benchmarks::all();
@@ -372,8 +344,6 @@ impl Service {
             cancelled: metrics.counter("pchls_requests_cancelled_total"),
             shed: metrics.counter("pchls_requests_shed_total"),
             rate_limited: metrics.counter("pchls_requests_rate_limited_total"),
-            patched: metrics.counter("pchls_requests_patched_total"),
-            patch_fallbacks: metrics.counter("pchls_patch_fallbacks_total"),
             metrics,
         });
         let mut pools = Vec::with_capacity(2 * shard_count);
@@ -560,13 +530,7 @@ impl Service {
             store_hits: store.hits,
             store_misses: store.misses,
             store_appends: store.appends,
-            seed_entries: shared
-                .shards
-                .iter()
-                .map(|s| s.seeds.lock().expect("seed lock").len())
-                .sum(),
-            patched: shared.patched.get(),
-            patch_fallbacks: shared.patch_fallbacks.get(),
+            patched: 0,
             p50_latency_secs: shared.latency.quantile(0.50),
             p99_latency_secs: shared.latency.quantile(0.99),
             p999_latency_secs: shared.latency.quantile(0.999),
@@ -603,7 +567,6 @@ impl Service {
         gauge("pchls_shards", stats.shards as f64);
         gauge("pchls_compile_cache_entries", stats.cache_entries as f64);
         gauge("pchls_result_tier_entries", stats.result_entries as f64);
-        gauge("pchls_replay_seed_entries", stats.seed_entries as f64);
         format!("{}{}", m.render(), pchls_obs::global().render())
     }
 
@@ -793,14 +756,6 @@ impl Shared {
             return (SubmitResponse::point(req.id, point), Disposition::Completed);
         }
 
-        // Near miss: no cached result for this exact graph, but a
-        // sibling recorded under the same constraint point may be one
-        // small edit away — answer by delta compile + incremental
-        // replay when it is.
-        if let Some(answer) = self.try_patch(shard, job, &constraints, graph.as_ref(), key) {
-            return answer;
-        }
-
         let compiled = match shard
             .cache
             .get_or_compile_keyed(&self.engine, fingerprint, graph.as_ref())
@@ -813,12 +768,8 @@ impl Shared {
         let deadline =
             (req.deadline_ms > 0).then(|| job.accepted + Duration::from_millis(req.deadline_ms));
         let session = self.engine.session(&compiled);
-        // Record while synthesizing: a successful cold run doubles as
-        // the replay seed a later near-miss sibling patches against.
-        let outcome = session.synthesize_recorded_with_progress(
-            constraints.clone(),
-            &self.options,
-            &mut |_| {
+        let outcome =
+            session.synthesize_with_progress(constraints.clone(), &self.options, &mut |_| {
                 if job.cancel.load(Ordering::Relaxed)
                     || deadline.is_some_and(|d| Instant::now() >= d)
                 {
@@ -826,8 +777,7 @@ impl Shared {
                 } else {
                     ControlFlow::Continue(())
                 }
-            },
-        );
+            });
 
         match outcome {
             Err(SynthesisError::Cancelled) => {
@@ -842,21 +792,6 @@ impl Shared {
             // `Session::batch` would emit — including the null-field
             // shape for infeasible constraints.
             outcome => {
-                let (outcome, memo) = match outcome {
-                    Ok((design, memo)) => (Ok(design), Some(memo)),
-                    Err(e) => (Err(e), None),
-                };
-                if let Some(memo) = memo {
-                    self.remember_seed(
-                        shard,
-                        ReplaySeed {
-                            constraints: constraints.clone(),
-                            graph: graph.as_ref().clone(),
-                            compiled: Arc::clone(&compiled),
-                            memo,
-                        },
-                    );
-                }
                 let trace = outcome
                     .as_ref()
                     .map(|d| pchls_store::trace_bytes(&d.schedule))
@@ -874,115 +809,6 @@ impl Shared {
                     .insert(StoreRecord::from_point(key, &point, trace));
                 (SubmitResponse::point(req.id, point), Disposition::Completed)
             }
-        }
-    }
-
-    /// The near-miss patch path: a result-tier miss whose graph is a
-    /// small edit away from a recorded sibling under the same
-    /// constraint point is answered by [`Engine::recompile_with_delta`]
-    /// plus an incremental replay instead of a cold compile + synthesis
-    /// — byte-identical output (the incremental kernel's differential
-    /// guarantee) at a fraction of the work. Returns `None` when no
-    /// seed applies; the caller falls through to the cold path.
-    fn try_patch(
-        &self,
-        shard: &Shard,
-        job: &Job,
-        constraints: &SynthesisConstraints,
-        graph: &Cdfg,
-        key: StoreKey,
-    ) -> Option<(SubmitResponse, Disposition)> {
-        let req = &job.request;
-        // Replay runs without a progress hook, so a patched request
-        // cannot be cancelled or deadlined mid-iteration; supervised
-        // requests keep the cold path.
-        if req.deadline_ms > 0 || job.cancel.load(Ordering::Relaxed) {
-            return None;
-        }
-        // Newest seed first: the interactive-edit workload patches
-        // against the run it just recorded.
-        let candidates: Vec<Arc<ReplaySeed>> = {
-            let seeds = shard.seeds.lock().expect("seed lock");
-            seeds
-                .iter()
-                .rev()
-                .filter(|s| s.constraints == *constraints)
-                .cloned()
-                .collect()
-        };
-        if candidates.is_empty() {
-            return None;
-        }
-        let max_cone = graph.len() / PATCH_CONE_DIVISOR;
-        let Some((seed, delta)) = candidates.into_iter().find_map(|seed| {
-            let delta = diff(&seed.graph, graph);
-            (!delta.degenerate() && delta.cone_size() <= max_cone).then_some((seed, delta))
-        }) else {
-            // Siblings existed but every edit cone was too large (or
-            // the diff degenerate): record the miss and go cold.
-            self.patch_fallbacks.inc();
-            return None;
-        };
-        let cone = delta.cone_size();
-        let compiled = match self
-            .engine
-            .recompile_with_delta(&seed.compiled, graph, &delta)
-        {
-            Ok(c) => c,
-            Err(_) => {
-                self.patch_fallbacks.inc();
-                return None;
-            }
-        };
-        let session = self.engine.session(&compiled);
-        match session.resynthesize_with_limit(&seed.memo, &delta, max_cone) {
-            Ok(re) => {
-                // Either arm answered with the cold path's exact bytes:
-                // an incremental replay by the kernel's differential
-                // guarantee, an internal fallback by actually running
-                // the cold kernel over the recompiled graph.
-                if re.incremental {
-                    self.patched.inc();
-                } else {
-                    self.patch_fallbacks.inc();
-                }
-                pchls_obs::event!("serve.patched", "id" => req.id, "cone" => cone);
-                let trace = pchls_store::trace_bytes(&re.design.schedule);
-                let point = SynthesisResult {
-                    request: SynthesisRequest::new(constraints.clone()).with_options(self.options),
-                    outcome: Ok(re.design),
-                }
-                .to_point(compiled.name());
-                shard
-                    .results
-                    .insert(StoreRecord::from_point(key, &point, trace));
-                Some((SubmitResponse::point(req.id, point), Disposition::Completed))
-            }
-            // Replay errors (the edited graph is infeasible here) defer
-            // to the cold path, which owns error reporting and
-            // infeasible-point caching.
-            Err(_) => {
-                self.patch_fallbacks.inc();
-                None
-            }
-        }
-    }
-
-    /// Retains `seed` for the shard's near-miss patcher: replaces an
-    /// existing seed of the same graph + constraints, appends
-    /// otherwise, evicting the oldest past [`SEED_CAP`].
-    fn remember_seed(&self, shard: &Shard, seed: ReplaySeed) {
-        let mut seeds = shard.seeds.lock().expect("seed lock");
-        if let Some(slot) = seeds
-            .iter_mut()
-            .find(|s| s.constraints == seed.constraints && s.graph == seed.graph)
-        {
-            *slot = Arc::new(seed);
-            return;
-        }
-        seeds.push(Arc::new(seed));
-        if seeds.len() > SEED_CAP {
-            seeds.remove(0);
         }
     }
 
@@ -1229,117 +1055,6 @@ mod tests {
         assert_eq!(inf_a.point, inf_b.point);
         assert!(!inf_b.point.unwrap().is_feasible());
         assert_eq!(service.stats().result_hits, 2);
-    }
-
-    /// A base graph and a one-edit sibling (one extra adder hanging off
-    /// two existing values — a minimal cone) for the near-miss tests.
-    fn edit_pair() -> (Cdfg, Cdfg) {
-        let base = pchls_cdfg::random_dag(&pchls_cdfg::RandomDagConfig {
-            ops: 48,
-            seed: 9,
-            ..pchls_cdfg::RandomDagConfig::default()
-        });
-        let producers: Vec<pchls_cdfg::NodeId> = base
-            .node_ids()
-            .filter(|&id| base.node(id).kind().produces_value())
-            .collect();
-        let mut edit = pchls_cdfg::GraphEdit::new(&base);
-        edit.add_op(pchls_cdfg::OpKind::Add, &[producers[0], producers[1]])
-            .unwrap();
-        let edited = edit.finish().unwrap();
-        (base, edited)
-    }
-
-    #[test]
-    fn near_miss_is_patched_from_a_recorded_sibling() {
-        let (base, edited) = edit_pair();
-        let service = service(1);
-        let first = service.call(SubmitRequest::synth_text(
-            1,
-            &pchls_cdfg::write_cdfg(&base),
-            200,
-            60.0,
-        ));
-        assert!(first.ok, "{:?}", first.error);
-        assert_eq!(service.stats().seed_entries, 1, "the cold run left a seed");
-
-        let resp = service.call(SubmitRequest::synth_text(
-            2,
-            &pchls_cdfg::write_cdfg(&edited),
-            200,
-            60.0,
-        ));
-        assert!(resp.ok, "{:?}", resp.error);
-        let served = serde_json::to_string(resp.point.as_ref().unwrap()).unwrap();
-        let stats = service.stats();
-        assert_eq!(
-            stats.patched, 1,
-            "the sibling patches instead of cold-running"
-        );
-        assert_eq!(stats.patch_fallbacks, 0);
-        assert_eq!(
-            stats.cache_misses, 1,
-            "the edited graph never met the compile cache"
-        );
-        assert_eq!(stats.completed, 2);
-
-        // Byte-identity against a cold direct synthesis of the edited
-        // graph — the patched path's whole contract.
-        let compiled = service.engine().compile(&edited);
-        let constraints = SynthesisConstraints::new(200, 60.0);
-        let direct = SynthesisResult {
-            request: SynthesisRequest::new(constraints.clone()),
-            outcome: service
-                .engine()
-                .session(&compiled)
-                .synthesize(constraints, &SynthesisOptions::default()),
-        }
-        .to_point(compiled.name());
-        assert_eq!(served, serde_json::to_string(&direct).unwrap());
-
-        // The patched answer entered the result tier like any other
-        // completion: an exact repeat is a tier-1 hit.
-        let again = service.call(SubmitRequest::synth_text(
-            3,
-            &pchls_cdfg::write_cdfg(&edited),
-            200,
-            60.0,
-        ));
-        assert_eq!(again.point, resp.point);
-        assert_eq!(service.stats().result_hits, 1);
-    }
-
-    #[test]
-    fn patching_requires_a_matching_constraint_point() {
-        let (base, edited) = edit_pair();
-        let service = service(1);
-        assert!(
-            service
-                .call(SubmitRequest::synth_text(
-                    1,
-                    &pchls_cdfg::write_cdfg(&base),
-                    200,
-                    60.0,
-                ))
-                .ok
-        );
-        // Same edit, different power bound: the seed's constraint point
-        // does not match, so the request cold-runs (and leaves its own
-        // seed behind).
-        assert!(
-            service
-                .call(SubmitRequest::synth_text(
-                    2,
-                    &pchls_cdfg::write_cdfg(&edited),
-                    200,
-                    55.0,
-                ))
-                .ok
-        );
-        let stats = service.stats();
-        assert_eq!(stats.patched, 0);
-        assert_eq!(stats.cache_misses, 2, "both graphs compiled cold");
-        assert_eq!(stats.seed_entries, 2);
     }
 
     #[test]

@@ -116,19 +116,11 @@ pub struct ServiceStats {
     pub store_misses: u64,
     /// Records appended to the store by the write-behind thread.
     pub store_appends: u64,
-    /// Recorded cold runs (replay seeds) resident across all shards —
-    /// the sibling candidates the near-miss patcher diffs against.
-    #[serde(default)]
-    pub seed_entries: usize,
-    /// Result-tier misses answered by patching a recorded sibling run
-    /// (delta compile + incremental replay) instead of cold synthesis.
+    /// Always 0. Serve answers every result-tier miss cold; the field
+    /// stays only because the frozen benchmark still reads it
+    /// (`perfbench/src/edit_loop.rs:314`, `serve_mix.rs:822`).
     #[serde(default)]
     pub patched: u64,
-    /// Near-miss probes that found a constraint-matching sibling but
-    /// fell back to the cold path (oversized edit cone, degenerate
-    /// diff, or replay refusal).
-    #[serde(default)]
-    pub patch_fallbacks: u64,
     /// Median request latency (accept → response) in seconds, bucketed.
     pub p50_latency_secs: f64,
     /// 99th-percentile request latency in seconds, bucketed.
@@ -163,8 +155,7 @@ pub fn render_serve_stats(stats: &ServiceStats) -> String {
     format!(
         "pchls serve: {} requests ({} ok, {} failed, {} cancelled, {} shed, {} rate-limited) | \
          {} shard(s), {} worker(s) | latency p50 {} p99 {} p99.9 {} max {} | \
-         hit lane {} | synth lane {} | compile cache {:.1}% hit | result tier {:.1}% hit | \
-         {} patched",
+         hit lane {} | synth lane {} | compile cache {:.1}% hit | result tier {:.1}% hit",
         stats.requests,
         stats.completed,
         stats.failed,
@@ -181,7 +172,6 @@ pub fn render_serve_stats(stats: &ServiceStats) -> String {
         lane(&stats.synth_lane),
         stats.cache_hit_rate * 100.0,
         stats.result_hit_rate * 100.0,
-        stats.patched,
     )
 }
 
@@ -231,9 +221,7 @@ mod tests {
             store_hits: 2,
             store_misses: 4,
             store_appends: 5,
-            seed_entries: 1,
-            patched: 2,
-            patch_fallbacks: 1,
+            patched: 0,
             p50_latency_secs: 0.004,
             p99_latency_secs: 0.125,
             p999_latency_secs: 0.5,
@@ -278,8 +266,5 @@ mod tests {
         assert!(line.contains("2 shed"), "{line}");
         assert!(line.contains("latency p50 1.0ms"), "{line}");
         assert!(line.contains("compile cache 0.0% hit"), "{line}");
-        // The snapshot above omits the patch counters: absent fields
-        // default to zero and still render.
-        assert!(line.contains("0 patched"), "{line}");
     }
 }

@@ -50,23 +50,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! Migrating from the pre-session free functions:
-//!
-//! | old call | new call |
-//! |---|---|
-//! | `synthesize(&g, &lib, c, &opts)` | `engine.session(&compiled).synthesize(c, &opts)` |
-//! | `synthesize_refined(&g, &lib, c, &opts)` | `session.synthesize_refined(c, &opts)` |
-//! | `synthesize_portfolio(&g, &lib, c, &opts)` | `session.synthesize_portfolio(c, &opts)` |
-//! | `power_sweep(&g, &lib, t, &ps, &opts)` | `session.sweep(&SweepSpec::power(t, ps.to_vec()), &opts)` |
-//! | `latency_sweep(&g, &lib, p, &ts, &opts)` | `session.sweep(&SweepSpec::latency(p, ts.to_vec()), &opts)` |
-//! | `sweep_many(&reqs, &lib, &opts)` | `engine.sweep_batch(&jobs, &opts)` |
-//! | `auto_power_grid(&g, &lib, n)` | `session.auto_power_grid(n)` |
-//! | *(n/a — new)* | `session.batch(requests)` |
-//!
-//! where `engine = Engine::new(library)` and
-//! `compiled = engine.compile(&graph)` are built **once** and reused
-//! across constraint points.
 
 #![forbid(unsafe_code)]
 

@@ -1,17 +1,15 @@
-//! API-equivalence guarantees of the session redesign: the deprecated
-//! free functions and the `Engine`/`Session` path must produce
-//! **identical** designs — and identical `figure2.json` bytes — on all
-//! paper benchmarks, and `Session::batch` must match one-at-a-time
-//! synthesis on arbitrary request lists.
-
-#![allow(deprecated)]
+//! API-equivalence guarantees of the session API: `Session::sweep` and
+//! `Engine::sweep_batch` must produce the serial reference sweeps'
+//! **identical** `figure2.json` bytes on all paper curves, and
+//! `Session::batch` must match one-at-a-time synthesis on arbitrary
+//! request lists.
 
 use proptest::prelude::*;
 
 use pchls::cdfg::benchmarks;
 use pchls::core::{
-    power_sweep, sweep_many, synthesize, synthesize_portfolio, synthesize_refined, Engine,
-    SweepRequest, SweepSpec, SynthesisConstraints, SynthesisOptions, SynthesisRequest,
+    power_sweep_serial, Engine, SweepJob, SweepSpec, SynthesisConstraints, SynthesisOptions,
+    SynthesisRequest,
 };
 use pchls::fulib::paper_library;
 
@@ -34,60 +32,7 @@ fn thinned_grid() -> Vec<f64> {
 }
 
 #[test]
-fn shim_and_session_designs_are_identical_on_paper_benchmarks() {
-    let lib = paper_library();
-    let engine = Engine::new(lib.clone());
-    let opts = SynthesisOptions::default();
-    for g in benchmarks::paper_set() {
-        let compiled = engine.compile(&g);
-        let session = engine.session(&compiled);
-        for (t, p) in [(10u32, 40.0), (17, 25.0), (22, 12.0), (30, 60.0)] {
-            let c = SynthesisConstraints::new(t, p);
-            let old = synthesize(&g, &lib, c.clone(), &opts);
-            let new = session.synthesize(c, &opts);
-            match (old, new) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a, b, "{} T={t} P={p}", g.name());
-                    assert_eq!(a.stats, b.stats, "{} T={t} P={p} trace", g.name());
-                }
-                (Err(_), Err(_)) => {}
-                (o, n) => panic!(
-                    "{} T={t} P={p}: feasibility diverged (old ok: {}, new ok: {})",
-                    g.name(),
-                    o.is_ok(),
-                    n.is_ok()
-                ),
-            }
-        }
-    }
-}
-
-#[test]
-fn shim_and_session_refined_and_portfolio_are_identical() {
-    let lib = paper_library();
-    let engine = Engine::new(lib.clone());
-    let opts = SynthesisOptions::default();
-    for g in benchmarks::paper_set() {
-        let compiled = engine.compile(&g);
-        let session = engine.session(&compiled);
-        let c = SynthesisConstraints::new(25, 40.0);
-        assert_eq!(
-            synthesize_refined(&g, &lib, c.clone(), &opts).ok(),
-            session.synthesize_refined(c.clone(), &opts).ok(),
-            "{} refined",
-            g.name()
-        );
-        assert_eq!(
-            synthesize_portfolio(&g, &lib, c.clone(), &opts).ok(),
-            session.synthesize_portfolio(c, &opts).ok(),
-            "{} portfolio",
-            g.name()
-        );
-    }
-}
-
-#[test]
-fn figure2_json_bytes_are_identical_between_shim_and_session_paths() {
+fn figure2_json_bytes_are_identical_between_serial_and_session_paths() {
     // The exact serialization pipeline behind results/figure2.json, both
     // ways, on every paper curve (thinned grid — the byte-equality
     // guarantee is per point, so grid density changes nothing).
@@ -96,38 +41,39 @@ fn figure2_json_bytes_are_identical_between_shim_and_session_paths() {
     let opts = SynthesisOptions::default();
     let grid = thinned_grid();
 
-    let mut old_points = Vec::new();
-    let mut new_points = Vec::new();
-    for (g, t) in figure2_curves() {
-        old_points.extend(power_sweep(&g, &lib, t, &grid, &opts));
-        let compiled = engine.compile(&g);
-        new_points.extend(
+    let curves = figure2_curves();
+    let compiled: Vec<_> = curves.iter().map(|(g, _)| engine.compile(g)).collect();
+    let mut serial_points = Vec::new();
+    let mut session_points = Vec::new();
+    for ((g, t), compiled) in curves.iter().zip(&compiled) {
+        serial_points.extend(power_sweep_serial(g, &lib, *t, &grid, &opts));
+        session_points.extend(
             engine
-                .session(&compiled)
-                .sweep(&SweepSpec::power(t, grid.clone()), &opts)
+                .session(compiled)
+                .sweep(&SweepSpec::power(*t, grid.clone()), &opts)
                 .into_points(),
         );
     }
-    let old_json = serde_json::to_vec(&old_points).unwrap();
-    let new_json = serde_json::to_vec(&new_points).unwrap();
-    assert_eq!(old_json, new_json, "figure2.json bytes diverged");
+    let serial_json = serde_json::to_vec(&serial_points).unwrap();
+    let session_json = serde_json::to_vec(&session_points).unwrap();
+    assert_eq!(serial_json, session_json, "figure2.json bytes diverged");
 
-    // The whole-figure fan-outs agree too.
-    let curves = figure2_curves();
-    let requests: Vec<SweepRequest<'_>> = curves
+    // The whole-figure fan-out agrees too.
+    let jobs: Vec<SweepJob<'_>> = curves
         .iter()
-        .map(|(g, t)| SweepRequest {
-            graph: g,
-            latency: *t,
-            powers: &grid,
+        .zip(&compiled)
+        .map(|((_, t), compiled)| SweepJob {
+            compiled,
+            spec: SweepSpec::power(*t, grid.clone()),
         })
         .collect();
-    let many: Vec<_> = sweep_many(&requests, &lib, &opts)
+    let batch: Vec<_> = engine
+        .sweep_batch(&jobs, &opts)
         .into_iter()
-        .flatten()
+        .flat_map(|sweep| sweep.into_points())
         .collect();
-    let many_json = serde_json::to_vec(&many).unwrap();
-    assert_eq!(many_json, new_json, "sweep_many bytes diverged");
+    let batch_json = serde_json::to_vec(&batch).unwrap();
+    assert_eq!(batch_json, serial_json, "sweep_batch bytes diverged");
 }
 
 proptest! {
@@ -142,8 +88,7 @@ proptest! {
         pick_cosine in any::<bool>(),
     ) {
         let g = if pick_cosine { benchmarks::cosine() } else { benchmarks::hal() };
-        let lib = paper_library();
-        let engine = Engine::new(lib.clone());
+        let engine = Engine::new(paper_library());
         let compiled = engine.compile(&g);
         let session = engine.session(&compiled);
         let opts = SynthesisOptions::default();
@@ -157,18 +102,16 @@ proptest! {
         for (r, &(t, p)) in results.iter().zip(&points) {
             let c = SynthesisConstraints::new(t, p);
             prop_assert_eq!(r.request.constraints.clone(), c.clone());
-            let single = session.synthesize(c.clone(), &opts);
-            let old = synthesize(&g, &lib, c.clone(), &opts);
-            match (&r.outcome, single, old) {
-                (Ok(b), Ok(s), Ok(o)) => {
+            let single = session.synthesize(c, &opts);
+            match (&r.outcome, single) {
+                (Ok(b), Ok(s)) => {
                     prop_assert_eq!(b, &s, "batch vs single at T={} P={}", t, p);
-                    prop_assert_eq!(b, &o, "batch vs shim at T={} P={}", t, p);
                 }
-                (Err(_), Err(_), Err(_)) => {}
-                (b, s, o) => prop_assert!(
+                (Err(_), Err(_)) => {}
+                (b, s) => prop_assert!(
                     false,
-                    "feasibility diverged at T={} P={}: batch {}, single {}, shim {}",
-                    t, p, b.is_ok(), s.is_ok(), o.is_ok()
+                    "feasibility diverged at T={} P={}: batch {}, single {}",
+                    t, p, b.is_ok(), s.is_ok()
                 ),
             }
         }
