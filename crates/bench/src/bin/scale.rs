@@ -54,15 +54,6 @@
 //! span site with the tracer off) that bounds the overhead the
 //! instrumentation adds when nobody is tracing.
 //!
-//! A ninth workload, `edits`, replays random single-op graph edits
-//! through the incremental re-synthesis path (`BENCH_10.json`): each
-//! edit is synthesized cold (full compile + full kernel run) and
-//! incrementally ([`diff`] + a cold [`Engine::try_compile`] of the
-//! edited graph + [`Session::resynthesize`](pchls_core::Session) seeded
-//! from a recorded base run), the two designs are byte-diffed — decision
-//! traces and effort counters included — and the per-edit wall-clock
-//! ratio is recorded with its median asserted on multi-core hosts.
-//!
 //! `--smoke` runs a seconds-scale subset (small graphs, one repetition)
 //! so CI can keep the workloads from rotting.
 //!
@@ -80,7 +71,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use pchls_bench::{figure2_power_grid, scale_random_case};
-use pchls_cdfg::{benchmarks, diff, write_cdfg, Cdfg};
+use pchls_cdfg::{benchmarks, write_cdfg, Cdfg};
 use pchls_core::{
     Engine, PowerBudget, Session, SweepSpec, SynthesisConstraints, SynthesisOptions,
     SynthesisRequest, SynthesizedDesign,
@@ -1986,412 +1977,6 @@ fn phases_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     eprintln!("wrote BENCH_9.json");
 }
 
-/// Per-edit record of the `edits` workload (`BENCH_10.json`).
-#[derive(Debug, Serialize)]
-struct EditRecord {
-    /// Edit index (also the edit RNG seed offset).
-    edit: usize,
-    /// Edit flavour applied (`rewire`, `add` or `remove`).
-    kind: String,
-    /// Edit-cone size reported by the structural delta.
-    cone: usize,
-    /// Whether the incremental replay path ran (vs. the full-recompute
-    /// fallback for oversized cones).
-    incremental: bool,
-    /// Kernel iterations gated against the recorded memo.
-    gated: usize,
-    /// Gated iterations that outran the recorded trust bound and
-    /// re-enumerated cold.
-    extensions: usize,
-    /// Whether the replay abandoned the memo mid-run after the edited
-    /// run's commit order diverged from the recording.
-    bailed: bool,
-    /// Best wall-clock seconds for a full compile of the edited graph.
-    compile_secs: f64,
-    /// Best wall-clock seconds for the incremental side's structural
-    /// diff plus its cold compile of the edited graph.
-    diff_compile_secs: f64,
-    /// Best wall-clock seconds for the cold path (full compile + full
-    /// kernel run on the edited graph).
-    full_secs: f64,
-    /// Best wall-clock seconds for the incremental path (diff + cold
-    /// compile + memo-seeded replay).
-    incremental_secs: f64,
-    /// `full_secs / incremental_secs` — the end-to-end win.
-    speedup: f64,
-    /// Whether both paths produced byte-identical designs (decision
-    /// traces and effort counters included).
-    identical: bool,
-}
-
-/// The `edits` trajectory record (`BENCH_10.json`).
-#[derive(Debug, Serialize)]
-struct EditsRecord {
-    /// Trajectory schema marker.
-    schema: String,
-    /// What is being timed.
-    workload: String,
-    /// Case label of the base graph.
-    case: String,
-    /// Node count of the base CDFG.
-    nodes: usize,
-    /// Latency constraint `T` (shared by the base run and every edit).
-    latency_bound: u32,
-    /// Power constraint `P<`.
-    power_bound: f64,
-    /// Edits replayed.
-    edits: usize,
-    /// Timing repetitions per side per edit (minimum taken).
-    reps: usize,
-    /// Kernel threads: always 1, the kernel is serial.
-    threads: usize,
-    /// Host cores.
-    host_cores: usize,
-    /// Seconds to record the base run (compile + recorded synthesis).
-    record_secs: f64,
-    /// Sum of the per-edit best cold-path seconds.
-    full_secs: f64,
-    /// Sum of the per-edit best incremental-path seconds.
-    incremental_secs: f64,
-    /// Median per-edit `full/incremental` end-to-end ratio over every
-    /// edit. The replay must reproduce the cold kernel's attempt
-    /// sequence bit-exactly, so its win depends on how local the edit's
-    /// effect on the binding order is (up to ~6x when the memo tracks,
-    /// bounded near 1x for divergent runs by the bail-out).
-    median_speedup: f64,
-    /// Edits whose replay followed the memo to the end of the run
-    /// (incremental and not bailed).
-    tracked_edits: usize,
-    /// Median end-to-end ratio over tracked replays only (0 when none).
-    tracked_median_speedup: f64,
-    /// Best per-edit end-to-end ratio.
-    max_speedup: f64,
-    /// Fraction of edits the incremental replay path handled (the rest
-    /// fell back to a full recompute on an oversized cone).
-    incremental_share: f64,
-    /// Whether every edit's two paths were byte-identical.
-    outputs_identical: bool,
-    /// Whether the speedup bounds (tracked median ≥ 3x, best ≥ 5x,
-    /// overall median ≥ 0.9x) were asserted — multi-core hosts only;
-    /// single-core CI boxes jitter past any honest bound, so they
-    /// record instead (same policy as the `scaling` workload).
-    speedup_asserted: bool,
-    /// Per-edit breakdown.
-    cases: Vec<EditRecord>,
-}
-
-/// A deterministic xorshift for the edit driver, so `BENCH_10.json` is
-/// reproducible without pulling an RNG dependency into the bench.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-/// Applies one random structural edit (rewire an operand, add an op, or
-/// remove an unconsumed node) and returns the edited graph plus the
-/// flavour applied.
-fn random_edit(graph: &Cdfg, seed: u64) -> (Cdfg, &'static str) {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut edit = pchls_cdfg::GraphEdit::new(graph);
-    let n = graph.len() as u64;
-    let producers: Vec<pchls_cdfg::NodeId> = graph
-        .node_ids()
-        .filter(|&id| graph.node(id).kind().produces_value())
-        .collect();
-    let pick = |state: &mut u64| producers[(xorshift(state) % producers.len() as u64) as usize];
-    loop {
-        let applied: Option<&'static str> = match xorshift(&mut state) % 3 {
-            0 => {
-                let id = pchls_cdfg::NodeId::new((xorshift(&mut state) % n) as u32);
-                let ports = graph.operands(id).len();
-                (ports > 0 && {
-                    let port = (xorshift(&mut state) % ports as u64) as usize;
-                    let src = pick(&mut state);
-                    edit.rewire_edge(id, port, src).is_ok()
-                })
-                .then_some("rewire")
-            }
-            1 => {
-                let kind = if xorshift(&mut state).is_multiple_of(2) {
-                    pchls_cdfg::OpKind::Add
-                } else {
-                    pchls_cdfg::OpKind::Mul
-                };
-                let (a, b) = (pick(&mut state), pick(&mut state));
-                edit.add_op(kind, &[a, b]).is_ok().then_some("add")
-            }
-            _ => {
-                let start = xorshift(&mut state) % n;
-                (0..n)
-                    .any(|off| {
-                        let id = pchls_cdfg::NodeId::new(((start + off) % n) as u32);
-                        edit.remove_op(id).is_ok()
-                    })
-                    .then_some("remove")
-            }
-        };
-        if let Some(kind) = applied {
-            return (edit.finish().expect("validated edits re-finish"), kind);
-        }
-    }
-}
-
-/// The `edits` workload: random single-op edit replays on the rand200
-/// case, incremental re-synthesis vs. full recompile, byte-diffed
-/// (BENCH_10.json).
-fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
-    let (case, edits, reps) = if smoke {
-        (random_case(30, 11, 60.0), 4, 1)
-    } else {
-        (random_case(200, 13, 60.0), 24, 3)
-    };
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-
-    // Record the base run once; every edit replays against this memo.
-    let start = Instant::now();
-    let compiled = engine.compile(&case.graph);
-    let (_, memo) = engine
-        .session(&compiled)
-        .synthesize_recorded(case.constraints.clone(), opts)
-        .expect("the scale cases are feasible");
-    let record_secs = start.elapsed().as_secs_f64();
-
-    // Warm-up (untimed) so allocator state is comparable across sides.
-    {
-        let (edited, _) = random_edit(&case.graph, 999);
-        let _ = engine.try_compile(&edited).map(|c| {
-            engine
-                .session(&c)
-                .synthesize(case.constraints.clone(), opts)
-        });
-        let delta = diff(&case.graph, &edited);
-        let _ = engine.try_compile(&edited).map(|c| {
-            engine
-                .session(&c)
-                .resynthesize(&memo, &delta)
-                .map(|r| r.incremental)
-        });
-    }
-
-    println!(
-        "{:<4} {:>7} {:>5} {:>5} {:>6} {:>4} {:>5} | {:>9} {:>9} | {:>9} {:>9} {:>7} {:>5}",
-        "edit",
-        "kind",
-        "cone",
-        "inc",
-        "gated",
-        "ext",
-        "bail",
-        "comp_s",
-        "dcomp_s",
-        "full_s",
-        "inc_s",
-        "e2e",
-        "ident"
-    );
-    println!("{}", "-".repeat(101));
-    let mut records = Vec::new();
-    let mut outputs_identical = true;
-    for e in 0..edits {
-        let (edited, kind) = random_edit(&case.graph, 1 + e as u64);
-
-        // Cold side, stage-timed: a full compile of the edited graph,
-        // then a full kernel run.
-        let mut compile_secs = f64::INFINITY;
-        let mut synth_secs = f64::INFINITY;
-        let mut cold = None;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let c = engine.try_compile(&edited);
-            compile_secs = compile_secs.min(start.elapsed().as_secs_f64());
-            let start = Instant::now();
-            let outcome = c.and_then(|c| {
-                engine
-                    .session(&c)
-                    .synthesize(case.constraints.clone(), opts)
-            });
-            synth_secs = synth_secs.min(start.elapsed().as_secs_f64());
-            cold = Some(outcome);
-        }
-
-        // Incremental side: diff + cold compile, then memo-seeded
-        // replay.
-        let mut diff_compile_secs = f64::INFINITY;
-        let mut resynth_secs = f64::INFINITY;
-        let mut replayed = None;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let delta = diff(&case.graph, &edited);
-            let c = engine.try_compile(&edited);
-            diff_compile_secs = diff_compile_secs.min(start.elapsed().as_secs_f64());
-            let start = Instant::now();
-            let outcome = c.and_then(|c| engine.session(&c).resynthesize(&memo, &delta));
-            resynth_secs = resynth_secs.min(start.elapsed().as_secs_f64());
-            replayed = Some(outcome);
-        }
-
-        let cold = cold.expect("reps >= 1");
-        let replayed = replayed.expect("reps >= 1");
-        let (cone, incremental, gated, extensions, bailed) = replayed
-            .as_ref()
-            .map(|r| {
-                (
-                    r.cone_size,
-                    r.incremental,
-                    r.gated_iterations,
-                    r.extensions,
-                    r.bailed,
-                )
-            })
-            .unwrap_or((0, false, 0, 0, false));
-        let identical = match (&cold, &replayed) {
-            (Ok(a), Ok(r)) => *a == r.design && a.stats == r.design.stats,
-            (Err(_), Err(_)) => true,
-            _ => false,
-        };
-        outputs_identical &= identical;
-        let full_secs = compile_secs + synth_secs;
-        let incremental_secs = diff_compile_secs + resynth_secs;
-        let speedup = full_secs / incremental_secs;
-        println!(
-            "{:<4} {:>7} {:>5} {:>5} {:>6} {:>4} {:>5} | {:>9.4} {:>9.4} | {:>9.4} {:>9.4} \
-             {:>6.2}x {:>5}",
-            e,
-            kind,
-            cone,
-            incremental,
-            gated,
-            extensions,
-            bailed,
-            compile_secs,
-            diff_compile_secs,
-            full_secs,
-            incremental_secs,
-            speedup,
-            identical,
-        );
-        records.push(EditRecord {
-            edit: e,
-            kind: kind.to_owned(),
-            cone,
-            incremental,
-            gated,
-            extensions,
-            bailed,
-            compile_secs,
-            diff_compile_secs,
-            full_secs,
-            incremental_secs,
-            speedup,
-            identical,
-        });
-    }
-
-    let median = |mut xs: Vec<f64>| {
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        xs[xs.len() / 2]
-    };
-    let median_speedup = median(records.iter().map(|r| r.speedup).collect());
-    // "Tracked" replays followed the memo to the end of the run; bailed
-    // ones abandoned it mid-run after the commit order diverged.
-    let tracked: Vec<f64> = records
-        .iter()
-        .filter(|r| r.incremental && !r.bailed)
-        .map(|r| r.speedup)
-        .collect();
-    let tracked_edits = tracked.len();
-    let tracked_median_speedup = if tracked.is_empty() {
-        0.0
-    } else {
-        median(tracked)
-    };
-    let max_speedup = records.iter().map(|r| r.speedup).fold(0.0, f64::max);
-    let incremental_share =
-        records.iter().filter(|r| r.incremental).count() as f64 / records.len() as f64;
-    let speedup_asserted = !smoke && host_cores > 1;
-    let record = EditsRecord {
-        schema: "pchls-bench-v1".into(),
-        workload: "edit-replay".into(),
-        case: case.name.clone(),
-        nodes: case.graph.len(),
-        latency_bound: case.constraints.latency,
-        power_bound: case.constraints.max_power(),
-        edits,
-        reps,
-        // Both sides run the serial kernel; BENCH_6 owns the
-        // thread-scaling story.
-        threads: 1,
-        host_cores,
-        record_secs,
-        full_secs: records.iter().map(|r| r.full_secs).sum(),
-        incremental_secs: records.iter().map(|r| r.incremental_secs).sum(),
-        median_speedup,
-        tracked_edits,
-        tracked_median_speedup,
-        max_speedup,
-        incremental_share,
-        outputs_identical,
-        speedup_asserted,
-        cases: records,
-    };
-    println!(
-        "\n{}: {} edits | full {:.3}s | incremental {:.3}s | median speedup {:.2}x | tracked \
-         {}/{} median {:.2}x | best {:.2}x | incremental share {:.0}% | identical: {}",
-        record.case,
-        record.edits,
-        record.full_secs,
-        record.incremental_secs,
-        record.median_speedup,
-        record.tracked_edits,
-        record.edits,
-        record.tracked_median_speedup,
-        record.max_speedup,
-        record.incremental_share * 100.0,
-        record.outputs_identical,
-    );
-    // The identity contract holds unconditionally; the speedup bounds
-    // are only asserted where the measurement is honest (multi-core
-    // hosts, full-size case — single-core CI boxes jitter past any
-    // honest bound, so they record instead; same policy as `scaling`).
-    assert!(
-        record.outputs_identical,
-        "incremental re-synthesis diverged from the cold path"
-    );
-    assert!(
-        record.incremental_share > 0.0,
-        "no edit exercised the incremental path"
-    );
-    if record.speedup_asserted {
-        assert!(
-            record.tracked_edits > 0,
-            "no replay tracked its memo to the end of the run"
-        );
-        assert!(
-            record.tracked_median_speedup >= 3.0,
-            "tracked-replay median speedup {:.2}x below the 3x bound",
-            record.tracked_median_speedup
-        );
-        assert!(
-            record.max_speedup >= 5.0,
-            "best replay speedup {:.2}x below the 5x bound",
-            record.max_speedup
-        );
-        assert!(
-            record.median_speedup >= 0.9,
-            "incremental path slower than cold at the median ({:.2}x): the bail-out failed to \
-             bound divergent replays",
-            record.median_speedup
-        );
-    }
-    let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write("BENCH_10.json", json).expect("write BENCH_10.json");
-    eprintln!("wrote BENCH_10.json");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -2411,7 +1996,6 @@ fn main() {
         "store",
         "overload",
         "phases",
-        "edits",
     ];
     if let Some(bad) = only.iter().find(|w| !known.contains(w)) {
         eprintln!("unknown workload `{bad}` (expected one of {known:?})");
@@ -2443,8 +2027,5 @@ fn main() {
     }
     if want("phases") {
         phases_workload(smoke, &engine, &opts);
-    }
-    if want("edits") {
-        edits_workload(smoke, &engine, &opts);
     }
 }

@@ -4,9 +4,8 @@
 //! (every node whose dependence cone the edit intersects) as a
 //! [`NodeSet`].
 //!
-//! The cone is the contract incremental replay is built on: a node
-//! outside the cone has a bit-for-bit identical ancestor subgraph and
-//! descendant subgraph in both graphs (under the node mapping), so any
+//! The cone's contract: a node outside the cone has a bit-for-bit
+//! identical ancestor subgraph and descendant subgraph in both graphs (under the node mapping), so any
 //! per-node artifact derived purely from those cones — reachability
 //! rows, ASAP levels, [`cone_fingerprints`](crate::cone_fingerprints)
 //! — can be reused from the base graph without recomputation. The cone

@@ -4,7 +4,7 @@
 //! three primitive edits — [`add_op`](GraphEdit::add_op),
 //! [`remove_op`](GraphEdit::remove_op) and
 //! [`rewire_edge`](GraphEdit::rewire_edge) — each validated eagerly
-//! with a typed [`EditError`], so edit-replay workloads and property
+//! with a typed [`EditError`], so edit workloads and property
 //! tests can build graph deltas without hand-rolling node and edge
 //! vectors. Node ids stay stable for the whole edit session (removals
 //! tombstone); [`finish`](GraphEdit::finish) compacts the survivors in
@@ -109,7 +109,7 @@ impl std::error::Error for EditError {}
 
 /// A mutable working copy of a [`Cdfg`] supporting validated single-op
 /// edits; surviving nodes keep their [`NodeId`]s (the id-stability
-/// contract the diff/replay layers lean on), and removals leave holes
+/// contract [`diff`](crate::diff) leans on), and removals leave holes
 /// that [`finish`](GraphEdit::finish) compacts monotonically.
 #[derive(Debug, Clone)]
 pub struct GraphEdit {

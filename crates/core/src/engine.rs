@@ -48,7 +48,7 @@
 
 use std::ops::ControlFlow;
 
-use pchls_cdfg::{optimize, AnalysisCache, Cdfg, GraphDelta, OpKind, OptimizeStats, Reachability};
+use pchls_cdfg::{optimize, AnalysisCache, Cdfg, OpKind, OptimizeStats, Reachability};
 use pchls_fulib::{ModuleId, ModuleLibrary, SelectionPolicy};
 use pchls_sched::{alap, asap, PowerBudget, PowerProfile, Schedule, TimingMap};
 
@@ -59,8 +59,7 @@ use crate::error::SynthesisError;
 use crate::explore::{envelope, latency_order, power_order, run_point, SweepAxis, SweepPoint};
 use crate::options::SynthesisOptions;
 use crate::refine::{portfolio_session, refined_session};
-use crate::replay::{ReplayState, SynthesisMemo};
-use crate::synthesis::{synthesize_session, synthesize_session_mode, KernelMode};
+use crate::synthesis::synthesize_session;
 
 /// Whether some library module implements both kinds, indexed by
 /// [`OpKind::index`] on both axes.
@@ -419,30 +418,6 @@ pub struct Progress {
     pub rejected_candidates: usize,
 }
 
-/// The outcome of [`Session::resynthesize`]: the design plus which
-/// path produced it.
-#[derive(Debug, Clone)]
-pub struct Resynthesis {
-    /// The synthesized design — byte-identical to a cold synthesis of
-    /// the edited graph either way.
-    pub design: SynthesizedDesign,
-    /// Whether the incremental replay path ran (`false`: full-recompute
-    /// fallback).
-    pub incremental: bool,
-    /// The edit cone's size, as reported by the delta.
-    pub cone_size: usize,
-    /// Kernel iterations that were gated against the recorded memo
-    /// (zero on the fallback path).
-    pub gated_iterations: usize,
-    /// Gated iterations that exhausted the recorded trust bound and
-    /// re-enumerated cold before committing.
-    pub extensions: usize,
-    /// Whether the replay abandoned the memo mid-run because the edited
-    /// run's commit order diverged from the recording (the rest of the
-    /// run used the cold path, bounding cost near a full recompute).
-    pub bailed: bool,
-}
-
 /// A synthesis session: an [`Engine`] paired with one of its
 /// [`CompiledGraph`]s. Every call shares the compiled artifacts; none
 /// recomputes reachability, library indexes or bootstrap seeds.
@@ -503,123 +478,6 @@ impl<'e> Session<'e> {
             options,
             Some(hook),
         )
-    }
-
-    /// [`synthesize`](Session::synthesize) while recording a
-    /// [`SynthesisMemo`]: a per-iteration observation journal of the
-    /// kernel run, replayable against edited graphs via
-    /// [`resynthesize`](Session::resynthesize). The design returned is
-    /// byte-identical to the plain [`synthesize`](Session::synthesize)
-    /// call — recording only observes.
-    ///
-    /// # Errors
-    ///
-    /// As [`synthesize`](Session::synthesize).
-    pub fn synthesize_recorded(
-        &self,
-        constraints: SynthesisConstraints,
-        options: &SynthesisOptions,
-    ) -> Result<(SynthesizedDesign, SynthesisMemo), SynthesisError> {
-        let mut memo = SynthesisMemo::empty(constraints.clone(), *options);
-        let design = synthesize_session_mode(
-            self.engine,
-            self.compiled,
-            &constraints,
-            options,
-            None,
-            KernelMode::Record(&mut memo),
-        )?;
-        Ok((design, memo))
-    }
-
-    /// Re-synthesizes after a graph edit, seeding the kernel from a
-    /// recorded base run: this session must hold the **edited** compiled
-    /// graph (a cold [`Engine::try_compile`] of it), `memo` a recording
-    /// of the **base** graph under the constraints and options that are
-    /// reused here, and `delta` the structural diff between the two.
-    ///
-    /// Small edit cones replay incrementally — quiet operations skip
-    /// candidate enumeration and trust the recorded scores, while every
-    /// attempt still executes for real — and the output is
-    /// byte-identical to a cold synthesis of the edited graph (designs,
-    /// decision traces and effort counters alike; asserted by the
-    /// differential tests). Cones above half the graph, degenerate
-    /// deltas and shape mismatches fall back to a full cold run. Use
-    /// [`resynthesize_with_limit`](Session::resynthesize_with_limit) to
-    /// tune the cutoff.
-    ///
-    /// # Errors
-    ///
-    /// As [`synthesize`](Session::synthesize), against the edited graph.
-    pub fn resynthesize(
-        &self,
-        memo: &SynthesisMemo,
-        delta: &GraphDelta,
-    ) -> Result<Resynthesis, SynthesisError> {
-        self.resynthesize_with_limit(memo, delta, self.compiled.graph().len() / 2)
-    }
-
-    /// [`resynthesize`](Session::resynthesize) with an explicit maximum
-    /// edit-cone size for the incremental path; larger cones run the
-    /// full cold kernel (above roughly half the graph the bookkeeping
-    /// outweighs the skipped enumeration).
-    ///
-    /// # Errors
-    ///
-    /// As [`resynthesize`](Session::resynthesize).
-    pub fn resynthesize_with_limit(
-        &self,
-        memo: &SynthesisMemo,
-        delta: &GraphDelta,
-        max_cone: usize,
-    ) -> Result<Resynthesis, SynthesisError> {
-        let cone_size = delta.cone_size();
-        let incremental = !delta.degenerate()
-            && delta.base_len() == memo.n
-            && delta.edited_len() == self.compiled.graph().len()
-            && memo.lib_len == self.engine.library().len()
-            && !memo.iters.is_empty()
-            && cone_size <= max_cone;
-        let _span = pchls_obs::span!(
-            "kernel.patch",
-            "cone" => cone_size,
-            "mode" => if incremental { "incremental" } else { "full" }
-        );
-        let (design, gated_iterations, extensions, bailed) = if incremental {
-            pchls_obs::global()
-                .counter("pchls_session_incremental_hits_total")
-                .inc();
-            let mut rs = ReplayState::new(memo, delta);
-            let design = synthesize_session_mode(
-                self.engine,
-                self.compiled,
-                &memo.constraints,
-                &memo.options,
-                None,
-                KernelMode::Replay(&mut rs),
-            )?;
-            (design, rs.gated_iterations, rs.extensions, rs.bailed)
-        } else {
-            pchls_obs::global()
-                .counter("pchls_session_incremental_fallbacks_total")
-                .inc();
-            let design = synthesize_session(
-                self.engine,
-                self.compiled,
-                &memo.constraints,
-                &memo.options,
-                None,
-            )?;
-            (design, 0, 0, false)
-        };
-        Ok(Resynthesis {
-            design,
-            incremental,
-            cone_size,
-            gated_iterations,
-            extensions,
-            bailed,
-        })
     }
 
     /// The self-tightening refinement loop over this session's shared

@@ -61,7 +61,6 @@ mod error;
 mod explore;
 mod options;
 mod refine;
-mod replay;
 mod synthesis;
 mod topk;
 
@@ -70,8 +69,8 @@ pub use baseline::{trimmed_allocation_bind, two_step_bind, unconstrained_bind, B
 pub use constraints::SynthesisConstraints;
 pub use design::{SynthesisStats, SynthesizedDesign};
 pub use engine::{
-    CompiledGraph, Engine, Progress, Resynthesis, Session, SweepJob, SweepResult, SweepSpec,
-    SynthesisRequest, SynthesisResult,
+    CompiledGraph, Engine, Progress, Session, SweepJob, SweepResult, SweepSpec, SynthesisRequest,
+    SynthesisResult,
 };
 pub use error::SynthesisError;
 pub use explore::{
@@ -79,5 +78,4 @@ pub use explore::{
 };
 pub use options::{SynthesisOptions, SynthesisOptionsBuilder};
 pub use pchls_sched::PowerBudget;
-pub use replay::SynthesisMemo;
 pub use topk::TopK;

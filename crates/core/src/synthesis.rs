@@ -15,7 +15,6 @@ use crate::design::{SynthesisStats, SynthesizedDesign};
 use crate::engine::{CompiledGraph, Engine, KindCompat, Progress};
 use crate::error::SynthesisError;
 use crate::options::SynthesisOptions;
-use crate::replay::{plan_gated_iteration, GatedPlan, ReplayState, SynthesisMemo};
 use crate::topk::TopK;
 
 /// One greedy decision over the compatibility structure, in decreasing
@@ -29,33 +28,19 @@ use crate::topk::TopK;
 /// * open a dedicated instance for one operation (fallback; negative
 ///   score so it only wins when nothing can be shared).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Decision {
-    pub(crate) op: NodeId,
-    pub(crate) module: ModuleId,
-    pub(crate) start: u32,
-    pub(crate) target: Target,
-    pub(crate) score: f64,
+struct Decision {
+    op: NodeId,
+    module: ModuleId,
+    start: u32,
+    target: Target,
+    score: f64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Target {
+enum Target {
     Existing(InstanceId),
     Fresh,
     FreshPair { partner: NodeId, partner_start: u32 },
-}
-
-/// How one kernel run interacts with the incremental-replay machinery
-/// (see [`crate::replay`]): `Plain` runs are untouched, `Record` runs
-/// additionally journal per-iteration observation state into a
-/// [`SynthesisMemo`], and `Replay` runs consult a memo plus a graph
-/// delta to skip candidate enumeration wherever the edit provably
-/// cannot have changed it. All three modes produce byte-identical
-/// designs and effort counters for the same `(graph, constraints,
-/// options)` input.
-pub(crate) enum KernelMode<'m, 'r> {
-    Plain,
-    Record(&'r mut SynthesisMemo),
-    Replay(&'r mut ReplayState<'m>),
 }
 
 /// The combined loop over precompiled shared artifacts — the engine's
@@ -68,28 +53,7 @@ pub(crate) fn synthesize_session(
     compiled: &CompiledGraph,
     constraints: &SynthesisConstraints,
     options: &SynthesisOptions,
-    hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    synthesize_session_mode(
-        engine,
-        compiled,
-        constraints,
-        options,
-        hook,
-        KernelMode::Plain,
-    )
-}
-
-/// [`synthesize_session`] with an explicit [`KernelMode`] — the
-/// recording ([`crate::Session::synthesize_recorded`]) and replay
-/// ([`crate::Session::resynthesize`]) entry points land here.
-pub(crate) fn synthesize_session_mode(
-    engine: &Engine,
-    compiled: &CompiledGraph,
-    constraints: &SynthesisConstraints,
-    options: &SynthesisOptions,
     mut hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
-    mut mode: KernelMode<'_, '_>,
 ) -> Result<SynthesizedDesign, SynthesisError> {
     let graph = compiled.graph();
     let library = engine.library();
@@ -113,16 +77,6 @@ pub(crate) fn synthesize_session_mode(
         let _span = pchls_obs::span!("kernel.bootstrap");
         bootstrap(graph, library, constraints, &budget, reach, compiled)?
     };
-    if let KernelMode::Record(memo) = &mut mode {
-        memo.begin(
-            constraints.clone(),
-            *options,
-            n,
-            library.len(),
-            est_modules.clone(),
-            reach.clone(),
-        );
-    }
 
     let mut binding = Binding::new(n);
     let mut locked = LockedStarts::none(n);
@@ -203,170 +157,62 @@ pub(crate) fn synthesize_session_mode(
         for iid in binding.instance_ids() {
             scratch.by_module[binding.instance(iid).module().index()].push(iid);
         }
-        // Replay alignment: whether this iteration is gated against a
-        // recorded one; `false` means replay fell back to the cold path
-        // for the rest of the run (or the mode never replays).
-        let gated = match &mut mode {
-            KernelMode::Replay(rs) => rs.align(&unbound).is_some(),
-            _ => false,
-        };
-        if let KernelMode::Record(memo) = &mut mode {
-            // Snapshot everything the replay-side quiet test compares —
-            // taken here, after the per-iteration buffers are rebuilt
-            // and before any candidate attempt mutates state.
-            memo.begin_iteration(
-                &provisional,
-                late,
-                &locked,
-                &timing,
-                &ledger,
-                &unbound,
-                &binding,
-                &scratch.by_module,
-                constraints.latency,
-            );
-        }
-
         // Try candidates best-first; a candidate commits only if the
         // remaining operations still admit a power-feasible schedule (the
         // paper's feasibility check). Rejected candidates are undone and
         // skipped; attempts are capped so a pathological iteration stays
         // cheap.
-        //
-        // The candidates come from one of two sources. A gated iteration
-        // trusts the memo for every quiet operation (scores copied, not
-        // recomputed) and evaluates only the hot cone fresh; a cold one
-        // scores and ranks everything. Attempts run for real either way,
-        // so state mutations, feasibility probes and effort counters are
-        // identical by construction. A gated stream truncated at the
-        // recorded trust bound without a commit takes a second, cold pass
-        // that continues past the already-attempted prefix: every undo
-        // restored state bit-exactly, and the busy/bucket scratch rows
-        // are iteration-start snapshots the attempts never touch.
-        let mut plan: Option<GatedPlan> = None;
-        let mut attempts = 0u64;
-        let committed = loop {
-            let from_plan = gated && plan.is_none();
-            let mut ctx = Context {
-                graph,
-                library,
-                options,
-                reach,
-                compiled,
-                timing: &timing,
-                est_modules: &est_modules,
-                kind_modules,
-                binding: &binding,
-                locked: &locked,
-                ledger: &ledger,
-                busy: &scratch.busy,
-                by_module: &scratch.by_module,
-                kind_compat,
-                provisional: &provisional,
-                late,
-                constraints,
-                peak_power: constraints.max_power(),
-                start0: std::mem::take(&mut scratch.start0),
-                avoided: std::mem::take(&mut scratch.avoided),
-            };
-            let order: &[u32] = if from_plan {
-                let KernelMode::Replay(rs) = &mut mode else {
-                    unreachable!("gated iterations only arise in replay mode")
-                };
-                let mut patch_span = pchls_obs::span!("kernel.patch");
-                let p = plan_gated_iteration(rs, &mut ctx, &scratch.unbound_vec, unbound.words());
-                patch_span.arg("hot", p.hot_ops);
-                plan = Some(p);
-                &[]
-            } else {
-                score_and_rank(
-                    &mut ctx,
-                    &scratch.unbound_vec,
-                    unbound.words(),
-                    &mut scratch.candidates,
-                    &mut scratch.top,
-                )
-            };
-            // Hand the score tables back for the next iteration and
-            // release every `ctx` borrow before the attempts mutate state.
-            scratch.start0 = std::mem::take(&mut ctx.start0);
-            scratch.avoided = std::mem::take(&mut ctx.avoided);
-            drop(ctx);
-            let candidates: &[Decision] = &scratch.candidates;
-            if let KernelMode::Record(memo) = &mut mode {
-                memo.record_tables(&scratch.start0, &scratch.avoided);
-                memo.record_top(order, candidates, &scratch.by_module, kind_modules, graph);
-            }
-            let planned: &[Decision] = match &plan {
-                Some(p) if from_plan => &p.entries,
-                _ => &[],
-            };
-            debug_assert!(
-                plan.as_ref().is_none_or(|p| p
-                    .entries
-                    .iter()
-                    .zip(order)
-                    .all(|(e, &i)| *e == candidates[i as usize])),
-                "replayed candidate prefix diverged from the cold ranking"
-            );
-            let tried = attempts;
-            let mut commit_span = pchls_obs::span!("kernel.commit");
-            let outcome = run_attempts(
-                planned.iter().chain(
-                    order
-                        .iter()
-                        .skip(tried as usize)
-                        .map(|&i| &candidates[i as usize]),
-                ),
-                graph,
-                library,
-                constraints,
-                &budget,
-                &provisional,
-                &mut binding,
-                &mut locked,
-                &mut timing,
-                &mut ledger,
-                &mut unbound,
-                &mut unbound_count,
-                &mut stats,
-                &mut dirty,
-                &mut attempts,
-            );
-            commit_span.arg("attempts", attempts - tried);
-            drop(commit_span);
-            match (&mut mode, &plan) {
-                // The gated stream ran out at the trust bound: extend
-                // into the cold pass. Repeated extensions mean the memo
-                // no longer predicts this run — `align` bails to the
-                // cold path after a few.
-                (KernelMode::Replay(rs), Some(p))
-                    if from_plan && outcome.is_none() && !p.exhaustive =>
-                {
-                    rs.extensions += 1;
-                }
-                _ => break outcome,
-            }
+        let mut ctx = Context {
+            graph,
+            library,
+            options,
+            reach,
+            compiled,
+            timing: &timing,
+            est_modules: &est_modules,
+            kind_modules,
+            binding: &binding,
+            locked: &locked,
+            ledger: &ledger,
+            busy: &scratch.busy,
+            by_module: &scratch.by_module,
+            kind_compat,
+            provisional: &provisional,
+            late,
+            constraints,
+            peak_power: constraints.max_power(),
+            start0: std::mem::take(&mut scratch.start0),
+            avoided: std::mem::take(&mut scratch.avoided),
         };
-        match &mut mode {
-            KernelMode::Record(memo) => match committed {
-                Some(d) => memo.commit_iteration(
-                    d.op,
-                    match d.target {
-                        Target::FreshPair { partner, .. } => Some(partner),
-                        _ => None,
-                    },
-                ),
-                // A backtracked iteration ends the usable recording:
-                // replays go cold from here (see `ReplayState`).
-                None => memo.abort_recording(),
-            },
-            // A backtrack invalidates every later recorded iteration
-            // (recording stops at the first backtrack); finish the run
-            // on the cold path.
-            KernelMode::Replay(rs) if committed.is_none() => rs.full = true,
-            _ => {}
-        }
+        let order = score_and_rank(
+            &mut ctx,
+            &scratch.unbound_vec,
+            unbound.words(),
+            &mut scratch.candidates,
+            &mut scratch.top,
+        );
+        // Hand the score tables back for the next iteration and release
+        // every `ctx` borrow before the attempts mutate state.
+        scratch.start0 = std::mem::take(&mut ctx.start0);
+        scratch.avoided = std::mem::take(&mut ctx.avoided);
+        drop(ctx);
+        let candidates: &[Decision] = &scratch.candidates;
+        let committed = run_attempts(
+            order.iter().map(|&i| &candidates[i as usize]),
+            graph,
+            library,
+            constraints,
+            &budget,
+            &provisional,
+            &mut binding,
+            &mut locked,
+            &mut timing,
+            &mut ledger,
+            &mut unbound,
+            &mut unbound_count,
+            &mut stats,
+            &mut dirty,
+        );
         if committed.is_none() {
             backtrack_all(
                 graph,
@@ -430,9 +276,7 @@ fn is_clean(cand: &Decision, saved: &Saved, provisional: &Schedule) -> bool {
 }
 
 /// Attempts candidates best-first until one commits: apply, prove
-/// feasibility (fast-path for clean commits), keep or undo — the loop
-/// body shared verbatim by the cold and gated (replay) paths, so both
-/// produce identical state mutations and effort counters.
+/// feasibility (fast-path for clean commits), keep or undo.
 #[allow(clippy::too_many_arguments)]
 fn run_attempts<'d>(
     cands: impl Iterator<Item = &'d Decision>,
@@ -449,10 +293,12 @@ fn run_attempts<'d>(
     unbound_count: &mut usize,
     stats: &mut SynthesisStats,
     dirty: &mut bool,
-    attempts: &mut u64,
 ) -> Option<Decision> {
+    let mut span = pchls_obs::span!("kernel.commit");
+    let mut attempts = 0u64;
+    let mut committed = None;
     for cand in cands {
-        *attempts += 1;
+        attempts += 1;
         let saved = saved_state(cand, library, timing, locked, ledger);
         apply(cand, library, binding, locked, timing, ledger, &saved);
         // A candidate that locks its operation(s) exactly at their
@@ -476,12 +322,14 @@ fn run_attempts<'d>(
             } else {
                 *dirty = true;
             }
-            return Some(*cand);
+            committed = Some(*cand);
+            break;
         }
         undo(cand, binding, locked, timing, ledger, &saved);
         stats.rejected_candidates += 1;
     }
-    None
+    span.arg("attempts", attempts);
+    committed
 }
 
 /// Every candidate stranded the remaining operations. The paper's
@@ -524,46 +372,46 @@ fn backtrack_all(
 
 /// Candidate attempts per iteration: commits are tried best-first and a
 /// pathological iteration must stay cheap.
-pub(crate) const MAX_ATTEMPTS: usize = 64;
+const MAX_ATTEMPTS: usize = 64;
 
 /// Read-only state shared by the candidate enumeration helpers, plus
 /// per-iteration score tables (every tabulated quantity depends only on
 /// state that is fixed for the whole enumeration pass, so the tables are
 /// filled up-front).
-pub(crate) struct Context<'a> {
-    pub(crate) graph: &'a Cdfg,
-    pub(crate) library: &'a ModuleLibrary,
-    pub(crate) options: &'a SynthesisOptions,
-    pub(crate) reach: &'a Reachability,
+struct Context<'a> {
+    graph: &'a Cdfg,
+    library: &'a ModuleLibrary,
+    options: &'a SynthesisOptions,
+    reach: &'a Reachability,
     /// Source of the compiled kind-compat node masks (see
     /// [`Context::compat_row`]).
-    pub(crate) compiled: &'a CompiledGraph,
-    pub(crate) timing: &'a TimingMap,
-    pub(crate) est_modules: &'a [ModuleId],
+    compiled: &'a CompiledGraph,
+    timing: &'a TimingMap,
+    est_modules: &'a [ModuleId],
     /// Per-kind module candidate lists, indexed by [`OpKind::index`].
-    pub(crate) kind_modules: &'a [Vec<ModuleId>],
-    pub(crate) binding: &'a Binding,
-    pub(crate) locked: &'a LockedStarts,
-    pub(crate) ledger: &'a PowerLedger,
-    pub(crate) busy: &'a [Vec<(u32, u32)>],
+    kind_modules: &'a [Vec<ModuleId>],
+    binding: &'a Binding,
+    locked: &'a LockedStarts,
+    ledger: &'a PowerLedger,
+    busy: &'a [Vec<(u32, u32)>],
     /// Open instances per library module, ascending instance id.
-    pub(crate) by_module: &'a [Vec<InstanceId>],
+    by_module: &'a [Vec<InstanceId>],
     /// `kind_compat[a][b]`: some module implements both kinds.
-    pub(crate) kind_compat: &'a KindCompat,
-    pub(crate) provisional: &'a Schedule,
-    pub(crate) late: &'a Schedule,
-    pub(crate) constraints: &'a SynthesisConstraints,
+    kind_compat: &'a KindCompat,
+    provisional: &'a Schedule,
+    late: &'a Schedule,
+    constraints: &'a SynthesisConstraints,
     /// Cached `constraints.max_power()` — the peak per-cycle bound any
     /// cycle can see (the bound itself for scalar constraints).
-    pub(crate) peak_power: f64,
+    peak_power: f64,
     /// Tabulated `candidate_start(op, m, 0)`, flattened as
     /// `op.index() * library.len() + m.index()`; filled for every unbound
     /// op over its kind's candidate modules (the only entries scoring
     /// reads). The pair-merge loop queries these O(n²·modules) times for
     /// only O(n·modules) distinct answers.
-    pub(crate) start0: Vec<Option<u32>>,
+    start0: Vec<Option<u32>>,
     /// Tabulated [`Context::avoided_area`] per unbound operation.
-    pub(crate) avoided: Vec<f64>,
+    avoided: Vec<f64>,
 }
 
 /// The per-cycle power already reserved by locked operations.
@@ -702,7 +550,7 @@ impl Context<'_> {
     }
 
     /// The candidate modules of `op`'s kind.
-    pub(crate) fn kind_list(&self, op: NodeId) -> &[ModuleId] {
+    fn kind_list(&self, op: NodeId) -> &[ModuleId] {
         &self.kind_modules[self.graph.node(op).kind().index()]
     }
 
@@ -710,19 +558,19 @@ impl Context<'_> {
     /// module implements both `op`'s kind and node `j`'s kind. ANDed
     /// against the unbound bitset this yields exactly the partners
     /// `pair_decisions` would not reject on kind grounds.
-    pub(crate) fn compat_row(&self, op: NodeId) -> &[u64] {
+    fn compat_row(&self, op: NodeId) -> &[u64] {
         self.compiled.compat_row(self.graph.node(op).kind())
     }
 
     /// Tabulated avoided area of `op` (unbound ops only).
-    pub(crate) fn avoided_area(&self, op: NodeId) -> f64 {
+    fn avoided_area(&self, op: NodeId) -> f64 {
         self.avoided[op.index()]
     }
 
     /// Tabulated `candidate_start(op, m, 0)` — the form every scoring
     /// path asks for repeatedly. Valid for unbound `op` and any `m`
     /// implementing its kind.
-    pub(crate) fn candidate_start0(&self, op: NodeId, m: ModuleId) -> Option<u32> {
+    fn candidate_start0(&self, op: NodeId, m: ModuleId) -> Option<u32> {
         self.start0[op.index() * self.library.len() + m.index()]
     }
 
@@ -731,7 +579,7 @@ impl Context<'_> {
     /// palap-estimated deadline (softened so the provisional slot always
     /// qualifies), locked direct successors, and — for locked ops — the
     /// fixed slot and timing.
-    pub(crate) fn candidate_start(&self, op: NodeId, m: ModuleId, not_before: u32) -> Option<u32> {
+    fn candidate_start(&self, op: NodeId, m: ModuleId, not_before: u32) -> Option<u32> {
         let spec = self.library.module(m);
         if let Some(s) = self.locked.get(op) {
             let cur = self.timing.of(op);
@@ -772,7 +620,7 @@ impl Context<'_> {
     }
 
     /// Interconnect bonus: shared operand producers / result consumers.
-    pub(crate) fn interconnect(&self, u: NodeId, others: &[NodeId]) -> f64 {
+    fn interconnect(&self, u: NodeId, others: &[NodeId]) -> f64 {
         if !self.options.interconnect_scoring {
             return 0.0;
         }
@@ -796,7 +644,7 @@ impl Context<'_> {
 
     /// Modules allowed for `op` under the ablation switches (borrowed —
     /// no per-query allocation).
-    pub(crate) fn modules_for(&self, op: NodeId) -> &[ModuleId] {
+    fn modules_for(&self, op: NodeId) -> &[ModuleId] {
         if self.options.module_selection {
             self.kind_list(op)
         } else {
@@ -843,7 +691,7 @@ fn score_and_rank<'t>(
 /// The ranking order on decisions: best score first, then earlier
 /// start, then smaller op id. Callers complete it into a total order
 /// with an enumeration-position tie-break.
-pub(crate) fn rank_order(a: &Decision, b: &Decision) -> std::cmp::Ordering {
+fn rank_order(a: &Decision, b: &Decision) -> std::cmp::Ordering {
     b.score
         .partial_cmp(&a.score)
         .expect("scores are finite")
@@ -901,7 +749,7 @@ fn single_decisions(ctx: &Context<'_>, u: NodeId, out: &mut Vec<Decision>) {
 
 /// The decision merging unbound `u` onto existing instance `iid` of
 /// module `m`, if it fits.
-pub(crate) fn existing_decision(
+fn existing_decision(
     ctx: &Context<'_>,
     u: NodeId,
     m: ModuleId,
@@ -928,7 +776,7 @@ pub(crate) fn existing_decision(
 
 /// The decision opening a dedicated instance of module `m` for `u`, if
 /// a power-feasible start exists.
-pub(crate) fn fresh_decision(ctx: &Context<'_>, u: NodeId, m: ModuleId) -> Option<Decision> {
+fn fresh_decision(ctx: &Context<'_>, u: NodeId, m: ModuleId) -> Option<Decision> {
     let s = ctx.candidate_start0(u, m)?;
     let area = f64::from(ctx.library.module(m).area());
     Some(Decision {
@@ -965,7 +813,7 @@ fn pair_decisions(ctx: &Context<'_>, u: NodeId, v: NodeId, out: &mut Vec<Decisio
 /// The decision opening one shared instance of module `m` for the
 /// dependence-ordered pair `(first, second)`, if the merge is
 /// profitable and feasible.
-pub(crate) fn pair_decision(
+fn pair_decision(
     ctx: &Context<'_>,
     first: NodeId,
     second: NodeId,

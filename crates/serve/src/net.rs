@@ -177,7 +177,12 @@ fn route_frame(
     }
     let request: SubmitRequest = match serde_json::from_slice(&line) {
         Ok(r) => r,
-        Err(e) => return Routed::Reply(SubmitResponse::error(0, format!("bad request: {e}"))),
+        Err(e) => {
+            return Routed::Reply(SubmitResponse::error(
+                salvaged_id(&line),
+                format!("bad request: {e}"),
+            ))
+        }
     };
     match request.op.as_str() {
         "" | "synth" => {
@@ -207,6 +212,19 @@ fn route_frame(
             request.id,
             format!("unknown op `{other}`"),
         )),
+    }
+}
+
+/// The id of a line that failed typed parsing: its integer `id` field
+/// when the line is still a JSON object, so a pipelining client can tell
+/// which request was bad; 0 for anything else.
+fn salvaged_id(line: &[u8]) -> u64 {
+    let value = std::str::from_utf8(line)
+        .ok()
+        .and_then(|text| serde_json::parse(text).ok());
+    match value.as_ref().and_then(|v| v.get("id")) {
+        Some(serde_json::Value::Int(id)) => u64::try_from(*id).unwrap_or(0),
+        _ => 0,
     }
 }
 
@@ -725,9 +743,12 @@ mod tests {
             r#"{"op":"frobnicate","id":3}"#,
             "\n",
             "this is not json\n",
+            // Well-formed JSON that fails typed parsing keeps its id.
+            r#"{"op":"synth","id":5,"graph":"hal","latency":"x","power":25}"#,
+            "\n",
         );
         let mut responses = drive(&service, script);
-        assert_eq!(responses.len(), 4);
+        assert_eq!(responses.len(), 5);
         // Synthesis replies may arrive out of order; sort by id.
         responses.sort_by_key(|r| r.id);
         let synth = responses.iter().find(|r| r.id == 1).unwrap();
@@ -740,6 +761,9 @@ mod tests {
         let bad = responses.iter().find(|r| r.id == 0).unwrap();
         assert!(!bad.ok);
         assert!(bad.error.as_ref().unwrap().contains("bad request"));
+        let mistyped = responses.iter().find(|r| r.id == 5).unwrap();
+        assert!(!mistyped.ok);
+        assert!(mistyped.error.as_ref().unwrap().contains("bad request"));
     }
 
     #[test]

@@ -833,12 +833,25 @@ impl Shared {
     }
 }
 
+/// The largest latency bound a request may ask for. The kernel
+/// allocates per-cycle power-ledger rows on every feasibility probe, so
+/// one wire request naming a latency near `u32::MAX` would ask for tens
+/// of gigabytes and abort the whole server; 65,536 cycles stays far above
+/// any schedule the built-in or random graphs need.
+const MAX_LATENCY: u32 = 1 << 16;
+
 /// Checks the request's constraint point and materializes it. (A budget
 /// envelope's values are already validated by its `Deserialize` impl;
 /// only the horizon fit remains to be checked here.)
 fn validated_constraints(req: &SubmitRequest) -> Result<SynthesisConstraints, String> {
     if req.latency == 0 {
         return Err("latency must be a positive cycle count".into());
+    }
+    if req.latency > MAX_LATENCY {
+        return Err(format!(
+            "latency {} exceeds the {MAX_LATENCY}-cycle limit",
+            req.latency
+        ));
     }
     if req.power.is_nan() || req.power < 0.0 {
         return Err("power bound must be non-negative".into());
@@ -940,6 +953,12 @@ mod tests {
         let service = service(1);
         for (req, needle) in [
             (SubmitRequest::synth(1, "hal", 0, 25.0), "latency"),
+            // Per-cycle ledger rows for this horizon would not fit in
+            // memory: rejected before any allocation, not aborted.
+            (
+                SubmitRequest::synth(7, "hal", 4_000_000_000, 25.0),
+                "latency",
+            ),
             (SubmitRequest::synth(2, "hal", 17, -1.0), "power"),
             (SubmitRequest::synth(3, "hal", 17, f64::NAN), "power"),
             (
@@ -961,7 +980,7 @@ mod tests {
         }
         // The workers survived all of it.
         assert!(service.call(SubmitRequest::synth(9, "hal", 17, 25.0)).ok);
-        assert_eq!(service.stats().failed, 6);
+        assert_eq!(service.stats().failed, 7);
     }
 
     #[test]
