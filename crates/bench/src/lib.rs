@@ -1,5 +1,4 @@
-//! Shared harness utilities for regenerating the paper's tables and
-//! figures.
+//! Shared utilities for regenerating the paper's tables and figures.
 //!
 //! Each artifact has a dedicated binary:
 //!
@@ -9,9 +8,15 @@
 //! | Figure 1 | `figure1` | undesired vs. desired power schedule |
 //! | Figure 2 | `figure2` | area vs. power under different latency constraints |
 //! | Battery (extension) | `battery_life` | lifetime gain of power-constrained designs |
+//! | Ablation | `ablation_table` | area of each heuristic variant on the Figure 2 points |
+//! | Regression dashboard | `suite` | every benchmark through paper, refined and portfolio |
 //!
 //! Binaries print the series to stdout and, where useful, dump JSON
-//! under `results/` for `EXPERIMENTS.md`.
+//! under `results/` for `EXPERIMENTS.md`. None of them times anything:
+//! `perfbench` (its own workspace under `perfbench/`) is the one
+//! benchmark harness. The `BENCH_1.json` … `BENCH_10.json` files at the
+//! repository root are history, written by timing binaries that no
+//! longer exist.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,10 +25,7 @@ use std::fs;
 use std::path::Path;
 
 use pchls_cdfg::{random_dag, Cdfg, RandomDagConfig};
-use pchls_core::{
-    power_sweep_serial, CompiledGraph, Engine, SweepJob, SweepPoint, SweepResult, SweepSpec,
-    SynthesisConstraints, SynthesisOptions,
-};
+use pchls_core::{Engine, SweepPoint, SweepSpec, SynthesisConstraints, SynthesisOptions};
 use pchls_fulib::{paper_library, ModuleLibrary, SelectionPolicy};
 use pchls_sched::TimingMap;
 
@@ -65,95 +67,29 @@ pub fn run_curve(graph: &Cdfg, library: &ModuleLibrary, latency: u32) -> Vec<Swe
         .into_points()
 }
 
-/// Runs one Figure 2 curve serially — the baseline [`run_curve`] must
-/// match byte-for-byte and beat on wall clock.
-#[must_use]
-pub fn run_curve_serial(graph: &Cdfg, library: &ModuleLibrary, latency: u32) -> Vec<SweepPoint> {
-    power_sweep_serial(
-        graph,
-        library,
-        latency,
-        &figure2_power_grid(),
-        &SynthesisOptions::default(),
-    )
-}
-
-/// Regenerates **all** Figure 2 curves at once, fanning every grid point
-/// of every curve across the worker pool via
-/// [`Engine::sweep_batch`]. Returns one point vector per
-/// curve, in [`figure2_curves`] order.
-#[must_use]
-pub fn run_figure2(library: &ModuleLibrary) -> Vec<Vec<SweepPoint>> {
-    let engine = Engine::new(library.clone());
-    let curves = figure2_curves();
-    let grid = figure2_power_grid();
-    // Compile each distinct benchmark once — hal is swept at two
-    // latencies but compiled a single time, which is the whole point of
-    // the session API.
-    let mut compiled: Vec<(String, CompiledGraph)> = Vec::new();
-    for (graph, _) in &curves {
-        if !compiled.iter().any(|(name, _)| name == graph.name()) {
-            compiled.push((graph.name().to_owned(), engine.compile(graph)));
-        }
-    }
-    let jobs: Vec<SweepJob<'_>> = curves
-        .iter()
-        .map(|(graph, latency)| SweepJob {
-            compiled: &compiled
-                .iter()
-                .find(|(name, _)| name == graph.name())
-                .expect("compiled above")
-                .1,
-            spec: SweepSpec::power(*latency, grid.clone()),
-        })
-        .collect();
-    engine
-        .sweep_batch(&jobs, &SynthesisOptions::default())
-        .into_iter()
-        .map(SweepResult::into_points)
-        .collect()
-}
-
-/// Latency bound the `scale` workloads use for a graph: twice the
-/// fastest-module critical path — generous enough that pasap can
+/// The rand200 case (`ops = 200, seed = 13, P< = 60`): the graph whose
+/// decision trace is byte-diffed against
+/// `crates/bench/tests/golden/rand200.json`. Its latency bound is twice
+/// the fastest-module critical path — generous enough that pasap can
 /// stretch under the power cap, tight enough that module selection and
 /// pair merging stay non-trivial.
 #[must_use]
-pub fn scale_latency_for(graph: &Cdfg) -> u32 {
-    let lib = paper_library();
-    let timing = TimingMap::from_policy(graph, &lib, SelectionPolicy::Fastest);
-    pchls_sched::asap(graph, &timing).latency(&timing) * 2
-}
-
-/// The canonical random-graph case of the `scale` bench bin:
-/// `(name, graph, constraints)` for `ops` operations under `seed`.
-/// Shared between the bench binaries and the golden-trace test so the
-/// committed decision trace is pinned to exactly the graph the
-/// `BENCH_2` rand cases time.
-#[must_use]
-pub fn scale_random_case(
-    ops: usize,
-    seed: u64,
-    power: f64,
-) -> (String, Cdfg, SynthesisConstraints) {
+pub fn rand200_case() -> (String, Cdfg, SynthesisConstraints) {
     let graph = random_dag(&RandomDagConfig {
-        ops,
+        ops: 200,
         inputs: 6,
         outputs: 3,
         mul_permille: 300,
         depth_bias: 2,
-        seed,
+        seed: 13,
     });
-    let constraints = SynthesisConstraints::new(scale_latency_for(&graph), power);
-    (format!("rand{ops}/{seed}"), graph, constraints)
-}
-
-/// The rand200 case (`ops = 200, seed = 13, P< = 60`) — the `scale`
-/// workload's largest kernel case and the graph whose decision trace is
-/// byte-diffed against `crates/bench/tests/golden/rand200.json` in CI.
-#[must_use]
-pub fn rand200_case() -> (String, Cdfg, SynthesisConstraints) {
-    scale_random_case(200, 13, 60.0)
+    let timing = TimingMap::from_policy(&graph, &paper_library(), SelectionPolicy::Fastest);
+    let latency = pchls_sched::asap(&graph, &timing).latency(&timing) * 2;
+    (
+        "rand200/13".to_owned(),
+        graph,
+        SynthesisConstraints::new(latency, 60.0),
+    )
 }
 
 /// Serializes sweep points as JSON into `results/<name>.json`.
@@ -192,7 +128,7 @@ pub fn format_points(points: &[SweepPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pchls_fulib::paper_library;
+    use pchls_core::power_sweep_serial;
 
     #[test]
     fn curves_match_the_paper_legend() {

@@ -9,7 +9,8 @@
 //! `tests/golden/rand200.json`, which is committed. Any word-order
 //! divergence, comparator drift, or enumeration reshuffle introduced by
 //! a future kernel change shows up as a diff here, not as a silently
-//! different Figure 2.
+//! different Figure 2. The same run with the `pchls-obs` tracer enabled
+//! must serialize to the same bytes without dropping a span.
 //!
 //! To regenerate the golden after an *intentional* trace change (none
 //! are expected — the trace has been stable since PR 2), run:
@@ -31,19 +32,44 @@ fn golden_path() -> PathBuf {
         .join("rand200.json")
 }
 
-#[test]
-fn rand200_decision_trace_matches_committed_golden() {
+/// Synthesizes rand200 and serializes the design the way the golden
+/// stores it.
+fn rand200_trace() -> String {
     let (name, graph, constraints) = rand200_case();
     let engine = Engine::new(paper_library());
     let compiled = engine.compile(&graph);
-    let session = engine.session(&compiled);
-    let opts = SynthesisOptions::default();
-
-    let design = session
-        .synthesize(constraints, &opts)
+    let design = engine
+        .session(&compiled)
+        .synthesize(constraints, &SynthesisOptions::default())
         .unwrap_or_else(|e| panic!("{name} must be feasible: {e}"));
     let mut trace = serde_json::to_string_pretty(&design).expect("design serializes");
     trace.push('\n');
+    trace
+}
+
+/// One test function on purpose: the traced leg flips the process-wide
+/// tracer, which no parallel test in this binary may observe mid-run.
+#[test]
+fn rand200_decision_trace_matches_committed_golden() {
+    pchls_obs::set_enabled(false);
+    let trace = rand200_trace();
+
+    // Spans must never perturb the decision trace, and one rand200 run
+    // must fit the per-thread ring without dropping events.
+    pchls_obs::reset();
+    pchls_obs::set_enabled(true);
+    let traced = rand200_trace();
+    pchls_obs::set_enabled(false);
+    let snapshot = pchls_obs::snapshot();
+    assert!(
+        !snapshot.events.is_empty(),
+        "the traced run recorded no spans"
+    );
+    assert_eq!(snapshot.dropped, 0, "trace ring buffers overflowed");
+    assert_eq!(
+        traced, trace,
+        "tracing perturbed the rand200 decision trace"
+    );
 
     let path = golden_path();
     if std::env::var_os("PCHLS_BLESS_GOLDEN").is_some() {

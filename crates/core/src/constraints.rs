@@ -4,6 +4,13 @@ use serde::{Deserialize, Serialize};
 
 use pchls_sched::PowerBudget;
 
+/// The largest latency bound any entry point (CLI flag, points file,
+/// wire request) accepts. The kernel allocates per-cycle power-ledger
+/// rows on every feasibility probe, so a latency near `u32::MAX` would
+/// ask for tens of gigabytes and abort the process; 65,536 cycles stays
+/// far above any schedule the built-in or random graphs need.
+pub const MAX_LATENCY: u32 = 1 << 16;
+
 /// The constraints of the paper, generalized: a latency bound `T`
 /// (clock cycles) and a per-cycle power budget — the paper's scalar
 /// `P<` or a time-varying [`PowerBudget`] envelope (battery-derived sag,

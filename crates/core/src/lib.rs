@@ -66,7 +66,7 @@ mod topk;
 
 pub use area::{area_breakdown, AreaBreakdown, AreaModel};
 pub use baseline::{trimmed_allocation_bind, two_step_bind, unconstrained_bind, BaselineDesign};
-pub use constraints::SynthesisConstraints;
+pub use constraints::{SynthesisConstraints, MAX_LATENCY};
 pub use design::{SynthesisStats, SynthesizedDesign};
 pub use engine::{
     CompiledGraph, Engine, Progress, Session, SweepJob, SweepResult, SweepSpec, SynthesisRequest,

@@ -31,10 +31,10 @@ const BUCKETS: usize = 48;
 ///
 /// Fixed buckets trade resolution for bounded memory and wait-free
 /// writes: a quantile is reported as the **upper bound** of the bucket
-/// the rank falls in, i.e. within 2× of the true value, which is ample
-/// for p50/p99/p99.9 service dashboards. The maximum is exact (to the
-/// microsecond), because tail debugging wants the real worst case, not
-/// a bucket bound.
+/// the rank falls in, capped at the exact maximum, i.e. within 2× of
+/// the true value, which is ample for p50/p99/p99.9 service
+/// dashboards. The maximum is exact (to the microsecond), because tail
+/// debugging wants the real worst case, not a bucket bound.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -82,7 +82,8 @@ impl Histogram {
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`) in seconds, reported as the
-    /// upper bound of the bucket the rank lands in; `0.0` while empty.
+    /// upper bound of the bucket the rank lands in, capped at the exact
+    /// maximum; `0.0` while empty.
     pub fn quantile(&self, q: f64) -> f64 {
         let counts: Vec<u64> = self
             .buckets
@@ -95,12 +96,16 @@ impl Histogram {
         }
         // Rank of the requested quantile, 1-based, clamped into range.
         let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
+        // A bucket's upper bound can lie past every observation; the
+        // exact maximum caps it (a sub-µs maximum counts as 1 µs, as in
+        // `bucket_of`).
+        let max_micros = self.max_micros.load(Ordering::Relaxed).max(1);
         let mut seen = 0u64;
         for (i, &c) in counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
                 // Upper bound of bucket i is 2^(i+1) µs.
-                return (1u64 << (i + 1)) as f64 / 1e6;
+                return (1u64 << (i + 1)).min(max_micros) as f64 / 1e6;
             }
         }
         unreachable!("rank ≤ total implies some bucket reaches it")
@@ -345,8 +350,9 @@ mod tests {
         // 100 µs lands in bucket [64, 128) µs → upper bound 128 µs.
         assert!((p50 - 128e-6).abs() < 1e-12, "p50={p50}");
         assert!((p99 - 128e-6).abs() < 1e-12, "p99={p99}");
-        // 2 s lands in bucket [2^21, 2^22) µs → upper bound ≈ 4.19 s.
-        assert!(p100 > 2.0 && p100 < 8.5, "p100={p100}");
+        // 2 s lands in bucket [2^21, 2^22) µs, whose upper bound
+        // (≈ 4.19 s) lies past the exact maximum → capped at 2 s.
+        assert!((p100 - 2.0).abs() < 1e-12, "p100={p100}");
         assert!(p50 <= p99 && p99 <= p100);
     }
 
@@ -369,12 +375,13 @@ mod tests {
         let h = Histogram::new();
         h.record(Duration::from_micros(100));
         h.record(Duration::from_micros(777_777));
-        // The bucketed p100 rounds up to 2^20 µs ≈ 1.05 s; max is exact.
+        // The bucketed p100 would round up to 2^20 µs ≈ 1.05 s; max is exact.
         assert!((h.max_seconds() - 0.777_777).abs() < 1e-9);
         let summary = h.summary();
         assert_eq!(summary.count, 2);
         assert!((summary.max_secs - 0.777_777).abs() < 1e-9);
         assert!(summary.p50_secs <= summary.p99_secs && summary.p99_secs <= summary.p999_secs);
+        assert!(summary.p999_secs <= summary.max_secs);
     }
 
     #[test]

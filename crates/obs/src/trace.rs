@@ -6,8 +6,9 @@
 //! [`span!`](crate::span) and [`event!`](crate::event) cost **one
 //! relaxed atomic load** while tracing is off — no interning, no
 //! clock read, no allocation. The kernel keeps its instrumentation
-//! compiled in at all times; the `scale` bench's `phases` workload
-//! holds the <1% overhead budget to that contract.
+//! compiled in at all times. Nothing asserts the disabled-path cost
+//! today; `perfbench` times the kernel with tracing off, and the
+//! rand200 golden-trace test pins traced output to untraced bytes.
 //!
 //! # Memory model
 //!

@@ -232,8 +232,8 @@ impl PowerProfile {
 /// Horizons up to `SCAN_LIMIT` (64) cycles — the paper's benchmarks —
 /// skip the internal nodes entirely and scan the leaves exactly like
 /// the naive ledger: at that scale a handful of contiguous loads beats
-/// any tree walk, and the asymptotics only matter for the large random
-/// graphs of the `scale` workload. Both modes hold identical leaf
+/// any tree walk, and the asymptotics only matter for large random
+/// graphs such as rand200. Both modes hold identical leaf
 /// values, so every answer is the same either way.
 ///
 /// A budget whose materialized bounds are all equal — however it was

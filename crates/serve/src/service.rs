@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use pchls_cdfg::{benchmarks, graph_fingerprint, parse_cdfg, Cdfg};
 use pchls_core::{
     Engine, SynthesisConstraints, SynthesisError, SynthesisOptions, SynthesisRequest,
-    SynthesisResult,
+    SynthesisResult, MAX_LATENCY,
 };
 use pchls_obs::{Arg, Counter, MetricsRegistry};
 use pchls_par::WorkerPool;
@@ -832,13 +832,6 @@ impl Shared {
             .ok_or_else(|| format!("unknown graph `{}`", req.graph))
     }
 }
-
-/// The largest latency bound a request may ask for. The kernel
-/// allocates per-cycle power-ledger rows on every feasibility probe, so
-/// one wire request naming a latency near `u32::MAX` would ask for tens
-/// of gigabytes and abort the whole server; 65,536 cycles stays far above
-/// any schedule the built-in or random graphs need.
-const MAX_LATENCY: u32 = 1 << 16;
 
 /// Checks the request's constraint point and materializes it. (A budget
 /// envelope's values are already validated by its `Deserialize` impl;

@@ -59,7 +59,7 @@ use pchls::battery::battery_report;
 use pchls::cdfg::{benchmarks, parse_cdfg, write_cdfg, Cdfg, GraphStats, Interpreter};
 use pchls::core::{
     CompiledGraph, Engine, PowerBudget, Session, SweepPoint, SweepResult, SweepSpec,
-    SynthesisConstraints, SynthesisOptions, SynthesisRequest,
+    SynthesisConstraints, SynthesisOptions, SynthesisRequest, MAX_LATENCY,
 };
 use pchls::fulib::{paper_library, parse_library, ModuleLibrary};
 use pchls::rtl::{simulate, to_structural_hdl, Datapath};
@@ -246,13 +246,19 @@ fn open_store(flags: &Flags) -> Result<Option<Store>, String> {
     }
 }
 
-fn required_u32(flags: &Flags, key: &str, flag: &str) -> Result<u32, String> {
-    flags
+/// The `-T <cycles>` flag, validated against the cycle range every
+/// entry point shares (`1 ..= MAX_LATENCY`).
+fn required_latency(flags: &Flags) -> Result<u32, String> {
+    let latency: u32 = flags
         .options
-        .get(key)
-        .ok_or_else(|| format!("missing {flag}"))?
+        .get("latency")
+        .ok_or("missing -T <cycles>")?
         .parse()
-        .map_err(|_| format!("{flag} must be a positive integer"))
+        .map_err(|_| "-T <cycles> must be a positive integer")?;
+    if latency == 0 || latency > MAX_LATENCY {
+        return Err(format!("-T must be between 1 and {MAX_LATENCY} cycles"));
+    }
+    Ok(latency)
 }
 
 fn required_f64(flags: &Flags, key: &str, flag: &str) -> Result<f64, String> {
@@ -267,10 +273,7 @@ fn required_f64(flags: &Flags, key: &str, flag: &str) -> Result<f64, String> {
 /// The `(T, P<)` pair of a command line, validated so the constraints
 /// constructor can never panic on user input.
 fn required_constraints(flags: &Flags) -> Result<SynthesisConstraints, String> {
-    let latency = required_u32(flags, "latency", "-T <cycles>")?;
-    if latency == 0 {
-        return Err("-T must be at least 1 cycle".into());
-    }
+    let latency = required_latency(flags)?;
     let power = required_f64(flags, "power", "-P <power>")?;
     if power.is_nan() || power < 0.0 {
         return Err("-P must be a non-negative power bound".into());
@@ -281,10 +284,7 @@ fn required_constraints(flags: &Flags) -> Result<SynthesisConstraints, String> {
 /// The constraint point of a `synth`-shaped command: `-T` plus either a
 /// `--budget` envelope file or the scalar `-P` bound.
 fn budget_or_scalar_constraints(flags: &Flags) -> Result<SynthesisConstraints, String> {
-    let latency = required_u32(flags, "latency", "-T <cycles>")?;
-    if latency == 0 {
-        return Err("-T must be at least 1 cycle".into());
-    }
+    let latency = required_latency(flags)?;
     match load_budget(flags, Some(latency))? {
         Some(budget) => Ok(SynthesisConstraints::new(latency, budget)),
         None => required_constraints(flags),
@@ -623,10 +623,7 @@ fn sweep(args: &[String]) -> Result<String, String> {
     let spec = flags.positionals.first().ok_or("missing graph")?;
     let g = load_graph(spec)?;
     let lib = load_library(&flags)?;
-    let latency = required_u32(&flags, "latency", "-T <cycles>")?;
-    if latency == 0 {
-        return Err("-T must be at least 1 cycle".into());
-    }
+    let latency = required_latency(&flags)?;
     let steps: usize = flags
         .options
         .get("steps")
@@ -697,9 +694,9 @@ fn parse_points(text: &str) -> Result<Vec<SynthesisConstraints>, String> {
         // Validate the parsed values here, with the line number: the
         // constraints constructor asserts on nonsense and a malformed
         // points file must be a clean error, not a panic.
-        if t == 0 {
+        if t == 0 || t > MAX_LATENCY {
             return Err(format!(
-                "line {}: latency must be at least 1 cycle",
+                "line {}: latency must be between 1 and {MAX_LATENCY} cycles",
                 lineno + 1
             ));
         }
@@ -1214,6 +1211,7 @@ mod tests {
             ("zero_latency.txt", "17 25\n0 25\n", "line 2"),
             ("negative_power.txt", "17 25\n10 40\n17 -5\n", "line 3"),
             ("nan_power.txt", "17 NaN\n", "line 1"),
+            ("huge_latency.txt", "17 25\n4000000000 25\n", "line 2"),
         ] {
             let path = dir.join(name);
             std::fs::write(&path, content).unwrap();
@@ -1232,6 +1230,14 @@ mod tests {
             .unwrap_err()
             .contains("-P"));
         assert!(run(&argv("sweep hal -T 0")).unwrap_err().contains("-T"));
+        // A latency past `MAX_LATENCY` must be refused before the kernel
+        // sizes per-cycle ledger rows (64 GiB at 4e9 cycles).
+        assert!(run(&argv("synth hal -T 4000000000 -P 25"))
+            .unwrap_err()
+            .contains("-T"));
+        assert!(run(&argv("sweep hal -T 4000000000"))
+            .unwrap_err()
+            .contains("-T"));
     }
 
     fn budget_dir() -> std::path::PathBuf {

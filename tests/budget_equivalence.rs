@@ -11,7 +11,7 @@
 //!   the envelope.
 
 use pchls::battery::budget_from_model;
-use pchls::cdfg::benchmarks;
+use pchls::cdfg::{benchmarks, random_dag, RandomDagConfig};
 use pchls::core::{
     Engine, PowerBudget, Session, SweepSpec, SynthesisConstraints, SynthesisError,
     SynthesisOptions, SynthesisRequest, SynthesizedDesign,
@@ -69,6 +69,53 @@ fn constant_budget_reproduces_the_scalar_path_byte_for_byte() {
                 }
             }
         }
+    }
+}
+
+/// An envelope that is looser than the scalar bound in its first half
+/// and equal to it afterwards dominates the scalar constraint, so every
+/// point feasible under the scalar bound must stay feasible under it.
+/// The cases span the paper set and a small random graph whose latency
+/// bound is twice its fastest critical path.
+#[test]
+fn dominating_stepwise_budgets_stay_feasible() {
+    let opts = SynthesisOptions::default();
+    let rand30 = random_dag(&RandomDagConfig {
+        ops: 30,
+        inputs: 6,
+        outputs: 3,
+        mul_permille: 300,
+        depth_bias: 2,
+        seed: 11,
+    });
+    let rand30_latency = session_for(&rand30).1.min_latency() * 2;
+    let cases = [
+        (benchmarks::hal(), 17, 25.0),
+        (benchmarks::cosine(), 15, 40.0),
+        (benchmarks::elliptic(), 22, 30.0),
+        (rand30, rand30_latency, 60.0),
+    ];
+    for (g, t, p) in cases {
+        let what = format!("{} T={t} P={p}", g.name());
+        let (engine, compiled) = session_for(&g);
+        let session = engine.session(&compiled);
+        let scalar = session
+            .synthesize(SynthesisConstraints::new(t, p), &opts)
+            .unwrap_or_else(|e| panic!("{what}: scalar point must be feasible: {e}"));
+        let flat = session
+            .synthesize(
+                SynthesisConstraints::new(t, PowerBudget::per_cycle(vec![p; t as usize])),
+                &opts,
+            )
+            .unwrap_or_else(|e| panic!("{what}: flat envelope must be feasible: {e}"));
+        assert_same_design(&scalar, &flat, &format!("{what} flat PerCycle"));
+        let budget = PowerBudget::steps(vec![(0, p * 1.5), (t / 2, p)]);
+        let stepwise = session
+            .synthesize(SynthesisConstraints::new(t, budget), &opts)
+            .unwrap_or_else(|e| panic!("{what}: dominating stepwise envelope infeasible: {e}"));
+        stepwise
+            .validate(&g, engine.library())
+            .unwrap_or_else(|e| panic!("{what}: stepwise design invalid: {e}"));
     }
 }
 
