@@ -10,7 +10,9 @@
 //! divergence, comparator drift, or enumeration reshuffle introduced by
 //! a future kernel change shows up as a diff here, not as a silently
 //! different Figure 2. The same run with the `pchls-obs` tracer enabled
-//! must serialize to the same bytes without dropping a span.
+//! must serialize to the same bytes without dropping a span, and each
+//! run must add the same pinned totals to the kernel's pair-walk
+//! counters.
 //!
 //! To regenerate the golden after an *intentional* trace change (none
 //! are expected — the trace has been stable since PR 2), run:
@@ -19,22 +21,31 @@
 //! PCHLS_BLESS_GOLDEN=1 cargo test -p pchls-bench --test golden_trace
 //! ```
 
-use std::path::PathBuf;
+mod common;
 
 use pchls_bench::rand200_case;
 use pchls_core::{Engine, SynthesisOptions};
 use pchls_fulib::paper_library;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("rand200.json")
+/// Pair merges one rand200 run scores exactly (ledger probes) and skips
+/// on their score bound, as `pchls_kernel_pair_probes_total` and
+/// `pchls_kernel_pairs_pruned_total` count them.
+const RAND200_PAIR_PROBES: u64 = 127_655;
+const RAND200_PAIRS_PRUNED: u64 = 671_979;
+
+/// The global pair-walk counters `(probes, pruned)`.
+fn pair_counters() -> (u64, u64) {
+    let global = pchls_obs::global();
+    (
+        global.counter("pchls_kernel_pair_probes_total").get(),
+        global.counter("pchls_kernel_pairs_pruned_total").get(),
+    )
 }
 
-/// Synthesizes rand200 and serializes the design the way the golden
-/// stores it.
+/// Synthesizes rand200, serializes the design the way the golden
+/// stores it, and asserts the run's pair-walk counter increments.
 fn rand200_trace() -> String {
+    let before = pair_counters();
     let (name, graph, constraints) = rand200_case();
     let engine = Engine::new(paper_library());
     let compiled = engine.compile(&graph);
@@ -42,13 +53,20 @@ fn rand200_trace() -> String {
         .session(&compiled)
         .synthesize(constraints, &SynthesisOptions::default())
         .unwrap_or_else(|e| panic!("{name} must be feasible: {e}"));
+    let after = pair_counters();
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (RAND200_PAIR_PROBES, RAND200_PAIRS_PRUNED),
+        "rand200's pair-walk effort (probes, pruned) moved"
+    );
     let mut trace = serde_json::to_string_pretty(&design).expect("design serializes");
     trace.push('\n');
     trace
 }
 
 /// One test function on purpose: the traced leg flips the process-wide
-/// tracer, which no parallel test in this binary may observe mid-run.
+/// tracer, and the counter deltas read process-wide counters, which no
+/// parallel test in this binary may touch mid-run.
 #[test]
 fn rand200_decision_trace_matches_committed_golden() {
     pchls_obs::set_enabled(false);
@@ -71,19 +89,5 @@ fn rand200_decision_trace_matches_committed_golden() {
         "tracing perturbed the rand200 decision trace"
     );
 
-    let path = golden_path();
-    if std::env::var_os("PCHLS_BLESS_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
-        std::fs::write(&path, &trace).expect("write golden");
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing committed golden {}: {e}", path.display()));
-    assert_eq!(
-        trace, golden,
-        "rand200 decision trace diverged from the committed golden; \
-         if (and only if) the change is intentional, re-bless with \
-         PCHLS_BLESS_GOLDEN=1"
-    );
+    common::assert_golden("rand200.json", &trace);
 }

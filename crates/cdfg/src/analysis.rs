@@ -220,11 +220,8 @@ impl AnalysisCache {
 /// A fixed-capacity set of [`NodeId`]s stored as packed `u64` words —
 /// the word-parallel replacement for a `Vec<bool>` membership array.
 ///
-/// The payoff is not `contains` (a bool-vec answers that in O(1) too)
-/// but the *row view*: [`NodeSet::words`] exposes the same packed layout
-/// as [`Reachability::descendant_words`], so set intersections ("unbound
-/// ∧ kind-compatible ∧ id > u") collapse to a handful of `AND`s walked
-/// with `trailing_zeros` — see [`iter_and_above`].
+/// [`NodeSet::words`] exposes the same packed layout as
+/// [`Reachability::descendant_words`].
 ///
 /// Trailing bits beyond `len` are kept zero as an invariant, so whole-word
 /// operations (`count`, intersection walks) never see phantom members.
@@ -341,41 +338,6 @@ impl NodeSet {
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         Reachability::iter_row(&self.words)
     }
-}
-
-/// Walks the ids set in `a ∧ b` that are strictly greater than `above`,
-/// in ascending order — the kernel's pair-enumeration primitive
-/// ("unbound ∧ compatible-with-`u`'s-kind ∧ id > u") as two word `AND`s
-/// plus a `trailing_zeros` loop, touching only surviving words.
-///
-/// Both rows must use the packed layout of [`NodeSet::words`] /
-/// [`Reachability::descendant_words`] and be at least
-/// `(above + 1).div_ceil(64)` words long; shorter of the two rows bounds
-/// the walk.
-pub fn iter_and_above<'a>(
-    a: &'a [u64],
-    b: &'a [u64],
-    above: usize,
-) -> impl Iterator<Item = NodeId> + 'a {
-    let start = (above + 1) / 64;
-    // Bits ≤ `above` in the first surviving word are masked off; later
-    // words are taken whole.
-    let first_mask = !0u64 << ((above + 1) % 64);
-    let words = a.len().min(b.len());
-    (start..words).flat_map(move |w| {
-        let mut rest = a[w] & b[w];
-        if w == start && !(above + 1).is_multiple_of(64) {
-            rest &= first_mask;
-        }
-        std::iter::from_fn(move || {
-            if rest == 0 {
-                return None;
-            }
-            let bit = rest.trailing_zeros();
-            rest &= rest - 1;
-            Some(NodeId::new((w * 64) as u32 + bit))
-        })
-    })
 }
 
 /// `rows[dst] |= rows[src]`, borrowing both rows disjointly.

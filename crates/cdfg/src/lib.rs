@@ -46,7 +46,7 @@ mod random;
 mod stats;
 mod text;
 
-pub use analysis::{iter_and_above, AnalysisCache, CriticalPath, NodeSet, Reachability};
+pub use analysis::{AnalysisCache, CriticalPath, NodeSet, Reachability};
 pub use builder::CdfgBuilder;
 pub use delta::{diff, GraphDelta};
 pub use edit::{EditError, GraphEdit};

@@ -322,7 +322,7 @@ mod optimize_props {
 
 mod nodeset_props {
     use super::*;
-    use pchls_cdfg::{iter_and_above, NodeId, NodeSet};
+    use pchls_cdfg::{NodeId, NodeSet};
 
     proptest! {
         /// `NodeSet` agrees with a `Vec<bool>` reference under arbitrary
@@ -368,37 +368,6 @@ mod nodeset_props {
                 set.words().iter().map(|w| w.count_ones() as usize).sum::<usize>(),
                 len
             );
-        }
-
-        /// The word-walk `a ∧ b ∧ (id > above)` primitive agrees with the
-        /// scalar filter it replaces.
-        #[test]
-        fn iter_and_above_matches_scalar_filter(
-            len in 1usize..200,
-            a_bits in proptest::collection::vec(any::<u64>(), 0..128),
-            b_bits in proptest::collection::vec(any::<u64>(), 0..128),
-            above_raw in any::<u64>(),
-        ) {
-            let mut a = NodeSet::empty(len);
-            let mut b = NodeSet::empty(len);
-            for raw in a_bits {
-                a.insert(NodeId::new((raw % len as u64) as u32));
-            }
-            for raw in b_bits {
-                b.insert(NodeId::new((raw % len as u64) as u32));
-            }
-            let above = (above_raw % len as u64) as usize;
-            let walked: Vec<usize> = iter_and_above(a.words(), b.words(), above)
-                .map(|id| id.index())
-                .collect();
-            let expected: Vec<usize> = (0..len)
-                .filter(|&i| {
-                    i > above
-                        && a.contains(NodeId::new(i as u32))
-                        && b.contains(NodeId::new(i as u32))
-                })
-                .collect();
-            prop_assert_eq!(walked, expected);
         }
     }
 }

@@ -7,8 +7,7 @@
 //! depend on the point, so this module splits those costs by lifetime:
 //!
 //! * [`Engine::new`] owns the **per-library** artifacts — kind-bucketed
-//!   module candidate lists and the kind-compatibility matrix — computed
-//!   once for the library's lifetime.
+//!   module candidate lists — computed once for the library's lifetime.
 //! * [`Engine::compile`] produces a [`CompiledGraph`] owning the
 //!   **per-graph** artifacts — the transitive-closure
 //!   [`Reachability`] bitsets (via the shared
@@ -61,10 +60,6 @@ use crate::options::SynthesisOptions;
 use crate::refine::{portfolio_session, refined_session};
 use crate::synthesis::synthesize_session;
 
-/// Whether some library module implements both kinds, indexed by
-/// [`OpKind::index`] on both axes.
-pub(crate) type KindCompat = [[bool; OpKind::ALL.len()]; OpKind::ALL.len()];
-
 /// The per-library half of the synthesis state: owns the immutable
 /// module library plus every index derived from it alone.
 ///
@@ -76,29 +71,20 @@ pub struct Engine {
     library: ModuleLibrary,
     /// Per-kind module candidate lists, indexed by [`OpKind::index`].
     kind_modules: Vec<Vec<ModuleId>>,
-    /// `kind_compat[a][b]`: some module implements both kinds.
-    kind_compat: KindCompat,
 }
 
 impl Engine {
-    /// Builds the per-library indexes (kind buckets, kind-compatibility
-    /// matrix) and takes ownership of `library`.
+    /// Builds the per-library indexes (per-kind module lists) and takes
+    /// ownership of `library`.
     #[must_use]
     pub fn new(library: ModuleLibrary) -> Engine {
         let kind_modules: Vec<Vec<ModuleId>> = OpKind::ALL
             .iter()
             .map(|&k| library.candidates(k).collect())
             .collect();
-        let mut kind_compat = [[false; OpKind::ALL.len()]; OpKind::ALL.len()];
-        for (a, row) in kind_modules.iter().enumerate() {
-            for (b, &kb) in OpKind::ALL.iter().enumerate() {
-                kind_compat[a][b] = row.iter().any(|&m| library.module(m).implements(kb));
-            }
-        }
         Engine {
             library,
             kind_modules,
-            kind_compat,
         }
     }
 
@@ -110,10 +96,6 @@ impl Engine {
 
     pub(crate) fn kind_modules(&self) -> &[Vec<ModuleId>] {
         &self.kind_modules
-    }
-
-    pub(crate) fn kind_compat(&self) -> &KindCompat {
-        &self.kind_compat
     }
 
     /// Compiles `graph` into the per-graph artifacts every subsequent
@@ -150,20 +132,6 @@ impl Engine {
         // Warm the closure eagerly: compile is the one place allowed to
         // be slow, sessions must only read.
         let _ = analyses.reachability(graph);
-        // Kind-major node masks: row `k` has bit `j` set iff some module
-        // implements both kind `k` and node `j`'s kind. ANDed against
-        // the kernel's unbound bitset, one row turns "every compatible
-        // pair partner of an op" into a word walk.
-        let mask_words = graph.len().div_ceil(64);
-        let mut compat_masks = vec![0u64; OpKind::ALL.len() * mask_words];
-        for (j, node) in graph.nodes().iter().enumerate() {
-            let kj = node.kind().index();
-            for k in 0..OpKind::ALL.len() {
-                if self.kind_compat[k][kj] {
-                    compat_masks[k * mask_words + j / 64] |= 1u64 << (j % 64);
-                }
-            }
-        }
         Ok(CompiledGraph {
             graph: graph.clone(),
             analyses,
@@ -176,8 +144,6 @@ impl Engine {
             alap_fastest: std::sync::OnceLock::new(),
             min_latency,
             asap_peak,
-            compat_masks,
-            mask_words,
             optimize_stats: None,
         })
     }
@@ -313,14 +279,6 @@ pub struct CompiledGraph {
     alap_fastest: std::sync::OnceLock<Schedule>,
     min_latency: u32,
     asap_peak: f64,
-    /// Kind-major compatibility masks over the graph's nodes (row `k`,
-    /// bit `j`: some module implements both kind `k` and node `j`'s
-    /// kind), in the packed `u64` layout of
-    /// [`Reachability::descendant_words`] — the kernel ANDs a row
-    /// against its unbound bitset to enumerate pair-merge partners.
-    compat_masks: Vec<u64>,
-    /// Words per `compat_masks` row.
-    mask_words: usize,
     optimize_stats: Option<OptimizeStats>,
 }
 
@@ -345,12 +303,6 @@ impl CompiledGraph {
 
     pub(crate) fn seed_modules(&self) -> &[ModuleId] {
         &self.seed_modules
-    }
-
-    /// The node-compatibility mask row of `kind` (see `compat_masks`).
-    pub(crate) fn compat_row(&self, kind: OpKind) -> &[u64] {
-        let k = kind.index();
-        &self.compat_masks[k * self.mask_words..(k + 1) * self.mask_words]
     }
 
     /// Per-operation timing under the fastest-module policy.

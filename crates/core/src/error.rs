@@ -30,6 +30,17 @@ pub enum SynthesisError {
     /// A progress hook requested cancellation
     /// ([`std::ops::ControlFlow::Break`]); no design was produced.
     Cancelled,
+    /// A decision-scoring weight
+    /// ([`SynthesisOptions::weights`](crate::SynthesisOptions::weights))
+    /// is NaN, infinite, or larger in magnitude than
+    /// [`MAX_WEIGHT`](crate::MAX_WEIGHT), so candidate scores could not be
+    /// ranked.
+    InvalidWeight {
+        /// The offending [`CostWeights`](pchls_bind::CostWeights) field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for SynthesisError {
@@ -44,6 +55,13 @@ impl fmt::Display for SynthesisError {
                 write!(f, "library does not cover operation kind {kind}")
             }
             SynthesisError::Cancelled => write!(f, "synthesis cancelled by progress hook"),
+            SynthesisError::InvalidWeight { field, value } => {
+                write!(
+                    f,
+                    "cost weight `{field}` must be finite and at most {:e} in magnitude, got {value}",
+                    crate::MAX_WEIGHT
+                )
+            }
         }
     }
 }
@@ -53,7 +71,9 @@ impl std::error::Error for SynthesisError {
         match self {
             SynthesisError::Infeasible { cause } | SynthesisError::Schedule(cause) => Some(cause),
             SynthesisError::Bind(e) => Some(e),
-            SynthesisError::Uncovered { .. } | SynthesisError::Cancelled => None,
+            SynthesisError::Uncovered { .. }
+            | SynthesisError::Cancelled
+            | SynthesisError::InvalidWeight { .. } => None,
         }
     }
 }

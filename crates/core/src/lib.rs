@@ -76,6 +76,6 @@ pub use error::SynthesisError;
 pub use explore::{
     auto_power_grid, latency_sweep_serial, pareto_front, power_sweep_serial, SweepPoint,
 };
-pub use options::{SynthesisOptions, SynthesisOptionsBuilder};
+pub use options::{SynthesisOptions, SynthesisOptionsBuilder, MAX_WEIGHT};
 pub use pchls_sched::PowerBudget;
 pub use topk::TopK;

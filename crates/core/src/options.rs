@@ -2,6 +2,15 @@
 
 use pchls_bind::CostWeights;
 
+use crate::error::SynthesisError;
+
+/// Largest accepted magnitude of a decision-scoring weight. Far beyond
+/// any meaningful trade-off between the score terms, and small enough
+/// that no score or score bound — a few weights times `u32`-sized areas,
+/// connection counts and cycle counts, summed — can overflow to an
+/// infinity or NaN.
+pub const MAX_WEIGHT: f64 = 1e100;
+
 /// Options controlling the greedy synthesis loop.
 ///
 /// The defaults reproduce the paper's algorithm; the boolean switches
@@ -55,6 +64,22 @@ impl Default for SynthesisOptions {
 }
 
 impl SynthesisOptions {
+    /// Rejects NaN, infinite and overflow-prone decision-scoring weights:
+    /// candidate scores must stay totally ordered.
+    pub(crate) fn check_weights(&self) -> Result<(), SynthesisError> {
+        let w = &self.weights;
+        for (field, value) in [
+            ("area", w.area),
+            ("interconnect", w.interconnect),
+            ("displacement", w.displacement),
+        ] {
+            if !value.is_finite() || value.abs() > MAX_WEIGHT {
+                return Err(SynthesisError::InvalidWeight { field, value });
+            }
+        }
+        Ok(())
+    }
+
     /// The paper's configuration (same as `Default`).
     #[must_use]
     pub fn paper() -> SynthesisOptions {

@@ -1,7 +1,7 @@
 //! The combined power-constrained scheduling/allocation/binding loop.
 
 use pchls_bind::{Binding, InstanceId};
-use pchls_cdfg::{iter_and_above, Cdfg, NodeId, NodeSet, Reachability};
+use pchls_cdfg::{Cdfg, NodeId, NodeSet, OpKind, Reachability};
 use pchls_fulib::{ModuleId, ModuleLibrary};
 use pchls_sched::{
     palap_locked_budget, pasap_locked_budget, LockedStarts, OpTiming, PowerLedger, Schedule,
@@ -9,10 +9,11 @@ use pchls_sched::{
 };
 
 use std::ops::ControlFlow;
+use std::sync::OnceLock;
 
 use crate::constraints::SynthesisConstraints;
 use crate::design::{SynthesisStats, SynthesizedDesign};
-use crate::engine::{CompiledGraph, Engine, KindCompat, Progress};
+use crate::engine::{CompiledGraph, Engine, Progress};
 use crate::error::SynthesisError;
 use crate::options::SynthesisOptions;
 use crate::topk::TopK;
@@ -34,7 +35,23 @@ struct Decision {
     start: u32,
     target: Target,
     score: f64,
+    /// Completes [`rank_order`] into a total order (see [`Key`]).
+    key: Key,
 }
+
+/// The structural tie-break of a decision, independent of the order in
+/// which decisions are scored:
+///
+/// * singles: `(0, op, module pos, instance pos)`, the dedicated-instance
+///   fallback taking instance pos `u32::MAX`;
+/// * pair merges: `(1, min id, max id, module pos)`.
+///
+/// Module positions index `modules_for` of the decision's `op` (a pair's
+/// `first`); instance positions index the module's open instances in
+/// ascending id. Among decisions tied on [`rank_order`], every single
+/// thus ranks before every pair; singles by op, then module, then
+/// instance before the fallback; pairs by their two ids, then module.
+type Key = (u8, u32, u32, u32);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Target {
@@ -53,17 +70,58 @@ pub(crate) fn synthesize_session(
     compiled: &CompiledGraph,
     constraints: &SynthesisConstraints,
     options: &SynthesisOptions,
+    hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
+) -> Result<SynthesizedDesign, SynthesisError> {
+    // Scores must be totally ordered: a NaN, infinite or overflowing
+    // weight would poison the ranking (and the pair walk's bounds).
+    options.check_weights()?;
+    let mut tally = PairTally::default();
+    let result = greedy(engine, compiled, constraints, options, hook, &mut tally);
+    tally.publish();
+    result
+}
+
+/// Pair-walk effort summed over one synthesize call: pair merges whose
+/// exact score was computed (ledger probes) and pair merges skipped on
+/// their score bound. Published to the global registry once per call,
+/// not per pair.
+#[derive(Debug, Default)]
+struct PairTally {
+    probed: u64,
+    pruned: u64,
+}
+
+impl PairTally {
+    fn publish(&self) {
+        static COUNTERS: OnceLock<[pchls_obs::Counter; 2]> = OnceLock::new();
+        let [probes, pruned] = COUNTERS.get_or_init(|| {
+            let global = pchls_obs::global();
+            [
+                global.counter("pchls_kernel_pair_probes_total"),
+                global.counter("pchls_kernel_pairs_pruned_total"),
+            ]
+        });
+        probes.add(self.probed);
+        pruned.add(self.pruned);
+    }
+}
+
+/// The greedy loop behind [`synthesize_session`], over validated
+/// options.
+fn greedy(
+    engine: &Engine,
+    compiled: &CompiledGraph,
+    constraints: &SynthesisConstraints,
+    options: &SynthesisOptions,
     mut hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
+    tally: &mut PairTally,
 ) -> Result<SynthesizedDesign, SynthesisError> {
     let graph = compiled.graph();
     let library = engine.library();
     let reach = compiled.reachability();
-    // Per-kind module candidate lists and the kind-compatibility matrix
-    // are owned by the engine — computed once per library, not per
-    // point. Incompatible kind pairs can never share a unit, so the
-    // O(n²) pair loop drops them with one table load.
+    // Per-kind module candidate lists are owned by the engine —
+    // computed once per library, not per point.
     let kind_modules = engine.kind_modules();
-    let kind_compat = engine.kind_compat();
     let n = graph.len();
     // Normalize the budget once: a value-constant envelope (however it
     // was spelled) becomes the scalar `Constant`, so the thousands of
@@ -80,12 +138,9 @@ pub(crate) fn synthesize_session(
 
     let mut binding = Binding::new(n);
     let mut locked = LockedStarts::none(n);
-    // Word-bitset membership of the not-yet-bound operations, in the
-    // same packed layout as the `Reachability` rows and the compiled
-    // kind-compat masks — pair enumeration ANDs it against a compat row
-    // and walks the surviving words. `scratch.unbound_vec` below
-    // re-materializes the ascending-id order the scoring pass iterates
-    // in.
+    // Membership of the not-yet-bound operations; `scratch.unbound_vec`
+    // below re-materializes the ascending-id order the scoring pass
+    // iterates in.
     let mut unbound = NodeSet::full(n);
     let mut unbound_count = n;
     let mut stats = SynthesisStats::default();
@@ -167,7 +222,6 @@ pub(crate) fn synthesize_session(
             library,
             options,
             reach,
-            compiled,
             timing: &timing,
             est_modules: &est_modules,
             kind_modules,
@@ -176,7 +230,6 @@ pub(crate) fn synthesize_session(
             ledger: &ledger,
             busy: &scratch.busy,
             by_module: &scratch.by_module,
-            kind_compat,
             provisional: &provisional,
             late,
             constraints,
@@ -187,18 +240,17 @@ pub(crate) fn synthesize_session(
         let order = score_and_rank(
             &mut ctx,
             &scratch.unbound_vec,
-            unbound.words(),
-            &mut scratch.candidates,
+            &mut scratch.walk,
             &mut scratch.top,
+            tally,
         );
         // Hand the score tables back for the next iteration and release
         // every `ctx` borrow before the attempts mutate state.
         scratch.start0 = std::mem::take(&mut ctx.start0);
         scratch.avoided = std::mem::take(&mut ctx.avoided);
         drop(ctx);
-        let candidates: &[Decision] = &scratch.candidates;
         let committed = run_attempts(
-            order.iter().map(|&i| &candidates[i as usize]),
+            order.iter(),
             graph,
             library,
             constraints,
@@ -374,18 +426,15 @@ fn backtrack_all(
 /// pathological iteration must stay cheap.
 const MAX_ATTEMPTS: usize = 64;
 
-/// Read-only state shared by the candidate enumeration helpers, plus
+/// Read-only state shared by the candidate scoring helpers, plus
 /// per-iteration score tables (every tabulated quantity depends only on
-/// state that is fixed for the whole enumeration pass, so the tables are
+/// state that is fixed for the whole scoring pass, so the tables are
 /// filled up-front).
 struct Context<'a> {
     graph: &'a Cdfg,
     library: &'a ModuleLibrary,
     options: &'a SynthesisOptions,
     reach: &'a Reachability,
-    /// Source of the compiled kind-compat node masks (see
-    /// [`Context::compat_row`]).
-    compiled: &'a CompiledGraph,
     timing: &'a TimingMap,
     est_modules: &'a [ModuleId],
     /// Per-kind module candidate lists, indexed by [`OpKind::index`].
@@ -396,8 +445,6 @@ struct Context<'a> {
     busy: &'a [Vec<(u32, u32)>],
     /// Open instances per library module, ascending instance id.
     by_module: &'a [Vec<InstanceId>],
-    /// `kind_compat[a][b]`: some module implements both kinds.
-    kind_compat: &'a KindCompat,
     provisional: &'a Schedule,
     late: &'a Schedule,
     constraints: &'a SynthesisConstraints,
@@ -407,7 +454,7 @@ struct Context<'a> {
     /// Tabulated `candidate_start(op, m, 0)`, flattened as
     /// `op.index() * library.len() + m.index()`; filled for every unbound
     /// op over its kind's candidate modules (the only entries scoring
-    /// reads). The pair-merge loop queries these O(n²·modules) times for
+    /// reads). The pair walk may query these O(n²·modules) times for
     /// only O(n·modules) distinct answers.
     start0: Vec<Option<u32>>,
     /// Tabulated [`Context::avoided_area`] per unbound operation.
@@ -470,9 +517,7 @@ fn instance_busy_into(
 
 /// Per-call work buffers for the greedy iteration loop, `clear()`ed and
 /// refilled each iteration instead of reallocated — the iteration loop
-/// runs `n/2`–`n` times per synthesize call, so the rebuilt-vec churn
-/// (ids, busy rows, module buckets, candidates, score tables, ranking)
-/// used to dominate small-point allocations.
+/// runs `n/2`–`n` times per synthesize call.
 struct Scratch {
     /// Unbound ops in ascending id order (the scoring iteration order).
     unbound_vec: Vec<NodeId>,
@@ -480,10 +525,10 @@ struct Scratch {
     busy: Vec<Vec<(u32, u32)>>,
     /// Open instances per library module, ascending instance id.
     by_module: Vec<Vec<InstanceId>>,
-    /// The iteration's enumerated decisions.
-    candidates: Vec<Decision>,
-    /// Bounded best-`MAX_ATTEMPTS` ranking over candidate indices.
-    top: TopK<u32>,
+    /// The pair walk's buckets and entries.
+    walk: PairWalk,
+    /// Bounded best-`MAX_ATTEMPTS` ranking of the offered decisions.
+    top: TopK<Decision>,
     /// `Context::start0` score table, handed back after each iteration.
     start0: Vec<Option<u32>>,
     /// `Context::avoided` score table, handed back after each iteration.
@@ -496,7 +541,7 @@ impl Scratch {
             unbound_vec: Vec::new(),
             busy: Vec::new(),
             by_module: vec![Vec::new(); lib_len],
-            candidates: Vec::new(),
+            walk: PairWalk::default(),
             top: TopK::new(MAX_ATTEMPTS),
             start0: Vec::new(),
             avoided: Vec::new(),
@@ -552,14 +597,6 @@ impl Context<'_> {
     /// The candidate modules of `op`'s kind.
     fn kind_list(&self, op: NodeId) -> &[ModuleId] {
         &self.kind_modules[self.graph.node(op).kind().index()]
-    }
-
-    /// Compiled node-mask row of `op`'s kind: bit `j` set iff some
-    /// module implements both `op`'s kind and node `j`'s kind. ANDed
-    /// against the unbound bitset this yields exactly the partners
-    /// `pair_decisions` would not reject on kind grounds.
-    fn compat_row(&self, op: NodeId) -> &[u64] {
-        self.compiled.compat_row(self.graph.node(op).kind())
     }
 
     /// Tabulated avoided area of `op` (unbound ops only).
@@ -653,44 +690,60 @@ impl Context<'_> {
     }
 }
 
-/// Scores every feasible decision for the unbound operations into
-/// `candidates` and ranks the best `MAX_ATTEMPTS` of them into `top`,
-/// returning candidate indices best-first.
+/// Ranks the iteration's best `MAX_ATTEMPTS` decisions into `top` and
+/// returns them best-first.
 ///
-/// Deterministic order: [`rank_order`], then enumeration index — the
-/// index makes the comparison a *total* order, so the kept top-k set is
-/// unique and the bounded heap equals a stable full sort truncated to
-/// `MAX_ATTEMPTS`. One pass, one persistent buffer: each also-ran
-/// candidate costs a single comparison against the heap's worst kept
-/// entry.
+/// Every single decision is scored and offered. Pair merges are not
+/// enumerated exhaustively: [`offer_pairs`] walks them best-first by an
+/// upper bound on their score and skips every pair whose bound falls
+/// strictly below the worst decision a full `top` keeps — such a pair
+/// can never be kept.
+///
+/// Deterministic order: [`rank_total`], whose structural [`Key`]
+/// tie-break makes it a *total* order that does not depend on which
+/// decisions were scored or in what order. The kept set is therefore
+/// exactly the full ranking of every feasible decision truncated to
+/// `MAX_ATTEMPTS` (checked against a brute-force enumeration in test
+/// builds).
 fn score_and_rank<'t>(
     ctx: &mut Context<'_>,
     unbound_vec: &[NodeId],
-    unbound_words: &[u64],
-    candidates: &mut Vec<Decision>,
-    top: &'t mut TopK<u32>,
-) -> &'t [u32] {
+    walk: &mut PairWalk,
+    top: &'t mut TopK<Decision>,
+    tally: &mut PairTally,
+) -> &'t [Decision] {
     {
         let mut score_span = pchls_obs::span!("kernel.score");
         ctx.precompute_tables(unbound_vec);
-        candidates.clear();
-        enumerate_candidates(ctx, unbound_vec, unbound_words, candidates);
-        score_span.arg("candidates", candidates.len());
+        top.clear();
+        let mut offered = 0usize;
+        for &u in unbound_vec {
+            single_decisions(ctx, u, &mut |d| {
+                offered += 1;
+                top.push(d, rank_total);
+            });
+        }
+        let walked = offer_pairs(ctx, unbound_vec, walk, top);
+        tally.probed += walked.probed;
+        tally.pruned += walked.pruned;
+        score_span.arg("candidates", offered + walked.offered);
+        score_span.arg("pairs_probed", walked.probed);
+        score_span.arg("pairs_pruned", walked.pruned);
+        score_span.arg("buckets", walk.buckets.len());
     }
-    let cmp = |&x: &u32, &y: &u32| {
-        rank_order(&candidates[x as usize], &candidates[y as usize]).then(x.cmp(&y))
-    };
     let _span = pchls_obs::span!("kernel.topk");
-    top.clear();
-    for i in 0..candidates.len() as u32 {
-        top.push(i, cmp);
-    }
-    top.sorted(cmp)
+    let ranked = top.sorted(rank_total);
+    #[cfg(test)]
+    assert_eq!(
+        ranked,
+        tests::brute_force_ranking(ctx, unbound_vec).as_slice(),
+        "the pair walk's ranking diverged from the exhaustive one"
+    );
+    ranked
 }
 
 /// The ranking order on decisions: best score first, then earlier
-/// start, then smaller op id. Callers complete it into a total order
-/// with an enumeration-position tie-break.
+/// start, then smaller op id. [`rank_total`] completes it.
 fn rank_order(a: &Decision, b: &Decision) -> std::cmp::Ordering {
     b.score
         .partial_cmp(&a.score)
@@ -699,50 +752,28 @@ fn rank_order(a: &Decision, b: &Decision) -> std::cmp::Ordering {
         .then(a.op.cmp(&b.op))
 }
 
-/// Enumerates every feasible decision for the unbound operations into
-/// `out` (cleared by the caller): each op's existing-instance merges and
-/// dedicated fallback, then every pair merge.
-///
-/// Pair partners come from a word walk, not a nested scan: for each
-/// unbound `u`, `unbound ∧ compat_row(kind(u)) ∧ (id > u)` is two
-/// word-`AND`s walked with `trailing_zeros` ([`iter_and_above`]). The
-/// surviving ids are exactly the partners the scalar `v`-loop would
-/// have fed `pair_decisions` that pass its kind-compatibility
-/// early-return, in the same ascending order — dropped pairs produced
-/// no decisions, so enumeration indices (and the trace) are unchanged.
-fn enumerate_candidates(
-    ctx: &Context<'_>,
-    unbound_vec: &[NodeId],
-    unbound_words: &[u64],
-    out: &mut Vec<Decision>,
-) {
-    for &u in unbound_vec {
-        single_decisions(ctx, u, out);
-    }
-    for &u in unbound_vec {
-        for v in iter_and_above(unbound_words, ctx.compat_row(u), u.index()) {
-            pair_decisions(ctx, u, v, out);
-        }
-    }
+/// [`rank_order`] made total by the structural [`Key`].
+fn rank_total(a: &Decision, b: &Decision) -> std::cmp::Ordering {
+    rank_order(a, b).then(a.key.cmp(&b.key))
 }
 
-/// Appends the decisions binding one unbound operation on its own:
+/// Emits the decisions binding one unbound operation on its own:
 /// merges onto each compatible existing instance, plus the
-/// dedicated-instance fallback, in enumeration order.
-fn single_decisions(ctx: &Context<'_>, u: NodeId, out: &mut Vec<Decision>) {
-    for &m in ctx.modules_for(u) {
+/// dedicated-instance fallback.
+fn single_decisions(ctx: &Context<'_>, u: NodeId, emit: &mut impl FnMut(Decision)) {
+    for (pos, &m) in (0u32..).zip(ctx.modules_for(u)) {
         // (1) Merge onto an existing instance: earliest start at which
         // the instance is free and power fits. Starting later than the
         // op's free earliest start consumes schedule slack and is
         // penalized (see `CostWeights::displacement`).
-        for &iid in &ctx.by_module[m.index()] {
-            if let Some(d) = existing_decision(ctx, u, m, iid) {
-                out.push(d);
+        for (slot, &iid) in (0u32..).zip(&ctx.by_module[m.index()]) {
+            if let Some(d) = existing_decision(ctx, u, m, iid, (0, u.index() as u32, pos, slot)) {
+                emit(d);
             }
         }
         // (3) Dedicated instance (fallback).
-        if let Some(d) = fresh_decision(ctx, u, m) {
-            out.push(d);
+        if let Some(d) = fresh_decision(ctx, u, m, (0, u.index() as u32, pos, u32::MAX)) {
+            emit(d);
         }
     }
 }
@@ -754,6 +785,7 @@ fn existing_decision(
     u: NodeId,
     m: ModuleId,
     iid: InstanceId,
+    key: Key,
 ) -> Option<Decision> {
     let s = earliest_instance_fit(ctx, u, m, iid)?;
     let free_start = ctx.candidate_start0(u, m);
@@ -771,12 +803,13 @@ fn existing_decision(
         score: ctx.options.weights.area * ctx.avoided_area(u) + ctx.interconnect(u, inst.ops())
             - ctx.options.weights.displacement * displaced
             + 1.0,
+        key,
     })
 }
 
 /// The decision opening a dedicated instance of module `m` for `u`, if
 /// a power-feasible start exists.
-fn fresh_decision(ctx: &Context<'_>, u: NodeId, m: ModuleId) -> Option<Decision> {
+fn fresh_decision(ctx: &Context<'_>, u: NodeId, m: ModuleId, key: Key) -> Option<Decision> {
     let s = ctx.candidate_start0(u, m)?;
     let area = f64::from(ctx.library.module(m).area());
     Some(Decision {
@@ -785,29 +818,199 @@ fn fresh_decision(ctx: &Context<'_>, u: NodeId, m: ModuleId) -> Option<Decision>
         start: s,
         target: Target::Fresh,
         score: -ctx.options.weights.area * area,
+        key,
     })
 }
 
-/// Appends the pair-merge decisions for one unordered pair of unbound
-/// operations, in enumeration order.
-fn pair_decisions(ctx: &Context<'_>, u: NodeId, v: NodeId, out: &mut Vec<Decision>) {
-    // Kind-incompatible pairs (no module covers both kinds) are already
-    // dropped by the callers' compat-mask word walk.
-    debug_assert!(
-        ctx.kind_compat[ctx.graph.node(u).kind().index()][ctx.graph.node(v).kind().index()],
-        "pair enumeration fed a kind-incompatible pair"
-    );
-    // Serialize in dependence order if one exists.
-    let (first, second) = if ctx.reach.reaches(v, u) {
-        (v, u)
-    } else {
-        (u, v)
-    };
-    for &m in ctx.modules_for(first) {
-        if let Some(d) = pair_decision(ctx, first, second, m) {
-            out.push(d);
+/// Unbound operations with one kind and one tabulated avoided area:
+/// every pair drawn from two buckets has the same area gain on a given
+/// module.
+#[derive(Debug)]
+struct Bucket {
+    kind: OpKind,
+    avoided: f64,
+    /// Largest operand-plus-successor count among the members: no pair
+    /// whose `first` is a member shares more connections than this.
+    degree: usize,
+    /// Members, ascending id.
+    ops: Vec<NodeId>,
+}
+
+/// The pair merges of two buckets (`lo ≤ hi`) on one module, with an
+/// upper bound on all their scores.
+#[derive(Debug)]
+struct Entry {
+    lo: usize,
+    hi: usize,
+    module: ModuleId,
+    /// `w_area · gain`, exact for every pair of the entry.
+    area_term: f64,
+    /// `area_term` plus the interconnect and displacement caps.
+    bound: f64,
+}
+
+/// Reusable buffers of [`offer_pairs`].
+#[derive(Debug, Default)]
+struct PairWalk {
+    buckets: Vec<Bucket>,
+    entries: Vec<Entry>,
+}
+
+impl PairWalk {
+    /// Number of unordered pairs an entry covers.
+    fn pairs(&self, e: &Entry) -> u64 {
+        let (a, b) = (
+            self.buckets[e.lo].ops.len() as u64,
+            self.buckets[e.hi].ops.len() as u64,
+        );
+        if e.lo == e.hi {
+            a * a.saturating_sub(1) / 2
+        } else {
+            a * b
         }
     }
+}
+
+/// What one [`offer_pairs`] pass did, counted in (pair, module) slots
+/// of the entries.
+#[derive(Debug, Default)]
+struct Walked {
+    /// Exact scores computed (each costs ledger probes).
+    probed: u64,
+    /// Skipped because their score bound fell strictly below the worst
+    /// kept decision (an entry cut whole counts all its slots).
+    pruned: u64,
+    /// Feasible pair decisions offered to `top`.
+    offered: usize,
+}
+
+/// Offers the pair merges that can still make `top`, best bound first.
+///
+/// A pair merge of `first` then `second` on module `m` scores
+/// `w_area·gain + interconnect − w_disp·displaced`, where
+/// `gain = avoided(first) + avoided(second) − area(m)` must be positive.
+/// Its bound:
+///
+/// * the area term is exact per bucket pair (buckets share an avoided
+///   area);
+/// * `interconnect` counts `first`'s operands and successors found in
+///   `second`'s, so it is at most `max(0, w_ic)` times the larger of the
+///   two buckets' degrees (`first` may come from either), and 0 when
+///   interconnect scoring is off;
+/// * `0 ≤ displaced ≤ T`, so the displacement term adds at most
+///   `max(0, −w_disp)·T`.
+///
+/// Entries are walked by bound, highest first, until a bound falls
+/// strictly below the worst decision a full `top` keeps; within an
+/// entry, each pair's exact `w_area·gain + interconnect` (plus the
+/// displacement cap) is checked the same way before the ledger probe.
+fn offer_pairs(
+    ctx: &Context<'_>,
+    unbound_vec: &[NodeId],
+    walk: &mut PairWalk,
+    top: &mut TopK<Decision>,
+) -> Walked {
+    let weights = &ctx.options.weights;
+    let ic_weight = if ctx.options.interconnect_scoring {
+        weights.interconnect.max(0.0)
+    } else {
+        0.0
+    };
+    let disp_cap = (-weights.displacement).max(0.0) * f64::from(ctx.constraints.latency);
+
+    walk.buckets.clear();
+    for &u in unbound_vec {
+        let kind = ctx.graph.node(u).kind();
+        let avoided = ctx.avoided_area(u);
+        let degree = ctx.graph.operands(u).len() + ctx.graph.successors(u).len();
+        let b = match walk
+            .buckets
+            .iter()
+            .position(|b| b.kind == kind && b.avoided == avoided)
+        {
+            Some(b) => b,
+            None => {
+                walk.buckets.push(Bucket {
+                    kind,
+                    avoided,
+                    degree: 0,
+                    ops: Vec::new(),
+                });
+                walk.buckets.len() - 1
+            }
+        };
+        let bucket = &mut walk.buckets[b];
+        bucket.degree = bucket.degree.max(degree);
+        bucket.ops.push(u);
+    }
+
+    walk.entries.clear();
+    for (lo, a) in walk.buckets.iter().enumerate() {
+        for (hi, b) in walk.buckets.iter().enumerate().skip(lo) {
+            if lo == hi && a.ops.len() < 2 {
+                continue;
+            }
+            for &m in &ctx.kind_modules[a.kind.index()] {
+                let spec = ctx.library.module(m);
+                if !spec.implements(b.kind) {
+                    continue;
+                }
+                // The same sum `pair_decision` forms (addition commutes,
+                // whichever bucket `first` comes from).
+                let gain = a.avoided + b.avoided - f64::from(spec.area());
+                if gain <= 0.0 {
+                    continue;
+                }
+                let area_term = weights.area * gain;
+                let ic_cap = ic_weight * a.degree.max(b.degree) as f64;
+                walk.entries.push(Entry {
+                    lo,
+                    hi,
+                    module: m,
+                    area_term,
+                    bound: area_term + ic_cap + disp_cap,
+                });
+            }
+        }
+    }
+    walk.entries.sort_by(|x, y| y.bound.total_cmp(&x.bound));
+
+    let mut out = Walked::default();
+    for (i, e) in walk.entries.iter().enumerate() {
+        if top.worst().is_some_and(|w| e.bound < w.score) {
+            // Sorted by bound: no later entry can beat the bar either.
+            out.pruned += walk.entries[i..].iter().map(|e| walk.pairs(e)).sum::<u64>();
+            break;
+        }
+        let (a, b) = (&walk.buckets[e.lo].ops, &walk.buckets[e.hi].ops);
+        for (x, &p) in a.iter().enumerate() {
+            let partners = if e.lo == e.hi { &a[x + 1..] } else { &b[..] };
+            for &q in partners {
+                let (u, v) = if p < q { (p, q) } else { (q, p) };
+                // Serialize in dependence order if one exists.
+                let (first, second) = if ctx.reach.reaches(v, u) {
+                    (v, u)
+                } else {
+                    (u, v)
+                };
+                let Some(pos) = ctx.modules_for(first).iter().position(|&x| x == e.module) else {
+                    continue; // module selection off: `first` keeps its estimate
+                };
+                let bound = e.area_term + ctx.interconnect(first, &[second]) + disp_cap;
+                if top.worst().is_some_and(|w| bound < w.score) {
+                    out.pruned += 1;
+                    continue;
+                }
+                out.probed += 1;
+                let key = (1, u.index() as u32, v.index() as u32, pos as u32);
+                if let Some(d) = pair_decision(ctx, first, second, e.module, key) {
+                    out.offered += 1;
+                    top.push(d, rank_total);
+                }
+            }
+        }
+    }
+    out
 }
 
 /// The decision opening one shared instance of module `m` for the
@@ -818,6 +1021,7 @@ fn pair_decision(
     first: NodeId,
     second: NodeId,
     m: ModuleId,
+    key: Key,
 ) -> Option<Decision> {
     let spec = ctx.library.module(m);
     if !spec.implements(ctx.graph.node(second).kind()) {
@@ -844,6 +1048,7 @@ fn pair_decision(
         },
         score: ctx.options.weights.area * gain + ctx.interconnect(first, &[second])
             - ctx.options.weights.displacement * displaced,
+        key,
     })
 }
 
@@ -1090,8 +1295,194 @@ fn bootstrap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pchls_cdfg::benchmarks;
-    use pchls_fulib::paper_library;
+    use pchls_bind::CostWeights;
+    use pchls_cdfg::{benchmarks, random_dag, CdfgBuilder, RandomDagConfig};
+    use pchls_fulib::{paper_library, ModuleSpec};
+    use proptest::prelude::*;
+
+    /// The reference ranking `score_and_rank` is checked against in test
+    /// builds: every single and every pair decision (each unordered pair,
+    /// each of `first`'s modules), fully sorted, truncated.
+    pub(super) fn brute_force_ranking(ctx: &Context<'_>, unbound_vec: &[NodeId]) -> Vec<Decision> {
+        let mut all = Vec::new();
+        for &u in unbound_vec {
+            single_decisions(ctx, u, &mut |d| all.push(d));
+        }
+        for (i, &u) in unbound_vec.iter().enumerate() {
+            for &v in &unbound_vec[i + 1..] {
+                let (first, second) = if ctx.reach.reaches(v, u) {
+                    (v, u)
+                } else {
+                    (u, v)
+                };
+                for (pos, &m) in (0u32..).zip(ctx.modules_for(first)) {
+                    let key = (1, u.index() as u32, v.index() as u32, pos);
+                    all.extend(pair_decision(ctx, first, second, m, key));
+                }
+            }
+        }
+        all.sort_by(rank_total);
+        all.truncate(MAX_ATTEMPTS);
+        all
+    }
+
+    /// Runs the greedy loop directly, returning its pair-walk tally.
+    fn synth_tally(
+        library: ModuleLibrary,
+        graph: &Cdfg,
+        constraints: &SynthesisConstraints,
+        options: &SynthesisOptions,
+    ) -> (Result<SynthesizedDesign, SynthesisError>, PairTally) {
+        let engine = Engine::new(library);
+        let compiled = engine.compile(graph);
+        let mut tally = PairTally::default();
+        let result = greedy(&engine, &compiled, constraints, options, None, &mut tally);
+        (result, tally)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every iteration's pruned ranking equals the exhaustive one
+        /// (`score_and_rank` asserts it in test builds) under weights
+        /// of either sign and every ablation switch.
+        #[test]
+        fn pair_walk_ranks_exactly_like_brute_force(
+            ops in 10usize..61,
+            seed in any::<u64>(),
+            mul_permille in 0u32..700,
+            depth_bias in 0u32..4,
+            slack in 0u32..3,
+            power in 4.0f64..80.0,
+            area in -2.0f64..2.0,
+            interconnect in -1.0f64..1.0,
+            displacement in -1.0f64..1.0,
+            module_selection in any::<bool>(),
+            interconnect_scoring in any::<bool>(),
+            backtracking in any::<bool>(),
+        ) {
+            let graph = random_dag(&RandomDagConfig {
+                ops,
+                inputs: 4,
+                outputs: 3,
+                mul_permille,
+                depth_bias,
+                seed,
+            });
+            let min_latency = Engine::new(paper_library()).compile(&graph).min_latency();
+            let options = SynthesisOptions::builder()
+                .weights(CostWeights { area, interconnect, displacement })
+                .module_selection(module_selection)
+                .interconnect_scoring(interconnect_scoring)
+                .backtracking(backtracking)
+                .build();
+            let constraints = SynthesisConstraints::new(min_latency * (1 + slack), power);
+            // Infeasible points are fine: every ranking before the
+            // failure was still checked.
+            let _ = synth_tally(paper_library(), &graph, &constraints, &options);
+        }
+    }
+
+    #[test]
+    fn pair_walk_prunes_on_the_property_cases() {
+        // The brute-force check above is only meaningful if the walk
+        // actually skips pairs on such graphs.
+        let graph = random_dag(&RandomDagConfig {
+            ops: 60,
+            seed: 7,
+            ..RandomDagConfig::default()
+        });
+        let min_latency = Engine::new(paper_library()).compile(&graph).min_latency();
+        let constraints = SynthesisConstraints::new(min_latency * 2, 40.0);
+        let (result, tally) = synth_tally(
+            paper_library(),
+            &graph,
+            &constraints,
+            &SynthesisOptions::default(),
+        );
+        result.unwrap();
+        assert!(tally.probed > 0 && tally.pruned > 0, "{tally:?}");
+    }
+
+    #[test]
+    fn interconnect_cap_takes_the_larger_bucket_degree() {
+        // `a = x*x` repeats its operand, so against the unary `out(x)` it
+        // shares two connections — more than `out(x)`'s whole degree of
+        // 1. With a heavy interconnect weight that pair (score 5 + 10·2)
+        // outranks the 78 output pairs (20 each) even though its area
+        // gain alone (5) is far below them; a cap using the smaller
+        // bucket degree (5 + 10·1 < 20) would prune it.
+        let library = ModuleLibrary::new([
+            ModuleSpec::new("in", [OpKind::Input], 16, 1, 0.2),
+            ModuleSpec::new("out", [OpKind::Output], 20, 1, 0.2),
+            ModuleSpec::new("mul", [OpKind::Mul], 100, 1, 1.0),
+            ModuleSpec::new("mul_out", [OpKind::Mul, OpKind::Output], 115, 1, 1.0),
+        ])
+        .unwrap();
+        let mut b = CdfgBuilder::new("square_fanout");
+        let x = b.input("x");
+        let ys: Vec<NodeId> = (0..11).map(|i| b.input(format!("y{i}"))).collect();
+        let a = b.mul(x, x);
+        b.output("a", a);
+        let out_x = b.output("x_out", x);
+        for (i, &y) in ys.iter().enumerate() {
+            b.output(format!("y{i}_out"), y);
+        }
+        let graph = b.finish().unwrap();
+        let options = SynthesisOptions::builder()
+            .weights(CostWeights {
+                area: 1.0,
+                interconnect: 10.0,
+                displacement: 0.0,
+            })
+            .build();
+        let (result, _) = synth_tally(
+            library,
+            &graph,
+            &SynthesisConstraints::new(20, 1000.0),
+            &options,
+        );
+        let design = result.unwrap();
+        assert_eq!(
+            design.binding.instance_of(a),
+            design.binding.instance_of(out_x),
+            "the best-scoring pair merge was not committed"
+        );
+    }
+
+    #[test]
+    fn non_finite_and_overflowing_weights_are_rejected() {
+        let g = benchmarks::hal();
+        let ok = CostWeights::default();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e300] {
+            for (name, weights) in [
+                ("area", CostWeights { area: bad, ..ok }),
+                (
+                    "interconnect",
+                    CostWeights {
+                        interconnect: bad,
+                        ..ok
+                    },
+                ),
+                (
+                    "displacement",
+                    CostWeights {
+                        displacement: bad,
+                        ..ok
+                    },
+                ),
+            ] {
+                let opts = SynthesisOptions::builder().weights(weights).build();
+                match synth_opts(&g, 17, 25.0, &opts) {
+                    Err(SynthesisError::InvalidWeight { field, value }) => {
+                        assert_eq!(field, name);
+                        assert_eq!(value.to_bits(), bad.to_bits());
+                    }
+                    other => panic!("{name}={bad}: {other:?}"),
+                }
+            }
+        }
+    }
 
     fn synth_opts(
         graph: &Cdfg,

@@ -1,21 +1,21 @@
 //! A flat bounded "best-k" heap with a reusable buffer.
 //!
-//! The synthesis kernel ranks every candidate decision of an iteration
-//! but only ever *attempts* the best `MAX_ATTEMPTS` (64) of them. The
-//! historical shape — materialize a full index vector,
-//! `select_nth_unstable` it, truncate, sort — allocates O(C) and walks
-//! every index three times. [`TopK`] replaces that with a single pass:
-//! a flat array-backed heap of at most `k` items whose **root is the
-//! worst kept item**, so each incoming candidate either replaces the
-//! root (one sift-down) or is discarded with a single comparison. The
-//! buffer persists across iterations ([`TopK::clear`], not a fresh
-//! allocation).
+//! The synthesis kernel offers an iteration's candidate decisions to a
+//! [`TopK`] but only ever *attempts* the best `MAX_ATTEMPTS` (64) of
+//! them. The heap is a flat array of at most `k` items whose **root is
+//! the worst kept item**, so each offer either replaces the root (one
+//! sift-down) or is discarded with a single comparison. Once the heap
+//! is full, [`TopK::worst`] is the bar every later offer must beat: the
+//! kernel's pair walk stops scoring candidates whose score bound falls
+//! strictly below it. The buffer persists across iterations
+//! ([`TopK::clear`], not a fresh allocation).
 //!
-//! Under a **total** order (the kernel's `(score, start, op, index)`
-//! comparator) the kept set is exactly the k smallest items, so
-//! `TopK::push` everything + [`TopK::sorted`] equals a full sort
-//! truncated to `k` — element for element. The differential proptest in
-//! `crates/core/tests/properties.rs` pins that equivalence.
+//! Under a **total** order (the kernel's score, start, op, then
+//! structural-key comparator) the kept set is exactly the k smallest
+//! items offered, whatever the offer order, so `TopK::push` +
+//! [`TopK::sorted`] equals a full sort truncated to `k` — element for
+//! element. The differential proptest in `crates/core/tests/properties.rs`
+//! pins that equivalence.
 
 use std::cmp::Ordering;
 
@@ -87,6 +87,15 @@ impl<T: Copy> TopK<T> {
             self.heap[0] = item;
             self.sift_down(0, &mut cmp);
         }
+    }
+
+    /// The worst kept item once the heap holds `cap` items — an offer
+    /// must rank strictly before it to be kept — or `None` while there is
+    /// still room. Only meaningful between [`TopK::clear`] and
+    /// [`TopK::sorted`].
+    #[must_use]
+    pub fn worst(&self) -> Option<&T> {
+        (self.heap.len() == self.cap).then(|| &self.heap[0])
     }
 
     /// Sorts the kept items in place (best first) and returns them.
@@ -163,6 +172,19 @@ mod tests {
         }
         assert_eq!(top.sorted(u32::cmp), &[7, 9]);
         assert_eq!(top.len(), 2);
+    }
+
+    #[test]
+    fn worst_is_the_bar_once_full() {
+        let mut top = TopK::new(3);
+        for x in [5u32, 1] {
+            top.push(x, u32::cmp);
+        }
+        assert_eq!(top.worst(), None, "room left: no bar yet");
+        top.push(4, u32::cmp);
+        assert_eq!(top.worst(), Some(&5));
+        top.push(2, u32::cmp);
+        assert_eq!(top.worst(), Some(&4));
     }
 
     #[test]

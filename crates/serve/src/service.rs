@@ -788,6 +788,9 @@ impl Shared {
                 };
                 (SubmitResponse::error(req.id, why), Disposition::Cancelled)
             }
+            // Options the kernel rejects say nothing about the point:
+            // fail the request and cache nothing.
+            Err(e @ SynthesisError::InvalidWeight { .. }) => fail(e.to_string()),
             // Feasible or not, the point is exactly what a direct
             // `Session::batch` would emit — including the null-field
             // shape for infeasible constraints.
@@ -919,6 +922,33 @@ mod tests {
         let direct =
             serde_json::to_string(&direct_point(service.engine(), "hal", 17, 1.0)).unwrap();
         assert_eq!(served, direct);
+    }
+
+    #[test]
+    fn non_finite_weights_fail_requests_without_killing_the_worker() {
+        let options = SynthesisOptions::builder()
+            .weights(pchls_bind::CostWeights {
+                area: f64::NAN,
+                ..pchls_bind::CostWeights::default()
+            })
+            .build();
+        let service = Service::start(
+            Engine::new(paper_library()),
+            ServiceConfig {
+                workers: 1,
+                options,
+                ..ServiceConfig::default()
+            },
+        );
+        // The second call reaches the same (sole) worker: it survived.
+        for id in 0..2 {
+            let resp = service.call(SubmitRequest::synth(id, "hal", 17, 25.0));
+            assert!(!resp.ok, "NaN weights must fail the request");
+            let error = resp.error.unwrap();
+            assert!(error.contains("`area`"), "{error}");
+        }
+        let stats = service.stats();
+        assert_eq!((stats.completed, stats.failed), (0, 2));
     }
 
     #[test]
