@@ -118,7 +118,7 @@ mod tests {
         // a valid ledger budget.
         let cell = RateCapacityBattery::low_quality(2_000.0);
         let budget = budget_from_model(&cell, 16, 25.0, 5.0);
-        let ledger = pchls_sched::PowerLedger::with_budget(16, &budget);
+        let ledger = pchls_sched::PowerLedger::under(16, &budget);
         assert!(ledger.is_envelope());
         assert!(ledger.fits(0, 2, 20.0));
         // Late cycles have sagged below what early cycles admit.

@@ -28,12 +28,6 @@ impl IdealBattery {
         );
         IdealBattery { capacity }
     }
-
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
 }
 
 impl BatteryModel for IdealBattery {

@@ -20,13 +20,6 @@ impl Lifetime {
     pub fn total_cycles(&self, profile_len: usize) -> u64 {
         self.iterations * profile_len as u64 + self.extra_cycles
     }
-
-    /// Lifetime ratio against a baseline (`> 1` means this one lasted
-    /// longer). Compares total cycles for the same profile length.
-    #[must_use]
-    pub fn ratio_to(&self, baseline: &Lifetime, profile_len: usize) -> f64 {
-        self.total_cycles(profile_len) as f64 / baseline.total_cycles(profile_len).max(1) as f64
-    }
 }
 
 /// A battery that can simulate discharging under a cyclic per-cycle power
@@ -67,16 +60,10 @@ mod tests {
 
     #[test]
     fn ratio_is_relative() {
-        let a = Lifetime {
-            iterations: 12,
-            extra_cycles: 0,
-            delivered_charge: 0.0,
-        };
-        let b = Lifetime {
-            iterations: 10,
-            extra_cycles: 0,
-            delivered_charge: 0.0,
-        };
-        assert!((a.ratio_to(&b, 5) - 1.2).abs() < 1e-12);
+        // An ideal cell of 120 units lasts 10 cycles at 12 per cycle and
+        // 12 cycles at 10: the flattened profile lasts 1.2× as long.
+        let cell = crate::IdealBattery::new(120.0);
+        let ratio = crate::compare_profiles(&cell, &[12.0], &[10.0]).extension;
+        assert!((ratio - 1.2).abs() < 1e-12, "{ratio}");
     }
 }

@@ -25,7 +25,7 @@ impl PeukertBattery {
     ///
     /// Panics unless `capacity > 0` and `exponent ≥ 1`.
     #[must_use]
-    pub fn new(capacity: f64, exponent: f64) -> PeukertBattery {
+    pub(crate) fn new(capacity: f64, exponent: f64) -> PeukertBattery {
         assert!(
             capacity.is_finite() && capacity > 0.0,
             "capacity must be positive"
@@ -48,12 +48,6 @@ impl PeukertBattery {
     #[must_use]
     pub fn low_quality(capacity: f64) -> PeukertBattery {
         PeukertBattery::new(capacity, 1.3)
-    }
-
-    /// The Peukert exponent.
-    #[must_use]
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 }
 
@@ -96,6 +90,7 @@ impl BatteryModel for PeukertBattery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare_profiles;
 
     #[test]
     fn spikes_cost_more_than_flat() {
@@ -129,12 +124,8 @@ mod tests {
         let profile_flat = vec![10.0, 10.0, 10.0];
         let hq = PeukertBattery::high_quality(1e6);
         let lq = PeukertBattery::low_quality(1e6);
-        let hq_gain = hq
-            .lifetime(&profile_flat)
-            .ratio_to(&hq.lifetime(&profile_spiky), 3);
-        let lq_gain = lq
-            .lifetime(&profile_flat)
-            .ratio_to(&lq.lifetime(&profile_spiky), 3);
+        let hq_gain = compare_profiles(&hq, &profile_spiky, &profile_flat).extension;
+        let lq_gain = compare_profiles(&lq, &profile_spiky, &profile_flat).extension;
         assert!(
             lq_gain > hq_gain,
             "low quality gain {lq_gain} !> high quality gain {hq_gain}"

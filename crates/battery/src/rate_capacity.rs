@@ -37,7 +37,7 @@ impl RateCapacityBattery {
     ///
     /// Panics unless `capacity > 0`, `knee ≥ 0` and `penalty ≥ 0`.
     #[must_use]
-    pub fn new(capacity: f64, knee: f64, penalty: f64) -> RateCapacityBattery {
+    pub(crate) fn new(capacity: f64, knee: f64, penalty: f64) -> RateCapacityBattery {
         assert!(
             capacity.is_finite() && capacity > 0.0,
             "capacity must be positive"
@@ -61,22 +61,9 @@ impl RateCapacityBattery {
         RateCapacityBattery::new(capacity, 10.0, 0.015)
     }
 
-    /// A high-quality cell: rated for 25 units per cycle with a gentle
-    /// 0.5 % penalty slope.
-    #[must_use]
-    pub fn high_quality(capacity: f64) -> RateCapacityBattery {
-        RateCapacityBattery::new(capacity, 25.0, 0.005)
-    }
-
-    /// The rated per-cycle draw above which charge is wasted.
-    #[must_use]
-    pub fn knee(&self) -> f64 {
-        self.knee
-    }
-
     /// Effective charge consumed by drawing `p` for one cycle.
     #[must_use]
-    pub fn cost(&self, p: f64) -> f64 {
+    pub(crate) fn cost(&self, p: f64) -> f64 {
         p * (1.0 + self.penalty * (p - self.knee).max(0.0))
     }
 }
@@ -120,6 +107,7 @@ impl BatteryModel for RateCapacityBattery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare_profiles;
 
     #[test]
     fn flat_profiles_deliver_more_charge() {
@@ -140,7 +128,7 @@ mod tests {
         let b = RateCapacityBattery::low_quality(10_000.0);
         let spiky = vec![30.0, 0.0, 0.0, 30.0, 0.0, 0.0];
         let flat = vec![10.0; 6];
-        let gain = b.lifetime(&flat).ratio_to(&b.lifetime(&spiky), 6);
+        let gain = compare_profiles(&b, &spiky, &flat).extension;
         assert!(
             (1.1..1.6).contains(&gain),
             "gain {gain} outside the cited magnitude"
@@ -152,9 +140,9 @@ mod tests {
         let spiky = vec![30.0, 0.0, 0.0];
         let flat = vec![10.0; 3];
         let lq = RateCapacityBattery::low_quality(10_000.0);
-        let hq = RateCapacityBattery::high_quality(10_000.0);
-        let lq_gain = lq.lifetime(&flat).ratio_to(&lq.lifetime(&spiky), 3);
-        let hq_gain = hq.lifetime(&flat).ratio_to(&hq.lifetime(&spiky), 3);
+        let hq = RateCapacityBattery::new(10_000.0, 25.0, 0.005);
+        let lq_gain = compare_profiles(&lq, &spiky, &flat).extension;
+        let hq_gain = compare_profiles(&hq, &spiky, &flat).extension;
         assert!(lq_gain > hq_gain);
     }
 

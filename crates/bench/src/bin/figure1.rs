@@ -4,7 +4,7 @@
 
 use pchls_cdfg::benchmarks::hal;
 use pchls_fulib::{paper_library, SelectionPolicy};
-use pchls_sched::{asap, pasap, PowerProfile, TimingMap};
+use pchls_sched::{asap, pasap, PowerBudget, PowerProfile, TimingMap};
 
 fn main() {
     let g = hal();
@@ -15,7 +15,8 @@ fn main() {
     let spiky_profile = PowerProfile::of(&spiky, &timing);
     let bound = spiky_profile.peak() / 2.5; // the paper's dashed P< line
 
-    let flat = pasap(&g, &timing, bound, 100).expect("power-feasible with this bound");
+    let flat = pasap(&g, &timing, &PowerBudget::constant(bound), 100)
+        .expect("power-feasible with this bound");
     let flat_profile = PowerProfile::of(&flat, &timing);
 
     println!("Figure 1. Power schedules for `hal` (fastest modules).");

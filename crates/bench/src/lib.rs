@@ -20,6 +20,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::fs;
 use std::path::Path;

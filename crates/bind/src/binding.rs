@@ -12,15 +12,9 @@ use crate::error::BindError;
 
 /// Identifier of one functional-unit instance within a [`Binding`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct InstanceId(usize);
+pub struct InstanceId(pub(crate) usize);
 
 impl InstanceId {
-    /// Creates an instance id from a raw index.
-    #[must_use]
-    pub fn new(index: usize) -> InstanceId {
-        InstanceId(index)
-    }
-
     /// Raw index into the binding's instance list.
     #[must_use]
     pub fn index(self) -> usize {
@@ -173,7 +167,7 @@ impl Binding {
 
     /// Number of operations not yet bound.
     #[must_use]
-    pub fn unbound_count(&self) -> usize {
+    pub(crate) fn unbound_count(&self) -> usize {
         self.op_to_instance.iter().filter(|o| o.is_none()).count()
     }
 
@@ -318,7 +312,7 @@ mod tests {
         let _ = empty;
         b.prune_empty();
         assert_eq!(b.instances().len(), 1);
-        assert_eq!(b.instance_of(op), Some(InstanceId::new(0)));
+        assert_eq!(b.instance_of(op), Some(InstanceId(0)));
     }
 
     #[test]

@@ -116,14 +116,8 @@ impl CompatibilityGraph {
 
     /// Number of operations covered.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
-    }
-
-    /// Whether the graph covers no operations.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Whether `a` and `b` may share a functional unit.
@@ -140,35 +134,6 @@ impl CompatibilityGraph {
     #[must_use]
     pub fn weight(&self, a: NodeId, b: NodeId) -> f64 {
         self.weights[a.index() * self.n + b.index()]
-    }
-
-    /// Number of operations compatible with `a`.
-    #[must_use]
-    pub fn degree(&self, a: NodeId) -> usize {
-        let i = a.index();
-        self.bits[i * self.words..(i + 1) * self.words]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// All compatible pairs `(a, b)` with `a < b`.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        (0..self.n).flat_map(move |i| {
-            let a = NodeId::new(i as u32);
-            ((i + 1)..self.n).filter_map(move |j| {
-                let b = NodeId::new(j as u32);
-                self.compatible(a, b).then_some((a, b))
-            })
-        })
-    }
-
-    /// Whether every pair in `ops` is mutually compatible.
-    #[must_use]
-    pub fn is_clique(&self, ops: &[NodeId]) -> bool {
-        ops.iter()
-            .enumerate()
-            .all(|(i, &a)| ops[i + 1..].iter().all(|&b| self.compatible(a, b)))
     }
 }
 
@@ -346,21 +311,13 @@ mod tests {
             .filter(|n| n.kind() == OpKind::Mul)
             .map(|n| n.id())
             .collect();
-        assert!(!c.is_clique(&muls));
+        let is_clique = |ops: &[NodeId]| {
+            ops.iter()
+                .enumerate()
+                .all(|(i, &a)| ops[i + 1..].iter().all(|&b| c.compatible(a, b)))
+        };
+        assert!(!is_clique(&muls));
         // t2 -> t3 chain is a 2-clique.
-        assert!(c.is_clique(&[muls[1], muls[2]]));
-    }
-
-    #[test]
-    fn edges_and_degree_are_consistent() {
-        let g = hal();
-        let (c, _) = fixed_compat(&g);
-        let edge_count = c.edges().count();
-        let degree_sum: usize = g.node_ids().map(|id| c.degree(id)).sum();
-        assert_eq!(degree_sum, 2 * edge_count);
-        for (a, b) in c.edges() {
-            assert!(c.compatible(a, b));
-            assert!(c.compatible(b, a));
-        }
+        assert!(is_clique(&[muls[1], muls[2]]));
     }
 }

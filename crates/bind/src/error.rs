@@ -73,7 +73,7 @@ mod tests {
         let e = BindError::Overlap {
             a: NodeId::new(1),
             b: NodeId::new(2),
-            instance: InstanceId::new(0),
+            instance: InstanceId(0),
         };
         let s = e.to_string();
         assert!(s.contains("n1") && s.contains("n2") && s.contains("fu0"));

@@ -10,7 +10,7 @@
 //!   compatibility graph* `V1`: two operations are compatible when some
 //!   library module implements both **and** their power-feasible execution
 //!   windows (from `pasap`/`palap`) allow serialization on one unit.
-//! * [`partition_cliques`] — greedy partial clique partitioning of a
+//! * [`bind_schedule`] — greedy partial clique partitioning of a
 //!   compatibility graph into functional-unit instances, minimizing area
 //!   and interconnect (the baseline binder for fixed schedules).
 //! * [`RegisterAllocation`] — left-edge register allocation over value
@@ -20,6 +20,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod binding;
 mod compat;
@@ -28,13 +29,11 @@ mod gantt;
 mod interconnect;
 mod partition;
 mod regalloc;
-mod utilization;
 
 pub use binding::{Binding, FuInstance, InstanceId};
 pub use compat::{CompatibilityGraph, CostWeights};
 pub use error::BindError;
 pub use gantt::gantt;
 pub use interconnect::InterconnectEstimate;
-pub use partition::{bind_schedule, partition_cliques};
+pub use partition::bind_schedule;
 pub use regalloc::{RegisterAllocation, ValueLifetime};
-pub use utilization::Utilization;

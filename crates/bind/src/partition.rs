@@ -25,7 +25,7 @@ use crate::error::BindError;
 ///
 /// Panics if `compat` does not cover `graph`.
 #[must_use]
-pub fn partition_cliques(
+pub(crate) fn partition_cliques(
     graph: &Cdfg,
     library: &ModuleLibrary,
     compat: &CompatibilityGraph,

@@ -75,15 +75,9 @@ impl Reachability {
         }
     }
 
-    /// Number of `u64` words per node bitset row.
-    #[must_use]
-    pub fn word_len(&self) -> usize {
-        self.words
-    }
-
     /// Number of nodes in the analyzed graph.
     #[must_use]
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.n
     }
 
@@ -154,7 +148,7 @@ impl Reachability {
 
     /// Number of descendants of `id`.
     #[must_use]
-    pub fn descendant_count(&self, id: NodeId) -> usize {
+    pub(crate) fn descendant_count(&self, id: NodeId) -> usize {
         let i = id.index();
         self.desc[i * self.words..(i + 1) * self.words]
             .iter()
@@ -259,18 +253,6 @@ impl NodeSet {
         let mut s = NodeSet::empty(len);
         s.fill();
         s
-    }
-
-    /// Size of the universe (not the member count — see [`NodeSet::count`]).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the universe is empty (a zero-node graph).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Whether `id` is a member.

@@ -309,7 +309,7 @@ pub fn fft_butterfly() -> Cdfg {
 ///
 /// Panics if `sections` is zero.
 #[must_use]
-pub fn iir_biquad(sections: usize) -> Cdfg {
+pub(crate) fn iir_biquad(sections: usize) -> Cdfg {
     assert!(sections > 0, "need at least one biquad section");
     let mut b = CdfgBuilder::new(format!("iir{sections}"));
     let mut x = b.input("x");

@@ -45,24 +45,6 @@ impl CdfgBuilder {
         }
     }
 
-    /// A builder preloaded with an existing graph's nodes and edges, so
-    /// a graph can be extended (new ids continue after the existing
-    /// ones) and re-finished. For validated in-place edits — rewiring
-    /// or removing existing nodes — use [`GraphEdit`](crate::GraphEdit)
-    /// instead.
-    #[must_use]
-    pub fn from_graph(graph: &Cdfg) -> CdfgBuilder {
-        CdfgBuilder {
-            name: graph.name().to_owned(),
-            nodes: graph
-                .nodes()
-                .iter()
-                .map(|n| (n.kind(), n.label().to_owned()))
-                .collect(),
-            edges: graph.edges().to_vec(),
-        }
-    }
-
     fn push(&mut self, kind: OpKind, label: String, operands: &[NodeId]) -> NodeId {
         let id = NodeId::new(self.nodes.len() as u32);
         self.nodes.push((kind, label));
@@ -96,7 +78,7 @@ impl CdfgBuilder {
     }
 
     /// Adds a labelled operation node.
-    pub fn op_named(
+    pub(crate) fn op_named(
         &mut self,
         kind: OpKind,
         label: impl Into<String>,
@@ -121,25 +103,13 @@ impl CdfgBuilder {
     }
 
     /// Greater-than comparison `a > b`.
-    pub fn gt(&mut self, a: NodeId, b: NodeId) -> NodeId {
+    pub(crate) fn gt(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.op(OpKind::Comp, &[a, b])
     }
 
     /// Less-than comparison `a < b`, expressed as `b > a`.
-    pub fn lt(&mut self, a: NodeId, b: NodeId) -> NodeId {
+    pub(crate) fn lt(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.gt(b, a)
-    }
-
-    /// Number of nodes added so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether no nodes have been added yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Validates and returns the finished graph.
@@ -167,8 +137,7 @@ mod tests {
         assert_eq!(x.index(), 0);
         assert_eq!(y.index(), 1);
         assert_eq!(s.index(), 2);
-        assert_eq!(b.len(), 3);
-        assert!(!b.is_empty());
+        assert_eq!(b.nodes.len(), 3);
     }
 
     #[test]
@@ -194,26 +163,6 @@ mod tests {
         b.output("o", c);
         let g = b.finish().unwrap();
         assert_ne!(g.node(a).label(), g.node(c).label());
-    }
-
-    #[test]
-    fn from_graph_round_trips_and_extends() {
-        let mut b = CdfgBuilder::new("g");
-        let x = b.input("x");
-        let y = b.input("y");
-        let a = b.add(x, y);
-        b.output("o", a);
-        let g = b.finish().unwrap();
-
-        let same = CdfgBuilder::from_graph(&g).finish().unwrap();
-        assert_eq!(same, g);
-
-        let mut b = CdfgBuilder::from_graph(&g);
-        let m = b.mul(a, a);
-        assert_eq!(m.index(), g.len());
-        let bigger = b.finish().unwrap();
-        assert_eq!(bigger.len(), g.len() + 1);
-        assert_eq!(bigger.operands(m), &[a, a]);
     }
 
     #[test]

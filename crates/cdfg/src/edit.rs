@@ -140,25 +140,6 @@ impl GraphEdit {
         }
     }
 
-    /// Number of nodes in the working copy, tombstoned removals
-    /// included (ids below this are addressable).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the working copy has no nodes at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Whether `id` exists and has not been removed in this session.
-    #[must_use]
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        id.index() < self.alive.len() && self.alive[id.index()]
-    }
-
     fn check_alive(&self, id: NodeId) -> Result<(), EditError> {
         if id.index() >= self.nodes.len() {
             return Err(EditError::UnknownNode(id));
@@ -390,7 +371,6 @@ mod tests {
             edit.add_op(OpKind::Add, &[x, m]),
             Err(EditError::RemovedNode(m))
         );
-        assert!(!edit.is_alive(m));
     }
 
     #[test]

@@ -321,12 +321,6 @@ impl<'a> ReversedView<'a> {
     pub fn topological(&self) -> impl Iterator<Item = NodeId> + 'a {
         self.graph.topological().iter().rev().copied()
     }
-
-    /// The underlying graph.
-    #[must_use]
-    pub fn original(&self) -> &'a Cdfg {
-        self.graph
-    }
 }
 
 /// Kahn's algorithm; reports a node on a cycle if one exists.

@@ -84,7 +84,7 @@ impl OpKind {
     ///
     /// Used by binding to canonicalize interconnect estimation.
     #[must_use]
-    pub fn is_commutative(self) -> bool {
+    pub(crate) fn is_commutative(self) -> bool {
         matches!(self, OpKind::Add | OpKind::Mul)
     }
 
@@ -96,7 +96,7 @@ impl OpKind {
 
     /// The operator mnemonic used by the textual CDFG format.
     #[must_use]
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             OpKind::Add => "add",
             OpKind::Sub => "sub",
@@ -107,7 +107,7 @@ impl OpKind {
         }
     }
 
-    /// Parses a mnemonic produced by [`OpKind::mnemonic`].
+    /// Parses a mnemonic produced by `OpKind::mnemonic`.
     ///
     /// Also accepts the symbolic forms `+`, `-`, `*`, `>`.
     #[must_use]

@@ -56,7 +56,7 @@ impl GraphStats {
 
     /// Average parallelism: nodes per level.
     #[must_use]
-    pub fn average_width(&self) -> f64 {
+    pub(crate) fn average_width(&self) -> f64 {
         if self.depth == 0 {
             0.0
         } else {

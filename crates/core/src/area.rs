@@ -25,7 +25,7 @@ pub struct AreaModel {
 impl AreaModel {
     /// The paper's convention: functional units only.
     #[must_use]
-    pub fn fu_only() -> AreaModel {
+    pub(crate) fn fu_only() -> AreaModel {
         AreaModel {
             register: 0,
             mux_input: 0,

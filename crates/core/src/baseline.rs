@@ -3,7 +3,7 @@
 use pchls_bind::{bind_schedule, CostWeights};
 use pchls_cdfg::Cdfg;
 use pchls_fulib::{ModuleLibrary, SelectionPolicy};
-use pchls_sched::{asap, two_step_budget, PowerProfile, TimingMap};
+use pchls_sched::{asap, two_step, PowerProfile, TimingMap};
 
 use crate::constraints::SynthesisConstraints;
 use crate::design::SynthesizedDesign;
@@ -39,7 +39,7 @@ pub fn two_step_bind(
     policy: SelectionPolicy,
 ) -> Result<BaselineDesign, SynthesisError> {
     let timing = TimingMap::from_policy(graph, library, policy);
-    let outcome = two_step_budget(graph, &timing, constraints.latency, &constraints.budget)
+    let outcome = two_step(graph, &timing, constraints.latency, &constraints.budget)
         .map_err(|cause| SynthesisError::Infeasible { cause })?;
     let binding = bind_schedule(
         graph,
@@ -106,13 +106,13 @@ pub fn unconstrained_bind(
 ///
 /// Returns [`SynthesisError::Infeasible`] when even the dedicated
 /// allocation cannot meet the constraints.
-pub fn trimmed_allocation_bind(
+pub(crate) fn trimmed_allocation_bind(
     graph: &Cdfg,
     library: &ModuleLibrary,
     constraints: SynthesisConstraints,
     policy: SelectionPolicy,
 ) -> Result<SynthesizedDesign, SynthesisError> {
-    use pchls_sched::{list_schedule_budget, Allocation};
+    use pchls_sched::{list_schedule, Allocation};
 
     let modules: Vec<pchls_fulib::ModuleId> = graph
         .nodes()
@@ -136,7 +136,7 @@ pub fn trimmed_allocation_bind(
     let timing = TimingMap::from_modules(graph, library, &modules);
     let feasible = |counts: &std::collections::BTreeMap<pchls_fulib::ModuleId, usize>| {
         let alloc = Allocation::from_pairs(counts.iter().map(|(&m, &c)| (m, c)));
-        list_schedule_budget(graph, library, &modules, &alloc, &constraints.budget)
+        list_schedule(graph, library, &modules, &alloc, &constraints.budget)
             .ok()
             .filter(|s| s.latency(&timing) <= constraints.latency)
     };

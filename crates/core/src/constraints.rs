@@ -47,25 +47,6 @@ impl SynthesisConstraints {
         }
     }
 
-    /// The scalar shim: a constraint pair under the classical constant
-    /// bound `max_power` (may be `f64::INFINITY`). Equivalent to
-    /// `new(latency, max_power)`; kept as an explicit name for call
-    /// sites migrating from the pre-envelope API.
-    ///
-    /// # Panics
-    ///
-    /// As [`new`](SynthesisConstraints::new).
-    #[must_use]
-    pub fn with_max_power(latency: u32, max_power: f64) -> SynthesisConstraints {
-        SynthesisConstraints::new(latency, max_power)
-    }
-
-    /// A latency-only constraint (`P< = ∞`).
-    #[must_use]
-    pub fn latency_only(latency: u32) -> SynthesisConstraints {
-        SynthesisConstraints::new(latency, f64::INFINITY)
-    }
-
     /// The largest per-cycle bound any cycle **within the latency
     /// horizon** can see: the bound itself for a scalar constraint, the
     /// envelope's effective peak otherwise. This is the value
@@ -77,13 +58,6 @@ impl SynthesisConstraints {
     pub fn max_power(&self) -> f64 {
         self.budget.peak_within(self.latency)
     }
-
-    /// Whether the power constraint is actually binding (some cycle's
-    /// bound is finite).
-    #[must_use]
-    pub fn has_power_bound(&self) -> bool {
-        self.budget.is_binding()
-    }
 }
 
 #[cfg(test)]
@@ -92,21 +66,21 @@ mod tests {
 
     #[test]
     fn latency_only_has_no_power_bound() {
-        let c = SynthesisConstraints::latency_only(10);
-        assert!(!c.has_power_bound());
+        let c = SynthesisConstraints::new(10, PowerBudget::unbounded());
+        assert!(!c.budget.is_binding());
         assert_eq!(c.latency, 10);
     }
 
     #[test]
     fn finite_power_is_binding() {
-        assert!(SynthesisConstraints::new(10, 25.0).has_power_bound());
+        assert!(SynthesisConstraints::new(10, 25.0).budget.is_binding());
     }
 
     #[test]
     fn scalar_and_shim_constructors_agree() {
         assert_eq!(
             SynthesisConstraints::new(10, 25.0),
-            SynthesisConstraints::with_max_power(10, 25.0)
+            SynthesisConstraints::new(10, PowerBudget::constant(25.0))
         );
         assert_eq!(SynthesisConstraints::new(10, 25.0).max_power(), 25.0);
     }
@@ -115,11 +89,11 @@ mod tests {
     fn envelope_constraints_report_their_peak() {
         let c = SynthesisConstraints::new(10, PowerBudget::steps(vec![(0, 30.0), (5, 12.0)]));
         assert_eq!(c.max_power(), 30.0);
-        assert!(c.has_power_bound());
+        assert!(c.budget.is_binding());
         // An envelope with one unconstrained phase is still binding.
         let c =
             SynthesisConstraints::new(10, PowerBudget::steps(vec![(0, f64::INFINITY), (5, 12.0)]));
-        assert!(c.has_power_bound());
+        assert!(c.budget.is_binding());
     }
 
     #[test]

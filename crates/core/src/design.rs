@@ -55,7 +55,7 @@ pub struct SynthesizedDesign {
 impl SynthesizedDesign {
     /// Assembles a design from its parts, computing the metrics.
     #[must_use]
-    pub fn assemble(
+    pub(crate) fn assemble(
         schedule: Schedule,
         timing: TimingMap,
         binding: Binding,
@@ -83,40 +83,6 @@ impl SynthesizedDesign {
         PowerProfile::of(&self.schedule, &self.timing)
     }
 
-    /// Per-cycle power profile including the static (idle) draw of every
-    /// allocated unit in the cycles it executes nothing.
-    ///
-    /// With the paper's idle-free library this equals
-    /// [`power_profile`](Self::power_profile); with
-    /// [`ModuleSpec::with_idle_power`](pchls_fulib::ModuleSpec::with_idle_power)
-    /// it exposes the leakage trade-off sharing creates: fewer units mean
-    /// a lower idle floor.
-    #[must_use]
-    pub fn power_profile_with_idle(&self, library: &ModuleLibrary) -> PowerProfile {
-        let latency = self.latency as usize;
-        let mut per_cycle = vec![0.0f64; latency];
-        for inst in self.binding.instances() {
-            let module = library.module(inst.module());
-            let mut busy = vec![false; latency];
-            for &op in inst.ops() {
-                for c in self.schedule.start(op)..self.schedule.finish(op, &self.timing) {
-                    busy[c as usize] = true;
-                }
-            }
-            // Active draw is accounted per-op below; idle cycles leak.
-            for (c, cell) in per_cycle.iter_mut().enumerate() {
-                if !busy[c] {
-                    *cell += module.idle_power();
-                }
-            }
-        }
-        let active = PowerProfile::of(&self.schedule, &self.timing);
-        for (cell, &a) in per_cycle.iter_mut().zip(active.per_cycle()) {
-            *cell += a;
-        }
-        PowerProfile::from_cycles(per_cycle)
-    }
-
     /// Left-edge register allocation for the design.
     #[must_use]
     pub fn registers(&self, graph: &Cdfg) -> RegisterAllocation {
@@ -138,11 +104,11 @@ impl SynthesizedDesign {
     /// Returns the first violated invariant.
     pub fn validate(&self, graph: &Cdfg, library: &ModuleLibrary) -> Result<(), SynthesisError> {
         self.schedule
-            .validate_budget(
+            .validate(
                 graph,
                 &self.timing,
                 Some(self.constraints.latency),
-                &self.constraints.budget,
+                Some(&self.constraints.budget),
             )
             .map_err(SynthesisError::Schedule)?;
         self.binding
@@ -177,7 +143,7 @@ mod tests {
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let s = asap(&g, &t);
         let b = pchls_bind::bind_schedule(&g, &lib, &s, &t, &CostWeights::default()).unwrap();
-        let c = SynthesisConstraints::latency_only(20);
+        let c = SynthesisConstraints::new(20, f64::INFINITY);
         let d = SynthesizedDesign::assemble(s, t, b, &lib, c);
         (g, lib, d)
     }
@@ -212,46 +178,5 @@ mod tests {
         let (g, _, d) = sample();
         assert!(d.registers(&g).count() > 0);
         let _ = d.interconnect(&g);
-    }
-
-    #[test]
-    fn idle_free_library_gives_identical_profiles() {
-        let (_, lib, d) = sample();
-        let plain = d.power_profile();
-        let with_idle = d.power_profile_with_idle(&lib);
-        for (a, b) in plain.per_cycle().iter().zip(with_idle.per_cycle()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn idle_power_raises_the_floor() {
-        use pchls_fulib::{ModuleLibrary, ModuleSpec, OpKind};
-        let (g, _, d) = sample();
-        // Same library shape, but every module leaks 0.2 per idle cycle.
-        let leaky = ModuleLibrary::new([
-            ModuleSpec::new("add", [OpKind::Add], 87, 1, 2.5).with_idle_power(0.2),
-            ModuleSpec::new("sub", [OpKind::Sub], 87, 1, 2.5).with_idle_power(0.2),
-            ModuleSpec::new("comp", [OpKind::Comp], 8, 1, 2.5).with_idle_power(0.2),
-            ModuleSpec::new("ALU", [OpKind::Add, OpKind::Sub, OpKind::Comp], 97, 1, 2.5)
-                .with_idle_power(0.2),
-            ModuleSpec::new("mult_ser", [OpKind::Mul], 103, 4, 2.7).with_idle_power(0.2),
-            ModuleSpec::new("mult_par", [OpKind::Mul], 339, 2, 8.1).with_idle_power(0.2),
-            ModuleSpec::new("input", [OpKind::Input], 16, 1, 0.2).with_idle_power(0.2),
-            ModuleSpec::new("output", [OpKind::Output], 16, 1, 1.7).with_idle_power(0.2),
-        ])
-        .unwrap();
-        let plain = d.power_profile();
-        let leaked = d.power_profile_with_idle(&leaky);
-        let mut strictly_higher_somewhere = false;
-        for (a, b) in plain.per_cycle().iter().zip(leaked.per_cycle()) {
-            assert!(b + 1e-12 >= *a);
-            if *b > a + 1e-12 {
-                strictly_higher_somewhere = true;
-            }
-        }
-        assert!(strictly_higher_somewhere);
-        assert!(leaked.energy() > plain.energy());
-        let _ = g;
     }
 }

@@ -49,7 +49,7 @@ use std::ops::ControlFlow;
 
 use pchls_cdfg::{optimize, AnalysisCache, Cdfg, OpKind, OptimizeStats, Reachability};
 use pchls_fulib::{ModuleId, ModuleLibrary, SelectionPolicy};
-use pchls_sched::{alap, asap, PowerBudget, PowerProfile, Schedule, TimingMap};
+use pchls_sched::{asap, PowerBudget, PowerProfile, TimingMap};
 
 use crate::baseline::{trimmed_allocation_bind, two_step_bind, unconstrained_bind, BaselineDesign};
 use crate::constraints::SynthesisConstraints;
@@ -138,10 +138,6 @@ impl Engine {
             seed_modules,
             fastest_timing,
             min_area_timing,
-            asap_fastest,
-            // Lazy: the kernel never reads the ALAP skeleton, so
-            // compiles that only synthesize skip the pass.
-            alap_fastest: std::sync::OnceLock::new(),
             min_latency,
             asap_peak,
             optimize_stats: None,
@@ -158,48 +154,6 @@ impl Engine {
     #[must_use]
     pub fn compile(&self, graph: &Cdfg) -> CompiledGraph {
         self.try_compile(graph).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`compile`](Engine::compile) wrapped in an [`Arc`](std::sync::Arc),
-    /// for sharing one compiled graph across threads — worker pools,
-    /// compile caches, anything that outlives a single borrow.
-    /// [`CompiledGraph`] is `Send + Sync`, so the clones are free and
-    /// every thread reads the same warmed artifacts.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use pchls_cdfg::benchmarks::hal;
-    /// use pchls_core::{Engine, SynthesisConstraints, SynthesisOptions};
-    /// use pchls_fulib::paper_library;
-    ///
-    /// let engine = Engine::new(paper_library());
-    /// let compiled = engine.compile_arc(&hal());
-    /// let opts = SynthesisOptions::default();
-    ///
-    /// // Two threads synthesize different points over ONE compile.
-    /// std::thread::scope(|s| {
-    ///     for latency in [17u32, 10] {
-    ///         let compiled = std::sync::Arc::clone(&compiled);
-    ///         let (engine, opts) = (&engine, &opts);
-    ///         s.spawn(move || {
-    ///             let session = engine.session(&compiled);
-    ///             let d = session
-    ///                 .synthesize(SynthesisConstraints::new(latency, 40.0), opts)
-    ///                 .expect("feasible");
-    ///             assert!(d.latency <= latency);
-    ///         });
-    ///     }
-    /// });
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// As [`compile`](Engine::compile): panics if the library does not
-    /// cover every operation kind in the graph.
-    #[must_use]
-    pub fn compile_arc(&self, graph: &Cdfg) -> std::sync::Arc<CompiledGraph> {
-        std::sync::Arc::new(self.compile(graph))
     }
 
     /// Runs the CDFG optimizer (CSE + dead-code elimination) first, then
@@ -273,10 +227,6 @@ pub struct CompiledGraph {
     seed_modules: Vec<ModuleId>,
     fastest_timing: TimingMap,
     min_area_timing: TimingMap,
-    asap_fastest: Schedule,
-    /// ALAP at the minimum latency, computed on first request (the
-    /// synthesis kernel never reads it).
-    alap_fastest: std::sync::OnceLock<Schedule>,
     min_latency: u32,
     asap_peak: f64,
     optimize_stats: Option<OptimizeStats>,
@@ -305,32 +255,10 @@ impl CompiledGraph {
         &self.seed_modules
     }
 
-    /// Per-operation timing under the fastest-module policy.
-    #[must_use]
-    pub fn fastest_timing(&self) -> &TimingMap {
-        &self.fastest_timing
-    }
-
     /// Per-operation timing under the min-area-module policy.
     #[must_use]
-    pub fn min_area_timing(&self) -> &TimingMap {
+    pub(crate) fn min_area_timing(&self) -> &TimingMap {
         &self.min_area_timing
-    }
-
-    /// The power-oblivious ASAP schedule skeleton under fastest modules.
-    #[must_use]
-    pub fn asap_schedule(&self) -> &Schedule {
-        &self.asap_fastest
-    }
-
-    /// The ALAP skeleton at the minimum achievable latency, computed on
-    /// first request and shared afterwards.
-    #[must_use]
-    pub fn alap_schedule(&self) -> &Schedule {
-        self.alap_fastest.get_or_init(|| {
-            alap(&self.graph, &self.fastest_timing, self.min_latency)
-                .expect("ALAP at the ASAP latency is always feasible")
-        })
     }
 
     /// The minimum achievable latency (fastest modules, no power bound):
@@ -380,18 +308,6 @@ pub struct Session<'e> {
 }
 
 impl<'e> Session<'e> {
-    /// The engine behind this session.
-    #[must_use]
-    pub fn engine(&self) -> &'e Engine {
-        self.engine
-    }
-
-    /// The compiled graph behind this session.
-    #[must_use]
-    pub fn compiled(&self) -> &'e CompiledGraph {
-        self.compiled
-    }
-
     /// Synthesizes one design under `constraints` — the paper's combined
     /// scheduling/allocation/binding loop, minus all per-graph setup.
     ///
@@ -597,7 +513,7 @@ impl<'e> Session<'e> {
     ///
     /// # Errors
     ///
-    /// As [`trimmed_allocation_bind`].
+    /// As `trimmed_allocation_bind`.
     pub fn trimmed_allocation(
         &self,
         constraints: SynthesisConstraints,
@@ -609,44 +525,6 @@ impl<'e> Session<'e> {
             constraints,
             policy,
         )
-    }
-
-    /// The force-directed scheduling baseline (Paulin & Knight) under
-    /// `policy`-selected modules, reusing the compiled transitive
-    /// closure ([`force_directed_with`]) instead of rebuilding it per
-    /// call like the free [`force_directed`] does.
-    ///
-    /// [`force_directed`]: pchls_sched::force_directed
-    /// [`force_directed_with`]: pchls_sched::force_directed_with
-    ///
-    /// # Errors
-    ///
-    /// [`SynthesisError::Schedule`] when the critical path misses
-    /// `latency`.
-    pub fn force_directed(
-        &self,
-        latency: u32,
-        policy: SelectionPolicy,
-    ) -> Result<Schedule, SynthesisError> {
-        let graph = self.compiled.graph();
-        let library = self.engine.library();
-        let modules: Vec<ModuleId> = graph
-            .nodes()
-            .iter()
-            .map(|n| {
-                library
-                    .select(n.kind(), policy)
-                    .expect("coverage checked at compile")
-            })
-            .collect();
-        pchls_sched::force_directed_with(
-            graph,
-            library,
-            &modules,
-            latency,
-            self.compiled.reachability(),
-        )
-        .map_err(SynthesisError::Schedule)
     }
 }
 
@@ -709,12 +587,6 @@ impl SweepSpec {
     #[must_use]
     pub fn power(latency: u32, powers: Vec<f64>) -> SweepSpec {
         SweepSpec::Power { latency, powers }
-    }
-
-    /// A latency sweep at fixed `power`.
-    #[must_use]
-    pub fn latency(power: f64, latencies: Vec<u32>) -> SweepSpec {
-        SweepSpec::Latency { power, latencies }
     }
 
     /// An envelope-scale sweep at fixed `latency`: point `i` runs under
@@ -830,12 +702,6 @@ pub struct SynthesisResult {
 }
 
 impl SynthesisResult {
-    /// Whether the point was feasible.
-    #[must_use]
-    pub fn is_feasible(&self) -> bool {
-        self.outcome.is_ok()
-    }
-
     /// Summarizes the outcome as a serializable [`SweepPoint`]
     /// (`benchmark` labels the row — typically
     /// [`CompiledGraph::name`]).
@@ -881,7 +747,7 @@ mod tests {
         assert_send_sync::<std::sync::Arc<CompiledGraph>>();
 
         let engine = Engine::new(paper_library());
-        let compiled = engine.compile_arc(&benchmarks::hal());
+        let compiled = std::sync::Arc::new(engine.compile(&benchmarks::hal()));
         let opts = SynthesisOptions::default();
         let single = engine
             .session(&compiled)
@@ -947,16 +813,15 @@ mod tests {
     fn compiled_skeletons_are_consistent() {
         let engine = Engine::new(paper_library());
         let compiled = engine.compile(&benchmarks::cosine());
+        let fastest =
+            TimingMap::from_policy(compiled.graph(), engine.library(), SelectionPolicy::Fastest);
+        let skeleton = asap(compiled.graph(), &fastest);
+        assert_eq!(compiled.min_latency(), skeleton.latency(&fastest));
         assert_eq!(
-            compiled.min_latency(),
-            compiled.asap_schedule().latency(compiled.fastest_timing())
+            compiled.asap_peak_power(),
+            PowerProfile::of(&skeleton, &fastest).peak()
         );
-        assert!(compiled.asap_peak_power() > 0.0);
         assert!(compiled.optimize_stats().is_none());
-        // The ALAP skeleton respects the same deadline.
-        assert!(
-            compiled.alap_schedule().latency(compiled.fastest_timing()) <= compiled.min_latency()
-        );
     }
 
     #[test]
@@ -1019,31 +884,6 @@ mod tests {
     }
 
     #[test]
-    fn session_force_directed_matches_free_function() {
-        let g = benchmarks::cosine();
-        let lib = paper_library();
-        let engine = Engine::new(lib.clone());
-        let compiled = engine.compile(&g);
-        let session = engine.session(&compiled);
-        let latency = compiled.min_latency() + 4;
-        let via_session = session
-            .force_directed(latency, SelectionPolicy::Fastest)
-            .unwrap();
-        let modules: Vec<_> = g
-            .nodes()
-            .iter()
-            .map(|n| lib.select(n.kind(), SelectionPolicy::Fastest).unwrap())
-            .collect();
-        let via_free = pchls_sched::force_directed(&g, &lib, &modules, latency).unwrap();
-        assert_eq!(via_session, via_free, "shared closure changed the schedule");
-        // An impossible deadline surfaces as a typed schedule error.
-        assert!(matches!(
-            session.force_directed(1, SelectionPolicy::Fastest),
-            Err(SynthesisError::Schedule(_))
-        ));
-    }
-
-    #[test]
     fn session_auto_grid_matches_free_function() {
         let g = benchmarks::hal();
         let engine = Engine::new(paper_library());
@@ -1072,7 +912,10 @@ mod tests {
             },
             SweepJob {
                 compiled: &cosine,
-                spec: SweepSpec::latency(30.0, vec![10, 12, 15, 19]),
+                spec: SweepSpec::Latency {
+                    power: 30.0,
+                    latencies: vec![10, 12, 15, 19],
+                },
             },
         ];
         let batched = engine.sweep_batch(&jobs, &opts);

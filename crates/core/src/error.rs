@@ -33,8 +33,7 @@ pub enum SynthesisError {
     /// A decision-scoring weight
     /// ([`SynthesisOptions::weights`](crate::SynthesisOptions::weights))
     /// is NaN, infinite, or larger in magnitude than
-    /// [`MAX_WEIGHT`](crate::MAX_WEIGHT), so candidate scores could not be
-    /// ranked.
+    /// `1e100`, so candidate scores could not be ranked.
     InvalidWeight {
         /// The offending [`CostWeights`](pchls_bind::CostWeights) field.
         field: &'static str,
@@ -59,7 +58,7 @@ impl fmt::Display for SynthesisError {
                 write!(
                     f,
                     "cost weight `{field}` must be finite and at most {:e} in magnitude, got {value}",
-                    crate::MAX_WEIGHT
+                    crate::options::MAX_WEIGHT
                 )
             }
         }

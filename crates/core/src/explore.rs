@@ -96,7 +96,7 @@ pub fn power_sweep_serial(
 /// Each point reports the best design found at any latency `≤ T` — a
 /// design meeting a tighter deadline meets every looser one. The serial
 /// reference for [`Session::sweep`](crate::Session::sweep) with
-/// [`SweepSpec::latency`](crate::SweepSpec::latency).
+/// [`SweepSpec::Latency`](crate::SweepSpec::Latency).
 #[must_use]
 pub fn latency_sweep_serial(
     graph: &Cdfg,
@@ -270,7 +270,10 @@ mod tests {
         session_sweep(
             graph,
             library,
-            &SweepSpec::latency(power, latencies.to_vec()),
+            &SweepSpec::Latency {
+                power,
+                latencies: latencies.to_vec(),
+            },
             options,
         )
     }

@@ -51,6 +51,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod area;
 mod baseline;
@@ -65,7 +66,7 @@ mod synthesis;
 mod topk;
 
 pub use area::{area_breakdown, AreaBreakdown, AreaModel};
-pub use baseline::{trimmed_allocation_bind, two_step_bind, unconstrained_bind, BaselineDesign};
+pub use baseline::{two_step_bind, unconstrained_bind, BaselineDesign};
 pub use constraints::{SynthesisConstraints, MAX_LATENCY};
 pub use design::{SynthesisStats, SynthesizedDesign};
 pub use engine::{
@@ -76,6 +77,6 @@ pub use error::SynthesisError;
 pub use explore::{
     auto_power_grid, latency_sweep_serial, pareto_front, power_sweep_serial, SweepPoint,
 };
-pub use options::{SynthesisOptions, SynthesisOptionsBuilder, MAX_WEIGHT};
+pub use options::{SynthesisOptions, SynthesisOptionsBuilder};
 pub use pchls_sched::PowerBudget;
 pub use topk::TopK;

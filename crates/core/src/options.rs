@@ -9,7 +9,7 @@ use crate::error::SynthesisError;
 /// that no score or score bound — a few weights times `u32`-sized areas,
 /// connection counts and cycle counts, summed — can overflow to an
 /// infinity or NaN.
-pub const MAX_WEIGHT: f64 = 1e100;
+pub(crate) const MAX_WEIGHT: f64 = 1e100;
 
 /// Options controlling the greedy synthesis loop.
 ///
@@ -19,7 +19,7 @@ pub const MAX_WEIGHT: f64 = 1e100;
 ///
 /// The struct is `#[non_exhaustive]` so future knobs can be added
 /// without breaking callers: construct it with
-/// [`SynthesisOptions::default`], [`SynthesisOptions::paper`] or the
+/// [`SynthesisOptions::default`] or the
 /// [`builder`](SynthesisOptions::builder):
 ///
 /// ```
@@ -80,12 +80,6 @@ impl SynthesisOptions {
         Ok(())
     }
 
-    /// The paper's configuration (same as `Default`).
-    #[must_use]
-    pub fn paper() -> SynthesisOptions {
-        SynthesisOptions::default()
-    }
-
     /// A builder starting from the paper defaults.
     pub fn builder() -> SynthesisOptionsBuilder {
         SynthesisOptionsBuilder {
@@ -143,7 +137,6 @@ mod tests {
     fn defaults_enable_everything() {
         let o = SynthesisOptions::default();
         assert!(o.backtracking && o.module_selection && o.interconnect_scoring);
-        assert_eq!(o, SynthesisOptions::paper());
     }
 
     #[test]

@@ -4,8 +4,8 @@ use pchls_bind::{Binding, InstanceId};
 use pchls_cdfg::{Cdfg, NodeId, NodeSet, OpKind, Reachability};
 use pchls_fulib::{ModuleId, ModuleLibrary};
 use pchls_sched::{
-    palap_locked_budget, pasap_locked_budget, LockedStarts, OpTiming, PowerLedger, Schedule,
-    ScheduleError, TimingMap,
+    palap_locked, pasap_locked, LockedStarts, OpTiming, PowerLedger, Schedule, ScheduleError,
+    TimingMap,
 };
 
 use std::ops::ControlFlow;
@@ -152,7 +152,7 @@ fn greedy(
     // incrementally: candidate attempts reserve on apply and restore a
     // bit-exact snapshot on undo, instead of rebuilding the ledger from
     // the whole locked set every iteration.
-    let mut ledger = PowerLedger::with_budget(constraints.latency, &budget);
+    let mut ledger = PowerLedger::under(constraints.latency, &budget);
 
     // Power-feasible early starts under the current commitments. A
     // commitment that locks operations exactly at their provisional
@@ -163,7 +163,7 @@ fn greedy(
     // operation or changed its module timing — the "dirty" commits.
     let mut provisional = {
         let _span = pchls_obs::span!("fds.refit");
-        pasap_locked_budget(graph, &timing, &budget, constraints.latency, &locked)
+        pasap_locked(graph, &timing, &budget, constraints.latency, &locked)
             .map_err(|cause| SynthesisError::Infeasible { cause })?
     };
     let mut dirty = false;
@@ -184,9 +184,8 @@ fn greedy(
         }
         if dirty {
             let _span = pchls_obs::span!("fds.refit");
-            provisional =
-                pasap_locked_budget(graph, &timing, &budget, constraints.latency, &locked)
-                    .map_err(|cause| SynthesisError::Infeasible { cause })?;
+            provisional = pasap_locked(graph, &timing, &budget, constraints.latency, &locked)
+                .map_err(|cause| SynthesisError::Infeasible { cause })?;
             dirty = false;
         }
         // The soft deadlines must track every lock, so the reversed
@@ -196,7 +195,7 @@ fn greedy(
         // — borrowed, not cloned.
         let palap = {
             let _span = pchls_obs::span!("fds.palap");
-            palap_locked_budget(graph, &timing, &budget, constraints.latency, &locked).ok()
+            palap_locked(graph, &timing, &budget, constraints.latency, &locked).ok()
         };
         let late = palap.as_ref().unwrap_or(&provisional);
 
@@ -284,7 +283,7 @@ fn greedy(
     // All operations bound and locked: the locked schedule is final.
     let final_schedule = if dirty {
         let _span = pchls_obs::span!("fds.refit");
-        pasap_locked_budget(graph, &timing, &budget, constraints.latency, &locked)
+        pasap_locked(graph, &timing, &budget, constraints.latency, &locked)
             .map_err(SynthesisError::Schedule)?
     } else {
         provisional
@@ -358,8 +357,8 @@ fn run_attempts<'d>(
         // the provisional schedule — it is feasible by construction
         // and the expensive re-schedule is skipped.
         let clean = is_clean(cand, &saved, provisional);
-        let feasible = clean
-            || pasap_locked_budget(graph, timing, budget, constraints.latency, locked).is_ok();
+        let feasible =
+            clean || pasap_locked(graph, timing, budget, constraints.latency, locked).is_ok();
         if feasible {
             unbound.remove(cand.op);
             *unbound_count -= 1;
@@ -469,7 +468,7 @@ fn locked_ledger(
     latency: u32,
     budget: &pchls_sched::PowerBudget,
 ) -> Result<PowerLedger, SynthesisError> {
-    let mut ledger = PowerLedger::with_budget(latency, budget);
+    let mut ledger = PowerLedger::under(latency, budget);
     for id in graph.node_ids() {
         if let Some(s) = locked.get(id) {
             let t = timing.of(id);
@@ -1233,7 +1232,7 @@ fn bootstrap(
 
     let peak_power = constraints.max_power();
     loop {
-        let err = match pchls_sched::pasap_budget(graph, &timing, budget, constraints.latency) {
+        let err = match pchls_sched::pasap(graph, &timing, budget, constraints.latency) {
             Ok(_) => return Ok((timing, modules)),
             Err(e) => e,
         };

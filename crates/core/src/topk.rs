@@ -57,18 +57,6 @@ impl<T: Copy> TopK<T> {
         }
     }
 
-    /// Number of items currently kept.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no items are kept.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Drops every kept item, retaining the buffer. Call between uses —
     /// required after [`TopK::sorted`], which leaves the buffer sorted
     /// rather than heap-ordered.
@@ -94,7 +82,7 @@ impl<T: Copy> TopK<T> {
     /// still room. Only meaningful between [`TopK::clear`] and
     /// [`TopK::sorted`].
     #[must_use]
-    pub fn worst(&self) -> Option<&T> {
+    pub(crate) fn worst(&self) -> Option<&T> {
         (self.heap.len() == self.cap).then(|| &self.heap[0])
     }
 
@@ -166,12 +154,12 @@ mod tests {
         top.push(1, u32::cmp);
         assert_eq!(top.sorted(u32::cmp), &[1, 3]);
         top.clear();
-        assert!(top.is_empty());
+        assert!(top.heap.is_empty());
         for x in [10u32, 7, 9] {
             top.push(x, u32::cmp);
         }
         assert_eq!(top.sorted(u32::cmp), &[7, 9]);
-        assert_eq!(top.len(), 2);
+        assert_eq!(top.heap.len(), 2);
     }
 
     #[test]

@@ -33,15 +33,12 @@ impl fmt::Display for ModuleId {
 pub enum LibraryError {
     /// Two modules share a name.
     DuplicateModule(String),
-    /// No module in the library implements the given operation.
-    Uncovered(OpKind),
 }
 
 impl fmt::Display for LibraryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LibraryError::DuplicateModule(n) => write!(f, "duplicate module name `{n}`"),
-            LibraryError::Uncovered(k) => write!(f, "no module implements `{k}`"),
         }
     }
 }
@@ -148,23 +145,6 @@ impl ModuleLibrary {
         self.candidates(kind).next().is_some()
     }
 
-    /// Checks that every kind in `kinds` is implemented by some module.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LibraryError::Uncovered`] naming the first missing kind.
-    pub fn check_coverage(
-        &self,
-        kinds: impl IntoIterator<Item = OpKind>,
-    ) -> Result<(), LibraryError> {
-        for k in kinds {
-            if !self.covers(k) {
-                return Err(LibraryError::Uncovered(k));
-            }
-        }
-        Ok(())
-    }
-
     /// Selects the preferred module for `kind` under `policy`, or `None`
     /// if nothing implements it. Ties break toward earlier declaration.
     #[must_use]
@@ -175,42 +155,6 @@ impl ModuleLibrary {
                 .partial_cmp(&policy.key(self.module(b)))
                 .expect("module metrics are finite")
         })
-    }
-
-    /// The fastest latency available for `kind`, if covered.
-    #[must_use]
-    pub fn fastest_latency(&self, kind: OpKind) -> Option<u32> {
-        self.candidates(kind)
-            .map(|id| self.module(id).latency())
-            .min()
-    }
-
-    /// Modules for `kind` that are pareto-optimal in
-    /// (area, latency, power): no other candidate is at least as good in
-    /// all three metrics and strictly better in one.
-    #[must_use]
-    pub fn pareto_candidates(&self, kind: OpKind) -> Vec<ModuleId> {
-        let cands: Vec<ModuleId> = self.candidates(kind).collect();
-        cands
-            .iter()
-            .copied()
-            .filter(|&a| {
-                let ma = self.module(a);
-                !cands.iter().any(|&b| {
-                    if a == b {
-                        return false;
-                    }
-                    let mb = self.module(b);
-                    let no_worse = mb.area() <= ma.area()
-                        && mb.latency() <= ma.latency()
-                        && mb.power() <= ma.power();
-                    let better = mb.area() < ma.area()
-                        || mb.latency() < ma.latency()
-                        || mb.power() < ma.power();
-                    no_worse && better
-                })
-            })
-            .collect()
     }
 }
 
@@ -253,35 +197,9 @@ mod tests {
     #[test]
     fn coverage_check() {
         let l = lib();
-        assert!(l.check_coverage(OpKind::ALL).is_ok());
+        assert!(OpKind::ALL.into_iter().all(|k| l.covers(k)));
         let partial = ModuleLibrary::new([ModuleSpec::new("a", [OpKind::Add], 1, 1, 1.0)]).unwrap();
-        assert_eq!(
-            partial.check_coverage([OpKind::Add, OpKind::Mul]),
-            Err(LibraryError::Uncovered(OpKind::Mul))
-        );
-    }
-
-    #[test]
-    fn fastest_latency_for_mul_is_parallel() {
-        assert_eq!(lib().fastest_latency(OpKind::Mul), Some(2));
-        assert_eq!(lib().fastest_latency(OpKind::Add), Some(1));
-    }
-
-    #[test]
-    fn pareto_multiplier_keeps_both() {
-        // Serial mult: smaller+lower power; parallel: faster. Both pareto.
-        let l = lib();
-        let p = l.pareto_candidates(OpKind::Mul);
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn pareto_add_prefers_dedicated_adder() {
-        // add (87) dominates ALU (97) for pure additions: same latency and
-        // power, smaller area.
-        let l = lib();
-        let p = l.pareto_candidates(OpKind::Add);
-        assert_eq!(p.len(), 1);
-        assert_eq!(l.module(p[0]).name(), "add");
+        assert!(partial.covers(OpKind::Add));
+        assert!(!partial.covers(OpKind::Mul));
     }
 }

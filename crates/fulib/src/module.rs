@@ -21,8 +21,6 @@ pub struct ModuleSpec {
     area: u32,
     latency: u32,
     power: f64,
-    #[serde(default)]
-    idle_power: f64,
 }
 
 impl ModuleSpec {
@@ -54,33 +52,7 @@ impl ModuleSpec {
             area,
             latency,
             power,
-            idle_power: 0.0,
         }
-    }
-
-    /// Returns the module with a static (idle) power draw — consumed in
-    /// every cycle the unit exists but executes nothing. The paper's
-    /// model is idle-free (Table 1 has no idle column); this supports the
-    /// leakage-aware extension experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idle_power` is negative or non-finite.
-    #[must_use]
-    pub fn with_idle_power(mut self, idle_power: f64) -> ModuleSpec {
-        assert!(
-            idle_power.is_finite() && idle_power >= 0.0,
-            "idle power must be finite and non-negative"
-        );
-        self.idle_power = idle_power;
-        self
-    }
-
-    /// Power drawn in each cycle the module is instantiated but idle
-    /// (0 in the paper's model).
-    #[must_use]
-    pub fn idle_power(&self) -> f64 {
-        self.idle_power
     }
 
     /// The module's name, unique within a library (e.g. `"mult_ser"`).
@@ -99,11 +71,6 @@ impl ModuleSpec {
     #[must_use]
     pub fn implements(&self, kind: OpKind) -> bool {
         self.ops.contains(&kind)
-    }
-
-    /// Whether the module can execute every kind in `kinds`.
-    pub fn implements_all(&self, kinds: impl IntoIterator<Item = OpKind>) -> bool {
-        kinds.into_iter().all(|k| self.implements(k))
     }
 
     /// Silicon area in the paper's (unit-less) area units.
@@ -126,7 +93,7 @@ impl ModuleSpec {
 
     /// Total energy of one execution (`power × latency`).
     #[must_use]
-    pub fn energy(&self) -> f64 {
+    pub(crate) fn energy(&self) -> f64 {
         self.power * f64::from(self.latency)
     }
 }
@@ -151,30 +118,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn idle_power_defaults_to_zero_and_is_settable() {
-        let m = ModuleSpec::new("m", [OpKind::Add], 87, 1, 2.5);
-        assert_eq!(m.idle_power(), 0.0);
-        let m = m.with_idle_power(0.3);
-        assert!((m.idle_power() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "idle power")]
-    fn negative_idle_power_rejected() {
-        let _ = ModuleSpec::new("m", [OpKind::Add], 87, 1, 2.5).with_idle_power(-1.0);
-    }
-
-    #[test]
     fn energy_is_power_times_latency() {
         let m = ModuleSpec::new("m", [OpKind::Mul], 103, 4, 2.7);
         assert!((m.energy() - 10.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn implements_all_requires_every_kind() {
-        let alu = ModuleSpec::new("alu", [OpKind::Add, OpKind::Sub, OpKind::Comp], 97, 1, 2.5);
-        assert!(alu.implements_all([OpKind::Add, OpKind::Comp]));
-        assert!(!alu.implements_all([OpKind::Add, OpKind::Mul]));
     }
 
     #[test]

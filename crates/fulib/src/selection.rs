@@ -26,7 +26,7 @@ pub enum SelectionPolicy {
 impl SelectionPolicy {
     /// A sortable key: smaller is preferred under this policy.
     #[must_use]
-    pub fn key(self, m: &ModuleSpec) -> (f64, f64) {
+    pub(crate) fn key(self, m: &ModuleSpec) -> (f64, f64) {
         match self {
             SelectionPolicy::Fastest => (f64::from(m.latency()), f64::from(m.area())),
             SelectionPolicy::MinArea => (f64::from(m.area()), f64::from(m.latency())),

@@ -60,12 +60,6 @@ impl LineCodec {
         }
     }
 
-    /// The configured per-line cap.
-    #[must_use]
-    pub fn max_line(&self) -> usize {
-        self.max_line
-    }
-
     /// Feeds a chunk of received bytes. Split points are arbitrary —
     /// a line may arrive one byte at a time or many lines in one chunk.
     pub fn push(&mut self, mut chunk: &[u8]) {
@@ -120,11 +114,6 @@ impl LineCodec {
     #[must_use]
     pub fn partial(&self) -> &[u8] {
         &self.buf
-    }
-
-    /// Takes the unterminated tail, leaving the codec empty.
-    pub fn take_partial(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
     }
 }
 
@@ -262,8 +251,6 @@ mod tests {
         codec.push(b"complete\nunfinished");
         assert_eq!(codec.next_frame(), Some(Ok(b"complete".to_vec())));
         assert_eq!(codec.partial(), b"unfinished");
-        assert_eq!(codec.take_partial(), b"unfinished".to_vec());
-        assert!(codec.partial().is_empty());
     }
 
     /// A sink that accepts at most `cap` bytes per write and applies

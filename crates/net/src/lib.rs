@@ -4,15 +4,15 @@
 //! tokio, and no libc crate to lean on. This crate builds the whole
 //! stack from raw Linux syscalls up:
 //!
-//! - [`sys`]: inline-asm syscall shims (the only `unsafe` in the
+//! - `sys`: inline-asm syscall shims (the only `unsafe` in the
 //!   crate) — epoll, ppoll, pipe2, read/write/close with errno
 //!   mapping.
-//! - [`Poller`]: level-triggered readiness over epoll, with a
+//! - `Poller`: level-triggered readiness over epoll, with a
 //!   poll(2)-family fallback backend that doubles as a differential
 //!   test oracle.
-//! - [`Waker`] / [`wake_pair`]: cross-thread wakeup over a
+//! - [`Waker`]: cross-thread wakeup over a
 //!   nonblocking pipe, coalescing.
-//! - [`TimerWheel`]: hashed wheel for request deadlines — O(1)
+//! - `TimerWheel`: hashed wheel for request deadlines — O(1)
 //!   insert/cancel, lazy expiry.
 //! - [`LineCodec`] / [`WriteBuffer`]: bounded line framing for the
 //!   JSON-lines protocol and cursor-tracked outbound buffering.
@@ -24,9 +24,10 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 #[allow(unsafe_code)]
-pub mod sys;
+mod sys;
 
 mod framing;
 mod poller;
@@ -35,7 +36,7 @@ mod timer;
 mod wake;
 
 pub use framing::{Frame, FrameError, LineCodec, WriteBuffer};
-pub use poller::{Backend, Event, Interest, Poller, Token};
-pub use reactor::{Reactor, WAKE_TOKEN};
-pub use timer::{TimerId, TimerWheel};
-pub use wake::{wake_pair, WakeReader, Waker};
+pub use poller::{Backend, Event, Interest, Token};
+pub use reactor::Reactor;
+pub use timer::TimerId;
+pub use wake::Waker;

@@ -34,16 +34,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Write-only interest.
-    pub const WRITABLE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
-    /// Both directions.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 
     fn event_mask(self) -> u32 {
         let mut mask = sys::EV_RDHUP;
@@ -84,7 +74,7 @@ impl Event {
     }
 }
 
-/// Which kernel facility backs a [`Poller`].
+/// Which kernel facility backs a `Poller`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// epoll if available, ppoll otherwise (the default).
@@ -112,7 +102,7 @@ enum Inner {
 
 /// A readiness selector over raw descriptors (see module docs).
 #[derive(Debug)]
-pub struct Poller {
+pub(crate) struct Poller {
     inner: Inner,
 }
 
@@ -123,7 +113,7 @@ impl Poller {
     ///
     /// `Backend::Epoll` when the kernel refuses `epoll_create1`;
     /// `Auto` falls back to ppoll instead of failing.
-    pub fn new(backend: Backend) -> io::Result<Poller> {
+    pub(crate) fn new(backend: Backend) -> io::Result<Poller> {
         let inner = match backend {
             Backend::Poll => Inner::poll(),
             Backend::Epoll => Inner::epoll()?,
@@ -132,19 +122,10 @@ impl Poller {
         Ok(Poller { inner })
     }
 
-    /// Which backend this poller runs on (for logs and tests).
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        match self.inner {
-            Inner::Epoll { .. } => Backend::Epoll,
-            Inner::Poll { .. } => Backend::Poll,
-        }
-    }
-
     /// Registers `fd` under `token` with `interest`. One registration
     /// per descriptor; re-registering an fd is a caller bug surfaced as
     /// `EEXIST` on epoll (the poll backend mirrors that check).
-    pub fn register(&mut self, fd: i32, token: Token, interest: Interest) -> io::Result<()> {
+    pub(crate) fn register(&mut self, fd: i32, token: Token, interest: Interest) -> io::Result<()> {
         match &mut self.inner {
             Inner::Epoll { epfd, registered } => {
                 let mut ev = sys::EpollEvent {
@@ -171,7 +152,7 @@ impl Poller {
     }
 
     /// Changes the interest (and token) of a registered descriptor.
-    pub fn modify(&mut self, fd: i32, token: Token, interest: Interest) -> io::Result<()> {
+    pub(crate) fn modify(&mut self, fd: i32, token: Token, interest: Interest) -> io::Result<()> {
         match &mut self.inner {
             Inner::Epoll { epfd, .. } => {
                 let mut ev = sys::EpollEvent {
@@ -194,7 +175,7 @@ impl Poller {
 
     /// Removes a registration. Safe to call for an fd that was already
     /// closed (the error is swallowed — the kernel dropped it for us).
-    pub fn deregister(&mut self, fd: i32) {
+    pub(crate) fn deregister(&mut self, fd: i32) {
         match &mut self.inner {
             Inner::Epoll { epfd, registered } => {
                 let mut ev = sys::EpollEvent { events: 0, data: 0 };
@@ -216,7 +197,11 @@ impl Poller {
     /// interrupts (retried internally). `None` blocks indefinitely.
     ///
     /// Ready events are appended to `events` (cleared first).
-    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn wait(
+        &mut self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<()> {
         events.clear();
         let timeout_ms: i32 = match timeout {
             None => -1,
@@ -295,7 +280,10 @@ mod tests {
     fn both_backends_report_readability_identically() {
         for backend in backends() {
             let mut poller = Poller::new(backend).unwrap();
-            assert_eq!(poller.backend(), backend);
+            assert!(matches!(
+                (&poller.inner, backend),
+                (Inner::Epoll { .. }, Backend::Epoll) | (Inner::Poll { .. }, Backend::Poll)
+            ));
             let (r, w) = pipe2_nonblocking().unwrap();
             let (r, w) = (OwnedSysFd(r), OwnedSysFd(w));
             poller.register(r.0, Token(7), Interest::READABLE).unwrap();
@@ -322,7 +310,11 @@ mod tests {
             let mut poller = Poller::new(backend).unwrap();
             let (r, w) = pipe2_nonblocking().unwrap();
             let (_r, w) = (OwnedSysFd(r), OwnedSysFd(w));
-            poller.register(w.0, Token(3), Interest::WRITABLE).unwrap();
+            let write_only = Interest {
+                readable: false,
+                writable: true,
+            };
+            poller.register(w.0, Token(3), write_only).unwrap();
             let mut events = Vec::new();
             poller
                 .wait(&mut events, Some(Duration::from_secs(1)))

@@ -33,7 +33,7 @@ use crate::wake::{wake_pair, WakeReader, Waker};
 
 /// Token reserved for the internal wakeup pipe. Never appears in the
 /// events handed to the caller.
-pub const WAKE_TOKEN: Token = Token(usize::MAX);
+pub(crate) const WAKE_TOKEN: Token = Token(usize::MAX);
 
 /// Timer granularity: fine enough for millisecond-scale deadlines,
 /// coarse enough that bucket scans stay trivial.
@@ -63,19 +63,13 @@ impl Reactor {
         })
     }
 
-    /// Which backend the underlying poller selected.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        self.poller.backend()
-    }
-
     /// A cloneable handle other threads use to interrupt `poll`.
     #[must_use]
     pub fn waker(&self) -> Waker {
         self.waker.clone()
     }
 
-    /// Registers a descriptor. `token` must not be [`WAKE_TOKEN`].
+    /// Registers a descriptor. `token` must not be `WAKE_TOKEN`.
     pub fn register(&mut self, fd: i32, token: Token, interest: Interest) -> io::Result<()> {
         assert_ne!(token, WAKE_TOKEN, "WAKE_TOKEN is reserved");
         self.poller.register(fd, token, interest)
@@ -100,12 +94,6 @@ impl Reactor {
     /// Cancels a pending timer; `None` if it already fired.
     pub fn cancel_timer(&mut self, id: TimerId) -> Option<Token> {
         self.timers.cancel(id)
-    }
-
-    /// Number of armed timers.
-    #[must_use]
-    pub fn pending_timers(&self) -> usize {
-        self.timers.len()
     }
 
     /// Waits for readiness, a wake, or the next timer deadline.
@@ -211,7 +199,6 @@ mod tests {
             let mut reactor = Reactor::new(backend).unwrap();
             let id = reactor.arm_timer(Instant::now() + Duration::from_millis(10), Token(1));
             assert_eq!(reactor.cancel_timer(id), Some(Token(1)));
-            assert_eq!(reactor.pending_timers(), 0);
             std::thread::sleep(Duration::from_millis(20));
             // With no timers and no I/O, poll would block forever — a
             // pending wake makes it return immediately.

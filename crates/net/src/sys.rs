@@ -30,7 +30,7 @@ use std::io;
 /// to the kernel's `struct pollfd` on every Linux architecture.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-pub struct PollFd {
+pub(crate) struct PollFd {
     /// File descriptor to watch (negative entries are ignored by the
     /// kernel, which the poll backend uses for tombstones).
     pub fd: i32,
@@ -45,7 +45,7 @@ pub struct PollFd {
 #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
 #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Debug, Clone, Copy)]
-pub struct EpollEvent {
+pub(crate) struct EpollEvent {
     /// Readiness mask (`EPOLLIN` / `EPOLLOUT` / `EPOLLERR` / …).
     pub events: u32,
     /// Caller-chosen cookie echoed back on readiness (the token).
@@ -53,24 +53,24 @@ pub struct EpollEvent {
 }
 
 /// Readable (`poll`/`epoll` share the value).
-pub const EV_IN: u32 = 0x001;
+pub(crate) const EV_IN: u32 = 0x001;
 /// Writable.
-pub const EV_OUT: u32 = 0x004;
+pub(crate) const EV_OUT: u32 = 0x004;
 /// Error condition.
-pub const EV_ERR: u32 = 0x008;
+pub(crate) const EV_ERR: u32 = 0x008;
 /// Hangup (peer closed).
-pub const EV_HUP: u32 = 0x010;
+pub(crate) const EV_HUP: u32 = 0x010;
 /// Peer shut down its write half (half-close visibility).
-pub const EV_RDHUP: u32 = 0x2000;
+pub(crate) const EV_RDHUP: u32 = 0x2000;
 /// `pollfd.fd` was not an open descriptor (poll backend only).
-pub const EV_NVAL: u32 = 0x020;
+pub(crate) const EV_NVAL: u32 = 0x020;
 
 /// `epoll_ctl` op: add a new descriptor.
-pub const EPOLL_CTL_ADD: usize = 1;
+pub(crate) const EPOLL_CTL_ADD: usize = 1;
 /// `epoll_ctl` op: remove a descriptor.
-pub const EPOLL_CTL_DEL: usize = 2;
+pub(crate) const EPOLL_CTL_DEL: usize = 2;
 /// `epoll_ctl` op: change a registered descriptor's mask.
-pub const EPOLL_CTL_MOD: usize = 3;
+pub(crate) const EPOLL_CTL_MOD: usize = 3;
 
 const O_NONBLOCK: usize = 0o4000;
 const O_CLOEXEC: usize = 0o2000000;
@@ -87,26 +87,26 @@ struct Timespec {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod nr {
-    pub const READ: usize = 0;
-    pub const WRITE: usize = 1;
-    pub const CLOSE: usize = 3;
-    pub const PPOLL: usize = 271;
-    pub const EPOLL_CTL: usize = 233;
-    pub const EPOLL_PWAIT: usize = 281;
-    pub const EPOLL_CREATE1: usize = 291;
-    pub const PIPE2: usize = 293;
+    pub(super) const READ: usize = 0;
+    pub(super) const WRITE: usize = 1;
+    pub(super) const CLOSE: usize = 3;
+    pub(super) const PPOLL: usize = 271;
+    pub(super) const EPOLL_CTL: usize = 233;
+    pub(super) const EPOLL_PWAIT: usize = 281;
+    pub(super) const EPOLL_CREATE1: usize = 291;
+    pub(super) const PIPE2: usize = 293;
 }
 
 #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
 mod nr {
-    pub const READ: usize = 63;
-    pub const WRITE: usize = 64;
-    pub const CLOSE: usize = 57;
-    pub const PPOLL: usize = 73;
-    pub const EPOLL_CTL: usize = 21;
-    pub const EPOLL_PWAIT: usize = 22;
-    pub const EPOLL_CREATE1: usize = 20;
-    pub const PIPE2: usize = 59;
+    pub(crate) const READ: usize = 63;
+    pub(crate) const WRITE: usize = 64;
+    pub(crate) const CLOSE: usize = 57;
+    pub(crate) const PPOLL: usize = 73;
+    pub(crate) const EPOLL_CTL: usize = 21;
+    pub(crate) const EPOLL_PWAIT: usize = 22;
+    pub(crate) const EPOLL_CREATE1: usize = 20;
+    pub(crate) const PIPE2: usize = 59;
 }
 
 #[cfg(not(all(
@@ -190,17 +190,17 @@ fn check(ret: isize) -> io::Result<usize> {
 
 /// `EAGAIN`/`EWOULDBLOCK`: the one errno the reactor treats as a state,
 /// not a failure.
-pub fn is_would_block(err: &io::Error) -> bool {
+pub(crate) fn is_would_block(err: &io::Error) -> bool {
     err.kind() == io::ErrorKind::WouldBlock
 }
 
 /// Whether the errno is `EINTR` (retry the call).
-pub fn is_interrupted(err: &io::Error) -> bool {
+pub(crate) fn is_interrupted(err: &io::Error) -> bool {
     err.kind() == io::ErrorKind::Interrupted
 }
 
 /// `epoll_create1(EPOLL_CLOEXEC)` → the epoll instance fd.
-pub fn epoll_create1() -> io::Result<i32> {
+pub(crate) fn epoll_create1() -> io::Result<i32> {
     // SAFETY: no pointers involved.
     let ret = unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) };
     check(ret).map(|fd| fd as i32)
@@ -208,7 +208,7 @@ pub fn epoll_create1() -> io::Result<i32> {
 
 /// `epoll_ctl(epfd, op, fd, &event)`. `event` is ignored by the kernel
 /// for `EPOLL_CTL_DEL` but passed anyway (pre-2.6.9 compatibility).
-pub fn epoll_ctl(epfd: i32, op: usize, fd: i32, event: &mut EpollEvent) -> io::Result<()> {
+pub(crate) fn epoll_ctl(epfd: i32, op: usize, fd: i32, event: &mut EpollEvent) -> io::Result<()> {
     // SAFETY: `event` is a live, exclusively-borrowed EpollEvent with
     // the kernel's expected layout; the kernel only reads it.
     let ret = unsafe {
@@ -227,7 +227,11 @@ pub fn epoll_ctl(epfd: i32, op: usize, fd: i32, event: &mut EpollEvent) -> io::R
 
 /// `epoll_pwait(epfd, events, …, timeout_ms, NULL)` → number of ready
 /// events written into `events`. `timeout_ms < 0` blocks indefinitely.
-pub fn epoll_wait(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+pub(crate) fn epoll_wait(
+    epfd: i32,
+    events: &mut [EpollEvent],
+    timeout_ms: i32,
+) -> io::Result<usize> {
     // SAFETY: `events` is a live mutable slice; the kernel writes at
     // most `events.len()` records into it. The sigmask pointer is null,
     // so the final size argument is ignored.
@@ -247,7 +251,7 @@ pub fn epoll_wait(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> io::
 
 /// `ppoll(fds, nfds, timeout, NULL)` → number of entries with non-zero
 /// `revents`. `timeout_ms < 0` blocks indefinitely.
-pub fn ppoll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+pub(crate) fn ppoll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     let ts;
     let ts_ptr = if timeout_ms < 0 {
         std::ptr::null::<Timespec>()
@@ -275,7 +279,7 @@ pub fn ppoll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
 }
 
 /// `pipe2(O_NONBLOCK | O_CLOEXEC)` → `(read_fd, write_fd)`.
-pub fn pipe2_nonblocking() -> io::Result<(i32, i32)> {
+pub(crate) fn pipe2_nonblocking() -> io::Result<(i32, i32)> {
     let mut fds = [0i32; 2];
     // SAFETY: `fds` is a live 2-element i32 array the kernel fills.
     let ret = unsafe {
@@ -293,7 +297,7 @@ pub fn pipe2_nonblocking() -> io::Result<(i32, i32)> {
 }
 
 /// `read(fd, buf)` → bytes read (`0` at EOF).
-pub fn read(fd: i32, buf: &mut [u8]) -> io::Result<usize> {
+pub(crate) fn read(fd: i32, buf: &mut [u8]) -> io::Result<usize> {
     // SAFETY: `buf` is a live mutable slice; the kernel writes at most
     // `buf.len()` bytes.
     let ret = unsafe {
@@ -311,7 +315,7 @@ pub fn read(fd: i32, buf: &mut [u8]) -> io::Result<usize> {
 }
 
 /// `write(fd, buf)` → bytes written.
-pub fn write(fd: i32, buf: &[u8]) -> io::Result<usize> {
+pub(crate) fn write(fd: i32, buf: &[u8]) -> io::Result<usize> {
     // SAFETY: `buf` is a live slice the kernel only reads.
     let ret = unsafe {
         syscall6(
@@ -328,7 +332,7 @@ pub fn write(fd: i32, buf: &[u8]) -> io::Result<usize> {
 }
 
 /// `close(fd)`. Errors are reported but the fd is gone either way.
-pub fn close(fd: i32) -> io::Result<()> {
+pub(crate) fn close(fd: i32) -> io::Result<()> {
     // SAFETY: no pointers involved.
     let ret = unsafe { syscall6(nr::CLOSE, fd as usize, 0, 0, 0, 0, 0) };
     check(ret).map(|_| ())
@@ -338,7 +342,7 @@ pub fn close(fd: i32) -> io::Result<()> {
 /// on drop. Distinct from `std::os::fd::OwnedFd` only in that it stays
 /// inside this crate's safe wrapper surface.
 #[derive(Debug)]
-pub struct OwnedSysFd(pub i32);
+pub(crate) struct OwnedSysFd(pub i32);
 
 impl Drop for OwnedSysFd {
     fn drop(&mut self) {

@@ -28,7 +28,7 @@ struct Entry<T> {
 /// A hashed timer wheel (see module docs). `T` is the payload returned
 /// when a timer fires — the reactor stores connection tokens.
 #[derive(Debug)]
-pub struct TimerWheel<T> {
+pub(crate) struct TimerWheel<T> {
     slots: Vec<Vec<Entry<T>>>,
     tick: Duration,
     origin: Instant,
@@ -43,7 +43,7 @@ impl<T> TimerWheel<T> {
     /// resolution; deadlines are never fired early, and at most one
     /// tick late relative to the `now` passed to `advance`).
     #[must_use]
-    pub fn new(now: Instant, tick: Duration) -> TimerWheel<T> {
+    pub(crate) fn new(now: Instant, tick: Duration) -> TimerWheel<T> {
         assert!(tick > Duration::ZERO, "tick must be positive");
         TimerWheel {
             slots: (0..SLOTS).map(|_| Vec::new()).collect(),
@@ -55,18 +55,6 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// Number of pending timers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no timers are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     fn tick_of(&self, at: Instant) -> u64 {
         let since = at.saturating_duration_since(self.origin);
         // Integer division truncates: a deadline lands in the tick it
@@ -76,7 +64,7 @@ impl<T> TimerWheel<T> {
 
     /// Schedules `payload` to fire once `advance` is called with a
     /// `now` at or past `deadline`.
-    pub fn insert(&mut self, deadline: Instant, payload: T) -> TimerId {
+    pub(crate) fn insert(&mut self, deadline: Instant, payload: T) -> TimerId {
         let id = TimerId(self.next_id);
         self.next_id += 1;
         let slot = (self.tick_of(deadline) as usize) % SLOTS;
@@ -91,7 +79,7 @@ impl<T> TimerWheel<T> {
 
     /// Cancels a pending timer; returns its payload, or `None` if it
     /// already fired or was cancelled.
-    pub fn cancel(&mut self, id: TimerId) -> Option<T> {
+    pub(crate) fn cancel(&mut self, id: TimerId) -> Option<T> {
         for slot in &mut self.slots {
             if let Some(idx) = slot.iter().position(|e| e.id == id) {
                 self.len -= 1;
@@ -104,7 +92,7 @@ impl<T> TimerWheel<T> {
     /// Moves the wheel hand to `now`, appending every due payload to
     /// `expired` (unspecified order across timers due in the same
     /// sweep).
-    pub fn advance(&mut self, now: Instant, expired: &mut Vec<T>) {
+    pub(crate) fn advance(&mut self, now: Instant, expired: &mut Vec<T>) {
         let target = self.tick_of(now);
         if target < self.cursor && self.len == 0 {
             return;
@@ -132,7 +120,7 @@ impl<T> TimerWheel<T> {
     /// pending timers — acceptable at serve-tier connection counts
     /// (each connection holds at most one deadline timer).
     #[must_use]
-    pub fn next_deadline(&self) -> Option<Instant> {
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
         self.slots
             .iter()
             .flat_map(|s| s.iter().map(|e| e.deadline))
@@ -158,7 +146,7 @@ mod tests {
         assert!(expired.is_empty(), "not due yet");
         wheel.advance(t0 + ms(20), &mut expired);
         assert_eq!(expired, vec!["a"]);
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.len, 0);
     }
 
     #[test]
@@ -205,7 +193,7 @@ mod tests {
         assert_eq!(expired.len(), 1000);
         assert_eq!(expired[0], 0);
         assert_eq!(expired[999], 999);
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.len, 0);
     }
 
     #[test]

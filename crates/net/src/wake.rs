@@ -38,14 +38,14 @@ pub struct Waker {
 /// Owns nothing extra — the fds live as long as any [`Waker`] clone or
 /// this half does.
 #[derive(Debug)]
-pub struct WakeReader {
+pub(crate) struct WakeReader {
     pipe: Arc<Pipe>,
 }
 
 /// Creates a connected wakeup pair: register
 /// [`WakeReader::fd`] with the poller, hand the [`Waker`] to producer
 /// threads.
-pub fn wake_pair() -> io::Result<(Waker, WakeReader)> {
+pub(crate) fn wake_pair() -> io::Result<(Waker, WakeReader)> {
     let (read_fd, write_fd) = sys::pipe2_nonblocking()?;
     let pipe = Arc::new(Pipe { read_fd, write_fd });
     Ok((Waker { pipe: pipe.clone() }, WakeReader { pipe }))
@@ -67,14 +67,14 @@ impl Waker {
 impl WakeReader {
     /// The fd to register for readable interest.
     #[must_use]
-    pub fn fd(&self) -> i32 {
+    pub(crate) fn fd(&self) -> i32 {
         self.pipe.read_fd
     }
 
     /// Consumes all pending wake bytes, coalescing any number of
     /// [`Waker::wake`] calls into one observed wake. Returns whether
     /// anything was drained.
-    pub fn drain(&self) -> io::Result<bool> {
+    pub(crate) fn drain(&self) -> io::Result<bool> {
         let mut buf = [0u8; 64];
         let mut any = false;
         loop {

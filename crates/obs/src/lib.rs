@@ -27,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod export;
 mod metrics;
@@ -37,8 +38,8 @@ use std::sync::OnceLock;
 pub use export::chrome_trace_json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry};
 pub use trace::{
-    enabled, instant_ns, now_ns, record_span, reset, set_enabled, snapshot, Arg, ArgValue,
-    EventKind, SpanGuard, TraceBuffer, TraceEvent, TraceSnapshot,
+    enabled, record_span, reset, set_enabled, snapshot, Arg, ArgValue, EventKind, SpanGuard,
+    TraceBuffer, TraceEvent, TraceSnapshot,
 };
 
 /// The process-wide registry, for metrics with no natural owning

@@ -178,7 +178,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }

@@ -35,7 +35,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// `u64` words per event slot: commit word, tid, start, dur, span id,
 /// parent id, then [`MAX_ARGS`] (key, value) pairs.
@@ -295,7 +295,7 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Interns `name`, returning its non-zero id.
-pub fn intern(name: &str) -> u32 {
+pub(crate) fn intern(name: &str) -> u32 {
     let t = tracer();
     let mut interner = t.interner.lock().expect("trace interner lock");
     if let Some(&id) = interner.ids.get(name) {
@@ -309,14 +309,14 @@ pub fn intern(name: &str) -> u32 {
 
 /// Nanoseconds since the trace epoch.
 #[must_use]
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     instant_ns(Instant::now())
 }
 
 /// Converts an `Instant` to nanoseconds since the trace epoch (clamped
 /// to zero for instants predating it).
 #[must_use]
-pub fn instant_ns(t: Instant) -> u64 {
+pub(crate) fn instant_ns(t: Instant) -> u64 {
     u64::try_from(t.saturating_duration_since(tracer().epoch).as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -396,13 +396,6 @@ impl SpanGuard {
                 *slot = Some((intern(key), value));
             }
         }
-    }
-
-    /// This span's process-unique id (`0` while disabled) — the parent
-    /// of manual child records.
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.active.as_ref().map_or(0, |a| a.id)
     }
 }
 
@@ -559,33 +552,6 @@ impl TraceSnapshot {
             .then(|| self.names.get(id as usize - 1))
             .flatten()
             .map_or("?", String::as_str)
-    }
-
-    /// Total recorded duration of every span named `name` (children
-    /// count toward their parents too — this sums raw span durations).
-    #[must_use]
-    pub fn total_named(&self, name: &str) -> Duration {
-        let Some(id) = self.names.iter().position(|n| n == name) else {
-            return Duration::ZERO;
-        };
-        let id = id as u32 + 1;
-        Duration::from_nanos(
-            self.events
-                .iter()
-                .filter(|e| e.name == id && e.kind == EventKind::Span)
-                .map(|e| e.dur_ns)
-                .sum(),
-        )
-    }
-
-    /// Number of events named `name`.
-    #[must_use]
-    pub fn count_named(&self, name: &str) -> usize {
-        let Some(id) = self.names.iter().position(|n| n == name) else {
-            return 0;
-        };
-        let id = id as u32 + 1;
-        self.events.iter().filter(|e| e.name == id).count()
     }
 }
 

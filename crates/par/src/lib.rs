@@ -21,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,7 +44,7 @@ thread_local! {
 /// [`with_thread_count`]): fan-out beyond 64 workers is outside this
 /// workspace's design envelope (the work-stealing cursor and the
 /// per-call thread spawn both stop paying for themselves long before).
-pub const MAX_THREADS: usize = 64;
+pub(crate) const MAX_THREADS: usize = 64;
 
 /// Parses a `PCHLS_THREADS` override: a `usize`, clamped to
 /// `[1, MAX_THREADS]`. Returns `None` (fall back to the host core
@@ -89,7 +90,7 @@ pub fn with_thread_count<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// with `workers²` threads. [`par_map`] protects nested calls within
 /// one thread tree via a thread-local, but pool workers are fresh
 /// threads that inherit nothing — they opt in with this call instead.
-pub fn dedicate_thread() {
+pub(crate) fn dedicate_thread() {
     IN_PARALLEL_REGION.with(|c| c.set(true));
 }
 
@@ -100,12 +101,10 @@ pub fn dedicate_thread() {
 /// the lifetime of a long-running component (a request-serving loop, a
 /// queue consumer). Each thread runs `body(worker_index)` once; the
 /// loop — typically "pop a job, process, repeat until the queue closes"
-/// — lives in the body. Worker threads are [dedicated]
-/// (nested `par_map` calls inside them run serially), so a pool of N
-/// workers uses N threads total no matter how parallel the work items'
+/// — lives in the body. Worker threads are dedicated (nested
+/// `par_map` calls inside them run serially), so a pool of N workers
+/// uses N threads total no matter how parallel the work items'
 /// internals are.
-///
-/// [dedicated]: dedicate_thread
 ///
 /// # Example
 ///
@@ -155,19 +154,6 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool { handles }
-    }
-
-    /// Number of worker threads in the pool.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Whether the pool has no workers (never true: `spawn` clamps to
-    /// at least one).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
     }
 
     /// Blocks until every worker body returns.
@@ -354,7 +340,7 @@ mod tests {
                 assert_eq!(out[0], worker);
             })
         };
-        assert_eq!(pool.len(), 3);
+        assert_eq!(pool.handles.len(), 3);
         pool.join();
         assert_eq!(ran.load(Ordering::SeqCst), 3);
         assert_eq!(
@@ -375,8 +361,7 @@ mod tests {
     #[test]
     fn worker_pool_clamps_to_one_worker() {
         let pool = WorkerPool::spawn(0, |_| {});
-        assert_eq!(pool.len(), 1);
-        assert!(!pool.is_empty());
+        assert_eq!(pool.handles.len(), 1);
         pool.join();
     }
 

@@ -83,25 +83,19 @@ impl Datapath {
 
     /// The control table, ordered by start cycle.
     #[must_use]
-    pub fn steps(&self) -> &[ControlStep] {
+    pub(crate) fn steps(&self) -> &[ControlStep] {
         &self.steps
-    }
-
-    /// Register allocation backing the datapath.
-    #[must_use]
-    pub fn registers(&self) -> &RegisterAllocation {
-        &self.registers
     }
 
     /// Number of registers.
     #[must_use]
-    pub fn register_count(&self) -> usize {
+    pub(crate) fn register_count(&self) -> usize {
         self.registers.count()
     }
 
     /// Number of functional-unit instances.
     #[must_use]
-    pub fn fu_count(&self) -> usize {
+    pub(crate) fn fu_count(&self) -> usize {
         self.fu_count
     }
 
@@ -112,7 +106,7 @@ impl Datapath {
     }
 
     /// Steps starting at `cycle`.
-    pub fn steps_at(&self, cycle: u32) -> impl Iterator<Item = &ControlStep> + '_ {
+    pub(crate) fn steps_at(&self, cycle: u32) -> impl Iterator<Item = &ControlStep> + '_ {
         self.steps.iter().filter(move |s| s.start == cycle)
     }
 }

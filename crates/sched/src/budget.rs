@@ -19,7 +19,7 @@
 //!
 //! A constant budget — whether built by [`PowerBudget::constant`] or as
 //! a degenerate steps/per-cycle envelope whose bounds are all equal —
-//! is detected by [`PowerLedger::with_budget`](crate::PowerLedger) and
+//! is detected by [`PowerLedger::under`](crate::PowerLedger) and
 //! takes the original scalar code path, so scalar-constrained synthesis
 //! is byte-identical to what it was before envelopes existed.
 
@@ -134,7 +134,7 @@ impl PowerBudget {
     /// The exact bounds over cycles `0..horizon` (empty for a zero
     /// horizon).
     #[must_use]
-    pub fn materialize(&self, horizon: u32) -> Vec<f64> {
+    pub(crate) fn materialize(&self, horizon: u32) -> Vec<f64> {
         (0..horizon).map(|c| self.bound_at(c)).collect()
     }
 
@@ -152,7 +152,7 @@ impl PowerBudget {
     /// and display paths use this; for a constant budget it *is* the
     /// bound.
     #[must_use]
-    pub fn peak(&self) -> f64 {
+    pub(crate) fn peak(&self) -> f64 {
         match self {
             PowerBudget::Constant(b) => *b,
             PowerBudget::Steps(steps) => steps
@@ -169,8 +169,8 @@ impl PowerBudget {
     /// effective peak a scheduler bounded by `horizon` compares
     /// against. For bounds that extend past the horizon (a long
     /// per-cycle vector, a step at or beyond it) this is tighter than
-    /// [`peak`](PowerBudget::peak), and it is the value
-    /// [`PowerLedger::with_budget`](crate::PowerLedger::with_budget)
+    /// `peak`, and it is the value
+    /// [`PowerLedger::under`](crate::PowerLedger::under)
     /// materializes: quick-reject tests must use this form or they
     /// disagree with the ledger about what can ever fit. A zero
     /// horizon reports the opening bound.
@@ -187,7 +187,7 @@ impl PowerBudget {
     /// The smallest bound any cycle can see (the envelope's tightest
     /// phase).
     #[must_use]
-    pub fn floor(&self) -> f64 {
+    pub(crate) fn floor(&self) -> f64 {
         match self {
             PowerBudget::Constant(b) => *b,
             PowerBudget::Steps(steps) => {
@@ -285,7 +285,7 @@ impl PowerBudget {
     /// Constant budgets reverse to themselves (keeping the scalar fast
     /// path).
     #[must_use]
-    pub fn reversed(&self, horizon: u32) -> PowerBudget {
+    pub(crate) fn reversed(&self, horizon: u32) -> PowerBudget {
         match self {
             PowerBudget::Constant(b) => PowerBudget::Constant(*b),
             _ => {
@@ -539,7 +539,7 @@ mod tests {
         assert_eq!(b.bound_at(0), 0.0);
         assert_eq!(b.bound_at(4), 0.0);
         // A scaled budget always builds a ledger without panicking.
-        let _ = crate::PowerLedger::with_budget(8, &b);
+        let _ = crate::PowerLedger::under(8, &b);
     }
 
     #[test]

@@ -89,9 +89,14 @@ pub fn minimal_latency_exact(
     let lower = cp_bound.max(energy_bound);
 
     // Start from the pasap solution as the incumbent upper bound.
-    let best = crate::pasap::pasap(graph, timing, max_power, limits.max_latency)
-        .map(|s| s.latency(timing))
-        .unwrap_or(limits.max_latency + 1);
+    let best = crate::pasap::pasap(
+        graph,
+        timing,
+        &crate::PowerBudget::constant(max_power),
+        limits.max_latency,
+    )
+    .map(|s| s.latency(timing))
+    .unwrap_or(limits.max_latency + 1);
     if best == lower {
         return Some(best); // the heuristic already matched the lower bound
     }
@@ -240,7 +245,9 @@ mod tests {
         for (g, bounds) in cases {
             let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
             for bound in bounds {
-                let heuristic = pasap(&g, &t, bound, 200).unwrap().latency(&t);
+                let heuristic = pasap(&g, &t, &crate::PowerBudget::constant(bound), 200)
+                    .unwrap()
+                    .latency(&t);
                 let exact = minimal_latency_exact(&g, &t, bound, ExactLimits::default())
                     .unwrap_or_else(|| panic!("{} at {bound} should complete", g.name()));
                 assert!(
@@ -270,7 +277,9 @@ mod tests {
         for (g, bounds) in cases {
             let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
             for bound in bounds {
-                let heuristic = pasap(&g, &t, bound, 200).unwrap().latency(&t);
+                let heuristic = pasap(&g, &t, &crate::PowerBudget::constant(bound), 200)
+                    .unwrap()
+                    .latency(&t);
                 let exact = minimal_latency_exact(&g, &t, bound, ExactLimits::default()).unwrap();
                 assert_eq!(
                     heuristic,

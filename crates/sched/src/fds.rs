@@ -33,37 +33,11 @@ pub fn force_directed(
     modules: &[ModuleId],
     latency: u32,
 ) -> Result<Schedule, ScheduleError> {
+    assert_eq!(modules.len(), graph.len(), "one module per node required");
     // Transitive closure, computed once per call: every refit below
     // reduces to O(1) bitset membership tests on the fixed operation's
-    // cones instead of re-walking the graph. Callers that already hold
-    // the closure (e.g. a compile-once session layer) should use
-    // [`force_directed_with`] and skip this rebuild.
-    let reach = Reachability::new(graph);
-    force_directed_with(graph, library, modules, latency, &reach)
-}
-
-/// [`force_directed`] with a caller-supplied [`Reachability`], so a
-/// layer that compiles a graph once (and already owns its transitive
-/// closure) does not pay the closure rebuild on every scheduling call.
-///
-/// `reach` must be the closure of `graph`; output is identical to
-/// [`force_directed`].
-///
-/// # Errors
-///
-/// As [`force_directed`].
-///
-/// # Panics
-///
-/// Panics if `modules` is not one entry per node.
-pub fn force_directed_with(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    modules: &[ModuleId],
-    latency: u32,
-    reach: &Reachability,
-) -> Result<Schedule, ScheduleError> {
-    assert_eq!(modules.len(), graph.len(), "one module per node required");
+    // cones instead of re-walking the graph.
+    let reach = &Reachability::new(graph);
     let _span = pchls_obs::span!("fds.schedule", "ops" => graph.len());
     let timing = TimingMap::from_modules(graph, library, modules);
     let n = graph.len();

@@ -26,7 +26,7 @@
 //! ```
 //! use pchls_cdfg::benchmarks::hal;
 //! use pchls_fulib::{paper_library, SelectionPolicy};
-//! use pchls_sched::{asap, pasap, PowerProfile, TimingMap};
+//! use pchls_sched::{asap, pasap, PowerBudget, PowerProfile, TimingMap};
 //!
 //! # fn main() -> Result<(), pchls_sched::ScheduleError> {
 //! let g = hal();
@@ -36,7 +36,7 @@
 //! let unconstrained = asap(&g, &timing);
 //! let peak = PowerProfile::of(&unconstrained, &timing).peak();
 //!
-//! let capped = pasap(&g, &timing, peak / 2.0, 100)?;
+//! let capped = pasap(&g, &timing, &PowerBudget::constant(peak / 2.0), 100)?;
 //! let capped_peak = PowerProfile::of(&capped, &timing).peak();
 //! assert!(capped_peak <= peak / 2.0 + 1e-9);
 //! # Ok(())
@@ -45,6 +45,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod alap;
 mod asap;
@@ -53,7 +54,6 @@ mod error;
 mod exact;
 mod fds;
 mod list;
-mod mobility;
 mod pasap;
 mod power;
 mod schedule;
@@ -65,14 +65,10 @@ pub use asap::asap;
 pub use budget::PowerBudget;
 pub use error::ScheduleError;
 pub use exact::{minimal_latency_exact, ExactLimits};
-pub use fds::{force_directed, force_directed_with};
-pub use list::{latency_lower_bound, list_schedule, list_schedule_budget, Allocation};
-pub use mobility::Mobility;
-pub use pasap::{
-    palap, palap_budget, palap_locked, palap_locked_budget, pasap, pasap_budget, pasap_locked,
-    pasap_locked_budget, LockedStarts,
-};
+pub use fds::force_directed;
+pub use list::{list_schedule, Allocation};
+pub use pasap::{palap, palap_locked, pasap, pasap_locked, LockedStarts};
 pub use power::{NaivePowerLedger, PowerLedger, PowerProfile};
 pub use schedule::Schedule;
 pub use timing::{OpTiming, TimingMap};
-pub use twostep::{two_step, two_step_budget, TwoStepOutcome};
+pub use twostep::{two_step, TwoStepOutcome};

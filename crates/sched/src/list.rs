@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use pchls_cdfg::{Cdfg, CriticalPath, NodeId};
+use pchls_cdfg::{Cdfg, NodeId};
 use pchls_fulib::{ModuleId, ModuleLibrary};
 
 use crate::budget::PowerBudget;
@@ -20,12 +20,6 @@ pub struct Allocation {
 }
 
 impl Allocation {
-    /// An empty allocation (no instances at all).
-    #[must_use]
-    pub fn new() -> Allocation {
-        Allocation::default()
-    }
-
     /// Builds an allocation from `(module, count)` pairs.
     #[must_use]
     pub fn from_pairs(pairs: impl IntoIterator<Item = (ModuleId, usize)>) -> Allocation {
@@ -34,19 +28,14 @@ impl Allocation {
         }
     }
 
-    /// Sets the instance count of one module type.
-    pub fn set(&mut self, module: ModuleId, count: usize) {
-        self.counts.insert(module, count);
-    }
-
     /// Instance count of `module` (0 if absent).
     #[must_use]
-    pub fn count(&self, module: ModuleId) -> usize {
+    pub(crate) fn count(&self, module: ModuleId) -> usize {
         self.counts.get(&module).copied().unwrap_or(0)
     }
 
     /// Iterates `(module, count)` pairs with non-zero counts.
-    pub fn iter(&self) -> impl Iterator<Item = (ModuleId, usize)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ModuleId, usize)> + '_ {
         self.counts.iter().map(|(&m, &c)| (m, c))
     }
 
@@ -60,54 +49,26 @@ impl Allocation {
 }
 
 /// Priority-list scheduling under a module assignment, an instance
-/// allocation and (optionally) a per-cycle power budget.
+/// allocation and a per-cycle power budget.
 ///
 /// Every node executes on the module given by `modules[node]`; at most
 /// `allocation.count(m)` operations bound to module type `m` may overlap,
-/// and — when `max_power` is finite — the per-cycle power sum never
-/// exceeds the budget. Ready operations are prioritized by longest path
-/// to a sink (critical-path list scheduling).
+/// and the per-cycle power sum never exceeds that cycle's bound in
+/// `budget`. Ready operations are prioritized by longest path to a sink
+/// (critical-path list scheduling).
 ///
 /// # Errors
 ///
 /// * [`ScheduleError::MissingResource`] if some node's module has a zero
 ///   instance count.
 /// * [`ScheduleError::OpExceedsBudget`] if one operation alone exceeds
-///   `max_power`.
+///   the envelope's **peak** bound.
 ///
 /// # Panics
 ///
 /// Panics if `modules` is not one entry per node or assigns a module that
 /// cannot execute the node's kind.
 pub fn list_schedule(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    modules: &[ModuleId],
-    allocation: &Allocation,
-    max_power: f64,
-) -> Result<Schedule, ScheduleError> {
-    list_schedule_budget(
-        graph,
-        library,
-        modules,
-        allocation,
-        &PowerBudget::constant(max_power),
-    )
-}
-
-/// [`list_schedule`] under a time-varying [`PowerBudget`] envelope: the
-/// per-cycle sum is checked against each cycle's own bound. A constant
-/// budget reproduces [`list_schedule`] bit for bit.
-///
-/// # Errors
-///
-/// As [`list_schedule`]; `OpExceedsBudget` fires only when an
-/// operation's power exceeds the envelope's **peak** bound.
-///
-/// # Panics
-///
-/// As [`list_schedule`].
-pub fn list_schedule_budget(
     graph: &Cdfg,
     library: &ModuleLibrary,
     modules: &[ModuleId],
@@ -147,7 +108,7 @@ pub fn list_schedule_budget(
         .map(|id| timing.delay(id))
         .sum::<u32>()
         .max(1);
-    let mut ledger = PowerLedger::with_budget(horizon, budget);
+    let mut ledger = PowerLedger::under(horizon, budget);
     // The can-never-fit pre-check compares against the peak *within the
     // reachable horizon* (the value the ledger materialized) — a loose
     // phase past every schedulable cycle must not mask the error.
@@ -223,37 +184,10 @@ pub fn list_schedule_budget(
     Ok(Schedule::new(starts))
 }
 
-/// A lower bound on the latency achievable with `allocation`: the maximum
-/// of the critical path and each module type's total-work bound
-/// (`ceil(total busy cycles / instances)`).
-#[must_use]
-pub fn latency_lower_bound(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    modules: &[ModuleId],
-    allocation: &Allocation,
-) -> u32 {
-    let timing = TimingMap::from_modules(graph, library, modules);
-    let cp = CriticalPath::new(graph, |id| timing.delay(id)).length();
-    let mut work: BTreeMap<ModuleId, u64> = BTreeMap::new();
-    for id in graph.node_ids() {
-        *work.entry(modules[id.index()]).or_insert(0) += u64::from(timing.delay(id));
-    }
-    let resource_bound = work
-        .into_iter()
-        .map(|(m, w)| {
-            let c = allocation.count(m).max(1) as u64;
-            w.div_ceil(c) as u32
-        })
-        .max()
-        .unwrap_or(0);
-    cp.max(resource_bound)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pchls_cdfg::benchmarks;
+    use pchls_cdfg::{benchmarks, CriticalPath};
     use pchls_fulib::{paper_library, SelectionPolicy};
 
     fn assignment(g: &Cdfg, lib: &ModuleLibrary, policy: SelectionPolicy) -> Vec<ModuleId> {
@@ -273,7 +207,7 @@ mod tests {
         for g in benchmarks::all() {
             let ms = assignment(&g, &lib, SelectionPolicy::Fastest);
             let alloc = full_allocation(&lib, 64);
-            let s = list_schedule(&g, &lib, &ms, &alloc, f64::INFINITY).unwrap();
+            let s = list_schedule(&g, &lib, &ms, &alloc, &PowerBudget::unbounded()).unwrap();
             let t = TimingMap::from_modules(&g, &lib, &ms);
             let cp = CriticalPath::new(&g, |id| t.delay(id)).length();
             assert_eq!(s.latency(&t), cp, "{}", g.name());
@@ -287,7 +221,7 @@ mod tests {
         let g = benchmarks::hal();
         let ms = assignment(&g, &lib, SelectionPolicy::Fastest);
         let alloc = full_allocation(&lib, 1);
-        let s = list_schedule(&g, &lib, &ms, &alloc, f64::INFINITY).unwrap();
+        let s = list_schedule(&g, &lib, &ms, &alloc, &PowerBudget::unbounded()).unwrap();
         let t = TimingMap::from_modules(&g, &lib, &ms);
         s.validate(&g, &t, None, None).unwrap();
         // 6 multiplications on one 2-cycle multiplier = at least 12 cycles.
@@ -314,9 +248,10 @@ mod tests {
         let g = benchmarks::hal();
         let ms = assignment(&g, &lib, SelectionPolicy::Fastest);
         let alloc = full_allocation(&lib, 8);
-        let s = list_schedule(&g, &lib, &ms, &alloc, 10.0).unwrap();
+        let s = list_schedule(&g, &lib, &ms, &alloc, &PowerBudget::constant(10.0)).unwrap();
         let t = TimingMap::from_modules(&g, &lib, &ms);
-        s.validate(&g, &t, None, Some(10.0)).unwrap();
+        s.validate(&g, &t, None, Some(&PowerBudget::constant(10.0)))
+            .unwrap();
     }
 
     #[test]
@@ -324,38 +259,20 @@ mod tests {
         let lib = paper_library();
         let g = benchmarks::hal();
         let ms = assignment(&g, &lib, SelectionPolicy::Fastest);
-        let mut alloc = full_allocation(&lib, 4);
-        alloc.set(lib.by_name("mult_par").unwrap(), 0);
-        let err = list_schedule(&g, &lib, &ms, &alloc, f64::INFINITY).unwrap_err();
+        let mult_par = lib.by_name("mult_par").unwrap();
+        let alloc =
+            Allocation::from_pairs(lib.ids().map(|m| (m, if m == mult_par { 0 } else { 4 })));
+        let err = list_schedule(&g, &lib, &ms, &alloc, &PowerBudget::unbounded()).unwrap_err();
         assert!(matches!(err, ScheduleError::MissingResource { .. }));
-    }
-
-    #[test]
-    fn latency_bound_is_a_true_lower_bound() {
-        let lib = paper_library();
-        for g in benchmarks::paper_set() {
-            let ms = assignment(&g, &lib, SelectionPolicy::Fastest);
-            for count in [1, 2, 4] {
-                let alloc = full_allocation(&lib, count);
-                let bound = latency_lower_bound(&g, &lib, &ms, &alloc);
-                let s = list_schedule(&g, &lib, &ms, &alloc, f64::INFINITY).unwrap();
-                let t = TimingMap::from_modules(&g, &lib, &ms);
-                assert!(
-                    s.latency(&t) >= bound,
-                    "{}: latency {} < bound {bound}",
-                    g.name(),
-                    s.latency(&t)
-                );
-            }
-        }
     }
 
     #[test]
     fn allocation_area_sums_instances() {
         let lib = paper_library();
-        let mut a = Allocation::new();
-        a.set(lib.by_name("add").unwrap(), 2);
-        a.set(lib.by_name("mult_par").unwrap(), 1);
+        let a = Allocation::from_pairs([
+            (lib.by_name("add").unwrap(), 2),
+            (lib.by_name("mult_par").unwrap(), 1),
+        ]);
         assert_eq!(a.area(&lib), 2 * 87 + 339);
     }
 }

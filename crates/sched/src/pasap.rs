@@ -58,69 +58,28 @@ impl LockedStarts {
     pub fn is_locked(&self, id: NodeId) -> bool {
         self.get(id).is_some()
     }
-
-    /// Number of locked operations.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.starts.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Number of nodes covered (locked or not).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.starts.len()
-    }
-
-    /// Whether the map covers no nodes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.starts.is_empty()
-    }
 }
 
 /// Power-constrained ASAP without any locked operations.
 ///
 /// Operations are considered in dependence order and placed at the
 /// earliest start `≥` their data-ready time whose execution interval fits
-/// under `max_power` in every cycle, searching up to `horizon`.
+/// under `budget` in every cycle (each cycle against *that cycle's*
+/// bound), searching up to `horizon`.
 ///
 /// # Errors
 ///
 /// * [`ScheduleError::OpExceedsBudget`] if one operation alone exceeds
-///   `max_power` (no schedule can exist).
+///   the envelope's **peak** bound (it could fit in no cycle at all).
 /// * [`ScheduleError::Infeasible`] if some operation cannot be placed
 ///   within `horizon`.
 pub fn pasap(
     graph: &Cdfg,
     timing: &TimingMap,
-    max_power: f64,
-    horizon: u32,
-) -> Result<Schedule, ScheduleError> {
-    pasap_locked(
-        graph,
-        timing,
-        max_power,
-        horizon,
-        &LockedStarts::none(graph.len()),
-    )
-}
-
-/// [`pasap`] under a time-varying [`PowerBudget`] envelope: each cycle
-/// of an operation's execution interval must fit under *that cycle's*
-/// bound. A constant budget reproduces [`pasap`] bit for bit.
-///
-/// # Errors
-///
-/// As [`pasap`]; `OpExceedsBudget` fires only when an operation's power
-/// exceeds the envelope's **peak** bound (it could fit in no cycle at
-/// all).
-pub fn pasap_budget(
-    graph: &Cdfg,
-    timing: &TimingMap,
     budget: &PowerBudget,
     horizon: u32,
 ) -> Result<Schedule, ScheduleError> {
-    pasap_locked_budget(
+    pasap_locked(
         graph,
         timing,
         budget,
@@ -145,27 +104,6 @@ pub fn pasap_budget(
 /// [`ScheduleError::PowerExceeded`] when the locked operations alone
 /// overflow the budget.
 pub fn pasap_locked(
-    graph: &Cdfg,
-    timing: &TimingMap,
-    max_power: f64,
-    horizon: u32,
-    locked: &LockedStarts,
-) -> Result<Schedule, ScheduleError> {
-    pasap_locked_budget(
-        graph,
-        timing,
-        &PowerBudget::constant(max_power),
-        horizon,
-        locked,
-    )
-}
-
-/// [`pasap_locked`] under a [`PowerBudget`] envelope.
-///
-/// # Errors
-///
-/// As [`pasap_locked`].
-pub fn pasap_locked_budget(
     graph: &Cdfg,
     timing: &TimingMap,
     budget: &PowerBudget,
@@ -197,31 +135,10 @@ pub fn pasap_locked_budget(
 pub fn palap(
     graph: &Cdfg,
     timing: &TimingMap,
-    max_power: f64,
-    latency: u32,
-) -> Result<Schedule, ScheduleError> {
-    palap_locked(
-        graph,
-        timing,
-        max_power,
-        latency,
-        &LockedStarts::none(graph.len()),
-    )
-}
-
-/// [`palap`] under a [`PowerBudget`] envelope. A constant budget
-/// reproduces [`palap`] bit for bit.
-///
-/// # Errors
-///
-/// As [`palap`].
-pub fn palap_budget(
-    graph: &Cdfg,
-    timing: &TimingMap,
     budget: &PowerBudget,
     latency: u32,
 ) -> Result<Schedule, ScheduleError> {
-    palap_locked_budget(
+    palap_locked(
         graph,
         timing,
         budget,
@@ -235,36 +152,14 @@ pub fn palap_budget(
 /// Implemented by running the `pasap` placement on the time-reversed
 /// graph: a forward interval `[s, s+d)` corresponds to the reversed
 /// interval `[latency-s-d, latency-s)`, so locks and power reservations
-/// mirror exactly.
+/// mirror exactly. The placement runs against the **time-mirrored**
+/// envelope (`PowerBudget::reversed`), so a forward cycle's bound
+/// constrains exactly the reversed cycle it maps to.
 ///
 /// # Errors
 ///
 /// As [`pasap_locked`].
 pub fn palap_locked(
-    graph: &Cdfg,
-    timing: &TimingMap,
-    max_power: f64,
-    latency: u32,
-    locked: &LockedStarts,
-) -> Result<Schedule, ScheduleError> {
-    palap_locked_budget(
-        graph,
-        timing,
-        &PowerBudget::constant(max_power),
-        latency,
-        locked,
-    )
-}
-
-/// [`palap_locked`] under a [`PowerBudget`] envelope: the reversed
-/// placement runs against the **time-mirrored** envelope
-/// ([`PowerBudget::reversed`]), so a forward cycle's bound constrains
-/// exactly the reversed cycle it maps to.
-///
-/// # Errors
-///
-/// As [`pasap_locked`].
-pub fn palap_locked_budget(
     graph: &Cdfg,
     timing: &TimingMap,
     budget: &PowerBudget,
@@ -342,7 +237,7 @@ fn schedule_directed<'a>(
     horizon: u32,
     locked: impl Fn(NodeId) -> Option<u32>,
 ) -> Result<Vec<u32>, ScheduleError> {
-    let mut ledger = PowerLedger::with_budget(horizon, budget);
+    let mut ledger = PowerLedger::under(horizon, budget);
     // The scalar every error message (and the can-never-fit test)
     // compares against: the bound itself in constant mode, the
     // envelope's peak otherwise.
@@ -451,6 +346,10 @@ mod tests {
     use pchls_cdfg::benchmarks;
     use pchls_fulib::{paper_library, SelectionPolicy};
 
+    fn c(bound: f64) -> PowerBudget {
+        PowerBudget::constant(bound)
+    }
+
     fn hal_timing() -> (Cdfg, TimingMap) {
         let g = benchmarks::hal();
         let t = TimingMap::from_policy(&g, &paper_library(), SelectionPolicy::Fastest);
@@ -462,7 +361,7 @@ mod tests {
         for g in benchmarks::all() {
             let t = TimingMap::from_policy(&g, &paper_library(), SelectionPolicy::Fastest);
             let baseline = asap(&g, &t);
-            let p = pasap(&g, &t, f64::INFINITY, 1000).unwrap();
+            let p = pasap(&g, &t, &PowerBudget::unbounded(), 1000).unwrap();
             assert_eq!(p, baseline, "{}", g.name());
         }
     }
@@ -476,8 +375,8 @@ mod tests {
             if bound < t.max_single_op_power() {
                 continue;
             }
-            let s = pasap(&g, &t, bound, 500).unwrap();
-            s.validate(&g, &t, None, Some(bound)).unwrap();
+            let s = pasap(&g, &t, &c(bound), 500).unwrap();
+            s.validate(&g, &t, None, Some(&c(bound))).unwrap();
         }
     }
 
@@ -486,7 +385,7 @@ mod tests {
         let (g, t) = hal_timing();
         let mut last = 0;
         for bound in [100.0, 40.0, 20.0, 12.0, 9.0] {
-            let s = pasap(&g, &t, bound, 500).unwrap();
+            let s = pasap(&g, &t, &c(bound), 500).unwrap();
             let lat = s.latency(&t);
             assert!(lat >= last, "bound {bound}: latency {lat} < {last}");
             last = lat;
@@ -496,14 +395,14 @@ mod tests {
     #[test]
     fn sub_single_op_budget_is_hopeless() {
         let (g, t) = hal_timing();
-        let err = pasap(&g, &t, 5.0, 500).unwrap_err(); // mult_par needs 8.1
+        let err = pasap(&g, &t, &c(5.0), 500).unwrap_err(); // mult_par needs 8.1
         assert!(matches!(err, ScheduleError::OpExceedsBudget { .. }));
     }
 
     #[test]
     fn tiny_horizon_is_infeasible() {
         let (g, t) = hal_timing();
-        let err = pasap(&g, &t, 9.0, 6).unwrap_err();
+        let err = pasap(&g, &t, &c(9.0), 6).unwrap_err();
         assert!(matches!(err, ScheduleError::Infeasible { .. }));
     }
 
@@ -511,8 +410,8 @@ mod tests {
     fn palap_respects_latency_and_power() {
         let (g, t) = hal_timing();
         for (bound, latency) in [(f64::INFINITY, 8), (12.0, 16), (9.0, 20)] {
-            let s = palap(&g, &t, bound, latency).unwrap();
-            s.validate(&g, &t, Some(latency), Some(bound)).unwrap();
+            let s = palap(&g, &t, &c(bound), latency).unwrap();
+            s.validate(&g, &t, Some(latency), Some(&c(bound))).unwrap();
         }
     }
 
@@ -525,8 +424,8 @@ mod tests {
         // end as soft for exactly this reason).
         let (g, t) = hal_timing();
         let latency = 16;
-        let early = pasap(&g, &t, f64::INFINITY, latency).unwrap();
-        let late = palap(&g, &t, f64::INFINITY, latency).unwrap();
+        let early = pasap(&g, &t, &PowerBudget::unbounded(), latency).unwrap();
+        let late = palap(&g, &t, &PowerBudget::unbounded(), latency).unwrap();
         for id in g.node_ids() {
             assert!(
                 early.start(id) <= late.start(id),
@@ -541,7 +440,7 @@ mod tests {
     fn palap_with_infinite_power_matches_alap() {
         let (g, t) = hal_timing();
         let latency = 12;
-        let p = palap(&g, &t, f64::INFINITY, latency).unwrap();
+        let p = palap(&g, &t, &PowerBudget::unbounded(), latency).unwrap();
         let a = crate::alap::alap(&g, &t, latency).unwrap();
         assert_eq!(p, a);
     }
@@ -550,13 +449,13 @@ mod tests {
     fn locked_ops_stay_put() {
         let (g, t) = hal_timing();
         let victim = g.topological()[5];
-        let base = pasap(&g, &t, 12.0, 100).unwrap();
+        let base = pasap(&g, &t, &c(12.0), 100).unwrap();
         let shifted = base.start(victim) + 3;
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, shifted);
-        let s = pasap_locked(&g, &t, 12.0, 100, &locked).unwrap();
+        let s = pasap_locked(&g, &t, &c(12.0), 100, &locked).unwrap();
         assert_eq!(s.start(victim), shifted);
-        s.validate(&g, &t, None, Some(12.0)).unwrap();
+        s.validate(&g, &t, None, Some(&c(12.0))).unwrap();
     }
 
     #[test]
@@ -566,7 +465,7 @@ mod tests {
         let out = g.outputs().next().unwrap().id();
         let mut locked = LockedStarts::none(g.len());
         locked.lock(out, 0);
-        let err = pasap_locked(&g, &t, f64::INFINITY, 100, &locked).unwrap_err();
+        let err = pasap_locked(&g, &t, &PowerBudget::unbounded(), 100, &locked).unwrap_err();
         assert!(matches!(err, ScheduleError::PrecedenceViolated { .. }));
     }
 
@@ -585,34 +484,33 @@ mod tests {
         let mut locked = LockedStarts::none(g.len());
         locked.lock(muls[0], 1);
         locked.lock(muls[1], 1);
-        let err = pasap_locked(&g, &t, 10.0, 100, &locked).unwrap_err();
+        let err = pasap_locked(&g, &t, &c(10.0), 100, &locked).unwrap_err();
         assert!(matches!(err, ScheduleError::PowerExceeded { .. }));
     }
 
     #[test]
     fn locked_starts_bookkeeping() {
         let mut l = LockedStarts::none(4);
-        assert_eq!(l.count(), 0);
-        assert_eq!(l.len(), 4);
+        assert!(!l.is_locked(NodeId::new(2)));
         l.lock(NodeId::new(2), 7);
         assert!(l.is_locked(NodeId::new(2)));
         assert_eq!(l.get(NodeId::new(2)), Some(7));
-        assert_eq!(l.count(), 1);
+        assert_eq!(l.get(NodeId::new(3)), None);
         l.unlock(NodeId::new(2));
-        assert_eq!(l.count(), 0);
+        assert!(!l.is_locked(NodeId::new(2)));
     }
 
     #[test]
     fn palap_locked_identity_lock_is_preserved() {
         let (g, t) = hal_timing();
         let latency = 16;
-        let base = palap(&g, &t, 12.0, latency).unwrap();
+        let base = palap(&g, &t, &c(12.0), latency).unwrap();
         let victim = g.topological()[4];
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, base.start(victim));
-        let s = palap_locked(&g, &t, 12.0, latency, &locked).unwrap();
+        let s = palap_locked(&g, &t, &c(12.0), latency, &locked).unwrap();
         assert_eq!(s.start(victim), base.start(victim));
-        s.validate(&g, &t, Some(latency), Some(12.0)).unwrap();
+        s.validate(&g, &t, Some(latency), Some(&c(12.0))).unwrap();
     }
 
     #[test]
@@ -620,12 +518,12 @@ mod tests {
         let (g, t) = hal_timing();
         let latency = 12; // critical path is 8, so inputs have mobility
         let victim = g.inputs().next().unwrap().id();
-        let base = palap(&g, &t, f64::INFINITY, latency).unwrap();
+        let base = palap(&g, &t, &PowerBudget::unbounded(), latency).unwrap();
         assert!(base.start(victim) >= 1, "victim has mobility");
         let target = base.start(victim) - 1;
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, target);
-        let s = palap_locked(&g, &t, f64::INFINITY, latency, &locked).unwrap();
+        let s = palap_locked(&g, &t, &PowerBudget::unbounded(), latency, &locked).unwrap();
         assert_eq!(s.start(victim), target);
         s.validate(&g, &t, Some(latency), None).unwrap();
     }
@@ -636,21 +534,23 @@ mod tests {
         let victim = g.outputs().next().unwrap().id();
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, 100);
-        let err = palap_locked(&g, &t, f64::INFINITY, 12, &locked).unwrap_err();
+        let err = palap_locked(&g, &t, &PowerBudget::unbounded(), 12, &locked).unwrap_err();
         assert!(matches!(err, ScheduleError::Infeasible { .. }));
     }
 
     #[test]
     fn budget_variants_reproduce_the_scalar_path_for_constant_budgets() {
+        // A flat per-cycle envelope is the scalar bound spelled another
+        // way: the ledger collapses it onto constant mode, bit for bit.
         let (g, t) = hal_timing();
-        let budget = PowerBudget::constant(12.0);
+        let flat = PowerBudget::per_cycle(vec![12.0; 100]);
         assert_eq!(
-            pasap_budget(&g, &t, &budget, 100).unwrap(),
-            pasap(&g, &t, 12.0, 100).unwrap()
+            pasap(&g, &t, &flat, 100).unwrap(),
+            pasap(&g, &t, &c(12.0), 100).unwrap()
         );
         assert_eq!(
-            palap_budget(&g, &t, &budget, 16).unwrap(),
-            palap(&g, &t, 12.0, 16).unwrap()
+            palap(&g, &t, &flat, 16).unwrap(),
+            palap(&g, &t, &c(12.0), 16).unwrap()
         );
     }
 
@@ -661,9 +561,9 @@ mod tests {
         // open afterwards: the schedule must shift its heavy cycles past
         // the breakpoint, unlike the scalar run at the loose bound.
         let budget = PowerBudget::steps(vec![(0, 9.0), (6, 100.0)]);
-        let s = pasap_budget(&g, &t, &budget, 200).unwrap();
-        s.validate_budget(&g, &t, None, &budget).unwrap();
-        let loose = pasap(&g, &t, 100.0, 200).unwrap();
+        let s = pasap(&g, &t, &budget, 200).unwrap();
+        s.validate(&g, &t, None, Some(&budget)).unwrap();
+        let loose = pasap(&g, &t, &c(100.0), 200).unwrap();
         assert_ne!(
             s, loose,
             "the tight opening phase must reshape the schedule"
@@ -697,7 +597,7 @@ mod tests {
         let budget = PowerBudget::steps(vec![(0, 40.0), (5, 15.0)]);
         let mut locked = LockedStarts::none(g.len());
         locked.lock(g.topological()[0], 0);
-        let err = pasap_locked_budget(&g, &t, &budget, 20, &locked).unwrap_err();
+        let err = pasap_locked(&g, &t, &budget, 20, &locked).unwrap_err();
         match err {
             ScheduleError::PowerExceeded {
                 cycle,
@@ -720,7 +620,7 @@ mod tests {
         // opening — this only works if the envelope is time-mirrored.
         let budget = PowerBudget::steps(vec![(0, 40.0), (10, 9.0)]);
         let latency = 16;
-        let s = palap_budget(&g, &t, &budget, latency).unwrap();
-        s.validate_budget(&g, &t, Some(latency), &budget).unwrap();
+        let s = palap(&g, &t, &budget, latency).unwrap();
+        s.validate(&g, &t, Some(latency), Some(&budget)).unwrap();
     }
 }

@@ -88,7 +88,7 @@ impl PowerProfile {
 
     /// Mean power over the whole schedule (0 for an empty profile).
     #[must_use]
-    pub fn average(&self) -> f64 {
+    pub(crate) fn average(&self) -> f64 {
         if self.per_cycle.is_empty() {
             0.0
         } else {
@@ -98,7 +98,7 @@ impl PowerProfile {
 
     /// Total energy: the sum of per-cycle powers.
     #[must_use]
-    pub fn energy(&self) -> f64 {
+    pub(crate) fn energy(&self) -> f64 {
         self.per_cycle.iter().sum()
     }
 
@@ -114,23 +114,11 @@ impl PowerProfile {
         }
     }
 
-    /// The first cycle whose power exceeds `bound` (with tolerance), if
-    /// any, together with the power drawn there.
-    #[must_use]
-    pub fn first_violation(&self, bound: f64) -> Option<(u32, f64)> {
-        self.per_cycle
-            .iter()
-            .enumerate()
-            .find(|&(_, &p)| p > bound + POWER_EPS)
-            .map(|(c, &p)| (c as u32, p))
-    }
-
     /// The first cycle whose power exceeds the budget's bound *for that
     /// cycle* (with tolerance), if any, together with the power drawn
-    /// there. For a constant budget this is exactly
-    /// [`first_violation`](PowerProfile::first_violation) at its bound.
+    /// there.
     #[must_use]
-    pub fn first_violation_budget(&self, budget: &PowerBudget) -> Option<(u32, f64)> {
+    pub(crate) fn first_violation(&self, budget: &PowerBudget) -> Option<(u32, f64)> {
         self.per_cycle
             .iter()
             .enumerate()
@@ -162,7 +150,7 @@ impl PowerProfile {
     /// bound value, and flags cycles whose draw exceeds their bound with
     /// `!!`. Infinite bounds render without a wall.
     #[must_use]
-    pub fn to_ascii_budget(&self, width: usize, budget: &PowerBudget) -> String {
+    pub fn to_ascii_under(&self, width: usize, budget: &PowerBudget) -> String {
         // One scale for both bars and walls, so their positions compare.
         let finite_peak = (0..self.per_cycle.len() as u32)
             .map(|c| budget.bound_at(c))
@@ -238,7 +226,7 @@ impl PowerProfile {
 ///
 /// A budget whose materialized bounds are all equal — however it was
 /// spelled ([`PowerBudget::Constant`], a one-step envelope, a flat
-/// per-cycle vector) — is detected by [`PowerLedger::with_budget`] and
+/// per-cycle vector) — is detected by [`PowerLedger::under`] and
 /// runs in constant mode, preserving the original scalar arithmetic
 /// bit for bit.
 ///
@@ -369,7 +357,7 @@ impl PowerLedger {
     /// arithmetic, same answers, bit for bit — so passing
     /// `PowerBudget::constant(p)` here is exactly `new(horizon, p)`.
     #[must_use]
-    pub fn with_budget(horizon: u32, budget: &PowerBudget) -> PowerLedger {
+    pub fn under(horizon: u32, budget: &PowerBudget) -> PowerLedger {
         let (bounds, peak) = match materialize_or_constant(budget, horizon) {
             Ok(constant) => return PowerLedger::new(horizon, constant),
             Err(envelope) => envelope,
@@ -413,7 +401,7 @@ impl PowerLedger {
     /// bound in envelope mode (see [`PowerLedger::bound`] for the
     /// per-cycle value).
     #[must_use]
-    pub fn max_power(&self) -> f64 {
+    pub(crate) fn max_power(&self) -> f64 {
         self.max_power
     }
 
@@ -806,10 +794,10 @@ impl NaivePowerLedger {
         }
     }
 
-    /// As [`PowerLedger::with_budget`]: equal-bound budgets collapse to
+    /// As [`PowerLedger::under`]: equal-bound budgets collapse to
     /// the constant path, everything else evaluates per-cycle slack.
     #[must_use]
-    pub fn with_budget(horizon: u32, budget: &PowerBudget) -> NaivePowerLedger {
+    pub fn under(horizon: u32, budget: &PowerBudget) -> NaivePowerLedger {
         let (bounds, peak) = match materialize_or_constant(budget, horizon) {
             Ok(constant) => return NaivePowerLedger::new(horizon, constant),
             Err(envelope) => envelope,
@@ -995,8 +983,11 @@ mod tests {
         assert!((p.energy() - 9.0).abs() < 1e-12);
         assert!((p.average() - 4.5).abs() < 1e-12);
         assert!((p.peak_to_average() - 5.0 / 4.5).abs() < 1e-12);
-        assert_eq!(p.first_violation(4.5), Some((0, 5.0)));
-        assert_eq!(p.first_violation(5.0), None);
+        assert_eq!(
+            p.first_violation(&PowerBudget::constant(4.5)),
+            Some((0, 5.0))
+        );
+        assert_eq!(p.first_violation(&PowerBudget::constant(5.0)), None);
     }
 
     #[test]
@@ -1023,18 +1014,18 @@ mod tests {
             PowerBudget::steps(vec![(0, 5.0)]),
             PowerBudget::per_cycle(vec![5.0; 10]),
         ] {
-            let l = PowerLedger::with_budget(10, &budget);
+            let l = PowerLedger::under(10, &budget);
             assert!(!l.is_envelope(), "{budget:?}");
             assert_eq!(l, PowerLedger::new(10, 5.0), "{budget:?}");
         }
         // Infinity is a constant too.
-        assert!(!PowerLedger::with_budget(10, &PowerBudget::unbounded()).is_envelope());
+        assert!(!PowerLedger::under(10, &PowerBudget::unbounded()).is_envelope());
     }
 
     #[test]
     fn envelope_ledger_enforces_each_cycles_own_bound() {
         let budget = PowerBudget::steps(vec![(0, 10.0), (4, 3.0)]);
-        let l = PowerLedger::with_budget(8, &budget);
+        let l = PowerLedger::under(8, &budget);
         assert!(l.is_envelope());
         assert_eq!(l.bound(0), 10.0);
         assert_eq!(l.bound(4), 3.0);
@@ -1054,7 +1045,7 @@ mod tests {
     #[test]
     fn envelope_reservations_consume_slack() {
         let budget = PowerBudget::per_cycle(vec![10.0, 10.0, 4.0, 4.0]);
-        let mut l = PowerLedger::with_budget(4, &budget);
+        let mut l = PowerLedger::under(4, &budget);
         l.reserve(0, 4, 3.0);
         assert!(l.fits(0, 2, 7.0));
         assert!(!l.fits(0, 3, 2.0)); // cycle 2 has 1.0 slack left
@@ -1074,7 +1065,7 @@ mod tests {
         for b in bounds.iter_mut().skip(100) {
             *b = 4.0;
         }
-        let mut l = PowerLedger::with_budget(200, &PowerBudget::per_cycle(bounds));
+        let mut l = PowerLedger::under(200, &PowerBudget::per_cycle(bounds));
         l.reserve(50, 100, 2.0);
         assert!(l.fits(0, 50, 8.9));
         assert!(!l.fits(0, 51, 8.0));
@@ -1096,25 +1087,21 @@ mod tests {
     fn profile_violations_against_a_budget() {
         let p = PowerProfile::from_cycles(vec![5.0, 5.0, 5.0]);
         let constant = PowerBudget::constant(4.0);
-        assert_eq!(p.first_violation_budget(&constant), Some((0, 5.0)));
+        assert_eq!(p.first_violation(&constant), Some((0, 5.0)));
         let steps = PowerBudget::steps(vec![(0, 6.0), (2, 4.0)]);
-        assert_eq!(p.first_violation_budget(&steps), Some((2, 5.0)));
-        assert_eq!(
-            p.first_violation_budget(&PowerBudget::constant(5.0)),
-            p.first_violation(5.0)
-        );
+        assert_eq!(p.first_violation(&steps), Some((2, 5.0)));
     }
 
     #[test]
     fn budget_ascii_overlay_marks_bounds_and_violations() {
         let p = PowerProfile::from_cycles(vec![2.0, 8.0]);
-        let chart = p.to_ascii_budget(20, &PowerBudget::steps(vec![(0, 10.0), (1, 5.0)]));
+        let chart = p.to_ascii_under(20, &PowerBudget::steps(vec![(0, 10.0), (1, 5.0)]));
         assert_eq!(chart.lines().count(), 2);
         assert!(chart.contains("(P<10.0)"));
         assert!(chart.contains("(P<5.0)"));
         assert!(chart.lines().nth(1).unwrap().ends_with("!!"));
         // Unbounded cycles render without a wall or annotation.
-        let free = p.to_ascii_budget(20, &PowerBudget::unbounded());
+        let free = p.to_ascii_under(20, &PowerBudget::unbounded());
         assert!(!free.contains("(P<"));
     }
 }

@@ -71,21 +71,22 @@ impl Schedule {
     }
 
     /// Checks that the schedule respects data dependences, an optional
-    /// latency bound, and an optional per-cycle power bound.
+    /// latency bound, and an optional per-cycle [`PowerBudget`]: each
+    /// cycle's draw must stay under *that cycle's* bound.
     ///
     /// # Errors
     ///
     /// * [`ScheduleError::PrecedenceViolated`] if a node starts before an
     ///   operand finishes.
     /// * [`ScheduleError::LatencyExceeded`] if `latency_bound` is violated.
-    /// * [`ScheduleError::PowerExceeded`] if `power_bound` is violated in
-    ///   some cycle.
+    /// * [`ScheduleError::PowerExceeded`] if `budget` is violated in some
+    ///   cycle; the reported bound is the violated cycle's own bound.
     pub fn validate(
         &self,
         graph: &Cdfg,
         timing: &TimingMap,
         latency_bound: Option<u32>,
-        power_bound: Option<f64>,
+        budget: Option<&PowerBudget>,
     ) -> Result<(), ScheduleError> {
         assert_eq!(self.starts.len(), graph.len(), "schedule/graph mismatch");
         for id in graph.node_ids() {
@@ -104,44 +105,15 @@ impl Schedule {
                 return Err(ScheduleError::LatencyExceeded { latency, bound });
             }
         }
-        if let Some(bound) = power_bound {
+        if let Some(budget) = budget {
             let profile = PowerProfile::of(self, timing);
-            if let Some((cycle, power)) = profile.first_violation(bound) {
+            if let Some((cycle, power)) = profile.first_violation(budget) {
                 return Err(ScheduleError::PowerExceeded {
                     cycle,
                     power,
-                    bound,
+                    bound: budget.bound_at(cycle),
                 });
             }
-        }
-        Ok(())
-    }
-
-    /// As [`validate`](Schedule::validate), but checking the per-cycle
-    /// power against a [`PowerBudget`] envelope: each cycle's draw must
-    /// stay under *that cycle's* bound. For a constant budget this is
-    /// exactly `validate(graph, timing, latency_bound, Some(bound))`.
-    ///
-    /// # Errors
-    ///
-    /// As [`validate`](Schedule::validate); the reported
-    /// [`ScheduleError::PowerExceeded`] bound is the violated cycle's
-    /// own bound.
-    pub fn validate_budget(
-        &self,
-        graph: &Cdfg,
-        timing: &TimingMap,
-        latency_bound: Option<u32>,
-        budget: &PowerBudget,
-    ) -> Result<(), ScheduleError> {
-        self.validate(graph, timing, latency_bound, None)?;
-        let profile = PowerProfile::of(self, timing);
-        if let Some((cycle, power)) = profile.first_violation_budget(budget) {
-            return Err(ScheduleError::PowerExceeded {
-                cycle,
-                power,
-                bound: budget.bound_at(cycle),
-            });
         }
         Ok(())
     }
@@ -181,7 +153,9 @@ mod tests {
     fn valid_schedule_passes() {
         let (g, t) = chain();
         let s = Schedule::new(vec![0, 0, 1, 2]);
-        assert!(s.validate(&g, &t, Some(3), Some(1.0)).is_ok());
+        assert!(s
+            .validate(&g, &t, Some(3), Some(&PowerBudget::constant(1.0)))
+            .is_ok());
     }
 
     #[test]
@@ -211,7 +185,9 @@ mod tests {
         let (g, t) = chain();
         // Both inputs in cycle 0: 0.4 > 0.3.
         let s = Schedule::new(vec![0, 0, 1, 2]);
-        let err = s.validate(&g, &t, None, Some(0.3)).unwrap_err();
+        let err = s
+            .validate(&g, &t, None, Some(&PowerBudget::constant(0.3)))
+            .unwrap_err();
         match err {
             ScheduleError::PowerExceeded { cycle, power, .. } => {
                 assert_eq!(cycle, 0);

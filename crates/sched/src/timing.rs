@@ -31,9 +31,8 @@ impl TimingMap {
     /// # Panics
     ///
     /// Panics if the library does not cover some operation kind used by
-    /// the graph; call
-    /// [`ModuleLibrary::check_coverage`] first
-    /// if the library is untrusted.
+    /// the graph; check [`ModuleLibrary::covers`] first if the library
+    /// is untrusted.
     #[must_use]
     pub fn from_policy(
         graph: &Cdfg,
@@ -92,18 +91,6 @@ impl TimingMap {
         TimingMap { entries }
     }
 
-    /// Number of nodes covered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the map is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The timing of `id`.
     ///
     /// # Panics
@@ -145,7 +132,7 @@ impl TimingMap {
     /// Sum over all operations of `delay × power`: the total energy of one
     /// execution of the graph, which is schedule-invariant.
     #[must_use]
-    pub fn total_energy(&self) -> f64 {
+    pub(crate) fn total_energy(&self) -> f64 {
         self.entries
             .iter()
             .map(|e| e.power * f64::from(e.delay))

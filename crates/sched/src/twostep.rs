@@ -33,33 +33,15 @@ pub struct TwoStepOutcome {
 
 /// Runs the two-step baseline: phase 1 builds the ASAP schedule (the
 /// traditional time-constrained result); phase 2 repeatedly takes the
-/// most power-hungry movable operation out of the worst peak cycle by
-/// delaying it one cycle, while never violating dependences or the
-/// latency bound.
+/// most power-hungry movable operation out of the first cycle whose draw
+/// exceeds *that cycle's* bound in `budget` by delaying it one cycle,
+/// while never violating dependences or the latency bound.
 ///
 /// # Errors
 ///
 /// Returns [`ScheduleError::LatencyExceeded`] if even the ASAP schedule
 /// misses `latency` — then no schedule of any kind exists.
 pub fn two_step(
-    graph: &Cdfg,
-    timing: &TimingMap,
-    latency: u32,
-    max_power: f64,
-) -> Result<TwoStepOutcome, ScheduleError> {
-    two_step_budget(graph, timing, latency, &PowerBudget::constant(max_power))
-}
-
-/// [`two_step`] against a time-varying [`PowerBudget`] envelope: phase 2
-/// flattens the first cycle whose draw exceeds *that cycle's* bound, so
-/// the baseline is comparable on the same scenarios the combined
-/// algorithm now handles. A constant budget reproduces [`two_step`]'s
-/// schedule exactly.
-///
-/// # Errors
-///
-/// As [`two_step`].
-pub fn two_step_budget(
     graph: &Cdfg,
     timing: &TimingMap,
     latency: u32,
@@ -83,7 +65,7 @@ pub fn two_step_budget(
     let mut moves = 0;
     while moves < max_moves {
         let profile = PowerProfile::of(&Schedule::new(starts.clone()), timing);
-        let Some((peak_cycle, _)) = profile.first_violation_budget(budget) else {
+        let Some((peak_cycle, _)) = profile.first_violation(budget) else {
             return Ok(TwoStepOutcome {
                 schedule: Schedule::new(starts),
                 met_power: true,
@@ -125,7 +107,7 @@ pub fn two_step_budget(
     // Same single-ε predicate as the loop, so the claim is consistent
     // with what a validator would conclude.
     let met_power = PowerProfile::of(&schedule, timing)
-        .first_violation_budget(budget)
+        .first_violation(budget)
         .is_none();
     schedule.validate(graph, timing, Some(latency), None)?;
     Ok(TwoStepOutcome {
@@ -184,7 +166,7 @@ mod tests {
     #[test]
     fn generous_budget_needs_no_moves() {
         let (g, t) = setup("hal");
-        let out = two_step(&g, &t, 20, 1e6).unwrap();
+        let out = two_step(&g, &t, 20, &PowerBudget::constant(1e6)).unwrap();
         assert!(out.met_power);
         assert_eq!(out.moves, 0);
         assert_eq!(out.schedule, asap(&g, &t));
@@ -194,11 +176,11 @@ mod tests {
     fn flattening_meets_moderate_budgets_with_slack() {
         let (g, t) = setup("hal");
         let peak = PowerProfile::of(&asap(&g, &t), &t).peak();
-        let out = two_step(&g, &t, 20, peak * 0.6).unwrap();
+        let out = two_step(&g, &t, 20, &PowerBudget::constant(peak * 0.6)).unwrap();
         assert!(out.met_power, "moves={}", out.moves);
         assert!(out.moves > 0);
         out.schedule
-            .validate(&g, &t, Some(20), Some(peak * 0.6))
+            .validate(&g, &t, Some(20), Some(&PowerBudget::constant(peak * 0.6)))
             .unwrap();
     }
 
@@ -207,7 +189,7 @@ mod tests {
         let (g, t) = setup("hal");
         // At the critical path with a hopeless budget, phase 2 gets stuck
         // but must still return a dependence-valid schedule.
-        let out = two_step(&g, &t, 8, 9.0).unwrap();
+        let out = two_step(&g, &t, 8, &PowerBudget::constant(9.0)).unwrap();
         assert!(!out.met_power);
         out.schedule.validate(&g, &t, Some(8), None).unwrap();
     }
@@ -216,7 +198,7 @@ mod tests {
     fn impossible_latency_is_an_error() {
         let (g, t) = setup("hal");
         assert!(matches!(
-            two_step(&g, &t, 5, 1e6),
+            two_step(&g, &t, 5, &PowerBudget::constant(1e6)),
             Err(ScheduleError::LatencyExceeded { .. })
         ));
     }
@@ -228,7 +210,7 @@ mod tests {
             let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
             let cp = asap(&g, &t).latency(&t);
             let peak = PowerProfile::of(&asap(&g, &t), &t).peak();
-            let out = two_step(&g, &t, cp + 6, peak * 0.7).unwrap();
+            let out = two_step(&g, &t, cp + 6, &PowerBudget::constant(peak * 0.7)).unwrap();
             out.schedule.validate(&g, &t, Some(cp + 6), None).unwrap();
         }
     }

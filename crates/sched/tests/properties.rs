@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use pchls_cdfg::{random_dag, RandomDagConfig};
 use pchls_fulib::{paper_library, SelectionPolicy};
 use pchls_sched::{
-    alap, asap, force_directed, list_schedule, palap, pasap, two_step, Allocation, PowerProfile,
-    TimingMap,
+    alap, asap, force_directed, list_schedule, palap, pasap, two_step, Allocation, PowerBudget,
+    PowerProfile, TimingMap,
 };
 
 prop_compose! {
@@ -33,20 +33,19 @@ proptest! {
         let lib = paper_library();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let base = asap(&g, &t);
-        prop_assert_eq!(&pasap(&g, &t, f64::INFINITY, 10_000).unwrap(), &base);
+        prop_assert_eq!(&pasap(&g, &t, &PowerBudget::unbounded(), 10_000).unwrap(), &base);
 
         let peak = PowerProfile::of(&base, &t).peak();
         let bound = (peak * frac).max(t.max_single_op_power());
-        let s = pasap(&g, &t, bound, 10_000).unwrap();
-        s.validate(&g, &t, None, Some(bound)).unwrap();
+        let s = pasap(&g, &t, &PowerBudget::constant(bound), 10_000).unwrap();
+        s.validate(&g, &t, None, Some(&PowerBudget::constant(bound))).unwrap();
     }
 
     /// pasap under a stepwise budget envelope respects every cycle's
-    /// own bound, and a constant envelope reproduces scalar pasap
-    /// exactly.
+    /// own bound, and a flat per-cycle spelling of a constant envelope
+    /// reproduces the constant schedule exactly.
     #[test]
     fn pasap_budget_respects_the_envelope(cfg in config(), frac in 0.5f64..1.0, split in 1u32..40) {
-        use pchls_sched::{pasap_budget, PowerBudget};
         let g = random_dag(&cfg);
         let lib = paper_library();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
@@ -54,16 +53,16 @@ proptest! {
         let peak = PowerProfile::of(&base, &t).peak();
         let lo = (peak * frac).max(t.max_single_op_power());
 
-        // Constant envelope ≡ scalar path, bit for bit.
-        let scalar = pasap(&g, &t, lo, 10_000).unwrap();
-        let constant = pasap_budget(&g, &t, &PowerBudget::constant(lo), 10_000).unwrap();
-        prop_assert_eq!(&scalar, &constant);
+        // Flat per-cycle envelope ≡ constant envelope, bit for bit.
+        let constant = pasap(&g, &t, &PowerBudget::constant(lo), 10_000).unwrap();
+        let flat = pasap(&g, &t, &PowerBudget::per_cycle(vec![lo; 64]), 10_000).unwrap();
+        prop_assert_eq!(&constant, &flat);
 
         // Loose opening phase, tight tail: the schedule must satisfy
         // the per-cycle bounds everywhere.
         let budget = PowerBudget::steps(vec![(0, peak * 2.0), (split, lo)]);
-        let s = pasap_budget(&g, &t, &budget, 10_000).unwrap();
-        s.validate_budget(&g, &t, None, &budget).unwrap();
+        let s = pasap(&g, &t, &budget, 10_000).unwrap();
+        s.validate(&g, &t, None, Some(&budget)).unwrap();
     }
 
     /// palap respects the latency it is given and the power bound.
@@ -75,9 +74,9 @@ proptest! {
         let base = asap(&g, &t);
         let peak = PowerProfile::of(&base, &t).peak();
         // Start from a latency pasap itself achieves, plus slack.
-        let lat = pasap(&g, &t, peak, 10_000).unwrap().latency(&t) + slack;
-        let s = palap(&g, &t, peak, lat).unwrap();
-        s.validate(&g, &t, Some(lat), Some(peak)).unwrap();
+        let lat = pasap(&g, &t, &PowerBudget::constant(peak), 10_000).unwrap().latency(&t) + slack;
+        let s = palap(&g, &t, &PowerBudget::constant(peak), lat).unwrap();
+        s.validate(&g, &t, Some(lat), Some(&PowerBudget::constant(peak))).unwrap();
     }
 
     /// alap mobility windows are well-formed: asap <= alap pointwise.
@@ -105,7 +104,7 @@ proptest! {
             .map(|n| lib.select(n.kind(), SelectionPolicy::Fastest).unwrap())
             .collect();
         let alloc = Allocation::from_pairs(lib.ids().map(|m| (m, units)));
-        let s = list_schedule(&g, &lib, &modules, &alloc, f64::INFINITY).unwrap();
+        let s = list_schedule(&g, &lib, &modules, &alloc, &PowerBudget::unbounded()).unwrap();
         let t = TimingMap::from_modules(&g, &lib, &modules);
         s.validate(&g, &t, None, None).unwrap();
         // Resource check: concurrency per module never exceeds the count.
@@ -149,10 +148,10 @@ proptest! {
         let peak = PowerProfile::of(&base, &t).peak();
         let bound = peak * frac;
         let lat = base.latency(&t) + slack;
-        let out = two_step(&g, &t, lat, bound).unwrap();
+        let out = two_step(&g, &t, lat, &PowerBudget::constant(bound)).unwrap();
         out.schedule.validate(&g, &t, Some(lat), None).unwrap();
         if out.met_power {
-            out.schedule.validate(&g, &t, Some(lat), Some(bound)).unwrap();
+            out.schedule.validate(&g, &t, Some(lat), Some(&PowerBudget::constant(bound))).unwrap();
         }
     }
 }
@@ -179,7 +178,7 @@ mod locked_props {
             let peak = PowerProfile::of(&asap(&g, &t), &t).peak();
             let bound = (peak * frac).max(t.max_single_op_power());
             let horizon = 10_000;
-            let base = pasap(&g, &t, bound, horizon).unwrap();
+            let base = pasap(&g, &t, &PowerBudget::constant(bound), horizon).unwrap();
 
             let mut locked = LockedStarts::none(g.len());
             for id in g.node_ids() {
@@ -187,14 +186,14 @@ mod locked_props {
                     locked.lock(id, base.start(id));
                 }
             }
-            let s = pasap_locked(&g, &t, bound, horizon, &locked)
+            let s = pasap_locked(&g, &t, &PowerBudget::constant(bound), horizon, &locked)
                 .expect("relocking a valid schedule stays feasible");
             for id in g.node_ids() {
                 if let Some(fixed) = locked.get(id) {
                     prop_assert_eq!(s.start(id), fixed);
                 }
             }
-            s.validate(&g, &t, None, Some(bound)).unwrap();
+            s.validate(&g, &t, None, Some(&PowerBudget::constant(bound))).unwrap();
         }
     }
 }
@@ -222,8 +221,8 @@ mod ledger_props {
         budget: &PowerBudget,
         ops: &[LedgerOp],
     ) -> Result<(), TestCaseError> {
-        let tree = PowerLedger::with_budget(horizon, budget);
-        let naive = NaivePowerLedger::with_budget(horizon, budget);
+        let tree = PowerLedger::under(horizon, budget);
+        let naive = NaivePowerLedger::under(horizon, budget);
         check_ledger_pair(tree, naive, horizon, ops)
     }
 

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 /// A continuous-refill token bucket (see module docs).
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     /// Maximum tokens the bucket holds — the burst allowance.
     capacity: f64,
     tokens: f64,
@@ -27,7 +27,7 @@ impl TokenBucket {
     /// tokens (clamped to ≥ 1 so a fresh bucket always admits one
     /// request). Starts full.
     #[must_use]
-    pub fn new(rate_per_sec: f64, burst: f64, now: Instant) -> TokenBucket {
+    pub(crate) fn new(rate_per_sec: f64, burst: f64, now: Instant) -> TokenBucket {
         let capacity = burst.max(1.0);
         TokenBucket {
             capacity,
@@ -39,7 +39,7 @@ impl TokenBucket {
 
     /// Refills for the time elapsed since the last call, then takes one
     /// token if available. `false` means rate-limited.
-    pub fn try_take(&mut self, now: Instant) -> bool {
+    pub(crate) fn try_take(&mut self, now: Instant) -> bool {
         let elapsed = now.saturating_duration_since(self.last).as_secs_f64();
         self.last = now;
         self.tokens = (self.tokens + elapsed * self.refill_per_sec).min(self.capacity);
@@ -49,12 +49,6 @@ impl TokenBucket {
         } else {
             false
         }
-    }
-
-    /// Tokens currently available (diagnostics/tests).
-    #[must_use]
-    pub fn available(&self) -> f64 {
-        self.tokens
     }
 }
 
@@ -123,7 +117,7 @@ mod tests {
         assert!(bucket.try_take(t0));
         assert!(bucket.try_take(t0));
         assert!(!bucket.try_take(t0 + Duration::from_secs(3600)));
-        assert!(bucket.available() < 1.0);
+        assert!(bucket.tokens < 1.0);
     }
 
     #[test]

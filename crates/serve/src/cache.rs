@@ -28,18 +28,18 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pchls_cdfg::{graph_fingerprint, Cdfg};
+use pchls_cdfg::Cdfg;
 use pchls_core::{CompiledGraph, Engine, SynthesisError};
 use serde::{Deserialize, Serialize};
 
 /// What one compile request costs: a shared compiled graph, or the
 /// compile-time error (also cached, so repeated bad submissions stay
 /// cheap).
-pub type CompileOutcome = Result<Arc<CompiledGraph>, SynthesisError>;
+pub(crate) type CompileOutcome = Result<Arc<CompiledGraph>, SynthesisError>;
 
-/// How a [`CompileCache::get_or_compile`] call was satisfied.
+/// How a [`CompileCache::get_or_compile_keyed`] call was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLookup {
+pub(crate) enum CacheLookup {
     /// The graph was cached and compiled: zero work.
     Hit,
     /// The graph was in the cache but its compile was still in flight:
@@ -52,7 +52,7 @@ pub enum CacheLookup {
 
 /// Counter snapshot of a [`CompileCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     /// Lookups satisfied by a completed cached compile.
     pub hits: u64,
     /// Lookups that inserted a new entry.
@@ -76,7 +76,7 @@ impl CacheStats {
     /// Fraction of lookups served without compiling (completed hits
     /// over all lookups); `0.0` before any lookup.
     #[must_use]
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let lookups = self.hits + self.misses + self.coalesced;
         if lookups == 0 {
             0.0
@@ -89,7 +89,7 @@ impl CacheStats {
     /// eviction. Together with `entry_bytes` this distinguishes a
     /// too-small cache (young victims) from natural turnover.
     #[must_use]
-    pub fn mean_eviction_age(&self) -> f64 {
+    pub(crate) fn mean_eviction_age(&self) -> f64 {
         if self.evictions == 0 {
             0.0
         } else {
@@ -99,7 +99,7 @@ impl CacheStats {
 
     /// Per-shard snapshots summed into a service-wide one.
     #[must_use]
-    pub fn merged(snapshots: impl IntoIterator<Item = CacheStats>) -> CacheStats {
+    pub(crate) fn merged(snapshots: impl IntoIterator<Item = CacheStats>) -> CacheStats {
         snapshots.into_iter().fold(
             CacheStats {
                 hits: 0,
@@ -166,7 +166,7 @@ struct Inner {
 /// in-flight compiles, LRU eviction (see the module-level docs above
 /// for the full guarantees).
 #[derive(Debug)]
-pub struct CompileCache {
+pub(crate) struct CompileCache {
     inner: Mutex<Inner>,
     cap: usize,
 }
@@ -174,25 +174,14 @@ pub struct CompileCache {
 impl CompileCache {
     /// A cache holding at most `cap` compiled graphs (clamped to ≥ 1).
     #[must_use]
-    pub fn new(cap: usize) -> CompileCache {
+    pub(crate) fn new(cap: usize) -> CompileCache {
         CompileCache {
             inner: Mutex::new(Inner::default()),
             cap: cap.max(1),
         }
     }
 
-    /// The compiled form of `graph`, from cache when present, compiling
-    /// (or joining an in-flight compile) otherwise. The compile itself
-    /// runs *outside* the cache lock, so a slow compile never blocks
-    /// unrelated lookups.
-    pub fn get_or_compile(&self, engine: &Engine, graph: &Cdfg) -> (CompileOutcome, CacheLookup) {
-        self.get_or_compile_keyed(engine, graph_fingerprint(graph), graph)
-    }
-
-    /// [`get_or_compile`](CompileCache::get_or_compile) with the
-    /// fingerprint already in hand — callers that key other tiers on
-    /// the same fingerprint avoid hashing the graph twice.
-    pub fn get_or_compile_keyed(
+    pub(crate) fn get_or_compile_keyed(
         &self,
         engine: &Engine,
         fingerprint: u64,
@@ -245,7 +234,7 @@ impl CompileCache {
     }
 
     /// Counter snapshot (consistent: taken under the cache lock).
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("cache lock");
         CacheStats {
             hits: inner.hits,
@@ -257,22 +246,6 @@ impl CompileCache {
             eviction_age_sum: inner.eviction_age_sum,
             last_eviction_age: inner.last_eviction_age,
         }
-    }
-
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").len
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum number of resident entries.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 }
 
@@ -307,11 +280,20 @@ fn evict_lru(inner: &mut Inner) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pchls_cdfg::benchmarks;
+    use pchls_cdfg::{benchmarks, graph_fingerprint};
     use pchls_fulib::paper_library;
 
     fn engine() -> Engine {
         Engine::new(paper_library())
+    }
+
+    /// A lookup keyed on the graph's own fingerprint.
+    fn get_or_compile(
+        cache: &CompileCache,
+        engine: &Engine,
+        graph: &Cdfg,
+    ) -> (CompileOutcome, CacheLookup) {
+        cache.get_or_compile_keyed(engine, graph_fingerprint(graph), graph)
     }
 
     #[test]
@@ -319,8 +301,8 @@ mod tests {
         let engine = engine();
         let cache = CompileCache::new(4);
         let g = benchmarks::hal();
-        let (a, first) = cache.get_or_compile(&engine, &g);
-        let (b, second) = cache.get_or_compile(&engine, &g);
+        let (a, first) = get_or_compile(&cache, &engine, &g);
+        let (b, second) = get_or_compile(&cache, &engine, &g);
         assert_eq!(first, CacheLookup::Miss);
         assert_eq!(second, CacheLookup::Hit);
         assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()), "hit must share");
@@ -338,20 +320,20 @@ mod tests {
             benchmarks::cosine(),
             benchmarks::ar_filter(),
         );
-        let _ = cache.get_or_compile(&engine, &hal);
-        let _ = cache.get_or_compile(&engine, &cosine);
+        let _ = get_or_compile(&cache, &engine, &hal);
+        let _ = get_or_compile(&cache, &engine, &cosine);
         // Touch hal so cosine is the LRU victim when ar arrives.
-        let _ = cache.get_or_compile(&engine, &hal);
-        let _ = cache.get_or_compile(&engine, &ar);
-        assert_eq!(cache.len(), 2);
+        let _ = get_or_compile(&cache, &engine, &hal);
+        let _ = get_or_compile(&cache, &engine, &ar);
+        assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(
-            cache.get_or_compile(&engine, &hal).1,
+            get_or_compile(&cache, &engine, &hal).1,
             CacheLookup::Hit,
             "hot entry survived"
         );
         assert_eq!(
-            cache.get_or_compile(&engine, &cosine).1,
+            get_or_compile(&cache, &engine, &cosine).1,
             CacheLookup::Miss,
             "cold entry was evicted"
         );
@@ -366,7 +348,7 @@ mod tests {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     let (engine, cache, g) = (&engine, &cache, &g);
-                    s.spawn(move || cache.get_or_compile(engine, g).0.unwrap())
+                    s.spawn(move || get_or_compile(cache, engine, g).0.unwrap())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -399,8 +381,8 @@ mod tests {
         let engine = Engine::new(lib);
         let cache = CompileCache::new(4);
         let g = benchmarks::hal();
-        let (first, _) = cache.get_or_compile(&engine, &g);
-        let (second, lookup) = cache.get_or_compile(&engine, &g);
+        let (first, _) = get_or_compile(&cache, &engine, &g);
+        let (second, lookup) = get_or_compile(&cache, &engine, &g);
         assert!(matches!(first, Err(SynthesisError::Uncovered { .. })));
         assert_eq!(first.err(), second.err());
         assert_eq!(lookup, CacheLookup::Hit, "the error is served from cache");
@@ -411,12 +393,12 @@ mod tests {
         let engine = engine();
         let cache = CompileCache::new(1);
         assert_eq!(cache.stats().entry_bytes, 0);
-        let _ = cache.get_or_compile(&engine, &benchmarks::hal());
+        let _ = get_or_compile(&cache, &engine, &benchmarks::hal());
         let one_entry = cache.stats().entry_bytes;
         assert!(one_entry > 0);
         // Cap 1: the second insert evicts hal after one intervening
         // tick, so the victim's idle age is exactly 1.
-        let _ = cache.get_or_compile(&engine, &benchmarks::cosine());
+        let _ = get_or_compile(&cache, &engine, &benchmarks::cosine());
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.entries, 1);
@@ -425,7 +407,7 @@ mod tests {
         assert!((s.mean_eviction_age() - 1.0).abs() < 1e-12);
         // Bytes track what is resident, not a running total: cycling
         // hal back in restores exactly its original footprint.
-        let _ = cache.get_or_compile(&engine, &benchmarks::hal());
+        let _ = get_or_compile(&cache, &engine, &benchmarks::hal());
         assert_eq!(cache.stats().entry_bytes, one_entry);
     }
 
@@ -436,12 +418,13 @@ mod tests {
         // cache is big enough for both.
         let engine = engine();
         let cache = CompileCache::new(4);
-        let a = cache.get_or_compile(&engine, &benchmarks::hal()).0.unwrap();
-        let b = cache
-            .get_or_compile(&engine, &benchmarks::cosine())
+        let a = get_or_compile(&cache, &engine, &benchmarks::hal())
+            .0
+            .unwrap();
+        let b = get_or_compile(&cache, &engine, &benchmarks::cosine())
             .0
             .unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().entries, 2);
     }
 }

@@ -19,7 +19,7 @@ use std::sync::{Condvar, Mutex};
 
 /// Which priority lane a job rides in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lane {
+pub(crate) enum Lane {
     /// Classified as a result-tier hit: answered without synthesis.
     Hit,
     /// May require compilation and synthesis.
@@ -28,7 +28,7 @@ pub enum Lane {
 
 /// Why [`LaneQueues::try_push`] refused a job; carries the job back.
 #[derive(Debug, PartialEq, Eq)]
-pub enum PushRefusal<T> {
+pub(crate) enum PushRefusal<T> {
     /// The lane is at capacity — shed the request.
     Full(T),
     /// The queue is closed — the service is shutting down.
@@ -44,7 +44,7 @@ struct Inner<T> {
 
 /// The two-lane bounded queue (see module docs).
 #[derive(Debug)]
-pub struct LaneQueues<T> {
+pub(crate) struct LaneQueues<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -56,7 +56,7 @@ impl<T> LaneQueues<T> {
     /// A queue admitting at most `hit_cap` / `synth_cap` waiting jobs
     /// per lane (each clamped to ≥ 1).
     #[must_use]
-    pub fn new(hit_cap: usize, synth_cap: usize) -> LaneQueues<T> {
+    pub(crate) fn new(hit_cap: usize, synth_cap: usize) -> LaneQueues<T> {
         LaneQueues {
             inner: Mutex::new(Inner {
                 hit: VecDeque::new(),
@@ -82,7 +82,7 @@ impl<T> LaneQueues<T> {
     /// # Errors
     ///
     /// Returns the item back when the queue is closed.
-    pub fn push(&self, lane: Lane, item: T) -> Result<(), T> {
+    pub(crate) fn push(&self, lane: Lane, item: T) -> Result<(), T> {
         let mut inner = self.inner.lock().expect("lane queue lock");
         while inner.lane(lane).len() >= self.cap(lane) && !inner.closed {
             inner = self.not_full.wait(inner).expect("lane queue lock");
@@ -107,7 +107,7 @@ impl<T> LaneQueues<T> {
     ///
     /// [`PushRefusal::Full`] at capacity, [`PushRefusal::Closed`] after
     /// [`close`](LaneQueues::close); both return the item.
-    pub fn try_push(&self, lane: Lane, item: T) -> Result<(), PushRefusal<T>> {
+    pub(crate) fn try_push(&self, lane: Lane, item: T) -> Result<(), PushRefusal<T>> {
         let mut inner = self.inner.lock().expect("lane queue lock");
         if inner.closed {
             return Err(PushRefusal::Closed(item));
@@ -123,7 +123,7 @@ impl<T> LaneQueues<T> {
 
     /// Dequeues the next job, hit lane first, blocking while both lanes
     /// are empty. Returns `None` once closed *and* drained.
-    pub fn pop(&self) -> Option<(Lane, T)> {
+    pub(crate) fn pop(&self) -> Option<(Lane, T)> {
         let mut inner = self.inner.lock().expect("lane queue lock");
         loop {
             if let Some(item) = inner.hit.pop_front() {
@@ -146,7 +146,7 @@ impl<T> LaneQueues<T> {
     /// Dequeues from the hit lane only — the dedicated hit worker's
     /// loop, immune to synth backlog by construction. Returns `None`
     /// once closed and the hit lane drained.
-    pub fn pop_hit(&self) -> Option<T> {
+    pub(crate) fn pop_hit(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("lane queue lock");
         loop {
             if let Some(item) = inner.hit.pop_front() {
@@ -163,14 +163,14 @@ impl<T> LaneQueues<T> {
 
     /// Closes the queue: blocked producers fail, consumers drain the
     /// remaining jobs and then observe `None`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.inner.lock().expect("lane queue lock").closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
     /// Jobs waiting in `lane`.
-    pub fn depth(&self, lane: Lane) -> usize {
+    pub(crate) fn depth(&self, lane: Lane) -> usize {
         let inner = self.inner.lock().expect("lane queue lock");
         match lane {
             Lane::Hit => inner.hit.len(),
@@ -179,14 +179,9 @@ impl<T> LaneQueues<T> {
     }
 
     /// Jobs waiting across both lanes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let inner = self.inner.lock().expect("lane queue lock");
         inner.hit.len() + inner.synth.len()
-    }
-
-    /// Whether both lanes are empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

@@ -9,7 +9,7 @@
 //! this crate adds the subsystem that accepts many concurrent requests
 //! and amortizes compilation *across clients*:
 //!
-//! * [`CompileCache`] — compiled graphs addressed by **content**
+//! * A compile cache — compiled graphs addressed by **content**
 //!   ([`pchls_cdfg::graph_fingerprint`], a stable structural hash),
 //!   verified by full equality, bounded LRU, with identical in-flight
 //!   compiles coalesced so N clients submitting the same graph trigger
@@ -20,10 +20,9 @@
 //!   [`pchls_par::WorkerPool`] workers plus a dedicated hit-lane
 //!   worker, with per-request deadlines and cancellation through the
 //!   engine's progress hook (`SynthesisError::Cancelled`). Admission
-//!   is explicit: blocking [`Service::submit`] backpressure for
-//!   in-process callers, shedding [`Service::try_submit`] (a
-//!   well-formed `overloaded` error, never a dropped connection) for
-//!   the network.
+//!   is explicit: blocking backpressure for in-process callers
+//!   ([`Service::call`]), shedding (a well-formed `overloaded` error,
+//!   never a dropped connection) for the network front ends.
 //! * [`SubmitRequest`]/[`SubmitResponse`] — a JSON-lines protocol
 //!   served over stdin/stdout ([`serve_stdio`]) or TCP on a
 //!   single-threaded nonblocking reactor ([`serve_tcp_with`], built on
@@ -44,8 +43,8 @@
 //! [`Session::synthesize`](pchls_core::Session::synthesize) /
 //! `Session::batch` emits for the same constraint points — the cache
 //! and the scheduler are pure plumbing around the deterministic kernel
-//! (enforced by this crate's integration tests and the
-//! `service-throughput` benchmark workload).
+//! (enforced by this crate's `service_smoke` integration test; perfbench's
+//! `serve-mix` workload drives the same path over TCP).
 //!
 //! # Example
 //!
@@ -69,6 +68,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod admission;
 mod cache;
@@ -79,11 +79,7 @@ mod results;
 mod service;
 mod stats;
 
-pub use admission::TokenBucket;
-pub use cache::{CacheLookup, CacheStats, CompileCache, CompileOutcome};
-pub use lanes::{Lane, LaneQueues, PushRefusal};
-pub use net::{handle_connection, serve_stdio, serve_tcp, serve_tcp_with, ShutdownHandle};
+pub use net::{serve_stdio, serve_tcp, serve_tcp_with, ShutdownHandle};
 pub use protocol::{SubmitRequest, SubmitResponse};
-pub use results::{ResultCacheStats, ResultTier, StoreHandle, StoreTierStats};
-pub use service::{Service, ServiceConfig, SubmitOutcome};
+pub use service::{Service, ServiceConfig};
 pub use stats::{render_serve_stats, LaneSnapshot, LatencyHistogram, ServiceStats};

@@ -13,7 +13,7 @@
 //!
 //! The front end is the admission layer:
 //!
-//! * requests are submitted with [`Service::try_submit`] semantics — a
+//! * requests are submitted with shedding admission — a
 //!   saturated shard answers `overloaded` immediately instead of
 //!   blocking the reactor or dropping the connection;
 //! * each connection gets a token bucket (when the service configures a
@@ -93,7 +93,7 @@ impl ShutdownHandle {
 
     /// Whether a stop has been requested.
     #[must_use]
-    pub fn is_stopped(&self) -> bool {
+    pub(crate) fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
 
@@ -598,7 +598,7 @@ pub fn serve_tcp(service: &Service, listener: &TcpListener) -> io::Result<()> {
 /// Propagates read errors from `reader`; write errors end the writer
 /// thread (the remaining replies are dropped, like a peer that hung
 /// up).
-pub fn handle_connection<R, W>(service: &Service, mut reader: R, writer: W) -> io::Result<()>
+pub(crate) fn handle_connection<R, W>(service: &Service, mut reader: R, writer: W) -> io::Result<()>
 where
     R: Read,
     W: Write + Send + 'static,
@@ -669,7 +669,7 @@ where
 ///
 /// # Errors
 ///
-/// As [`handle_connection`].
+/// As `handle_connection`.
 pub fn serve_stdio(service: &Service) -> io::Result<()> {
     handle_connection(service, io::stdin().lock(), io::stdout())
 }

@@ -103,15 +103,6 @@ impl SubmitRequest {
         }
     }
 
-    /// A `cancel` request for `id`.
-    #[must_use]
-    pub fn cancel(id: u64) -> SubmitRequest {
-        SubmitRequest {
-            op: "cancel".to_owned(),
-            ..SubmitRequest::synth(id, "", 0, 0.0)
-        }
-    }
-
     /// A `stats` request.
     #[must_use]
     pub fn stats(id: u64) -> SubmitRequest {
@@ -125,13 +116,6 @@ impl SubmitRequest {
     #[must_use]
     pub fn with_deadline_ms(mut self, deadline_ms: u64) -> SubmitRequest {
         self.deadline_ms = deadline_ms;
-        self
-    }
-
-    /// Replaces the scalar power bound with a budget envelope.
-    #[must_use]
-    pub fn with_budget(mut self, budget: PowerBudget) -> SubmitRequest {
-        self.budget = Some(budget);
         self
     }
 }
@@ -162,7 +146,7 @@ pub struct SubmitResponse {
 impl SubmitResponse {
     /// A successful `synth` reply.
     #[must_use]
-    pub fn point(id: u64, point: SweepPoint) -> SubmitResponse {
+    pub(crate) fn point(id: u64, point: SweepPoint) -> SubmitResponse {
         SubmitResponse {
             id,
             ok: true,
@@ -175,7 +159,7 @@ impl SubmitResponse {
 
     /// A failure reply.
     #[must_use]
-    pub fn error(id: u64, message: impl Into<String>) -> SubmitResponse {
+    pub(crate) fn error(id: u64, message: impl Into<String>) -> SubmitResponse {
         SubmitResponse {
             id,
             ok: false,
@@ -188,7 +172,7 @@ impl SubmitResponse {
 
     /// A `stats` reply.
     #[must_use]
-    pub fn stats(id: u64, stats: ServiceStats) -> SubmitResponse {
+    pub(crate) fn stats(id: u64, stats: ServiceStats) -> SubmitResponse {
         SubmitResponse {
             id,
             ok: true,
@@ -202,7 +186,7 @@ impl SubmitResponse {
     /// A `metrics` reply: the text exposition, carried as one JSON
     /// string field.
     #[must_use]
-    pub fn metrics(id: u64, text: String) -> SubmitResponse {
+    pub(crate) fn metrics(id: u64, text: String) -> SubmitResponse {
         SubmitResponse {
             id,
             ok: true,
@@ -245,8 +229,10 @@ mod tests {
 
     #[test]
     fn budget_field_round_trips_and_defaults_to_none() {
-        let req = SubmitRequest::synth(3, "hal", 17, 0.0)
-            .with_budget(PowerBudget::steps(vec![(0, 30.0), (8, 12.0)]));
+        let req = SubmitRequest {
+            budget: Some(PowerBudget::steps(vec![(0, 30.0), (8, 12.0)])),
+            ..SubmitRequest::synth(3, "hal", 17, 0.0)
+        };
         let json = serde_json::to_string(&req).unwrap();
         assert!(json.contains("\"steps\""), "{json}");
         let back: SubmitRequest = serde_json::from_str(&json).unwrap();
@@ -280,7 +266,6 @@ mod tests {
 
     #[test]
     fn constructors_set_the_op() {
-        assert_eq!(SubmitRequest::cancel(4).op, "cancel");
         assert_eq!(SubmitRequest::stats(5).op, "stats");
         assert_eq!(SubmitRequest::synth(6, "hal", 1, 1.0).op, "synth");
         assert!(!SubmitRequest::synth_text(7, "graph g {}", 1, 1.0)

@@ -34,7 +34,7 @@ use pchls_store::{Store, StoreKey, StoreRecord};
 
 /// Counter snapshot of the in-memory result tier.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ResultCacheStats {
+pub(crate) struct ResultCacheStats {
     /// Lookups answered from memory.
     pub hits: u64,
     /// Lookups that found nothing in memory.
@@ -54,7 +54,7 @@ pub struct ResultCacheStats {
 impl ResultCacheStats {
     /// Fraction of lookups answered from memory; `0.0` before any.
     #[must_use]
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let lookups = self.hits + self.misses;
         if lookups == 0 {
             0.0
@@ -65,7 +65,7 @@ impl ResultCacheStats {
 
     /// Mean idle age (ticks) of eviction victims; `0.0` before any.
     #[must_use]
-    pub fn mean_eviction_age(&self) -> f64 {
+    pub(crate) fn mean_eviction_age(&self) -> f64 {
         if self.evictions == 0 {
             0.0
         } else {
@@ -75,7 +75,9 @@ impl ResultCacheStats {
 
     /// Per-shard snapshots summed into a service-wide one.
     #[must_use]
-    pub fn merged(snapshots: impl IntoIterator<Item = ResultCacheStats>) -> ResultCacheStats {
+    pub(crate) fn merged(
+        snapshots: impl IntoIterator<Item = ResultCacheStats>,
+    ) -> ResultCacheStats {
         snapshots
             .into_iter()
             .fold(ResultCacheStats::default(), |a, b| ResultCacheStats {
@@ -93,7 +95,7 @@ impl ResultCacheStats {
 /// Counter snapshot of the persistent tier (all zero when no store is
 /// configured).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StoreTierStats {
+pub(crate) struct StoreTierStats {
     /// Lookups answered by the on-disk store.
     pub hits: u64,
     /// Lookups that reached the store and found nothing.
@@ -137,7 +139,7 @@ struct StoreCounters {
 /// number of [`ResultTier`]s (the service gives each shard a tier over
 /// the same handle).
 #[derive(Debug)]
-pub struct StoreHandle {
+pub(crate) struct StoreHandle {
     store: Arc<Mutex<Store>>,
     /// Feed to the write-behind thread; dropped to initiate shutdown.
     sender: Mutex<Option<Sender<StoreRecord>>>,
@@ -152,7 +154,7 @@ impl StoreHandle {
     /// # Errors
     ///
     /// Opening or recovering the store failed.
-    pub fn open(dir: &Path) -> io::Result<Arc<StoreHandle>> {
+    pub(crate) fn open(dir: &Path) -> io::Result<Arc<StoreHandle>> {
         let store = Arc::new(Mutex::new(Store::open(dir)?));
         let counters = Arc::new(StoreCounters::default());
         let (tx, rx) = std::sync::mpsc::channel::<StoreRecord>();
@@ -176,7 +178,7 @@ impl StoreHandle {
     /// record read, no counter movement. The admission layer uses this
     /// to classify requests into the hit lane.
     #[must_use]
-    pub fn contains(&self, key: &StoreKey) -> bool {
+    pub(crate) fn contains(&self, key: &StoreKey) -> bool {
         self.store.lock().expect("store lock").contains(key)
     }
 
@@ -211,7 +213,7 @@ impl StoreHandle {
 
     /// Counter snapshot of the persistent tier.
     #[must_use]
-    pub fn stats(&self) -> StoreTierStats {
+    pub(crate) fn stats(&self) -> StoreTierStats {
         StoreTierStats {
             hits: self.counters.hits.load(Ordering::Relaxed),
             misses: self.counters.misses.load(Ordering::Relaxed),
@@ -222,7 +224,7 @@ impl StoreHandle {
     /// Stops the write-behind thread (draining everything queued) and
     /// flushes the store's footer so the next open needs no recovery
     /// scan. Idempotent — safe to call once per sharing tier.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         drop(self.sender.lock().expect("sender lock").take());
         if let Some(writer) = self.writer.lock().expect("writer lock").take() {
             let _ = writer.join();
@@ -234,29 +236,16 @@ impl StoreHandle {
 /// The two-tier result cache: memory LRU in front, optional persistent
 /// store behind, write-behind appends.
 #[derive(Debug)]
-pub struct ResultTier {
+pub(crate) struct ResultTier {
     inner: Mutex<ResultInner>,
     cap: usize,
     store: Option<Arc<StoreHandle>>,
 }
 
 impl ResultTier {
-    /// A tier holding at most `cap` records in memory (clamped to ≥ 1),
-    /// optionally backed by its own store under `store_dir`. Sharded
-    /// services share one store across tiers via
-    /// [`ResultTier::with_store`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Opening or recovering the store failed.
-    pub fn open(cap: usize, store_dir: Option<&Path>) -> io::Result<ResultTier> {
-        let store = store_dir.map(StoreHandle::open).transpose()?;
-        Ok(ResultTier::with_store(cap, store))
-    }
-
     /// A tier over an already-open (possibly shared) store handle.
     #[must_use]
-    pub fn with_store(cap: usize, store: Option<Arc<StoreHandle>>) -> ResultTier {
+    pub(crate) fn with_store(cap: usize, store: Option<Arc<StoreHandle>>) -> ResultTier {
         ResultTier {
             inner: Mutex::new(ResultInner::default()),
             cap: cap.max(1),
@@ -264,18 +253,12 @@ impl ResultTier {
         }
     }
 
-    /// Whether a persistent store backs this tier.
-    #[must_use]
-    pub fn persistent(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// Whether `key` would be answered without synthesis — resident in
     /// memory or present in the store's index. Moves no counters and no
     /// LRU state: this is the admission layer's lane classifier, and a
     /// probe that shifted hit rates would make stats lie.
     #[must_use]
-    pub fn contains(&self, key: &StoreKey) -> bool {
+    pub(crate) fn contains(&self, key: &StoreKey) -> bool {
         if self
             .inner
             .lock()
@@ -290,7 +273,7 @@ impl ResultTier {
 
     /// Looks `key` up in memory, then (on miss) in the store. A store
     /// hit is promoted into the memory tier.
-    pub fn lookup(&self, key: &StoreKey) -> Option<StoreRecord> {
+    pub(crate) fn lookup(&self, key: &StoreKey) -> Option<StoreRecord> {
         {
             let mut inner = self.inner.lock().expect("result cache lock");
             inner.tick += 1;
@@ -309,7 +292,7 @@ impl ResultTier {
     }
 
     /// Records a completed result in memory and (write-behind) on disk.
-    pub fn insert(&self, record: StoreRecord) {
+    pub(crate) fn insert(&self, record: StoreRecord) {
         if let Some(store) = &self.store {
             store.enqueue(record.clone());
         }
@@ -351,7 +334,7 @@ impl ResultTier {
     /// Counter snapshots of both tiers. With a shared store handle the
     /// store counters are service-wide — sum only the memory side
     /// across shards.
-    pub fn stats(&self) -> (ResultCacheStats, StoreTierStats) {
+    pub(crate) fn stats(&self) -> (ResultCacheStats, StoreTierStats) {
         let inner = self.inner.lock().expect("result cache lock");
         let memory = ResultCacheStats {
             hits: inner.hits,
@@ -374,7 +357,7 @@ impl ResultTier {
     /// scan. Idempotent; also run on drop. With a shared handle, the
     /// first tier to shut down stops the writer for all of them — the
     /// service does this only after every worker has been joined.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         if let Some(store) = &self.store {
             store.shutdown();
         }
@@ -434,8 +417,7 @@ mod tests {
 
     #[test]
     fn memory_tier_lru_counts_hits_sizes_and_eviction_ages() {
-        let tier = ResultTier::open(2, None).unwrap();
-        assert!(!tier.persistent());
+        let tier = ResultTier::with_store(2, None);
         tier.insert(record(1));
         tier.insert(record(2));
         assert!(tier.lookup(&record(1).key).is_some());
@@ -456,7 +438,7 @@ mod tests {
     fn persistent_tier_answers_after_a_restart() {
         let dir = temp_dir("restart");
         {
-            let tier = ResultTier::open(8, Some(&dir)).unwrap();
+            let tier = ResultTier::with_store(8, Some(StoreHandle::open(&dir).unwrap()));
             for i in 0..5 {
                 tier.insert(record(i));
             }
@@ -465,7 +447,7 @@ mod tests {
             assert_eq!(store.appends, 5);
         }
         // A fresh tier (cold memory) finds everything in the store.
-        let tier = ResultTier::open(8, Some(&dir)).unwrap();
+        let tier = ResultTier::with_store(8, Some(StoreHandle::open(&dir).unwrap()));
         for i in 0..5 {
             assert_eq!(tier.lookup(&record(i).key), Some(record(i)), "record {i}");
         }
@@ -484,11 +466,11 @@ mod tests {
     fn contains_probes_both_tiers_without_moving_counters() {
         let dir = temp_dir("contains");
         {
-            let warm = ResultTier::open(4, Some(&dir)).unwrap();
+            let warm = ResultTier::with_store(4, Some(StoreHandle::open(&dir).unwrap()));
             warm.insert(record(1));
         } // drop flushes record 1 to disk
 
-        let tier = ResultTier::open(4, Some(&dir)).unwrap();
+        let tier = ResultTier::with_store(4, Some(StoreHandle::open(&dir).unwrap()));
         tier.insert(record(2));
         assert!(tier.contains(&record(2).key), "memory-resident");
         assert!(tier.contains(&record(1).key), "on disk only");
@@ -514,7 +496,7 @@ mod tests {
         assert_eq!(handle.stats().appends, 2, "both shards' writes landed");
         // A fresh tier over the same directory sees both records.
         drop((shard_a, shard_b));
-        let fresh = ResultTier::open(4, Some(&dir)).unwrap();
+        let fresh = ResultTier::with_store(4, Some(StoreHandle::open(&dir).unwrap()));
         assert!(fresh.lookup(&record(1).key).is_some());
         assert!(fresh.lookup(&record(2).key).is_some());
         drop(fresh);

@@ -23,7 +23,7 @@
 //!
 //! In-process callers use the blocking [`Service::submit`]
 //! (backpressure, never sheds). Network front ends use
-//! [`Service::try_submit`]: past the shard's admission bound the
+//! shedding admission: past the shard's admission bound the
 //! request is refused *immediately* with a well-formed `overloaded`
 //! error — the reactor thread never blocks on a saturated shard, and
 //! the client always gets a parseable response instead of a dropped
@@ -61,8 +61,8 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Maximum jobs waiting per lane across the service — divided
     /// evenly over the shards (each lane of each shard gets
-    /// `queue_cap / shards`, at least 1). [`Service::submit`] blocks at
-    /// the bound (backpressure); [`Service::try_submit`] sheds.
+    /// `queue_cap / shards`, at least 1). [`Service::call`] blocks at
+    /// the bound (backpressure); the network front ends shed.
     pub queue_cap: usize,
     /// Maximum compiled graphs resident across all shard caches.
     pub cache_cap: usize,
@@ -78,7 +78,7 @@ pub struct ServiceConfig {
     /// at 4). Each shard owns a compile cache, a result tier, a
     /// two-lane queue and its workers.
     pub shards: usize,
-    /// Synth-lane depth at which [`Service::try_submit`] starts
+    /// Synth-lane depth at which the network front ends start
     /// shedding, per shard (0 = the lane's capacity, i.e. shed only
     /// when full). Lower values trade queueing delay for shed rate.
     pub shed_depth: usize,
@@ -151,9 +151,9 @@ impl ReplySink {
     }
 }
 
-/// What [`Service::try_submit`] did with a request.
+/// What [`Service::submit_sink`] did with a request.
 #[derive(Debug)]
-pub enum SubmitOutcome {
+pub(crate) enum SubmitOutcome {
     /// Queued; the reply will arrive on the sink. Carries the request's
     /// cancellation flag — store `true` to abort the run mid-iteration.
     Accepted(Arc<AtomicBool>),
@@ -197,7 +197,7 @@ struct Shard {
     cache: CompileCache,
     results: ResultTier,
     lanes: LaneQueues<Job>,
-    /// Synth-lane depth at which `try_submit` sheds.
+    /// Synth-lane depth at which `submit_sink` sheds.
     shed_depth: usize,
 }
 
@@ -238,13 +238,12 @@ struct Shared {
 /// dedicated [`WorkerPool`]s (see the module docs for the sharding and
 /// admission story).
 ///
-/// Requests enter through [`submit`](Service::submit) (asynchronous,
-/// blocking backpressure), [`try_submit`](Service::try_submit)
-/// (non-blocking, sheds under load) or [`call`](Service::call)
-/// (synchronous convenience); the stdio/TCP front ends
+/// In-process requests enter through [`call`](Service::call)
+/// (synchronous, blocking backpressure); the stdio/TCP front ends
 /// ([`serve_stdio`](crate::serve_stdio) / [`serve_tcp`](crate::serve_tcp))
-/// adapt the wire protocol onto them. Dropping the service closes the
-/// queues, drains in-flight jobs and joins the workers.
+/// adapt the wire protocol onto a non-blocking admission path that
+/// sheds under load. Dropping the service closes the queues, drains
+/// in-flight jobs and joins the workers.
 ///
 /// # Example
 ///
@@ -387,7 +386,7 @@ impl Service {
     // it only materializes on the cold shutdown path, and the caller
     // owns the request it gets back.
     #[allow(clippy::result_large_err)]
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         request: SubmitRequest,
         reply: Sender<SubmitResponse>,
@@ -414,16 +413,7 @@ impl Service {
     /// Non-blocking admission — the network front ends' path. Refused
     /// requests (shard past its admission bound, or shutdown) are
     /// *answered*, not dropped: a well-formed error response is sent on
-    /// `reply` before this returns.
-    pub fn try_submit(
-        &self,
-        request: SubmitRequest,
-        reply: Sender<SubmitResponse>,
-    ) -> SubmitOutcome {
-        self.submit_sink(request, ReplySink::Channel(reply))
-    }
-
-    /// [`try_submit`](Service::try_submit) over any reply sink.
+    /// `sink` before this returns.
     pub(crate) fn submit_sink(&self, request: SubmitRequest, sink: ReplySink) -> SubmitOutcome {
         let (shard_idx, lane) = self.shared.route(&request);
         let shard = &self.shared.shards[shard_idx];
@@ -569,25 +559,21 @@ impl Service {
         gauge("pchls_result_tier_entries", stats.result_entries as f64);
         format!("{}{}", m.render(), pchls_obs::global().render())
     }
+}
 
-    /// Stops accepting new jobs, drains the queues and joins the
-    /// workers. Also runs on drop; call explicitly to control when the
-    /// blocking happens.
-    pub fn shutdown(mut self) {
-        self.shutdown_in_place();
-    }
-
-    fn shutdown_in_place(&mut self) {
+impl Drop for Service {
+    /// Closes the queues, drains in-flight jobs, joins the workers and
+    /// commits the store footer.
+    fn drop(&mut self) {
         for shard in &self.shared.shards {
             shard.lanes.close();
         }
         let mut panicked = 0;
         for pool in self.pools.drain(..) {
-            // `join_lossy`, not `join`: this also runs from Drop, which
-            // may execute while already unwinding from the very failure
-            // that killed a worker — propagating there would double-
-            // panic and abort. Surface worker panics only when it is
-            // safe to do so.
+            // `join_lossy`, not `join`: drop may run while already
+            // unwinding from the very failure that killed a worker —
+            // propagating there would double-panic and abort. Surface
+            // worker panics only when it is safe to do so.
             panicked += pool.join_lossy();
         }
         if panicked > 0 && !std::thread::panicking() {
@@ -599,12 +585,6 @@ impl Service {
         if let Some(store) = &self.shared.store {
             store.shutdown();
         }
-    }
-}
-
-impl Drop for Service {
-    fn drop(&mut self) {
-        self.shutdown_in_place();
     }
 }
 
@@ -1011,8 +991,10 @@ mod tests {
         use pchls_core::PowerBudget;
         let service = service(1);
         let scalar = service.call(SubmitRequest::synth(1, "hal", 17, 25.0));
-        let budget = service
-            .call(SubmitRequest::synth(2, "hal", 17, 0.0).with_budget(PowerBudget::constant(25.0)));
+        let budget = service.call(SubmitRequest {
+            budget: Some(PowerBudget::constant(25.0)),
+            ..SubmitRequest::synth(2, "hal", 17, 0.0)
+        });
         assert!(scalar.ok && budget.ok);
         assert_eq!(
             serde_json::to_string(&scalar.point.unwrap()).unwrap(),
@@ -1027,8 +1009,10 @@ mod tests {
         // Loose early, tight late: still feasible at T=30, but the
         // design's late cycles must obey the 12.0 phase.
         let budget = PowerBudget::steps(vec![(0, 40.0), (15, 12.0)]);
-        let resp =
-            service.call(SubmitRequest::synth(1, "hal", 30, 0.0).with_budget(budget.clone()));
+        let resp = service.call(SubmitRequest {
+            budget: Some(budget.clone()),
+            ..SubmitRequest::synth(1, "hal", 30, 0.0)
+        });
         assert!(resp.ok, "{:?}", resp.error);
         let point = resp.point.unwrap();
         assert!(point.is_feasible());
@@ -1040,16 +1024,16 @@ mod tests {
     fn malformed_budget_shapes_fail_cleanly() {
         use pchls_core::PowerBudget;
         let service = service(1);
-        let wrong_len = service.call(
-            SubmitRequest::synth(1, "hal", 17, 0.0)
-                .with_budget(PowerBudget::per_cycle(vec![25.0; 5])),
-        );
+        let wrong_len = service.call(SubmitRequest {
+            budget: Some(PowerBudget::per_cycle(vec![25.0; 5])),
+            ..SubmitRequest::synth(1, "hal", 17, 0.0)
+        });
         assert!(!wrong_len.ok);
         assert!(wrong_len.error.unwrap().contains("17"));
-        let late_step = service.call(
-            SubmitRequest::synth(2, "hal", 17, 0.0)
-                .with_budget(PowerBudget::steps(vec![(0, 30.0), (40, 10.0)])),
-        );
+        let late_step = service.call(SubmitRequest {
+            budget: Some(PowerBudget::steps(vec![(0, 30.0), (40, 10.0)])),
+            ..SubmitRequest::synth(2, "hal", 17, 0.0)
+        });
         assert!(!late_step.ok);
         assert!(late_step.error.unwrap().contains("cycle 40"));
         // Workers survived.
@@ -1119,7 +1103,7 @@ mod tests {
                     serde_json::to_string(&resp.point.unwrap()).unwrap()
                 })
                 .collect();
-            service.shutdown();
+            drop(service);
             cold
         };
 
@@ -1136,7 +1120,7 @@ mod tests {
         assert_eq!(stats.cache_misses, 0, "nothing was compiled");
         assert_eq!(stats.completed, 3);
         assert_eq!(stats.hit_lane.count, 3, "store index fed the hit lane");
-        service.shutdown();
+        drop(service);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1204,7 +1188,7 @@ mod tests {
                 .unwrap();
         }
         drop(tx);
-        service.shutdown();
+        drop(service);
         // Every queued job was still answered.
         assert_eq!(rx.iter().count(), 4);
     }
@@ -1232,9 +1216,9 @@ mod tests {
         // then occupy the freed slot.
         let occupied = std::time::Instant::now();
         loop {
-            match service.try_submit(
+            match service.submit_sink(
                 SubmitRequest::synth_text(2, &text, latency, 60.0),
-                tx.clone(),
+                ReplySink::Channel(tx.clone()),
             ) {
                 SubmitOutcome::Accepted(_) => break,
                 SubmitOutcome::Overloaded => {
@@ -1250,12 +1234,12 @@ mod tests {
                 SubmitOutcome::ShuttingDown => unreachable!("service is running"),
             }
         }
-        // Queue is now provably full: the next try_submit must shed and
+        // Queue is now provably full: the next submission must shed and
         // must answer on the channel, well-formed, with the right id.
         let before = service.stats().shed;
-        match service.try_submit(
+        match service.submit_sink(
             SubmitRequest::synth_text(77, &text, latency, 60.0),
-            tx.clone(),
+            ReplySink::Channel(tx.clone()),
         ) {
             SubmitOutcome::Overloaded => {}
             other => panic!("expected Overloaded, got {other:?}"),
@@ -1268,7 +1252,7 @@ mod tests {
         // Unblock and drain.
         first.store(true, Ordering::Relaxed);
         drop(tx);
-        service.shutdown();
+        drop(service);
     }
 
     #[test]
@@ -1280,7 +1264,10 @@ mod tests {
         for shard in &service.shared.shards {
             shard.lanes.close();
         }
-        match service.try_submit(SubmitRequest::synth(5, "hal", 17, 25.0), tx) {
+        match service.submit_sink(
+            SubmitRequest::synth(5, "hal", 17, 25.0),
+            ReplySink::Channel(tx),
+        ) {
             SubmitOutcome::ShuttingDown => {}
             other => panic!("expected ShuttingDown, got {other:?}"),
         }
@@ -1316,7 +1303,7 @@ mod tests {
         assert_eq!(service.stats().hit_lane.count, 1);
         cancel.store(true, Ordering::Relaxed);
         let _ = slow_rx.recv();
-        service.shutdown();
+        drop(service);
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn hash4(window: &[u8]) -> usize {
 /// mode byte): if the token stream would be larger, the segment stores
 /// the bytes verbatim.
 #[must_use]
-pub fn compress(raw: &[u8]) -> Vec<u8> {
+pub(crate) fn compress(raw: &[u8]) -> Vec<u8> {
     let mut out = vec![MODE_LZ];
     let mut table = vec![usize::MAX; 1 << HASH_BITS];
     let mut literal_start = 0usize;
@@ -101,7 +101,7 @@ pub fn compress(raw: &[u8]) -> Vec<u8> {
 /// malformation: unknown mode, truncated token, out-of-range distance,
 /// or a length mismatch.
 #[must_use]
-pub fn decompress(segment: &[u8], raw_len: usize) -> Option<Vec<u8>> {
+pub(crate) fn decompress(segment: &[u8], raw_len: usize) -> Option<Vec<u8>> {
     let (&mode, tokens) = segment.split_first()?;
     match mode {
         MODE_RAW => (tokens.len() == raw_len).then(|| tokens.to_vec()),

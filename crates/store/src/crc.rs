@@ -25,7 +25,7 @@ fn table() -> &'static [u32; 256] {
 
 /// The CRC-32 of `bytes`.
 #[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let table = table();
     let mut crc = 0xffff_ffffu32;
     for &b in bytes {

@@ -28,7 +28,8 @@
 //! missing or mismatched (a crash mid-append) falls back to scanning
 //! blocks from the front, keeping every block whose header and body
 //! CRCs verify and dropping the torn tail. Committed records are never
-//! lost; a partially written block is never served.
+//! lost; a partially written block is never served. Every reader checks
+//! a block's body against its CRC before decoding any of its columns.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
@@ -51,11 +52,11 @@ pub(crate) const FOOTER_MAGIC: u32 = u32::from_le_bytes(*b"PCFT");
 pub(crate) const TRAILER_MAGIC: u32 = u32::from_le_bytes(*b"PCEN");
 
 /// Number of columns per block.
-pub const COLUMN_COUNT: usize = 10;
+pub(crate) const COLUMN_COUNT: usize = 10;
 
 /// Human-readable column names, in on-disk order (`pchls store stat`
 /// reports per-column sizes under these names).
-pub const COLUMN_NAMES: [&str; COLUMN_COUNT] = [
+pub(crate) const COLUMN_NAMES: [&str; COLUMN_COUNT] = [
     "fingerprint",
     "latency_bound",
     "budget_digest",
@@ -217,17 +218,17 @@ pub(crate) struct BlockMeta {
 
 impl BlockMeta {
     /// File offset one past this block (after the body CRC).
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.body_offset + u64::from(self.body_bytes()) + 4
     }
 
     /// Total compressed bytes across all segments.
-    pub fn body_bytes(&self) -> u32 {
+    pub(crate) fn body_bytes(&self) -> u32 {
         self.columns.iter().map(|&(_, c)| c).sum()
     }
 
     /// File offset and compressed length of column `col`.
-    pub fn column_span(&self, col: usize) -> (u64, u32) {
+    pub(crate) fn column_span(&self, col: usize) -> (u64, u32) {
         let before: u64 = self.columns[..col].iter().map(|&(_, c)| u64::from(c)).sum();
         (self.body_offset + before, self.columns[col].1)
     }
@@ -388,37 +389,31 @@ pub(crate) fn parse_block_header(
     Ok(Some(meta))
 }
 
-/// Whether the block's body bytes match their CRC (used by recovery
-/// scans and `verify`; indexed reads trust the flushed footer instead).
-pub(crate) fn verify_block_body(file: &mut File, meta: &BlockMeta) -> io::Result<bool> {
+/// Reads one block's body in a single pass and checks it against its
+/// CRC. `Ok(None)` marks a body that fails its checksum or runs past
+/// the end of the file; no reader decodes a byte of such a block.
+pub(crate) fn read_body(file: &mut File, meta: &BlockMeta) -> io::Result<Option<Vec<u8>>> {
     let len = meta.body_bytes() as usize;
-    let Some(body_and_crc) = read_at(file, meta.body_offset, len + 4)? else {
-        return Ok(false);
+    let Some(mut body) = read_at(file, meta.body_offset, len + 4)? else {
+        return Ok(None);
     };
-    let (body, crc) = body_and_crc.split_at(len);
-    Ok(crc32(body) == u32::from_le_bytes(crc.try_into().expect("4 crc bytes")))
+    let crc = body.split_off(len);
+    let ok = crc32(&body) == u32::from_le_bytes(crc.try_into().expect("4 crc bytes"));
+    Ok(ok.then_some(body))
 }
 
-/// Reads and decompresses the requested columns of one block — and only
-/// those; unrequested segments are never touched. `Ok(None)` marks a
-/// corrupt segment.
-pub(crate) fn read_columns(
-    file: &mut File,
-    meta: &BlockMeta,
-    cols: &[usize],
-) -> io::Result<Option<Vec<Vec<u8>>>> {
-    let mut out = Vec::with_capacity(cols.len());
-    for &col in cols {
-        let (at, comp_len) = meta.column_span(col);
-        let Some(segment) = read_at(file, at, comp_len as usize)? else {
-            return Ok(None);
-        };
-        let Some(raw) = decompress(&segment, meta.columns[col].0 as usize) else {
-            return Ok(None);
-        };
-        out.push(raw);
-    }
-    Ok(Some(out))
+/// Decompresses the requested columns of a block body returned by
+/// [`read_body`]; unrequested segments are never decompressed. `None`
+/// marks a corrupt segment.
+pub(crate) fn body_columns(meta: &BlockMeta, body: &[u8], cols: &[usize]) -> Option<Vec<Vec<u8>>> {
+    cols.iter()
+        .map(|&col| {
+            let (at, comp_len) = meta.column_span(col);
+            let at = (at - meta.body_offset) as usize;
+            let segment = body.get(at..at + comp_len as usize)?;
+            decompress(segment, meta.columns[col].0 as usize)
+        })
+        .collect()
 }
 
 /// Decodes the three key columns into per-row [`StoreKey`]s.
@@ -640,9 +635,11 @@ mod tests {
             .unwrap()
             .expect("valid header");
         assert_eq!(parsed, meta);
-        assert!(verify_block_body(&mut file, &parsed).unwrap());
+        let body = read_body(&mut file, &parsed)
+            .unwrap()
+            .expect("body checksum");
         let all: Vec<usize> = (0..COLUMN_COUNT).collect();
-        let raws = read_columns(&mut file, &parsed, &all).unwrap().unwrap();
+        let raws = body_columns(&parsed, &body, &all).unwrap();
         let back = decode_records(&parsed, &raws).expect("decodable");
         assert_eq!(back, records);
         std::fs::remove_file(path).unwrap();
@@ -651,20 +648,19 @@ mod tests {
     #[test]
     fn partial_reads_touch_only_requested_columns() {
         let records: Vec<StoreRecord> = (0..40).map(sample_record).collect();
-        let (bytes, meta) = encode_block(&records, 8);
-        let mut file_bytes = FILE_MAGIC.to_vec();
-        file_bytes.extend_from_slice(&bytes);
+        let (mut bytes, meta) = encode_block(&records, 8);
 
-        // Corrupt the trace segment on disk; key/area reads must still
-        // succeed because they never touch it.
+        // Corrupt the trace segment; key/area decodes must still succeed
+        // because they never touch it.
         let (trace_at, trace_len) = meta.column_span(COL_TRACE);
-        for b in &mut file_bytes[trace_at as usize..(trace_at + u64::from(trace_len)) as usize] {
+        let trace_at = (trace_at - meta.offset) as usize;
+        for b in &mut bytes[trace_at..trace_at + trace_len as usize] {
             *b ^= 0xff;
         }
-        let (path, mut file) = temp_file(&file_bytes);
-        let raws = read_columns(
-            &mut file,
+        let body = &bytes[(meta.body_offset - meta.offset) as usize..bytes.len() - 4];
+        let raws = body_columns(
             &meta,
+            body,
             &[
                 COL_FINGERPRINT,
                 COL_LATENCY_BOUND,
@@ -672,7 +668,6 @@ mod tests {
                 COL_AREA,
             ],
         )
-        .unwrap()
         .expect("untouched columns decode");
         let keys = decode_keys(&meta, &raws[0], &raws[1], &raws[2]).unwrap();
         assert_eq!(keys.len(), 40);
@@ -680,8 +675,7 @@ mod tests {
         let areas = get_delta_column(&raws[3], 40).unwrap();
         assert_eq!(areas[13], records[13].area);
         // The corrupted column itself is rejected cleanly.
-        assert_eq!(read_columns(&mut file, &meta, &[COL_TRACE]).unwrap(), None);
-        std::fs::remove_file(path).unwrap();
+        assert_eq!(body_columns(&meta, body, &[COL_TRACE]), None);
     }
 
     #[test]

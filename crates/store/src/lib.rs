@@ -27,12 +27,13 @@
 //! each delta/zigzag/varint-encoded and independently compressed by a
 //! small LZ block compressor. A block
 //! header (CRC-guarded) records every column's compressed span, so a
-//! reader that only wants the area column seeks to and decompresses
-//! *just those bytes*. A **footer index** at the end of the file lists
+//! reader that only wants the key columns decompresses *just those
+//! segments*. A **footer index** at the end of the file lists
 //! all block metadata for O(1) open; if a crash tears the footer off,
 //! [`Store::open`] recovers by scanning blocks forward and keeps every
 //! record whose checksums verify — committed data is never lost, torn
-//! tails are never served.
+//! tails are never served. A block body that fails its checksum is
+//! never decoded: lookups on a store holding one return an error.
 //!
 //! # Example
 //!
@@ -62,6 +63,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod compress;
 mod crc;
@@ -69,5 +71,5 @@ mod format;
 mod store;
 mod varint;
 
-pub use format::{trace_bytes, trace_starts, StoreKey, StoreRecord, COLUMN_COUNT, COLUMN_NAMES};
+pub use format::{trace_bytes, trace_starts, StoreKey, StoreRecord};
 pub use store::{ColumnStat, Store, StoreStat, STORE_FILE_NAME};

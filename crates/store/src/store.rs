@@ -9,9 +9,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::format::{
-    decode_keys, decode_records, encode_block, encode_footer, parse_block_header, read_columns,
-    read_footer, verify_block_body, BlockMeta, StoreKey, StoreRecord, COLUMN_COUNT, COLUMN_NAMES,
-    COL_AREA, COL_BUDGET_DIGEST, COL_FEASIBLE, COL_FINGERPRINT, COL_LATENCY_BOUND, FILE_MAGIC,
+    body_columns, decode_keys, decode_records, encode_block, encode_footer, parse_block_header,
+    read_body, read_footer, BlockMeta, StoreKey, StoreRecord, COLUMN_COUNT, COLUMN_NAMES,
+    COL_BUDGET_DIGEST, COL_FINGERPRINT, COL_LATENCY_BOUND, FILE_MAGIC,
 };
 
 /// Name of the store file inside a store directory.
@@ -24,7 +24,7 @@ const COMPACT_BLOCK_RECORDS: usize = 512;
 /// Byte-size accounting of one column across all blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnStat {
-    /// Column name (see [`COLUMN_NAMES`]).
+    /// Column name, in on-disk column order.
     pub name: &'static str,
     /// Uncompressed encoded bytes.
     pub raw_bytes: u64,
@@ -104,6 +104,10 @@ pub struct Store {
     /// Blocks appended since the footer was last written.
     dirty: bool,
     recovered: bool,
+    /// The first block whose body failed its checksum when the index was
+    /// built. While set, lookups refuse to answer: the block's keys, and
+    /// any older records it superseded, cannot be trusted.
+    corrupt: Option<u32>,
     obs: StoreObs,
 }
 
@@ -129,7 +133,7 @@ impl Store {
     /// # Errors
     ///
     /// As [`Store::open`].
-    pub fn open_file(path: PathBuf) -> io::Result<Store> {
+    pub(crate) fn open_file(path: PathBuf) -> io::Result<Store> {
         let mut file = File::options()
             .read(true)
             .write(true)
@@ -147,6 +151,7 @@ impl Store {
                 data_end: FILE_MAGIC.len() as u64,
                 dirty: false,
                 recovered: false,
+                corrupt: None,
                 obs: StoreObs::new(),
             };
             use std::io::{Seek, SeekFrom, Write};
@@ -176,6 +181,7 @@ impl Store {
             data_end: 0,
             dirty: recovered,
             recovered,
+            corrupt: None,
             obs: StoreObs::new(),
         };
         store.data_end = store
@@ -198,6 +204,7 @@ impl Store {
                 store.decoded.clear();
                 store.dirty = true;
                 store.recovered = true;
+                store.corrupt = None;
                 store.build_index()?;
             }
             Err(e) => return Err(e),
@@ -239,8 +246,12 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// I/O failures or a corrupt block (run `verify`/`compact`).
+    /// I/O failures, or a block of this store that fails its checksum
+    /// (`verify` names it).
     pub fn get(&mut self, key: &StoreKey) -> io::Result<Option<StoreRecord>> {
+        if let Some(block) = self.corrupt {
+            return Err(corrupt_block(block));
+        }
         let Some(&(block, row)) = self.index.get(key) else {
             return Ok(None);
         };
@@ -253,31 +264,6 @@ impl Store {
         let record = self.decoded[&block][row as usize].clone();
         self.obs.read.record(start.elapsed());
         Ok(Some(record))
-    }
-
-    /// All live feasible records for one graph fingerprint, ordered by
-    /// `(latency_bound, budget_digest)` — the "every known design point
-    /// for this graph" query.
-    ///
-    /// # Errors
-    ///
-    /// As [`Store::get`].
-    pub fn feasible_for(&mut self, fingerprint: u64) -> io::Result<Vec<StoreRecord>> {
-        let mut locs: Vec<(StoreKey, (u32, u32))> = self
-            .index
-            .iter()
-            .filter(|(k, _)| k.fingerprint == fingerprint)
-            .map(|(k, &loc)| (*k, loc))
-            .collect();
-        locs.sort_by_key(|(k, _)| (k.latency_bound, k.budget_digest));
-        let mut out = Vec::new();
-        for (key, _) in locs {
-            let record = self.get(&key)?.expect("indexed key resolves");
-            if record.feasible {
-                out.push(record);
-            }
-        }
-        Ok(out)
     }
 
     /// Appends one batch of records as a new block and indexes them
@@ -358,48 +344,6 @@ impl Store {
         Ok(out)
     }
 
-    /// The area column of every live record (feasible or not), in file
-    /// order of its winning write — the Pareto-query partial read. Only
-    /// the three key columns, the feasibility byte and the area column
-    /// are read and decompressed; power, schedule traces and the rest
-    /// of each block stay untouched on disk.
-    ///
-    /// # Errors
-    ///
-    /// As [`Store::get`].
-    pub fn scan_areas(&mut self) -> io::Result<Vec<(StoreKey, Option<u64>)>> {
-        let mut out = Vec::with_capacity(self.index.len());
-        for block in 0..self.blocks.len() as u32 {
-            let meta = self.blocks[block as usize].clone();
-            let raws = read_columns(
-                &mut self.file,
-                &meta,
-                &[
-                    COL_FINGERPRINT,
-                    COL_LATENCY_BOUND,
-                    COL_BUDGET_DIGEST,
-                    COL_FEASIBLE,
-                    COL_AREA,
-                ],
-            )?
-            .ok_or_else(|| corrupt_block(block))?;
-            let keys = decode_keys(&meta, &raws[0], &raws[1], &raws[2])
-                .ok_or_else(|| corrupt_block(block))?;
-            let feasible = &raws[3];
-            let areas = crate::varint::get_delta_column(&raws[4], meta.records as usize)
-                .ok_or_else(|| corrupt_block(block))?;
-            if feasible.len() != meta.records as usize {
-                return Err(corrupt_block(block));
-            }
-            for (row, key) in keys.iter().enumerate() {
-                if self.index.get(key) == Some(&(block, row as u32)) {
-                    out.push((*key, (feasible[row] == 1).then(|| areas[row])));
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Size and compression accounting (header/footer metadata only —
     /// no block bodies are read).
     ///
@@ -450,12 +394,11 @@ impl Store {
         let mut pos = FILE_MAGIC.len() as u64;
         while let Some(meta) = parse_block_header(&mut self.file, pos, file_len).map_err(io_err)? {
             let block = scanned.len() as u32;
-            if !verify_block_body(&mut self.file, &meta).map_err(io_err)? {
+            let Some(body) = read_body(&mut self.file, &meta).map_err(io_err)? else {
                 return Err(format!("block {block} body fails its checksum"));
-            }
+            };
             let all: Vec<usize> = (0..COLUMN_COUNT).collect();
-            let raws = read_columns(&mut self.file, &meta, &all)
-                .map_err(io_err)?
+            let raws = body_columns(&meta, &body, &all)
                 .ok_or_else(|| format!("block {block} has an undecodable column"))?;
             let decoded = decode_records(&meta, &raws)
                 .ok_or_else(|| format!("block {block} records do not decode"))?;
@@ -522,21 +465,26 @@ impl Store {
     fn read_block_records(&mut self, block: u32) -> io::Result<Vec<StoreRecord>> {
         let meta = self.blocks[block as usize].clone();
         let all: Vec<usize> = (0..COLUMN_COUNT).collect();
-        let raws =
-            read_columns(&mut self.file, &meta, &all)?.ok_or_else(|| corrupt_block(block))?;
+        let body = read_body(&mut self.file, &meta)?.ok_or_else(|| corrupt_block(block))?;
+        let raws = body_columns(&meta, &body, &all).ok_or_else(|| corrupt_block(block))?;
         decode_records(&meta, &raws).ok_or_else(|| corrupt_block(block))
     }
 
-    /// Builds the key index by partial-reading only the key columns of
-    /// every block.
+    /// Builds the key index by checking every block's body against its
+    /// CRC and decoding only its key columns. A block that fails its
+    /// checksum is not indexed; it marks the store corrupt instead.
     fn build_index(&mut self) -> io::Result<()> {
         for block in 0..self.blocks.len() as u32 {
             let meta = self.blocks[block as usize].clone();
-            let raws = read_columns(
-                &mut self.file,
+            let Some(body) = read_body(&mut self.file, &meta)? else {
+                self.corrupt.get_or_insert(block);
+                continue;
+            };
+            let raws = body_columns(
                 &meta,
+                &body,
                 &[COL_FINGERPRINT, COL_LATENCY_BOUND, COL_BUDGET_DIGEST],
-            )?
+            )
             .ok_or_else(|| corrupt_block(block))?;
             let keys = decode_keys(&meta, &raws[0], &raws[1], &raws[2])
                 .ok_or_else(|| corrupt_block(block))?;
@@ -570,7 +518,7 @@ fn scan_blocks(file: &mut File, file_len: u64) -> io::Result<Vec<BlockMeta>> {
     let mut blocks = Vec::new();
     let mut pos = FILE_MAGIC.len() as u64;
     while let Some(meta) = parse_block_header(file, pos, file_len)? {
-        if !verify_block_body(file, &meta)? {
+        if read_body(file, &meta)?.is_none() {
             break;
         }
         pos = meta.end();
@@ -716,53 +664,6 @@ mod tests {
         let mut store = Store::open(&dir).unwrap();
         assert_eq!(store.len(), 2);
         store.verify().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn partial_area_scan_matches_full_scan() {
-        let dir = temp_dir("areas");
-        let mut store = Store::open(&dir).unwrap();
-        let records: Vec<StoreRecord> = (0..25)
-            .map(|i| {
-                record(
-                    i % 3,
-                    10 + (i / 3) as u32,
-                    9,
-                    if i % 4 == 0 { 0 } else { 300 + i },
-                )
-            })
-            .collect();
-        store.append(&records).unwrap();
-        let full = store.scan_records().unwrap();
-        let areas = store.scan_areas().unwrap();
-        assert_eq!(full.len(), areas.len());
-        for (r, (key, area)) in full.iter().zip(&areas) {
-            assert_eq!(r.key, *key);
-            assert_eq!(r.feasible.then_some(r.area), *area);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn feasible_for_filters_and_orders() {
-        let dir = temp_dir("feasible");
-        let mut store = Store::open(&dir).unwrap();
-        store
-            .append(&[
-                record(7, 20, 2, 500),
-                record(7, 10, 2, 400),
-                record(7, 15, 2, 0), // infeasible
-                record(8, 10, 2, 300),
-            ])
-            .unwrap();
-        let got = store.feasible_for(7).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(
-            got.iter().map(|r| r.key.latency_bound).collect::<Vec<_>>(),
-            vec![10, 20],
-            "ordered by latency bound"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,7 +9,7 @@
 //! which the block compressor then run-length-collapses further.
 
 /// Appends `value` as an LEB128 varint (1–10 bytes).
-pub fn put_u64(out: &mut Vec<u8>, mut value: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
@@ -24,7 +24,7 @@ pub fn put_u64(out: &mut Vec<u8>, mut value: u64) {
 /// Reads one LEB128 varint from `bytes[*pos..]`, advancing `pos`.
 /// Returns `None` on truncated input or a varint longer than 10 bytes
 /// (which cannot encode a `u64` and therefore marks corruption).
-pub fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut value = 0u64;
     for shift in 0..10 {
         let &byte = bytes.get(*pos)?;
@@ -44,20 +44,20 @@ pub fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 /// Zigzag-folds a signed delta into an unsigned varint-friendly value
 /// (`0, -1, 1, -2, … → 0, 1, 2, 3, …`).
 #[must_use]
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
 #[must_use]
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Appends `values` as a delta/zigzag/varint column: each value is
 /// encoded as the wrapping difference from its predecessor (the first
 /// from zero).
-pub fn put_delta_column(out: &mut Vec<u8>, values: &[u64]) {
+pub(crate) fn put_delta_column(out: &mut Vec<u8>, values: &[u64]) {
     let mut prev = 0u64;
     for &v in values {
         put_u64(out, zigzag(v.wrapping_sub(prev) as i64));
@@ -67,7 +67,7 @@ pub fn put_delta_column(out: &mut Vec<u8>, values: &[u64]) {
 
 /// Decodes a delta/zigzag/varint column of exactly `count` values.
 /// Returns `None` on truncation/corruption or trailing garbage.
-pub fn get_delta_column(bytes: &[u8], count: usize) -> Option<Vec<u64>> {
+pub(crate) fn get_delta_column(bytes: &[u8], count: usize) -> Option<Vec<u64>> {
     let mut pos = 0usize;
     let mut values = Vec::with_capacity(count);
     let mut prev = 0u64;

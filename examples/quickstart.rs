@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{}",
         design
             .power_profile()
-            .to_ascii_budget(40, &constraints.budget)
+            .to_ascii_under(40, &constraints.budget)
     );
 
     // Every invariant can be re-checked at any time.

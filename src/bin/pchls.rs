@@ -548,7 +548,7 @@ fn synth(args: &[String]) -> Result<String, String> {
         out.push_str(
             &design
                 .power_profile()
-                .to_ascii_budget(40, &design.constraints.budget),
+                .to_ascii_under(40, &design.constraints.budget),
         );
     }
     if flags.switches.iter().any(|s| s == "gantt") {

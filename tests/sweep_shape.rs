@@ -111,3 +111,98 @@ fn feasible_region_is_upward_closed_in_power() {
         );
     }
 }
+
+/// The Figure 2 power grid: 2.5 to 150 in steps of 2.5.
+fn figure2_grid() -> Vec<f64> {
+    (1..=60).map(|i| f64::from(i) * 2.5).collect()
+}
+
+/// How often the latency axis inverts on one benchmark: over every grid
+/// power `P` and every latency pair `T < T′` in `latencies` with both
+/// points feasible, the pairs where the looser `T′` gives the larger
+/// area.
+#[derive(Debug, PartialEq)]
+struct LatencyGap {
+    /// (inverted, compared) over all pairs `T < T′`.
+    all: (usize, usize),
+    /// (inverted, compared) over adjacent pairs `T′ = T + 1`.
+    adjacent: (usize, usize),
+    /// Largest `area(T′) / area(T)` among inverted pairs, in thousandths
+    /// (0 when nothing inverts).
+    worst_permille: u64,
+}
+
+fn latency_gap(graph: &pchls::cdfg::Cdfg, latencies: std::ops::RangeInclusive<u32>) -> LatencyGap {
+    let engine = Engine::new(paper_library());
+    let compiled = engine.compile(graph);
+    let session = engine.session(&compiled);
+    let curves: Vec<(u32, Vec<SweepPoint>)> = latencies
+        .map(|t| {
+            let spec = SweepSpec::power(t, figure2_grid());
+            (
+                t,
+                session
+                    .sweep(&spec, &SynthesisOptions::default())
+                    .into_points(),
+            )
+        })
+        .collect();
+    let mut gap = LatencyGap {
+        all: (0, 0),
+        adjacent: (0, 0),
+        worst_permille: 0,
+    };
+    for (i, (t, tight)) in curves.iter().enumerate() {
+        for (t2, loose) in &curves[i + 1..] {
+            for (a, b) in tight.iter().zip(loose) {
+                let (Some(at), Some(bt)) = (a.area, b.area) else {
+                    continue;
+                };
+                let inverted = bt > at;
+                gap.all.0 += usize::from(inverted);
+                gap.all.1 += 1;
+                if *t2 == t + 1 {
+                    gap.adjacent.0 += usize::from(inverted);
+                    gap.adjacent.1 += 1;
+                }
+                if inverted {
+                    gap.worst_permille = gap.worst_permille.max(bt * 1000 / at);
+                }
+            }
+        }
+    }
+    gap
+}
+
+/// Sweeps carry their envelope over power only, so a looser deadline can
+/// come out larger than a tighter one at the same power bound. These
+/// are today's counts on the Figure 2 grid, pinned so any change to the
+/// gap — a kernel fix closing it, or a regression widening it — fails
+/// here until the numbers are updated on purpose.
+#[test]
+fn latency_axis_inversions_are_pinned() {
+    assert_eq!(
+        latency_gap(&benchmarks::cosine(), 12..=19),
+        LatencyGap {
+            all: (347, 1451),
+            adjacent: (103, 367),
+            worst_permille: 1218,
+        }
+    );
+    assert_eq!(
+        latency_gap(&benchmarks::hal(), 10..=17),
+        LatencyGap {
+            all: (0, 1564),
+            adjacent: (0, 395),
+            worst_permille: 0,
+        }
+    );
+    assert_eq!(
+        latency_gap(&benchmarks::elliptic(), 17..=22),
+        LatencyGap {
+            all: (0, 159),
+            adjacent: (0, 106),
+            worst_permille: 0,
+        }
+    );
+}
