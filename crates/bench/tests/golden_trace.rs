@@ -11,8 +11,8 @@
 //! a future kernel change shows up as a diff here, not as a silently
 //! different Figure 2. The same run with the `pchls-obs` tracer enabled
 //! must serialize to the same bytes without dropping a span, and each
-//! run must add the same pinned totals to the kernel's pair-walk
-//! counters.
+//! run must add the same pinned totals to the kernel's effort counters
+//! (pair walk and placement orders).
 //!
 //! To regenerate the golden after an *intentional* trace change (none
 //! are expected — the trace has been stable since PR 2), run:
@@ -28,24 +28,32 @@ use pchls_core::{Engine, SynthesisOptions};
 use pchls_fulib::paper_library;
 
 /// Pair merges one rand200 run scores exactly (ledger probes) and skips
-/// on their score bound, as `pchls_kernel_pair_probes_total` and
-/// `pchls_kernel_pairs_pruned_total` count them.
-const RAND200_PAIR_PROBES: u64 = 127_655;
-const RAND200_PAIRS_PRUNED: u64 = 671_979;
+/// on their score bound or rank key, as `pchls_kernel_pair_probes_total`
+/// and `pchls_kernel_pairs_pruned_total` count them. Their sum is every
+/// (pair, module) slot the walk's entries cover, whatever is pruned.
+const RAND200_PAIR_PROBES: u64 = 14_662;
+const RAND200_PAIRS_PRUNED: u64 = 784_972;
+const RAND200_PAIR_SLOTS: u64 = 799_634;
 
-/// The global pair-walk counters `(probes, pruned)`.
-fn pair_counters() -> (u64, u64) {
+/// pasap/palap placement orders one rand200 run computes, as
+/// `pchls_kernel_placement_orders_total` counts them.
+const RAND200_PLACEMENT_ORDERS: u64 = 2;
+
+/// The global kernel effort counters `(probes, pruned, orders)`.
+fn effort_counters() -> [u64; 3] {
     let global = pchls_obs::global();
-    (
-        global.counter("pchls_kernel_pair_probes_total").get(),
-        global.counter("pchls_kernel_pairs_pruned_total").get(),
-    )
+    [
+        "pchls_kernel_pair_probes_total",
+        "pchls_kernel_pairs_pruned_total",
+        "pchls_kernel_placement_orders_total",
+    ]
+    .map(|name| global.counter(name).get())
 }
 
 /// Synthesizes rand200, serializes the design the way the golden
-/// stores it, and asserts the run's pair-walk counter increments.
+/// stores it, and asserts the run's effort counter increments.
 fn rand200_trace() -> String {
-    let before = pair_counters();
+    let before = effort_counters();
     let (name, graph, constraints) = rand200_case();
     let engine = Engine::new(paper_library());
     let compiled = engine.compile(&graph);
@@ -53,11 +61,21 @@ fn rand200_trace() -> String {
         .session(&compiled)
         .synthesize(constraints, &SynthesisOptions::default())
         .unwrap_or_else(|e| panic!("{name} must be feasible: {e}"));
-    let after = pair_counters();
+    let after = effort_counters();
+    let [probes, pruned, orders] = [0, 1, 2].map(|i| after[i] - before[i]);
     assert_eq!(
-        (after.0 - before.0, after.1 - before.1),
+        probes + pruned,
+        RAND200_PAIR_SLOTS,
+        "rand200's pair walk covers a different set of pair slots"
+    );
+    assert_eq!(
+        (probes, pruned),
         (RAND200_PAIR_PROBES, RAND200_PAIRS_PRUNED),
         "rand200's pair-walk effort (probes, pruned) moved"
+    );
+    assert_eq!(
+        orders, RAND200_PLACEMENT_ORDERS,
+        "rand200's placement-order computations moved"
     );
     let mut trace = serde_json::to_string_pretty(&design).expect("design serializes");
     trace.push('\n');

@@ -281,46 +281,6 @@ impl Cdfg {
             .filter(|&(_, c)| c > 0)
             .collect()
     }
-
-    /// A graph with every edge reversed (operand port information is
-    /// preserved positionally but loses its arithmetic meaning).
-    ///
-    /// Used to derive ALAP-style schedules by running ASAP-style
-    /// algorithms on the reversal. Output nodes become sources and input
-    /// nodes become sinks; kinds are kept so delays/powers still resolve.
-    #[must_use]
-    pub fn reversed(&self) -> ReversedView<'_> {
-        ReversedView { graph: self }
-    }
-}
-
-/// A lightweight reversed adjacency view over a [`Cdfg`].
-///
-/// The view does not re-validate port structure (a reversed graph is not a
-/// well-formed CDFG); it only exposes the dependence relation, which is all
-/// scheduling needs.
-#[derive(Debug, Clone, Copy)]
-pub struct ReversedView<'a> {
-    graph: &'a Cdfg,
-}
-
-impl<'a> ReversedView<'a> {
-    /// Predecessors in the reversed graph (= successors in the original).
-    #[must_use]
-    pub fn preds(&self, id: NodeId) -> &'a [NodeId] {
-        self.graph.successors(id)
-    }
-
-    /// Successors in the reversed graph (= operands in the original).
-    #[must_use]
-    pub fn succs(&self, id: NodeId) -> &'a [NodeId] {
-        self.graph.operands(id)
-    }
-
-    /// Topological order of the reversed graph (reverse of the original's).
-    pub fn topological(&self) -> impl Iterator<Item = NodeId> + 'a {
-        self.graph.topological().iter().rev().copied()
-    }
 }
 
 /// Kahn's algorithm; reports a node on a cycle if one exists.
@@ -517,21 +477,6 @@ mod tests {
         }];
         let err = Cdfg::from_parts("bad", nodes, edges).unwrap_err();
         assert_eq!(err, CdfgError::UnknownNode(NodeId::new(5)));
-    }
-
-    #[test]
-    fn reversed_view_swaps_adjacency() {
-        let g = diamond();
-        let rv = g.reversed();
-        for e in g.edges() {
-            assert!(rv.preds(e.from).contains(&e.to));
-            assert!(rv.succs(e.to).contains(&e.from));
-        }
-        let fwd: Vec<_> = g.topological().to_vec();
-        let bwd: Vec<_> = rv.topological().collect();
-        let mut fwd_rev = fwd.clone();
-        fwd_rev.reverse();
-        assert_eq!(bwd, fwd_rev);
     }
 
     #[test]

@@ -4,8 +4,7 @@ use pchls_bind::{Binding, InstanceId};
 use pchls_cdfg::{Cdfg, NodeId, NodeSet, OpKind, Reachability};
 use pchls_fulib::{ModuleId, ModuleLibrary};
 use pchls_sched::{
-    palap_locked, pasap_locked, LockedStarts, OpTiming, PowerLedger, Schedule, ScheduleError,
-    TimingMap,
+    LockedStarts, OpTiming, PlacementCache, PowerLedger, Schedule, ScheduleError, TimingMap,
 };
 
 use std::ops::ControlFlow;
@@ -75,46 +74,62 @@ pub(crate) fn synthesize_session(
     // Scores must be totally ordered: a NaN, infinite or overflowing
     // weight would poison the ranking (and the pair walk's bounds).
     options.check_weights()?;
-    let mut tally = PairTally::default();
-    let result = greedy(engine, compiled, constraints, options, hook, &mut tally);
+    let mut tally = Tally::default();
+    let mut placer = PlacementCache::new(compiled.graph());
+    let result = greedy(
+        engine,
+        compiled,
+        constraints,
+        options,
+        hook,
+        &mut placer,
+        &mut tally,
+    );
+    tally.orders = placer.orders_computed();
     tally.publish();
     result
 }
 
-/// Pair-walk effort summed over one synthesize call: pair merges whose
-/// exact score was computed (ledger probes) and pair merges skipped on
-/// their score bound. Published to the global registry once per call,
-/// not per pair.
+/// Kernel effort summed over one synthesize call: pair merges whose
+/// exact score was computed (ledger probes), pair merges skipped on
+/// their score bound or rank key, and pasap/palap placement orders
+/// computed. Published to the global registry once per call, not per
+/// pair or schedule.
 #[derive(Debug, Default)]
-struct PairTally {
+struct Tally {
     probed: u64,
     pruned: u64,
+    orders: u64,
 }
 
-impl PairTally {
+impl Tally {
     fn publish(&self) {
-        static COUNTERS: OnceLock<[pchls_obs::Counter; 2]> = OnceLock::new();
-        let [probes, pruned] = COUNTERS.get_or_init(|| {
+        static COUNTERS: OnceLock<[pchls_obs::Counter; 3]> = OnceLock::new();
+        let [probes, pruned, orders] = COUNTERS.get_or_init(|| {
             let global = pchls_obs::global();
             [
                 global.counter("pchls_kernel_pair_probes_total"),
                 global.counter("pchls_kernel_pairs_pruned_total"),
+                global.counter("pchls_kernel_placement_orders_total"),
             ]
         });
         probes.add(self.probed);
         pruned.add(self.pruned);
+        orders.add(self.orders);
     }
 }
 
 /// The greedy loop behind [`synthesize_session`], over validated
-/// options.
+/// options. Every locked pasap/palap runs through `placer`, which
+/// reuses the placement order while the delays stay put.
 fn greedy(
     engine: &Engine,
     compiled: &CompiledGraph,
     constraints: &SynthesisConstraints,
     options: &SynthesisOptions,
     mut hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
-    tally: &mut PairTally,
+    placer: &mut PlacementCache<'_>,
+    tally: &mut Tally,
 ) -> Result<SynthesizedDesign, SynthesisError> {
     let graph = compiled.graph();
     let library = engine.library();
@@ -163,7 +178,8 @@ fn greedy(
     // operation or changed its module timing — the "dirty" commits.
     let mut provisional = {
         let _span = pchls_obs::span!("fds.refit");
-        pasap_locked(graph, &timing, &budget, constraints.latency, &locked)
+        placer
+            .pasap_locked(&timing, &budget, constraints.latency, &locked)
             .map_err(|cause| SynthesisError::Infeasible { cause })?
     };
     let mut dirty = false;
@@ -184,7 +200,8 @@ fn greedy(
         }
         if dirty {
             let _span = pchls_obs::span!("fds.refit");
-            provisional = pasap_locked(graph, &timing, &budget, constraints.latency, &locked)
+            provisional = placer
+                .pasap_locked(&timing, &budget, constraints.latency, &locked)
                 .map_err(|cause| SynthesisError::Infeasible { cause })?;
             dirty = false;
         }
@@ -195,7 +212,9 @@ fn greedy(
         // — borrowed, not cloned.
         let palap = {
             let _span = pchls_obs::span!("fds.palap");
-            palap_locked(graph, &timing, &budget, constraints.latency, &locked).ok()
+            placer
+                .palap_locked(&timing, &budget, constraints.latency, &locked)
+                .ok()
         };
         let late = palap.as_ref().unwrap_or(&provisional);
 
@@ -250,7 +269,7 @@ fn greedy(
         drop(ctx);
         let committed = run_attempts(
             order.iter(),
-            graph,
+            placer,
             library,
             constraints,
             &budget,
@@ -283,7 +302,8 @@ fn greedy(
     // All operations bound and locked: the locked schedule is final.
     let final_schedule = if dirty {
         let _span = pchls_obs::span!("fds.refit");
-        pasap_locked(graph, &timing, &budget, constraints.latency, &locked)
+        placer
+            .pasap_locked(&timing, &budget, constraints.latency, &locked)
             .map_err(SynthesisError::Schedule)?
     } else {
         provisional
@@ -331,7 +351,7 @@ fn is_clean(cand: &Decision, saved: &Saved, provisional: &Schedule) -> bool {
 #[allow(clippy::too_many_arguments)]
 fn run_attempts<'d>(
     cands: impl Iterator<Item = &'d Decision>,
-    graph: &Cdfg,
+    placer: &mut PlacementCache<'_>,
     library: &ModuleLibrary,
     constraints: &SynthesisConstraints,
     budget: &pchls_sched::PowerBudget,
@@ -357,8 +377,10 @@ fn run_attempts<'d>(
         // the provisional schedule — it is feasible by construction
         // and the expensive re-schedule is skipped.
         let clean = is_clean(cand, &saved, provisional);
-        let feasible =
-            clean || pasap_locked(graph, timing, budget, constraints.latency, locked).is_ok();
+        let feasible = clean
+            || placer
+                .pasap_locked(timing, budget, constraints.latency, locked)
+                .is_ok();
         if feasible {
             unbound.remove(cand.op);
             *unbound_count -= 1;
@@ -709,7 +731,7 @@ fn score_and_rank<'t>(
     unbound_vec: &[NodeId],
     walk: &mut PairWalk,
     top: &'t mut TopK<Decision>,
-    tally: &mut PairTally,
+    tally: &mut Tally,
 ) -> &'t [Decision] {
     {
         let mut score_span = pchls_obs::span!("kernel.score");
@@ -877,7 +899,8 @@ struct Walked {
     /// Exact scores computed (each costs ledger probes).
     probed: u64,
     /// Skipped because their score bound fell strictly below the worst
-    /// kept decision (an entry cut whole counts all its slots).
+    /// kept decision, or tied it and their rank key ranks after it (an
+    /// entry cut whole counts all its slots).
     pruned: u64,
     /// Feasible pair decisions offered to `top`.
     offered: usize,
@@ -903,6 +926,15 @@ struct Walked {
 /// strictly below the worst decision a full `top` keeps; within an
 /// entry, each pair's exact `w_area·gain + interconnect` (plus the
 /// displacement cap) is checked the same way before the ledger probe.
+///
+/// A pair whose bound *ties* the worst kept score is cut on the rest of
+/// its [`rank_total`] key, which is known before the probe: its start
+/// is exactly the tabulated `start0(first, m)`, its op is `first` and
+/// its [`Key`] is structural. It is skipped when that start is `None`
+/// (no decision) or `(start, first, key)` ranks after the worst's — its
+/// exact score is at most the bound, so it could never be kept. With
+/// the default weights (`displacement = 0`) every bound is exact and
+/// most probes would otherwise be such ties.
 fn offer_pairs(
     ctx: &Context<'_>,
     unbound_vec: &[NodeId],
@@ -996,12 +1028,18 @@ fn offer_pairs(
                     continue; // module selection off: `first` keeps its estimate
                 };
                 let bound = e.area_term + ctx.interconnect(first, &[second]) + disp_cap;
-                if top.worst().is_some_and(|w| bound < w.score) {
+                let key = (1, u.index() as u32, v.index() as u32, pos as u32);
+                if top.worst().is_some_and(|w| {
+                    bound < w.score
+                        || (bound == w.score
+                            && ctx
+                                .candidate_start0(first, e.module)
+                                .is_none_or(|s| (s, first, key) > (w.start, w.op, w.key)))
+                }) {
                     out.pruned += 1;
                     continue;
                 }
                 out.probed += 1;
-                let key = (1, u.index() as u32, v.index() as u32, pos as u32);
                 if let Some(d) = pair_decision(ctx, first, second, e.module, key) {
                     out.offered += 1;
                     top.push(d, rank_total);
@@ -1331,12 +1369,29 @@ mod tests {
         graph: &Cdfg,
         constraints: &SynthesisConstraints,
         options: &SynthesisOptions,
-    ) -> (Result<SynthesizedDesign, SynthesisError>, PairTally) {
+    ) -> (Result<SynthesizedDesign, SynthesisError>, Tally) {
         let engine = Engine::new(library);
         let compiled = engine.compile(graph);
-        let mut tally = PairTally::default();
-        let result = greedy(&engine, &compiled, constraints, options, None, &mut tally);
+        let mut tally = Tally::default();
+        let mut placer = PlacementCache::new(graph);
+        let result = greedy(
+            &engine,
+            &compiled,
+            constraints,
+            options,
+            None,
+            &mut placer,
+            &mut tally,
+        );
+        tally.orders = placer.orders_computed();
         (result, tally)
+    }
+
+    prop_compose! {
+        /// `0.0` or a draw from `[−1, 1)`, evenly.
+        fn zero_or_unit()(zero in any::<bool>(), x in -1.0f64..1.0) -> f64 {
+            if zero { 0.0 } else { x }
+        }
     }
 
     proptest! {
@@ -1344,7 +1399,10 @@ mod tests {
 
         /// Every iteration's pruned ranking equals the exhaustive one
         /// (`score_and_rank` asserts it in test builds) under weights
-        /// of either sign and every ablation switch.
+        /// of either sign and every ablation switch. Interconnect and
+        /// displacement weights are exactly 0 in about half the cases:
+        /// the default weights' regime, where bounds are exact and the
+        /// walk's rank-key cut decides ties.
         #[test]
         fn pair_walk_ranks_exactly_like_brute_force(
             ops in 10usize..61,
@@ -1354,8 +1412,8 @@ mod tests {
             slack in 0u32..3,
             power in 4.0f64..80.0,
             area in -2.0f64..2.0,
-            interconnect in -1.0f64..1.0,
-            displacement in -1.0f64..1.0,
+            interconnect in zero_or_unit(),
+            displacement in zero_or_unit(),
             module_selection in any::<bool>(),
             interconnect_scoring in any::<bool>(),
             backtracking in any::<bool>(),

@@ -8,6 +8,8 @@
 //!   if power is available* over their whole execution interval,
 //!   otherwise they are delayed cycle by cycle ("stretching" the
 //!   schedule to fit under the per-cycle power budget).
+//!   [`PlacementCache`] runs their locked forms over one graph many
+//!   times, computing the placement order only when a delay changes.
 //! * [`list_schedule`] — resource-constrained list scheduling (baseline).
 //! * [`force_directed`] — Paulin/Knight force-directed scheduling
 //!   (baseline).
@@ -67,7 +69,7 @@ pub use error::ScheduleError;
 pub use exact::{minimal_latency_exact, ExactLimits};
 pub use fds::force_directed;
 pub use list::{list_schedule, Allocation};
-pub use pasap::{palap, palap_locked, pasap, pasap_locked, LockedStarts};
+pub use pasap::{palap, palap_locked, pasap, pasap_locked, LockedStarts, PlacementCache};
 pub use power::{NaivePowerLedger, PowerLedger, PowerProfile};
 pub use schedule::Schedule;
 pub use timing::{OpTiming, TimingMap};

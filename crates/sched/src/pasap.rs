@@ -110,19 +110,7 @@ pub fn pasap_locked(
     horizon: u32,
     locked: &LockedStarts,
 ) -> Result<Schedule, ScheduleError> {
-    let starts = schedule_directed(
-        |id| graph.operands(id),
-        |id| graph.successors(id),
-        graph.topological().iter().copied(),
-        graph.len(),
-        timing,
-        budget,
-        horizon,
-        |id| locked.get(id),
-    )?;
-    let schedule = Schedule::new(starts);
-    schedule.validate(graph, timing, None, None)?;
-    Ok(schedule)
+    PlacementCache::new(graph).pasap_locked(timing, budget, horizon, locked)
 }
 
 /// Power-constrained ALAP without locked operations: the latest
@@ -166,72 +154,244 @@ pub fn palap_locked(
     latency: u32,
     locked: &LockedStarts,
 ) -> Result<Schedule, ScheduleError> {
-    // A forward start `s` with delay `d` maps to the reversed start
-    // `latency - s - d`; a lock outside `[0, latency - d]` can never fit.
-    for i in 0..graph.len() {
-        let id = NodeId::new(i as u32);
-        if let Some(s) = locked.get(id) {
-            if s + timing.delay(id) > latency {
-                return Err(ScheduleError::Infeasible {
+    PlacementCache::new(graph).palap_locked(timing, budget, latency, locked)
+}
+
+/// [`pasap_locked`] and [`palap_locked`] over one graph, reusing each
+/// direction's placement order while the delays it was computed for are
+/// unchanged.
+///
+/// The order in which the placement loop visits operations depends only
+/// on the graph and the delays — never on locks, starts or the budget —
+/// so a caller scheduling one graph many times under changing locks (the
+/// synthesis loop) pays for it only when a delay changes. Every answer
+/// equals that of a fresh cache, which is what the free functions use.
+#[derive(Debug)]
+pub struct PlacementCache<'g> {
+    graph: &'g Cdfg,
+    forward: CachedOrder,
+    reverse: CachedOrder,
+    computed: u64,
+}
+
+/// One direction's placement order and the delays it was computed for.
+#[derive(Debug, Default)]
+struct CachedOrder {
+    /// Empty until the first computation (an empty graph's order is
+    /// empty too, so it is never stale).
+    delays: Vec<u32>,
+    order: Vec<NodeId>,
+}
+
+impl CachedOrder {
+    /// The order for `timing`'s delays, recomputed by `compute` (and
+    /// counted in `computed`) when they differ from the cached ones.
+    fn refresh(
+        &mut self,
+        timing: &TimingMap,
+        computed: &mut u64,
+        compute: impl FnOnce() -> Vec<NodeId>,
+    ) -> &[NodeId] {
+        if !self.delays.iter().copied().eq(timing.delays()) {
+            self.order = compute();
+            self.delays.clear();
+            self.delays.extend(timing.delays());
+            *computed += 1;
+        }
+        &self.order
+    }
+}
+
+impl<'g> PlacementCache<'g> {
+    /// An empty cache over `graph`.
+    #[must_use]
+    pub fn new(graph: &'g Cdfg) -> PlacementCache<'g> {
+        PlacementCache {
+            graph,
+            forward: CachedOrder::default(),
+            reverse: CachedOrder::default(),
+            computed: 0,
+        }
+    }
+
+    /// [`pasap_locked`] over the cached graph.
+    ///
+    /// # Errors
+    ///
+    /// As [`pasap_locked`].
+    pub fn pasap_locked(
+        &mut self,
+        timing: &TimingMap,
+        budget: &PowerBudget,
+        horizon: u32,
+        locked: &LockedStarts,
+    ) -> Result<Schedule, ScheduleError> {
+        let graph = self.graph;
+        let order = self.forward.refresh(timing, &mut self.computed, || {
+            placement_order(
+                |id| graph.operands(id),
+                |id| graph.successors(id),
+                graph.topological().iter().rev().copied(),
+                graph.len(),
+                timing,
+            )
+        });
+        let starts = place(
+            order,
+            |id| graph.operands(id),
+            timing,
+            budget,
+            horizon,
+            |id| locked.get(id),
+        )?;
+        let schedule = Schedule::new(starts);
+        schedule.validate(graph, timing, None, None)?;
+        Ok(schedule)
+    }
+
+    /// [`palap_locked`] over the cached graph: the placement runs on the
+    /// time-reversed graph.
+    ///
+    /// # Errors
+    ///
+    /// As [`palap_locked`].
+    pub fn palap_locked(
+        &mut self,
+        timing: &TimingMap,
+        budget: &PowerBudget,
+        latency: u32,
+        locked: &LockedStarts,
+    ) -> Result<Schedule, ScheduleError> {
+        let graph = self.graph;
+        let order = self.reverse.refresh(timing, &mut self.computed, || {
+            placement_order(
+                |id| graph.successors(id),
+                |id| graph.operands(id),
+                graph.topological().iter().copied(),
+                graph.len(),
+                timing,
+            )
+        });
+        // A forward start `s` with delay `d` maps to the reversed start
+        // `latency - s - d`; a lock outside `[0, latency - d]` can never
+        // fit.
+        for i in 0..graph.len() {
+            let id = NodeId::new(i as u32);
+            if let Some(s) = locked.get(id) {
+                if s + timing.delay(id) > latency {
+                    return Err(ScheduleError::Infeasible {
+                        node: id,
+                        horizon: latency,
+                        max_power: budget.peak_within(latency),
+                    });
+                }
+            }
+        }
+        let rev_budget = budget.reversed(latency);
+        let flip = |start: u32, delay: u32| -> Option<u32> { (latency - start).checked_sub(delay) };
+        let rev_starts = place(
+            order,
+            |id| graph.successors(id),
+            timing,
+            &rev_budget,
+            latency,
+            |id| {
+                locked
+                    .get(id)
+                    .map(|s| flip(s, timing.delay(id)).expect("lock range checked above"))
+            },
+        )?;
+        let starts: Vec<u32> = rev_starts
+            .iter()
+            .enumerate()
+            .map(|(i, &rs)| {
+                let id = NodeId::new(i as u32);
+                flip(rs, timing.delay(id)).ok_or(ScheduleError::Infeasible {
                     node: id,
                     horizon: latency,
                     max_power: budget.peak_within(latency),
-                });
-            }
-        }
-    }
-    let rev = graph.reversed();
-    let rev_budget = budget.reversed(latency);
-    let flip = |start: u32, delay: u32| -> Option<u32> { (latency - start).checked_sub(delay) };
-    let rev_starts = schedule_directed(
-        |id| rev.preds(id),
-        |id| rev.succs(id),
-        rev.topological(),
-        graph.len(),
-        timing,
-        &rev_budget,
-        latency,
-        |id| {
-            locked
-                .get(id)
-                .map(|s| flip(s, timing.delay(id)).expect("lock range checked above"))
-        },
-    )?;
-    let starts: Vec<u32> = rev_starts
-        .iter()
-        .enumerate()
-        .map(|(i, &rs)| {
-            let id = NodeId::new(i as u32);
-            flip(rs, timing.delay(id)).ok_or(ScheduleError::Infeasible {
-                node: id,
-                horizon: latency,
-                max_power: budget.peak_within(latency),
+                })
             })
-        })
-        .collect::<Result<_, _>>()?;
-    let schedule = Schedule::new(starts);
-    schedule.validate(graph, timing, Some(latency), None)?;
-    Ok(schedule)
+            .collect::<Result<_, _>>()?;
+        let schedule = Schedule::new(starts);
+        schedule.validate(graph, timing, Some(latency), None)?;
+        Ok(schedule)
+    }
+
+    /// Placement orders computed so far, over both directions.
+    #[must_use]
+    pub fn orders_computed(&self) -> u64 {
+        self.computed
+    }
 }
 
-/// Shared placement loop over an arbitrary orientation of the graph.
+/// The order in which [`place`] visits the operations of one orientation
+/// of the graph.
 ///
-/// `preds`, `succs` and `order` describe the DAG being scheduled (forward
-/// for `pasap`, reversed for `palap`); `locked` yields fixed starts in
-/// the *oriented* time axis.
+/// `preds` and `succs` describe the DAG being scheduled (forward for
+/// `pasap`, reversed for `palap`); `reverse_topological` lists its nodes
+/// sinks first.
 ///
 /// The paper's step 1 ("pick an unscheduled operator") leaves the pick
 /// order open; we pick, among data-ready operations, the one with the
 /// longest delay-weighted path to a sink. Critical chains therefore claim
 /// power slots first and non-critical operations absorb the stretching,
 /// which is both the sensible reading and necessary for tight latency
-/// bounds to remain feasible.
-#[allow(clippy::too_many_arguments)]
-fn schedule_directed<'a>(
+/// bounds to remain feasible. Locked operations keep their place in the
+/// order (they release their successors like any other), so the order
+/// depends only on the graph and the delays.
+fn placement_order<'a>(
     preds: impl Fn(NodeId) -> &'a [NodeId],
     succs: impl Fn(NodeId) -> &'a [NodeId],
-    order: impl Iterator<Item = NodeId>,
+    reverse_topological: impl Iterator<Item = NodeId>,
     len: usize,
+    timing: &TimingMap,
+) -> Vec<NodeId> {
+    // Criticality: longest delay-weighted path to a sink (in this
+    // orientation).
+    let mut priority = vec![0u64; len];
+    for id in reverse_topological {
+        let down = succs(id)
+            .iter()
+            .map(|&s| priority[s.index()])
+            .max()
+            .unwrap_or(0);
+        priority[id.index()] = down + u64::from(timing.delay(id));
+    }
+
+    // Ready queue: (priority, id) max-heap; ids break ties low-first for
+    // determinism.
+    let mut remaining: Vec<usize> = (0..len)
+        .map(|i| preds(NodeId::new(i as u32)).len())
+        .collect();
+    let mut heap: std::collections::BinaryHeap<(u64, std::cmp::Reverse<NodeId>)> = (0..len)
+        .map(|i| NodeId::new(i as u32))
+        .filter(|id| remaining[id.index()] == 0)
+        .map(|id| (priority[id.index()], std::cmp::Reverse(id)))
+        .collect();
+
+    let mut order = Vec::with_capacity(len);
+    while let Some((_, std::cmp::Reverse(id))) = heap.pop() {
+        order.push(id);
+        for &s in succs(id) {
+            remaining[s.index()] -= 1;
+            if remaining[s.index()] == 0 {
+                heap.push((priority[s.index()], std::cmp::Reverse(s)));
+            }
+        }
+    }
+    debug_assert_eq!(order.len(), len, "every op is ordered exactly once");
+    order
+}
+
+/// The placement loop shared by every power-constrained ASAP/ALAP form:
+/// locked operations reserve their power first, then every unlocked
+/// operation of `order` (see [`placement_order`]) takes its earliest
+/// power-feasible start at or after its data-ready time. `order` holds
+/// every node once; `preds` and `locked` are in the oriented time axis.
+fn place<'a>(
+    order: &[NodeId],
+    preds: impl Fn(NodeId) -> &'a [NodeId],
     timing: &TimingMap,
     budget: &PowerBudget,
     horizon: u32,
@@ -242,11 +402,10 @@ fn schedule_directed<'a>(
     // compares against: the bound itself in constant mode, the
     // envelope's peak otherwise.
     let max_power = ledger.max_power();
-    let mut starts = vec![0u32; len];
-    let order: Vec<NodeId> = order.collect();
+    let mut starts = vec![0u32; order.len()];
 
     // Locked operations reserve power first, whatever their order.
-    for i in 0..len {
+    for i in 0..order.len() {
         let id = NodeId::new(i as u32);
         if let Some(s) = locked(id) {
             let t = timing.of(id);
@@ -275,66 +434,35 @@ fn schedule_directed<'a>(
         }
     }
 
-    // Criticality: longest delay-weighted path to a sink (in this
-    // orientation), computed over the reverse topological order.
-    let mut priority = vec![0u64; len];
-    for &id in order.iter().rev() {
-        let down = succs(id)
+    for &id in order {
+        if locked(id).is_some() {
+            continue;
+        }
+        let t = timing.of(id);
+        if t.power > max_power + crate::power::POWER_EPS {
+            return Err(ScheduleError::OpExceedsBudget {
+                node: id,
+                power: t.power,
+                max_power,
+            });
+        }
+        // Data-ready time: all predecessors (in this orientation) done.
+        let ready = preds(id)
             .iter()
-            .map(|&s| priority[s.index()])
+            .map(|&p| starts[p.index()] + timing.delay(p))
             .max()
             .unwrap_or(0);
-        priority[id.index()] = down + u64::from(timing.delay(id));
-    }
-
-    // Ready queue: (priority, id) max-heap; ids break ties low-first for
-    // determinism.
-    let mut remaining: Vec<usize> = (0..len)
-        .map(|i| preds(NodeId::new(i as u32)).len())
-        .collect();
-    let mut heap: std::collections::BinaryHeap<(u64, std::cmp::Reverse<NodeId>)> = (0..len)
-        .map(|i| NodeId::new(i as u32))
-        .filter(|id| remaining[id.index()] == 0)
-        .map(|id| (priority[id.index()], std::cmp::Reverse(id)))
-        .collect();
-
-    let mut scheduled = 0usize;
-    while let Some((_, std::cmp::Reverse(id))) = heap.pop() {
-        scheduled += 1;
-        if locked(id).is_none() {
-            let t = timing.of(id);
-            if t.power > max_power + crate::power::POWER_EPS {
-                return Err(ScheduleError::OpExceedsBudget {
+        let start =
+            ledger
+                .earliest_fit(ready, t.delay, t.power)
+                .ok_or(ScheduleError::Infeasible {
                     node: id,
-                    power: t.power,
+                    horizon,
                     max_power,
-                });
-            }
-            // Data-ready time: all predecessors (in this orientation) done.
-            let ready = preds(id)
-                .iter()
-                .map(|&p| starts[p.index()] + timing.delay(p))
-                .max()
-                .unwrap_or(0);
-            let start =
-                ledger
-                    .earliest_fit(ready, t.delay, t.power)
-                    .ok_or(ScheduleError::Infeasible {
-                        node: id,
-                        horizon,
-                        max_power,
-                    })?;
-            ledger.reserve(start, t.delay, t.power);
-            starts[id.index()] = start;
-        }
-        for &s in succs(id) {
-            remaining[s.index()] -= 1;
-            if remaining[s.index()] == 0 {
-                heap.push((priority[s.index()], std::cmp::Reverse(s)));
-            }
-        }
+                })?;
+        ledger.reserve(start, t.delay, t.power);
+        starts[id.index()] = start;
     }
-    debug_assert_eq!(scheduled, len, "every op is scheduled exactly once");
     Ok(starts)
 }
 

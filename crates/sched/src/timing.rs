@@ -107,6 +107,11 @@ impl TimingMap {
         self.of(id).delay
     }
 
+    /// Every node's delay, in node order.
+    pub(crate) fn delays(&self) -> impl Iterator<Item = u32> + '_ {
+        self.entries.iter().map(|e| e.delay)
+    }
+
     /// Per-cycle power of `id`.
     #[must_use]
     pub fn power(&self, id: NodeId) -> f64 {

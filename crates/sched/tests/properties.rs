@@ -198,6 +198,113 @@ mod locked_props {
     }
 }
 
+mod placement_cache_props {
+    use super::*;
+    use pchls_sched::{palap_locked, pasap_locked, LockedStarts, OpTiming, PlacementCache};
+
+    /// Locks the ops picked by `mask` (bit `i % 64` for node `i`): at
+    /// their start in `base` when there is one, nudged one cycle later
+    /// where `nudge` has the bit set (so some lock sets are infeasible),
+    /// otherwise at an arbitrary cycle below `horizon`.
+    fn lock_set(
+        len: usize,
+        base: Option<&pchls_sched::Schedule>,
+        horizon: u32,
+        mask: u64,
+        nudge: u64,
+    ) -> LockedStarts {
+        let mut locked = LockedStarts::none(len);
+        for i in 0..len {
+            let bit = |word: u64| word >> (i % 64) & 1 == 1;
+            if !bit(mask) {
+                continue;
+            }
+            let id = pchls_cdfg::NodeId::new(i as u32);
+            let start = match base {
+                Some(s) => s.start(id) + u32::from(bit(nudge)),
+                None => (mask ^ nudge).rotate_left(i as u32) as u32 % horizon.max(1),
+            };
+            locked.lock(id, start);
+        }
+        locked
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One `PlacementCache` reused across lock sets, budgets and a
+        /// delay change answers every `pasap_locked` / `palap_locked`
+        /// call exactly like the free functions, `Ok` schedule or `Err`,
+        /// and recomputes its orders only when a delay changes.
+        #[test]
+        fn cached_placement_orders_match_the_free_functions(
+            cfg in config(),
+            delays in proptest::collection::vec(1u32..5, 64),
+            powers in proptest::collection::vec(0.0f64..6.0, 64),
+            zero_power in any::<u64>(),
+            masks in proptest::collection::vec(any::<u64>(), 4),
+            nudges in proptest::collection::vec(any::<u64>(), 4),
+            frac in 0.8f64..3.0,
+            stretch in 6u32..17,
+        ) {
+            let g = random_dag(&cfg);
+            let n = g.len();
+            let mut t = TimingMap::from_entries(
+                (0..n)
+                    .map(|i| OpTiming {
+                        delay: delays[i % 64],
+                        power: if zero_power >> (i % 64) & 1 == 1 { 0.0 } else { powers[i % 64] },
+                    })
+                    .collect(),
+            );
+            let mut cache = PlacementCache::new(&g);
+            for round in 0..4usize {
+                if round == 2 {
+                    // Every delay moves (1→2→3→4→1): both cached orders
+                    // are stale and must be recomputed.
+                    for id in g.node_ids() {
+                        let old = t.of(id);
+                        t.set(id, OpTiming { delay: old.delay % 4 + 1, ..old });
+                    }
+                }
+                let single = t.max_single_op_power();
+                let bound = single * frac;
+                // Constant budgets on even rounds, stepwise (tight
+                // opening, looser tail) on odd ones.
+                let budget = if round % 2 == 0 {
+                    PowerBudget::constant(bound)
+                } else {
+                    PowerBudget::steps(vec![(0, bound), (stretch, bound + single)])
+                };
+                // From a little below the unlocked pasap latency up to
+                // twice it; an unplaceable op falls back to the asap one.
+                let natural = pasap(&g, &t, &budget, 10_000)
+                    .unwrap_or_else(|_| asap(&g, &t))
+                    .latency(&t);
+                let horizon = (natural * stretch / 8).max(1);
+                let base = pasap(&g, &t, &budget, horizon).ok();
+                // About a quarter of the ops locked, an eighth of those
+                // nudged.
+                let word = |w: &[u64], k: usize| w[(round + k) % 4];
+                let mask = word(&masks, 0) & word(&masks, 1);
+                let nudge = word(&nudges, 0) & word(&nudges, 1) & word(&nudges, 2);
+                let locked = lock_set(n, base.as_ref(), horizon, mask, nudge);
+                prop_assert_eq!(
+                    cache.pasap_locked(&t, &budget, horizon, &locked),
+                    pasap_locked(&g, &t, &budget, horizon, &locked)
+                );
+                prop_assert_eq!(
+                    cache.palap_locked(&t, &budget, horizon, &locked),
+                    palap_locked(&g, &t, &budget, horizon, &locked)
+                );
+            }
+            // One order per direction, then one more each after the
+            // delay change.
+            prop_assert_eq!(cache.orders_computed(), 4);
+        }
+    }
+}
+
 mod ledger_props {
     use super::*;
     use pchls_sched::{NaivePowerLedger, PowerBudget, PowerLedger};

@@ -231,6 +231,8 @@ struct Shared {
     cancelled: Counter,
     shed: Counter,
     rate_limited: Counter,
+    /// Jobs whose processing panicked (each answered `internal error`).
+    panics: Counter,
 }
 
 /// A running synthesis service: an [`Engine`] fronted by sharded
@@ -343,6 +345,7 @@ impl Service {
             cancelled: metrics.counter("pchls_requests_cancelled_total"),
             shed: metrics.counter("pchls_requests_shed_total"),
             rate_limited: metrics.counter("pchls_requests_rate_limited_total"),
+            panics: metrics.counter("pchls_worker_panics_total"),
             metrics,
         });
         let mut pools = Vec::with_capacity(2 * shard_count);
@@ -659,9 +662,21 @@ impl Shared {
         (shard, lane)
     }
 
-    /// Processes one job on a worker thread and sends the reply.
+    /// Processes one job on a worker thread and sends the reply. A panic
+    /// while answering is caught here: the job is answered `internal
+    /// error` under its request id, counted, and the worker lives on.
     fn process(&self, shard_idx: usize, job: Job) {
-        let (response, disposition) = self.respond(&self.shards[shard_idx], &job);
+        let (response, disposition) =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.respond(&self.shards[shard_idx], &job)
+            }))
+            .unwrap_or_else(|_| {
+                self.panics.inc();
+                (
+                    SubmitResponse::error(job.request.id, "internal error"),
+                    Disposition::Failed,
+                )
+            });
         match disposition {
             Disposition::Completed => &self.completed,
             Disposition::Failed => &self.failed,
@@ -709,6 +724,8 @@ impl Shared {
 
     fn respond(&self, shard: &Shard, job: &Job) -> (SubmitResponse, Disposition) {
         let req = &job.request;
+        #[cfg(test)]
+        assert_ne!(req.graph, tests::PANIC_GRAPH, "injected job panic");
         let fail = |msg: String| (SubmitResponse::error(req.id, msg), Disposition::Failed);
 
         // Validate the constraint point up front — the constraints
@@ -984,6 +1001,29 @@ mod tests {
         // The workers survived all of it.
         assert!(service.call(SubmitRequest::synth(9, "hal", 17, 25.0)).ok);
         assert_eq!(service.stats().failed, 7);
+    }
+
+    /// A graph name whose job panics inside [`Shared::respond`].
+    pub(super) const PANIC_GRAPH: &str = "panic!";
+
+    #[test]
+    fn a_panicking_job_is_answered_and_its_worker_survives() {
+        let service = service(1);
+        let resp = service.call(SubmitRequest::synth(3, PANIC_GRAPH, 17, 25.0));
+        assert!(!resp.ok);
+        assert_eq!(resp.id, 3);
+        assert_eq!(resp.error.as_deref(), Some("internal error"));
+        // The sole synth worker survived and keeps serving.
+        for id in 4..6 {
+            assert!(service.call(SubmitRequest::synth(id, "hal", 17, 25.0)).ok);
+        }
+        let stats = service.stats();
+        assert_eq!((stats.completed, stats.failed), (2, 1));
+        assert!(service
+            .metrics_text()
+            .contains("pchls_worker_panics_total 1\n"));
+        // Dropping joins every worker without a panic to re-raise.
+        drop(service);
     }
 
     #[test]
