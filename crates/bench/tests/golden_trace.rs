@@ -1,7 +1,7 @@
 //! Byte-diffs the rand200 decision trace against a committed golden.
 //!
 //! The synthesis kernel promises that every optimization — the
-//! segment-tree ledger, the word-parallel enumeration pipeline — leaves
+//! unrolled ledger scans, the word-parallel enumeration pipeline — leaves
 //! the *decision trace* bit-identical to the naive reference. Within one build, differential tests enforce
 //! that promise; **across** builds (and PRs), this test does: the full
 //! rand200 design — schedule, timing, binding, effort counters — is

@@ -35,9 +35,8 @@ pub struct Reachability {
     /// `desc[i]` = bitset of nodes reachable from `i` (excluding `i`).
     desc: Vec<u64>,
     /// `anc[i]` = bitset of nodes that reach `i` (excluding `i`) — the
-    /// transpose of `desc`, precomputed so a fixed operation's full
-    /// dependence cone (the set force-directed scheduling must refit) is
-    /// two word-slices instead of two graph traversals.
+    /// transpose of `desc`, so an operation's ancestor cone is one word
+    /// slice instead of a graph traversal.
     anc: Vec<u64>,
 }
 
@@ -81,19 +80,8 @@ impl Reachability {
         self.n
     }
 
-    /// Bitset of the nodes reachable from `id` (excluding `id`), one bit
-    /// per node index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range for the analyzed graph.
-    #[must_use]
-    pub fn descendant_words(&self, id: NodeId) -> &[u64] {
-        assert!(id.index() < self.n, "foreign id");
-        &self.desc[id.index() * self.words..(id.index() + 1) * self.words]
-    }
-
-    /// Bitset of the nodes that reach `id` (excluding `id`).
+    /// Bitset of the nodes that reach `id` (excluding `id`), one bit per
+    /// node index.
     ///
     /// # Panics
     ///
@@ -104,16 +92,8 @@ impl Reachability {
         &self.anc[id.index() * self.words..(id.index() + 1) * self.words]
     }
 
-    /// Whether node index `index` is set in a bitset row returned by
-    /// [`Reachability::descendant_words`] /
-    /// [`Reachability::ancestor_words`].
-    #[must_use]
-    pub fn bit(row: &[u64], index: usize) -> bool {
-        row[index / 64] & (1u64 << (index % 64)) != 0
-    }
-
     /// Iterates the node ids set in a bitset row, in ascending order.
-    pub fn iter_row(row: &[u64]) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn iter_row(row: &[u64]) -> impl Iterator<Item = NodeId> + '_ {
         row.iter().enumerate().flat_map(|(w, &bits)| {
             let mut rest = bits;
             std::iter::from_fn(move || {
@@ -215,7 +195,7 @@ impl AnalysisCache {
 /// the word-parallel replacement for a `Vec<bool>` membership array.
 ///
 /// [`NodeSet::words`] exposes the same packed layout as
-/// [`Reachability::descendant_words`].
+/// [`Reachability::ancestor_words`].
 ///
 /// Trailing bits beyond `len` are kept zero as an invariant, so whole-word
 /// operations (`count`, intersection walks) never see phantom members.
@@ -515,19 +495,9 @@ mod tests {
 
         // The ancestor bitsets are the exact transpose of the descendant
         // bitsets, and row iteration enumerates exactly the set bits.
-        for a in g.node_ids() {
-            for c in g.node_ids() {
-                assert_eq!(
-                    r.reaches(a, c),
-                    Reachability::bit(r.descendant_words(a), c.index())
-                );
-                assert_eq!(
-                    r.reaches(a, c),
-                    Reachability::bit(r.ancestor_words(c), a.index())
-                );
-            }
-            let iterated: Vec<NodeId> = Reachability::iter_row(r.descendant_words(a)).collect();
-            let expected: Vec<NodeId> = g.node_ids().filter(|&c| r.reaches(a, c)).collect();
+        for c in g.node_ids() {
+            let iterated: Vec<NodeId> = Reachability::iter_row(r.ancestor_words(c)).collect();
+            let expected: Vec<NodeId> = g.node_ids().filter(|&a| r.reaches(a, c)).collect();
             assert_eq!(iterated, expected);
         }
     }

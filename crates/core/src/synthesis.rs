@@ -177,6 +177,7 @@ fn greedy(
     // schedule is only recomputed when a commit actually displaced an
     // operation or changed its module timing — the "dirty" commits.
     let mut provisional = {
+        // The `fds.*` span names are historical: perfbench and `chrome_golden` read them.
         let _span = pchls_obs::span!("fds.refit");
         placer
             .pasap_locked(&timing, &budget, constraints.latency, &locked)

@@ -11,8 +11,6 @@
 //!   [`PlacementCache`] runs their locked forms over one graph many
 //!   times, computing the placement order only when a delay changes.
 //! * [`list_schedule`] — resource-constrained list scheduling (baseline).
-//! * [`force_directed`] — Paulin/Knight force-directed scheduling
-//!   (baseline).
 //! * [`two_step`] — the two-phase schedule-then-flatten approach the
 //!   paper contrasts itself with (refs [1, 2]): first a purely
 //!   time-constrained schedule, then a mobility-based reordering pass
@@ -54,7 +52,6 @@ mod asap;
 mod budget;
 mod error;
 mod exact;
-mod fds;
 mod list;
 mod pasap;
 mod power;
@@ -67,7 +64,6 @@ pub use asap::asap;
 pub use budget::PowerBudget;
 pub use error::ScheduleError;
 pub use exact::{minimal_latency_exact, ExactLimits};
-pub use fds::force_directed;
 pub use list::{list_schedule, Allocation};
 pub use pasap::{palap, palap_locked, pasap, pasap_locked, LockedStarts, PlacementCache};
 pub use power::{NaivePowerLedger, PowerLedger, PowerProfile};

@@ -194,35 +194,27 @@ impl PowerProfile {
 ///
 /// Two modes share one type, selected by the budget's shape:
 ///
-/// * **Constant mode** — the classical scalar bound. Backed by a
-///   **segment tree of per-cycle range maxima** over the exact per-cycle
-///   reservation values: leaves hold the same `f64`s the naive
-///   cycle-scanning ledger would (mutated in the same order, so
-///   bit-exact), while internal nodes cache interval maxima. Since
-///   IEEE-754 addition is monotone, `u + power ≤ bound` holds for every
-///   cycle of an interval iff it holds for the interval's maximum.
+/// * **Constant mode** — the classical scalar bound. The ledger keeps
+///   the exact power reserved in each cycle (the same `f64`s the naive
+///   cycle-scanning ledger holds, mutated in the same order, so
+///   bit-exact). Since IEEE-754 addition is monotone, `u + power ≤
+///   bound` holds for every cycle of a window iff it holds for the
+///   window's maximum.
 /// * **Envelope mode** — a time-varying [`PowerBudget`]. A usage
-///   maximum says nothing against a moving bound, so the tree instead
-///   caches **range minima of per-cycle slack** `slack[c] = budget[c] −
-///   used[c]`: an operation drawing `power` fits an interval iff
-///   `power ≤ slack + ε` holds at the interval's *minimum* slack. Slack
-///   leaves are recomputed from `(budget[c], used[c])` whenever a usage
-///   leaf changes, so they are a pure function of the usage state and
-///   snapshot/restore rollback stays bit-exact for free.
+///   maximum says nothing against a moving bound, so the ledger also
+///   keeps per-cycle **slack** `slack[c] = budget[c] − used[c]`: an
+///   operation drawing `power` fits a window iff `power ≤ slack + ε`
+///   holds at the window's *minimum* slack. Slack cells are recomputed
+///   from `(budget[c], used[c])` whenever a usage cell changes, so they
+///   are a pure function of the usage state and snapshot/restore
+///   rollback stays bit-exact for free.
 ///
-/// Either way [`PowerLedger::fits`] answers in O(log horizon) instead
-/// of O(delay), and [`PowerLedger::earliest_fit`] skips past each
-/// infeasible region in one O(log horizon) descent to its **rightmost**
-/// violating cycle (every start whose window covers that cycle is
-/// infeasible, so the search resumes just past it — the "max headroom
-/// skip" — which works unchanged against the slack minima).
-///
-/// Horizons up to `SCAN_LIMIT` (64) cycles — the paper's benchmarks —
-/// skip the internal nodes entirely and scan the leaves exactly like
-/// the naive ledger: at that scale a handful of contiguous loads beats
-/// any tree walk, and the asymptotics only matter for large random
-/// graphs such as rand200. Both modes hold identical leaf
-/// values, so every answer is the same either way.
+/// Either way every query reduces the covered cells 4-wide (module
+/// delays are a few cycles, so a window is a handful of contiguous
+/// loads), and [`PowerLedger::earliest_fit`] jumps past each infeasible
+/// window's **rightmost** violating cycle (every start whose window
+/// covers that cycle is infeasible, so the search resumes just past
+/// it).
 ///
 /// A budget whose materialized bounds are all equal — however it was
 /// spelled ([`PowerBudget::Constant`], a one-step envelope, a flat
@@ -234,49 +226,24 @@ impl PowerProfile {
 /// differential-testing reference for both modes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerLedger {
-    /// Flat binary segment tree of **usage**: `tree[size + c]` is the
-    /// exact power reserved in cycle `c`; `tree[i]` for `i < size` is
-    /// the max of its two children (maintained only in constant mode,
-    /// and never read in leaf-scan mode). Leaves beyond the horizon
-    /// stay at `-inf` (the max identity) so padding never influences a
-    /// query.
-    tree: Vec<f64>,
-    /// Envelope mode only: flat binary segment tree of **slack**,
-    /// `slack[size + c] = bounds[c] - tree[size + c]`, internal nodes
-    /// the min of their children (min identity `+inf` pads beyond the
-    /// horizon). Empty in constant mode.
+    /// The exact power reserved in each cycle of the horizon.
+    used: Vec<f64>,
+    /// Envelope mode only: `slack[c] = bounds[c] - used[c]`. Empty in
+    /// constant mode.
     slack: Vec<f64>,
     /// Envelope mode only: the materialized per-cycle bound. Empty in
     /// constant mode.
     bounds: Vec<f64>,
-    /// Number of leaves (horizon rounded up to a power of two).
-    size: usize,
-    /// The scheduling horizon in cycles (leaves actually in use).
-    horizon: usize,
-    /// Leaf-scan mode: the horizon is small enough that queries scan
-    /// the leaves directly and internal maxima/minima are not
-    /// maintained.
-    scan: bool,
     /// Constant mode: the scalar bound. Envelope mode: the peak bound
     /// (used for the can-never-fit quick reject).
     max_power: f64,
 }
 
-/// Largest power-of-two leaf count for which [`PowerLedger`] stays in
-/// leaf-scan mode.
-const SCAN_LIMIT: usize = 64;
-
-/// Longest window the tree modes still answer with a direct (unrolled)
-/// leaf scan instead of a tree walk. With the 4-wide reductions below, a
-/// 32-cycle window is 8 independent max/min steps — still cheaper than
-/// descending and re-ascending ~2·log₂(horizon) internal nodes.
-const CHUNK_LIMIT: usize = 32;
-
 /// Maximum of `values` with four independent accumulators so the f64
 /// `max` chains don't serialize — the compiler keeps the accumulators in
 /// separate registers (auto-vectorizing where the target allows).
 /// Returns `-inf` for an empty slice. `f64::max` here is commutative and
-/// associative over the ledger's leaf values (never NaN, see
+/// associative over the ledger's cell values (never NaN, see
 /// [`PowerLedger::reserve`]'s fits-first contract), so the reassociated
 /// reduction equals the sequential fold bit for bit.
 fn unrolled_max(values: &[f64]) -> f64 {
@@ -325,27 +292,10 @@ impl PowerLedger {
     #[must_use]
     pub fn new(horizon: u32, max_power: f64) -> PowerLedger {
         assert!(!max_power.is_nan() && max_power >= 0.0, "invalid budget");
-        let horizon = horizon as usize;
-        let size = horizon.next_power_of_two().max(1);
-        let scan = size <= SCAN_LIMIT;
-        let mut tree = vec![f64::NEG_INFINITY; 2 * size];
-        for leaf in &mut tree[size..size + horizon] {
-            *leaf = 0.0;
-        }
-        if !scan {
-            // Cycle-0 maxima for the in-use prefix: pull every internal
-            // node.
-            for i in (1..size).rev() {
-                tree[i] = tree[2 * i].max(tree[2 * i + 1]);
-            }
-        }
         PowerLedger {
-            tree,
+            used: vec![0.0; horizon as usize],
             slack: Vec::new(),
             bounds: Vec::new(),
-            size,
-            horizon,
-            scan,
             max_power,
         }
     }
@@ -362,31 +312,14 @@ impl PowerLedger {
             Ok(constant) => return PowerLedger::new(horizon, constant),
             Err(envelope) => envelope,
         };
-        let horizon = horizon as usize;
-        let size = horizon.next_power_of_two().max(1);
-        let scan = size <= SCAN_LIMIT;
-        let mut tree = vec![f64::NEG_INFINITY; 2 * size];
-        for leaf in &mut tree[size..size + horizon] {
-            *leaf = 0.0;
-        }
-        let mut slack = vec![f64::INFINITY; 2 * size];
-        for (c, &b) in bounds.iter().enumerate() {
-            // Written as `bound - used` (not just `bound`) so the leaf
-            // initialization is the same expression `refresh` maintains.
-            slack[size + c] = b - tree[size + c];
-        }
-        if !scan {
-            for i in (1..size).rev() {
-                slack[i] = slack[2 * i].min(slack[2 * i + 1]);
-            }
-        }
+        let used = vec![0.0; horizon as usize];
+        // Written as `bound - used` (not just `bound`) so the initial
+        // slack is the same expression `refresh` maintains.
+        let slack = bounds.iter().zip(&used).map(|(b, u)| b - u).collect();
         PowerLedger {
-            tree,
+            used,
             slack,
             bounds,
-            size,
-            horizon,
-            scan,
             max_power: peak,
         }
     }
@@ -409,106 +342,71 @@ impl PowerLedger {
     /// horizon).
     #[must_use]
     pub fn bound(&self, cycle: u32) -> f64 {
-        if self.is_envelope() {
-            self.bounds
-                .get(cycle as usize)
-                .copied()
-                .unwrap_or(self.max_power)
-        } else {
-            self.max_power
-        }
+        self.bounds
+            .get(cycle as usize)
+            .copied()
+            .unwrap_or(self.max_power)
     }
 
     /// The scheduling horizon in cycles.
     #[must_use]
     pub fn horizon(&self) -> u32 {
-        self.horizon as u32
+        self.used.len() as u32
     }
 
     /// Power already reserved in `cycle` (0 beyond the horizon).
     #[must_use]
     pub fn used(&self, cycle: u32) -> f64 {
-        if (cycle as usize) < self.horizon {
-            self.tree[self.size + cycle as usize]
+        self.used.get(cycle as usize).copied().unwrap_or(0.0)
+    }
+
+    /// The cells the fit predicate reads over cycles `[l, r)`: slack in
+    /// envelope mode, usage in constant mode.
+    fn cells(&self, l: usize, r: usize) -> &[f64] {
+        if self.is_envelope() {
+            &self.slack[l..r]
         } else {
-            0.0
+            &self.used[l..r]
         }
     }
 
-    /// Maximum reserved power over cycles `[l, r)` (`-inf` when empty).
-    fn range_max(&self, mut l: usize, mut r: usize) -> f64 {
-        let mut m = f64::NEG_INFINITY;
-        l += self.size;
-        r += self.size;
-        while l < r {
-            if l & 1 == 1 {
-                m = m.max(self.tree[l]);
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                m = m.max(self.tree[r]);
-            }
-            l >>= 1;
-            r >>= 1;
+    /// The cell that decides a fit over `[l, r)`: the minimum slack in
+    /// envelope mode, the maximum usage in constant mode (`±inf` when
+    /// empty). IEEE-754 addition is monotone, so [`rejects`] holds for
+    /// it iff it holds for some cell of the window.
+    ///
+    /// [`rejects`]: PowerLedger::rejects
+    fn decisive(&self, l: usize, r: usize) -> f64 {
+        let cells = self.cells(l, r);
+        if self.is_envelope() {
+            unrolled_min(cells)
+        } else {
+            unrolled_max(cells)
         }
-        m
     }
 
-    /// Minimum slack over cycles `[l, r)` (`+inf` when empty; envelope
-    /// mode only).
-    fn range_min_slack(&self, mut l: usize, mut r: usize) -> f64 {
-        let mut m = f64::INFINITY;
-        l += self.size;
-        r += self.size;
-        while l < r {
-            if l & 1 == 1 {
-                m = m.min(self.slack[l]);
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                m = m.min(self.slack[r]);
-            }
-            l >>= 1;
-            r >>= 1;
+    /// The per-cycle predicate: whether a cycle whose cell (see
+    /// [`cells`](PowerLedger::cells)) holds `cell` rejects an extra draw
+    /// of `power`. It is the exact negation of the fit comparison —
+    /// `p ≤ slack + ε` in envelope mode, `used + p ≤ P + ε` in constant
+    /// mode — so anything that is not `≤`, greater *or* unordered (NaN),
+    /// rejects; the negated operator is deliberate (`cell + power >
+    /// bound` would silently pass NaN).
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn rejects(&self, cell: f64, power: f64) -> bool {
+        if self.is_envelope() {
+            !(power <= cell + POWER_EPS)
+        } else {
+            !(cell + power <= self.max_power + POWER_EPS)
         }
-        m
     }
 
-    /// Re-derives every cached quantity over the (non-empty) leaf range
-    /// `[l, r)` after its usage leaves were rewritten: the slack leaves
-    /// (envelope mode — always, so they stay a pure function of the
-    /// usage state even in leaf-scan mode) and the internal
-    /// maxima/minima (tree modes only). Per level only the parents
-    /// spanning the range are touched, so the total work is
-    /// O(r - l + log horizon).
+    /// Re-derives the slack cells over `[l, r)` after their usage cells
+    /// were rewritten (envelope mode only).
     fn refresh(&mut self, l: usize, r: usize) {
         if self.is_envelope() {
             for c in l..r {
-                self.slack[self.size + c] = self.bounds[c] - self.tree[self.size + c];
-            }
-        }
-        if self.scan {
-            return;
-        }
-        let mut lo = l + self.size;
-        let mut hi = r + self.size - 1;
-        if self.is_envelope() {
-            while lo > 1 {
-                lo >>= 1;
-                hi >>= 1;
-                for i in lo..=hi {
-                    self.slack[i] = self.slack[2 * i].min(self.slack[2 * i + 1]);
-                }
-            }
-        } else {
-            while lo > 1 {
-                lo >>= 1;
-                hi >>= 1;
-                for i in lo..=hi {
-                    self.tree[i] = self.tree[2 * i].max(self.tree[2 * i + 1]);
-                }
+                self.slack[c] = self.bounds[c] - self.used[c];
             }
         }
     }
@@ -519,32 +417,10 @@ impl PowerLedger {
     #[must_use]
     pub fn fits(&self, start: u32, delay: u32, power: f64) -> bool {
         let end = start as usize + delay as usize;
-        if end > self.horizon {
+        if end > self.used.len() {
             return false;
         }
-        if delay == 0 {
-            return true;
-        }
-        if self.is_envelope() {
-            // Envelope predicate: enough slack in every covered cycle,
-            // answered against the window's minimum slack (IEEE-754
-            // addition is monotone, so the min decides for every leaf —
-            // the same argument the slack tree rests on).
-            if self.scan || delay as usize <= CHUNK_LIMIT {
-                let min = unrolled_min(&self.slack[self.size + start as usize..self.size + end]);
-                return power <= min + POWER_EPS;
-            }
-            return power <= self.range_min_slack(start as usize, end) + POWER_EPS;
-        }
-        // Short intervals (the norm: module delays are 1–2 cycles) are a
-        // few contiguous loads reduced 4-wide — faster than any tree
-        // walk, and the window's maximum decides exactly like the naive
-        // per-cycle check over the same values.
-        if self.scan || delay as usize <= CHUNK_LIMIT {
-            let max = unrolled_max(&self.tree[self.size + start as usize..self.size + end]);
-            return max + power <= self.max_power + POWER_EPS;
-        }
-        self.range_max(start as usize, end) + power <= self.max_power + POWER_EPS
+        delay == 0 || !self.rejects(self.decisive(start as usize, end), power)
     }
 
     /// Reserves `power` in every cycle of `[start, start + delay)`.
@@ -560,12 +436,9 @@ impl PowerLedger {
             "reserve([{start}, {}), {power}) violates the budget",
             start + delay
         );
-        if delay == 0 {
-            return;
-        }
         let (s, e) = (start as usize, start as usize + delay as usize);
-        for leaf in &mut self.tree[self.size + s..self.size + e] {
-            *leaf += power;
+        for u in &mut self.used[s..e] {
+            *u += power;
         }
         self.refresh(s, e);
     }
@@ -581,9 +454,9 @@ impl PowerLedger {
             return;
         }
         let (s, e) = (start as usize, start as usize + delay as usize);
-        assert!(e <= self.horizon, "release beyond the horizon");
-        for leaf in &mut self.tree[self.size + s..self.size + e] {
-            *leaf = (*leaf - power).max(0.0);
+        assert!(e <= self.used.len(), "release beyond the horizon");
+        for u in &mut self.used[s..e] {
+            *u = (*u - power).max(0.0);
         }
         self.refresh(s, e);
     }
@@ -592,9 +465,8 @@ impl PowerLedger {
     /// (clipped to the horizon), for later [`PowerLedger::restore`].
     #[must_use]
     pub fn snapshot(&self, start: u32, delay: u32) -> Vec<f64> {
-        let end = (start as usize + delay as usize).min(self.horizon);
-        let s = (start as usize).min(end);
-        self.tree[self.size + s..self.size + end].to_vec()
+        let end = (start as usize + delay as usize).min(self.used.len());
+        self.used[(start as usize).min(end)..end].to_vec()
     }
 
     /// Writes back a [`PowerLedger::snapshot`], undoing every reservation
@@ -606,57 +478,22 @@ impl PowerLedger {
         }
         let s = start as usize;
         let e = s + values.len();
-        assert!(e <= self.horizon, "restore beyond the horizon");
-        self.tree[self.size + s..self.size + e].copy_from_slice(values);
+        assert!(e <= self.used.len(), "restore beyond the horizon");
+        self.used[s..e].copy_from_slice(values);
         self.refresh(s, e);
     }
 
-    /// The rightmost cycle in `[l, r)` whose reservation plus `power`
-    /// overflows the budget, if any.
+    /// The rightmost cycle in `[l, r)` whose cell rejects `power`, if
+    /// any. The decisive-cell pre-check settles the clean window (every
+    /// final probe of an offset search) without a positional scan.
     fn last_violation(&self, l: usize, r: usize, power: f64) -> Option<usize> {
-        if self.is_envelope() {
-            // Envelope predicate on the slack values — the exact
-            // negation of the `fits` comparison, so the offset search
-            // agrees with the probe bit for bit. The cached aggregate is
-            // the interval *minimum*, and since f64 addition is
-            // monotone, a node whose minimum slack still admits `power`
-            // admits it in every leaf: the same prune/descent shape
-            // works with min in place of max.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let violates = move |s: f64| !(power <= s + POWER_EPS);
-            if self.scan || r - l <= CHUNK_LIMIT {
-                // Clean-range pre-check: the whole window passes iff its
-                // minimum slack does (the common case on the offset
-                // search's final probe), so the position scan only runs
-                // when a violation is known to exist.
-                let leaves = &self.slack[self.size + l..self.size + r];
-                if !violates(unrolled_min(leaves)) {
-                    return None;
-                }
-                return leaves.iter().rposition(|&s| violates(s)).map(|i| l + i);
-            }
-            return last_violation_in(&self.slack, self.size, 1, 0, self.size, l, r, &violates);
+        if !self.rejects(self.decisive(l, r), power) {
+            return None;
         }
-        // The exact negation of the `fits` comparison: anything that is
-        // not `≤ bound` — greater *or* unordered (NaN) — violates, so
-        // the negated operator is deliberate (`v + power > bound` would
-        // silently pass NaN).
-        let bound = self.max_power + POWER_EPS;
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let violates = move |v: f64| !(v + power <= bound);
-        // Short windows (the norm: delays are 1–2 cycles) scan their
-        // leaves directly; the descent only pays off on long intervals.
-        // The 4-wide max pre-check settles the clean case (every final
-        // probe of an offset search) without a positional scan — NaN
-        // `power` makes `violates` total, so the max still falls through.
-        if self.scan || r - l <= CHUNK_LIMIT {
-            let leaves = &self.tree[self.size + l..self.size + r];
-            if !violates(unrolled_max(leaves)) {
-                return None;
-            }
-            return leaves.iter().rposition(|&u| violates(u)).map(|i| l + i);
-        }
-        last_violation_in(&self.tree, self.size, 1, 0, self.size, l, r, &violates)
+        self.cells(l, r)
+            .iter()
+            .rposition(|&cell| self.rejects(cell, power))
+            .map(|i| l + i)
     }
 
     /// The first covered cycle of `[start, start + delay)` whose own
@@ -675,16 +512,11 @@ impl PowerLedger {
         if end > self.horizon() {
             return Some(self.horizon());
         }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        (start..end)
-            .find(|&c| {
-                if self.is_envelope() {
-                    !(power <= self.slack[self.size + c as usize] + POWER_EPS)
-                } else {
-                    !(self.tree[self.size + c as usize] + power <= self.max_power + POWER_EPS)
-                }
-            })
-            .or(Some(start))
+        let first = self
+            .cells(start as usize, end as usize)
+            .iter()
+            .position(|&cell| self.rejects(cell, power));
+        Some(first.map_or(start, |i| start + i as u32))
     }
 
     /// The earliest start `s ≥ min_start` such that `[s, s+delay)` fits,
@@ -732,37 +564,8 @@ impl PowerLedger {
     }
 }
 
-/// Rightmost violating leaf of `[l, r)` under `node` of the segment
-/// tree `arr` (usage maxima in constant mode, slack minima in envelope
-/// mode), which covers `[node_l, node_r)`. A node whose cached
-/// aggregate does not violate is pruned outright (its whole interval,
-/// hence the intersection with `[l, r)`, is clean); a violating node
-/// may owe its aggregate to leaves outside `[l, r)`, which the
-/// right-before-left recursion resolves.
-#[allow(clippy::too_many_arguments)]
-fn last_violation_in(
-    arr: &[f64],
-    size: usize,
-    node: usize,
-    node_l: usize,
-    node_r: usize,
-    l: usize,
-    r: usize,
-    violates: &impl Fn(f64) -> bool,
-) -> Option<usize> {
-    if node_r <= l || r <= node_l || !violates(arr[node]) {
-        return None;
-    }
-    if node >= size {
-        return Some(node - size);
-    }
-    let mid = (node_l + node_r) / 2;
-    last_violation_in(arr, size, 2 * node + 1, mid, node_r, l, r, violates)
-        .or_else(|| last_violation_in(arr, size, 2 * node, node_l, mid, l, r, violates))
-}
-
 /// The original cycle-scanning power ledger, kept verbatim as the
-/// reference implementation the segment-tree [`PowerLedger`] is
+/// reference implementation the flat [`PowerLedger`] is
 /// differential-tested against (`crates/sched/tests/properties.rs`).
 /// Every operation has the naive complexity the paper's pseudocode
 /// implies: O(delay) probes, O(horizon × delay) offset searches.
@@ -1058,9 +861,9 @@ mod tests {
     }
 
     #[test]
-    fn envelope_tree_mode_matches_leaf_scan_answers() {
-        // One envelope past the scan limit: same queries through the
-        // slack-min tree and through a scan-sized twin of each phase.
+    fn envelope_long_windows_answer_per_cycle() {
+        // A 200-cycle two-phase envelope probed with 40–100-cycle
+        // windows, far longer than any module delay.
         let mut bounds = vec![9.0; 200];
         for b in bounds.iter_mut().skip(100) {
             *b = 4.0;

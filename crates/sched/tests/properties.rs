@@ -3,10 +3,10 @@
 use proptest::prelude::*;
 
 use pchls_cdfg::{random_dag, RandomDagConfig};
-use pchls_fulib::{paper_library, SelectionPolicy};
+use pchls_fulib::{paper_library, ModuleLibrary, ModuleSpec, SelectionPolicy};
 use pchls_sched::{
-    alap, asap, force_directed, list_schedule, palap, pasap, two_step, Allocation, PowerBudget,
-    PowerProfile, TimingMap,
+    alap, asap, list_schedule, palap, pasap, two_step, Allocation, PowerBudget, PowerProfile,
+    TimingMap,
 };
 
 prop_compose! {
@@ -22,15 +22,53 @@ prop_compose! {
     }
 }
 
+/// The paper library, or with `mul_delay` a variant whose `mult_par`
+/// takes `mul_delay` cycles and `mult_ser` 48. Its multiplications
+/// drive pasap/palap through power windows longer than 32 cycles on
+/// horizons past 64, far beyond any paper-library module.
+fn library(mul_delay: Option<u32>) -> ModuleLibrary {
+    let paper = paper_library();
+    let Some(delay) = mul_delay else {
+        return paper;
+    };
+    ModuleLibrary::new(paper.modules().iter().map(|m| {
+        let latency = match m.name() {
+            "mult_par" => delay,
+            "mult_ser" => 48,
+            _ => m.latency(),
+        };
+        ModuleSpec::new(
+            m.name(),
+            m.ops().iter().copied(),
+            m.area(),
+            latency,
+            m.power(),
+        )
+    }))
+    .expect("paper module names are unique")
+}
+
+prop_compose! {
+    /// The paper's multipliers half the time, otherwise a `mult_par` of
+    /// 33–47 cycles.
+    fn mul_delay()(slow in any::<bool>(), delay in 33u32..48) -> Option<u32> {
+        slow.then_some(delay)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// pasap always respects the power bound and dependences, and with an
     /// infinite bound equals asap.
     #[test]
-    fn pasap_respects_bound_and_degenerates_to_asap(cfg in config(), frac in 0.3f64..1.0) {
+    fn pasap_respects_bound_and_degenerates_to_asap(
+        cfg in config(),
+        frac in 0.3f64..1.0,
+        mul_delay in mul_delay(),
+    ) {
         let g = random_dag(&cfg);
-        let lib = paper_library();
+        let lib = library(mul_delay);
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let base = asap(&g, &t);
         prop_assert_eq!(&pasap(&g, &t, &PowerBudget::unbounded(), 10_000).unwrap(), &base);
@@ -45,9 +83,14 @@ proptest! {
     /// own bound, and a flat per-cycle spelling of a constant envelope
     /// reproduces the constant schedule exactly.
     #[test]
-    fn pasap_budget_respects_the_envelope(cfg in config(), frac in 0.5f64..1.0, split in 1u32..40) {
+    fn pasap_budget_respects_the_envelope(
+        cfg in config(),
+        frac in 0.5f64..1.0,
+        split in 1u32..40,
+        mul_delay in mul_delay(),
+    ) {
         let g = random_dag(&cfg);
-        let lib = paper_library();
+        let lib = library(mul_delay);
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let base = asap(&g, &t);
         let peak = PowerProfile::of(&base, &t).peak();
@@ -67,9 +110,13 @@ proptest! {
 
     /// palap respects the latency it is given and the power bound.
     #[test]
-    fn palap_respects_latency_and_bound(cfg in config(), slack in 0u32..20) {
+    fn palap_respects_latency_and_bound(
+        cfg in config(),
+        slack in 0u32..20,
+        mul_delay in mul_delay(),
+    ) {
         let g = random_dag(&cfg);
-        let lib = paper_library();
+        let lib = library(mul_delay);
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let base = asap(&g, &t);
         let peak = PowerProfile::of(&base, &t).peak();
@@ -119,22 +166,6 @@ proptest! {
                 prop_assert!(busy <= units, "module {m} uses {busy} units at cycle {c}");
             }
         }
-    }
-
-    /// Force-directed scheduling meets its latency bound on random DAGs.
-    #[test]
-    fn force_directed_is_valid(cfg in config(), slack in 0u32..8) {
-        let g = random_dag(&cfg);
-        let lib = paper_library();
-        let modules: Vec<_> = g
-            .nodes()
-            .iter()
-            .map(|n| lib.select(n.kind(), SelectionPolicy::Fastest).unwrap())
-            .collect();
-        let t = TimingMap::from_modules(&g, &lib, &modules);
-        let lat = asap(&g, &t).latency(&t) + slack;
-        let s = force_directed(&g, &lib, &modules, lat).unwrap();
-        s.validate(&g, &t, Some(lat), None).unwrap();
     }
 
     /// The two-step baseline never violates dependences or latency, and
@@ -312,14 +343,14 @@ mod ledger_props {
     /// One random ledger operation: `(opcode, start, delay, power)`.
     type LedgerOp = (u8, u32, u32, f64);
 
-    /// Drives the segment-tree [`PowerLedger`] and the reference
+    /// Drives the flat [`PowerLedger`] and the reference
     /// [`NaivePowerLedger`] through the same operation sequence,
     /// asserting every query answer matches along the way and that the
     /// final per-cycle reservations are bit-identical.
     fn check_agreement(horizon: u32, budget: f64, ops: &[LedgerOp]) -> Result<(), TestCaseError> {
-        let tree = PowerLedger::new(horizon, budget);
+        let ledger = PowerLedger::new(horizon, budget);
         let naive = NaivePowerLedger::new(horizon, budget);
-        check_ledger_pair(tree, naive, horizon, ops)
+        check_ledger_pair(ledger, naive, horizon, ops)
     }
 
     /// As [`check_agreement`], over an arbitrary budget envelope.
@@ -328,29 +359,29 @@ mod ledger_props {
         budget: &PowerBudget,
         ops: &[LedgerOp],
     ) -> Result<(), TestCaseError> {
-        let tree = PowerLedger::under(horizon, budget);
+        let ledger = PowerLedger::under(horizon, budget);
         let naive = NaivePowerLedger::under(horizon, budget);
-        check_ledger_pair(tree, naive, horizon, ops)
+        check_ledger_pair(ledger, naive, horizon, ops)
     }
 
     fn check_ledger_pair(
-        mut tree: PowerLedger,
+        mut ledger: PowerLedger,
         mut naive: NaivePowerLedger,
         horizon: u32,
         ops: &[LedgerOp],
     ) -> Result<(), TestCaseError> {
-        prop_assert_eq!(tree.horizon(), naive.horizon());
+        prop_assert_eq!(ledger.horizon(), naive.horizon());
         let mut snaps: Vec<(u32, Vec<f64>)> = Vec::new();
         for &(op, start, delay, power) in ops {
-            match op % 5 {
+            match op % 6 {
                 0 => prop_assert_eq!(
-                    tree.fits(start, delay, power),
+                    ledger.fits(start, delay, power),
                     naive.fits(start, delay, power),
                     "fits({start}, {delay}, {power})"
                 ),
                 1 => {
                     prop_assert_eq!(
-                        tree.earliest_fit(start, delay, power),
+                        ledger.earliest_fit(start, delay, power),
                         naive.earliest_fit(start, delay, power),
                         "earliest_fit({start}, {delay}, {power})"
                     );
@@ -362,7 +393,7 @@ mod ledger_props {
                     // is exact (including the `delay == 0` arm).
                     let deadline = start / 2 + delay + horizon / 4;
                     prop_assert_eq!(
-                        tree.earliest_fit_by(start, delay, power, deadline),
+                        ledger.earliest_fit_by(start, delay, power, deadline),
                         naive
                             .earliest_fit(start, delay, power)
                             .filter(|&s| s + delay <= deadline.min(horizon)),
@@ -371,12 +402,12 @@ mod ledger_props {
                 }
                 2 => {
                     let (a, b) = (
-                        tree.fits(start, delay, power),
+                        ledger.fits(start, delay, power),
                         naive.fits(start, delay, power),
                     );
                     prop_assert_eq!(a, b);
                     if a {
-                        tree.reserve(start, delay, power);
+                        ledger.reserve(start, delay, power);
                         naive.reserve(start, delay, power);
                     }
                 }
@@ -384,12 +415,30 @@ mod ledger_props {
                     // Release stays within the horizon (releasing beyond
                     // it is a caller bug both ledgers reject loudly).
                     if u64::from(start) + u64::from(delay) <= u64::from(horizon) {
-                        tree.release(start, delay, power);
+                        ledger.release(start, delay, power);
                         naive.release(start, delay, power);
                     }
                 }
+                4 => {
+                    // The violating cycle a failed fit reports. Oracle:
+                    // none for a fit, the horizon for a window past it,
+                    // otherwise the window's first cycle that cannot
+                    // take `power` on its own.
+                    let expected = if naive.fits(start, delay, power) {
+                        None
+                    } else if start + delay > horizon {
+                        Some(horizon)
+                    } else {
+                        (start..start + delay).find(|&c| !naive.fits(c, 1, power))
+                    };
+                    prop_assert_eq!(
+                        ledger.first_unfit_cycle(start, delay, power),
+                        expected,
+                        "first_unfit_cycle({start}, {delay}, {power})"
+                    );
+                }
                 _ => {
-                    let (a, b) = (tree.snapshot(start, delay), naive.snapshot(start, delay));
+                    let (a, b) = (ledger.snapshot(start, delay), naive.snapshot(start, delay));
                     prop_assert_eq!(&a, &b, "snapshot({start}, {delay})");
                     if !a.is_empty() {
                         snaps.push((start, a));
@@ -401,16 +450,16 @@ mod ledger_props {
         // candidate rollback does) and compare the final state bit for
         // bit.
         for (start, values) in snaps.into_iter().rev() {
-            tree.restore(start, &values);
+            ledger.restore(start, &values);
             naive.restore(start, &values);
         }
         for c in 0..horizon {
             prop_assert_eq!(
-                tree.used(c).to_bits(),
+                ledger.used(c).to_bits(),
                 naive.used(c).to_bits(),
                 "cycle {} diverged: {} vs {}",
                 c,
-                tree.used(c),
+                ledger.used(c),
                 naive.used(c)
             );
         }
@@ -420,13 +469,12 @@ mod ledger_props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The segment-tree ledger and the naive reference agree on
-        /// every `fits` / `earliest_fit` / `reserve` / `release` /
-        /// `snapshot` / `restore` under random operation sequences —
-        /// across both the leaf-scan regime (small horizons) and the
-        /// tree regime (horizons past the scan limit).
+        /// Under a constant budget, the ledger and the naive reference
+        /// agree on every `fits` / `earliest_fit` / `first_unfit_cycle` /
+        /// `reserve` / `release` / `snapshot` / `restore` under random
+        /// operation sequences, on horizons from 0 to 200 cycles.
         #[test]
-        fn segment_tree_ledger_agrees_with_naive(
+        fn constant_ledger_agrees_with_naive(
             horizon in 0u32..200,
             budget_step in 0u8..5,
             ops in proptest::collection::vec(
@@ -441,11 +489,10 @@ mod ledger_props {
             check_agreement(horizon, budget, &ops)?;
         }
 
-        /// Under random **stepwise** envelopes, the slack-min tree
-        /// ledger and the naive per-cycle-slack reference agree on every
-        /// operation — across the leaf-scan regime (small horizons) and
-        /// the tree regime, including budgets whose phases are all
-        /// equal (which must collapse to the constant fast path on both
+        /// Under random **stepwise** envelopes, the slack ledger and
+        /// the naive per-cycle-slack reference agree on every
+        /// operation, including budgets whose phases are all equal
+        /// (which must collapse to the constant fast path on both
         /// sides).
         #[test]
         fn stepwise_envelope_ledger_agrees_with_naive(
@@ -489,13 +536,12 @@ mod ledger_props {
             check_agreement_budget(horizon, &budget, &ops)?;
         }
 
-        /// The chunked (4-wide unrolled) leaf scans answer exactly like
-        /// the naive cycle scan on windows straddling every regime
-        /// boundary: delays crossing the former 8-cycle scalar cutoff,
-        /// the 32-cycle chunk limit, and beyond (tree descent), over
-        /// horizons past the 64-leaf scan limit so tree mode is engaged.
-        /// Both the constant max-reduction and the envelope
-        /// min-slack-reduction paths are exercised.
+        /// The chunked (4-wide unrolled) scans answer exactly like the
+        /// naive cycle scan on windows of 0–79 cycles over horizons of
+        /// 65–299, so every chunk remainder and windows far longer
+        /// than any module delay are covered. Both the constant
+        /// max-reduction and the envelope min-slack-reduction paths are
+        /// exercised.
         #[test]
         fn chunked_leaf_scans_agree_with_naive_across_regimes(
             horizon in 65u32..300,
@@ -514,10 +560,11 @@ mod ledger_props {
             }
         }
 
-        /// Dedicated large-horizon cases keep the tree-mode descent and
-        /// headroom skip under pressure (long intervals, tight budget).
+        /// Long windows on large horizons keep the offset search's jump
+        /// past the rightmost violating cycle under pressure (intervals
+        /// up to 59 cycles, tight budget).
         #[test]
-        fn tree_mode_earliest_fit_matches_naive_scan(
+        fn long_window_earliest_fit_matches_naive_scan(
             horizon in 65u32..400,
             ops in proptest::collection::vec(
                 (0u32..380, 1u32..40, 0f64..6.0),
@@ -526,23 +573,23 @@ mod ledger_props {
             probes in proptest::collection::vec((0u32..380, 1u32..60, 0f64..6.0), 1..30),
         ) {
             let budget = 10.0;
-            let mut tree = PowerLedger::new(horizon, budget);
+            let mut ledger = PowerLedger::new(horizon, budget);
             let mut naive = NaivePowerLedger::new(horizon, budget);
             for &(start, delay, power) in &ops {
-                if tree.fits(start, delay, power) && naive.fits(start, delay, power) {
-                    tree.reserve(start, delay, power);
+                if ledger.fits(start, delay, power) && naive.fits(start, delay, power) {
+                    ledger.reserve(start, delay, power);
                     naive.reserve(start, delay, power);
                 }
             }
             for &(start, delay, power) in &probes {
                 prop_assert_eq!(
-                    tree.earliest_fit(start, delay, power),
+                    ledger.earliest_fit(start, delay, power),
                     naive.earliest_fit(start, delay, power),
                     "earliest_fit({start}, {delay}, {power})"
                 );
                 let deadline = start / 2 + delay + horizon / 3;
                 prop_assert_eq!(
-                    tree.earliest_fit_by(start, delay, power, deadline),
+                    ledger.earliest_fit_by(start, delay, power, deadline),
                     naive
                         .earliest_fit(start, delay, power)
                         .filter(|&s| s + delay <= deadline.min(horizon)),
