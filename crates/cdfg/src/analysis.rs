@@ -137,60 +137,6 @@ impl Reachability {
     }
 }
 
-/// Lazily computed, shareable analysis handles for one [`Cdfg`].
-///
-/// Derived analyses like [`Reachability`] are pure functions of the
-/// graph, yet historically every pass (synthesis kernel, force-directed
-/// scheduling, clique partitioning) rebuilt its own copy. A cache
-/// computes each analysis at most once and hands out shared references,
-/// so a compile-once layer (e.g. `pchls-core`'s `Engine::compile`) can
-/// reuse them across thousands of constraint points. Thread-safe: the
-/// first caller on any thread computes, everyone else borrows.
-///
-/// # Example
-///
-/// ```
-/// use pchls_cdfg::{benchmarks::hal, AnalysisCache};
-///
-/// let g = hal();
-/// let cache = AnalysisCache::new();
-/// let r1 = cache.reachability(&g) as *const _;
-/// let r2 = cache.reachability(&g) as *const _;
-/// assert_eq!(r1, r2, "computed once, shared after");
-/// ```
-#[derive(Debug, Default)]
-pub struct AnalysisCache {
-    reach: std::sync::OnceLock<Reachability>,
-}
-
-impl AnalysisCache {
-    /// An empty cache; analyses are computed on first request.
-    #[must_use]
-    pub fn new() -> AnalysisCache {
-        AnalysisCache::default()
-    }
-
-    /// The transitive closure of `graph`, computed on first call and
-    /// shared afterwards. Callers must pass the same graph every time
-    /// (the cache is per-graph by construction wherever it is embedded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` has a different node count than the graph the
-    /// closure was first computed for — the cheap detectable slice of
-    /// "same graph every time" (same-size different graphs cannot be
-    /// told apart without hashing and stay the caller's contract).
-    pub fn reachability(&self, graph: &Cdfg) -> &Reachability {
-        let reach = self.reach.get_or_init(|| Reachability::new(graph));
-        assert_eq!(
-            reach.node_count(),
-            graph.len(),
-            "AnalysisCache queried with a different graph than it was built for"
-        );
-        reach
-    }
-}
-
 /// A fixed-capacity set of [`NodeId`]s stored as packed `u64` words —
 /// the word-parallel replacement for a `Vec<bool>` membership array.
 ///

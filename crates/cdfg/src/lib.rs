@@ -47,7 +47,7 @@ mod random;
 mod stats;
 mod text;
 
-pub use analysis::{AnalysisCache, CriticalPath, NodeSet, Reachability};
+pub use analysis::{CriticalPath, NodeSet, Reachability};
 pub use builder::CdfgBuilder;
 pub use delta::{diff, GraphDelta};
 pub use edit::{EditError, GraphEdit};

@@ -10,8 +10,7 @@
 //!   module candidate lists — computed once for the library's lifetime.
 //! * [`Engine::compile`] produces a [`CompiledGraph`] owning the
 //!   **per-graph** artifacts — the transitive-closure
-//!   [`Reachability`] bitsets (via the shared
-//!   [`AnalysisCache`] handle), min-area bootstrap module estimates,
+//!   [`Reachability`] bitsets, min-area bootstrap module estimates,
 //!   fastest/min-area timing maps and the ASAP/ALAP schedule skeletons —
 //!   computed once per graph.
 //! * [`Engine::session`] pairs the two into a [`Session`] whose
@@ -47,7 +46,7 @@
 
 use std::ops::ControlFlow;
 
-use pchls_cdfg::{optimize, AnalysisCache, Cdfg, OpKind, OptimizeStats, Reachability};
+use pchls_cdfg::{optimize, Cdfg, OpKind, OptimizeStats, Reachability};
 use pchls_fulib::{ModuleId, ModuleLibrary, SelectionPolicy};
 use pchls_sched::{asap, PowerBudget, PowerProfile, TimingMap};
 
@@ -128,13 +127,9 @@ impl Engine {
         let asap_fastest = asap(graph, &fastest_timing);
         let min_latency = asap_fastest.latency(&fastest_timing);
         let asap_peak = PowerProfile::of(&asap_fastest, &fastest_timing).peak();
-        let analyses = AnalysisCache::new();
-        // Warm the closure eagerly: compile is the one place allowed to
-        // be slow, sessions must only read.
-        let _ = analyses.reachability(graph);
         Ok(CompiledGraph {
             graph: graph.clone(),
-            analyses,
+            reachability: Reachability::new(graph),
             seed_modules,
             fastest_timing,
             min_area_timing,
@@ -220,9 +215,9 @@ impl Engine {
 #[derive(Debug)]
 pub struct CompiledGraph {
     graph: Cdfg,
-    /// Shared analysis handles ([`Reachability`] et al.), warmed at
-    /// compile time.
-    analyses: AnalysisCache,
+    /// The transitive closure, built at compile time so sessions only
+    /// read it.
+    reachability: Reachability,
     /// Min-area module estimate per operation — the bootstrap seed.
     seed_modules: Vec<ModuleId>,
     fastest_timing: TimingMap,
@@ -248,7 +243,7 @@ impl CompiledGraph {
     /// The graph's transitive closure, computed once at compile time.
     #[must_use]
     pub fn reachability(&self) -> &Reachability {
-        self.analyses.reachability(&self.graph)
+        &self.reachability
     }
 
     pub(crate) fn seed_modules(&self) -> &[ModuleId] {
@@ -462,9 +457,11 @@ impl<'e> Session<'e> {
             .collect()
     }
 
-    /// A sensible power grid for sweeping this graph, from the cached
-    /// compile-time skeletons (equals
-    /// [`auto_power_grid`](crate::auto_power_grid)).
+    /// A sensible power grid for sweeping this graph: `steps` evenly
+    /// spaced bounds from just under the cheapest single operation's
+    /// power up to the peak of the power-oblivious ASAP design (beyond
+    /// which the constraint stops binding) plus one step of headroom,
+    /// read from the compile-time skeletons.
     #[must_use]
     pub fn auto_power_grid(&self, steps: usize) -> Vec<f64> {
         let lo = self.compiled.fastest_timing.max_single_op_power();
@@ -781,12 +778,6 @@ mod tests {
             .synthesize(SynthesisConstraints::new(10, 40.0), &opts)
             .unwrap();
         assert!(a.latency <= 17 && b.latency <= 10);
-        // The compiled artifacts are shared, not rebuilt: the closure
-        // handle is pointer-stable across calls.
-        assert!(std::ptr::eq(
-            compiled.reachability(),
-            compiled.reachability()
-        ));
     }
 
     #[test]
@@ -881,18 +872,6 @@ mod tests {
             .synthesize_with_progress(c, &opts, &mut |_| ControlFlow::Break(()))
             .unwrap_err();
         assert!(matches!(err, SynthesisError::Cancelled));
-    }
-
-    #[test]
-    fn session_auto_grid_matches_free_function() {
-        let g = benchmarks::hal();
-        let engine = Engine::new(paper_library());
-        let compiled = engine.compile(&g);
-        let session = engine.session(&compiled);
-        assert_eq!(
-            session.auto_power_grid(10),
-            crate::explore::auto_power_grid(&g, engine.library(), 10)
-        );
     }
 
     #[test]

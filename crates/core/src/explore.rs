@@ -215,17 +215,6 @@ pub(crate) fn run_point(
     .to_point(compiled.name())
 }
 
-/// A sensible power grid for sweeping `graph`: `steps` evenly spaced
-/// bounds from just under the cheapest single operation's power up to
-/// the peak of the power-oblivious ASAP design (beyond which the
-/// constraint stops binding) plus one step of headroom.
-#[must_use]
-pub fn auto_power_grid(graph: &Cdfg, library: &ModuleLibrary, steps: usize) -> Vec<f64> {
-    let engine = Engine::new(library.clone());
-    let compiled = engine.compile(graph);
-    engine.session(&compiled).auto_power_grid(steps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,7 +271,8 @@ mod tests {
     fn power_sweep_area_is_monotone_nonincreasing_on_hal() {
         let g = benchmarks::hal();
         let lib = paper_library();
-        let grid = auto_power_grid(&g, &lib, 8);
+        let engine = Engine::new(lib.clone());
+        let grid = engine.session(&engine.compile(&g)).auto_power_grid(8);
         let points = power_sweep(&g, &lib, 17, &grid, &SynthesisOptions::default());
         let areas: Vec<u64> = points.iter().filter_map(|p| p.area).collect();
         assert!(areas.len() >= 4, "most of the grid is feasible");
@@ -319,7 +309,8 @@ mod tests {
     fn auto_grid_brackets_the_interesting_region() {
         let g = benchmarks::hal();
         let lib = paper_library();
-        let grid = auto_power_grid(&g, &lib, 10);
+        let engine = Engine::new(lib.clone());
+        let grid = engine.session(&engine.compile(&g)).auto_power_grid(10);
         assert_eq!(grid.len(), 10);
         assert!(grid.windows(2).all(|w| w[0] < w[1]));
         assert!((grid[0] - 8.1).abs() < 1e-9, "starts at mult_par power");
@@ -348,7 +339,8 @@ mod tests {
     fn parallel_power_sweep_equals_serial() {
         let g = benchmarks::hal();
         let lib = paper_library();
-        let grid = auto_power_grid(&g, &lib, 12);
+        let engine = Engine::new(lib.clone());
+        let grid = engine.session(&engine.compile(&g)).auto_power_grid(12);
         for t in [10, 17] {
             let par = power_sweep(&g, &lib, t, &grid, &SynthesisOptions::default());
             let ser = power_sweep_serial(&g, &lib, t, &grid, &SynthesisOptions::default());

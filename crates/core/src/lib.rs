@@ -74,9 +74,7 @@ pub use engine::{
     SynthesisResult,
 };
 pub use error::SynthesisError;
-pub use explore::{
-    auto_power_grid, latency_sweep_serial, pareto_front, power_sweep_serial, SweepPoint,
-};
+pub use explore::{latency_sweep_serial, pareto_front, power_sweep_serial, SweepPoint};
 pub use options::{SynthesisOptions, SynthesisOptionsBuilder};
 pub use pchls_sched::PowerBudget;
 pub use topk::TopK;

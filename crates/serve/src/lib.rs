@@ -32,7 +32,7 @@
 //!   serve`.
 //! * [`ServiceStats`] — a snapshot of requests, shed/rate-limited
 //!   counts, p50/p99/p99.9/max latency (from fixed-bucket
-//!   [`LatencyHistogram`]s, one global plus one per priority lane) and
+//!   [`pchls_obs::Histogram`]s, one global plus one per priority lane) and
 //!   cache hit rates. The same counters and histograms live in a
 //!   per-service [`pchls_obs::MetricsRegistry`], scraped live as
 //!   Prometheus-style text through the protocol's `metrics` op
@@ -82,4 +82,4 @@ mod stats;
 pub use net::{serve_stdio, serve_tcp, serve_tcp_with, ShutdownHandle};
 pub use protocol::{SubmitRequest, SubmitResponse};
 pub use service::{Service, ServiceConfig};
-pub use stats::{render_serve_stats, LaneSnapshot, LatencyHistogram, ServiceStats};
+pub use stats::{render_serve_stats, LaneSnapshot, ServiceStats};

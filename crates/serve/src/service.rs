@@ -42,7 +42,7 @@ use pchls_core::{
     Engine, SynthesisConstraints, SynthesisError, SynthesisOptions, SynthesisRequest,
     SynthesisResult, MAX_LATENCY,
 };
-use pchls_obs::{Arg, Counter, MetricsRegistry};
+use pchls_obs::{Arg, Counter, Histogram, MetricsRegistry};
 use pchls_par::WorkerPool;
 use pchls_store::{StoreKey, StoreRecord};
 
@@ -50,7 +50,7 @@ use crate::cache::{CacheStats, CompileCache};
 use crate::lanes::{Lane, LaneQueues, PushRefusal};
 use crate::protocol::{SubmitRequest, SubmitResponse};
 use crate::results::{ResultCacheStats, ResultTier, StoreHandle, StoreTierStats};
-use crate::stats::{LaneSnapshot, LatencyHistogram, ServiceStats};
+use crate::stats::{LaneSnapshot, ServiceStats};
 
 /// Tuning knobs of a [`Service`].
 #[derive(Debug, Clone)]
@@ -213,9 +213,9 @@ struct Shared {
     /// The handles below are resolved from it once at startup; the
     /// registry itself is what `metrics_text` renders.
     metrics: MetricsRegistry,
-    latency: Arc<LatencyHistogram>,
-    hit_latency: Arc<LatencyHistogram>,
-    synth_latency: Arc<LatencyHistogram>,
+    latency: Arc<Histogram>,
+    hit_latency: Arc<Histogram>,
+    synth_latency: Arc<Histogram>,
     /// The built-in graphs, constructed once so the per-request
     /// named-graph lookup is a scan + clone-free borrow, not a rebuild
     /// of the whole benchmark suite.

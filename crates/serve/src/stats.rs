@@ -1,20 +1,11 @@
 //! Service metrics: the [`ServiceStats`] snapshot the wire protocol
-//! exposes, and its human-readable one-line rendering.
-//!
-//! The latency histogram that used to live here is now
-//! [`pchls_obs::Histogram`] — one wait-free fixed-bucket histogram type
-//! shared by the serve tier, the store and the kernel — re-exported
-//! under its old name for compatibility.
+//! exposes, and its human-readable one-line rendering. Latencies are
+//! recorded in [`pchls_obs::Histogram`]s, the wait-free fixed-bucket
+//! histogram shared by the serve tier, the store and the kernel.
 
 use serde::{Deserialize, Serialize};
 
-/// The shared fixed-bucket latency histogram (see
-/// [`pchls_obs::Histogram`] for the bucket layout and quantile
-/// semantics). Historical alias: this crate defined its own before the
-/// observability layer absorbed it.
-pub use pchls_obs::Histogram as LatencyHistogram;
-
-use pchls_obs::HistogramSummary;
+use pchls_obs::{Histogram, HistogramSummary};
 
 /// Latency summary of one priority lane (or any single histogram).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -46,7 +37,7 @@ impl From<HistogramSummary> for LaneSnapshot {
 impl LaneSnapshot {
     /// The dashboard summary of `h`, in this crate's serializable shape.
     #[must_use]
-    pub fn of(h: &LatencyHistogram) -> LaneSnapshot {
+    pub fn of(h: &Histogram) -> LaneSnapshot {
         h.summary().into()
     }
 }
@@ -182,7 +173,7 @@ mod tests {
 
     #[test]
     fn lane_snapshot_mirrors_the_histogram_summary() {
-        let h = LatencyHistogram::new();
+        let h = Histogram::new();
         h.record(Duration::from_micros(100));
         h.record(Duration::from_micros(777_777));
         let snap = LaneSnapshot::of(&h);

@@ -1,26 +1,25 @@
-//! The on-disk format: records, columnar blocks and the footer index.
+//! The on-disk format: records, row blocks and the footer index.
 //!
-//! A store file is a sequence of self-delimiting, individually
-//! checksummed **blocks**, followed by a **footer index** describing
-//! every block and column segment, so readers can seek straight to one
-//! column of one block without touching anything else:
+//! A store file is the file magic, a sequence of self-delimiting,
+//! individually checksummed **blocks**, and a **footer index** listing
+//! every block, so an open needs no scan:
 //!
 //! ```text
-//! ┌──────────┬───────┬───────┬─────┬──────────────────────────────┐
-//! │ "PCHSTO1" │ block │ block │ ... │ footer  crc  len  "PCEN"    │
-//! └──────────┴───────┴───────┴─────┴──────────────────────────────┘
+//! ┌───────────┬───────┬───────┬─────┬─────────────────────────────┐
+//! │ "PCHSTO2" │ block │ block │ ... │ footer  crc  len  "PCEN"    │
+//! └───────────┴───────┴───────┴─────┴─────────────────────────────┘
 //! ```
 //!
-//! Each block holds one batch of [`StoreRecord`]s laid out **by
-//! column**: every field of every record in the batch is gathered into
-//! its own delta/zigzag/varint-encoded, independently compressed
-//! segment (see [`crate::varint`] and [`crate::compress`]). A partial
-//! read — "give me the area column" — decompresses only the requested
-//! segments.
+//! Each block holds one batch of [`StoreRecord`]s as **rows**, one
+//! after another. A row is the record's fixed-width little-endian
+//! fields, then a varint trace length and the trace bytes:
 //!
 //! ```text
-//! block := "PCBK" header_len header crc32(header) seg₀ … seg₉ crc32(segs)
-//! header := records ncols (raw_len comp_len)×ncols        (varints)
+//! block  := "PCBK" records:u32 body_len:u32 crc32(records body_len) body crc32(body)
+//! row    := fingerprint:u64 latency_bound:u32 budget_digest:u64 feasible:u8
+//!           power_bound:u64 area:u64 latency:u32 peak_power:u64 units:u64
+//!           trace_len:varint trace
+//! footer := "PCFT" count (offset records body_len)×count       (varints)
 //! ```
 //!
 //! Corruption handling: the footer is written on flush, *after* its
@@ -29,7 +28,7 @@
 //! blocks from the front, keeping every block whose header and body
 //! CRCs verify and dropping the torn tail. Committed records are never
 //! lost; a partially written block is never served. Every reader checks
-//! a block's body against its CRC before decoding any of its columns.
+//! a block's body against its CRC before decoding any of its rows.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
@@ -38,12 +37,11 @@ use pchls_cdfg::{graph_fingerprint, Cdfg};
 use pchls_core::{SweepPoint, SynthesisConstraints};
 use pchls_sched::Schedule;
 
-use crate::compress::{compress, decompress};
 use crate::crc::crc32;
 use crate::varint::{get_delta_column, get_u64, put_delta_column, put_u64};
 
-/// First bytes of every store file (format version 1 baked in).
-pub(crate) const FILE_MAGIC: &[u8; 8] = b"PCHSTO1\n";
+/// First bytes of every store file (format version 2 baked in).
+pub(crate) const FILE_MAGIC: &[u8; 8] = b"PCHSTO2\n";
 /// Leads every block.
 pub(crate) const BLOCK_MAGIC: u32 = u32::from_le_bytes(*b"PCBK");
 /// Leads the footer.
@@ -51,34 +49,10 @@ pub(crate) const FOOTER_MAGIC: u32 = u32::from_le_bytes(*b"PCFT");
 /// Last four bytes of a cleanly flushed file.
 pub(crate) const TRAILER_MAGIC: u32 = u32::from_le_bytes(*b"PCEN");
 
-/// Number of columns per block.
-pub(crate) const COLUMN_COUNT: usize = 10;
-
-/// Human-readable column names, in on-disk order (`pchls store stat`
-/// reports per-column sizes under these names).
-pub(crate) const COLUMN_NAMES: [&str; COLUMN_COUNT] = [
-    "fingerprint",
-    "latency_bound",
-    "budget_digest",
-    "feasible",
-    "power_bound",
-    "area",
-    "latency",
-    "peak_power",
-    "units",
-    "trace",
-];
-
-pub(crate) const COL_FINGERPRINT: usize = 0;
-pub(crate) const COL_LATENCY_BOUND: usize = 1;
-pub(crate) const COL_BUDGET_DIGEST: usize = 2;
-pub(crate) const COL_FEASIBLE: usize = 3;
-pub(crate) const COL_POWER_BOUND: usize = 4;
-pub(crate) const COL_AREA: usize = 5;
-pub(crate) const COL_LATENCY: usize = 6;
-pub(crate) const COL_PEAK_POWER: usize = 7;
-pub(crate) const COL_UNITS: usize = 8;
-pub(crate) const COL_TRACE: usize = 9;
+/// Block magic, record count, body length and the header CRC.
+const BLOCK_HEADER_LEN: u64 = 16;
+/// The smallest row: the fixed fields plus a one-byte zero trace length.
+const MIN_ROW_LEN: u64 = 8 + 4 + 8 + 1 + 8 + 8 + 4 + 8 + 8 + 1;
 
 /// The content-addressed identity of one synthesis outcome: *what* was
 /// synthesized ([`graph_fingerprint`]) under *which constraints* (the
@@ -178,9 +152,9 @@ impl StoreRecord {
     }
 }
 
-/// Encodes a schedule as the record's trace column: the operation
-/// count, then every start cycle in operation order (delta/zigzag
-/// varints — schedules are near-sorted, so this is small).
+/// Encodes a schedule as a record's trace: the operation count, then
+/// every start cycle in operation order (delta/zigzag varints —
+/// schedules are near-sorted, so this is small).
 #[must_use]
 pub fn trace_bytes(schedule: &Schedule) -> Vec<u8> {
     let starts = schedule.starts();
@@ -191,7 +165,7 @@ pub fn trace_bytes(schedule: &Schedule) -> Vec<u8> {
     out
 }
 
-/// Decodes a trace column back into start cycles. `None` for malformed
+/// Decodes a trace back into start cycles. `None` for malformed
 /// bytes (including any start exceeding `u32`).
 #[must_use]
 pub fn trace_starts(bytes: &[u8]) -> Option<Vec<u32>> {
@@ -201,36 +175,37 @@ pub fn trace_starts(bytes: &[u8]) -> Option<Vec<u32>> {
     words.iter().map(|&w| u32::try_from(w).ok()).collect()
 }
 
-/// Everything a reader needs to address one block without re-reading
-/// its header: where it lives, how many records it holds, and the
-/// (raw, compressed) size of every column segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Where one block lives and how big it is: everything a reader needs
+/// to address it without re-reading its header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockMeta {
     /// File offset of the block magic.
     pub offset: u64,
-    /// File offset of the first column segment byte.
-    pub body_offset: u64,
-    /// Records in this block.
+    /// Records (rows) in this block.
     pub records: u32,
-    /// Per-column (raw_len, comp_len).
-    pub columns: Vec<(u32, u32)>,
+    /// Bytes of rows between the header and the body CRC.
+    pub body_len: u32,
 }
 
 impl BlockMeta {
+    /// Checks a block's header fields: at least one record, and a body
+    /// long enough to hold that many rows. `None` marks junk.
+    fn new(offset: u64, records: u64, body_len: u64) -> Option<BlockMeta> {
+        let plausible = records > 0
+            && body_len <= u64::from(u32::MAX)
+            && records
+                .checked_mul(MIN_ROW_LEN)
+                .is_some_and(|min| min <= body_len);
+        plausible.then_some(BlockMeta {
+            offset,
+            records: records as u32,
+            body_len: body_len as u32,
+        })
+    }
+
     /// File offset one past this block (after the body CRC).
     pub(crate) fn end(&self) -> u64 {
-        self.body_offset + u64::from(self.body_bytes()) + 4
-    }
-
-    /// Total compressed bytes across all segments.
-    pub(crate) fn body_bytes(&self) -> u32 {
-        self.columns.iter().map(|&(_, c)| c).sum()
-    }
-
-    /// File offset and compressed length of column `col`.
-    pub(crate) fn column_span(&self, col: usize) -> (u64, u32) {
-        let before: u64 = self.columns[..col].iter().map(|&(_, c)| u64::from(c)).sum();
-        (self.body_offset + before, self.columns[col].1)
+        self.offset + BLOCK_HEADER_LEN + u64::from(self.body_len) + 4
     }
 }
 
@@ -240,69 +215,79 @@ impl BlockMeta {
 /// # Panics
 ///
 /// Panics on an empty batch — callers gate this (an empty block would
-/// be indistinguishable from padding).
+/// be indistinguishable from padding) — or on rows past 4 GiB.
 pub(crate) fn encode_block(records: &[StoreRecord], offset: u64) -> (Vec<u8>, BlockMeta) {
     assert!(!records.is_empty(), "blocks hold at least one record");
-    let column = |f: &dyn Fn(&StoreRecord) -> u64| -> Vec<u8> {
-        let words: Vec<u64> = records.iter().map(f).collect();
-        let mut raw = Vec::new();
-        put_delta_column(&mut raw, &words);
-        raw
-    };
-    let mut raws: Vec<Vec<u8>> = Vec::with_capacity(COLUMN_COUNT);
-    raws.push(column(&|r| r.key.fingerprint));
-    raws.push(column(&|r| u64::from(r.key.latency_bound)));
-    raws.push(column(&|r| r.key.budget_digest));
-    raws.push(records.iter().map(|r| u8::from(r.feasible)).collect());
-    raws.push(column(&|r| r.power_bound_bits));
-    raws.push(column(&|r| r.area));
-    raws.push(column(&|r| u64::from(r.latency)));
-    raws.push(column(&|r| r.peak_power_bits));
-    raws.push(column(&|r| r.units));
-    let mut trace = Vec::new();
+    let mut body = Vec::with_capacity(records.len() * MIN_ROW_LEN as usize);
     for r in records {
-        put_u64(&mut trace, r.trace.len() as u64);
+        put_row(&mut body, r);
     }
-    for r in records {
-        trace.extend_from_slice(&r.trace);
-    }
-    raws.push(trace);
+    let meta = BlockMeta::new(offset, records.len() as u64, body.len() as u64)
+        .expect("a block's rows fit in 4 GiB");
+    let mut header = meta.records.to_le_bytes().to_vec();
+    header.extend_from_slice(&meta.body_len.to_le_bytes());
 
-    let segments: Vec<Vec<u8>> = raws.iter().map(|raw| compress(raw)).collect();
-    let columns: Vec<(u32, u32)> = raws
-        .iter()
-        .zip(&segments)
-        .map(|(raw, seg)| (raw.len() as u32, seg.len() as u32))
-        .collect();
-
-    let mut header = Vec::new();
-    put_u64(&mut header, records.len() as u64);
-    put_u64(&mut header, COLUMN_COUNT as u64);
-    for &(raw, comp) in &columns {
-        put_u64(&mut header, u64::from(raw));
-        put_u64(&mut header, u64::from(comp));
-    }
-
-    let mut bytes = Vec::new();
+    let mut bytes = Vec::with_capacity(BLOCK_HEADER_LEN as usize + body.len() + 4);
     bytes.extend_from_slice(&BLOCK_MAGIC.to_le_bytes());
-    put_u64(&mut bytes, header.len() as u64);
     bytes.extend_from_slice(&header);
     bytes.extend_from_slice(&crc32(&header).to_le_bytes());
-    let body_offset = offset + bytes.len() as u64;
-    let mut body = Vec::new();
-    for seg in &segments {
-        body.extend_from_slice(seg);
-    }
     bytes.extend_from_slice(&body);
     bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-
-    let meta = BlockMeta {
-        offset,
-        body_offset,
-        records: records.len() as u32,
-        columns,
-    };
     (bytes, meta)
+}
+
+fn put_row(out: &mut Vec<u8>, r: &StoreRecord) {
+    out.extend_from_slice(&r.key.fingerprint.to_le_bytes());
+    out.extend_from_slice(&r.key.latency_bound.to_le_bytes());
+    out.extend_from_slice(&r.key.budget_digest.to_le_bytes());
+    out.push(u8::from(r.feasible));
+    out.extend_from_slice(&r.power_bound_bits.to_le_bytes());
+    out.extend_from_slice(&r.area.to_le_bytes());
+    out.extend_from_slice(&r.latency.to_le_bytes());
+    out.extend_from_slice(&r.peak_power_bits.to_le_bytes());
+    out.extend_from_slice(&r.units.to_le_bytes());
+    put_u64(out, r.trace.len() as u64);
+    out.extend_from_slice(&r.trace);
+}
+
+/// The next `N` bytes of `bytes[*pos..]`, advancing `pos`.
+fn take<const N: usize>(bytes: &[u8], pos: &mut usize) -> Option<[u8; N]> {
+    let chunk = bytes.get(*pos..)?.get(..N)?.try_into().ok()?;
+    *pos += N;
+    Some(chunk)
+}
+
+fn decode_row(body: &[u8], pos: &mut usize) -> Option<StoreRecord> {
+    let fingerprint = u64::from_le_bytes(take(body, pos)?);
+    let latency_bound = u32::from_le_bytes(take(body, pos)?);
+    let budget_digest = u64::from_le_bytes(take(body, pos)?);
+    let feasible = match take(body, pos)? {
+        [0] => false,
+        [1] => true,
+        _ => return None,
+    };
+    let power_bound_bits = u64::from_le_bytes(take(body, pos)?);
+    let area = u64::from_le_bytes(take(body, pos)?);
+    let latency = u32::from_le_bytes(take(body, pos)?);
+    let peak_power_bits = u64::from_le_bytes(take(body, pos)?);
+    let units = u64::from_le_bytes(take(body, pos)?);
+    let trace_len = usize::try_from(get_u64(body, pos)?).ok()?;
+    let trace = body.get(*pos..)?.get(..trace_len)?.to_vec();
+    *pos += trace_len;
+    Some(StoreRecord {
+        key: StoreKey {
+            fingerprint,
+            latency_bound,
+            budget_digest,
+        },
+        feasible,
+        power_bound_bits,
+        area,
+        latency,
+        peak_power_bits,
+        units,
+        trace,
+    })
 }
 
 /// Reads `len` bytes at `offset`. An EOF inside the range comes back as
@@ -331,154 +316,41 @@ pub(crate) fn parse_block_header(
     offset: u64,
     file_len: u64,
 ) -> io::Result<Option<BlockMeta>> {
-    // Magic + the header-length varint (≤ 5 bytes for any sane header).
-    let prefix_len = 9usize.min(file_len.saturating_sub(offset) as usize);
-    let Some(prefix) = read_at(file, offset, prefix_len)? else {
+    if offset + BLOCK_HEADER_LEN > file_len {
+        return Ok(None);
+    }
+    let Some(header) = read_at(file, offset, BLOCK_HEADER_LEN as usize)? else {
         return Ok(None);
     };
-    if prefix.len() < 6 || prefix[..4] != BLOCK_MAGIC.to_le_bytes() {
+    let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    if word(0) != BLOCK_MAGIC || word(12) != crc32(&header[4..12]) {
         return Ok(None);
     }
-    let mut pos = 4usize;
-    let Some(header_len) = get_u64(&prefix, &mut pos) else {
-        return Ok(None);
-    };
-    // A header describes ≤ COLUMN_COUNT columns; anything huge is junk.
-    if header_len == 0 || header_len > 4096 {
-        return Ok(None);
-    }
-    let header_at = offset + pos as u64;
-    let Some(header_and_crc) = read_at(file, header_at, header_len as usize + 4)? else {
-        return Ok(None);
-    };
-    let (header, crc) = header_and_crc.split_at(header_len as usize);
-    if crc32(header) != u32::from_le_bytes(crc.try_into().expect("4 crc bytes")) {
-        return Ok(None);
-    }
-    let mut hpos = 0usize;
-    let (Some(records), Some(ncols)) = (get_u64(header, &mut hpos), get_u64(header, &mut hpos))
-    else {
-        return Ok(None);
-    };
-    if records == 0 || records > u64::from(u32::MAX) || ncols != COLUMN_COUNT as u64 {
-        return Ok(None);
-    }
-    let mut columns = Vec::with_capacity(COLUMN_COUNT);
-    for _ in 0..COLUMN_COUNT {
-        let (Some(raw), Some(comp)) = (get_u64(header, &mut hpos), get_u64(header, &mut hpos))
-        else {
-            return Ok(None);
-        };
-        if raw > u64::from(u32::MAX) || comp > u64::from(u32::MAX) {
-            return Ok(None);
-        }
-        columns.push((raw as u32, comp as u32));
-    }
-    if hpos != header.len() {
-        return Ok(None);
-    }
-    let meta = BlockMeta {
-        offset,
-        body_offset: header_at + header_len + 4,
-        records: records as u32,
-        columns,
-    };
-    if meta.end() > file_len {
-        return Ok(None);
-    }
-    Ok(Some(meta))
+    let meta = BlockMeta::new(offset, word(4).into(), word(8).into());
+    Ok(meta.filter(|m| m.end() <= file_len))
 }
 
-/// Reads one block's body in a single pass and checks it against its
-/// CRC. `Ok(None)` marks a body that fails its checksum or runs past
-/// the end of the file; no reader decodes a byte of such a block.
-pub(crate) fn read_body(file: &mut File, meta: &BlockMeta) -> io::Result<Option<Vec<u8>>> {
-    let len = meta.body_bytes() as usize;
-    let Some(mut body) = read_at(file, meta.body_offset, len + 4)? else {
+/// Reads one block's body in a single pass, checks it against its CRC
+/// and only then decodes its rows. `Ok(None)` marks a block that fails
+/// its checksum, runs past the end of the file or does not decode; no
+/// reader sees a row of such a block.
+pub(crate) fn read_records(
+    file: &mut File,
+    meta: &BlockMeta,
+) -> io::Result<Option<Vec<StoreRecord>>> {
+    let len = meta.body_len as usize;
+    let Some(mut body) = read_at(file, meta.offset + BLOCK_HEADER_LEN, len + 4)? else {
         return Ok(None);
     };
     let crc = body.split_off(len);
-    let ok = crc32(&body) == u32::from_le_bytes(crc.try_into().expect("4 crc bytes"));
-    Ok(ok.then_some(body))
-}
-
-/// Decompresses the requested columns of a block body returned by
-/// [`read_body`]; unrequested segments are never decompressed. `None`
-/// marks a corrupt segment.
-pub(crate) fn body_columns(meta: &BlockMeta, body: &[u8], cols: &[usize]) -> Option<Vec<Vec<u8>>> {
-    cols.iter()
-        .map(|&col| {
-            let (at, comp_len) = meta.column_span(col);
-            let at = (at - meta.body_offset) as usize;
-            let segment = body.get(at..at + comp_len as usize)?;
-            decompress(segment, meta.columns[col].0 as usize)
-        })
-        .collect()
-}
-
-/// Decodes the three key columns into per-row [`StoreKey`]s.
-pub(crate) fn decode_keys(
-    meta: &BlockMeta,
-    fingerprint: &[u8],
-    latency_bound: &[u8],
-    budget_digest: &[u8],
-) -> Option<Vec<StoreKey>> {
-    let n = meta.records as usize;
-    let fp = get_delta_column(fingerprint, n)?;
-    let lat = get_delta_column(latency_bound, n)?;
-    let dig = get_delta_column(budget_digest, n)?;
-    (0..n)
-        .map(|i| {
-            Some(StoreKey {
-                fingerprint: fp[i],
-                latency_bound: u32::try_from(lat[i]).ok()?,
-                budget_digest: dig[i],
-            })
-        })
-        .collect()
-}
-
-/// Decodes all ten columns into full records. `None` on any
-/// inconsistency between columns and the header's record count.
-pub(crate) fn decode_records(meta: &BlockMeta, raws: &[Vec<u8>]) -> Option<Vec<StoreRecord>> {
-    let n = meta.records as usize;
-    let keys = decode_keys(
-        meta,
-        &raws[COL_FINGERPRINT],
-        &raws[COL_LATENCY_BOUND],
-        &raws[COL_BUDGET_DIGEST],
-    )?;
-    let feasible = &raws[COL_FEASIBLE];
-    if feasible.len() != n || feasible.iter().any(|&b| b > 1) {
-        return None;
+    if crc32(&body) != u32::from_le_bytes(crc.try_into().expect("4 crc bytes")) {
+        return Ok(None);
     }
-    let power = get_delta_column(&raws[COL_POWER_BOUND], n)?;
-    let area = get_delta_column(&raws[COL_AREA], n)?;
-    let latency = get_delta_column(&raws[COL_LATENCY], n)?;
-    let peak = get_delta_column(&raws[COL_PEAK_POWER], n)?;
-    let units = get_delta_column(&raws[COL_UNITS], n)?;
-    let trace_col = &raws[COL_TRACE];
     let mut pos = 0usize;
-    let mut trace_lens = Vec::with_capacity(n);
-    for _ in 0..n {
-        trace_lens.push(usize::try_from(get_u64(trace_col, &mut pos)?).ok()?);
-    }
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let trace = trace_col.get(pos..pos + trace_lens[i])?.to_vec();
-        pos += trace_lens[i];
-        records.push(StoreRecord {
-            key: keys[i],
-            feasible: feasible[i] == 1,
-            power_bound_bits: power[i],
-            area: area[i],
-            latency: u32::try_from(latency[i]).ok()?,
-            peak_power_bits: peak[i],
-            units: units[i],
-            trace,
-        });
-    }
-    (pos == trace_col.len()).then_some(records)
+    let rows: Option<Vec<StoreRecord>> = (0..meta.records)
+        .map(|_| decode_row(&body, &mut pos))
+        .collect();
+    Ok(rows.filter(|_| pos == body.len()))
 }
 
 /// Serializes the footer index over `blocks` (magic + varint body + CRC
@@ -488,16 +360,9 @@ pub(crate) fn encode_footer(blocks: &[BlockMeta]) -> Vec<u8> {
     put_u64(&mut body, blocks.len() as u64);
     for b in blocks {
         put_u64(&mut body, b.offset);
-        put_u64(&mut body, b.body_offset - b.offset);
         put_u64(&mut body, u64::from(b.records));
-        put_u64(&mut body, b.columns.len() as u64);
-        for &(raw, comp) in &b.columns {
-            put_u64(&mut body, u64::from(raw));
-            put_u64(&mut body, u64::from(comp));
-        }
+        put_u64(&mut body, u64::from(b.body_len));
     }
-    let total: u64 = blocks.iter().map(|b| u64::from(b.records)).sum();
-    put_u64(&mut body, total);
 
     let mut out = Vec::with_capacity(body.len() + 16);
     out.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());
@@ -549,43 +414,19 @@ pub(crate) fn read_footer(file: &mut File, file_len: u64) -> io::Result<Option<V
     };
     let mut blocks = Vec::new();
     for _ in 0..count {
-        let (Some(offset), Some(prefix), Some(records), Some(ncols)) = (
-            get_u64(body, &mut pos),
+        let (Some(offset), Some(records), Some(body_len)) = (
             get_u64(body, &mut pos),
             get_u64(body, &mut pos),
             get_u64(body, &mut pos),
         ) else {
             return Ok(None);
         };
-        if ncols != COLUMN_COUNT as u64 || records == 0 || records > u64::from(u32::MAX) {
-            return Ok(None);
+        match BlockMeta::new(offset, records, body_len) {
+            Some(meta) if meta.end() <= footer_start => blocks.push(meta),
+            _ => return Ok(None),
         }
-        let mut columns = Vec::with_capacity(COLUMN_COUNT);
-        for _ in 0..COLUMN_COUNT {
-            let (Some(raw), Some(comp)) = (get_u64(body, &mut pos), get_u64(body, &mut pos)) else {
-                return Ok(None);
-            };
-            if raw > u64::from(u32::MAX) || comp > u64::from(u32::MAX) {
-                return Ok(None);
-            }
-            columns.push((raw as u32, comp as u32));
-        }
-        let meta = BlockMeta {
-            offset,
-            body_offset: offset + prefix,
-            records: records as u32,
-            columns,
-        };
-        if meta.end() > footer_start {
-            return Ok(None);
-        }
-        blocks.push(meta);
     }
-    let total: u64 = blocks.iter().map(|b| u64::from(b.records)).sum();
-    if get_u64(body, &mut pos) != Some(total) || pos != body.len() {
-        return Ok(None);
-    }
-    Ok(Some(blocks))
+    Ok((pos == body.len()).then_some(blocks))
 }
 
 #[cfg(test)]
@@ -635,47 +476,11 @@ mod tests {
             .unwrap()
             .expect("valid header");
         assert_eq!(parsed, meta);
-        let body = read_body(&mut file, &parsed)
+        let back = read_records(&mut file, &parsed)
             .unwrap()
-            .expect("body checksum");
-        let all: Vec<usize> = (0..COLUMN_COUNT).collect();
-        let raws = body_columns(&parsed, &body, &all).unwrap();
-        let back = decode_records(&parsed, &raws).expect("decodable");
+            .expect("body checksum and rows");
         assert_eq!(back, records);
         std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn partial_reads_touch_only_requested_columns() {
-        let records: Vec<StoreRecord> = (0..40).map(sample_record).collect();
-        let (mut bytes, meta) = encode_block(&records, 8);
-
-        // Corrupt the trace segment; key/area decodes must still succeed
-        // because they never touch it.
-        let (trace_at, trace_len) = meta.column_span(COL_TRACE);
-        let trace_at = (trace_at - meta.offset) as usize;
-        for b in &mut bytes[trace_at..trace_at + trace_len as usize] {
-            *b ^= 0xff;
-        }
-        let body = &bytes[(meta.body_offset - meta.offset) as usize..bytes.len() - 4];
-        let raws = body_columns(
-            &meta,
-            body,
-            &[
-                COL_FINGERPRINT,
-                COL_LATENCY_BOUND,
-                COL_BUDGET_DIGEST,
-                COL_AREA,
-            ],
-        )
-        .expect("untouched columns decode");
-        let keys = decode_keys(&meta, &raws[0], &raws[1], &raws[2]).unwrap();
-        assert_eq!(keys.len(), 40);
-        assert_eq!(keys[7], records[7].key);
-        let areas = get_delta_column(&raws[3], 40).unwrap();
-        assert_eq!(areas[13], records[13].area);
-        // The corrupted column itself is rejected cleanly.
-        assert_eq!(body_columns(&meta, body, &[COL_TRACE]), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! `pchls-store` — a persistent, content-addressed, columnar result
-//! store for synthesis outcomes.
+//! `pchls-store` — a persistent, content-addressed result store for
+//! synthesis outcomes.
 //!
 //! Power-constrained sweeps re-ask the same question constantly: *for
 //! this graph, at this latency bound, under this power budget, what
@@ -22,18 +22,17 @@
 //! # On-disk format (see `DESIGN.md` §7 for the full layout)
 //!
 //! One append-only file, `results.pchls`, holding self-delimiting
-//! **blocks**. Each block stores a batch of records *by column*: all
-//! fingerprints together, all areas together, and so on — ten columns,
-//! each delta/zigzag/varint-encoded and independently compressed by a
-//! small LZ block compressor. A block
-//! header (CRC-guarded) records every column's compressed span, so a
-//! reader that only wants the key columns decompresses *just those
-//! segments*. A **footer index** at the end of the file lists
-//! all block metadata for O(1) open; if a crash tears the footer off,
+//! **blocks**. Each block stores one appended batch as rows: every
+//! record's fixed-width fields, then its trace. A fixed block header
+//! (record count, body length) carries its own CRC, and the body a
+//! second one. A **footer index** at the end of the file lists every
+//! block for O(1) open; if a crash tears the footer off,
 //! [`Store::open`] recovers by scanning blocks forward and keeps every
 //! record whose checksums verify — committed data is never lost, torn
 //! tails are never served. A block body that fails its checksum is
-//! never decoded: lookups on a store holding one return an error.
+//! never decoded: lookups on a store holding one return an error. A
+//! file written by an older format version is refused, never
+//! misparsed; the results it held recompute.
 //!
 //! # Example
 //!
@@ -65,11 +64,10 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-mod compress;
 mod crc;
 mod format;
 mod store;
 mod varint;
 
 pub use format::{trace_bytes, trace_starts, StoreKey, StoreRecord};
-pub use store::{ColumnStat, Store, StoreStat, STORE_FILE_NAME};
+pub use store::{Store, StoreStat, STORE_FILE_NAME};

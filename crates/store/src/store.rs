@@ -1,5 +1,5 @@
-//! The [`Store`] handle: open/recover, append, indexed lookups, partial
-//! scans, `stat`/`verify`/`compact`.
+//! The [`Store`] handle: open/recover, append, indexed lookups, scans,
+//! `stat`/`verify`/`compact`.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -9,9 +9,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::format::{
-    body_columns, decode_keys, decode_records, encode_block, encode_footer, parse_block_header,
-    read_body, read_footer, BlockMeta, StoreKey, StoreRecord, COLUMN_COUNT, COLUMN_NAMES,
-    COL_BUDGET_DIGEST, COL_FINGERPRINT, COL_LATENCY_BOUND, FILE_MAGIC,
+    encode_block, encode_footer, parse_block_header, read_at, read_footer, read_records, BlockMeta,
+    StoreKey, StoreRecord, FILE_MAGIC,
 };
 
 /// Name of the store file inside a store directory.
@@ -20,17 +19,6 @@ pub const STORE_FILE_NAME: &str = "results.pchls";
 /// Records per block written by [`Store::compact`] (appends write the
 /// caller's batch as one block, whatever its size).
 const COMPACT_BLOCK_RECORDS: usize = 512;
-
-/// Byte-size accounting of one column across all blocks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnStat {
-    /// Column name, in on-disk column order.
-    pub name: &'static str,
-    /// Uncompressed encoded bytes.
-    pub raw_bytes: u64,
-    /// Bytes actually on disk (after the block compressor).
-    pub compressed_bytes: u64,
-}
 
 /// A size/health snapshot of a store (the `pchls store stat` payload).
 #[derive(Debug, Clone, PartialEq)]
@@ -43,27 +31,8 @@ pub struct StoreStat {
     pub live_records: u64,
     /// Size of the store file in bytes.
     pub file_bytes: u64,
-    /// Total uncompressed column bytes.
-    pub raw_bytes: u64,
-    /// Total compressed column bytes.
-    pub compressed_bytes: u64,
-    /// Per-column byte accounting.
-    pub columns: Vec<ColumnStat>,
     /// Whether the last open had to recover by scanning (torn footer).
     pub recovered: bool,
-}
-
-impl StoreStat {
-    /// Uncompressed over compressed column bytes (1.0 for an empty
-    /// store).
-    #[must_use]
-    pub fn compression_ratio(&self) -> f64 {
-        if self.compressed_bytes == 0 {
-            1.0
-        } else {
-            self.raw_bytes as f64 / self.compressed_bytes as f64
-        }
-    }
 }
 
 /// Handles into the process-wide metrics registry, resolved once per
@@ -97,8 +66,10 @@ pub struct Store {
     blocks: Vec<BlockMeta>,
     /// key → (block, row) of the *last* write for that key.
     index: HashMap<StoreKey, (u32, u32)>,
-    /// Decoded-block cache for indexed lookups.
-    decoded: HashMap<u32, Vec<StoreRecord>>,
+    /// The block the last [`Store::get`] decoded, kept for the next
+    /// lookup. One block at most: a long-running server keeps its
+    /// answers in its own bounded tiers, not here.
+    cached: Option<(u32, Vec<StoreRecord>)>,
     /// Where the next block (and the footer) begins.
     data_end: u64,
     /// Blocks appended since the footer was last written.
@@ -147,7 +118,7 @@ impl Store {
                 path,
                 blocks: Vec::new(),
                 index: HashMap::new(),
-                decoded: HashMap::new(),
+                cached: None,
                 data_end: FILE_MAGIC.len() as u64,
                 dirty: false,
                 recovered: false,
@@ -160,11 +131,19 @@ impl Store {
             store.write_footer()?;
             return Ok(store);
         }
-        let header = crate::format::read_at(&mut file, 0, FILE_MAGIC.len())?;
-        if header.as_deref() != Some(FILE_MAGIC.as_slice()) {
+        let magic = read_at(&mut file, 0, FILE_MAGIC.len())?;
+        if magic.as_deref() != Some(FILE_MAGIC.as_slice()) {
+            let what = match magic.as_deref() {
+                Some([b'P', b'C', b'H', b'S', b'T', b'O', version, b'\n']) => format!(
+                    "a format-{} pchls store; this build reads format 2 only \
+                     (delete it, the results recompute)",
+                    char::from(*version)
+                ),
+                _ => "not a pchls store".to_owned(),
+            };
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("{} is not a pchls store", path.display()),
+                format!("{} is {what}", path.display()),
             ));
         }
 
@@ -175,40 +154,18 @@ impl Store {
         let mut store = Store {
             file,
             path,
+            data_end: blocks
+                .last()
+                .map_or(FILE_MAGIC.len() as u64, BlockMeta::end),
             blocks,
             index: HashMap::new(),
-            decoded: HashMap::new(),
-            data_end: 0,
+            cached: None,
             dirty: recovered,
             recovered,
             corrupt: None,
             obs: StoreObs::new(),
         };
-        store.data_end = store
-            .blocks
-            .last()
-            .map_or(FILE_MAGIC.len() as u64, BlockMeta::end);
-        match store.build_index() {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::InvalidData && !recovered => {
-                // A flushed footer pointing at rotted blocks: fall back
-                // to the conservative scan, keeping the verifiable
-                // prefix.
-                let file_len = store.file.metadata()?.len();
-                store.blocks = scan_blocks(&mut store.file, file_len)?;
-                store.data_end = store
-                    .blocks
-                    .last()
-                    .map_or(FILE_MAGIC.len() as u64, BlockMeta::end);
-                store.index.clear();
-                store.decoded.clear();
-                store.dirty = true;
-                store.recovered = true;
-                store.corrupt = None;
-                store.build_index()?;
-            }
-            Err(e) => return Err(e),
-        }
+        store.build_index()?;
         Ok(store)
     }
 
@@ -257,11 +214,12 @@ impl Store {
         };
         let start = Instant::now();
         let _span = pchls_obs::span!("store.read");
-        if !self.decoded.contains_key(&block) {
-            let records = self.read_block_records(block)?;
-            self.decoded.insert(block, records);
-        }
-        let record = self.decoded[&block][row as usize].clone();
+        let cached = match self.cached.take() {
+            Some((b, records)) if b == block => records,
+            _ => self.read_block_records(block)?,
+        };
+        let record = cached[row as usize].clone();
+        self.cached = Some((block, cached));
         self.obs.read.record(start.elapsed());
         Ok(Some(record))
     }
@@ -290,7 +248,6 @@ impl Store {
         for (row, r) in records.iter().enumerate() {
             self.index.insert(r.key, (block, row as u32));
         }
-        self.decoded.insert(block, records.to_vec());
         self.data_end = meta.end();
         self.blocks.push(meta);
         self.dirty = true;
@@ -324,7 +281,7 @@ impl Store {
     }
 
     /// Every live record, in file order of its winning write. The full
-    /// "warm read" path: all columns of all blocks are decoded, without
+    /// "warm read" path: every block is read and decoded, without
     /// populating the lookup cache (so repeated calls measure disk +
     /// decode, not a memoized copy).
     ///
@@ -344,41 +301,23 @@ impl Store {
         Ok(out)
     }
 
-    /// Size and compression accounting (header/footer metadata only —
-    /// no block bodies are read).
+    /// Size accounting from the block index (no block bodies are read).
     ///
     /// # Errors
     ///
     /// I/O failure querying the file length.
     pub fn stat(&self) -> io::Result<StoreStat> {
-        let mut columns: Vec<ColumnStat> = COLUMN_NAMES
-            .iter()
-            .map(|&name| ColumnStat {
-                name,
-                raw_bytes: 0,
-                compressed_bytes: 0,
-            })
-            .collect();
-        for block in &self.blocks {
-            for (col, &(raw, comp)) in block.columns.iter().enumerate() {
-                columns[col].raw_bytes += u64::from(raw);
-                columns[col].compressed_bytes += u64::from(comp);
-            }
-        }
         Ok(StoreStat {
             blocks: self.blocks.len(),
             records: self.blocks.iter().map(|b| u64::from(b.records)).sum(),
             live_records: self.index.len() as u64,
             file_bytes: self.file.metadata()?.len(),
-            raw_bytes: columns.iter().map(|c| c.raw_bytes).sum(),
-            compressed_bytes: columns.iter().map(|c| c.compressed_bytes).sum(),
-            columns,
             recovered: self.recovered,
         })
     }
 
     /// Full integrity pass: re-scans every block from the front
-    /// (header CRC, body CRC, full column decode), cross-checks the
+    /// (header CRC, body CRC, full row decode), cross-checks the
     /// result against the in-memory index, and — when the store is
     /// clean — against the on-disk footer.
     ///
@@ -394,14 +333,11 @@ impl Store {
         let mut pos = FILE_MAGIC.len() as u64;
         while let Some(meta) = parse_block_header(&mut self.file, pos, file_len).map_err(io_err)? {
             let block = scanned.len() as u32;
-            let Some(body) = read_body(&mut self.file, &meta).map_err(io_err)? else {
-                return Err(format!("block {block} body fails its checksum"));
+            let Some(decoded) = read_records(&mut self.file, &meta).map_err(io_err)? else {
+                return Err(format!(
+                    "block {block} body fails its checksum or does not decode"
+                ));
             };
-            let all: Vec<usize> = (0..COLUMN_COUNT).collect();
-            let raws = body_columns(&meta, &body, &all)
-                .ok_or_else(|| format!("block {block} has an undecodable column"))?;
-            let decoded = decode_records(&meta, &raws)
-                .ok_or_else(|| format!("block {block} records do not decode"))?;
             for (row, r) in decoded.iter().enumerate() {
                 index.insert(r.key, (block, row as u32));
             }
@@ -463,33 +399,21 @@ impl Store {
     }
 
     fn read_block_records(&mut self, block: u32) -> io::Result<Vec<StoreRecord>> {
-        let meta = self.blocks[block as usize].clone();
-        let all: Vec<usize> = (0..COLUMN_COUNT).collect();
-        let body = read_body(&mut self.file, &meta)?.ok_or_else(|| corrupt_block(block))?;
-        let raws = body_columns(&meta, &body, &all).ok_or_else(|| corrupt_block(block))?;
-        decode_records(&meta, &raws).ok_or_else(|| corrupt_block(block))
+        let meta = self.blocks[block as usize];
+        read_records(&mut self.file, &meta)?.ok_or_else(|| corrupt_block(block))
     }
 
     /// Builds the key index by checking every block's body against its
-    /// CRC and decoding only its key columns. A block that fails its
-    /// checksum is not indexed; it marks the store corrupt instead.
+    /// CRC and decoding its rows. A block that fails either check is not
+    /// indexed; it marks the store corrupt instead.
     fn build_index(&mut self) -> io::Result<()> {
         for block in 0..self.blocks.len() as u32 {
-            let meta = self.blocks[block as usize].clone();
-            let Some(body) = read_body(&mut self.file, &meta)? else {
+            let Some(records) = read_records(&mut self.file, &self.blocks[block as usize])? else {
                 self.corrupt.get_or_insert(block);
                 continue;
             };
-            let raws = body_columns(
-                &meta,
-                &body,
-                &[COL_FINGERPRINT, COL_LATENCY_BOUND, COL_BUDGET_DIGEST],
-            )
-            .ok_or_else(|| corrupt_block(block))?;
-            let keys = decode_keys(&meta, &raws[0], &raws[1], &raws[2])
-                .ok_or_else(|| corrupt_block(block))?;
-            for (row, key) in keys.into_iter().enumerate() {
-                self.index.insert(key, (block, row as u32));
+            for (row, r) in records.iter().enumerate() {
+                self.index.insert(r.key, (block, row as u32));
             }
         }
         Ok(())
@@ -518,7 +442,7 @@ fn scan_blocks(file: &mut File, file_len: u64) -> io::Result<Vec<BlockMeta>> {
     let mut blocks = Vec::new();
     let mut pos = FILE_MAGIC.len() as u64;
     while let Some(meta) = parse_block_header(file, pos, file_len)? {
-        if read_body(file, &meta)?.is_none() {
+        if read_records(file, &meta)?.is_none() {
             break;
         }
         pos = meta.end();
@@ -602,7 +526,6 @@ mod tests {
             .is_none());
         let stat = store.verify().unwrap();
         assert_eq!((stat.blocks, stat.records, stat.live_records), (2, 30, 30));
-        assert!(stat.compression_ratio() > 1.0, "columns compress");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -674,6 +597,74 @@ mod tests {
         std::fs::write(dir.join(STORE_FILE_NAME), b"definitely not a store file").unwrap();
         let err = Store::open(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn format_1_file_is_refused_naming_its_version() {
+        let dir = temp_dir("format1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = b"PCHSTO1\n".to_vec();
+        bytes.extend_from_slice(&[0; 64]);
+        std::fs::write(dir.join(STORE_FILE_NAME), &bytes).unwrap();
+        let err = Store::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("format-1"), "{err}");
+        assert_eq!(std::fs::read(dir.join(STORE_FILE_NAME)).unwrap(), bytes);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lookups_cache_one_block_and_appends_leave_it_alone() {
+        let dir = temp_dir("cache");
+        let mut store = Store::open(&dir).unwrap();
+        let cached_block = |store: &Store| store.cached.as_ref().map(|(block, _)| *block);
+        let big: Vec<StoreRecord> = (0..40)
+            .map(|i| record(1, 10 + i, 2, 100 + u64::from(i)))
+            .collect();
+        store.append(&big).unwrap();
+        assert_eq!(cached_block(&store), None, "appends do not fill the cache");
+        for (i, old) in big.iter().enumerate() {
+            assert_eq!(store.get(&old.key).unwrap().as_ref(), Some(old));
+            assert_eq!(cached_block(&store), Some(0));
+            let small = record(2, 10, i as u64, 200 + i as u64);
+            store.append(std::slice::from_ref(&small)).unwrap();
+            assert_eq!(cached_block(&store), Some(0), "an append keeps the cache");
+            assert_eq!(store.get(&small.key).unwrap(), Some(small));
+            assert_eq!(cached_block(&store), Some(i as u32 + 1));
+            assert_eq!(store.cached.as_ref().unwrap().1.len(), 1);
+        }
+        assert_eq!(store.stat().unwrap().blocks, 41);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The exact bytes of a flushed 3-record, 2-block store. A change to
+    /// the layout shows up here first; bless it on purpose with
+    /// `PCHLS_BLESS_GOLDEN=1 cargo test -p pchls-store format_2_bytes`.
+    #[test]
+    fn format_2_bytes_match_the_golden() {
+        let dir = temp_dir("golden");
+        {
+            let mut store = Store::open(&dir).unwrap();
+            store
+                .append(&[
+                    record(0xfeed, 17, 0xbeef, 609),
+                    record(0xfeed, 10, 0xbeef, 0),
+                ])
+                .unwrap();
+            store.append(&[record(0xcafe, 12, 0xd00d, 1548)]).unwrap();
+            store.flush().unwrap();
+        }
+        let bytes = std::fs::read(dir.join(STORE_FILE_NAME)).unwrap();
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/format2.bin");
+        if std::env::var_os("PCHLS_BLESS_GOLDEN").is_some() {
+            std::fs::write(&golden, &bytes).unwrap();
+        }
+        assert_eq!(
+            bytes,
+            std::fs::read(&golden).unwrap(),
+            "store layout changed"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,12 +1,11 @@
-//! LEB128 varints and zigzag/delta transforms — the byte-level
-//! vocabulary of every column in the store.
+//! LEB128 varints and zigzag/delta transforms: the byte-level
+//! vocabulary of schedule traces ([`crate::trace_bytes`]) and of the
+//! footer index.
 //!
-//! Integer columns are encoded as *deltas between consecutive values*
+//! A trace is encoded as *deltas between consecutive values*
 //! (wrapping), zigzag-folded so small negative jumps stay small, then
-//! LEB128 varint-packed. A column of repeated values — the common case
-//! for a batch of points sharing one graph fingerprint or one power
-//! bound — collapses to one long value followed by single zero bytes,
-//! which the block compressor then run-length-collapses further.
+//! LEB128 varint-packed. Schedules are near-sorted, so most deltas fit
+//! in one byte.
 
 /// Appends `value` as an LEB128 varint (1–10 bytes).
 pub(crate) fn put_u64(out: &mut Vec<u8>, mut value: u64) {

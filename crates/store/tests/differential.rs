@@ -1,7 +1,7 @@
 //! Differential tests: random batches of real synthesis outcomes
-//! round-tripped through the store (write → flush → reopen → full and
-//! partial reads) must match the in-memory results field for field —
-//! including points keyed by PR 5's time-varying budget envelopes, and
+//! round-tripped through the store (write → flush → reopen → lookups
+//! and a verify) must match the in-memory results field for field —
+//! including points keyed by time-varying budget envelopes, and
 //! including byte-identical serialized `SweepPoint` JSON.
 
 use std::path::PathBuf;

@@ -986,30 +986,18 @@ fn store_admin(args: &[String]) -> Result<String, String> {
     }
 }
 
-/// The `pchls store stat` report: totals, compression ratio and
-/// per-column byte accounting.
+/// The `pchls store stat` report: record, block and file-size totals.
 fn render_store_stat(stat: &StoreStat, path: &std::path::Path) -> String {
     let mut out = format!(
-        "{}:\n  records: {} ({} live)\n  blocks: {}\n  file: {} bytes\n  \
-         columns: {} -> {} bytes ({:.2}x compression)\n",
+        "{}:\n  records: {} ({} live)\n  blocks: {}\n  file: {} bytes\n",
         path.display(),
         stat.records,
         stat.live_records,
         stat.blocks,
         stat.file_bytes,
-        stat.raw_bytes,
-        stat.compressed_bytes,
-        stat.compression_ratio()
     );
     if stat.recovered {
         out.push_str("  recovered: yes (torn tail was scanned around)\n");
-    }
-    out.push_str("  per-column bytes (raw -> compressed):\n");
-    for c in &stat.columns {
-        out.push_str(&format!(
-            "    {:<14} {:>8} -> {:>8}\n",
-            c.name, c.raw_bytes, c.compressed_bytes
-        ));
     }
     out
 }
@@ -1493,7 +1481,14 @@ mod tests {
 
         let stat = run(&argv(&format!("store stat {}", store_dir.display()))).unwrap();
         assert!(stat.contains("records: 2 (2 live)"), "{stat}");
-        assert!(stat.contains("per-column bytes"), "{stat}");
+        assert!(stat.contains("blocks: 1\n"), "{stat}");
+        let file_bytes = std::fs::metadata(store_dir.join(STORE_FILE_NAME))
+            .unwrap()
+            .len();
+        assert!(
+            stat.contains(&format!("file: {file_bytes} bytes")),
+            "{stat}"
+        );
         let verify = run(&argv(&format!("store verify {}", store_dir.display()))).unwrap();
         assert!(verify.starts_with("ok: 2 record(s)"), "{verify}");
 

@@ -74,6 +74,6 @@ pub use pchls_sched as sched;
 /// Concurrent synthesis service: compile cache, request scheduler,
 /// JSON-lines wire protocol (`pchls serve`).
 pub use pchls_serve as serve;
-/// Persistent content-addressed columnar result store (`pchls store`,
-/// `--store` on `batch`/`sweep`/`serve`).
+/// Persistent content-addressed result store of CRC-checked row blocks
+/// (`pchls store`, `--store` on `batch`/`sweep`/`serve`).
 pub use pchls_store as store;
