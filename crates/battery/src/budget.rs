@@ -35,8 +35,7 @@ use crate::models::{BatteryModel, MAX_ITERATIONS};
 ///
 /// The returned budget covers `horizon` cycles (per-cycle shape). When
 /// the sag over the whole horizon is negligible (under one part in
-/// 10⁶ of `peak`), the constant budget is returned instead so the
-/// synthesis layers keep the scalar fast path.
+/// 10⁶ of `peak`), the constant budget is returned instead.
 ///
 /// # Panics
 ///
@@ -119,10 +118,11 @@ mod tests {
         let cell = RateCapacityBattery::low_quality(2_000.0);
         let budget = budget_from_model(&cell, 16, 25.0, 5.0);
         let ledger = pchls_sched::PowerLedger::under(16, &budget);
-        assert!(ledger.is_envelope());
-        assert!(ledger.fits(0, 2, 20.0));
+        assert!(ledger.fits(0, 2, 20_000));
         // Late cycles have sagged below what early cycles admit.
-        assert!(ledger.bound(15) < ledger.bound(0));
+        let opening = pchls_fulib::bound_quanta(budget.bound_at(0));
+        assert!(ledger.fits(0, 1, opening));
+        assert!(!ledger.fits(15, 1, opening));
     }
 
     #[test]

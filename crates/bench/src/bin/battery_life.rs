@@ -40,25 +40,26 @@ fn main() {
             base.peak(),
             flat.peak()
         );
+        let (base, flat) = (base.per_cycle(), flat.per_cycle());
         let capacity = 1_000_000.0;
         // The constrained design may also use *less energy* (serial
         // multipliers are more energy-efficient); the ideal battery
         // isolates that effect, and dividing it out leaves the gain
         // attributable purely to the flattened profile shape.
         let ideal = IdealBattery::new(capacity);
-        let ideal_gain = compare_profiles(&ideal, base.per_cycle(), flat.per_cycle()).extension;
+        let ideal_gain = compare_profiles(&ideal, &base, &flat).extension;
         let models: Vec<Box<dyn BatteryModel>> = vec![
             Box::new(ideal),
             Box::new(PeukertBattery::low_quality(capacity)),
             Box::new(RateCapacityBattery::low_quality(capacity)),
         ];
         for m in &models {
-            let cmp = compare_profiles(m.as_ref(), base.per_cycle(), flat.per_cycle());
+            let cmp = compare_profiles(m.as_ref(), &base, &flat);
             println!(
                 "  {:<14} lifetime {:>12} -> {:>12} cycles   gain {:.2}x  (shape-only {:.2}x)",
                 cmp.model,
-                cmp.baseline.total_cycles(base.per_cycle().len()),
-                cmp.flattened.total_cycles(flat.per_cycle().len()),
+                cmp.baseline.total_cycles(base.len()),
+                cmp.flattened.total_cycles(flat.len()),
                 cmp.extension,
                 cmp.extension / ideal_gain
             );

@@ -16,7 +16,7 @@ fn main() {
             format!("{{{}}}", ops.join(",")),
             m.area(),
             m.latency(),
-            m.power()
+            pchls_fulib::units(m.power())
         );
     }
 }

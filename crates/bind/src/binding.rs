@@ -221,7 +221,7 @@ impl Binding {
                     });
                 }
                 let t = timing.of(op);
-                if t.delay != module.latency() || (t.power - module.power()).abs() > 1e-9 {
+                if t.delay != module.latency() || t.power != module.power() {
                     return Err(BindError::TimingMismatch {
                         node: op,
                         instance: iid,

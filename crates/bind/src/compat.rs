@@ -165,7 +165,7 @@ pub(crate) fn cheapest_common_module(
                 let t = timing.of(op);
                 m.implements(graph.node(op).kind())
                     && m.latency() == t.delay
-                    && (m.power() - t.power).abs() <= 1e-9
+                    && m.power() == t.power
             })
         })
         .min_by_key(|&mid| library.module(mid).area())
@@ -290,7 +290,7 @@ mod tests {
             m2,
             pchls_sched::OpTiming {
                 delay: 4,
-                power: 2.7,
+                power: 2_700,
             },
         );
         let s = asap(&g, &t);

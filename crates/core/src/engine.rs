@@ -464,7 +464,7 @@ impl<'e> Session<'e> {
     /// read from the compile-time skeletons.
     #[must_use]
     pub fn auto_power_grid(&self, steps: usize) -> Vec<f64> {
-        let lo = self.compiled.fastest_timing.max_single_op_power();
+        let lo = pchls_fulib::units(self.compiled.fastest_timing.max_single_op_power());
         let hi = self.compiled.asap_peak * 1.1;
         let steps = steps.max(2);
         (0..steps)

@@ -313,7 +313,7 @@ mod tests {
         let grid = engine.session(&engine.compile(&g)).auto_power_grid(10);
         assert_eq!(grid.len(), 10);
         assert!(grid.windows(2).all(|w| w[0] < w[1]));
-        assert!((grid[0] - 8.1).abs() < 1e-9, "starts at mult_par power");
+        assert_eq!(grid[0], 8.1, "starts at mult_par power");
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //!     &SynthesisOptions::default(),
 //! )?;
 //! assert!(design.latency <= 17);
-//! assert!(design.peak_power <= 25.0 + 1e-9);
+//! assert!(design.peak_power <= 25.0);
 //! # Ok(())
 //! # }
 //! ```

@@ -138,17 +138,11 @@ fn greedy(
     // computed once per library, not per point.
     let kind_modules = engine.kind_modules();
     let n = graph.len();
-    // Normalize the budget once: a value-constant envelope (however it
-    // was spelled) becomes the scalar `Constant`, so the thousands of
-    // per-probe ledger constructions below take the O(1) collapse path
-    // instead of re-scanning the envelope each time. Semantics within
-    // the horizon are identical; the design still records the caller's
-    // own constraints.
-    let budget = constraints.budget.normalized(constraints.latency);
+    let budget = &constraints.budget;
     let _synth_span = pchls_obs::span!("kernel.synthesize", "ops" => n);
     let (mut timing, est_modules) = {
         let _span = pchls_obs::span!("kernel.bootstrap");
-        bootstrap(graph, library, constraints, &budget, reach, compiled)?
+        bootstrap(graph, library, constraints, budget, reach, compiled)?
     };
 
     let mut binding = Binding::new(n);
@@ -164,10 +158,13 @@ fn greedy(
     let mut scratch = Scratch::new(library.len());
 
     // The per-cycle power reserved by locked operations, maintained
-    // incrementally: candidate attempts reserve on apply and restore a
-    // bit-exact snapshot on undo, instead of rebuilding the ledger from
-    // the whole locked set every iteration.
-    let mut ledger = PowerLedger::under(constraints.latency, &budget);
+    // incrementally: candidate attempts reserve on apply and release
+    // (exactly, in integer quanta) on undo, instead of rebuilding the
+    // ledger from the whole locked set every iteration.
+    let mut ledger = PowerLedger::under(constraints.latency, budget);
+    // The peak bound in quanta: the quick reject for a module that can
+    // fit in no cycle at all.
+    let peak_power = pchls_fulib::bound_quanta(constraints.max_power());
 
     // Power-feasible early starts under the current commitments. A
     // commitment that locks operations exactly at their provisional
@@ -180,7 +177,7 @@ fn greedy(
         // The `fds.*` span names are historical: perfbench and `chrome_golden` read them.
         let _span = pchls_obs::span!("fds.refit");
         placer
-            .pasap_locked(&timing, &budget, constraints.latency, &locked)
+            .pasap_locked(&timing, budget, constraints.latency, &locked)
             .map_err(|cause| SynthesisError::Infeasible { cause })?
     };
     let mut dirty = false;
@@ -202,7 +199,7 @@ fn greedy(
         if dirty {
             let _span = pchls_obs::span!("fds.refit");
             provisional = placer
-                .pasap_locked(&timing, &budget, constraints.latency, &locked)
+                .pasap_locked(&timing, budget, constraints.latency, &locked)
                 .map_err(|cause| SynthesisError::Infeasible { cause })?;
             dirty = false;
         }
@@ -214,7 +211,7 @@ fn greedy(
         let palap = {
             let _span = pchls_obs::span!("fds.palap");
             placer
-                .palap_locked(&timing, &budget, constraints.latency, &locked)
+                .palap_locked(&timing, budget, constraints.latency, &locked)
                 .ok()
         };
         let late = palap.as_ref().unwrap_or(&provisional);
@@ -252,7 +249,7 @@ fn greedy(
             provisional: &provisional,
             late,
             constraints,
-            peak_power: constraints.max_power(),
+            peak_power,
             start0: std::mem::take(&mut scratch.start0),
             avoided: std::mem::take(&mut scratch.avoided),
         };
@@ -273,7 +270,7 @@ fn greedy(
             placer,
             library,
             constraints,
-            &budget,
+            budget,
             &provisional,
             &mut binding,
             &mut locked,
@@ -289,7 +286,7 @@ fn greedy(
                 graph,
                 &timing,
                 constraints,
-                &budget,
+                budget,
                 options,
                 &scratch.unbound_vec,
                 &provisional,
@@ -304,7 +301,7 @@ fn greedy(
     let final_schedule = if dirty {
         let _span = pchls_obs::span!("fds.refit");
         placer
-            .pasap_locked(&timing, &budget, constraints.latency, &locked)
+            .pasap_locked(&timing, budget, constraints.latency, &locked)
             .map_err(SynthesisError::Schedule)?
     } else {
         provisional
@@ -371,8 +368,8 @@ fn run_attempts<'d>(
     let mut committed = None;
     for cand in cands {
         attempts += 1;
-        let saved = saved_state(cand, library, timing, locked, ledger);
-        apply(cand, library, binding, locked, timing, ledger, &saved);
+        let saved = saved_state(cand, library, timing, locked);
+        apply(cand, binding, locked, timing, ledger, &saved);
         // A candidate that locks its operation(s) exactly at their
         // provisional starts with unchanged timing cannot invalidate
         // the provisional schedule — it is feasible by construction
@@ -470,9 +467,9 @@ struct Context<'a> {
     provisional: &'a Schedule,
     late: &'a Schedule,
     constraints: &'a SynthesisConstraints,
-    /// Cached `constraints.max_power()` — the peak per-cycle bound any
-    /// cycle can see (the bound itself for scalar constraints).
-    peak_power: f64,
+    /// `constraints.max_power()` in quanta — the peak per-cycle bound
+    /// any cycle can see (the bound itself for scalar constraints).
+    peak_power: u64,
     /// Tabulated `candidate_start(op, m, 0)`, flattened as
     /// `op.index() * library.len() + m.index()`; filled for every unbound
     /// op over its kind's candidate modules (the only entries scoring
@@ -504,8 +501,8 @@ fn locked_ledger(
                     .expect("fits just failed");
                 return Err(SynthesisError::Schedule(ScheduleError::PowerExceeded {
                     cycle: v,
-                    power: ledger.used(v) + t.power,
-                    bound: ledger.bound(v),
+                    power: pchls_fulib::units(ledger.used(v) + t.power),
+                    bound: budget.bound_at(v),
                 }));
             }
             ledger.reserve(s, t.delay, t.power);
@@ -642,14 +639,14 @@ impl Context<'_> {
         let spec = self.library.module(m);
         if let Some(s) = self.locked.get(op) {
             let cur = self.timing.of(op);
-            if spec.latency() != cur.delay || (spec.power() - cur.power).abs() > 1e-9 {
+            if spec.latency() != cur.delay || spec.power() != cur.power {
                 return None; // reservation coherence
             }
             return (s >= not_before).then_some(s);
         }
         let delay = spec.latency();
         let power = spec.power();
-        if power > self.peak_power + 1e-9 {
+        if power > self.peak_power {
             return None;
         }
         let ready = self
@@ -1118,8 +1115,9 @@ fn earliest_instance_fit(
     }
 }
 
-/// State saved for undoing a decision: previous timing entries, previous
-/// lock state, and bit-exact ledger snapshots of the touched cycles.
+/// State saved for undoing a decision: previous timing entries and
+/// previous lock state. The ledger needs nothing saved: undo releases
+/// exactly what `apply` reserved.
 struct Saved {
     op_timing: OpTiming,
     /// Timing written by `apply` (the module spec's delay/power).
@@ -1129,9 +1127,6 @@ struct Saved {
     op_was_locked: bool,
     partner_timing: Option<(NodeId, OpTiming)>,
     partner_was_locked: bool,
-    /// `(start, previous ledger values)` for every interval reserved by
-    /// `apply`, restored verbatim on undo.
-    ledger_rows: Vec<(u32, Vec<f64>)>,
 }
 
 fn saved_state(
@@ -1139,63 +1134,36 @@ fn saved_state(
     library: &ModuleLibrary,
     timing: &TimingMap,
     locked: &LockedStarts,
-    ledger: &PowerLedger,
 ) -> Saved {
     let spec = library.module(cand.module);
-    // The timing `apply` will write — snapshots must cover the interval
-    // that gets reserved, which uses the *new* module's latency.
-    let applied_timing = OpTiming {
-        delay: spec.latency(),
-        power: spec.power(),
-    };
-    let mut ledger_rows = Vec::with_capacity(2);
-    let op_was_locked = locked.is_locked(cand.op);
-    if !op_was_locked {
-        ledger_rows.push((
-            cand.start,
-            ledger.snapshot(cand.start, applied_timing.delay),
-        ));
-    }
     let (partner_timing, partner_was_locked) = match cand.target {
-        Target::FreshPair {
-            partner,
-            partner_start,
-        } => {
-            let was = locked.is_locked(partner);
-            if !was {
-                ledger_rows.push((
-                    partner_start,
-                    ledger.snapshot(partner_start, applied_timing.delay),
-                ));
-            }
-            (Some((partner, timing.of(partner))), was)
-        }
+        Target::FreshPair { partner, .. } => (
+            Some((partner, timing.of(partner))),
+            locked.is_locked(partner),
+        ),
         _ => (None, false),
     };
     Saved {
         op_timing: timing.of(cand.op),
-        applied_timing,
-        op_was_locked,
+        applied_timing: OpTiming {
+            delay: spec.latency(),
+            power: spec.power(),
+        },
+        op_was_locked: locked.is_locked(cand.op),
         partner_timing,
         partner_was_locked,
-        ledger_rows,
     }
 }
 
 fn apply(
     cand: &Decision,
-    library: &ModuleLibrary,
     binding: &mut Binding,
     locked: &mut LockedStarts,
     timing: &mut TimingMap,
     ledger: &mut PowerLedger,
     saved: &Saved,
 ) {
-    let spec = library.module(cand.module);
-    let t = OpTiming {
-        delay: spec.latency(),
-        power: spec.power(),
-    };
+    let t = saved.applied_timing;
     timing.set(cand.op, t);
     locked.lock(cand.op, cand.start);
     if !saved.op_was_locked {
@@ -1243,8 +1211,14 @@ fn undo(
         }
         timing.set(partner, t);
     }
-    for (start, values) in &saved.ledger_rows {
-        ledger.restore(*start, values);
+    let t = saved.applied_timing;
+    if !saved.op_was_locked {
+        ledger.release(cand.start, t.delay, t.power);
+    }
+    if let Target::FreshPair { partner_start, .. } = cand.target {
+        if !saved.partner_was_locked {
+            ledger.release(partner_start, t.delay, t.power);
+        }
     }
     // A fresh instance allocated for this decision stays empty and is
     // pruned at the end; ids of other instances are unaffected.
@@ -1269,7 +1243,7 @@ fn bootstrap(
     // rebuilding it on every constraint point.
     let mut timing = compiled.min_area_timing().clone();
 
-    let peak_power = constraints.max_power();
+    let peak_power = pchls_fulib::bound_quanta(constraints.max_power());
     loop {
         let err = match pchls_sched::pasap(graph, &timing, budget, constraints.latency) {
             Ok(_) => return Ok((timing, modules)),
@@ -1291,8 +1265,7 @@ fn bootstrap(
             library
                 .candidates(graph.node(v).kind())
                 .filter(|&m| {
-                    library.module(m).latency() < cur
-                        && library.module(m).power() <= peak_power + 1e-9
+                    library.module(m).latency() < cur && library.module(m).power() <= peak_power
                 })
                 .min_by_key(|&m| (library.module(m).latency(), library.module(m).area()))
         };
@@ -1570,7 +1543,7 @@ mod tests {
             let d = synth(&g, t, p).unwrap_or_else(|e| panic!("T={t} P={p}: {e}"));
             d.validate(&g, &paper_library()).unwrap();
             assert!(d.latency <= t);
-            assert!(d.peak_power <= p + 1e-9);
+            assert!(d.peak_power <= p);
         }
     }
 

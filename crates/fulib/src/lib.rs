@@ -9,7 +9,9 @@
 //! slow-but-small serial multiplier versus the fast-but-big parallel
 //! multiplier, or folding `+`, `-` and `>` onto one ALU.
 //!
-//! [`paper_library`] reproduces Table 1 of the paper exactly.
+//! [`paper_library`] reproduces Table 1 of the paper exactly. Powers are
+//! held as exact integer quanta (milli-units, see [`quanta()`]) from library
+//! construction on; [`units`] converts back only for output.
 //!
 //! # Example
 //!
@@ -31,12 +33,14 @@
 mod library;
 mod module;
 mod paper;
+mod quanta;
 mod selection;
 mod text;
 
 pub use library::{LibraryError, ModuleId, ModuleLibrary};
 pub use module::ModuleSpec;
 pub use paper::paper_library;
+pub use quanta::{bound_quanta, power_from_value, power_value, quanta, units, QUANTA_PER_UNIT};
 pub use selection::SelectionPolicy;
 pub use text::{parse_library, write_library, ParseLibraryError};
 

@@ -149,12 +149,8 @@ impl ModuleLibrary {
     /// if nothing implements it. Ties break toward earlier declaration.
     #[must_use]
     pub fn select(&self, kind: OpKind, policy: SelectionPolicy) -> Option<ModuleId> {
-        self.candidates(kind).min_by(|&a, &b| {
-            policy
-                .key(self.module(a))
-                .partial_cmp(&policy.key(self.module(b)))
-                .expect("module metrics are finite")
-        })
+        self.candidates(kind)
+            .min_by_key(|&id| policy.key(self.module(id)))
     }
 }
 

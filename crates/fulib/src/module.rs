@@ -11,16 +11,16 @@ use pchls_cdfg::OpKind;
 /// a set of operations.
 ///
 /// `power` is the draw **per clock cycle while the module is executing an
-/// operation**, in the paper's (unit-less) power units; an idle module
-/// draws nothing in this model, matching the paper's per-cycle power
-/// accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// operation**, held in [quanta](crate::quanta()) of the paper's
+/// (unit-less) power units; an idle module draws nothing in this model,
+/// matching the paper's per-cycle power accounting.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleSpec {
     name: String,
     ops: BTreeSet<OpKind>,
     area: u32,
     latency: u32,
-    power: f64,
+    power: u64,
 }
 
 impl ModuleSpec {
@@ -28,9 +28,10 @@ impl ModuleSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `ops` is empty, `latency` is zero, or `power` is negative
-    /// or non-finite — such a module could never appear in a real library
-    /// and would corrupt scheduling arithmetic.
+    /// Panics if `ops` is empty, `latency` is zero, or `power` is not a
+    /// whole number of quanta (negative, non-finite, or finer than
+    /// 0.001 — see [`quanta()`](crate::quanta())) — such a module could never
+    /// appear in a real library and would corrupt scheduling arithmetic.
     #[must_use]
     pub fn new(
         name: impl Into<String>,
@@ -42,10 +43,8 @@ impl ModuleSpec {
         let ops: BTreeSet<OpKind> = ops.into_iter().collect();
         assert!(!ops.is_empty(), "module must implement at least one op");
         assert!(latency > 0, "module latency must be at least one cycle");
-        assert!(
-            power.is_finite() && power >= 0.0,
-            "module power must be finite and non-negative"
-        );
+        let power = crate::quanta(power)
+            .unwrap_or_else(|| panic!("module power {power} is not a whole number of quanta"));
         ModuleSpec {
             name: name.into(),
             ops,
@@ -85,16 +84,48 @@ impl ModuleSpec {
         self.latency
     }
 
-    /// Power drawn in each clock cycle the module executes.
+    /// Power drawn in each clock cycle the module executes, in quanta.
     #[must_use]
-    pub fn power(&self) -> f64 {
+    pub fn power(&self) -> u64 {
         self.power
     }
 
-    /// Total energy of one execution (`power × latency`).
+    /// Total energy of one execution (`power × latency`), in
+    /// quanta-cycles.
     #[must_use]
-    pub(crate) fn energy(&self) -> f64 {
-        self.power * f64::from(self.latency)
+    pub(crate) fn energy(&self) -> u64 {
+        self.power * u64::from(self.latency)
+    }
+}
+
+// Written by hand so `power` is serialized in power units, like every
+// other power that leaves the program.
+impl Serialize for ModuleSpec {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("name".to_owned(), self.name.to_value()),
+            ("ops".to_owned(), self.ops.to_value()),
+            ("area".to_owned(), self.area.to_value()),
+            ("latency".to_owned(), self.latency.to_value()),
+            ("power".to_owned(), crate::power_value(self.power)),
+        ])
+    }
+}
+
+impl Deserialize for ModuleSpec {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let field = |name: &str| {
+            value.get(name).ok_or_else(|| {
+                serde::Error::custom(format!("missing field `{name}` in ModuleSpec"))
+            })
+        };
+        Ok(ModuleSpec {
+            name: String::from_value(field("name")?)?,
+            ops: BTreeSet::from_value(field("ops")?)?,
+            area: u32::from_value(field("area")?)?,
+            latency: u32::from_value(field("latency")?)?,
+            power: crate::power_from_value(field("power")?)?,
+        })
     }
 }
 
@@ -108,7 +139,7 @@ impl fmt::Display for ModuleSpec {
             ops.join(","),
             self.area,
             self.latency,
-            self.power
+            crate::units(self.power)
         )
     }
 }
@@ -120,7 +151,7 @@ mod tests {
     #[test]
     fn energy_is_power_times_latency() {
         let m = ModuleSpec::new("m", [OpKind::Mul], 103, 4, 2.7);
-        assert!((m.energy() - 10.8).abs() < 1e-12);
+        assert_eq!(m.energy(), 10_800);
     }
 
     #[test]
@@ -139,6 +170,12 @@ mod tests {
     #[should_panic(expected = "power")]
     fn negative_power_rejected() {
         let _ = ModuleSpec::new("m", [OpKind::Add], 1, 1, -0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of quanta")]
+    fn off_lattice_power_rejected() {
+        let _ = ModuleSpec::new("m", [OpKind::Add], 1, 1, 2.5005);
     }
 
     #[test]

@@ -26,12 +26,13 @@ pub enum SelectionPolicy {
 impl SelectionPolicy {
     /// A sortable key: smaller is preferred under this policy.
     #[must_use]
-    pub(crate) fn key(self, m: &ModuleSpec) -> (f64, f64) {
+    pub(crate) fn key(self, m: &ModuleSpec) -> (u64, u64) {
+        let (latency, area) = (u64::from(m.latency()), u64::from(m.area()));
         match self {
-            SelectionPolicy::Fastest => (f64::from(m.latency()), f64::from(m.area())),
-            SelectionPolicy::MinArea => (f64::from(m.area()), f64::from(m.latency())),
-            SelectionPolicy::MinPower => (m.power(), f64::from(m.latency())),
-            SelectionPolicy::MinEnergy => (m.energy(), f64::from(m.area())),
+            SelectionPolicy::Fastest => (latency, area),
+            SelectionPolicy::MinArea => (area, latency),
+            SelectionPolicy::MinPower => (m.power(), latency),
+            SelectionPolicy::MinEnergy => (m.energy(), area),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! A line-oriented textual exchange format for module libraries.
 //!
 //! ```text
-//! # module <name> ops=<op,op,...> area=<u32> cycles=<u32> power=<f64>
+//! # module <name> ops=<op,op,...> area=<u32> cycles=<u32> power=<decimal, at most 3 places>
 //! library paper
 //! module add   ops=+       area=87  cycles=1 power=2.5
 //! module ALU   ops=+,-,>   area=97  cycles=1 power=2.5
@@ -55,7 +55,7 @@ pub fn write_library(library: &ModuleLibrary) -> String {
             ops.join(","),
             m.area(),
             m.latency(),
-            m.power()
+            crate::units(m.power())
         );
     }
     s
@@ -154,8 +154,11 @@ pub fn parse_library(text: &str) -> Result<ModuleLibrary, ParseLibraryError> {
         if cycles == 0 {
             return Err(err(lineno, "cycles must be at least 1"));
         }
-        if !(power.is_finite() && power >= 0.0) {
-            return Err(err(lineno, "power must be finite and non-negative"));
+        if crate::quanta(power).is_none() {
+            return Err(err(
+                lineno,
+                format!("power {power} is not a whole number of quanta (0.001 units)"),
+            ));
         }
         modules.push(ModuleSpec::new(name, ops, area, cycles, power));
     }
@@ -221,6 +224,16 @@ mod tests {
         let text = "library t\nmodule a ops=+ area=1 cycles=1 power=1\nmodule a ops=- area=1 cycles=1 power=1\n";
         let e = parse_library(text).unwrap_err();
         assert!(e.message.contains("duplicate"));
+    }
+
+    #[test]
+    fn nan_and_off_lattice_powers_rejected() {
+        for power in ["NaN", "-1", "2.5005"] {
+            let text = format!("library t\n\nmodule a ops=+ area=1 cycles=1 power={power}\n");
+            let e = parse_library(&text).unwrap_err();
+            assert_eq!(e.line, 3, "{power}");
+            assert!(e.message.contains("quanta"), "{}", e.message);
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@ pub struct ControlStep {
     pub start: u32,
     /// Execution delay in cycles.
     pub delay: u32,
-    /// Power drawn in each executing cycle (from the bound module).
-    pub power: f64,
+    /// Power drawn in each executing cycle (from the bound module), in
+    /// quanta ([`pchls_fulib::quanta`]).
+    pub power: u64,
     /// The CDFG operation performed.
     pub op: NodeId,
     /// The functional unit executing it.
@@ -103,6 +104,18 @@ impl Datapath {
     #[must_use]
     pub fn latency(&self) -> u32 {
         self.latency
+    }
+
+    /// Power drawn in each cycle, summed over the steps executing in it
+    /// (exact quanta, converted to power units).
+    pub(crate) fn power_trace(&self) -> Vec<f64> {
+        let mut quanta = vec![0u64; self.latency as usize];
+        for step in &self.steps {
+            for c in step.start..step.start + step.delay {
+                quanta[c as usize] += step.power;
+            }
+        }
+        quanta.into_iter().map(pchls_fulib::units).collect()
     }
 
     /// Steps starting at `cycle`.

@@ -40,7 +40,6 @@ pub fn simulate(
 ) -> Result<SimulationRun, CdfgError> {
     let mut registers: Vec<Option<Value>> = vec![None; datapath.register_count()];
     let mut outputs = BTreeMap::new();
-    let mut power_trace = vec![0.0f64; datapath.latency() as usize];
     // Results computed at start, committed at finish.
     let mut in_flight: Vec<(u32, Option<usize>, NodeId, Value)> = Vec::new();
 
@@ -82,16 +81,9 @@ pub fn simulate(
         }
     }
 
-    // Power trace from the step table.
-    for step in datapath.steps() {
-        for c in step.start..step.start + step.delay {
-            power_trace[c as usize] += step.power;
-        }
-    }
-
     Ok(SimulationRun {
         outputs,
-        power_trace,
+        power_trace: datapath.power_trace(),
         registers: registers.into_iter().map(|v| v.unwrap_or(0)).collect(),
     })
 }
@@ -135,10 +127,7 @@ mod tests {
         let profile = PowerProfile::of(&design.schedule, &design.timing);
         let stim = random_stimulus(graph, &mut rng);
         let run = simulate(graph, &dp, &stim).unwrap();
-        assert_eq!(run.power_trace.len(), profile.per_cycle().len());
-        for (a, b) in run.power_trace.iter().zip(profile.per_cycle()) {
-            assert!((a - b).abs() < 1e-9, "power trace mismatch");
-        }
+        assert_eq!(run.power_trace, profile.per_cycle(), "power trace mismatch");
     }
 
     #[test]

@@ -33,12 +33,7 @@ pub fn trace(
     let mut registers: Vec<Option<Value>> = vec![None; datapath.register_count()];
     let mut in_flight: Vec<(u32, Option<usize>, Value)> = Vec::new();
     let mut snapshots = Vec::with_capacity(datapath.latency() as usize);
-    let mut power = vec![0.0f64; datapath.latency() as usize];
-    for step in datapath.steps() {
-        for c in step.start..step.start + step.delay {
-            power[c as usize] += step.power;
-        }
-    }
+    let power = datapath.power_trace();
 
     for cycle in 0..datapath.latency() {
         for &(finish, dest, value) in &in_flight {
@@ -149,7 +144,6 @@ mod tests {
     use crate::netlist::Datapath;
     use pchls_core::{Engine, SynthesisConstraints, SynthesisOptions};
     use pchls_fulib::paper_library;
-    use pchls_sched::PowerProfile;
 
     fn hal_trace() -> (Cdfg, Datapath, Waveform) {
         let g = pchls_cdfg::benchmarks::hal();
@@ -201,8 +195,6 @@ mod tests {
         }
         let run = crate::simulate(&g, &dp, &stim).unwrap();
         assert_eq!(w.power, run.power_trace);
-        // And both match the analytic profile of the design.
-        let _ = PowerProfile::from_cycles(w.power.clone());
     }
 
     #[test]

@@ -17,11 +17,12 @@
 //!   (e.g. derived from a battery model's sag curve — see
 //!   `pchls_battery::budget_from_model`).
 //!
-//! A constant budget — whether built by [`PowerBudget::constant`] or as
-//! a degenerate steps/per-cycle envelope whose bounds are all equal —
-//! is detected by [`PowerLedger::under`](crate::PowerLedger) and
-//! takes the original scalar code path, so scalar-constrained synthesis
-//! is byte-identical to what it was before envelopes existed.
+//! Bounds are user input and stay `f64`. A ledger converts each cycle's
+//! bound to integer quanta once, when it is built
+//! ([`PowerLedger::under`](crate::PowerLedger::under), through
+//! [`pchls_fulib::bound_quanta`]); a constant budget is simply an
+//! envelope whose bounds are all equal, so however it is spelled it
+//! builds the same ledger.
 
 use serde::{Deserialize, Serialize};
 
@@ -258,32 +259,11 @@ impl PowerBudget {
         }
     }
 
-    /// The budget reduced to its simplest spelling over `horizon`
-    /// cycles: an envelope whose bounds are bit-identical in every
-    /// cycle of the horizon becomes [`PowerBudget::Constant`], anything
-    /// else is returned as written. Semantics within the horizon are
-    /// unchanged — this exists so long-running consumers (the synthesis
-    /// kernel constructs thousands of ledgers per run) can pay the
-    /// constant-detection scan once instead of per ledger.
-    #[must_use]
-    pub fn normalized(&self, horizon: u32) -> PowerBudget {
-        if self.as_constant().is_some() {
-            return self.clone();
-        }
-        let first = self.bound_at(0);
-        if (1..horizon).all(|c| self.bound_at(c).to_bits() == first.to_bits()) {
-            PowerBudget::Constant(first)
-        } else {
-            self.clone()
-        }
-    }
-
     /// The time-reversed envelope over `horizon` cycles: forward cycle
     /// `c` maps to reversed cycle `horizon - 1 - c`. This is what
     /// `palap` runs against — the power-constrained ALAP schedules the
     /// reversed graph, so its ledger must see the mirrored bounds.
-    /// Constant budgets reverse to themselves (keeping the scalar fast
-    /// path).
+    /// Constant budgets reverse to themselves.
     #[must_use]
     pub(crate) fn reversed(&self, horizon: u32) -> PowerBudget {
         match self {
@@ -343,8 +323,8 @@ impl PowerBudget {
     /// `constant(25.0)`, `per_cycle(vec![25.0; 17])` and
     /// `steps(vec![(0, 25.0)])` all collapse to one digest at
     /// `horizon = 17`. That is the right key for a result store: such
-    /// budgets produce byte-identical designs (the ledger normalizes
-    /// them onto one code path), so they must share one cache entry.
+    /// budgets build identical ledgers and so produce byte-identical
+    /// designs, and they must share one cache entry.
     #[must_use]
     pub fn digest(&self, horizon: u32) -> u64 {
         // Domain tag: "pbudget" as ASCII words.

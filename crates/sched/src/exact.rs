@@ -19,8 +19,10 @@
 
 use pchls_cdfg::{Cdfg, NodeId};
 
-use crate::power::{PowerLedger, POWER_EPS};
+use crate::power::PowerLedger;
+
 use crate::timing::TimingMap;
+use pchls_fulib::bound_quanta;
 
 /// Effort limits for the exact search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,10 +60,10 @@ pub fn minimal_latency_exact(
     if n == 0 {
         return Some(0);
     }
-    for id in graph.node_ids() {
-        if timing.power(id) > max_power + POWER_EPS {
-            return None;
-        }
+    let budget = crate::PowerBudget::constant(max_power);
+    let cap = bound_quanta(max_power);
+    if graph.node_ids().any(|id| timing.power(id) > cap) {
+        return None;
     }
 
     // Suffix critical path: longest delay-weighted path to a sink.
@@ -81,22 +83,17 @@ pub fn minimal_latency_exact(
         .max()
         .unwrap_or(0);
     // Energy bound: the budget caps work per cycle.
-    let energy_bound = if max_power.is_finite() && max_power > 0.0 {
-        (timing.total_energy() / max_power).ceil() as u32
+    let energy_bound = if cap > 0 {
+        timing.total_energy().div_ceil(cap) as u32
     } else {
         0
     };
     let lower = cp_bound.max(energy_bound);
 
     // Start from the pasap solution as the incumbent upper bound.
-    let best = crate::pasap::pasap(
-        graph,
-        timing,
-        &crate::PowerBudget::constant(max_power),
-        limits.max_latency,
-    )
-    .map(|s| s.latency(timing))
-    .unwrap_or(limits.max_latency + 1);
+    let best = crate::pasap::pasap(graph, timing, &budget, limits.max_latency)
+        .map(|s| s.latency(timing))
+        .unwrap_or(limits.max_latency + 1);
     if best == lower {
         return Some(best); // the heuristic already matched the lower bound
     }
@@ -105,15 +102,15 @@ pub fn minimal_latency_exact(
     // try every start from data-ready upward while the bounds allow.
     let order: Vec<NodeId> = graph.topological().to_vec();
     let starts = vec![0u32; n];
-    let ledger = PowerLedger::new(limits.max_latency, max_power);
+    let ledger = PowerLedger::under(limits.max_latency, &budget);
     let budget = limits.max_nodes;
 
     // Remaining energy after each depth (energy of all ops at or beyond
     // that position in the branching order).
-    let mut remaining_energy = vec![0.0f64; n + 1];
+    let mut remaining_energy = vec![0u64; n + 1];
     for d in (0..n).rev() {
         let t = timing.of(order[d]);
-        remaining_energy[d] = remaining_energy[d + 1] + t.power * f64::from(t.delay);
+        remaining_energy[d] = remaining_energy[d + 1] + t.power * u64::from(t.delay);
     }
 
     struct Search<'a> {
@@ -121,8 +118,8 @@ pub fn minimal_latency_exact(
         timing: &'a TimingMap,
         order: &'a [NodeId],
         suffix: &'a [u32],
-        remaining_energy: &'a [f64],
-        max_power: f64,
+        remaining_energy: &'a [u64],
+        cap: u64,
         lower: u32,
         starts: Vec<u32>,
         ledger: PowerLedger,
@@ -133,19 +130,17 @@ pub fn minimal_latency_exact(
     impl Search<'_> {
         /// Energy-aware makespan lower bound: the undecided operations
         /// must fit into the free capacity at or before `makespan`, with
-        /// any excess forcing extra cycles at `max_power` throughput.
+        /// any excess forcing extra cycles at `cap` throughput.
         fn energy_bound(&self, depth: usize, makespan: u32) -> u32 {
-            if !self.max_power.is_finite() || self.max_power <= 0.0 {
+            if self.cap == 0 {
                 return 0;
             }
-            let free: f64 = (0..makespan)
-                .map(|c| (self.max_power - self.ledger.used(c)).max(0.0))
-                .sum();
-            let excess = self.remaining_energy[depth] - free;
-            if excess <= 0.0 {
-                0
-            } else {
-                makespan + (excess / self.max_power).ceil() as u32
+            let free = (0..makespan)
+                .map(|c| self.cap - self.ledger.used(c))
+                .fold(0u64, u64::saturating_add);
+            match self.remaining_energy[depth].saturating_sub(free) {
+                0 => 0,
+                excess => makespan + excess.div_ceil(self.cap) as u32,
             }
         }
 
@@ -193,7 +188,7 @@ pub fn minimal_latency_exact(
         order: &order,
         suffix: &suffix,
         remaining_energy: &remaining_energy,
-        max_power,
+        cap,
         lower,
         starts,
         ledger,
@@ -256,7 +251,7 @@ mod tests {
                     g.name()
                 );
                 // Exact respects the structural lower bounds.
-                let energy_lb = (t.total_energy() / bound).ceil() as u32;
+                let energy_lb = t.total_energy().div_ceil(pchls_fulib::bound_quanta(bound)) as u32;
                 let cp = asap(&g, &t).latency(&t);
                 assert!(exact >= energy_lb.max(cp).min(exact));
             }
@@ -311,7 +306,7 @@ mod tests {
         // 64 ops with 10 nodes of search: either the heuristic already
         // matched the lower bound (fine) or the result must be None.
         if let Some(lat) = minimal_latency_exact(&g, &t, 30.0, limits) {
-            let lb = (t.total_energy() / 30.0).ceil() as u32;
+            let lb = t.total_energy().div_ceil(30_000) as u32;
             assert!(lat <= 64 && lat >= lb.min(lat));
         }
     }

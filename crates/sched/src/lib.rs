@@ -21,6 +21,11 @@
 //! accounted per clock cycle via [`PowerProfile`] and [`PowerLedger`],
 //! matching the paper's "maximum power per clock-cycle" constraint.
 //!
+//! Powers are exact integer quanta ([`pchls_fulib::quanta`]), so sums
+//! are exact. A [`PowerBudget`] keeps its `f64` bounds; each ledger
+//! converts them to quanta once ([`pchls_fulib::bound_quanta`]), and no
+//! comparison in this crate carries a tolerance.
+//!
 //! # Example: stretching HAL under a power cap
 //!
 //! ```
@@ -38,7 +43,7 @@
 //!
 //! let capped = pasap(&g, &timing, &PowerBudget::constant(peak / 2.0), 100)?;
 //! let capped_peak = PowerProfile::of(&capped, &timing).peak();
-//! assert!(capped_peak <= peak / 2.0 + 1e-9);
+//! assert!(capped_peak <= peak / 2.0);
 //! # Ok(())
 //! # }
 //! ```

@@ -9,7 +9,7 @@ use pchls_fulib::{ModuleId, ModuleLibrary};
 
 use crate::budget::PowerBudget;
 use crate::error::ScheduleError;
-use crate::power::{PowerLedger, POWER_EPS};
+use crate::power::PowerLedger;
 use crate::schedule::Schedule;
 use crate::timing::TimingMap;
 
@@ -112,12 +112,12 @@ pub fn list_schedule(
     // The can-never-fit pre-check compares against the peak *within the
     // reachable horizon* (the value the ledger materialized) — a loose
     // phase past every schedulable cycle must not mask the error.
-    let max_power = ledger.max_power();
+    let max_power = budget.peak_within(horizon);
     for id in graph.node_ids() {
-        if timing.power(id) > max_power + POWER_EPS {
+        if timing.power(id) > ledger.peak() {
             return Err(ScheduleError::OpExceedsBudget {
                 node: id,
-                power: timing.power(id),
+                power: pchls_fulib::units(timing.power(id)),
                 max_power,
             });
         }

@@ -22,6 +22,8 @@ use crate::power::PowerLedger;
 use crate::schedule::Schedule;
 use crate::timing::TimingMap;
 
+use pchls_fulib::units;
+
 /// Start times fixed in advance for a subset of operations.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LockedStarts {
@@ -398,10 +400,13 @@ fn place<'a>(
     locked: impl Fn(NodeId) -> Option<u32>,
 ) -> Result<Vec<u32>, ScheduleError> {
     let mut ledger = PowerLedger::under(horizon, budget);
-    // The scalar every error message (and the can-never-fit test)
-    // compares against: the bound itself in constant mode, the
-    // envelope's peak otherwise.
-    let max_power = ledger.max_power();
+    // The scalar every error message reports: the bound itself for a
+    // constant budget, the envelope's peak otherwise.
+    let infeasible = |node: NodeId| ScheduleError::Infeasible {
+        node,
+        horizon,
+        max_power: budget.peak_within(horizon),
+    };
     let mut starts = vec![0u32; order.len()];
 
     // Locked operations reserve power first, whatever their order.
@@ -410,11 +415,7 @@ fn place<'a>(
         if let Some(s) = locked(id) {
             let t = timing.of(id);
             if s + t.delay > horizon {
-                return Err(ScheduleError::Infeasible {
-                    node: id,
-                    horizon,
-                    max_power,
-                });
+                return Err(infeasible(id));
             }
             if !ledger.fits(s, t.delay, t.power) {
                 // Point at the cycle that actually rejects the lock —
@@ -425,8 +426,8 @@ fn place<'a>(
                     .expect("fits just failed");
                 return Err(ScheduleError::PowerExceeded {
                     cycle: v,
-                    power: ledger.used(v) + t.power,
-                    bound: ledger.bound(v),
+                    power: units(ledger.used(v) + t.power),
+                    bound: budget.bound_at(v),
                 });
             }
             ledger.reserve(s, t.delay, t.power);
@@ -439,11 +440,11 @@ fn place<'a>(
             continue;
         }
         let t = timing.of(id);
-        if t.power > max_power + crate::power::POWER_EPS {
+        if t.power > ledger.peak() {
             return Err(ScheduleError::OpExceedsBudget {
                 node: id,
-                power: t.power,
-                max_power,
+                power: units(t.power),
+                max_power: budget.peak_within(horizon),
             });
         }
         // Data-ready time: all predecessors (in this orientation) done.
@@ -452,14 +453,9 @@ fn place<'a>(
             .map(|&p| starts[p.index()] + timing.delay(p))
             .max()
             .unwrap_or(0);
-        let start =
-            ledger
-                .earliest_fit(ready, t.delay, t.power)
-                .ok_or(ScheduleError::Infeasible {
-                    node: id,
-                    horizon,
-                    max_power,
-                })?;
+        let start = ledger
+            .earliest_fit(ready, t.delay, t.power)
+            .ok_or_else(|| infeasible(id))?;
         ledger.reserve(start, t.delay, t.power);
         starts[id.index()] = start;
     }
@@ -500,7 +496,7 @@ mod tests {
         let unbounded_peak = PowerProfile::of(&asap(&g, &t), &t).peak();
         for frac in [0.9, 0.6, 0.4] {
             let bound = unbounded_peak * frac;
-            if bound < t.max_single_op_power() {
+            if bound < pchls_fulib::units(t.max_single_op_power()) {
                 continue;
             }
             let s = pasap(&g, &t, &c(bound), 500).unwrap();
@@ -669,7 +665,7 @@ mod tests {
     #[test]
     fn budget_variants_reproduce_the_scalar_path_for_constant_budgets() {
         // A flat per-cycle envelope is the scalar bound spelled another
-        // way: the ledger collapses it onto constant mode, bit for bit.
+        // way: both build the same ledger.
         let (g, t) = hal_timing();
         let flat = PowerBudget::per_cycle(vec![12.0; 100]);
         assert_eq!(
@@ -698,7 +694,7 @@ mod tests {
         );
         let profile = PowerProfile::of(&s, &t);
         for c in 0..6u32.min(profile.cycles()) {
-            assert!(profile.per_cycle()[c as usize] <= 9.0 + 1e-9, "cycle {c}");
+            assert!(profile.per_cycle()[c as usize] <= 9.0, "cycle {c}");
         }
     }
 
@@ -715,11 +711,11 @@ mod tests {
         let t = TimingMap::from_entries(vec![
             crate::OpTiming {
                 delay: 6,
-                power: 20.0,
+                power: 20_000,
             },
             crate::OpTiming {
                 delay: 1,
-                power: 1.0,
+                power: 1_000,
             },
         ]);
         let budget = PowerBudget::steps(vec![(0, 40.0), (5, 15.0)]);

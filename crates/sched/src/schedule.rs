@@ -110,7 +110,7 @@ impl Schedule {
             if let Some((cycle, power)) = profile.first_violation(budget) {
                 return Err(ScheduleError::PowerExceeded {
                     cycle,
-                    power,
+                    power: pchls_fulib::units(power),
                     bound: budget.bound_at(cycle),
                 });
             }
@@ -135,7 +135,7 @@ mod tests {
         let t = TimingMap::from_entries(vec![
             OpTiming {
                 delay: 1,
-                power: 0.2
+                power: 200
             };
             4
         ]);
@@ -191,7 +191,7 @@ mod tests {
         match err {
             ScheduleError::PowerExceeded { cycle, power, .. } => {
                 assert_eq!(cycle, 0);
-                assert!((power - 0.4).abs() < 1e-12);
+                assert_eq!(power, 0.4);
             }
             other => panic!("unexpected error {other}"),
         }

@@ -7,19 +7,45 @@ use pchls_fulib::{ModuleId, ModuleLibrary, SelectionPolicy};
 
 /// The execution characteristics of one operation once a module (or a
 /// module estimate) has been chosen for it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpTiming {
     /// Execution delay in clock cycles (≥ 1).
     pub delay: u32,
-    /// Power drawn in each executing cycle.
-    pub power: f64,
+    /// Power drawn in each executing cycle, in quanta
+    /// ([`pchls_fulib::quanta`]).
+    pub power: u64,
+}
+
+// Written by hand so `power` is serialized in power units, like every
+// other power that leaves the program.
+impl Serialize for OpTiming {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("delay".to_owned(), self.delay.to_value()),
+            ("power".to_owned(), pchls_fulib::power_value(self.power)),
+        ])
+    }
+}
+
+impl Deserialize for OpTiming {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let field = |name: &str| {
+            value
+                .get(name)
+                .ok_or_else(|| serde::Error::custom(format!("missing field `{name}` in OpTiming")))
+        };
+        Ok(OpTiming {
+            delay: u32::from_value(field("delay")?)?,
+            power: pchls_fulib::power_from_value(field("power")?)?,
+        })
+    }
 }
 
 /// A total map from the nodes of one [`Cdfg`] to their [`OpTiming`].
 ///
 /// The synthesis loop updates entries as binding decisions fix real
 /// modules; scheduling algorithms only ever read it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimingMap {
     entries: Vec<OpTiming>,
 }
@@ -81,13 +107,10 @@ impl TimingMap {
     ///
     /// # Panics
     ///
-    /// Panics if any delay is zero.
+    /// Panics if any entry is invalid (see [`TimingMap::set`]).
     #[must_use]
     pub fn from_entries(entries: Vec<OpTiming>) -> TimingMap {
-        assert!(
-            entries.iter().all(|e| e.delay > 0),
-            "every delay must be at least one cycle"
-        );
+        entries.iter().for_each(check);
         TimingMap { entries }
     }
 
@@ -112,37 +135,54 @@ impl TimingMap {
         self.entries.iter().map(|e| e.delay)
     }
 
-    /// Per-cycle power of `id`.
+    /// Per-cycle power of `id`, in quanta.
     #[must_use]
-    pub fn power(&self, id: NodeId) -> f64 {
+    pub fn power(&self, id: NodeId) -> u64 {
         self.of(id).power
     }
 
     /// Overwrites the timing of one node (used when binding fixes the
     /// actual module for an operation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the delay is zero or the power exceeds `u32::MAX`
+    /// quanta (the most a module may draw, so no per-cycle sum of
+    /// operation powers can overflow).
     pub fn set(&mut self, id: NodeId, timing: OpTiming) {
-        assert!(timing.delay > 0, "delay must be at least one cycle");
+        check(&timing);
         self.entries[id.index()] = timing;
     }
 
-    /// The largest per-cycle power of any single operation.
+    /// The largest per-cycle power of any single operation, in quanta.
     ///
     /// No schedule can beat this peak, so any `max_power` below it is
     /// trivially infeasible.
     #[must_use]
-    pub fn max_single_op_power(&self) -> f64 {
-        self.entries.iter().map(|e| e.power).fold(0.0, f64::max)
+    pub fn max_single_op_power(&self) -> u64 {
+        self.entries.iter().map(|e| e.power).max().unwrap_or(0)
     }
 
-    /// Sum over all operations of `delay × power`: the total energy of one
-    /// execution of the graph, which is schedule-invariant.
+    /// Sum over all operations of `delay × power`, in quanta-cycles: the
+    /// total energy of one execution of the graph, which is
+    /// schedule-invariant.
     #[must_use]
-    pub(crate) fn total_energy(&self) -> f64 {
+    pub(crate) fn total_energy(&self) -> u64 {
         self.entries
             .iter()
-            .map(|e| e.power * f64::from(e.delay))
+            .map(|e| e.power * u64::from(e.delay))
             .sum()
     }
+}
+
+/// Panics unless `t` is an entry a module could produce.
+fn check(t: &OpTiming) {
+    assert!(t.delay > 0, "every delay must be at least one cycle");
+    assert!(
+        t.power <= u64::from(u32::MAX),
+        "power {} exceeds u32::MAX quanta",
+        t.power
+    );
 }
 
 #[cfg(test)]
@@ -160,7 +200,7 @@ mod tests {
             match n.kind() {
                 OpKind::Mul => {
                     assert_eq!(t.delay(n.id()), 2);
-                    assert!((t.power(n.id()) - 8.1).abs() < 1e-12);
+                    assert_eq!(t.power(n.id()), 8100);
                 }
                 _ => assert_eq!(t.delay(n.id()), 1),
             }
@@ -180,8 +220,8 @@ mod tests {
         let g = hal();
         let t = TimingMap::from_policy(&g, &paper_library(), SelectionPolicy::Fastest);
         // 6 muls at 8.1*2 + 4 alu-ops at 2.5 + 1 comp 2.5 + 6 in 0.2 + 4 out 1.7
-        let expected = 6.0 * 16.2 + 5.0 * 2.5 + 6.0 * 0.2 + 4.0 * 1.7;
-        assert!((t.total_energy() - expected).abs() < 1e-9);
+        let expected = 6 * 16_200 + 5 * 2_500 + 6 * 200 + 4 * 1_700;
+        assert_eq!(t.total_energy(), expected);
     }
 
     #[test]
@@ -193,7 +233,7 @@ mod tests {
             mul.id(),
             OpTiming {
                 delay: 4,
-                power: 2.7,
+                power: 2_700,
             },
         );
         assert_eq!(t.delay(mul.id()), 4);
@@ -203,7 +243,16 @@ mod tests {
     fn max_single_op_power_is_parallel_multiplier() {
         let g = hal();
         let t = TimingMap::from_policy(&g, &paper_library(), SelectionPolicy::Fastest);
-        assert!((t.max_single_op_power() - 8.1).abs() < 1e-12);
+        assert_eq!(t.max_single_op_power(), 8_100);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32::MAX quanta")]
+    fn oversized_powers_rejected() {
+        let _ = TimingMap::from_entries(vec![OpTiming {
+            delay: 1,
+            power: u64::from(u32::MAX) + 1,
+        }]);
     }
 
     #[test]
@@ -211,7 +260,7 @@ mod tests {
     fn zero_delay_entries_rejected() {
         let _ = TimingMap::from_entries(vec![OpTiming {
             delay: 0,
-            power: 1.0,
+            power: 1_000,
         }]);
     }
 }

@@ -74,7 +74,7 @@ pub fn two_step(
         };
         let in_peak = |s: u32, d: u32| s <= peak_cycle && peak_cycle < s + d;
         // Candidates: ops executing in the peak cycle whose cascade fits.
-        let mut best: Option<(bool, f64, Vec<u32>)> = None;
+        let mut best: Option<(bool, u64, Vec<u32>)> = None;
         for id in graph.node_ids() {
             let s = starts[id.index()];
             let d = timing.delay(id);
@@ -104,8 +104,8 @@ pub fn two_step(
     }
 
     let schedule = Schedule::new(starts);
-    // Same single-ε predicate as the loop, so the claim is consistent
-    // with what a validator would conclude.
+    // Same predicate as the loop, so the claim is consistent with what
+    // a validator would conclude.
     let met_power = PowerProfile::of(&schedule, timing)
         .first_violation(budget)
         .is_none();

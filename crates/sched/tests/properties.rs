@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use pchls_cdfg::{random_dag, RandomDagConfig};
-use pchls_fulib::{paper_library, ModuleLibrary, ModuleSpec, SelectionPolicy};
+use pchls_fulib::{paper_library, units, ModuleLibrary, ModuleSpec, SelectionPolicy};
 use pchls_sched::{
     alap, asap, list_schedule, palap, pasap, two_step, Allocation, PowerBudget, PowerProfile,
     TimingMap,
@@ -42,7 +42,7 @@ fn library(mul_delay: Option<u32>) -> ModuleLibrary {
             m.ops().iter().copied(),
             m.area(),
             latency,
-            m.power(),
+            units(m.power()),
         )
     }))
     .expect("paper module names are unique")
@@ -74,7 +74,7 @@ proptest! {
         prop_assert_eq!(&pasap(&g, &t, &PowerBudget::unbounded(), 10_000).unwrap(), &base);
 
         let peak = PowerProfile::of(&base, &t).peak();
-        let bound = (peak * frac).max(t.max_single_op_power());
+        let bound = (peak * frac).max(units(t.max_single_op_power()));
         let s = pasap(&g, &t, &PowerBudget::constant(bound), 10_000).unwrap();
         s.validate(&g, &t, None, Some(&PowerBudget::constant(bound))).unwrap();
     }
@@ -94,7 +94,7 @@ proptest! {
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let base = asap(&g, &t);
         let peak = PowerProfile::of(&base, &t).peak();
-        let lo = (peak * frac).max(t.max_single_op_power());
+        let lo = (peak * frac).max(units(t.max_single_op_power()));
 
         // Flat per-cycle envelope ≡ constant envelope, bit for bit.
         let constant = pasap(&g, &t, &PowerBudget::constant(lo), 10_000).unwrap();
@@ -207,7 +207,7 @@ mod locked_props {
             let lib = paper_library();
             let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
             let peak = PowerProfile::of(&asap(&g, &t), &t).peak();
-            let bound = (peak * frac).max(t.max_single_op_power());
+            let bound = (peak * frac).max(units(t.max_single_op_power()));
             let horizon = 10_000;
             let base = pasap(&g, &t, &PowerBudget::constant(bound), horizon).unwrap();
 
@@ -271,7 +271,7 @@ mod placement_cache_props {
         fn cached_placement_orders_match_the_free_functions(
             cfg in config(),
             delays in proptest::collection::vec(1u32..5, 64),
-            powers in proptest::collection::vec(0.0f64..6.0, 64),
+            powers in proptest::collection::vec(0u64..6_000, 64),
             zero_power in any::<u64>(),
             masks in proptest::collection::vec(any::<u64>(), 4),
             nudges in proptest::collection::vec(any::<u64>(), 4),
@@ -284,7 +284,7 @@ mod placement_cache_props {
                 (0..n)
                     .map(|i| OpTiming {
                         delay: delays[i % 64],
-                        power: if zero_power >> (i % 64) & 1 == 1 { 0.0 } else { powers[i % 64] },
+                        power: if zero_power >> (i % 64) & 1 == 1 { 0 } else { powers[i % 64] },
                     })
                     .collect(),
             );
@@ -298,7 +298,7 @@ mod placement_cache_props {
                         t.set(id, OpTiming { delay: old.delay % 4 + 1, ..old });
                     }
                 }
-                let single = t.max_single_op_power();
+                let single = units(t.max_single_op_power());
                 let bound = single * frac;
                 // Constant budgets on even rounds, stepwise (tight
                 // opening, looser tail) on odd ones.
@@ -340,40 +340,28 @@ mod ledger_props {
     use super::*;
     use pchls_sched::{NaivePowerLedger, PowerBudget, PowerLedger};
 
-    /// One random ledger operation: `(opcode, start, delay, power)`.
-    type LedgerOp = (u8, u32, u32, f64);
+    /// One random ledger operation: `(opcode, start, delay, power)`,
+    /// power in quanta.
+    type LedgerOp = (u8, u32, u32, u64);
 
-    /// Drives the flat [`PowerLedger`] and the reference
-    /// [`NaivePowerLedger`] through the same operation sequence,
-    /// asserting every query answer matches along the way and that the
-    /// final per-cycle reservations are bit-identical.
-    fn check_agreement(horizon: u32, budget: f64, ops: &[LedgerOp]) -> Result<(), TestCaseError> {
-        let ledger = PowerLedger::new(horizon, budget);
-        let naive = NaivePowerLedger::new(horizon, budget);
-        check_ledger_pair(ledger, naive, horizon, ops)
-    }
-
-    /// As [`check_agreement`], over an arbitrary budget envelope.
-    fn check_agreement_budget(
+    /// Drives the slack [`PowerLedger`] and the reference
+    /// [`NaivePowerLedger`] through the same operation sequence under
+    /// `budget`, asserting every query answer matches along the way,
+    /// that the per-cycle reservations agree, and that releasing every
+    /// live reservation returns the ledger to its empty state exactly.
+    fn check_agreement(
         horizon: u32,
         budget: &PowerBudget,
         ops: &[LedgerOp],
     ) -> Result<(), TestCaseError> {
-        let ledger = PowerLedger::under(horizon, budget);
-        let naive = NaivePowerLedger::under(horizon, budget);
-        check_ledger_pair(ledger, naive, horizon, ops)
-    }
-
-    fn check_ledger_pair(
-        mut ledger: PowerLedger,
-        mut naive: NaivePowerLedger,
-        horizon: u32,
-        ops: &[LedgerOp],
-    ) -> Result<(), TestCaseError> {
+        let mut ledger = PowerLedger::under(horizon, budget);
+        let mut naive = NaivePowerLedger::under(horizon, budget);
         prop_assert_eq!(ledger.horizon(), naive.horizon());
-        let mut snaps: Vec<(u32, Vec<f64>)> = Vec::new();
+        // Live reservations: a release returns one of them, as the
+        // synthesis loop's candidate undo does.
+        let mut live: Vec<(u32, u32, u64)> = Vec::new();
         for &(op, start, delay, power) in ops {
-            match op % 6 {
+            match op % 5 {
                 0 => prop_assert_eq!(
                     ledger.fits(start, delay, power),
                     naive.fits(start, delay, power),
@@ -409,17 +397,17 @@ mod ledger_props {
                     if a {
                         ledger.reserve(start, delay, power);
                         naive.reserve(start, delay, power);
+                        live.push((start, delay, power));
                     }
                 }
                 3 => {
-                    // Release stays within the horizon (releasing beyond
-                    // it is a caller bug both ledgers reject loudly).
-                    if u64::from(start) + u64::from(delay) <= u64::from(horizon) {
-                        ledger.release(start, delay, power);
-                        naive.release(start, delay, power);
+                    if !live.is_empty() {
+                        let (s, d, p) = live.swap_remove(start as usize % live.len());
+                        ledger.release(s, d, p);
+                        naive.release(s, d, p);
                     }
                 }
-                4 => {
+                _ => {
                     // The violating cycle a failed fit reports. Oracle:
                     // none for a fit, the horizon for a window past it,
                     // otherwise the window's first cycle that cannot
@@ -437,32 +425,15 @@ mod ledger_props {
                         "first_unfit_cycle({start}, {delay}, {power})"
                     );
                 }
-                _ => {
-                    let (a, b) = (ledger.snapshot(start, delay), naive.snapshot(start, delay));
-                    prop_assert_eq!(&a, &b, "snapshot({start}, {delay})");
-                    if !a.is_empty() {
-                        snaps.push((start, a));
-                    }
-                }
             }
         }
-        // Unwind every snapshot (newest first, as the synthesis loop's
-        // candidate rollback does) and compare the final state bit for
-        // bit.
-        for (start, values) in snaps.into_iter().rev() {
-            ledger.restore(start, &values);
-            naive.restore(start, &values);
-        }
         for c in 0..horizon {
-            prop_assert_eq!(
-                ledger.used(c).to_bits(),
-                naive.used(c).to_bits(),
-                "cycle {} diverged: {} vs {}",
-                c,
-                ledger.used(c),
-                naive.used(c)
-            );
+            prop_assert_eq!(ledger.used(c), naive.used(c), "cycle {} diverged", c);
         }
+        for (s, d, p) in live {
+            ledger.release(s, d, p);
+        }
+        prop_assert_eq!(ledger, PowerLedger::under(horizon, budget));
         Ok(())
     }
 
@@ -471,14 +442,14 @@ mod ledger_props {
 
         /// Under a constant budget, the ledger and the naive reference
         /// agree on every `fits` / `earliest_fit` / `first_unfit_cycle` /
-        /// `reserve` / `release` / `snapshot` / `restore` under random
-        /// operation sequences, on horizons from 0 to 200 cycles.
+        /// `reserve` / `release` under random operation sequences, on
+        /// horizons from 0 to 200 cycles.
         #[test]
         fn constant_ledger_agrees_with_naive(
             horizon in 0u32..200,
             budget_step in 0u8..5,
             ops in proptest::collection::vec(
-                (0u8..15, 0u32..220, 0u32..24, 0f64..12.5),
+                (0u8..15, 0u32..220, 0u32..24, 0u64..12_500),
                 1..80,
             ),
         ) {
@@ -486,26 +457,23 @@ mod ledger_props {
                 0 => f64::INFINITY,
                 b => f64::from(b) * 7.5,
             };
-            check_agreement(horizon, budget, &ops)?;
+            check_agreement(horizon, &PowerBudget::constant(budget), &ops)?;
         }
 
-        /// Under random **stepwise** envelopes, the slack ledger and
-        /// the naive per-cycle-slack reference agree on every
-        /// operation, including budgets whose phases are all equal
-        /// (which must collapse to the constant fast path on both
-        /// sides).
+        /// Under random **stepwise** envelopes the two ledgers agree on
+        /// every operation, including budgets whose phases are all
+        /// equal.
         #[test]
         fn stepwise_envelope_ledger_agrees_with_naive(
             horizon in 0u32..200,
             raw_steps in proptest::collection::vec((0u32..200, 0u8..6), 1..6),
             ops in proptest::collection::vec(
-                (0u8..15, 0u32..220, 0u32..24, 0f64..12.5),
+                (0u8..15, 0u32..220, 0u32..24, 0u64..12_500),
                 1..80,
             ),
         ) {
             // Strictly increasing cycles, first step at 0; bound levels
-            // quantized so equal-phase (constant-collapse) envelopes
-            // occur often.
+            // quantized so equal-phase envelopes occur often.
             let mut steps: Vec<(u32, f64)> = Vec::new();
             for (i, &(c, level)) in raw_steps.iter().enumerate() {
                 let cycle = if i == 0 { 0 } else { c };
@@ -517,47 +485,42 @@ mod ledger_props {
                     steps.push((cycle, bound));
                 }
             }
-            let budget = PowerBudget::steps(steps);
-            check_agreement_budget(horizon, &budget, &ops)?;
+            check_agreement(horizon, &PowerBudget::steps(steps), &ops)?;
         }
 
-        /// Under random **per-cycle** envelopes (arbitrary bound per
-        /// cycle), the two ledgers agree on every operation.
+        /// Under random **per-cycle** envelopes (an arbitrary, mostly
+        /// off-lattice bound per cycle), the two ledgers agree on every
+        /// operation.
         #[test]
         fn per_cycle_envelope_ledger_agrees_with_naive(
             bounds in proptest::collection::vec(0f64..40.0, 1..200),
             ops in proptest::collection::vec(
-                (0u8..15, 0u32..220, 0u32..24, 0f64..12.5),
+                (0u8..15, 0u32..220, 0u32..24, 0u64..12_500),
                 1..80,
             ),
         ) {
             let horizon = bounds.len() as u32;
-            let budget = PowerBudget::per_cycle(bounds);
-            check_agreement_budget(horizon, &budget, &ops)?;
+            check_agreement(horizon, &PowerBudget::per_cycle(bounds), &ops)?;
         }
 
-        /// The chunked (4-wide unrolled) scans answer exactly like the
-        /// naive cycle scan on windows of 0–79 cycles over horizons of
-        /// 65–299, so every chunk remainder and windows far longer
-        /// than any module delay are covered. Both the constant
-        /// max-reduction and the envelope min-slack-reduction paths are
-        /// exercised.
+        /// The window scans answer exactly like the naive cycle scan on
+        /// windows of 0–79 cycles over horizons of 65–299, far longer
+        /// than any module delay, under a flat and a two-phase budget.
         #[test]
         fn chunked_leaf_scans_agree_with_naive_across_regimes(
             horizon in 65u32..300,
             envelope in any::<bool>(),
             ops in proptest::collection::vec(
-                (0u8..15, 0u32..300, 0u32..80, 0f64..12.5),
+                (0u8..15, 0u32..300, 0u32..80, 0u64..12_500),
                 1..60,
             ),
         ) {
-            if envelope {
-                // A two-phase envelope keeps the slack path engaged.
-                let budget = PowerBudget::steps(vec![(0, 25.0), (horizon / 2, 10.0)]);
-                check_agreement_budget(horizon, &budget, &ops)?;
+            let budget = if envelope {
+                PowerBudget::steps(vec![(0, 25.0), (horizon / 2, 10.0)])
             } else {
-                check_agreement(horizon, 20.0, &ops)?;
-            }
+                PowerBudget::constant(20.0)
+            };
+            check_agreement(horizon, &budget, &ops)?;
         }
 
         /// Long windows on large horizons keep the offset search's jump
@@ -567,14 +530,14 @@ mod ledger_props {
         fn long_window_earliest_fit_matches_naive_scan(
             horizon in 65u32..400,
             ops in proptest::collection::vec(
-                (0u32..380, 1u32..40, 0f64..6.0),
+                (0u32..380, 1u32..40, 0u64..6_000),
                 1..40,
             ),
-            probes in proptest::collection::vec((0u32..380, 1u32..60, 0f64..6.0), 1..30),
+            probes in proptest::collection::vec((0u32..380, 1u32..60, 0u64..6_000), 1..30),
         ) {
-            let budget = 10.0;
-            let mut ledger = PowerLedger::new(horizon, budget);
-            let mut naive = NaivePowerLedger::new(horizon, budget);
+            let budget = PowerBudget::constant(10.0);
+            let mut ledger = PowerLedger::under(horizon, &budget);
+            let mut naive = NaivePowerLedger::under(horizon, &budget);
             for &(start, delay, power) in &ops {
                 if ledger.fits(start, delay, power) && naive.fits(start, delay, power) {
                     ledger.reserve(start, delay, power);
@@ -595,6 +558,52 @@ mod ledger_props {
                         .filter(|&s| s + delay <= deadline.min(horizon)),
                     "earliest_fit_by({start}, {delay}, {power}, {deadline})"
                 );
+            }
+        }
+    }
+}
+
+mod quanta_props {
+    use super::*;
+    use pchls_fulib::bound_quanta;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Summing library powers in quanta and comparing against the
+        /// bound's quanta decides every prefix of a random multiset
+        /// exactly as the `f64` comparison `sum ≤ b + 1e-9` does. The
+        /// bound is drawn uniformly, from an auto-grid-style
+        /// `lo + (hi − lo)·i/(n − 1)` sweep, or within 1e-12 of a
+        /// lattice point that one of the prefix sums hits exactly.
+        #[test]
+        fn exact_and_tolerant_comparisons_agree(
+            picks in proptest::collection::vec(0usize..8, 0..40),
+            kind in 0u8..3,
+            uniform in 0f64..200.0,
+            lo in 0f64..10.0,
+            hi in 10f64..200.0,
+            i in 0usize..64,
+            n in 2usize..64,
+            anchor in 0usize..41,
+            jitter in -1e-12f64..1e-12,
+        ) {
+            let lib = paper_library();
+            let powers: Vec<u64> = picks.iter().map(|&m| lib.modules()[m].power()).collect();
+            let b = match kind {
+                0 => uniform,
+                1 => lo + (hi - lo) * (i % n) as f64 / (n - 1) as f64,
+                _ => {
+                    let lattice: u64 = powers[..anchor.min(powers.len())].iter().sum();
+                    (units(lattice) + jitter).max(0.0)
+                }
+            };
+            let cap = bound_quanta(b);
+            let (mut exact, mut float) = (0u64, 0.0f64);
+            for power in powers {
+                exact += power;
+                float += units(power);
+                prop_assert_eq!(exact <= cap, float <= b + 1e-9, "sum {} against {}", float, b);
             }
         }
     }

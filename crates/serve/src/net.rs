@@ -4,9 +4,11 @@
 //!
 //! [`serve_tcp_with`] runs the accept loop *and all connection I/O* on
 //! a single [`pchls_net::Reactor`] thread: nonblocking sockets,
-//! level-triggered readiness, capped [`LineCodec`] framing per
-//! connection, and a timer wheel arming each request's `deadline_ms`.
-//! Synthesis happens on the service's sharded worker pools; finished
+//! level-triggered readiness and capped [`LineCodec`] framing per
+//! connection. A request's `deadline_ms` is enforced by the worker's
+//! progress hook, measured from the moment the request was accepted, so
+//! a job that expired while queued answers `deadline exceeded` at its
+//! first iteration. Synthesis happens on the service's sharded worker pools; finished
 //! responses come back over a completion channel paired with the
 //! reactor's waker, so the I/O thread sleeps in `poll` until there is
 //! something to do.
@@ -43,7 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pchls_net::{Backend, Frame, Interest, LineCodec, Reactor, TimerId, Token, Waker, WriteBuffer};
+use pchls_net::{Backend, Frame, Interest, LineCodec, Reactor, Token, Waker, WriteBuffer};
 
 use crate::admission::TokenBucket;
 use crate::protocol::{SubmitRequest, SubmitResponse};
@@ -53,9 +55,9 @@ use crate::stats::render_serve_stats;
 /// The reactor token of the TCP listener; connections use `slot + 1`.
 const LISTENER_TOKEN: Token = Token(0);
 
-/// Timer payload token of the periodic `--stats-interval` line. Timer
-/// tokens are a namespace separate from fd registrations, and request
-/// deadline keys count up from zero — the top value can't collide.
+/// Timer payload token of the periodic `--stats-interval` line, the
+/// reactor's only timer (timer tokens are a namespace separate from fd
+/// registrations).
 const STATS_TIMER_TOKEN: Token = Token(usize::MAX);
 
 /// Hard cap on unread response bytes buffered per connection before the
@@ -124,8 +126,6 @@ struct Conn {
     bucket: Option<TokenBucket>,
     /// In-flight cancellation flags by request id.
     cancels: HashMap<u64, Arc<AtomicBool>>,
-    /// Armed `deadline_ms` timers by request id.
-    deadline_timers: HashMap<u64, TimerId>,
     /// Responses still owed to this connection (accepted jobs *and*
     /// already-answered refusals riding the completion channel).
     in_flight: usize,
@@ -239,10 +239,7 @@ struct Server<'a> {
     /// conn_id → slot (connections are also addressed by the stable id
     /// riding the completion channel, which outlives slot reuse).
     by_id: HashMap<u64, usize>,
-    /// Deadline-timer payload key → (conn_id, request id).
-    timer_keys: HashMap<usize, (u64, u64)>,
     next_conn_id: u64,
-    next_timer_key: usize,
 }
 
 impl<'a> Server<'a> {
@@ -258,9 +255,7 @@ impl<'a> Server<'a> {
             done_rx,
             conns: Vec::new(),
             by_id: HashMap::new(),
-            timer_keys: HashMap::new(),
             next_conn_id: 0,
-            next_timer_key: 0,
         })
     }
 
@@ -313,7 +308,6 @@ impl<'a> Server<'a> {
             out: WriteBuffer::new(),
             bucket,
             cancels: HashMap::new(),
-            deadline_timers: HashMap::new(),
             in_flight: 0,
             read_closed: false,
             interest: Interest::READABLE,
@@ -364,8 +358,7 @@ impl<'a> Server<'a> {
     }
 
     /// The reactor's admission for one routed `synth` request: the
-    /// connection's token bucket, non-blocking submission and the
-    /// deadline timer that covers time spent queued.
+    /// connection's token bucket and non-blocking submission.
     fn dispatch_synth(&mut self, conn: &mut Conn, request: SubmitRequest) {
         if let Some(bucket) = &mut conn.bucket {
             if !bucket.try_take(Instant::now()) {
@@ -375,7 +368,6 @@ impl<'a> Server<'a> {
             }
         }
         let id = request.id;
-        let deadline_ms = request.deadline_ms;
         let sink = ReplySink::Conn {
             conn: conn.conn_id,
             tx: self.done_tx.clone(),
@@ -386,37 +378,7 @@ impl<'a> Server<'a> {
         // refusals were answered inside `submit_sink`).
         conn.in_flight += 1;
         if let SubmitOutcome::Accepted(cancel) = self.service.submit_sink(request, sink) {
-            conn.cancels.insert(id, Arc::clone(&cancel));
-            if deadline_ms > 0 {
-                // The service's progress hook enforces the deadline
-                // once synthesis runs; this timer additionally covers
-                // time spent *queued*.
-                let key = self.next_timer_key;
-                self.next_timer_key += 1;
-                let timer = self.reactor.arm_timer(
-                    Instant::now() + Duration::from_millis(deadline_ms),
-                    Token(key),
-                );
-                self.timer_keys.insert(key, (conn.conn_id, id));
-                conn.deadline_timers.insert(id, timer);
-            }
-        }
-    }
-
-    /// A deadline timer fired: cancel the request if it is still in
-    /// flight.
-    fn timer_fired(&mut self, token: Token) {
-        let Some((conn_id, request_id)) = self.timer_keys.remove(&token.0) else {
-            return;
-        };
-        let Some(&slot) = self.by_id.get(&conn_id) else {
-            return;
-        };
-        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-            conn.deadline_timers.remove(&request_id);
-            if let Some(flag) = conn.cancels.get(&request_id) {
-                flag.store(true, Ordering::Relaxed);
-            }
+            conn.cancels.insert(id, cancel);
         }
     }
 
@@ -432,11 +394,6 @@ impl<'a> Server<'a> {
             };
             conn.in_flight = conn.in_flight.saturating_sub(1);
             conn.cancels.remove(&response.id);
-            if let Some(timer) = conn.deadline_timers.remove(&response.id) {
-                if let Some(key) = self.reactor.cancel_timer(timer) {
-                    self.timer_keys.remove(&key.0);
-                }
-            }
             conn.queue_response(&response);
             let alive = self.flush_and_update(&mut conn);
             self.settle(slot, conn, alive);
@@ -483,15 +440,10 @@ impl<'a> Server<'a> {
     }
 
     /// Tears one connection down: abandoned in-flight work is
-    /// cancelled, its timers disarmed, the socket deregistered.
+    /// cancelled, the socket deregistered.
     fn retire(&mut self, conn: Conn) {
         for flag in conn.cancels.values() {
             flag.store(true, Ordering::Relaxed);
-        }
-        for (_, timer) in conn.deadline_timers {
-            if let Some(key) = self.reactor.cancel_timer(timer) {
-                self.timer_keys.remove(&key.0);
-            }
         }
         self.reactor.deregister(conn.stream.as_raw_fd());
         self.by_id.remove(&conn.conn_id);
@@ -528,8 +480,8 @@ pub fn serve_tcp_with(
         .reactor
         .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
     shutdown.attach(server.waker.clone());
-    // Periodic in-flight stats line, riding the same timer wheel as the
-    // request deadlines (an idle server still reports on schedule).
+    // Periodic in-flight stats line on the reactor's timer wheel (an
+    // idle server still reports on schedule).
     let stats_every = (service.limits().stats_interval > 0)
         .then(|| Duration::from_secs(service.limits().stats_interval));
     if let Some(every) = stats_every {
@@ -556,8 +508,6 @@ pub fn serve_tcp_with(
                         .reactor
                         .arm_timer(Instant::now() + every, STATS_TIMER_TOKEN);
                 }
-            } else {
-                server.timer_fired(timer);
             }
         }
         server.deliver_completions();

@@ -149,8 +149,9 @@ fn overloaded_shard_sheds_answers_everything_and_shuts_down_cleanly() {
 #[test]
 fn deadline_on_a_queued_job_still_trips() {
     // One worker grinding a heavy job; a second heavy job with a 1ms
-    // deadline sits queued past its deadline — the reactor's timer (or
-    // the worker's first progress check) must cancel it.
+    // deadline sits queued past its deadline — the worker's first
+    // progress check must answer it `deadline exceeded`, exactly as the
+    // in-process and stdio paths do.
     let service = Arc::new(Service::start(
         Engine::new(paper_library()),
         ServiceConfig {
@@ -166,7 +167,9 @@ fn deadline_on_a_queued_job_still_trips() {
     let g = pchls_cdfg::parse_cdfg(&text).unwrap();
     let latency = service.engine().compile(&g).min_latency() * 2;
 
-    std::thread::scope(|scope| {
+    // The loop is stopped before anything is asserted, so a wrong reply
+    // fails the test instead of leaving the serve thread running.
+    let responses = std::thread::scope(|scope| {
         let loop_thread = scope.spawn(|| serve_tcp_with(&service, &listener, &shutdown));
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -178,19 +181,19 @@ fn deadline_on_a_queued_job_still_trips() {
         let mut responses: Vec<SubmitResponse> = Vec::new();
         while responses.len() < 2 {
             let mut line = String::new();
-            assert!(reader.read_line(&mut line).unwrap() > 0, "server hung up");
+            if reader.read_line(&mut line).unwrap() == 0 {
+                break; // server hung up: asserted below
+            }
             responses.push(serde_json::from_str(&line).expect("well-formed"));
         }
-        let doomed_resp = responses.iter().find(|r| r.id == 2).unwrap();
-        assert!(!doomed_resp.ok, "a 1ms deadline on a queued job must trip");
-        let why = doomed_resp.error.as_deref().unwrap();
-        assert!(
-            why == "cancelled" || why == "deadline exceeded",
-            "unexpected error: {why}"
-        );
-        assert!(responses.iter().find(|r| r.id == 1).unwrap().ok);
         shutdown.request_stop();
         loop_thread.join().unwrap().unwrap();
+        responses
     });
+    assert_eq!(responses.len(), 2, "server hung up");
+    let doomed_resp = responses.iter().find(|r| r.id == 2).unwrap();
+    assert!(!doomed_resp.ok, "a 1ms deadline on a queued job must trip");
+    assert_eq!(doomed_resp.error.as_deref(), Some("deadline exceeded"));
+    assert!(responses.iter().find(|r| r.id == 1).unwrap().ok);
     assert_eq!(service.stats().cancelled, 1);
 }

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! ┌───────────┬───────┬───────┬─────┬─────────────────────────────┐
-//! │ "PCHSTO2" │ block │ block │ ... │ footer  crc  len  "PCEN"    │
+//! │ "PCHSTO3" │ block │ block │ ... │ footer  crc  len  "PCEN"    │
 //! └───────────┴───────┴───────┴─────┴─────────────────────────────┘
 //! ```
 //!
@@ -40,8 +40,14 @@ use pchls_sched::Schedule;
 use crate::crc::crc32;
 use crate::varint::{get_delta_column, get_u64, put_delta_column, put_u64};
 
-/// First bytes of every store file (format version 2 baked in).
-pub(crate) const FILE_MAGIC: &[u8; 8] = b"PCHSTO2\n";
+/// First bytes of every store file (format version 3 baked in).
+///
+/// Format 3 has format 2's layout. It exists because a format-2 file
+/// holds `peak_power` values summed in `f64` (`8.100000000000001`),
+/// while a cold run now reports the exact quanta sum (`8.1`); serving
+/// the old bits would break "a store answer equals a cold run byte for
+/// byte", so a format-2 file is refused like a format-1 one.
+pub(crate) const FILE_MAGIC: &[u8; 8] = b"PCHSTO3\n";
 /// Leads every block.
 pub(crate) const BLOCK_MAGIC: u32 = u32::from_le_bytes(*b"PCBK");
 /// Leads the footer.

@@ -135,7 +135,7 @@ impl Store {
         if magic.as_deref() != Some(FILE_MAGIC.as_slice()) {
             let what = match magic.as_deref() {
                 Some([b'P', b'C', b'H', b'S', b'T', b'O', version, b'\n']) => format!(
-                    "a format-{} pchls store; this build reads format 2 only \
+                    "a format-{} pchls store; this build reads format 3 only \
                      (delete it, the results recompute)",
                     char::from(*version)
                 ),
@@ -600,18 +600,32 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn format_1_file_is_refused_naming_its_version() {
-        let dir = temp_dir("format1");
+    /// An older-format file is refused with `InvalidData` naming its
+    /// version, and left untouched.
+    fn assert_refused_by_version(version: u8) {
+        let dir = temp_dir(&format!("format{version}"));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = b"PCHSTO1\n".to_vec();
+        let mut bytes = format!("PCHSTO{version}\n").into_bytes();
         bytes.extend_from_slice(&[0; 64]);
         std::fs::write(dir.join(STORE_FILE_NAME), &bytes).unwrap();
         let err = Store::open(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("format-1"), "{err}");
+        assert!(
+            err.to_string().contains(&format!("format-{version}")),
+            "{err}"
+        );
         assert_eq!(std::fs::read(dir.join(STORE_FILE_NAME)).unwrap(), bytes);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn format_1_file_is_refused_naming_its_version() {
+        assert_refused_by_version(1);
+    }
+
+    #[test]
+    fn format_2_file_is_refused_naming_its_version() {
+        assert_refused_by_version(2);
     }
 
     #[test]
@@ -640,9 +654,9 @@ mod tests {
 
     /// The exact bytes of a flushed 3-record, 2-block store. A change to
     /// the layout shows up here first; bless it on purpose with
-    /// `PCHLS_BLESS_GOLDEN=1 cargo test -p pchls-store format_2_bytes`.
+    /// `PCHLS_BLESS_GOLDEN=1 cargo test -p pchls-store format_3_bytes`.
     #[test]
-    fn format_2_bytes_match_the_golden() {
+    fn format_3_bytes_match_the_golden() {
         let dir = temp_dir("golden");
         {
             let mut store = Store::open(&dir).unwrap();
@@ -656,7 +670,7 @@ mod tests {
             store.flush().unwrap();
         }
         let bytes = std::fs::read(dir.join(STORE_FILE_NAME)).unwrap();
-        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/format2.bin");
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/format3.bin");
         if std::env::var_os("PCHLS_BLESS_GOLDEN").is_some() {
             std::fs::write(&golden, &bytes).unwrap();
         }

@@ -41,6 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         flat.peak_to_average()
     );
 
+    let (spiky, flat) = (spiky.per_cycle(), flat.per_cycle());
     let capacity = 2_000_000.0;
     let cells: [Box<dyn BatteryModel>; 3] = [
         Box::new(PeukertBattery::high_quality(capacity)),
@@ -49,12 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     println!("\nbattery lifetime (total clock cycles until cutoff):");
     for cell in &cells {
-        let cmp = compare_profiles(cell.as_ref(), spiky.per_cycle(), flat.per_cycle());
+        let cmp = compare_profiles(cell.as_ref(), &spiky, &flat);
         println!(
             "  {:<14} {:>12} -> {:>12}   extension {:.1}%",
             cmp.model,
-            cmp.baseline.total_cycles(spiky.per_cycle().len()),
-            cmp.flattened.total_cycles(flat.per_cycle().len()),
+            cmp.baseline.total_cycles(spiky.len()),
+            cmp.flattened.total_cycles(flat.len()),
             (cmp.extension - 1.0) * 100.0
         );
     }

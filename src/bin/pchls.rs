@@ -860,9 +860,9 @@ fn battery(args: &[String]) -> Result<String, String> {
         .unconstrained(constraints.latency, pchls::fulib::SelectionPolicy::Fastest)
         .map_err(|e| e.to_string())?;
 
-    let flat = constrained.power_profile();
-    let spiky = oblivious.power_profile();
-    let report = battery_report(capacity, spiky.per_cycle(), flat.per_cycle());
+    let flat = constrained.power_profile().per_cycle();
+    let spiky = oblivious.power_profile().per_cycle();
+    let report = battery_report(capacity, &spiky, &flat);
 
     let mut out = format!(
         "{} at T={} under {}:\n  power-oblivious: {}\n  power-constrained: {}\n\n",
@@ -872,7 +872,7 @@ fn battery(args: &[String]) -> Result<String, String> {
         oblivious.summary(),
         constrained.summary(),
     );
-    out.push_str(&report.to_text(flat.per_cycle().len(), spiky.per_cycle().len()));
+    out.push_str(&report.to_text(flat.len(), spiky.len()));
     Ok(out)
 }
 

@@ -97,8 +97,8 @@ fn flattened_designs_extend_battery_life() {
     let battery = RateCapacityBattery::low_quality(1_000_000.0);
     let cmp = compare_profiles(
         &battery,
-        oblivious.power_profile().per_cycle(),
-        constrained.power_profile().per_cycle(),
+        &oblivious.power_profile().per_cycle(),
+        &constrained.power_profile().per_cycle(),
     );
     assert!(
         cmp.extension > 1.05,
@@ -108,7 +108,7 @@ fn flattened_designs_extend_battery_life() {
     // And the ideal battery confirms the gain comes from the shape, not
     // from doing less work.
     let ideal = pchls::battery::IdealBattery::new(1_000_000.0);
-    let _ = ideal.lifetime(constrained.power_profile().per_cycle());
+    let _ = ideal.lifetime(&constrained.power_profile().per_cycle());
 }
 
 #[test]

@@ -71,7 +71,7 @@ fn inflating_op_power_past_the_bound_is_caught() {
         victim,
         OpTiming {
             delay: timing.delay(victim),
-            power: d.constraints.max_power() + 10.0,
+            power: pchls::fulib::bound_quanta(d.constraints.max_power()) + 10_000,
         },
     );
     let corrupted = SynthesizedDesign { timing, ..d };
