@@ -1,11 +1,11 @@
 //! The tentpole guarantee of the parallel exploration layer: fanning
 //! grid points across cores must not change a single byte of the output.
-//! Every Figure 2 curve is swept both ways (whole-figure
-//! `Engine::sweep_batch` fan-out vs. the serial reference) over a
-//! thinned power grid and compared for exact equality.
+//! Every Figure 2 curve is swept both ways (`Session::sweep` vs. the
+//! serial reference) over a thinned power grid and compared for exact
+//! equality.
 
 use pchls_bench::{figure2_curves, figure2_power_grid};
-use pchls_core::{power_sweep_serial, Engine, SweepJob, SweepSpec, SynthesisOptions};
+use pchls_core::{power_sweep_serial, Engine, SweepSpec, SynthesisOptions};
 use pchls_fulib::paper_library;
 
 /// Every 5th point of the Figure 2 grid: spans the whole axis (including
@@ -13,34 +13,6 @@ use pchls_fulib::paper_library;
 /// debug-mode CI can afford.
 fn thinned_grid() -> Vec<f64> {
     figure2_power_grid().into_iter().step_by(5).collect()
-}
-
-#[test]
-fn sweep_batch_equals_serial_on_all_figure2_curves() {
-    let lib = paper_library();
-    let engine = Engine::new(lib.clone());
-    let curves = figure2_curves();
-    let grid = thinned_grid();
-    let compiled: Vec<_> = curves.iter().map(|(g, _)| engine.compile(g)).collect();
-    let jobs: Vec<SweepJob<'_>> = curves
-        .iter()
-        .zip(&compiled)
-        .map(|((_, latency), c)| SweepJob {
-            compiled: c,
-            spec: SweepSpec::power(*latency, grid.clone()),
-        })
-        .collect();
-    let parallel = engine.sweep_batch(&jobs, &SynthesisOptions::default());
-    assert_eq!(parallel.len(), curves.len());
-    for ((graph, latency), curve) in curves.iter().zip(&parallel) {
-        let serial = power_sweep_serial(graph, &lib, *latency, &grid, &SynthesisOptions::default());
-        assert_eq!(
-            curve.points,
-            serial,
-            "{} T={latency} diverged",
-            graph.name()
-        );
-    }
 }
 
 #[test]

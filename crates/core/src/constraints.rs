@@ -16,9 +16,9 @@ pub const MAX_LATENCY: u32 = 1 << 16;
 /// `P<` or a time-varying [`PowerBudget`] envelope (battery-derived sag,
 /// DVS/thermal phase steps).
 ///
-/// Constructed from a scalar the constraints behave exactly as the
-/// historical `(latency, max_power)` pair did — every layer detects the
-/// constant shape and takes the original code path, bit for bit.
+/// Constructed from a scalar, the budget is a constant one, which every
+/// layer treats as an envelope with equal bounds: one code path serves
+/// every budget shape.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SynthesisConstraints {
     /// Latency bound in clock cycles: every operation must finish by this

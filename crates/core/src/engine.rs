@@ -54,7 +54,7 @@ use crate::baseline::{trimmed_allocation_bind, two_step_bind, unconstrained_bind
 use crate::constraints::SynthesisConstraints;
 use crate::design::SynthesizedDesign;
 use crate::error::SynthesisError;
-use crate::explore::{envelope, latency_order, power_order, run_point, SweepAxis, SweepPoint};
+use crate::explore::{envelope, latency_order, power_order, SweepAxis, SweepPoint};
 use crate::options::SynthesisOptions;
 use crate::refine::{portfolio_session, refined_session};
 use crate::synthesis::synthesize_session;
@@ -173,39 +173,6 @@ impl Engine {
             engine: self,
             compiled,
         }
-    }
-
-    /// Runs many sweeps at once, fanning **all grid points of all jobs**
-    /// out across the worker pool — the whole-figure entry point (all
-    /// six Figure 2 curves in one call). Flattening the `jobs × grid`
-    /// rectangle into one work list keeps every core busy even while the
-    /// last expensive points of one curve are still running, which a
-    /// job-at-a-time loop over [`Session::sweep`] cannot do.
-    ///
-    /// Each returned sweep is byte-identical to [`Session::sweep`] on
-    /// the same `(compiled, spec)` pair.
-    #[must_use]
-    pub fn sweep_batch(
-        &self,
-        jobs: &[SweepJob<'_>],
-        options: &SynthesisOptions,
-    ) -> Vec<SweepResult> {
-        let flat: Vec<(usize, usize)> = jobs
-            .iter()
-            .enumerate()
-            .flat_map(|(j, job)| (0..job.spec.len()).map(move |i| (j, i)))
-            .collect();
-        let mut raw = pchls_par::par_map(&flat, |&(j, i)| {
-            let job = &jobs[j];
-            run_point(self, job.compiled, job.spec.constraints(i), options)
-        });
-        jobs.iter()
-            .map(|job| {
-                let rest = raw.split_off(job.spec.len());
-                let points = std::mem::replace(&mut raw, rest);
-                finish_sweep(job.compiled, &job.spec, points)
-            })
-            .collect()
     }
 }
 
@@ -344,9 +311,9 @@ impl<'e> Session<'e> {
     }
 
     /// The self-tightening refinement loop over this session's shared
-    /// artifacts: re-synthesizes with the power bound ratcheted just
-    /// below each achieved peak and keeps the smallest design, never
-    /// larger than [`synthesize`](Session::synthesize)'s.
+    /// artifacts: re-synthesizes with the power bound ratcheted one
+    /// quantum below each achieved peak and keeps the smallest design,
+    /// never larger than [`synthesize`](Session::synthesize)'s.
     ///
     /// # Errors
     ///
@@ -375,70 +342,31 @@ impl<'e> Session<'e> {
     }
 
     /// Sweeps one constraint axis, reusing the compiled graph for every
-    /// grid point: raw points fan out over the worker pool, the
-    /// monotone-envelope pass runs sequentially — output byte-identical
-    /// to the serial references
+    /// grid point: the grid's requests go through
+    /// [`batch`](Session::batch) and [`SweepSpec::envelope`] finishes the
+    /// curve — output byte-identical to the serial references
     /// [`power_sweep_serial`](crate::power_sweep_serial) /
     /// [`latency_sweep_serial`](crate::latency_sweep_serial).
     #[must_use]
     pub fn sweep(&self, spec: &SweepSpec, options: &SynthesisOptions) -> SweepResult {
-        let raw = pchls_par::par_map_indices(spec.len(), |i| {
-            run_point(self.engine, self.compiled, spec.constraints(i), options)
-        });
-        finish_sweep(self.compiled, spec, raw)
-    }
-
-    /// [`sweep`](Session::sweep) with known raw points supplied instead
-    /// of recomputed — the resume path for persistent result stores.
-    ///
-    /// `cached[i]`, when `Some`, must be the **raw** synthesis outcome
-    /// of grid point `i` (what this method returns in its second
-    /// component), *not* a point taken from an enveloped [`SweepResult`]
-    /// — the monotone-envelope pass is rerun here over the merged raw
-    /// grid, so feeding it enveloped points would double-apply carries.
-    /// Only the `None` entries are synthesized, fanned out over the
-    /// worker pool. Returns the enveloped result (byte-identical to a
-    /// full [`sweep`](Session::sweep) of the same grid, by determinism)
-    /// plus the `(grid index, raw point)` pairs computed fresh this
-    /// call, for the caller to persist.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cached.len() != spec.len()`.
-    #[must_use]
-    pub fn sweep_resumable(
-        &self,
-        spec: &SweepSpec,
-        options: &SynthesisOptions,
-        cached: &[Option<SweepPoint>],
-    ) -> (SweepResult, Vec<(usize, SweepPoint)>) {
-        assert_eq!(
-            cached.len(),
-            spec.len(),
-            "cached grid must align with the sweep spec"
-        );
-        let missing: Vec<usize> = (0..spec.len()).filter(|&i| cached[i].is_none()).collect();
-        let computed = pchls_par::par_map(&missing, |&i| {
-            run_point(self.engine, self.compiled, spec.constraints(i), options)
-        });
-        let fresh: Vec<(usize, SweepPoint)> = missing.into_iter().zip(computed).collect();
-        let mut raw: Vec<SweepPoint> = Vec::with_capacity(spec.len());
-        let mut fresh_iter = fresh.iter().peekable();
-        for (i, slot) in cached.iter().enumerate() {
-            match slot {
-                Some(point) => raw.push(point.clone()),
-                None => {
-                    let (j, point) = fresh_iter.next().expect("every missing index was computed");
-                    debug_assert_eq!(*j, i);
-                    raw.push(point.clone());
-                }
-            }
+        let name = self.compiled.name();
+        let requests = (0..spec.len())
+            .map(|i| SynthesisRequest::new(spec.constraints(i)).with_options(*options));
+        let raw = self
+            .batch(requests)
+            .iter()
+            .map(|r| r.to_point(name))
+            .collect();
+        SweepResult {
+            benchmark: name.to_owned(),
+            points: spec.envelope(raw),
         }
-        (finish_sweep(self.compiled, spec, raw), fresh)
     }
 
     /// Runs a batch of independent synthesis requests, fanned out over
-    /// the worker pool while sharing every compiled artifact. Results
+    /// the worker pool while sharing every compiled artifact — this
+    /// crate's one parallel fan-out ([`sweep`](Session::sweep) runs its
+    /// grid through it). Results
     /// come back in request order; each equals the corresponding
     /// one-at-a-time [`synthesize`](Session::synthesize) call exactly.
     #[must_use]
@@ -525,28 +453,6 @@ impl<'e> Session<'e> {
     }
 }
 
-/// Envelope pass + labeling shared by [`Session::sweep`] and
-/// [`Engine::sweep_batch`].
-fn finish_sweep(compiled: &CompiledGraph, spec: &SweepSpec, raw: Vec<SweepPoint>) -> SweepResult {
-    let points = match spec {
-        SweepSpec::Power { powers, .. } => envelope(raw, &power_order(powers), SweepAxis::Power),
-        SweepSpec::Latency { latencies, .. } => {
-            envelope(raw, &latency_order(latencies), SweepAxis::Latency)
-        }
-        // A design feasible at scale `s` stays feasible at every larger
-        // scale (the envelope only grows pointwise), so the monotone
-        // carry applies along ascending scales; the carried label is
-        // the point's own peak bound (`SweepAxis::Power`).
-        SweepSpec::BudgetScale { scales, .. } => {
-            envelope(raw, &power_order(scales), SweepAxis::Power)
-        }
-    };
-    SweepResult {
-        benchmark: compiled.name().to_owned(),
-        points,
-    }
-}
-
 /// One constraint-axis sweep over a compiled graph.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepSpec {
@@ -613,6 +519,36 @@ impl SweepSpec {
         self.len() == 0
     }
 
+    /// The monotone-envelope pass that finishes a sweep: `raw[i]` is
+    /// the raw outcome of grid point `i` (as
+    /// [`SynthesisResult::to_point`] summarizes it), and each returned
+    /// point is the best design found at any tighter point of the grid.
+    /// A caller holding raw points from elsewhere (a result store)
+    /// finishes its sweep here, exactly as [`Session::sweep`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `raw.len() != self.len()`.
+    #[must_use]
+    pub fn envelope(&self, raw: Vec<SweepPoint>) -> Vec<SweepPoint> {
+        assert_eq!(raw.len(), self.len(), "one raw point per grid point");
+        match self {
+            SweepSpec::Power { powers, .. } => {
+                envelope(raw, &power_order(powers), SweepAxis::Power)
+            }
+            SweepSpec::Latency { latencies, .. } => {
+                envelope(raw, &latency_order(latencies), SweepAxis::Latency)
+            }
+            // A design feasible at scale `s` stays feasible at every larger
+            // scale (the envelope only grows pointwise), so the monotone
+            // carry applies along ascending scales; the carried label is
+            // the point's own peak bound (`SweepAxis::Power`).
+            SweepSpec::BudgetScale { scales, .. } => {
+                envelope(raw, &power_order(scales), SweepAxis::Power)
+            }
+        }
+    }
+
     /// The constraints of grid point `i`.
     ///
     /// # Panics
@@ -650,16 +586,6 @@ impl SweepResult {
     pub fn into_points(self) -> Vec<SweepPoint> {
         self.points
     }
-}
-
-/// One sweep job for [`Engine::sweep_batch`]: a compiled graph plus the
-/// constraint grid to sweep it over.
-#[derive(Debug, Clone)]
-pub struct SweepJob<'a> {
-    /// The graph to sweep (compile once, reference from many jobs).
-    pub compiled: &'a CompiledGraph,
-    /// The constraint grid.
-    pub spec: SweepSpec,
 }
 
 /// One point of a [`Session::batch`] request list.
@@ -872,67 +798,5 @@ mod tests {
             .synthesize_with_progress(c, &opts, &mut |_| ControlFlow::Break(()))
             .unwrap_err();
         assert!(matches!(err, SynthesisError::Cancelled));
-    }
-
-    #[test]
-    fn sweep_batch_equals_individual_sweeps() {
-        let engine = Engine::new(paper_library());
-        let hal = engine.compile(&benchmarks::hal());
-        let cosine = engine.compile(&benchmarks::cosine());
-        let opts = SynthesisOptions::default();
-        let jobs = [
-            SweepJob {
-                compiled: &hal,
-                spec: SweepSpec::power(17, vec![10.0, 20.0, 40.0]),
-            },
-            SweepJob {
-                compiled: &hal,
-                spec: SweepSpec::power(10, vec![10.0, 20.0, 40.0]),
-            },
-            SweepJob {
-                compiled: &cosine,
-                spec: SweepSpec::Latency {
-                    power: 30.0,
-                    latencies: vec![10, 12, 15, 19],
-                },
-            },
-        ];
-        let batched = engine.sweep_batch(&jobs, &opts);
-        assert_eq!(batched.len(), jobs.len());
-        for (result, job) in batched.iter().zip(&jobs) {
-            let single = engine.session(job.compiled).sweep(&job.spec, &opts);
-            assert_eq!(result, &single);
-        }
-    }
-
-    #[test]
-    fn resumable_sweep_matches_full_sweep_and_reports_only_fresh_points() {
-        let engine = Engine::new(paper_library());
-        let compiled = engine.compile(&benchmarks::hal());
-        let session = engine.session(&compiled);
-        let opts = SynthesisOptions::default();
-        let spec = SweepSpec::power(17, vec![5.0, 10.0, 20.0, 25.0, 40.0]);
-        let full = session.sweep(&spec, &opts);
-
-        // Seed the cache with the raw outcomes of points 1 and 3 — the
-        // raw points come from a cold resumable run with nothing cached.
-        let (cold, cold_fresh) = session.sweep_resumable(&spec, &opts, &vec![None; spec.len()]);
-        assert_eq!(cold, full, "cold resumable run diverged from sweep()");
-        assert_eq!(cold_fresh.len(), spec.len());
-        let mut cached: Vec<Option<SweepPoint>> = vec![None; spec.len()];
-        for &i in &[1usize, 3] {
-            cached[i] = Some(cold_fresh[i].1.clone());
-        }
-
-        let (resumed, fresh) = session.sweep_resumable(&spec, &opts, &cached);
-        assert_eq!(resumed, full, "resume changed the enveloped result");
-        assert_eq!(
-            fresh.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            vec![0, 2, 4],
-            "only the uncached grid indices were synthesized"
-        );
-        for (i, point) in &fresh {
-            assert_eq!(point, &cold_fresh[*i].1, "fresh point {i} is not raw");
-        }
     }
 }

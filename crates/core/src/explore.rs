@@ -1,9 +1,10 @@
 //! Design-space exploration: the sweeps behind Figure 2.
 //!
-//! [`Session::sweep`](crate::Session::sweep) and
-//! [`Engine::sweep_batch`](crate::Engine::sweep_batch) run the grid
-//! points in parallel; the serial reference sweeps here are the
-//! baseline the determinism tests and the perf suite compare against.
+//! [`Session::sweep`](crate::Session::sweep) runs the grid points in
+//! parallel through [`Session::batch`](crate::Session::batch) and then
+//! applies [`SweepSpec::envelope`](crate::SweepSpec::envelope); the
+//! serial reference sweeps here are the baseline the determinism tests
+//! compare against.
 
 use serde::{Deserialize, Serialize};
 
@@ -218,7 +219,7 @@ pub(crate) fn run_point(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{SweepJob, SweepSpec};
+    use crate::engine::SweepSpec;
     use pchls_cdfg::benchmarks;
     use pchls_fulib::paper_library;
 
@@ -356,37 +357,6 @@ mod tests {
         let par = latency_sweep(&g, &lib, 30.0, &lats, &SynthesisOptions::default());
         let ser = latency_sweep_serial(&g, &lib, 30.0, &lats, &SynthesisOptions::default());
         assert_eq!(par, ser);
-    }
-
-    #[test]
-    fn sweep_many_matches_per_curve_sweeps() {
-        let hal = benchmarks::hal();
-        let cosine = benchmarks::cosine();
-        let grid = [10.0, 20.0, 40.0, 80.0];
-        let opts = SynthesisOptions::default();
-        let lib = paper_library();
-        let engine = Engine::new(lib.clone());
-        let (hal_c, cosine_c) = (engine.compile(&hal), engine.compile(&cosine));
-        let jobs = [
-            SweepJob {
-                compiled: &hal_c,
-                spec: SweepSpec::power(17, grid.to_vec()),
-            },
-            SweepJob {
-                compiled: &cosine_c,
-                spec: SweepSpec::power(15, grid.to_vec()),
-            },
-        ];
-        let many = engine.sweep_batch(&jobs, &opts);
-        assert_eq!(many.len(), 2);
-        assert_eq!(
-            many[0].points,
-            power_sweep_serial(&hal, &lib, 17, &grid, &opts)
-        );
-        assert_eq!(
-            many[1].points,
-            power_sweep_serial(&cosine, &lib, 15, &grid, &opts)
-        );
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use baseline::{two_step_bind, unconstrained_bind, BaselineDesign};
 pub use constraints::{SynthesisConstraints, MAX_LATENCY};
 pub use design::{SynthesisStats, SynthesizedDesign};
 pub use engine::{
-    CompiledGraph, Engine, Progress, Session, SweepJob, SweepResult, SweepSpec, SynthesisRequest,
+    CompiledGraph, Engine, Progress, Session, SweepResult, SweepSpec, SynthesisRequest,
     SynthesisResult,
 };
 pub use error::SynthesisError;

@@ -5,9 +5,11 @@
 //! operations apart in time; a generous budget can therefore leave area
 //! on the table. Since any design feasible under a *tighter* budget is
 //! feasible under the requested one, re-running synthesis with the bound
-//! ratcheted down to just below the previously achieved peak explores
-//! those better-shared designs for free. The best design is reported
-//! against the caller's original constraints.
+//! ratcheted down to one power quantum below the previously achieved
+//! peak explores those better-shared designs for free. The best design
+//! is reported against the caller's original constraints.
+
+use pchls_fulib::{bound_quanta, units};
 
 use crate::constraints::SynthesisConstraints;
 use crate::design::SynthesizedDesign;
@@ -22,10 +24,10 @@ use crate::synthesis::synthesize_session;
 const MAX_RATCHETS: usize = 64;
 
 /// Synthesizes once, then repeatedly re-synthesizes with the power
-/// bound tightened to just below the achieved peak, keeping the smallest
-/// design; every ratchet iteration reuses the same compiled graph. Never
-/// returns a larger design than plain synthesis does, and the result is
-/// validated against the *original* constraints. Backs
+/// bound tightened to one quantum below the achieved peak, keeping the
+/// smallest design; every ratchet iteration reuses the same compiled
+/// graph. Never returns a larger design than plain synthesis does, and
+/// the result is validated against the *original* constraints. Backs
 /// [`Session::synthesize_refined`](crate::Session::synthesize_refined);
 /// errors exactly as plain synthesis — refinement only runs once a first
 /// design exists.
@@ -37,36 +39,37 @@ pub(crate) fn refined_session(
 ) -> Result<SynthesizedDesign, SynthesisError> {
     let (graph, library) = (compiled.graph(), engine.library());
     let mut best = synthesize_session(engine, compiled, constraints, options, None)?;
-    let mut bound = best.peak_power;
+    // The achieved peak in quanta: every ratchet step lowers it.
+    let mut peak = bound_quanta(best.peak_power);
     for _ in 0..MAX_RATCHETS {
-        // Just below the last peak: forbids the previous placement.
-        let tighter = bound - 1e-6;
-        if tighter <= 0.0 {
+        if peak == 0 {
             break;
         }
-        // Cap the caller's budget at the ratchet bound instead of
-        // replacing it: an envelope constraint keeps every tighter
-        // phase, so the candidate stays feasible under the original
-        // envelope (for a scalar budget this is the historical constant
-        // `tighter`).
+        // Cap the caller's budget one quantum below the last peak
+        // (forbidding the previous placement) instead of replacing it:
+        // an envelope constraint keeps every tighter phase, so the
+        // candidate stays feasible under the original envelope.
         let Ok(candidate) = synthesize_session(
             engine,
             compiled,
-            &SynthesisConstraints::new(constraints.latency, constraints.budget.clamped(tighter)),
+            &SynthesisConstraints::new(
+                constraints.latency,
+                constraints.budget.clamped(units(peak - 1)),
+            ),
             options,
             None,
         ) else {
             break;
         };
-        let next_bound = candidate.peak_power;
+        let next_peak = bound_quanta(candidate.peak_power);
         if candidate.area < best.area {
             best = SynthesizedDesign {
                 constraints: constraints.clone(),
                 ..candidate
             };
         }
-        debug_assert!(next_bound < bound, "ratchet must make progress");
-        bound = next_bound;
+        debug_assert!(next_peak < peak, "ratchet must make progress");
+        peak = next_peak;
     }
     best.validate(graph, library)?;
     Ok(best)

@@ -12,12 +12,11 @@
 //!   test oracle.
 //! - [`Waker`]: cross-thread wakeup over a
 //!   nonblocking pipe, coalescing.
-//! - `TimerWheel`: hashed wheel for request deadlines — O(1)
-//!   insert/cancel, lazy expiry.
 //! - [`LineCodec`] / [`WriteBuffer`]: bounded line framing for the
 //!   JSON-lines protocol and cursor-tracked outbound buffering.
 //! - [`Reactor`]: the composed event loop `pchls-serve` drives its
-//!   accept loop and connection I/O on.
+//!   accept loop and connection I/O on; each `poll` also takes one
+//!   optional deadline (serve's periodic stats line).
 //!
 //! Everything above `sys` is safe code; `unsafe` is confined to the
 //! syscall shims and reviewed in one place.
@@ -32,11 +31,9 @@ mod sys;
 mod framing;
 mod poller;
 mod reactor;
-mod timer;
 mod wake;
 
 pub use framing::{Frame, FrameError, LineCodec, WriteBuffer};
 pub use poller::{Backend, Event, Interest, Token};
 pub use reactor::Reactor;
-pub use timer::TimerId;
 pub use wake::Waker;

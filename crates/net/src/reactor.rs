@@ -1,22 +1,23 @@
-//! The event loop core: poller + wakeup pipe + timer wheel.
+//! The event loop core: poller + wakeup pipe.
 //!
-//! [`Reactor`] composes the three readiness sources a serve front end
-//! needs — socket readiness, cross-thread wakes, and deadline expiry —
-//! behind one [`poll`](Reactor::poll) call. The caller owns the loop:
+//! [`Reactor`] composes the readiness sources a serve front end needs —
+//! socket readiness and cross-thread wakes — behind one
+//! [`poll`](Reactor::poll) call that also honours one caller-supplied
+//! deadline. The caller owns the loop:
 //!
 //! ```no_run
 //! use pchls_net::{Backend, Interest, Reactor, Token};
-//! use std::time::Instant;
+//! use std::time::{Duration, Instant};
 //!
 //! let mut reactor = Reactor::new(Backend::Auto).unwrap();
 //! let waker = reactor.waker(); // hand to worker threads
 //! let mut events = Vec::new();
-//! let mut expired: Vec<Token> = Vec::new();
+//! let mut next_tick = Instant::now() + Duration::from_secs(1);
 //! loop {
-//!     let woken = reactor.poll(&mut events, &mut expired, Instant::now()).unwrap();
+//!     let woken = reactor.poll(&mut events, Some(next_tick)).unwrap();
 //!     if woken { /* drain completion queue */ }
 //!     for ev in &events { /* service readiness */ }
-//!     for token in expired.drain(..) { /* enforce deadline */ }
+//!     if Instant::now() >= next_tick { /* periodic work */ }
 //!     # break;
 //! }
 //! ```
@@ -25,19 +26,14 @@
 //! registrations must use other tokens.
 
 use std::io;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::poller::{Backend, Event, Interest, Poller, Token};
-use crate::timer::{TimerId, TimerWheel};
 use crate::wake::{wake_pair, WakeReader, Waker};
 
 /// Token reserved for the internal wakeup pipe. Never appears in the
 /// events handed to the caller.
 pub(crate) const WAKE_TOKEN: Token = Token(usize::MAX);
-
-/// Timer granularity: fine enough for millisecond-scale deadlines,
-/// coarse enough that bucket scans stay trivial.
-const TICK: Duration = Duration::from_millis(4);
 
 /// A single-threaded readiness loop; see module docs.
 #[derive(Debug)]
@@ -45,7 +41,6 @@ pub struct Reactor {
     poller: Poller,
     waker: Waker,
     wake_reader: WakeReader,
-    timers: TimerWheel<Token>,
 }
 
 impl Reactor {
@@ -59,7 +54,6 @@ impl Reactor {
             poller,
             waker,
             wake_reader,
-            timers: TimerWheel::new(Instant::now(), TICK),
         })
     }
 
@@ -86,39 +80,14 @@ impl Reactor {
         self.poller.deregister(fd);
     }
 
-    /// Schedules `token` to expire at `deadline`.
-    pub fn arm_timer(&mut self, deadline: Instant, token: Token) -> TimerId {
-        self.timers.insert(deadline, token)
-    }
-
-    /// Cancels a pending timer; `None` if it already fired.
-    pub fn cancel_timer(&mut self, id: TimerId) -> Option<Token> {
-        self.timers.cancel(id)
-    }
-
-    /// Waits for readiness, a wake, or the next timer deadline.
+    /// Waits for readiness, a wake, or `deadline` (`None` waits without
+    /// one). Never returns on the deadline before it has passed.
     ///
-    /// Socket events are appended to `events` (cleared first), expired
-    /// timer payloads to `expired` (appended, not cleared, so a caller
-    /// can accumulate). Returns whether a cross-thread wake was
-    /// observed; wakes are coalesced and the pipe is fully drained
-    /// before returning.
-    pub fn poll(
-        &mut self,
-        events: &mut Vec<Event>,
-        expired: &mut Vec<Token>,
-        now: Instant,
-    ) -> io::Result<bool> {
-        // Fire anything already due before sleeping.
-        self.timers.advance(now, expired);
-        let timeout = if expired.is_empty() {
-            self.timers
-                .next_deadline()
-                .map(|d| d.saturating_duration_since(now))
-        } else {
-            // Work is already pending; just collect ready events.
-            Some(Duration::ZERO)
-        };
+    /// Socket events are appended to `events` (cleared first). Returns
+    /// whether a cross-thread wake was observed; wakes are coalesced and
+    /// the pipe is fully drained before returning.
+    pub fn poll(&mut self, events: &mut Vec<Event>, deadline: Option<Instant>) -> io::Result<bool> {
+        let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
         self.poller.wait(events, timeout)?;
         let mut woken = false;
         events.retain(|ev| {
@@ -132,7 +101,6 @@ impl Reactor {
         if woken {
             self.wake_reader.drain()?;
         }
-        self.timers.advance(Instant::now(), expired);
         Ok(woken)
     }
 }
@@ -157,10 +125,7 @@ mod tests {
                 waker.wake().unwrap();
             });
             let mut events = Vec::new();
-            let mut expired = Vec::new();
-            let woken = reactor
-                .poll(&mut events, &mut expired, Instant::now())
-                .unwrap();
+            let woken = reactor.poll(&mut events, None).unwrap();
             handle.join().unwrap();
             assert!(woken, "{backend:?}");
             assert!(events.is_empty(), "{backend:?}: wake token filtered out");
@@ -168,80 +133,37 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_without_any_io() {
+    fn deadline_returns_without_any_io_but_never_early() {
         for backend in backends() {
             let mut reactor = Reactor::new(backend).unwrap();
             let deadline = Instant::now() + Duration::from_millis(25);
-            reactor.arm_timer(deadline, Token(5));
             let mut events = Vec::new();
-            let mut expired = Vec::new();
-            let start = Instant::now();
-            while expired.is_empty() {
-                assert!(
-                    start.elapsed() < Duration::from_secs(5),
-                    "{backend:?}: stuck"
-                );
-                reactor
-                    .poll(&mut events, &mut expired, Instant::now())
-                    .unwrap();
-            }
-            assert_eq!(expired, vec![Token(5)], "{backend:?}");
+            let woken = reactor.poll(&mut events, Some(deadline)).unwrap();
+            assert!(!woken && events.is_empty(), "{backend:?}");
             assert!(
                 Instant::now() >= deadline,
-                "{backend:?}: fired before the deadline"
+                "{backend:?}: returned before the deadline"
             );
         }
     }
 
     #[test]
-    fn cancelled_timer_never_fires() {
-        for backend in backends() {
-            let mut reactor = Reactor::new(backend).unwrap();
-            let id = reactor.arm_timer(Instant::now() + Duration::from_millis(10), Token(1));
-            assert_eq!(reactor.cancel_timer(id), Some(Token(1)));
-            std::thread::sleep(Duration::from_millis(20));
-            // With no timers and no I/O, poll would block forever — a
-            // pending wake makes it return immediately.
-            reactor.waker().wake().unwrap();
-            let mut events = Vec::new();
-            let mut expired = Vec::new();
-            let woken = reactor
-                .poll(&mut events, &mut expired, Instant::now())
-                .unwrap();
-            assert!(woken, "{backend:?}");
-            assert!(expired.is_empty(), "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn io_readiness_and_timers_interleave() {
+    fn io_readiness_returns_before_a_far_deadline() {
         for backend in backends() {
             let mut reactor = Reactor::new(backend).unwrap();
             let (r, w) = pipe2_nonblocking().unwrap();
             let (r, w) = (OwnedSysFd(r), OwnedSysFd(w));
             reactor.register(r.0, Token(2), Interest::READABLE).unwrap();
-            reactor.arm_timer(Instant::now() + Duration::from_millis(15), Token(3));
             write(w.0, b"x").unwrap();
 
+            let start = Instant::now();
             let mut events = Vec::new();
-            let mut expired = Vec::new();
             reactor
-                .poll(&mut events, &mut expired, Instant::now())
+                .poll(&mut events, Some(start + Duration::from_secs(60)))
                 .unwrap();
+            assert!(start.elapsed() < Duration::from_secs(30), "{backend:?}");
             assert_eq!(events.len(), 1, "{backend:?}");
             assert_eq!(events[0].token, Token(2));
-
-            let start = Instant::now();
-            while expired.is_empty() {
-                assert!(
-                    start.elapsed() < Duration::from_secs(5),
-                    "{backend:?}: stuck"
-                );
-                reactor
-                    .poll(&mut events, &mut expired, Instant::now())
-                    .unwrap();
-            }
-            assert_eq!(expired, vec![Token(3)], "{backend:?}");
             reactor.deregister(r.0);
         }
     }

@@ -29,9 +29,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 thread_local! {
     /// Whether this thread is already inside a [`par_map`] worker (or is
     /// a [dedicated](dedicate_thread) pool worker). Nested `par_map`
-    /// calls run serially so an outer fan-out (e.g. a batch of sweeps)
-    /// composed with an inner one (each sweep's per-point fan-out)
-    /// cannot oversubscribe the machine with `workers²` threads.
+    /// calls run serially so an outer fan-out composed with an inner one
+    /// (a batch started inside another batch's worker) cannot
+    /// oversubscribe the machine with `workers²` threads.
     static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
 
     /// Per-thread cap on the fan-out width, set by
@@ -86,7 +86,7 @@ pub fn with_thread_count<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 ///
 /// A long-lived pool (e.g. [`WorkerPool`]) already provides the
 /// machine-wide fan-out; letting each of its workers fan out *again*
-/// through the sweep-level `par_map`s would oversubscribe the machine
+/// through the batch-level `par_map` would oversubscribe the machine
 /// with `workers²` threads. [`par_map`] protects nested calls within
 /// one thread tree via a thread-local, but pool workers are fresh
 /// threads that inherit nothing — they opt in with this call instead.
@@ -259,13 +259,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
         .collect()
 }
 
-/// [`par_map`] over an index range: `par_map_indices(n, f)` computes
-/// `f(0), ..., f(n-1)` in parallel, in order.
-pub fn par_map_indices<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let indices: Vec<usize> = (0..n).collect();
-    par_map(&indices, |&i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,11 +291,6 @@ mod tests {
         for (i, (x, _)) in out.iter().enumerate() {
             assert_eq!(*x, i as u64);
         }
-    }
-
-    #[test]
-    fn indices_variant_matches() {
-        assert_eq!(par_map_indices(5, |i| i * i), vec![0, 1, 4, 9, 16]);
     }
 
     #[test]

@@ -55,11 +55,6 @@ use crate::stats::render_serve_stats;
 /// The reactor token of the TCP listener; connections use `slot + 1`.
 const LISTENER_TOKEN: Token = Token(0);
 
-/// Timer payload token of the periodic `--stats-interval` line, the
-/// reactor's only timer (timer tokens are a namespace separate from fd
-/// registrations).
-const STATS_TIMER_TOKEN: Token = Token(usize::MAX);
-
 /// Hard cap on unread response bytes buffered per connection before the
 /// peer is declared dead-or-hostile and dropped.
 const MAX_OUTPUT_BUFFER: usize = 4 << 20;
@@ -480,34 +475,21 @@ pub fn serve_tcp_with(
         .reactor
         .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
     shutdown.attach(server.waker.clone());
-    // Periodic in-flight stats line on the reactor's timer wheel (an
-    // idle server still reports on schedule).
+    // Periodic in-flight stats line: `poll` returns by `next_stats` at
+    // the latest, so an idle server still reports on schedule.
     let stats_every = (service.limits().stats_interval > 0)
         .then(|| Duration::from_secs(service.limits().stats_interval));
-    if let Some(every) = stats_every {
-        server
-            .reactor
-            .arm_timer(Instant::now() + every, STATS_TIMER_TOKEN);
-    }
+    let mut next_stats = stats_every.map(|every| Instant::now() + every);
     let mut events = Vec::new();
-    let mut expired = Vec::new();
     while !shutdown.is_stopped() {
-        server
-            .reactor
-            .poll(&mut events, &mut expired, Instant::now())?;
+        server.reactor.poll(&mut events, next_stats)?;
         if shutdown.is_stopped() {
             break;
         }
-        // `poll` appends expired payloads without clearing (callers may
-        // accumulate); drain so a token fires exactly once.
-        for timer in expired.drain(..) {
-            if timer == STATS_TIMER_TOKEN {
+        if let (Some(every), Some(due)) = (stats_every, next_stats) {
+            if Instant::now() >= due {
                 eprintln!("{}", render_serve_stats(&service.stats()));
-                if let Some(every) = stats_every {
-                    server
-                        .reactor
-                        .arm_timer(Instant::now() + every, STATS_TIMER_TOKEN);
-                }
+                next_stats = Some(Instant::now() + every);
             }
         }
         server.deliver_completions();

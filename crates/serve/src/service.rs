@@ -92,8 +92,9 @@ pub struct ServiceConfig {
     /// discarded — client buffers never grow without bound.
     pub max_line_bytes: usize,
     /// Seconds between in-flight stats lines printed to stderr by the
-    /// TCP front end (0 = only the final line at exit). Driven by the
-    /// reactor's timer wheel, so an idle server still reports.
+    /// TCP front end (0 = only the final line at exit). The reactor
+    /// loop waits at most until the next line is due, so an idle server
+    /// still reports.
     pub stats_interval: u64,
     /// Synthesis options applied to every request (the CLI and batch
     /// path use the default paper configuration). Result-cache keys do
@@ -173,9 +174,14 @@ pub(crate) struct FrontendLimits {
     pub stats_interval: u64,
 }
 
+/// A request's graph and its fingerprint, resolved once at admission,
+/// or the error reply naming why it could not be.
+type ResolvedGraph = Result<(Arc<Cdfg>, u64), String>;
+
 /// One queued synthesis job.
 pub(crate) struct Job {
     request: SubmitRequest,
+    graph: ResolvedGraph,
     cancel: Arc<AtomicBool>,
     reply: ReplySink,
     accepted: Instant,
@@ -216,13 +222,10 @@ struct Shared {
     latency: Arc<Histogram>,
     hit_latency: Arc<Histogram>,
     synth_latency: Arc<Histogram>,
-    /// The built-in graphs, constructed once so the per-request
-    /// named-graph lookup is a scan + clone-free borrow, not a rebuild
-    /// of the whole benchmark suite.
-    builtin_graphs: Vec<Cdfg>,
-    /// Name → fingerprint for the built-ins, so routing a named request
-    /// costs one hash lookup instead of a fingerprint computation.
-    builtin_fingerprints: HashMap<String, u64>,
+    /// Name → built-in graph and its fingerprint, constructed once so
+    /// resolving a named request is one hash lookup, not a rebuild of
+    /// the benchmark suite or a fingerprint computation.
+    builtins: HashMap<String, (Arc<Cdfg>, u64)>,
     limits: FrontendLimits,
     workers: usize,
     requests: Counter,
@@ -315,10 +318,12 @@ impl Service {
                 shed_depth,
             })
             .collect();
-        let builtin_graphs = benchmarks::all();
-        let builtin_fingerprints = builtin_graphs
-            .iter()
-            .map(|g| (g.name().to_string(), graph_fingerprint(g)))
+        let builtins = benchmarks::all()
+            .into_iter()
+            .map(|g| {
+                let fingerprint = graph_fingerprint(&g);
+                (g.name().to_string(), (Arc::new(g), fingerprint))
+            })
             .collect();
         let metrics = MetricsRegistry::new();
         let shared = Arc::new(Shared {
@@ -329,8 +334,7 @@ impl Service {
             latency: metrics.histogram("pchls_request_latency_seconds"),
             hit_latency: metrics.histogram("pchls_lane_latency_seconds{lane=\"hit\"}"),
             synth_latency: metrics.histogram("pchls_lane_latency_seconds{lane=\"synth\"}"),
-            builtin_graphs,
-            builtin_fingerprints,
+            builtins,
             limits: FrontendLimits {
                 rate_per_sec: config.rate_per_sec.max(0.0),
                 burst: config.burst,
@@ -394,10 +398,11 @@ impl Service {
         request: SubmitRequest,
         reply: Sender<SubmitResponse>,
     ) -> Result<Arc<AtomicBool>, SubmitRequest> {
-        let (shard, lane) = self.shared.route(&request);
+        let (shard, lane, graph) = self.shared.route(&request);
         let cancel = Arc::new(AtomicBool::new(false));
         let job = Job {
             request,
+            graph,
             cancel: Arc::clone(&cancel),
             reply: ReplySink::Channel(reply),
             accepted: Instant::now(),
@@ -418,7 +423,7 @@ impl Service {
     /// *answered*, not dropped: a well-formed error response is sent on
     /// `sink` before this returns.
     pub(crate) fn submit_sink(&self, request: SubmitRequest, sink: ReplySink) -> SubmitOutcome {
-        let (shard_idx, lane) = self.shared.route(&request);
+        let (shard_idx, lane, graph) = self.shared.route(&request);
         let shard = &self.shared.shards[shard_idx];
         if lane == Lane::Synth && shard.lanes.depth(Lane::Synth) >= shard.shed_depth {
             self.shared.shed.inc();
@@ -429,6 +434,7 @@ impl Service {
         let cancel = Arc::new(AtomicBool::new(false));
         let job = Job {
             request,
+            graph,
             cancel: Arc::clone(&cancel),
             reply: sink,
             accepted: Instant::now(),
@@ -621,24 +627,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 impl Shared {
-    /// Shard + lane for a request. The shard is the graph fingerprint
-    /// modulo the shard count (inline `graph_text` is parsed here so
-    /// structurally identical text and named requests land on the same
-    /// shard and share cache entries); requests whose answer already
-    /// sits in that shard's result tier ride the hit lane. The
-    /// classification is best-effort — an entry evicted between
-    /// admission and processing just makes one hit-lane job do real
-    /// work.
-    fn route(&self, req: &SubmitRequest) -> (usize, Lane) {
+    /// Shard, lane and resolved graph for a request. The shard is the
+    /// graph fingerprint modulo the shard count (inline `graph_text` is
+    /// parsed here, once, so structurally identical text and named
+    /// requests land on the same shard and share cache entries);
+    /// requests whose answer already sits in that shard's result tier
+    /// ride the hit lane. The classification is best-effort — an entry
+    /// evicted between admission and processing just makes one hit-lane
+    /// job do real work.
+    fn route(&self, req: &SubmitRequest) -> (usize, Lane, ResolvedGraph) {
         let n = self.shards.len() as u64;
-        let fingerprint = if req.graph_text.is_empty() {
-            self.builtin_fingerprints.get(&req.graph).copied()
-        } else {
-            parse_cdfg(&req.graph_text)
-                .ok()
-                .map(|g| graph_fingerprint(&g))
-        };
-        let Some(fingerprint) = fingerprint else {
+        let graph = self.resolve_graph(req);
+        let Ok((_, fingerprint)) = graph else {
             // Unknown graph or unparseable text: fails fast in the
             // worker; any stable shard will do.
             let bytes = if req.graph_text.is_empty() {
@@ -646,7 +646,7 @@ impl Shared {
             } else {
                 req.graph_text.as_bytes()
             };
-            return ((fnv1a(bytes) % n) as usize, Lane::Synth);
+            return ((fnv1a(bytes) % n) as usize, Lane::Synth, graph);
         };
         let shard = (fingerprint % n) as usize;
         let lane = match validated_constraints(req) {
@@ -659,7 +659,7 @@ impl Shared {
             }
             _ => Lane::Synth,
         };
-        (shard, lane)
+        (shard, lane, graph)
     }
 
     /// Processes one job on a worker thread and sends the reply. A panic
@@ -734,9 +734,9 @@ impl Shared {
             Ok(c) => c,
             Err(msg) => return fail(msg),
         };
-        let graph = match self.resolve_graph(req) {
-            Ok(g) => g,
-            Err(msg) => return fail(msg),
+        let (graph, fingerprint) = match &job.graph {
+            Ok((graph, fingerprint)) => (graph.as_ref(), *fingerprint),
+            Err(msg) => return fail(msg.clone()),
         };
 
         // Content-address the *result* before compiling anything: the
@@ -744,7 +744,6 @@ impl Shared {
         // point answers with zero synthesis work — and on the
         // store-backed path, with zero compile work even after a
         // restart.
-        let fingerprint = graph_fingerprint(graph.as_ref());
         let key = StoreKey::new(fingerprint, &constraints);
         if let Some(record) = shard.results.lookup(&key) {
             // Determinism makes the reconstruction byte-identical to a
@@ -755,7 +754,7 @@ impl Shared {
 
         let compiled = match shard
             .cache
-            .get_or_compile_keyed(&self.engine, fingerprint, graph.as_ref())
+            .get_or_compile_keyed(&self.engine, fingerprint, graph)
             .0
         {
             Ok(c) => c,
@@ -812,23 +811,22 @@ impl Shared {
         }
     }
 
-    /// Materializes the request's graph: inline text first, then the
-    /// built-in benchmark namespace. Named graphs borrow from the
-    /// service's prebuilt list — nothing is constructed on the hot
-    /// path; only inline text allocates.
-    fn resolve_graph(&self, req: &SubmitRequest) -> Result<std::borrow::Cow<'_, Cdfg>, String> {
+    /// Resolves and fingerprints the request's graph: inline text
+    /// first, then the built-in benchmark namespace. Named graphs share
+    /// the service's prebuilt copies; only inline text is parsed.
+    fn resolve_graph(&self, req: &SubmitRequest) -> ResolvedGraph {
         if !req.graph_text.is_empty() {
-            return parse_cdfg(&req.graph_text)
-                .map(std::borrow::Cow::Owned)
-                .map_err(|e| format!("parsing graph_text: {e}"));
+            let graph =
+                parse_cdfg(&req.graph_text).map_err(|e| format!("parsing graph_text: {e}"))?;
+            let fingerprint = graph_fingerprint(&graph);
+            return Ok((Arc::new(graph), fingerprint));
         }
         if req.graph.is_empty() {
             return Err("request names no graph (set `graph` or `graph_text`)".into());
         }
-        self.builtin_graphs
-            .iter()
-            .find(|g| g.name() == req.graph)
-            .map(std::borrow::Cow::Borrowed)
+        self.builtins
+            .get(&req.graph)
+            .cloned()
             .ok_or_else(|| format!("unknown graph `{}`", req.graph))
     }
 }

@@ -6,32 +6,32 @@
 //! Run with `cargo run --release --example design_space`.
 
 use pchls::cdfg::benchmarks::fir;
-use pchls::core::{Engine, SweepJob, SweepSpec, SynthesisOptions};
+use pchls::core::{Engine, SweepSpec, SynthesisOptions};
 use pchls::fulib::paper_library;
 
 fn main() {
     let graph = fir(16);
     // One engine, one compile — all four latency curves share the same
-    // compiled artifacts and fan out over one worker pool.
+    // compiled artifacts.
     let engine = Engine::new(paper_library());
     let compiled = engine.compile(&graph);
-    let grid = engine.session(&compiled).auto_power_grid(12);
+    let session = engine.session(&compiled);
+    let grid = session.auto_power_grid(12);
 
     println!("power/area trade-off for `{}`", graph.name());
     println!("(columns: one latency constraint each; cells: area or `-` if infeasible)\n");
 
     let latencies = [10u32, 14, 20, 32];
-    let jobs: Vec<SweepJob<'_>> = latencies
+    let curves: Vec<_> = latencies
         .iter()
-        .map(|&t| SweepJob {
-            compiled: &compiled,
-            spec: SweepSpec::power(t, grid.clone()),
+        .map(|&t| {
+            session
+                .sweep(
+                    &SweepSpec::power(t, grid.clone()),
+                    &SynthesisOptions::default(),
+                )
+                .into_points()
         })
-        .collect();
-    let curves: Vec<_> = engine
-        .sweep_batch(&jobs, &SynthesisOptions::default())
-        .into_iter()
-        .map(pchls::core::SweepResult::into_points)
         .collect();
 
     print!("{:>8} ", "P<");

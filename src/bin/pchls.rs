@@ -40,17 +40,18 @@
 //! materialized under the same graph fingerprint and budget digest are
 //! read back instead of re-synthesized, and everything fresh is
 //! appended, so an interrupted run resumes where it stopped and a
-//! restarted service answers warm. `pchls store stat|verify|compact`
+//! restarted service answers warm. `batch` and `sweep` resume through
+//! one helper and write the same records, schedule traces included. `pchls store stat|verify|compact`
 //! inspects and maintains a store directory.
 //!
 //! `--trace-out <file>` on `synth`/`batch` enables the `pchls-obs`
-//! tracer for the run and writes every recorded span (compile, scoring,
-//! ledger fits, FDS refits, TopK, commit) as Chrome trace-event JSON —
-//! load the file in Perfetto or `chrome://tracing`. On `serve`,
-//! `--stats-interval <secs>` prints the one-line stats summary to
-//! stderr periodically from the reactor's timer wheel, and `--metrics`
-//! dumps the Prometheus-style exposition at exit; live scrapes go
-//! through the protocol's `metrics` op.
+//! tracer for the run and writes every recorded span (compile,
+//! bootstrap, scoring, the palap and window-refit passes, TopK, commit)
+//! as Chrome trace-event JSON — load the file in Perfetto or
+//! `chrome://tracing`. On `serve`, `--stats-interval <secs>` prints the
+//! one-line stats summary to stderr periodically from the reactor loop,
+//! and `--metrics` dumps the Prometheus-style exposition at exit; live
+//! scrapes go through the protocol's `metrics` op.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -58,8 +59,8 @@ use std::process::ExitCode;
 use pchls::battery::battery_report;
 use pchls::cdfg::{benchmarks, parse_cdfg, write_cdfg, Cdfg, GraphStats, Interpreter};
 use pchls::core::{
-    CompiledGraph, Engine, PowerBudget, Session, SweepPoint, SweepResult, SweepSpec,
-    SynthesisConstraints, SynthesisOptions, SynthesisRequest, MAX_LATENCY,
+    CompiledGraph, Engine, PowerBudget, Session, SweepPoint, SweepSpec, SynthesisConstraints,
+    SynthesisOptions, SynthesisRequest, MAX_LATENCY,
 };
 use pchls::fulib::{paper_library, parse_library, ModuleLibrary};
 use pchls::rtl::{simulate, to_structural_hdl, Datapath};
@@ -571,51 +572,63 @@ fn synth(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Runs `spec` through the session, resuming from the `--store` result
-/// store when one is given: grid points already materialized for this
-/// graph fingerprint and budget digest are read back instead of
-/// re-synthesized, and the fresh raw points are appended for the next
-/// run (outcome columns only — sweeps keep no schedule trace). The
-/// enveloped result is identical to a storeless sweep either way,
-/// because the envelope pass reruns over the merged raw grid.
-fn sweep_with_store(
-    flags: &Flags,
+/// Answers `points` from the `--store` result store: every point
+/// already materialized for this graph fingerprint and budget digest is
+/// read back, the misses run through one [`Session::batch`], and their
+/// records (schedule traces included) are appended for the next run.
+/// Returns one raw point per constraint, in order — what a storeless
+/// batch would print, and what [`SweepSpec::envelope`] finishes into a
+/// storeless sweep's curve.
+fn resume_from_store(
+    store: &mut Store,
     session: &Session<'_>,
     compiled: &CompiledGraph,
-    spec: &SweepSpec,
-) -> Result<SweepResult, String> {
-    let options = SynthesisOptions::default();
-    let Some(mut store) = open_store(flags)? else {
-        return Ok(session.sweep(spec, &options));
-    };
-    let mut keys = Vec::with_capacity(spec.len());
-    let mut cached: Vec<Option<SweepPoint>> = Vec::with_capacity(spec.len());
-    for i in 0..spec.len() {
-        let key = StoreKey::for_graph(compiled.graph(), &spec.constraints(i));
-        cached.push(
+    points: &[SynthesisConstraints],
+) -> Result<Vec<SweepPoint>, String> {
+    let keys: Vec<StoreKey> = points
+        .iter()
+        .map(|c| StoreKey::for_graph(compiled.graph(), c))
+        .collect();
+    let mut slots: Vec<Option<SweepPoint>> = Vec::with_capacity(points.len());
+    for key in &keys {
+        slots.push(
             store
-                .get(&key)
+                .get(key)
                 .map_err(|e| format!("reading store: {e}"))?
                 .map(|r| r.to_point(compiled.name())),
         );
-        keys.push(key);
     }
-    let (result, fresh) = session.sweep_resumable(spec, &options, &cached);
-    let records: Vec<StoreRecord> = fresh
-        .iter()
-        .map(|(i, p)| StoreRecord::from_point(keys[*i], p, Vec::new()))
-        .collect();
+    let missing: Vec<usize> = (0..points.len()).filter(|&i| slots[i].is_none()).collect();
+    let fresh = session.batch(
+        missing
+            .iter()
+            .map(|&i| SynthesisRequest::new(points[i].clone())),
+    );
+    let mut records = Vec::with_capacity(fresh.len());
+    for (&i, r) in missing.iter().zip(&fresh) {
+        let point = r.to_point(compiled.name());
+        let trace = r
+            .outcome
+            .as_ref()
+            .map(|d| trace_bytes(&d.schedule))
+            .unwrap_or_default();
+        records.push(StoreRecord::from_point(keys[i], &point, trace));
+        slots[i] = Some(point);
+    }
     store
         .append(&records)
         .and_then(|()| store.flush())
         .map_err(|e| format!("writing store: {e}"))?;
     eprintln!(
         "store: {} of {} point(s) resumed from {}",
-        spec.len() - fresh.len(),
-        spec.len(),
+        points.len() - missing.len(),
+        points.len(),
         store.path().display()
     );
-    Ok(result)
+    Ok(slots
+        .into_iter()
+        .map(|s| s.expect("every point is cached or freshly run"))
+        .collect())
 }
 
 fn sweep(args: &[String]) -> Result<String, String> {
@@ -632,25 +645,39 @@ fn sweep(args: &[String]) -> Result<String, String> {
     let engine = Engine::new(lib);
     let compiled = engine.try_compile(&g).map_err(|e| e.to_string())?;
     let session = engine.session(&compiled);
-    if let Some(budget) = load_budget(&flags, Some(latency))? {
+    let spec = match load_budget(&flags, Some(latency))? {
         // Envelope mode: sweep scale factors — "how much of the
         // envelope can the supply actually deliver" — instead of a
         // scalar power grid.
-        let steps = steps.max(2);
-        let scales: Vec<f64> = (0..steps)
-            .map(|i| 0.25 + (1.5 - 0.25) * i as f64 / (steps - 1) as f64)
-            .collect();
-        let result = sweep_with_store(
-            &flags,
-            &session,
-            &compiled,
-            &SweepSpec::budget_scale(latency, budget, scales.clone()),
-        )?;
-        let mut out = format!(
-            "{} at T={latency} (envelope scale sweep):\n scale    peak    area\n",
-            result.benchmark
-        );
-        for (p, s) in result.points.iter().zip(&scales) {
+        Some(budget) => {
+            let steps = steps.max(2);
+            let scales: Vec<f64> = (0..steps)
+                .map(|i| 0.25 + (1.5 - 0.25) * i as f64 / (steps - 1) as f64)
+                .collect();
+            SweepSpec::budget_scale(latency, budget, scales)
+        }
+        None => SweepSpec::power(latency, session.auto_power_grid(steps)),
+    };
+    let points = match open_store(&flags)? {
+        None => session
+            .sweep(&spec, &SynthesisOptions::default())
+            .into_points(),
+        Some(mut store) => {
+            let constraints: Vec<SynthesisConstraints> =
+                (0..spec.len()).map(|i| spec.constraints(i)).collect();
+            spec.envelope(resume_from_store(
+                &mut store,
+                &session,
+                &compiled,
+                &constraints,
+            )?)
+        }
+    };
+    let name = compiled.name();
+    if let SweepSpec::BudgetScale { scales, .. } = &spec {
+        let mut out =
+            format!("{name} at T={latency} (envelope scale sweep):\n scale    peak    area\n");
+        for (p, s) in points.iter().zip(scales) {
             match p.area {
                 Some(a) => out.push_str(&format!("{s:>6.2} {:>7.1} {:>7}\n", p.power_bound, a)),
                 None => out.push_str(&format!("{s:>6.2} {:>7.1}   (infeasible)\n", p.power_bound)),
@@ -658,15 +685,8 @@ fn sweep(args: &[String]) -> Result<String, String> {
         }
         return Ok(out);
     }
-    let grid = session.auto_power_grid(steps);
-    let result = sweep_with_store(
-        &flags,
-        &session,
-        &compiled,
-        &SweepSpec::power(latency, grid),
-    )?;
-    let mut out = format!("{} at T={latency}:\npower    area\n", result.benchmark);
-    for p in result.points {
+    let mut out = format!("{name} at T={latency}:\npower    area\n");
+    for p in points {
         match p.area {
             Some(a) => out.push_str(&format!("{:>6.1} {:>7}\n", p.power_bound, a)),
             None => out.push_str(&format!("{:>6.1}   (infeasible)\n", p.power_bound)),
@@ -761,54 +781,7 @@ fn batch(args: &[String]) -> Result<String, String> {
             .iter()
             .map(|r| r.to_point(compiled.name()))
             .collect(),
-        Some(mut store) => {
-            // Resume: answer materialized points from the store, run
-            // only the rest, and append those for the next run.
-            let keys: Vec<StoreKey> = points
-                .iter()
-                .map(|c| StoreKey::for_graph(compiled.graph(), c))
-                .collect();
-            let mut slots: Vec<Option<SweepPoint>> = Vec::with_capacity(points.len());
-            for key in &keys {
-                slots.push(
-                    store
-                        .get(key)
-                        .map_err(|e| format!("reading store: {e}"))?
-                        .map(|r| r.to_point(compiled.name())),
-                );
-            }
-            let missing: Vec<usize> = (0..points.len()).filter(|&i| slots[i].is_none()).collect();
-            let fresh = session.batch(
-                missing
-                    .iter()
-                    .map(|&i| SynthesisRequest::new(points[i].clone())),
-            );
-            let mut records = Vec::with_capacity(fresh.len());
-            for (&i, r) in missing.iter().zip(&fresh) {
-                let point = r.to_point(compiled.name());
-                let trace = r
-                    .outcome
-                    .as_ref()
-                    .map(|d| trace_bytes(&d.schedule))
-                    .unwrap_or_default();
-                records.push(StoreRecord::from_point(keys[i], &point, trace));
-                slots[i] = Some(point);
-            }
-            store
-                .append(&records)
-                .and_then(|()| store.flush())
-                .map_err(|e| format!("writing store: {e}"))?;
-            eprintln!(
-                "store: {} of {} point(s) resumed from {}",
-                keys.len() - missing.len(),
-                keys.len(),
-                store.path().display()
-            );
-            slots
-                .into_iter()
-                .map(|s| s.expect("every point is cached or freshly run"))
-                .collect()
-        }
+        Some(mut store) => resume_from_store(&mut store, &session, &compiled, &points)?,
     };
 
     if let Some(path) = trace_path {
@@ -1462,8 +1435,57 @@ mod tests {
             "--store changed the curve"
         );
         assert_eq!(run(&argv(&cmd)).unwrap(), plain, "resumed sweep diverged");
+        let mut store = Store::open(&store_dir).unwrap();
+        assert_eq!(store.len(), 5, "one raw record per grid point");
+        // Every feasible record carries the schedule of a direct
+        // synthesis at its point, as batch and serve records do.
+        let engine = Engine::new(paper_library());
+        let compiled = engine.compile(&benchmarks::hal());
+        let session = engine.session(&compiled);
+        let mut feasible = 0;
+        for p in session.auto_power_grid(5) {
+            let c = SynthesisConstraints::new(17, p);
+            let record = store
+                .get(&StoreKey::for_graph(compiled.graph(), &c))
+                .unwrap()
+                .expect("every grid point was stored");
+            if let Ok(design) = session.synthesize(c, &SynthesisOptions::default()) {
+                feasible += 1;
+                assert_eq!(
+                    pchls::store::trace_starts(&record.trace).as_deref(),
+                    Some(design.schedule.starts()),
+                    "P={p}"
+                );
+            }
+        }
+        assert!(feasible > 0);
+    }
+
+    #[test]
+    fn sweep_resumes_points_a_batch_stored() {
+        let dir = store_scratch("pchls-cli-store-shared");
+        let store_dir = dir.join("store");
+        let engine = Engine::new(paper_library());
+        let grid = engine
+            .session(&engine.compile(&benchmarks::hal()))
+            .auto_power_grid(5);
+        // `{}` prints the shortest string that parses back to the same
+        // `f64`, so the batch stores these points under the sweep's keys.
+        let points = dir.join("points.txt");
+        std::fs::write(&points, format!("17 {}\n17 {}\n", grid[1], grid[3])).unwrap();
+        run(&argv(&format!(
+            "batch hal --points {} --store {}",
+            points.display(),
+            store_dir.display()
+        )))
+        .unwrap();
+        let cmd = format!("sweep hal -T 17 --steps 5 --store {}", store_dir.display());
+        assert_eq!(
+            run(&argv(&cmd)).unwrap(),
+            run(&argv("sweep hal -T 17 --steps 5")).unwrap()
+        );
         let store = Store::open(&store_dir).unwrap();
-        assert!(store.len() >= 5, "raw grid points were persisted");
+        assert_eq!(store.len(), 5, "the sweep reran a point the batch stored");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! API-equivalence guarantees of the session API: `Session::sweep` and
-//! `Engine::sweep_batch` must produce the serial reference sweeps'
-//! **identical** `figure2.json` bytes on all paper curves, and
+//! API-equivalence guarantees of the session API: `Session::sweep` must
+//! produce the serial reference sweeps' **identical** `figure2.json`
+//! bytes on all paper curves, and
 //! `Session::batch` over one compiled graph must match one-at-a-time
 //! synthesis with a per-point recompile on arbitrary request lists.
 
@@ -8,8 +8,7 @@ use proptest::prelude::*;
 
 use pchls::cdfg::benchmarks;
 use pchls::core::{
-    power_sweep_serial, Engine, SweepJob, SweepSpec, SynthesisConstraints, SynthesisOptions,
-    SynthesisRequest,
+    power_sweep_serial, Engine, SweepSpec, SynthesisConstraints, SynthesisOptions, SynthesisRequest,
 };
 use pchls::fulib::paper_library;
 
@@ -57,23 +56,6 @@ fn figure2_json_bytes_are_identical_between_serial_and_session_paths() {
     let serial_json = serde_json::to_vec(&serial_points).unwrap();
     let session_json = serde_json::to_vec(&session_points).unwrap();
     assert_eq!(serial_json, session_json, "figure2.json bytes diverged");
-
-    // The whole-figure fan-out agrees too.
-    let jobs: Vec<SweepJob<'_>> = curves
-        .iter()
-        .zip(&compiled)
-        .map(|((_, t), compiled)| SweepJob {
-            compiled,
-            spec: SweepSpec::power(*t, grid.clone()),
-        })
-        .collect();
-    let batch: Vec<_> = engine
-        .sweep_batch(&jobs, &opts)
-        .into_iter()
-        .flat_map(|sweep| sweep.into_points())
-        .collect();
-    let batch_json = serde_json::to_vec(&batch).unwrap();
-    assert_eq!(batch_json, serial_json, "sweep_batch bytes diverged");
 }
 
 proptest! {
