@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use pchls_bind::{Binding, InterconnectEstimate, RegisterAllocation};
 use pchls_cdfg::Cdfg;
 use pchls_fulib::ModuleLibrary;
-use pchls_sched::{PowerProfile, Schedule, TimingMap};
+use pchls_sched::{PowerInterval, PowerProfile, Schedule, TimingMap};
 
 use crate::constraints::SynthesisConstraints;
 use crate::error::SynthesisError;
@@ -103,12 +103,24 @@ impl SynthesizedDesign {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self, graph: &Cdfg, library: &ModuleLibrary) -> Result<(), SynthesisError> {
+        self.validate_recording(graph, library, &mut PowerInterval::default())
+    }
+
+    /// [`validate`](SynthesizedDesign::validate), adding its budget
+    /// comparisons to `seen`.
+    pub(crate) fn validate_recording(
+        &self,
+        graph: &Cdfg,
+        library: &ModuleLibrary,
+        seen: &mut PowerInterval,
+    ) -> Result<(), SynthesisError> {
         self.schedule
-            .validate(
+            .validate_recording(
                 graph,
                 &self.timing,
                 Some(self.constraints.latency),
                 Some(&self.constraints.budget),
+                seen,
             )
             .map_err(SynthesisError::Schedule)?;
         self.binding

@@ -45,10 +45,11 @@
 //! ```
 
 use std::ops::ControlFlow;
+use std::sync::OnceLock;
 
 use pchls_cdfg::{optimize, Cdfg, OpKind, OptimizeStats, Reachability};
-use pchls_fulib::{ModuleId, ModuleLibrary, SelectionPolicy};
-use pchls_sched::{asap, PowerBudget, PowerProfile, TimingMap};
+use pchls_fulib::{bound_quanta, ModuleId, ModuleLibrary, SelectionPolicy};
+use pchls_sched::{asap, PowerBudget, PowerInterval, PowerProfile, TimingMap};
 
 use crate::baseline::{trimmed_allocation_bind, two_step_bind, unconstrained_bind, BaselineDesign};
 use crate::constraints::SynthesisConstraints;
@@ -57,7 +58,7 @@ use crate::error::SynthesisError;
 use crate::explore::{envelope, latency_order, power_order, SweepAxis, SweepPoint};
 use crate::options::SynthesisOptions;
 use crate::refine::{portfolio_session, refined_session};
-use crate::synthesis::synthesize_session;
+use crate::synthesis::{synthesize_recorded, synthesize_session};
 
 /// The per-library half of the synthesis state: owns the immutable
 /// module library plus every index derived from it alone.
@@ -287,6 +288,29 @@ impl<'e> Session<'e> {
         synthesize_session(self.engine, self.compiled, &constraints, options, None)
     }
 
+    /// [`synthesize`](Session::synthesize), also reporting the run's
+    /// [`PowerInterval`] under a constant budget: every constant bound
+    /// `P′` with `interval.covers(bound_quanta(P′))` gets this same
+    /// answer (an error included), up to the `constraints` the design
+    /// carries and the bound an error message names. An envelope budget
+    /// reports no interval.
+    ///
+    /// # Errors
+    ///
+    /// The outcome is as [`synthesize`](Session::synthesize)'s.
+    pub fn synthesize_with_interval(
+        &self,
+        constraints: SynthesisConstraints,
+        options: &SynthesisOptions,
+    ) -> (
+        Result<SynthesizedDesign, SynthesisError>,
+        Option<PowerInterval>,
+    ) {
+        let (outcome, interval) =
+            synthesize_recorded(self.engine, self.compiled, &constraints, options, None);
+        (outcome, constant_interval(&constraints, interval))
+    }
+
     /// [`synthesize`](Session::synthesize) with a progress/cancel hook:
     /// `hook` is called once per greedy iteration; returning
     /// [`ControlFlow::Break`] aborts with [`SynthesisError::Cancelled`].
@@ -347,20 +371,115 @@ impl<'e> Session<'e> {
     /// curve — output byte-identical to the serial references
     /// [`power_sweep_serial`](crate::power_sweep_serial) /
     /// [`latency_sweep_serial`](crate::latency_sweep_serial).
+    ///
+    /// A [`SweepSpec::Power`] grid runs the kernel once per distinct
+    /// answer: a grid point inside a finished run's [`PowerInterval`]
+    /// copies that run's point, relabelled with its own bound.
     #[must_use]
     pub fn sweep(&self, spec: &SweepSpec, options: &SynthesisOptions) -> SweepResult {
         let name = self.compiled.name();
-        let requests = (0..spec.len())
-            .map(|i| SynthesisRequest::new(spec.constraints(i)).with_options(*options));
-        let raw = self
-            .batch(requests)
-            .iter()
-            .map(|r| r.to_point(name))
-            .collect();
+        let (raw, kernel_runs) = match spec {
+            SweepSpec::Power { latency, powers } => self.power_grid(*latency, powers, options),
+            _ => {
+                let requests = (0..spec.len())
+                    .map(|i| SynthesisRequest::new(spec.constraints(i)).with_options(*options));
+                let raw = self
+                    .batch(requests)
+                    .iter()
+                    .map(|r| r.to_point(name))
+                    .collect();
+                (raw, spec.len())
+            }
+        };
+        static REUSED: OnceLock<pchls_obs::Counter> = OnceLock::new();
+        REUSED
+            .get_or_init(|| pchls_obs::global().counter("pchls_sweep_points_reused_total"))
+            .add((spec.len() - kernel_runs) as u64);
         SweepResult {
             benchmark: name.to_owned(),
             points: spec.envelope(raw),
+            kernel_runs,
         }
+    }
+
+    /// The raw points of a constant power grid at `latency`, and how
+    /// many kernel runs produced them.
+    ///
+    /// Intervals are exact equivalence classes — a run anywhere inside
+    /// `[lo, hi)` reports the same `[lo, hi)` — so the grid is resolved
+    /// in deterministic bisection rounds. Grid points are ordered by
+    /// bound quanta; the first round runs the lowest and the highest, and
+    /// each later round runs, through one [`batch`](Session::batch)-style
+    /// fan-out, the middle point of every stretch no finished run's
+    /// interval covers. Every run is therefore a new answer, and the run
+    /// count is the number of distinct answers on the grid, whatever the
+    /// thread count.
+    fn power_grid(
+        &self,
+        latency: u32,
+        powers: &[f64],
+        options: &SynthesisOptions,
+    ) -> (Vec<SweepPoint>, usize) {
+        let name = self.compiled.name();
+        let constraints = |i: usize| SynthesisConstraints::new(latency, powers[i]);
+        // Grid indices by ascending bound quanta, and each index's quanta.
+        let quanta: Vec<u64> = (0..powers.len())
+            .map(|i| bound_quanta(constraints(i).max_power()))
+            .collect();
+        let mut order: Vec<usize> = (0..powers.len()).collect();
+        order.sort_by_key(|&i| (quanta[i], i));
+        // `owner[pos]`: the run whose answer grid position `pos` takes.
+        let mut owner: Vec<Option<usize>> = vec![None; order.len()];
+        let mut runs: Vec<SweepPoint> = Vec::new();
+        let mut next: Vec<usize> = match order.len() {
+            0 => Vec::new(),
+            1 => vec![0],
+            n => vec![0, n - 1],
+        };
+        while !next.is_empty() {
+            let requests = next
+                .iter()
+                .map(|&pos| SynthesisRequest::new(constraints(order[pos])).with_options(*options));
+            for (&pos, (result, interval)) in next.iter().zip(self.run_requests(requests)) {
+                let run = runs.len();
+                runs.push(result.to_point(name));
+                owner[pos] = Some(run);
+                let interval = interval.expect("a constant budget reports its interval");
+                // An interval covers one contiguous stretch of the
+                // ordered grid around the run.
+                let covered = |&p: &usize| owner[p].is_none() && interval.covers(quanta[order[p]]);
+                let below: Vec<usize> = (0..pos).rev().take_while(covered).collect();
+                let above: Vec<usize> = (pos + 1..order.len()).take_while(covered).collect();
+                for p in below.into_iter().chain(above) {
+                    owner[p] = Some(run);
+                }
+            }
+            // The middle of every uncovered stretch.
+            next.clear();
+            let mut pos = 0;
+            while pos < owner.len() {
+                let start = pos;
+                while pos < owner.len() && owner[pos].is_none() {
+                    pos += 1;
+                }
+                if pos > start {
+                    next.push(start + (pos - start - 1) / 2);
+                } else {
+                    pos += 1;
+                }
+            }
+        }
+        let mut run_of = vec![0; order.len()];
+        for (pos, &i) in order.iter().enumerate() {
+            run_of[i] = owner[pos].expect("every grid point resolved");
+        }
+        let raw = (0..powers.len())
+            .map(|i| SweepPoint {
+                power_bound: constraints(i).max_power(),
+                ..runs[run_of[i]].clone()
+            })
+            .collect();
+        (raw, runs.len())
     }
 
     /// Runs a batch of independent synthesis requests, fanned out over
@@ -374,14 +493,30 @@ impl<'e> Session<'e> {
         &self,
         requests: impl IntoIterator<Item = SynthesisRequest>,
     ) -> Vec<SynthesisResult> {
+        self.run_requests(requests)
+            .into_iter()
+            .map(|(result, _)| result)
+            .collect()
+    }
+
+    /// [`batch`](Session::batch), each result with its interval as
+    /// [`synthesize_with_interval`](Session::synthesize_with_interval)
+    /// reports it.
+    fn run_requests(
+        &self,
+        requests: impl IntoIterator<Item = SynthesisRequest>,
+    ) -> Vec<(SynthesisResult, Option<PowerInterval>)> {
         let requests: Vec<SynthesisRequest> = requests.into_iter().collect();
         let outcomes = pchls_par::par_map(&requests, |r| {
-            synthesize_session(self.engine, self.compiled, &r.constraints, &r.options, None)
+            synthesize_recorded(self.engine, self.compiled, &r.constraints, &r.options, None)
         });
         requests
             .into_iter()
             .zip(outcomes)
-            .map(|(request, outcome)| SynthesisResult { request, outcome })
+            .map(|(request, (outcome, interval))| {
+                let interval = constant_interval(&request.constraints, interval);
+                (SynthesisResult { request, outcome }, interval)
+            })
             .collect()
     }
 
@@ -570,6 +705,15 @@ impl SweepSpec {
     }
 }
 
+/// `interval` when `constraints` carry a constant budget, the only kind
+/// whose record describes one threshold.
+fn constant_interval(
+    constraints: &SynthesisConstraints,
+    interval: PowerInterval,
+) -> Option<PowerInterval> {
+    constraints.budget.as_constant().map(|_| interval)
+}
+
 /// One sweep's output: the enveloped points, labelled with the
 /// benchmark they came from.
 #[derive(Debug, Clone, PartialEq)]
@@ -578,6 +722,10 @@ pub struct SweepResult {
     pub benchmark: String,
     /// One enveloped point per grid entry, in grid order.
     pub points: Vec<SweepPoint>,
+    /// Synthesis runs the sweep made: one per grid point, except on a
+    /// power grid, where points inside an earlier run's interval reuse
+    /// its answer.
+    pub kernel_runs: usize,
 }
 
 impl SweepResult {

@@ -4,7 +4,8 @@ use pchls_bind::{Binding, InstanceId};
 use pchls_cdfg::{Cdfg, NodeId, NodeSet, OpKind, Reachability};
 use pchls_fulib::{ModuleId, ModuleLibrary};
 use pchls_sched::{
-    LockedStarts, OpTiming, PlacementCache, PowerLedger, Schedule, ScheduleError, TimingMap,
+    LockedStarts, OpTiming, PlacementCache, PowerInterval, PowerLedger, Schedule, ScheduleError,
+    TimingMap,
 };
 
 use std::ops::ControlFlow;
@@ -71,23 +72,77 @@ pub(crate) fn synthesize_session(
     options: &SynthesisOptions,
     hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
 ) -> Result<SynthesizedDesign, SynthesisError> {
+    synthesize_recorded(engine, compiled, constraints, options, hook).0
+}
+
+/// [`synthesize_session`], also returning every bound comparison the
+/// run decided: under a constant budget, the [`PowerInterval`] of bound
+/// quanta over which this same answer comes back (an error included).
+pub(crate) fn synthesize_recorded(
+    engine: &Engine,
+    compiled: &CompiledGraph,
+    constraints: &SynthesisConstraints,
+    options: &SynthesisOptions,
+    hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
+) -> (Result<SynthesizedDesign, SynthesisError>, PowerInterval) {
     // Scores must be totally ordered: a NaN, infinite or overflowing
     // weight would poison the ranking (and the pair walk's bounds).
-    options.check_weights()?;
+    if let Err(e) = options.check_weights() {
+        return (Err(e), PowerInterval::EVERY);
+    }
     let mut tally = Tally::default();
-    let mut placer = PlacementCache::new(compiled.graph());
+    let mut run = Recorders::new(compiled.graph(), constraints);
     let result = greedy(
         engine,
         compiled,
         constraints,
         options,
         hook,
-        &mut placer,
+        &mut run,
         &mut tally,
     );
-    tally.orders = placer.orders_computed();
+    tally.orders = run.placer.orders_computed();
     tally.publish();
-    result
+    (result, run.interval())
+}
+
+/// Everything in one kernel run that compares the power bound. Each
+/// keeps the record of the comparisons it decided, and outlives the
+/// loop, so the record survives every exit path, errors included.
+struct Recorders<'g> {
+    /// Bootstrap's pasap runs: a cache of its own, whose placement
+    /// orders are not the kernel's and are not counted.
+    boot: PlacementCache<'g>,
+    /// Every locked pasap/palap of the loop.
+    placer: PlacementCache<'g>,
+    /// The per-cycle power reserved by locked operations, maintained
+    /// incrementally: candidate attempts reserve on apply and release
+    /// (exactly, in integer quanta) on undo, instead of rebuilding the
+    /// ledger from the whole locked set every iteration. A backtrack
+    /// rebuilds it in place.
+    ledger: PowerLedger,
+    /// The final validation's comparisons.
+    seen: PowerInterval,
+}
+
+impl<'g> Recorders<'g> {
+    fn new(graph: &'g Cdfg, constraints: &SynthesisConstraints) -> Recorders<'g> {
+        Recorders {
+            boot: PlacementCache::new(graph),
+            placer: PlacementCache::new(graph),
+            ledger: PowerLedger::under(constraints.latency, &constraints.budget),
+            seen: PowerInterval::EVERY,
+        }
+    }
+
+    /// The run's interval: every recorder's comparisons.
+    fn interval(&self) -> PowerInterval {
+        let mut seen = self.seen;
+        seen.merge(self.boot.interval());
+        seen.merge(self.placer.interval());
+        seen.merge(self.ledger.interval());
+        seen
+    }
 }
 
 /// Kernel effort summed over one synthesize call: pair merges whose
@@ -104,15 +159,17 @@ struct Tally {
 
 impl Tally {
     fn publish(&self) {
-        static COUNTERS: OnceLock<[pchls_obs::Counter; 3]> = OnceLock::new();
-        let [probes, pruned, orders] = COUNTERS.get_or_init(|| {
+        static COUNTERS: OnceLock<[pchls_obs::Counter; 4]> = OnceLock::new();
+        let [runs, probes, pruned, orders] = COUNTERS.get_or_init(|| {
             let global = pchls_obs::global();
             [
+                global.counter("pchls_kernel_runs_total"),
                 global.counter("pchls_kernel_pair_probes_total"),
                 global.counter("pchls_kernel_pairs_pruned_total"),
                 global.counter("pchls_kernel_placement_orders_total"),
             ]
         });
+        runs.inc();
         probes.add(self.probed);
         pruned.add(self.pruned);
         orders.add(self.orders);
@@ -120,17 +177,24 @@ impl Tally {
 }
 
 /// The greedy loop behind [`synthesize_session`], over validated
-/// options. Every locked pasap/palap runs through `placer`, which
-/// reuses the placement order while the delays stay put.
+/// options. Every locked pasap/palap runs through `run.placer`, which
+/// reuses the placement order while the delays stay put; every power
+/// comparison lands in one of `run`'s recorders.
 fn greedy(
     engine: &Engine,
     compiled: &CompiledGraph,
     constraints: &SynthesisConstraints,
     options: &SynthesisOptions,
     mut hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
-    placer: &mut PlacementCache<'_>,
+    run: &mut Recorders<'_>,
     tally: &mut Tally,
 ) -> Result<SynthesizedDesign, SynthesisError> {
+    let Recorders {
+        boot,
+        placer,
+        ledger,
+        seen,
+    } = run;
     let graph = compiled.graph();
     let library = engine.library();
     let reach = compiled.reachability();
@@ -142,7 +206,7 @@ fn greedy(
     let _synth_span = pchls_obs::span!("kernel.synthesize", "ops" => n);
     let (mut timing, est_modules) = {
         let _span = pchls_obs::span!("kernel.bootstrap");
-        bootstrap(graph, library, constraints, budget, reach, compiled)?
+        bootstrap(graph, library, constraints, ledger, boot, reach, compiled)?
     };
 
     let mut binding = Binding::new(n);
@@ -156,15 +220,6 @@ fn greedy(
     // Iteration-scoped work buffers, allocated once per synthesize call
     // and `clear()`ed per iteration instead of rebuilt.
     let mut scratch = Scratch::new(library.len());
-
-    // The per-cycle power reserved by locked operations, maintained
-    // incrementally: candidate attempts reserve on apply and release
-    // (exactly, in integer quanta) on undo, instead of rebuilding the
-    // ledger from the whole locked set every iteration.
-    let mut ledger = PowerLedger::under(constraints.latency, budget);
-    // The peak bound in quanta: the quick reject for a module that can
-    // fit in no cycle at all.
-    let peak_power = pchls_fulib::bound_quanta(constraints.max_power());
 
     // Power-feasible early starts under the current commitments. A
     // commitment that locks operations exactly at their provisional
@@ -243,13 +298,12 @@ fn greedy(
             kind_modules,
             binding: &binding,
             locked: &locked,
-            ledger: &ledger,
+            ledger,
             busy: &scratch.busy,
             by_module: &scratch.by_module,
             provisional: &provisional,
             late,
             constraints,
-            peak_power,
             start0: std::mem::take(&mut scratch.start0),
             avoided: std::mem::take(&mut scratch.avoided),
         };
@@ -275,7 +329,7 @@ fn greedy(
             &mut binding,
             &mut locked,
             &mut timing,
-            &mut ledger,
+            ledger,
             &mut unbound,
             &mut unbound_count,
             &mut stats,
@@ -291,7 +345,7 @@ fn greedy(
                 &scratch.unbound_vec,
                 &provisional,
                 &mut locked,
-                &mut ledger,
+                ledger,
                 &mut stats,
             )?;
         }
@@ -315,7 +369,7 @@ fn greedy(
         constraints.clone(),
     );
     design.stats = stats;
-    design.validate(graph, library)?;
+    design.validate_recording(graph, library, seen)?;
     Ok(design)
 }
 
@@ -436,7 +490,7 @@ fn backtrack_all(
     }
     // Rebuild the ledger from the full locked set (the newly locked
     // operations were not reserved incrementally).
-    *ledger = locked_ledger(graph, timing, locked, constraints.latency, budget)?;
+    reserve_locked(graph, timing, locked, budget, ledger)?;
     stats.backtracks += 1;
     Ok(())
 }
@@ -467,9 +521,6 @@ struct Context<'a> {
     provisional: &'a Schedule,
     late: &'a Schedule,
     constraints: &'a SynthesisConstraints,
-    /// `constraints.max_power()` in quanta — the peak per-cycle bound
-    /// any cycle can see (the bound itself for scalar constraints).
-    peak_power: u64,
     /// Tabulated `candidate_start(op, m, 0)`, flattened as
     /// `op.index() * library.len() + m.index()`; filled for every unbound
     /// op over its kind's candidate modules (the only entries scoring
@@ -480,15 +531,16 @@ struct Context<'a> {
     avoided: Vec<f64>,
 }
 
-/// The per-cycle power already reserved by locked operations.
-fn locked_ledger(
+/// Rebuilds `ledger` in place as the per-cycle power reserved by the
+/// locked operations; its record of comparisons survives.
+fn reserve_locked(
     graph: &Cdfg,
     timing: &TimingMap,
     locked: &LockedStarts,
-    latency: u32,
     budget: &pchls_sched::PowerBudget,
-) -> Result<PowerLedger, SynthesisError> {
-    let mut ledger = PowerLedger::under(latency, budget);
+    ledger: &mut PowerLedger,
+) -> Result<(), SynthesisError> {
+    ledger.clear();
     for id in graph.node_ids() {
         if let Some(s) = locked.get(id) {
             let t = timing.of(id);
@@ -508,7 +560,7 @@ fn locked_ledger(
             ledger.reserve(s, t.delay, t.power);
         }
     }
-    Ok(ledger)
+    Ok(())
 }
 
 /// Busy intervals of each instance (bound ops are always locked),
@@ -646,9 +698,6 @@ impl Context<'_> {
         }
         let delay = spec.latency();
         let power = spec.power();
-        if power > self.peak_power {
-            return None;
-        }
         let ready = self
             .graph
             .operands(op)
@@ -671,7 +720,8 @@ impl Context<'_> {
             .min(soft_deadline)
             .min(self.constraints.latency);
         // Deadline-bounded offset search on the ledger (log-time skips,
-        // identical result to the old cycle-by-cycle scan).
+        // identical result to the old cycle-by-cycle scan); it rejects a
+        // module over the peak bound before searching.
         self.ledger.earliest_fit_by(ready, delay, power, deadline)
     }
 
@@ -873,6 +923,34 @@ struct Entry {
 struct PairWalk {
     buckets: Vec<Bucket>,
     entries: Vec<Entry>,
+    /// `stamp[q] == generation` marks the operations sharing an operand
+    /// producer or a result consumer with the walk's current `p`.
+    stamp: Vec<u32>,
+    generation: u32,
+}
+
+/// Stamps every operation that shares an operand producer or a result
+/// consumer with `p` — the only partners whose interconnect with `p` is
+/// not 0 — with a fresh generation, returned.
+fn stamp_neighbours(graph: &Cdfg, p: NodeId, stamp: &mut Vec<u32>, generation: &mut u32) -> u32 {
+    if stamp.len() != graph.len() || *generation == u32::MAX {
+        stamp.clear();
+        stamp.resize(graph.len(), 0);
+        *generation = 0;
+    }
+    *generation += 1;
+    let g = *generation;
+    for &o in graph.operands(p) {
+        for &q in graph.successors(o) {
+            stamp[q.index()] = g;
+        }
+    }
+    for &c in graph.successors(p) {
+        for &q in graph.operands(c) {
+            stamp[q.index()] = g;
+        }
+    }
+    g
 }
 
 impl PairWalk {
@@ -933,6 +1011,13 @@ struct Walked {
 /// exact score is at most the bound, so it could never be kept. With
 /// the default weights (`displacement = 0`) every bound is exact and
 /// most probes would otherwise be such ties.
+///
+/// Most partners share no connection with `p` at all: their
+/// interconnect is 0 and their bound is the entry's `area_term +
+/// disp_cap` exactly. [`stamp_neighbours`] marks the others once per
+/// `p`, so an unmarked pair is cut (or tie-checked) without computing
+/// its interconnect, and — when module selection guarantees `first`
+/// offers the entry's module — without ordering the pair either.
 fn offer_pairs(
     ctx: &Context<'_>,
     unbound_vec: &[NodeId],
@@ -1004,6 +1089,7 @@ fn offer_pairs(
     }
     walk.entries.sort_by(|x, y| y.bound.total_cmp(&x.bound));
 
+    let ic_on = ctx.options.interconnect_scoring;
     let mut out = Walked::default();
     for (i, e) in walk.entries.iter().enumerate() {
         if top.worst().is_some_and(|w| e.bound < w.score) {
@@ -1011,10 +1097,25 @@ fn offer_pairs(
             out.pruned += walk.entries[i..].iter().map(|e| walk.pairs(e)).sum::<u64>();
             break;
         }
+        // The bound of a pair sharing no connection.
+        let base = e.area_term + disp_cap;
         let (a, b) = (&walk.buckets[e.lo].ops, &walk.buckets[e.hi].ops);
         for (x, &p) in a.iter().enumerate() {
             let partners = if e.lo == e.hi { &a[x + 1..] } else { &b[..] };
+            let marked = if ic_on {
+                stamp_neighbours(ctx.graph, p, &mut walk.stamp, &mut walk.generation)
+            } else {
+                0
+            };
             for &q in partners {
+                let shares = ic_on && walk.stamp[q.index()] == marked;
+                if !shares
+                    && ctx.options.module_selection
+                    && top.worst().is_some_and(|w| base < w.score)
+                {
+                    out.pruned += 1;
+                    continue;
+                }
                 let (u, v) = if p < q { (p, q) } else { (q, p) };
                 // Serialize in dependence order if one exists.
                 let (first, second) = if ctx.reach.reaches(v, u) {
@@ -1025,7 +1126,11 @@ fn offer_pairs(
                 let Some(pos) = ctx.modules_for(first).iter().position(|&x| x == e.module) else {
                     continue; // module selection off: `first` keeps its estimate
                 };
-                let bound = e.area_term + ctx.interconnect(first, &[second]) + disp_cap;
+                let bound = if shares {
+                    e.area_term + ctx.interconnect(first, &[second]) + disp_cap
+                } else {
+                    base
+                };
                 let key = (1, u.index() as u32, v.index() as u32, pos as u32);
                 if top.worst().is_some_and(|w| {
                     bound < w.score
@@ -1228,12 +1333,15 @@ fn undo(
 /// low-power choice in realistic libraries — precomputed once per graph
 /// as [`CompiledGraph`]'s seed), then upgrades operations to their
 /// fastest module along infeasible critical paths until a power-feasible
-/// schedule exists.
+/// schedule exists. The pasap runs go through `placer`, and the upgrade
+/// filter compares module powers against the kernel's still-empty
+/// `ledger`, so both record their comparisons.
 fn bootstrap(
     graph: &Cdfg,
     library: &ModuleLibrary,
     constraints: &SynthesisConstraints,
-    budget: &pchls_sched::PowerBudget,
+    ledger: &PowerLedger,
+    placer: &mut PlacementCache<'_>,
     reach: &Reachability,
     compiled: &CompiledGraph,
 ) -> Result<(TimingMap, Vec<ModuleId>), SynthesisError> {
@@ -1243,12 +1351,14 @@ fn bootstrap(
     // rebuilding it on every constraint point.
     let mut timing = compiled.min_area_timing().clone();
 
-    let peak_power = pchls_fulib::bound_quanta(constraints.max_power());
+    let unlocked = LockedStarts::none(graph.len());
     loop {
-        let err = match pchls_sched::pasap(graph, &timing, budget, constraints.latency) {
-            Ok(_) => return Ok((timing, modules)),
-            Err(e) => e,
-        };
+        let err =
+            match placer.pasap_locked(&timing, &constraints.budget, constraints.latency, &unlocked)
+            {
+                Ok(_) => return Ok((timing, modules)),
+                Err(e) => e,
+            };
         // Power alone can never be fixed by a faster (more power-hungry)
         // module.
         if matches!(err, ScheduleError::OpExceedsBudget { .. }) {
@@ -1265,7 +1375,7 @@ fn bootstrap(
             library
                 .candidates(graph.node(v).kind())
                 .filter(|&m| {
-                    library.module(m).latency() < cur && library.module(m).power() <= peak_power
+                    library.module(m).latency() < cur && ledger.admits(library.module(m).power())
                 })
                 .min_by_key(|&m| (library.module(m).latency(), library.module(m).area()))
         };
@@ -1347,17 +1457,17 @@ mod tests {
         let engine = Engine::new(library);
         let compiled = engine.compile(graph);
         let mut tally = Tally::default();
-        let mut placer = PlacementCache::new(graph);
+        let mut run = Recorders::new(graph, constraints);
         let result = greedy(
             &engine,
             &compiled,
             constraints,
             options,
             None,
-            &mut placer,
+            &mut run,
             &mut tally,
         );
-        tally.orders = placer.orders_computed();
+        tally.orders = run.placer.orders_computed();
         (result, tally)
     }
 

@@ -57,6 +57,7 @@ mod asap;
 mod budget;
 mod error;
 mod exact;
+mod interval;
 mod list;
 mod pasap;
 mod power;
@@ -69,6 +70,7 @@ pub use asap::asap;
 pub use budget::PowerBudget;
 pub use error::ScheduleError;
 pub use exact::{minimal_latency_exact, ExactLimits};
+pub use interval::PowerInterval;
 pub use list::{list_schedule, Allocation};
 pub use pasap::{palap, palap_locked, pasap, pasap_locked, LockedStarts, PlacementCache};
 pub use power::{NaivePowerLedger, PowerLedger, PowerProfile};

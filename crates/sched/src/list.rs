@@ -114,7 +114,7 @@ pub fn list_schedule(
     // phase past every schedulable cycle must not mask the error.
     let max_power = budget.peak_within(horizon);
     for id in graph.node_ids() {
-        if timing.power(id) > ledger.peak() {
+        if !ledger.admits(timing.power(id)) {
             return Err(ScheduleError::OpExceedsBudget {
                 node: id,
                 power: pchls_fulib::units(timing.power(id)),

@@ -18,6 +18,7 @@ use pchls_cdfg::{Cdfg, NodeId};
 
 use crate::budget::PowerBudget;
 use crate::error::ScheduleError;
+use crate::interval::PowerInterval;
 use crate::power::PowerLedger;
 use crate::schedule::Schedule;
 use crate::timing::TimingMap;
@@ -168,12 +169,16 @@ pub fn palap_locked(
 /// so a caller scheduling one graph many times under changing locks (the
 /// synthesis loop) pays for it only when a delay changes. Every answer
 /// equals that of a fresh cache, which is what the free functions use.
+///
+/// The cache also accumulates the bound comparisons of every placement
+/// it ran, failed ones included ([`interval`](PlacementCache::interval)).
 #[derive(Debug)]
 pub struct PlacementCache<'g> {
     graph: &'g Cdfg,
     forward: CachedOrder,
     reverse: CachedOrder,
     computed: u64,
+    seen: PowerInterval,
 }
 
 /// One direction's placement order and the delays it was computed for.
@@ -213,6 +218,7 @@ impl<'g> PlacementCache<'g> {
             forward: CachedOrder::default(),
             reverse: CachedOrder::default(),
             computed: 0,
+            seen: PowerInterval::EVERY,
         }
     }
 
@@ -245,6 +251,7 @@ impl<'g> PlacementCache<'g> {
             budget,
             horizon,
             |id| locked.get(id),
+            &mut self.seen,
         )?;
         let schedule = Schedule::new(starts);
         schedule.validate(graph, timing, None, None)?;
@@ -302,6 +309,7 @@ impl<'g> PlacementCache<'g> {
                     .get(id)
                     .map(|s| flip(s, timing.delay(id)).expect("lock range checked above"))
             },
+            &mut self.seen,
         )?;
         let starts: Vec<u32> = rev_starts
             .iter()
@@ -324,6 +332,13 @@ impl<'g> PlacementCache<'g> {
     #[must_use]
     pub fn orders_computed(&self) -> u64 {
         self.computed
+    }
+
+    /// Every bound comparison of the placements run so far (see
+    /// [`PowerLedger::interval`]).
+    #[must_use]
+    pub fn interval(&self) -> PowerInterval {
+        self.seen
     }
 }
 
@@ -391,6 +406,8 @@ fn placement_order<'a>(
 /// operation of `order` (see [`placement_order`]) takes its earliest
 /// power-feasible start at or after its data-ready time. `order` holds
 /// every node once; `preds` and `locked` are in the oriented time axis.
+/// The ledger's bound comparisons are added to `seen`, whatever the
+/// outcome.
 fn place<'a>(
     order: &[NodeId],
     preds: impl Fn(NodeId) -> &'a [NodeId],
@@ -398,8 +415,24 @@ fn place<'a>(
     budget: &PowerBudget,
     horizon: u32,
     locked: impl Fn(NodeId) -> Option<u32>,
+    seen: &mut PowerInterval,
 ) -> Result<Vec<u32>, ScheduleError> {
     let mut ledger = PowerLedger::under(horizon, budget);
+    let placed = place_on(&mut ledger, order, preds, timing, budget, horizon, locked);
+    seen.merge(ledger.interval());
+    placed
+}
+
+/// [`place`] on a fresh `ledger`.
+fn place_on<'a>(
+    ledger: &mut PowerLedger,
+    order: &[NodeId],
+    preds: impl Fn(NodeId) -> &'a [NodeId],
+    timing: &TimingMap,
+    budget: &PowerBudget,
+    horizon: u32,
+    locked: impl Fn(NodeId) -> Option<u32>,
+) -> Result<Vec<u32>, ScheduleError> {
     // The scalar every error message reports: the bound itself for a
     // constant budget, the envelope's peak otherwise.
     let infeasible = |node: NodeId| ScheduleError::Infeasible {
@@ -440,7 +473,7 @@ fn place<'a>(
             continue;
         }
         let t = timing.of(id);
-        if t.power > ledger.peak() {
+        if !ledger.admits(t.power) {
             return Err(ScheduleError::OpExceedsBudget {
                 node: id,
                 power: units(t.power),

@@ -1,6 +1,9 @@
 //! Per-cycle power accounting: profiles and incremental ledgers.
 
+use std::cell::Cell;
+
 use crate::budget::PowerBudget;
+use crate::interval::PowerInterval;
 use crate::schedule::Schedule;
 use crate::timing::TimingMap;
 
@@ -69,13 +72,21 @@ impl PowerProfile {
 
     /// The first cycle whose power exceeds the budget's bound *for that
     /// cycle*, if any, together with the power drawn there (in quanta).
+    /// Every comparison made is recorded in `seen`.
     #[must_use]
-    pub(crate) fn first_violation(&self, budget: &PowerBudget) -> Option<(u32, u64)> {
-        self.per_cycle
-            .iter()
-            .enumerate()
-            .find(|&(c, &p)| p > bound_quanta(budget.bound_at(c as u32)))
-            .map(|(c, &p)| (c as u32, p))
+    pub(crate) fn first_violation(
+        &self,
+        budget: &PowerBudget,
+        seen: &mut PowerInterval,
+    ) -> Option<(u32, u64)> {
+        for (c, &p) in (0u32..).zip(&self.per_cycle) {
+            let fits = p <= bound_quanta(budget.bound_at(c));
+            seen.record(p, fits);
+            if !fits {
+                return Some((c, p));
+            }
+        }
+        None
     }
 
     /// Renders the profile as a rows-of-`#` ASCII bar chart, one line per
@@ -158,9 +169,14 @@ impl PowerProfile {
 /// **rightmost** violating cycle (every start whose window covers that
 /// cycle is infeasible, so the search resumes just past it).
 ///
+/// Every probe also records the bound comparison it decided in the
+/// ledger's [`PowerInterval`] ([`interval`](PowerLedger::interval)):
+/// `power ≤ slack[c]` is `x ≤ bound` for `x = power + reserved[c]`. The
+/// record is not part of the ledger's state: equality ignores it.
+///
 /// [`NaivePowerLedger`] retains the cycle-scanning implementation as the
 /// differential-testing reference.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct PowerLedger {
     /// The bound of each cycle of the horizon, in quanta.
     bounds: Vec<u64>,
@@ -169,7 +185,17 @@ pub struct PowerLedger {
     /// The largest bound of the horizon (the opening bound for an empty
     /// horizon): the can-never-fit quick reject.
     peak: u64,
+    /// The comparisons decided so far.
+    seen: Cell<PowerInterval>,
 }
+
+impl PartialEq for PowerLedger {
+    fn eq(&self, other: &PowerLedger) -> bool {
+        (&self.bounds, &self.slack, self.peak) == (&other.bounds, &other.slack, other.peak)
+    }
+}
+
+impl Eq for PowerLedger {}
 
 /// `budget`'s bounds over `0..horizon` in quanta, plus their peak (the
 /// opening bound for an empty horizon).
@@ -194,13 +220,44 @@ impl PowerLedger {
             slack: bounds.clone(),
             bounds,
             peak,
+            seen: Cell::new(PowerInterval::EVERY),
         }
     }
 
-    /// The largest bound of the horizon, in quanta.
+    /// Every bound comparison this ledger has decided. Under a constant
+    /// budget, a ledger at any bound the interval covers would have
+    /// answered every probe alike; under an envelope it means nothing.
     #[must_use]
-    pub(crate) fn peak(&self) -> u64 {
-        self.peak
+    pub fn interval(&self) -> PowerInterval {
+        self.seen.get()
+    }
+
+    /// Records the comparison `power ≤ slack` (one cycle's, or a
+    /// window's minimum) as `x ≤ peak` with `x = power + (peak − slack)`,
+    /// the power the cycle would draw. Saturating: under an envelope with
+    /// an infinite phase the sum can overflow, and such a record is
+    /// meaningless anyway.
+    #[inline]
+    fn note(&self, power: u64, slack: u64, passed: bool) {
+        let mut seen = self.seen.get();
+        seen.record(power.saturating_add(self.peak - slack), passed);
+        self.seen.set(seen);
+    }
+
+    /// Whether an operation drawing `power` quanta fits under the peak
+    /// bound at all — the can-never-fit quick reject, recorded.
+    #[must_use]
+    pub fn admits(&self, power: u64) -> bool {
+        let admits = power <= self.peak;
+        let mut seen = self.seen.get();
+        seen.record(power, admits);
+        self.seen.set(seen);
+        admits
+    }
+
+    /// Releases every reservation. The record of comparisons is kept.
+    pub fn clear(&mut self) {
+        self.slack.copy_from_slice(&self.bounds);
     }
 
     /// The scheduling horizon in cycles.
@@ -227,8 +284,17 @@ impl PowerLedger {
     /// entirely within the horizon.
     #[must_use]
     pub fn fits(&self, start: u32, delay: u32, power: u64) -> bool {
-        let end = start as usize + delay as usize;
-        end <= self.slack.len() && power <= self.min_slack(start as usize, end)
+        let (s, end) = (start as usize, start as usize + delay as usize);
+        if end > self.slack.len() {
+            return false;
+        }
+        if s == end {
+            return true;
+        }
+        let min = self.min_slack(s, end);
+        let fits = power <= min;
+        self.note(power, min, fits);
+        fits
     }
 
     /// Reserves `power` in every cycle of `[start, start + delay)`.
@@ -239,12 +305,12 @@ impl PowerLedger {
     /// [`PowerLedger::fits`] first); reserving blindly would corrupt the
     /// budget accounting.
     pub fn reserve(&mut self, start: u32, delay: u32, power: u64) {
+        let (s, e) = (start as usize, start as usize + delay as usize);
         assert!(
-            self.fits(start, delay, power),
+            e <= self.slack.len() && power <= self.min_slack(s, e),
             "reserve([{start}, {}), {power}) violates the budget",
             start + delay
         );
-        let (s, e) = (start as usize, start as usize + delay as usize);
         for slack in &mut self.slack[s..e] {
             *slack -= power;
         }
@@ -269,17 +335,26 @@ impl PowerLedger {
         }
     }
 
-    /// The rightmost cycle in `[l, r)` whose slack is below `power`, if
-    /// any. The minimum-slack pre-check settles the clean window (every
-    /// final probe of an offset search) without a positional scan.
+    /// The rightmost cycle in `[l, r)` (non-empty) whose slack is below
+    /// `power`, if any. The minimum-slack pre-check settles the clean
+    /// window (every final probe of an offset search) without a
+    /// positional scan. Recorded: the violating cycle failed, and every
+    /// cycle after it passed.
     fn last_violation(&self, l: usize, r: usize, power: u64) -> Option<usize> {
-        if power <= self.min_slack(l, r) {
+        let min = self.min_slack(l, r);
+        if power <= min {
+            self.note(power, min, true);
             return None;
         }
-        self.slack[l..r]
+        let v = l + self.slack[l..r]
             .iter()
             .rposition(|&slack| slack < power)
-            .map(|i| l + i)
+            .expect("the minimum slack is below power");
+        self.note(power, self.slack[v], false);
+        if v + 1 < r {
+            self.note(power, self.min_slack(v + 1, r), true);
+        }
+        Some(v)
     }
 
     /// The first covered cycle of `[start, start + delay)` whose own
@@ -298,10 +373,16 @@ impl PowerLedger {
         if end > self.horizon() {
             return Some(self.horizon());
         }
-        let first = self.slack[start as usize..end as usize]
+        let s = start as usize;
+        let first = s + self.slack[s..end as usize]
             .iter()
-            .position(|&slack| slack < power);
-        Some(first.map_or(start, |i| start + i as u32))
+            .position(|&slack| slack < power)
+            .expect("fits failed inside the horizon");
+        self.note(power, self.slack[first], false);
+        if first > s {
+            self.note(power, self.min_slack(s, first), true);
+        }
+        Some(first as u32)
     }
 
     /// The earliest start `s ≥ min_start` such that `[s, s+delay)` fits,
@@ -331,7 +412,7 @@ impl PowerLedger {
         power: u64,
         latest_finish: u32,
     ) -> Option<u32> {
-        if power > self.peak {
+        if !self.admits(power) {
             return None;
         }
         let bound = latest_finish.min(self.horizon());
@@ -521,11 +602,95 @@ mod tests {
         assert_eq!(p.cycles(), 2);
         assert_eq!(p.peak(), 5.0);
         assert!((p.peak_to_average() - 5.0 / 4.5).abs() < 1e-12);
+        let mut seen = PowerInterval::EVERY;
         assert_eq!(
-            p.first_violation(&PowerBudget::constant(4.5)),
+            p.first_violation(&PowerBudget::constant(4.5), &mut seen),
             Some((0, 5_000))
         );
-        assert_eq!(p.first_violation(&PowerBudget::constant(5.0)), None);
+        assert_eq!(seen, PowerInterval { lo: 0, hi: 5_000 });
+        let mut seen = PowerInterval::EVERY;
+        assert_eq!(
+            p.first_violation(&PowerBudget::constant(5.0), &mut seen),
+            None
+        );
+        assert_eq!(
+            seen,
+            PowerInterval {
+                lo: 5_000,
+                hi: u64::MAX
+            }
+        );
+    }
+
+    /// A ledger under the constant bound 10.0 (10 000 quanta) with
+    /// 7.5, 5.0 and 9.0 reserved in cycles 1, 2 and 3.
+    fn reserved() -> PowerLedger {
+        let mut l = constant(8, 10.0);
+        l.reserve(1, 1, 7_500);
+        l.reserve(2, 1, 5_000);
+        l.reserve(3, 1, 9_000);
+        assert_eq!(
+            l.interval(),
+            PowerInterval::EVERY,
+            "reserving compares nothing"
+        );
+        l
+    }
+
+    fn interval(lo: u64, hi: u64) -> PowerInterval {
+        PowerInterval { lo, hi }
+    }
+
+    #[test]
+    fn fits_records_the_window_peak() {
+        // A 3.0 draw in cycles 1–2 would make 10.5 in cycle 1: one
+        // comparison, failed at its largest sum.
+        let l = reserved();
+        assert!(!l.fits(1, 2, 3_000));
+        assert_eq!(l.interval(), interval(0, 10_500));
+        let l = reserved();
+        assert!(l.fits(4, 3, 3_000));
+        assert_eq!(l.interval(), interval(3_000, u64::MAX));
+        // An empty window compares nothing.
+        let l = reserved();
+        assert!(l.fits(1, 0, 3_000));
+        assert_eq!(l.interval(), PowerInterval::EVERY);
+    }
+
+    #[test]
+    fn first_unfit_cycle_records_the_cycles_before_the_witness() {
+        // Cycle 0 takes the draw (3.0), cycle 1 is the first to refuse
+        // it (10.5); the window's largest sum (12.0, cycle 3) is not the
+        // witness.
+        let l = reserved();
+        assert_eq!(l.first_unfit_cycle(0, 4, 3_000), Some(1));
+        assert_eq!(l.interval(), interval(3_000, 10_500));
+    }
+
+    #[test]
+    fn offset_search_records_every_decided_cycle() {
+        // Window [0, 3): cycle 1 is the rightmost refusal (10.5), and
+        // cycle 2 after it passed (8.0). Window [2, 5): cycle 3 refuses
+        // (12.0), cycle 4 passes (3.0). Window [4, 7) fits (3.0). Only
+        // the first probe saw cycle 2 pass, so it sets `lo`.
+        let l = reserved();
+        assert_eq!(l.earliest_fit(0, 3, 3_000), Some(4));
+        assert_eq!(l.interval(), interval(8_000, 10_500));
+        // Above the peak bound the search stops at the quick reject.
+        let l = reserved();
+        assert_eq!(l.earliest_fit(0, 1, 11_000), None);
+        assert_eq!(l.interval(), interval(0, 11_000));
+        assert!(l.admits(2_500));
+        assert_eq!(l.interval(), interval(2_500, 11_000));
+    }
+
+    #[test]
+    fn clearing_keeps_the_record() {
+        let mut l = reserved();
+        assert!(!l.fits(1, 2, 3_000));
+        l.clear();
+        assert_eq!(l, constant(8, 10.0));
+        assert_eq!(l.interval(), interval(0, 10_500));
     }
 
     #[test]
@@ -632,10 +797,11 @@ mod tests {
         let p = PowerProfile {
             per_cycle: vec![5_000, 5_000, 5_000],
         };
+        let mut seen = PowerInterval::EVERY;
         let constant = PowerBudget::constant(4.0);
-        assert_eq!(p.first_violation(&constant), Some((0, 5_000)));
+        assert_eq!(p.first_violation(&constant, &mut seen), Some((0, 5_000)));
         let steps = PowerBudget::steps(vec![(0, 6.0), (2, 4.0)]);
-        assert_eq!(p.first_violation(&steps), Some((2, 5_000)));
+        assert_eq!(p.first_violation(&steps, &mut seen), Some((2, 5_000)));
     }
 
     #[test]

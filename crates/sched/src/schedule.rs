@@ -6,6 +6,7 @@ use pchls_cdfg::{Cdfg, NodeId};
 
 use crate::budget::PowerBudget;
 use crate::error::ScheduleError;
+use crate::interval::PowerInterval;
 use crate::power::PowerProfile;
 use crate::timing::TimingMap;
 
@@ -88,6 +89,29 @@ impl Schedule {
         latency_bound: Option<u32>,
         budget: Option<&PowerBudget>,
     ) -> Result<(), ScheduleError> {
+        self.validate_recording(
+            graph,
+            timing,
+            latency_bound,
+            budget,
+            &mut PowerInterval::default(),
+        )
+    }
+
+    /// [`validate`](Schedule::validate), adding the budget comparisons
+    /// it makes to `seen` (see [`PowerInterval`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`validate`](Schedule::validate).
+    pub fn validate_recording(
+        &self,
+        graph: &Cdfg,
+        timing: &TimingMap,
+        latency_bound: Option<u32>,
+        budget: Option<&PowerBudget>,
+        seen: &mut PowerInterval,
+    ) -> Result<(), ScheduleError> {
         assert_eq!(self.starts.len(), graph.len(), "schedule/graph mismatch");
         for id in graph.node_ids() {
             for &p in graph.operands(id) {
@@ -107,7 +131,7 @@ impl Schedule {
         }
         if let Some(budget) = budget {
             let profile = PowerProfile::of(self, timing);
-            if let Some((cycle, power)) = profile.first_violation(budget) {
+            if let Some((cycle, power)) = profile.first_violation(budget, seen) {
                 return Err(ScheduleError::PowerExceeded {
                     cycle,
                     power: pchls_fulib::units(power),

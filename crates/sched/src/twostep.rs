@@ -13,6 +13,7 @@ use pchls_cdfg::Cdfg;
 use crate::asap::asap;
 use crate::budget::PowerBudget;
 use crate::error::ScheduleError;
+use crate::interval::PowerInterval;
 use crate::power::PowerProfile;
 use crate::schedule::Schedule;
 use crate::timing::TimingMap;
@@ -65,7 +66,8 @@ pub fn two_step(
     let mut moves = 0;
     while moves < max_moves {
         let profile = PowerProfile::of(&Schedule::new(starts.clone()), timing);
-        let Some((peak_cycle, _)) = profile.first_violation(budget) else {
+        let Some((peak_cycle, _)) = profile.first_violation(budget, &mut PowerInterval::default())
+        else {
             return Ok(TwoStepOutcome {
                 schedule: Schedule::new(starts),
                 met_power: true,
@@ -107,7 +109,7 @@ pub fn two_step(
     // Same predicate as the loop, so the claim is consistent with what
     // a validator would conclude.
     let met_power = PowerProfile::of(&schedule, timing)
-        .first_violation(budget)
+        .first_violation(budget, &mut PowerInterval::default())
         .is_none();
     schedule.validate(graph, timing, Some(latency), None)?;
     Ok(TwoStepOutcome {

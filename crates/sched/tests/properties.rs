@@ -608,3 +608,78 @@ mod quanta_props {
         }
     }
 }
+
+mod interval_props {
+    use super::*;
+    use pchls_fulib::bound_quanta;
+    use pchls_sched::{PowerInterval, PowerLedger};
+
+    /// Every answer a fresh ledger under constant `bound` gives to `ops`
+    /// (`(opcode, start, delay, power)`, power in quanta; a yes/no
+    /// answer as `Some(0)` / `None`), and the ledger's interval after
+    /// them.
+    fn answers(
+        horizon: u32,
+        bound: f64,
+        ops: &[(u8, u32, u32, u64)],
+    ) -> (Vec<Option<u32>>, PowerInterval) {
+        let mut ledger = PowerLedger::under(horizon, &PowerBudget::constant(bound));
+        let mut live: Vec<(u32, u32, u64)> = Vec::new();
+        let mut out = Vec::new();
+        for &(op, start, delay, power) in ops {
+            match op % 6 {
+                0 => out.push(ledger.fits(start, delay, power).then_some(0)),
+                1 => {
+                    out.push(ledger.earliest_fit(start, delay, power));
+                    let deadline = start / 2 + delay + horizon / 4;
+                    out.push(ledger.earliest_fit_by(start, delay, power, deadline));
+                }
+                2 => {
+                    let fits = ledger.fits(start, delay, power);
+                    if fits {
+                        ledger.reserve(start, delay, power);
+                        live.push((start, delay, power));
+                    }
+                    out.push(fits.then_some(0));
+                }
+                3 => {
+                    if !live.is_empty() {
+                        let (s, d, p) = live.swap_remove(start as usize % live.len());
+                        ledger.release(s, d, p);
+                    }
+                }
+                4 => out.push(ledger.first_unfit_cycle(start, delay, power)),
+                _ => out.push(ledger.admits(power).then_some(0)),
+            }
+        }
+        (out, ledger.interval())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A ledger's interval is an exact equivalence class of constant
+        /// bounds: replayed at either end of it, or inside, the same
+        /// operations get the same answers and leave the same interval.
+        #[test]
+        fn ledger_intervals_are_exact(
+            horizon in 1u32..120,
+            bound in 1.0f64..40.0,
+            pick in 0.0f64..1.0,
+            ops in proptest::collection::vec(
+                (0u8..18, 0u32..130, 0u32..24, 0u64..12_500),
+                1..80,
+            ),
+        ) {
+            let (expected, interval) = answers(horizon, bound, &ops);
+            prop_assert!(interval.covers(bound_quanta(bound)), "{:?} misses {}", interval, bound);
+            let top = if interval.is_bounded() { interval.hi } else { interval.lo + 50_000 };
+            let inside = interval.lo + ((top - interval.lo) as f64 * pick) as u64;
+            for q in [interval.lo, top - 1, inside.min(top - 1)] {
+                let (again, other) = answers(horizon, units(q), &ops);
+                prop_assert_eq!(&again, &expected, "answers moved at {} in {:?}", q, interval);
+                prop_assert_eq!(other, interval, "the interval moved at {}", q);
+            }
+        }
+    }
+}

@@ -4,7 +4,7 @@
 //! ```text
 //! pchls benchmarks
 //! pchls dump <graph> [--dot]
-//! pchls synth <graph> -T <cycles> (-P <power> | --budget <file>) [--library <file>] [--hdl] [--profile]
+//! pchls synth <graph> -T <cycles> (-P <power> | --budget <file>) [--library <file>] [--hdl] [--profile] [--explain]
 //! pchls sweep <graph> -T <cycles> [--steps <n>] [--budget <file>] [--store <dir>]
 //! pchls batch <graph> --points <file> [--budget <file>] [--store <dir>]
 //! pchls battery <graph> -T <cycles> (-P <power> | --budget <file>) [--capacity <charge>]
@@ -62,7 +62,7 @@ use pchls::core::{
     CompiledGraph, Engine, PowerBudget, Session, SweepPoint, SweepSpec, SynthesisConstraints,
     SynthesisOptions, SynthesisRequest, MAX_LATENCY,
 };
-use pchls::fulib::{paper_library, parse_library, ModuleLibrary};
+use pchls::fulib::{paper_library, parse_library, units, ModuleLibrary};
 use pchls::rtl::{simulate, to_structural_hdl, Datapath};
 use pchls::serve::{render_serve_stats, serve_stdio, serve_tcp, Service, ServiceConfig};
 use pchls::store::{trace_bytes, Store, StoreKey, StoreRecord, StoreStat, STORE_FILE_NAME};
@@ -86,7 +86,7 @@ const USAGE: &str = "\
 usage:
   pchls benchmarks
   pchls dump <graph> [--dot|--stats]
-  pchls synth <graph> -T <cycles> (-P <power> | --budget <file>) [--library <file>] [--hdl] [--profile] [--gantt] [--refine] [--optimize] [--trace-out <file>]
+  pchls synth <graph> -T <cycles> (-P <power> | --budget <file>) [--library <file>] [--hdl] [--profile] [--gantt] [--refine | --explain] [--optimize] [--trace-out <file>]
   pchls sweep <graph> -T <cycles> [--steps <n>] [--budget <file>] [--store <dir>]   # with --budget, sweeps envelope scale factors
   pchls batch <graph> --points <file> [--budget <file>] [--store <dir>] [--trace-out <file>]   # one `T P` pair per line; with --budget, P scales the envelope
   pchls battery <graph> -T <cycles> (-P <power> | --budget <file>) [--capacity <charge>]
@@ -520,8 +520,19 @@ fn synth(args: &[String]) -> Result<String, String> {
     let session = engine.session(&compiled);
     let (g, lib) = (compiled.graph(), engine.library());
     let constraints = budget_or_scalar_constraints(&flags)?;
-    let design = if flags.switches.iter().any(|s| s == "refine") {
+    let refine = flags.switches.iter().any(|s| s == "refine");
+    let explain = flags.switches.iter().any(|s| s == "explain");
+    if refine && explain {
+        return Err("--explain reports one kernel run; it cannot be combined with --refine".into());
+    }
+    let mut interval = None;
+    let design = if refine {
         session.synthesize_refined(constraints, &SynthesisOptions::default())
+    } else if explain {
+        let (outcome, run) =
+            session.synthesize_with_interval(constraints, &SynthesisOptions::default());
+        interval = Some(run);
+        outcome
     } else {
         session.synthesize(constraints, &SynthesisOptions::default())
     }
@@ -544,6 +555,21 @@ fn synth(args: &[String]) -> Result<String, String> {
         regs.count(),
         ic.total()
     ));
+    match interval {
+        None => {}
+        Some(None) => out.push_str("power interval: none (envelope budget)\n"),
+        Some(Some(run)) => {
+            let hi = if run.is_bounded() {
+                units(run.hi).to_string()
+            } else {
+                "∞".to_owned()
+            };
+            out.push_str(&format!(
+                "power interval: this design answers every constant bound P in [{}, {hi})\n",
+                units(run.lo)
+            ));
+        }
+    }
     if flags.switches.iter().any(|s| s == "profile") {
         out.push_str("\nper-cycle power profile (| marks each cycle's budget bound):\n");
         out.push_str(
@@ -1222,6 +1248,60 @@ mod tests {
             out.contains("(P<40.0)") && out.contains("(P<12.0)"),
             "{out}"
         );
+    }
+
+    #[test]
+    fn synth_explain_reports_the_power_interval() {
+        for (cmd, line, inside) in [
+            (
+                "synth elliptic -T 22 -P 17.5",
+                "power interval: this design answers every constant bound P in [16.2, 18.7)",
+                ["16.2", "18.6"],
+            ),
+            (
+                "synth hal -T 17 -P 25",
+                "power interval: this design answers every constant bound P in [15, ∞)",
+                ["15", "1e9"],
+            ),
+        ] {
+            let plain = run(&argv(cmd)).unwrap();
+            let explained = run(&argv(&format!("{cmd} --explain"))).unwrap();
+            assert!(explained.lines().any(|l| l == line), "{explained}");
+            // The flag adds that one line and changes nothing else.
+            let rest: String = explained
+                .lines()
+                .filter(|l| *l != line)
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(rest, plain);
+            // Any bound inside the interval prints the same design.
+            let graph_t = cmd.rsplit_once(" -P ").unwrap().0;
+            for p in inside {
+                assert_eq!(
+                    run(&argv(&format!("{graph_t} -P {p}"))).unwrap(),
+                    plain,
+                    "P={p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn synth_explain_names_envelope_budgets_and_refuses_refine() {
+        let path = budget_dir().join("explain_steps.json");
+        std::fs::write(&path, "{\"steps\": [[0, 40.0], [5, 15.0]]}\n").unwrap();
+        let out = run(&argv(&format!(
+            "synth hal -T 10 --budget {} --explain",
+            path.display()
+        )))
+        .unwrap();
+        assert!(
+            out.lines()
+                .any(|l| l == "power interval: none (envelope budget)"),
+            "{out}"
+        );
+        let err = run(&argv("synth hal -T 17 -P 25 --explain --refine")).unwrap_err();
+        assert!(err.contains("--refine"), "{err}");
     }
 
     #[test]
