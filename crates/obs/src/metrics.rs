@@ -154,12 +154,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrites the value — for counters mirrored from an external
-    /// snapshot at scrape time rather than incremented in place.
-    pub fn store(&self, n: u64) {
-        self.0.store(n, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

@@ -12,118 +12,48 @@
 //!
 //! Three properties matter for correctness and are enforced here:
 //!
-//! * **Collision-checked**: a fingerprint match is only a bucket hint;
-//!   the cache verifies full [`Cdfg`] equality before sharing an entry.
-//!   Two different graphs colliding on the hash simply occupy two slots
-//!   of one bucket.
+//! * **Collision-checked**: each fingerprint owns one slot, and a hit
+//!   must match the slot's graph by full [`Cdfg`] equality. A different
+//!   graph under the same fingerprint replaces the slot and counts as a
+//!   miss, so a collision costs a recompile, never a wrong answer.
 //! * **Coalesced compiles**: when N clients submit the same uncached
 //!   graph concurrently, exactly one compile runs; the other N−1 block
-//!   on the same [`OnceLock`] cell and share the result ([`CacheLookup::Coalesced`]).
-//! * **Bounded**: at most `cap` entries live in the map, evicted least-
-//!   recently-used. Evicting an in-flight entry is safe — waiters hold
-//!   their own [`Arc`] to the cell and still complete.
+//!   on the same [`OnceLock`] cell and share the result (counted as
+//!   coalesced).
+//! * **Bounded**: at most `cap` entries live in the [`Lru`], evicted
+//!   least-recently-used. Evicting an in-flight entry is safe — waiters
+//!   hold their own [`Arc`] to the cell and still complete.
+//!
+//! Hits, misses, coalesced joins, evictions and victim ages count into
+//! the service's [`MetricsRegistry`] under the `pchls_compile_cache_*`
+//! series, shared by every shard's cache.
 //!
 //! [`Engine::try_compile`]: pchls_core::Engine::try_compile
+//! [`graph_fingerprint`]: pchls_cdfg::graph_fingerprint
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use pchls_cdfg::Cdfg;
 use pchls_core::{CompiledGraph, Engine, SynthesisError};
-use serde::{Deserialize, Serialize};
+use pchls_obs::{Counter, MetricsRegistry};
+
+use crate::lru::Lru;
+
+/// Lookups satisfied by a completed cached compile.
+pub(crate) const HITS: &str = "pchls_compile_cache_hits_total";
+/// Lookups that inserted a new slot (and run its compile).
+pub(crate) const MISSES: &str = "pchls_compile_cache_misses_total";
+/// Lookups that joined an in-flight compile of the same graph.
+pub(crate) const COALESCED: &str = "pchls_compile_cache_coalesced_total";
+/// Slots removed by the LRU bound.
+pub(crate) const EVICTIONS: &str = "pchls_compile_cache_evictions_total";
+/// Sum over evictions of the victim's idle age in LRU ticks.
+pub(crate) const EVICTION_AGES: &str = "pchls_compile_cache_eviction_age_ticks_total";
 
 /// What one compile request costs: a shared compiled graph, or the
 /// compile-time error (also cached, so repeated bad submissions stay
 /// cheap).
 pub(crate) type CompileOutcome = Result<Arc<CompiledGraph>, SynthesisError>;
-
-/// How a [`CompileCache::get_or_compile_keyed`] call was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CacheLookup {
-    /// The graph was cached and compiled: zero work.
-    Hit,
-    /// The graph was in the cache but its compile was still in flight:
-    /// this call joined the existing compile instead of starting one.
-    Coalesced,
-    /// The graph was not cached: this call inserted the entry (and
-    /// typically runs the compile).
-    Miss,
-}
-
-/// Counter snapshot of a [`CompileCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub(crate) struct CacheStats {
-    /// Lookups satisfied by a completed cached compile.
-    pub hits: u64,
-    /// Lookups that inserted a new entry.
-    pub misses: u64,
-    /// Lookups that joined an in-flight compile of the same graph.
-    pub coalesced: u64,
-    /// Entries removed by the LRU bound.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Approximate bytes held by resident entries (graph structure
-    /// estimate — compiled artifacts scale with it).
-    pub entry_bytes: u64,
-    /// Sum over evictions of the victim's idle age in LRU ticks.
-    pub eviction_age_sum: u64,
-    /// Idle age (ticks) of the most recent eviction victim.
-    pub last_eviction_age: u64,
-}
-
-impl CacheStats {
-    /// Fraction of lookups served without compiling (completed hits
-    /// over all lookups); `0.0` before any lookup.
-    #[must_use]
-    pub(crate) fn hit_rate(&self) -> f64 {
-        let lookups = self.hits + self.misses + self.coalesced;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / lookups as f64
-        }
-    }
-
-    /// Mean idle age (ticks) of eviction victims; `0.0` before any
-    /// eviction. Together with `entry_bytes` this distinguishes a
-    /// too-small cache (young victims) from natural turnover.
-    #[must_use]
-    pub(crate) fn mean_eviction_age(&self) -> f64 {
-        if self.evictions == 0 {
-            0.0
-        } else {
-            self.eviction_age_sum as f64 / self.evictions as f64
-        }
-    }
-
-    /// Per-shard snapshots summed into a service-wide one.
-    #[must_use]
-    pub(crate) fn merged(snapshots: impl IntoIterator<Item = CacheStats>) -> CacheStats {
-        snapshots.into_iter().fold(
-            CacheStats {
-                hits: 0,
-                misses: 0,
-                coalesced: 0,
-                evictions: 0,
-                entries: 0,
-                entry_bytes: 0,
-                eviction_age_sum: 0,
-                last_eviction_age: 0,
-            },
-            |a, b| CacheStats {
-                hits: a.hits + b.hits,
-                misses: a.misses + b.misses,
-                coalesced: a.coalesced + b.coalesced,
-                evictions: a.evictions + b.evictions,
-                entries: a.entries + b.entries,
-                entry_bytes: a.entry_bytes + b.entry_bytes,
-                eviction_age_sum: a.eviction_age_sum + b.eviction_age_sum,
-                last_eviction_age: a.last_eviction_age.max(b.last_eviction_age),
-            },
-        )
-    }
-}
 
 /// Approximate resident footprint of one slot, from the graph structure
 /// it keys on (nodes dominate; the compiled artifact is proportional).
@@ -138,142 +68,77 @@ struct Slot {
     graph: Cdfg,
     /// The compile result, filled exactly once; waiters block on it.
     cell: Arc<OnceLock<CompileOutcome>>,
-    /// LRU tick of the last lookup that touched this slot.
-    last_used: u64,
-    /// Approximate resident bytes ([`approx_slot_bytes`]).
-    bytes: u64,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    /// fingerprint → slots whose graphs share that fingerprint.
-    map: HashMap<u64, Vec<Slot>>,
-    /// Total slots across all buckets.
-    len: usize,
-    /// Monotone lookup clock for LRU ordering.
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    coalesced: u64,
-    evictions: u64,
-    entry_bytes: u64,
-    eviction_age_sum: u64,
-    last_eviction_age: u64,
 }
 
 /// A bounded, thread-safe, content-addressed LRU cache of compiled
-/// graphs: collision-checked fingerprint addressing, coalesced
-/// in-flight compiles, LRU eviction (see the module-level docs above
-/// for the full guarantees).
+/// graphs (see the module docs for the guarantees).
 #[derive(Debug)]
 pub(crate) struct CompileCache {
-    inner: Mutex<Inner>,
-    cap: usize,
+    slots: Mutex<Lru<u64, Slot>>,
+    hits: Counter,
+    misses: Counter,
+    coalesced: Counter,
 }
 
 impl CompileCache {
-    /// A cache holding at most `cap` compiled graphs (clamped to ≥ 1).
+    /// A cache holding at most `cap` compiled graphs (clamped to ≥ 1),
+    /// counting into `metrics`.
     #[must_use]
-    pub(crate) fn new(cap: usize) -> CompileCache {
+    pub(crate) fn new(cap: usize, metrics: &MetricsRegistry) -> CompileCache {
         CompileCache {
-            inner: Mutex::new(Inner::default()),
-            cap: cap.max(1),
+            slots: Mutex::new(Lru::new(
+                cap,
+                metrics.counter(EVICTIONS),
+                metrics.counter(EVICTION_AGES),
+            )),
+            hits: metrics.counter(HITS),
+            misses: metrics.counter(MISSES),
+            coalesced: metrics.counter(COALESCED),
         }
     }
 
+    /// The compiled `graph`, filed under `fingerprint`: shared from the
+    /// cache, joined while in flight, or compiled here.
     pub(crate) fn get_or_compile_keyed(
         &self,
         engine: &Engine,
         fingerprint: u64,
         graph: &Cdfg,
-    ) -> (CompileOutcome, CacheLookup) {
-        let (cell, lookup) = {
-            let mut inner = self.inner.lock().expect("cache lock");
-            inner.tick += 1;
-            let tick = inner.tick;
-            let bucket = inner.map.entry(fingerprint).or_default();
-            // Fingerprint equality is a hint; the slot's stored graph is
-            // the collision check.
-            if let Some(slot) = bucket.iter_mut().find(|s| s.graph == *graph) {
-                slot.last_used = tick;
-                let lookup = if slot.cell.get().is_some() {
-                    CacheLookup::Hit
-                } else {
-                    CacheLookup::Coalesced
-                };
-                let cell = Arc::clone(&slot.cell);
-                match lookup {
-                    CacheLookup::Hit => inner.hits += 1,
-                    _ => inner.coalesced += 1,
+    ) -> CompileOutcome {
+        let cell = {
+            let mut slots = self.slots.lock().expect("cache lock");
+            match slots.get(&fingerprint) {
+                Some(slot) if slot.graph == *graph => {
+                    if slot.cell.get().is_some() {
+                        self.hits.inc();
+                    } else {
+                        self.coalesced.inc();
+                    }
+                    Arc::clone(&slot.cell)
                 }
-                (cell, lookup)
-            } else {
-                let cell = Arc::new(OnceLock::new());
-                let bytes = approx_slot_bytes(graph);
-                bucket.push(Slot {
-                    graph: graph.clone(),
-                    cell: Arc::clone(&cell),
-                    last_used: tick,
-                    bytes,
-                });
-                inner.len += 1;
-                inner.misses += 1;
-                inner.entry_bytes += bytes;
-                if inner.len > self.cap {
-                    evict_lru(&mut inner);
+                // Not cached, or a different graph under this
+                // fingerprint: a fresh slot takes its place.
+                _ => {
+                    self.misses.inc();
+                    let cell = Arc::new(OnceLock::new());
+                    let slot = Slot {
+                        graph: graph.clone(),
+                        cell: Arc::clone(&cell),
+                    };
+                    slots.insert(fingerprint, slot, approx_slot_bytes(graph));
+                    cell
                 }
-                (cell, CacheLookup::Miss)
             }
         };
         // Exactly one caller runs the closure; everyone else blocks
         // here until the result lands, then clones the Arc.
-        let outcome = cell
-            .get_or_init(|| engine.try_compile(graph).map(Arc::new))
-            .clone();
-        (outcome, lookup)
+        cell.get_or_init(|| engine.try_compile(graph).map(Arc::new))
+            .clone()
     }
 
-    /// Counter snapshot (consistent: taken under the cache lock).
-    pub(crate) fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock");
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            coalesced: inner.coalesced,
-            evictions: inner.evictions,
-            entries: inner.len,
-            entry_bytes: inner.entry_bytes,
-            eviction_age_sum: inner.eviction_age_sum,
-            last_eviction_age: inner.last_eviction_age,
-        }
-    }
-}
-
-/// Removes the least-recently-used slot. Called right after an insert
-/// pushed `len` over `cap`, so at least two slots exist and the fresh
-/// insert (carrying the newest tick) is never the victim.
-fn evict_lru(inner: &mut Inner) {
-    let victim = inner
-        .map
-        .iter()
-        .flat_map(|(&fp, bucket)| bucket.iter().map(move |s| (fp, s.last_used)))
-        .min_by_key(|&(_, used)| used);
-    if let Some((fp, used)) = victim {
-        let bucket = inner.map.get_mut(&fp).expect("victim bucket exists");
-        let idx = bucket
-            .iter()
-            .position(|s| s.last_used == used)
-            .expect("victim slot exists");
-        let slot = bucket.remove(idx);
-        if bucket.is_empty() {
-            inner.map.remove(&fp);
-        }
-        inner.len -= 1;
-        inner.evictions += 1;
-        inner.entry_bytes -= slot.bytes;
-        let age = inner.tick - slot.last_used;
-        inner.eviction_age_sum += age;
-        inner.last_eviction_age = age;
+    /// Resident compiled graphs and their approximate bytes.
+    pub(crate) fn resident(&self) -> (usize, u64) {
+        self.slots.lock().expect("cache lock").resident()
     }
 }
 
@@ -287,34 +152,39 @@ mod tests {
         Engine::new(paper_library())
     }
 
+    /// A cache of `cap` graphs counting into its own registry.
+    fn cache(cap: usize) -> (CompileCache, MetricsRegistry) {
+        let metrics = MetricsRegistry::new();
+        (CompileCache::new(cap, &metrics), metrics)
+    }
+
+    /// `[hits, misses, coalesced, evictions]` as the registry counts them.
+    fn counts(metrics: &MetricsRegistry) -> [u64; 4] {
+        [HITS, MISSES, COALESCED, EVICTIONS].map(|name| metrics.counter(name).get())
+    }
+
     /// A lookup keyed on the graph's own fingerprint.
-    fn get_or_compile(
-        cache: &CompileCache,
-        engine: &Engine,
-        graph: &Cdfg,
-    ) -> (CompileOutcome, CacheLookup) {
+    fn get_or_compile(cache: &CompileCache, engine: &Engine, graph: &Cdfg) -> CompileOutcome {
         cache.get_or_compile_keyed(engine, graph_fingerprint(graph), graph)
     }
 
     #[test]
     fn second_lookup_is_a_hit_sharing_the_same_arc() {
         let engine = engine();
-        let cache = CompileCache::new(4);
+        let (cache, metrics) = cache(4);
         let g = benchmarks::hal();
-        let (a, first) = get_or_compile(&cache, &engine, &g);
-        let (b, second) = get_or_compile(&cache, &engine, &g);
-        assert_eq!(first, CacheLookup::Miss);
-        assert_eq!(second, CacheLookup::Hit);
-        assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()), "hit must share");
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!(s.hit_rate() > 0.49 && s.hit_rate() < 0.51);
+        let a = get_or_compile(&cache, &engine, &g).unwrap();
+        assert_eq!(counts(&metrics), [0, 1, 0, 0]);
+        let b = get_or_compile(&cache, &engine, &g).unwrap();
+        assert_eq!(counts(&metrics), [1, 1, 0, 0]);
+        assert!(Arc::ptr_eq(&a, &b), "hit must share");
+        assert_eq!(cache.resident().0, 1);
     }
 
     #[test]
     fn lru_eviction_keeps_the_hot_entry() {
         let engine = engine();
-        let cache = CompileCache::new(2);
+        let (cache, metrics) = cache(2);
         let (hal, cosine, ar) = (
             benchmarks::hal(),
             benchmarks::cosine(),
@@ -325,30 +195,24 @@ mod tests {
         // Touch hal so cosine is the LRU victim when ar arrives.
         let _ = get_or_compile(&cache, &engine, &hal);
         let _ = get_or_compile(&cache, &engine, &ar);
-        assert_eq!(cache.stats().entries, 2);
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(
-            get_or_compile(&cache, &engine, &hal).1,
-            CacheLookup::Hit,
-            "hot entry survived"
-        );
-        assert_eq!(
-            get_or_compile(&cache, &engine, &cosine).1,
-            CacheLookup::Miss,
-            "cold entry was evicted"
-        );
+        assert_eq!(counts(&metrics), [1, 3, 0, 1]);
+        assert_eq!(cache.resident().0, 2);
+        let _ = get_or_compile(&cache, &engine, &hal);
+        assert_eq!(counts(&metrics), [2, 3, 0, 1], "hot entry survived");
+        let _ = get_or_compile(&cache, &engine, &cosine);
+        assert_eq!(counts(&metrics), [2, 4, 0, 2], "cold entry was evicted");
     }
 
     #[test]
     fn concurrent_identical_submissions_compile_once() {
         let engine = engine();
-        let cache = CompileCache::new(4);
+        let (cache, metrics) = cache(4);
         let g = benchmarks::elliptic();
         let compiled: Vec<Arc<CompiledGraph>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     let (engine, cache, g) = (&engine, &cache, &g);
-                    s.spawn(move || get_or_compile(cache, engine, g).0.unwrap())
+                    s.spawn(move || get_or_compile(cache, engine, g).unwrap())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -359,10 +223,10 @@ mod tests {
                 "all callers share one compile"
             );
         }
-        let s = cache.stats();
-        assert_eq!(s.misses, 1, "one insert");
-        assert_eq!(s.hits + s.coalesced, 7, "everyone else joined or hit");
-        assert_eq!(s.entries, 1);
+        let [hits, misses, coalesced, _] = counts(&metrics);
+        assert_eq!(misses, 1, "one insert");
+        assert_eq!(hits + coalesced, 7, "everyone else joined or hit");
+        assert_eq!(cache.resident().0, 1);
     }
 
     #[test]
@@ -379,52 +243,57 @@ mod tests {
         ])
         .unwrap();
         let engine = Engine::new(lib);
-        let cache = CompileCache::new(4);
+        let (cache, metrics) = cache(4);
         let g = benchmarks::hal();
-        let (first, _) = get_or_compile(&cache, &engine, &g);
-        let (second, lookup) = get_or_compile(&cache, &engine, &g);
+        let first = get_or_compile(&cache, &engine, &g);
+        let second = get_or_compile(&cache, &engine, &g);
         assert!(matches!(first, Err(SynthesisError::Uncovered { .. })));
         assert_eq!(first.err(), second.err());
-        assert_eq!(lookup, CacheLookup::Hit, "the error is served from cache");
+        assert_eq!(
+            counts(&metrics),
+            [1, 1, 0, 0],
+            "the error is served from cache"
+        );
     }
 
     #[test]
     fn entry_bytes_and_eviction_ages_are_tracked() {
         let engine = engine();
-        let cache = CompileCache::new(1);
-        assert_eq!(cache.stats().entry_bytes, 0);
+        let (cache, metrics) = cache(1);
+        assert_eq!(cache.resident(), (0, 0));
         let _ = get_or_compile(&cache, &engine, &benchmarks::hal());
-        let one_entry = cache.stats().entry_bytes;
+        let (_, one_entry) = cache.resident();
         assert!(one_entry > 0);
-        // Cap 1: the second insert evicts hal after one intervening
-        // tick, so the victim's idle age is exactly 1.
+        // Cap 1: cosine's lookup and insert evict hal, inserted two
+        // ticks before.
         let _ = get_or_compile(&cache, &engine, &benchmarks::cosine());
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.entries, 1);
-        assert!(s.entry_bytes > 0);
-        assert_eq!(s.last_eviction_age, 1);
-        assert!((s.mean_eviction_age() - 1.0).abs() < 1e-12);
+        assert_eq!(counts(&metrics)[3], 1);
+        assert_eq!(metrics.counter(EVICTION_AGES).get(), 2);
+        let (entries, bytes) = cache.resident();
+        assert_eq!(entries, 1);
+        assert!(bytes > 0);
         // Bytes track what is resident, not a running total: cycling
         // hal back in restores exactly its original footprint.
         let _ = get_or_compile(&cache, &engine, &benchmarks::hal());
-        assert_eq!(cache.stats().entry_bytes, one_entry);
+        assert_eq!(cache.resident().1, one_entry);
     }
 
     #[test]
-    fn fingerprint_collision_bucket_still_distinguishes_graphs() {
-        // Force both graphs through the same bucket path by checking
-        // that two different graphs never share an entry even when the
-        // cache is big enough for both.
+    fn colliding_fingerprints_never_share_a_compile() {
+        // Two different graphs filed under one fingerprint: the second
+        // replaces the first's slot and counts as a miss.
         let engine = engine();
-        let cache = CompileCache::new(4);
-        let a = get_or_compile(&cache, &engine, &benchmarks::hal())
-            .0
-            .unwrap();
-        let b = get_or_compile(&cache, &engine, &benchmarks::cosine())
-            .0
-            .unwrap();
+        let (cache, metrics) = cache(4);
+        let (hal, cosine) = (benchmarks::hal(), benchmarks::cosine());
+        let a = cache.get_or_compile_keyed(&engine, 42, &hal).unwrap();
+        let b = cache.get_or_compile_keyed(&engine, 42, &cosine).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats().entries, 2);
+        assert_eq!((a.name(), b.name()), ("hal", "cosine"));
+        assert_eq!(counts(&metrics), [0, 2, 0, 0]);
+        assert_eq!(cache.resident().0, 1, "one slot per fingerprint");
+        let c = cache.get_or_compile_keyed(&engine, 42, &hal).unwrap();
+        assert!(!Arc::ptr_eq(&b, &c));
+        assert_eq!(c.name(), "hal");
+        assert_eq!(counts(&metrics), [0, 3, 0, 0]);
     }
 }

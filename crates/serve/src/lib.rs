@@ -33,11 +33,12 @@
 //! * [`ServiceStats`] — a snapshot of requests, shed/rate-limited
 //!   counts, p50/p99/p99.9/max latency (from fixed-bucket
 //!   [`pchls_obs::Histogram`]s, one global plus one per priority lane) and
-//!   cache hit rates. The same counters and histograms live in a
-//!   per-service [`pchls_obs::MetricsRegistry`], scraped live as
-//!   Prometheus-style text through the protocol's `metrics` op
-//!   ([`Service::metrics_text`]); per-request spans land in the
-//!   process trace when `pchls_obs` tracing is enabled.
+//!   cache hit rates, read from the per-service
+//!   [`pchls_obs::MetricsRegistry`] every counter and histogram records
+//!   into. The same registry is scraped live as Prometheus-style text
+//!   through the protocol's `metrics` op ([`Service::metrics_text`]);
+//!   per-request spans land in the process trace when `pchls_obs`
+//!   tracing is enabled.
 //!
 //! Service responses are **byte-identical** to what a direct
 //! [`Session::synthesize`](pchls_core::Session::synthesize) /
@@ -73,6 +74,7 @@
 mod admission;
 mod cache;
 mod lanes;
+mod lru;
 mod net;
 mod protocol;
 mod results;

@@ -46,18 +46,20 @@ use pchls_obs::{Arg, Counter, Histogram, MetricsRegistry};
 use pchls_par::WorkerPool;
 use pchls_store::{StoreKey, StoreRecord};
 
-use crate::cache::{CacheStats, CompileCache};
+use crate::cache::{self, CompileCache};
 use crate::lanes::{Lane, LaneQueues, PushRefusal};
 use crate::protocol::{SubmitRequest, SubmitResponse};
-use crate::results::{ResultCacheStats, ResultTier, StoreHandle, StoreTierStats};
+use crate::results::{self, ResultTier, StoreHandle};
 use crate::stats::{LaneSnapshot, ServiceStats};
 
 /// Tuning knobs of a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Synthesis worker threads across all shards (0 = one per
-    /// available core, i.e. [`pchls_par::thread_count`]). Each shard
-    /// additionally runs one dedicated hit-lane worker.
+    /// available core, i.e. [`pchls_par::thread_count`]), spread evenly
+    /// with at least one per shard, so more shards than workers runs
+    /// one synthesis worker per shard. Each shard additionally runs one
+    /// dedicated hit-lane worker.
     pub workers: usize,
     /// Maximum jobs waiting per lane across the service — divided
     /// evenly over the shards (each lane of each shard gets
@@ -212,12 +214,11 @@ struct Shared {
     engine: Engine,
     options: SynthesisOptions,
     shards: Vec<Shard>,
-    /// The persistent tier, shared by every shard's result tier.
-    store: Option<Arc<StoreHandle>>,
     /// This service's own metrics registry (per-instance, not global,
-    /// so exact-count tests never observe another service's traffic).
-    /// The handles below are resolved from it once at startup; the
-    /// registry itself is what `metrics_text` renders.
+    /// so exact-count tests never observe another service's traffic):
+    /// the one home of every counter `stats` and `metrics_text` report.
+    /// The handles below, and the shards' cache counters, are resolved
+    /// from it once at startup.
     metrics: MetricsRegistry,
     latency: Arc<Histogram>,
     hit_latency: Arc<Histogram>,
@@ -227,6 +228,7 @@ struct Shared {
     /// the benchmark suite or a fingerprint computation.
     builtins: HashMap<String, (Arc<Cdfg>, u64)>,
     limits: FrontendLimits,
+    /// Worker threads spawned, synth and hit lanes together.
     workers: usize,
     requests: Counter,
     completed: Counter,
@@ -305,19 +307,31 @@ impl Service {
         } else {
             config.shed_depth.min(lane_cap)
         };
+        let metrics = MetricsRegistry::new();
         let store = config
             .store_dir
             .as_deref()
-            .map(StoreHandle::open)
+            .map(|dir| StoreHandle::open(dir, &metrics))
             .transpose()?;
         let shards: Vec<Shard> = (0..shard_count)
             .map(|_| Shard {
-                cache: CompileCache::new(per(config.cache_cap)),
-                results: ResultTier::with_store(per(config.result_cap), store.clone()),
+                cache: CompileCache::new(per(config.cache_cap), &metrics),
+                results: ResultTier::with_store(per(config.result_cap), store.clone(), &metrics),
                 lanes: LaneQueues::new(lane_cap, lane_cap),
                 shed_depth,
             })
             .collect();
+        // Spread the synth workers over the shards, at least one each.
+        let synth_counts: Vec<usize> = (0..shard_count)
+            .map(|idx| {
+                (synth_workers / shard_count + usize::from(idx < synth_workers % shard_count))
+                    .max(1)
+            })
+            .collect();
+        // One hit worker per shard rides along with the synth pools.
+        let workers = synth_counts.iter().sum::<usize>() + shard_count;
+        metrics.gauge("pchls_workers").set(workers as f64);
+        metrics.gauge("pchls_shards").set(shard_count as f64);
         let builtins = benchmarks::all()
             .into_iter()
             .map(|g| {
@@ -325,12 +339,10 @@ impl Service {
                 (g.name().to_string(), (Arc::new(g), fingerprint))
             })
             .collect();
-        let metrics = MetricsRegistry::new();
         let shared = Arc::new(Shared {
             engine,
             options: config.options,
             shards,
-            store,
             latency: metrics.histogram("pchls_request_latency_seconds"),
             hit_latency: metrics.histogram("pchls_lane_latency_seconds{lane=\"hit\"}"),
             synth_latency: metrics.histogram("pchls_lane_latency_seconds{lane=\"synth\"}"),
@@ -341,8 +353,7 @@ impl Service {
                 max_line_bytes: config.max_line_bytes.max(1),
                 stats_interval: config.stats_interval,
             },
-            // One hit worker per shard rides along with the synth pool.
-            workers: synth_workers + shard_count,
+            workers,
             requests: metrics.counter("pchls_requests_total"),
             completed: metrics.counter("pchls_requests_completed_total"),
             failed: metrics.counter("pchls_requests_failed_total"),
@@ -353,12 +364,7 @@ impl Service {
             metrics,
         });
         let mut pools = Vec::with_capacity(2 * shard_count);
-        for idx in 0..shard_count {
-            // Spread the synth workers over the shards, at least one
-            // each.
-            let count = (synth_workers / shard_count
-                + usize::from(idx < synth_workers % shard_count))
-            .max(1);
+        for (idx, count) in synth_counts.into_iter().enumerate() {
             let sh = Arc::clone(&shared);
             pools.push(WorkerPool::spawn(count, move |_worker| {
                 while let Some((_, job)) = sh.shards[idx].lanes.pop() {
@@ -398,19 +404,11 @@ impl Service {
         request: SubmitRequest,
         reply: Sender<SubmitResponse>,
     ) -> Result<Arc<AtomicBool>, SubmitRequest> {
-        let (shard, lane, graph) = self.shared.route(&request);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let job = Job {
-            request,
-            graph,
-            cancel: Arc::clone(&cancel),
-            reply: ReplySink::Channel(reply),
-            accepted: Instant::now(),
-            lane,
-        };
+        let (shard, job) = self.shared.admit(request, ReplySink::Channel(reply));
+        let cancel = Arc::clone(&job.cancel);
         self.shared.shards[shard]
             .lanes
-            .push(lane, job)
+            .push(job.lane, job)
             .map_err(|job| job.request)?;
         // Count only after the push: a request rejected at shutdown was
         // never "accepted into the queue" (the documented meaning).
@@ -423,24 +421,16 @@ impl Service {
     /// *answered*, not dropped: a well-formed error response is sent on
     /// `sink` before this returns.
     pub(crate) fn submit_sink(&self, request: SubmitRequest, sink: ReplySink) -> SubmitOutcome {
-        let (shard_idx, lane, graph) = self.shared.route(&request);
+        let (shard_idx, job) = self.shared.admit(request, sink);
         let shard = &self.shared.shards[shard_idx];
-        if lane == Lane::Synth && shard.lanes.depth(Lane::Synth) >= shard.shed_depth {
-            self.shared.shed.inc();
-            pchls_obs::event!("serve.shed", "id" => request.id);
-            sink.send(SubmitResponse::error(request.id, "overloaded"));
-            return SubmitOutcome::Overloaded;
-        }
-        let cancel = Arc::new(AtomicBool::new(false));
-        let job = Job {
-            request,
-            graph,
-            cancel: Arc::clone(&cancel),
-            reply: sink,
-            accepted: Instant::now(),
-            lane,
-        };
-        match shard.lanes.try_push(lane, job) {
+        let cancel = Arc::clone(&job.cancel);
+        let pushed =
+            if job.lane == Lane::Synth && shard.lanes.depth(Lane::Synth) >= shard.shed_depth {
+                Err(PushRefusal::Full(job))
+            } else {
+                shard.lanes.try_push(job.lane, job)
+            };
+        match pushed {
             Ok(()) => {
                 self.shared.requests.inc();
                 SubmitOutcome::Accepted(cancel)
@@ -488,19 +478,41 @@ impl Service {
         }
     }
 
-    /// A consistent metrics snapshot (served immediately; never queued
-    /// behind synthesis jobs). Cache and result counters are summed
-    /// across shards; store counters come from the one shared handle.
+    /// A metrics snapshot (served immediately; never queued behind
+    /// synthesis jobs). Every count is read from the service's registry,
+    /// which all shards count into; entries and bytes are summed over
+    /// the shards' LRUs.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
         let shared = &self.shared;
-        let cache = CacheStats::merged(shared.shards.iter().map(|s| s.cache.stats()));
-        let results = ResultCacheStats::merged(shared.shards.iter().map(|s| s.results.stats().0));
-        let store = shared
-            .store
-            .as_ref()
-            .map_or_else(StoreTierStats::default, |s| s.stats());
-        let queue_depth = shared.shards.iter().map(|s| s.lanes.len()).sum();
+        let count = |name: &str| shared.metrics.counter(name).get();
+        let ratio = |part: u64, whole: u64| {
+            if whole == 0 {
+                0.0
+            } else {
+                part as f64 / whole as f64
+            }
+        };
+        let resident = |of: fn(&Shard) -> (usize, u64)| {
+            shared
+                .shards
+                .iter()
+                .map(of)
+                .fold((0, 0), |(n, b), (dn, db)| (n + dn, b + db))
+        };
+        let (cache_entries, cache_entry_bytes) = resident(|s| s.cache.resident());
+        let (result_entries, result_entry_bytes) = resident(|s| s.results.resident());
+        let (cache_hits, cache_misses, cache_coalesced, cache_evictions) = (
+            count(cache::HITS),
+            count(cache::MISSES),
+            count(cache::COALESCED),
+            count(cache::EVICTIONS),
+        );
+        let (result_hits, result_misses, result_evictions) = (
+            count(results::HITS),
+            count(results::MISSES),
+            count(results::EVICTIONS),
+        );
         ServiceStats {
             requests: shared.requests.get(),
             completed: shared.completed.get(),
@@ -508,27 +520,27 @@ impl Service {
             cancelled: shared.cancelled.get(),
             shed: shared.shed.get(),
             rate_limited: shared.rate_limited.get(),
-            queue_depth,
+            queue_depth: shared.queue_depth(),
             workers: shared.workers,
             shards: shared.shards.len(),
-            cache_entries: cache.entries,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_coalesced: cache.coalesced,
-            cache_evictions: cache.evictions,
-            cache_hit_rate: cache.hit_rate(),
-            cache_entry_bytes: cache.entry_bytes,
-            cache_mean_eviction_age: cache.mean_eviction_age(),
-            result_entries: results.entries,
-            result_hits: results.hits,
-            result_misses: results.misses,
-            result_evictions: results.evictions,
-            result_entry_bytes: results.entry_bytes,
-            result_mean_eviction_age: results.mean_eviction_age(),
-            result_hit_rate: results.hit_rate(),
-            store_hits: store.hits,
-            store_misses: store.misses,
-            store_appends: store.appends,
+            cache_entries,
+            cache_hits,
+            cache_misses,
+            cache_coalesced,
+            cache_evictions,
+            cache_hit_rate: ratio(cache_hits, cache_hits + cache_misses + cache_coalesced),
+            cache_entry_bytes,
+            cache_mean_eviction_age: ratio(count(cache::EVICTION_AGES), cache_evictions),
+            result_entries,
+            result_hits,
+            result_misses,
+            result_evictions,
+            result_entry_bytes,
+            result_mean_eviction_age: ratio(count(results::EVICTION_AGES), result_evictions),
+            result_hit_rate: ratio(result_hits, result_hits + result_misses),
+            store_hits: count(results::STORE_HITS),
+            store_misses: count(results::STORE_MISSES),
+            store_appends: count(results::STORE_APPENDS),
             patched: 0,
             p50_latency_secs: shared.latency.quantile(0.50),
             p99_latency_secs: shared.latency.quantile(0.99),
@@ -541,38 +553,28 @@ impl Service {
 
     /// The Prometheus-style text exposition behind the wire protocol's
     /// `metrics` op and `pchls serve --metrics`: this service's own
-    /// registry (request counters and latency histograms record in
-    /// place; cache-, result- and store-tier series are mirrored from
-    /// [`Service::stats`] at scrape time) followed by the process-wide
-    /// registry (the persistent store's disk timings).
+    /// registry (every counter and latency histogram records in place;
+    /// the queue-depth and entry gauges are set from a [`Service::stats`]
+    /// snapshot at scrape time) followed by the process-wide registry
+    /// (the persistent store's disk timings).
     #[must_use]
     pub fn metrics_text(&self) -> String {
+        // The snapshot also registers the store series a storeless
+        // service never touches, so every scrape carries them.
         let stats = self.stats();
         let m = &self.shared.metrics;
-        let mirror = |name: &str, value: u64| m.counter(name).store(value);
-        mirror("pchls_compile_cache_hits_total", stats.cache_hits);
-        mirror("pchls_compile_cache_misses_total", stats.cache_misses);
-        mirror("pchls_compile_cache_coalesced_total", stats.cache_coalesced);
-        mirror("pchls_compile_cache_evictions_total", stats.cache_evictions);
-        mirror("pchls_result_tier_hits_total", stats.result_hits);
-        mirror("pchls_result_tier_misses_total", stats.result_misses);
-        mirror("pchls_result_tier_evictions_total", stats.result_evictions);
-        mirror("pchls_store_tier_hits_total", stats.store_hits);
-        mirror("pchls_store_tier_misses_total", stats.store_misses);
-        mirror("pchls_store_appends_total", stats.store_appends);
-        let gauge = |name: &str, value: f64| m.gauge(name).set(value);
-        gauge("pchls_queue_depth", stats.queue_depth as f64);
-        gauge("pchls_workers", stats.workers as f64);
-        gauge("pchls_shards", stats.shards as f64);
-        gauge("pchls_compile_cache_entries", stats.cache_entries as f64);
-        gauge("pchls_result_tier_entries", stats.result_entries as f64);
+        let gauge = |name: &str, value: usize| m.gauge(name).set(value as f64);
+        gauge("pchls_queue_depth", stats.queue_depth);
+        gauge("pchls_compile_cache_entries", stats.cache_entries);
+        gauge("pchls_result_tier_entries", stats.result_entries);
         format!("{}{}", m.render(), pchls_obs::global().render())
     }
 }
 
 impl Drop for Service {
-    /// Closes the queues, drains in-flight jobs, joins the workers and
-    /// commits the store footer.
+    /// Closes the queues, drains in-flight jobs and joins the workers.
+    /// The shards then drop with the service, and the store handle they
+    /// shared drains its write-behind queue and commits the footer.
     fn drop(&mut self) {
         for shard in &self.shared.shards {
             shard.lanes.close();
@@ -588,12 +590,6 @@ impl Drop for Service {
         if panicked > 0 && !std::thread::panicking() {
             panic!("{panicked} service worker(s) panicked");
         }
-        // With the workers gone no one produces results any more; drain
-        // the write-behind queue and commit the store footer. The
-        // handle is shared — shutting down any one tier settles all.
-        if let Some(store) = &self.shared.store {
-            store.shutdown();
-        }
     }
 }
 
@@ -602,15 +598,7 @@ impl std::fmt::Debug for Service {
         f.debug_struct("Service")
             .field("workers", &self.shared.workers)
             .field("shards", &self.shared.shards.len())
-            .field(
-                "queue_depth",
-                &self
-                    .shared
-                    .shards
-                    .iter()
-                    .map(|s| s.lanes.len())
-                    .sum::<usize>(),
-            )
+            .field("queue_depth", &self.shared.queue_depth())
             .finish()
     }
 }
@@ -627,39 +615,52 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 impl Shared {
-    /// Shard, lane and resolved graph for a request. The shard is the
-    /// graph fingerprint modulo the shard count (inline `graph_text` is
-    /// parsed here, once, so structurally identical text and named
-    /// requests land on the same shard and share cache entries);
-    /// requests whose answer already sits in that shard's result tier
-    /// ride the hit lane. The classification is best-effort — an entry
-    /// evicted between admission and processing just makes one hit-lane
-    /// job do real work.
-    fn route(&self, req: &SubmitRequest) -> (usize, Lane, ResolvedGraph) {
+    /// Jobs waiting across all shards and lanes.
+    fn queue_depth(&self) -> usize {
+        self.shards.iter().map(|s| s.lanes.len()).sum()
+    }
+
+    /// A request as a job replying on `reply`, and the shard it goes
+    /// to. The shard is the graph fingerprint modulo the shard count
+    /// (inline `graph_text` is parsed here, once, so structurally
+    /// identical text and named requests land on the same shard and
+    /// share cache entries); requests whose answer already sits in that
+    /// shard's result tier ride the hit lane. The classification is
+    /// best-effort — an entry evicted between admission and processing
+    /// just makes one hit-lane job do real work.
+    fn admit(&self, request: SubmitRequest, reply: ReplySink) -> (usize, Job) {
         let n = self.shards.len() as u64;
-        let graph = self.resolve_graph(req);
-        let Ok((_, fingerprint)) = graph else {
+        let graph = self.resolve_graph(&request);
+        let (shard, lane) = match &graph {
+            Ok((_, fingerprint)) => {
+                let shard = (fingerprint % n) as usize;
+                let hit = validated_constraints(&request).is_ok_and(|constraints| {
+                    self.shards[shard]
+                        .results
+                        .contains(&StoreKey::new(*fingerprint, &constraints))
+                });
+                (shard, if hit { Lane::Hit } else { Lane::Synth })
+            }
             // Unknown graph or unparseable text: fails fast in the
             // worker; any stable shard will do.
-            let bytes = if req.graph_text.is_empty() {
-                req.graph.as_bytes()
-            } else {
-                req.graph_text.as_bytes()
-            };
-            return ((fnv1a(bytes) % n) as usize, Lane::Synth, graph);
-        };
-        let shard = (fingerprint % n) as usize;
-        let lane = match validated_constraints(req) {
-            Ok(constraints)
-                if self.shards[shard]
-                    .results
-                    .contains(&StoreKey::new(fingerprint, &constraints)) =>
-            {
-                Lane::Hit
+            Err(_) => {
+                let bytes = if request.graph_text.is_empty() {
+                    request.graph.as_bytes()
+                } else {
+                    request.graph_text.as_bytes()
+                };
+                ((fnv1a(bytes) % n) as usize, Lane::Synth)
             }
-            _ => Lane::Synth,
         };
-        (shard, lane, graph)
+        let job = Job {
+            request,
+            graph,
+            cancel: Arc::new(AtomicBool::new(false)),
+            reply,
+            accepted: Instant::now(),
+            lane,
+        };
+        (shard, job)
     }
 
     /// Processes one job on a worker thread and sends the reply. A panic
@@ -755,7 +756,6 @@ impl Shared {
         let compiled = match shard
             .cache
             .get_or_compile_keyed(&self.engine, fingerprint, graph)
-            .0
         {
             Ok(c) => c,
             Err(e) => return fail(format!("compile failed: {e}")),
@@ -1371,6 +1371,10 @@ mod tests {
                 serde_json::to_string(&direct_point(service.engine(), graph, t, p)).unwrap();
             assert_eq!(served, direct, "{graph} T={t} P={p}");
         }
-        assert_eq!(service.stats().shards, 4);
+        let stats = service.stats();
+        assert_eq!(stats.shards, 4);
+        // Two synth workers spread over four shards still give every
+        // shard one, plus each shard's hit worker.
+        assert_eq!(stats.workers, 8);
     }
 }

@@ -1,13 +1,15 @@
 //! Live scrape of the service's metrics through the wire: real TCP
 //! clients drive a request mix, then a `metrics` op pulls the
 //! Prometheus-style exposition and the test asserts the series the
-//! dashboards would alert on — exact counts where the per-service
-//! registry guarantees isolation, presence for the process-global
-//! store series.
+//! dashboards would alert on — exact counts, since every serve series
+//! lives in the per-service registry. A second test checks that
+//! `Service::stats` and the scrape report the same cache and store
+//! counts.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pchls_core::Engine;
 use pchls_fulib::paper_library;
@@ -158,17 +160,17 @@ fn metrics_op_scrapes_counters_lanes_and_tiers() {
         Some(r#"pchls_lane_latency_seconds_count{lane="synth"} 2"#)
     );
 
-    // The process-global store series ride the same scrape. Other
-    // tests in this process may also touch the global registry, so
-    // presence only.
+    // The store series are per-service too, and ride the scrape even
+    // without a configured store.
     for series in [
         "pchls_store_tier_hits_total",
         "pchls_store_tier_misses_total",
         "pchls_store_appends_total",
     ] {
-        assert!(
-            sample(&text, series).is_some(),
-            "missing `{series}` in:\n{text}"
+        assert_eq!(
+            sample(&text, series),
+            Some(format!("{series} 0").as_str()),
+            "in:\n{text}"
         );
     }
 
@@ -234,4 +236,141 @@ fn metrics_op_is_rate_limit_exempt() {
             Some("pchls_requests_rate_limited_total 1")
         );
     }
+}
+
+/// The numeric value of `series` in `text`.
+fn value(text: &str, series: &str) -> f64 {
+    let line = sample(text, series).unwrap_or_else(|| panic!("missing `{series}` in:\n{text}"));
+    line[series.len() + 1..].parse().unwrap()
+}
+
+/// Asserts that every cache and store field of `Service::stats` equals
+/// its series in `Service::metrics_text` (hit rates and mean eviction
+/// ages recomputed from the series), and returns the snapshot.
+fn assert_stats_match_metrics(service: &Service) -> pchls_serve::ServiceStats {
+    let stats = service.stats();
+    let text = service.metrics_text();
+    let v = |series: &str| value(&text, series);
+    for (series, field) in [
+        ("pchls_compile_cache_entries", stats.cache_entries as u64),
+        ("pchls_compile_cache_hits_total", stats.cache_hits),
+        ("pchls_compile_cache_misses_total", stats.cache_misses),
+        ("pchls_compile_cache_coalesced_total", stats.cache_coalesced),
+        ("pchls_compile_cache_evictions_total", stats.cache_evictions),
+        ("pchls_result_tier_entries", stats.result_entries as u64),
+        ("pchls_result_tier_hits_total", stats.result_hits),
+        ("pchls_result_tier_misses_total", stats.result_misses),
+        ("pchls_result_tier_evictions_total", stats.result_evictions),
+        ("pchls_store_tier_hits_total", stats.store_hits),
+        ("pchls_store_tier_misses_total", stats.store_misses),
+        ("pchls_store_appends_total", stats.store_appends),
+    ] {
+        assert_eq!(v(series), field as f64, "`{series}` in:\n{text}");
+    }
+    let ratio = |part: f64, whole: f64| if whole == 0.0 { 0.0 } else { part / whole };
+    let (hits, misses) = (
+        v("pchls_compile_cache_hits_total"),
+        v("pchls_compile_cache_misses_total"),
+    );
+    let lookups = hits + misses + v("pchls_compile_cache_coalesced_total");
+    assert_eq!(stats.cache_hit_rate, ratio(hits, lookups));
+    assert_eq!(
+        stats.cache_mean_eviction_age,
+        ratio(
+            v("pchls_compile_cache_eviction_age_ticks_total"),
+            v("pchls_compile_cache_evictions_total")
+        )
+    );
+    let (hits, misses) = (
+        v("pchls_result_tier_hits_total"),
+        v("pchls_result_tier_misses_total"),
+    );
+    assert_eq!(stats.result_hit_rate, ratio(hits, hits + misses));
+    assert_eq!(
+        stats.result_mean_eviction_age,
+        ratio(
+            v("pchls_result_tier_eviction_age_ticks_total"),
+            v("pchls_result_tier_evictions_total")
+        )
+    );
+    stats
+}
+
+#[test]
+fn stats_and_metrics_agree_through_every_cache_path() {
+    let dir = std::env::temp_dir().join(format!("pchls-scrape-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let start = || {
+        Service::start(
+            Engine::new(paper_library()),
+            ServiceConfig {
+                workers: 1,
+                shards: 1,
+                cache_cap: 1,
+                result_cap: 1,
+                store_dir: Some(dir.clone()),
+                ..ServiceConfig::default()
+            },
+        )
+    };
+    let call = |service: &Service, id: u64, graph: &str, latency: u32, power: f64| {
+        let reply = service.call(SubmitRequest::synth(id, graph, latency, power));
+        assert!(reply.ok, "request {id}: {:?}", reply.error);
+    };
+
+    let service = start();
+    call(&service, 1, "hal", 17, 25.0); // compile miss
+    call(&service, 2, "hal", 10, 40.0); // compile hit, evicts result 1
+    call(&service, 3, "hal", 10, 40.0); // result-tier hit
+    call(&service, 4, "cosine", 15, 40.0); // evicts hal and result 2
+                                           // Appends land on the write-behind thread; wait for all three.
+    let waited = Instant::now();
+    while service.stats().store_appends < 3 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(20),
+            "appends stalled"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = assert_stats_match_metrics(&service);
+    assert_eq!(
+        [stats.cache_hits, stats.cache_misses, stats.cache_evictions],
+        [1, 2, 1]
+    );
+    assert_eq!(
+        [
+            stats.result_hits,
+            stats.result_misses,
+            stats.result_evictions
+        ],
+        [1, 3, 2]
+    );
+    assert_eq!(
+        [stats.store_hits, stats.store_misses, stats.store_appends],
+        [0, 3, 3]
+    );
+    drop(service);
+
+    // Restarted: the store answers, memory promotes and evicts, and
+    // nothing compiles.
+    let service = start();
+    call(&service, 5, "hal", 17, 25.0); // store hit
+    call(&service, 6, "hal", 17, 25.0); // result-tier hit
+    call(&service, 7, "cosine", 15, 40.0); // store hit, evicts result 5
+    let stats = assert_stats_match_metrics(&service);
+    assert_eq!([stats.cache_hits, stats.cache_misses], [0, 0]);
+    assert_eq!(
+        [
+            stats.result_hits,
+            stats.result_misses,
+            stats.result_evictions
+        ],
+        [1, 2, 1]
+    );
+    assert_eq!(
+        [stats.store_hits, stats.store_misses, stats.store_appends],
+        [2, 0, 0]
+    );
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
