@@ -49,7 +49,7 @@ use std::sync::OnceLock;
 
 use pchls_cdfg::{optimize, Cdfg, OpKind, OptimizeStats, Reachability};
 use pchls_fulib::{bound_quanta, ModuleId, ModuleLibrary, SelectionPolicy};
-use pchls_sched::{asap, PowerBudget, PowerInterval, PowerProfile, TimingMap};
+use pchls_sched::{asap, PowerBudget, PowerInterval, PowerProfile, ScheduleError, TimingMap};
 
 use crate::baseline::{trimmed_allocation_bind, two_step_bind, unconstrained_bind, BaselineDesign};
 use crate::constraints::SynthesisConstraints;
@@ -308,7 +308,8 @@ impl<'e> Session<'e> {
     ) {
         let (outcome, interval) =
             synthesize_recorded(self.engine, self.compiled, &constraints, options, None);
-        (outcome, constant_interval(&constraints, interval))
+        // Only a constant budget's record describes one threshold.
+        (outcome, constraints.budget.as_constant().map(|_| interval))
     }
 
     /// [`synthesize`](Session::synthesize) with a progress/cancel hook:
@@ -371,153 +372,151 @@ impl<'e> Session<'e> {
     /// curve — output byte-identical to the serial references
     /// [`power_sweep_serial`](crate::power_sweep_serial) /
     /// [`latency_sweep_serial`](crate::latency_sweep_serial).
-    ///
-    /// A [`SweepSpec::Power`] grid runs the kernel once per distinct
-    /// answer: a grid point inside a finished run's [`PowerInterval`]
-    /// copies that run's point, relabelled with its own bound.
     #[must_use]
     pub fn sweep(&self, spec: &SweepSpec, options: &SynthesisOptions) -> SweepResult {
         let name = self.compiled.name();
-        let (raw, kernel_runs) = match spec {
-            SweepSpec::Power { latency, powers } => self.power_grid(*latency, powers, options),
-            _ => {
-                let requests = (0..spec.len())
-                    .map(|i| SynthesisRequest::new(spec.constraints(i)).with_options(*options));
-                let raw = self
-                    .batch(requests)
-                    .iter()
-                    .map(|r| r.to_point(name))
-                    .collect();
-                (raw, spec.len())
-            }
-        };
-        static REUSED: OnceLock<pchls_obs::Counter> = OnceLock::new();
-        REUSED
-            .get_or_init(|| pchls_obs::global().counter("pchls_sweep_points_reused_total"))
-            .add((spec.len() - kernel_runs) as u64);
+        let (results, kernel_runs) = self.resolve(
+            (0..spec.len())
+                .map(|i| SynthesisRequest::new(spec.constraints(i)).with_options(*options))
+                .collect(),
+        );
         SweepResult {
             benchmark: name.to_owned(),
-            points: spec.envelope(raw),
+            points: spec.envelope(results.iter().map(|r| r.to_point(name)).collect()),
             kernel_runs,
         }
-    }
-
-    /// The raw points of a constant power grid at `latency`, and how
-    /// many kernel runs produced them.
-    ///
-    /// Intervals are exact equivalence classes — a run anywhere inside
-    /// `[lo, hi)` reports the same `[lo, hi)` — so the grid is resolved
-    /// in deterministic bisection rounds. Grid points are ordered by
-    /// bound quanta; the first round runs the lowest and the highest, and
-    /// each later round runs, through one [`batch`](Session::batch)-style
-    /// fan-out, the middle point of every stretch no finished run's
-    /// interval covers. Every run is therefore a new answer, and the run
-    /// count is the number of distinct answers on the grid, whatever the
-    /// thread count.
-    fn power_grid(
-        &self,
-        latency: u32,
-        powers: &[f64],
-        options: &SynthesisOptions,
-    ) -> (Vec<SweepPoint>, usize) {
-        let name = self.compiled.name();
-        let constraints = |i: usize| SynthesisConstraints::new(latency, powers[i]);
-        // Grid indices by ascending bound quanta, and each index's quanta.
-        let quanta: Vec<u64> = (0..powers.len())
-            .map(|i| bound_quanta(constraints(i).max_power()))
-            .collect();
-        let mut order: Vec<usize> = (0..powers.len()).collect();
-        order.sort_by_key(|&i| (quanta[i], i));
-        // `owner[pos]`: the run whose answer grid position `pos` takes.
-        let mut owner: Vec<Option<usize>> = vec![None; order.len()];
-        let mut runs: Vec<SweepPoint> = Vec::new();
-        let mut next: Vec<usize> = match order.len() {
-            0 => Vec::new(),
-            1 => vec![0],
-            n => vec![0, n - 1],
-        };
-        while !next.is_empty() {
-            let requests = next
-                .iter()
-                .map(|&pos| SynthesisRequest::new(constraints(order[pos])).with_options(*options));
-            for (&pos, (result, interval)) in next.iter().zip(self.run_requests(requests)) {
-                let run = runs.len();
-                runs.push(result.to_point(name));
-                owner[pos] = Some(run);
-                let interval = interval.expect("a constant budget reports its interval");
-                // An interval covers one contiguous stretch of the
-                // ordered grid around the run.
-                let covered = |&p: &usize| owner[p].is_none() && interval.covers(quanta[order[p]]);
-                let below: Vec<usize> = (0..pos).rev().take_while(covered).collect();
-                let above: Vec<usize> = (pos + 1..order.len()).take_while(covered).collect();
-                for p in below.into_iter().chain(above) {
-                    owner[p] = Some(run);
-                }
-            }
-            // The middle of every uncovered stretch.
-            next.clear();
-            let mut pos = 0;
-            while pos < owner.len() {
-                let start = pos;
-                while pos < owner.len() && owner[pos].is_none() {
-                    pos += 1;
-                }
-                if pos > start {
-                    next.push(start + (pos - start - 1) / 2);
-                } else {
-                    pos += 1;
-                }
-            }
-        }
-        let mut run_of = vec![0; order.len()];
-        for (pos, &i) in order.iter().enumerate() {
-            run_of[i] = owner[pos].expect("every grid point resolved");
-        }
-        let raw = (0..powers.len())
-            .map(|i| SweepPoint {
-                power_bound: constraints(i).max_power(),
-                ..runs[run_of[i]].clone()
-            })
-            .collect();
-        (raw, runs.len())
     }
 
     /// Runs a batch of independent synthesis requests, fanned out over
     /// the worker pool while sharing every compiled artifact — this
     /// crate's one parallel fan-out ([`sweep`](Session::sweep) runs its
-    /// grid through it). Results
-    /// come back in request order; each equals the corresponding
-    /// one-at-a-time [`synthesize`](Session::synthesize) call exactly.
+    /// grid through it). Results come back in request order; each
+    /// equals the corresponding one-at-a-time
+    /// [`synthesize`](Session::synthesize) call exactly.
+    ///
+    /// The kernel runs once per distinct answer: a constant-budget
+    /// request inside the [`PowerInterval`] of a run with the same
+    /// latency and options takes that run's answer, relabelled with its
+    /// own constraints.
     #[must_use]
     pub fn batch(
         &self,
         requests: impl IntoIterator<Item = SynthesisRequest>,
     ) -> Vec<SynthesisResult> {
-        self.run_requests(requests)
-            .into_iter()
-            .map(|(result, _)| result)
-            .collect()
+        self.resolve(requests.into_iter().collect()).0
     }
 
-    /// [`batch`](Session::batch), each result with its interval as
-    /// [`synthesize_with_interval`](Session::synthesize_with_interval)
-    /// reports it.
-    fn run_requests(
-        &self,
-        requests: impl IntoIterator<Item = SynthesisRequest>,
-    ) -> Vec<(SynthesisResult, Option<PowerInterval>)> {
-        let requests: Vec<SynthesisRequest> = requests.into_iter().collect();
-        let outcomes = pchls_par::par_map(&requests, |r| {
-            synthesize_recorded(self.engine, self.compiled, &r.constraints, &r.options, None)
-        });
-        requests
+    /// [`batch`](Session::batch)'s results, and how many kernel runs
+    /// produced them.
+    ///
+    /// Constant-budget requests with the same latency and options form a
+    /// class, ordered by bound quanta. Intervals are exact equivalence
+    /// classes — a run anywhere inside `[lo, hi)` reports the same
+    /// `[lo, hi)` — so each class is resolved in deterministic bisection
+    /// rounds: the first runs its lowest and highest bounds (and every
+    /// envelope request), and each later round runs the middle of every
+    /// stretch no finished run's interval covers. Every class shares one
+    /// fan-out per round. The run count is therefore the number of
+    /// distinct answers, whatever the thread count.
+    fn resolve(&self, requests: Vec<SynthesisRequest>) -> (Vec<SynthesisResult>, usize) {
+        // A constant request's class and bound quanta; an envelope
+        // request has neither.
+        let keys: Vec<_> = requests
+            .iter()
+            .map(|r| {
+                let SynthesisOptions {
+                    weights: w,
+                    backtracking,
+                    module_selection,
+                    interconnect_scoring,
+                } = r.options;
+                let class = (
+                    r.constraints.latency,
+                    [w.area, w.interconnect, w.displacement].map(f64::to_bits),
+                    [backtracking, module_selection, interconnect_scoring],
+                );
+                let quanta = r.constraints.budget.as_constant().map(bound_quanta);
+                quanta.map(|q| (class, q))
+            })
+            .collect();
+        let class = |i: usize| keys[i].map(|(class, _)| class);
+        // Constant requests by class, then bound: each class is one
+        // contiguous stretch of `order`. Round one runs every envelope
+        // request and the lowest and highest bound of every class.
+        let (mut order, mut next): (Vec<usize>, Vec<usize>) =
+            (0..requests.len()).partition(|&i| keys[i].is_some());
+        order.sort_by_key(|&i| (keys[i], i));
+        for stretch in order.chunk_by(|&a, &b| class(a) == class(b)) {
+            next.push(stretch[0]);
+            if stretch.len() > 1 {
+                next.push(stretch[stretch.len() - 1]);
+            }
+        }
+        let mut rank = vec![0; requests.len()];
+        for (pos, &i) in order.iter().enumerate() {
+            rank[i] = pos;
+        }
+        // `owner[i]`: the request whose run answers request `i`.
+        let mut owner: Vec<Option<usize>> = vec![None; requests.len()];
+        let mut outcomes: Vec<Option<Result<SynthesizedDesign, SynthesisError>>> =
+            vec![None; requests.len()];
+        let mut runs = 0;
+        while !next.is_empty() {
+            runs += next.len();
+            let ran = pchls_par::par_map(&next, |&i| {
+                let r = &requests[i];
+                synthesize_recorded(self.engine, self.compiled, &r.constraints, &r.options, None)
+            });
+            for (&i, (outcome, interval)) in next.iter().zip(ran) {
+                outcomes[i] = Some(outcome);
+                owner[i] = Some(i);
+                let Some((run_class, _)) = keys[i] else {
+                    continue;
+                };
+                // An interval covers one contiguous stretch of its class
+                // around the run.
+                let covered = |&p: &usize| {
+                    let j = order[p];
+                    owner[j].is_none()
+                        && keys[j].is_some_and(|(c, q)| c == run_class && interval.covers(q))
+                };
+                let pos = rank[i];
+                let below: Vec<usize> = (0..pos).rev().take_while(covered).collect();
+                let above: Vec<usize> = (pos + 1..order.len()).take_while(covered).collect();
+                for p in below.into_iter().chain(above) {
+                    owner[order[p]] = Some(i);
+                }
+            }
+            // The middle of every uncovered stretch: each lies inside one
+            // class, whose lowest and highest bounds ran in round one.
+            next = order
+                .chunk_by(|&a, &b| owner[a].is_none() == owner[b].is_none())
+                .filter(|stretch| owner[stretch[0]].is_none())
+                .map(|stretch| stretch[(stretch.len() - 1) / 2])
+                .collect();
+        }
+        // Batch requests answered by another request's run; the series
+        // keeps the name it had when only sweeps reused answers.
+        static REUSED: OnceLock<pchls_obs::Counter> = OnceLock::new();
+        REUSED
+            .get_or_init(|| pchls_obs::global().counter("pchls_sweep_points_reused_total"))
+            .add((requests.len() - runs) as u64);
+        for i in 0..requests.len() {
+            if outcomes[i].is_none() {
+                let run = owner[i].expect("every request resolved");
+                let answer = outcomes[run].clone().expect("an owner ran");
+                outcomes[i] = Some(relabel(answer, &requests[i].constraints));
+            }
+        }
+        let results = requests
             .into_iter()
             .zip(outcomes)
-            .map(|(request, (outcome, interval))| {
-                let interval = constant_interval(&request.constraints, interval);
-                (SynthesisResult { request, outcome }, interval)
+            .map(|(request, outcome)| SynthesisResult {
+                request,
+                outcome: outcome.expect("every request answered"),
             })
-            .collect()
+            .collect();
+        (results, runs)
     }
 
     /// A sensible power grid for sweeping this graph: `steps` evenly
@@ -705,13 +704,24 @@ impl SweepSpec {
     }
 }
 
-/// `interval` when `constraints` carry a constant budget, the only kind
-/// whose record describes one threshold.
-fn constant_interval(
+/// A run's `answer` as a run under `constraints`, another constant
+/// bound of its interval, reports it: the design carries `constraints`,
+/// and an error names their bound.
+fn relabel(
+    mut answer: Result<SynthesizedDesign, SynthesisError>,
     constraints: &SynthesisConstraints,
-    interval: PowerInterval,
-) -> Option<PowerInterval> {
-    constraints.budget.as_constant().map(|_| interval)
+) -> Result<SynthesizedDesign, SynthesisError> {
+    match &mut answer {
+        Ok(design) => design.constraints = constraints.clone(),
+        Err(SynthesisError::Infeasible { cause: e } | SynthesisError::Schedule(e)) => match e {
+            ScheduleError::Infeasible { max_power: b, .. }
+            | ScheduleError::OpExceedsBudget { max_power: b, .. }
+            | ScheduleError::PowerExceeded { bound: b, .. } => *b = constraints.max_power(),
+            _ => {}
+        },
+        Err(_) => {}
+    }
+    answer
 }
 
 /// One sweep's output: the enveloped points, labelled with the
@@ -722,9 +732,9 @@ pub struct SweepResult {
     pub benchmark: String,
     /// One enveloped point per grid entry, in grid order.
     pub points: Vec<SweepPoint>,
-    /// Synthesis runs the sweep made: one per grid point, except on a
-    /// power grid, where points inside an earlier run's interval reuse
-    /// its answer.
+    /// Synthesis runs the sweep made: one per envelope grid point, and
+    /// one per distinct answer among constant ones (see
+    /// [`Session::batch`]).
     pub kernel_runs: usize,
 }
 
@@ -911,11 +921,7 @@ mod tests {
         assert_eq!(results.len(), points.len());
         for (r, &(t, p)) in results.iter().zip(&points) {
             let single = session.synthesize(SynthesisConstraints::new(t, p), &opts);
-            match (&r.outcome, &single) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "T={t} P={p}"),
-                (Err(_), Err(_)) => {}
-                _ => panic!("batch/single disagree at T={t} P={p}"),
-            }
+            assert_eq!(r.outcome, single, "T={t} P={p}");
         }
     }
 

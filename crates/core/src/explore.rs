@@ -163,41 +163,6 @@ pub(crate) fn envelope(raw: Vec<SweepPoint>, order: &[usize], axis: SweepAxis) -
     points
 }
 
-/// Filters sweep points down to the pareto front over
-/// `(power bound, latency bound, area)`: points for which no other
-/// feasible point is at least as good on all three axes and strictly
-/// better on one. Infeasible points never appear.
-#[must_use]
-pub fn pareto_front(points: &[SweepPoint]) -> Vec<SweepPoint> {
-    // Index-based dominance: the O(n²) comparison loop touches only
-    // borrowed points; the single clone per point happens for survivors
-    // at collection time.
-    let feasible: Vec<usize> = points
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.is_feasible())
-        .map(|(i, _)| i)
-        .collect();
-    let dominates = |b: &SweepPoint, a: &SweepPoint| {
-        let (b_area, a_area) = (b.area.expect("feasible"), a.area.expect("feasible"));
-        let no_worse = b.power_bound <= a.power_bound
-            && b.latency_bound <= a.latency_bound
-            && b_area <= a_area;
-        let better =
-            b.power_bound < a.power_bound || b.latency_bound < a.latency_bound || b_area < a_area;
-        no_worse && better
-    };
-    feasible
-        .iter()
-        .filter(|&&i| {
-            !feasible
-                .iter()
-                .any(|&j| j != i && dominates(&points[j], &points[i]))
-        })
-        .map(|&i| points[i].clone())
-        .collect()
-}
-
 /// One grid point through the session kernel, summarized for a sweep
 /// (the one `Result` → [`SweepPoint`] construction site, shared with
 /// [`crate::SynthesisResult::to_point`]).
@@ -357,39 +322,5 @@ mod tests {
         let par = latency_sweep(&g, &lib, 30.0, &lats, &SynthesisOptions::default());
         let ser = latency_sweep_serial(&g, &lib, 30.0, &lats, &SynthesisOptions::default());
         assert_eq!(par, ser);
-    }
-
-    #[test]
-    fn pareto_front_drops_dominated_points() {
-        let g = benchmarks::hal();
-        let lib = paper_library();
-        let mut all = Vec::new();
-        for t in [10, 17] {
-            all.extend(power_sweep(
-                &g,
-                &lib,
-                t,
-                &[10.0, 20.0, 40.0],
-                &SynthesisOptions::default(),
-            ));
-        }
-        let front = pareto_front(&all);
-        assert!(!front.is_empty());
-        assert!(front.len() <= all.iter().filter(|p| p.is_feasible()).count());
-        // No point on the front dominates another front point.
-        for a in &front {
-            for b in &front {
-                if a == b {
-                    continue;
-                }
-                let dominates = b.power_bound <= a.power_bound
-                    && b.latency_bound <= a.latency_bound
-                    && b.area <= a.area
-                    && (b.power_bound < a.power_bound
-                        || b.latency_bound < a.latency_bound
-                        || b.area < a.area);
-                assert!(!dominates, "{b:?} dominates {a:?}");
-            }
-        }
     }
 }

@@ -74,7 +74,7 @@ pub use engine::{
     SynthesisResult,
 };
 pub use error::SynthesisError;
-pub use explore::{latency_sweep_serial, pareto_front, power_sweep_serial, SweepPoint};
+pub use explore::{latency_sweep_serial, power_sweep_serial, SweepPoint};
 pub use options::{SynthesisOptions, SynthesisOptionsBuilder};
 pub use pchls_sched::PowerBudget;
 pub use topk::TopK;

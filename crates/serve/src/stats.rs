@@ -130,7 +130,8 @@ pub struct ServiceStats {
 /// The one-line service summary printed when a serve loop exits (and,
 /// with `--stats-interval`, periodically while it runs): request
 /// disposition, the global latency tail (p50/p99/p99.9 and the exact
-/// max) and both priority lanes.
+/// max), both priority lanes, the compile cache's hit rate and where
+/// answers came from: the result tier and the store tier.
 #[must_use]
 pub fn render_serve_stats(stats: &ServiceStats) -> String {
     let ms = |secs: f64| format!("{:.1}ms", secs * 1e3);
@@ -146,7 +147,8 @@ pub fn render_serve_stats(stats: &ServiceStats) -> String {
     format!(
         "pchls serve: {} requests ({} ok, {} failed, {} cancelled, {} shed, {} rate-limited) | \
          {} shard(s), {} worker(s) | latency p50 {} p99 {} p99.9 {} max {} | \
-         hit lane {} | synth lane {} | compile cache {:.1}% hit | result tier {:.1}% hit",
+         hit lane {} | synth lane {} | compile cache {:.1}% hit | result tier {:.1}% hit | \
+         store tier {} of {} hit",
         stats.requests,
         stats.completed,
         stats.failed,
@@ -163,6 +165,8 @@ pub fn render_serve_stats(stats: &ServiceStats) -> String {
         lane(&stats.synth_lane),
         stats.cache_hit_rate * 100.0,
         stats.result_hit_rate * 100.0,
+        stats.store_hits,
+        stats.store_hits + stats.store_misses,
     )
 }
 
@@ -240,14 +244,14 @@ mod tests {
 
     #[test]
     fn render_covers_disposition_lanes_and_tiers() {
-        // All-zero baseline via JSON (the struct has no Default).
+        // Built via JSON (the struct has no Default).
         let zero = r#"{"requests":9,"completed":7,"failed":0,"cancelled":0,"shed":2,
             "rate_limited":0,"queue_depth":0,"workers":2,"shards":1,"cache_entries":0,
             "cache_hits":0,"cache_misses":0,"cache_coalesced":0,"cache_evictions":0,
             "cache_hit_rate":0.0,"cache_entry_bytes":0,"cache_mean_eviction_age":0.0,
             "result_entries":0,"result_hits":0,"result_misses":0,"result_evictions":0,
             "result_entry_bytes":0,"result_mean_eviction_age":0.0,"result_hit_rate":0.0,
-            "store_hits":0,"store_misses":0,"store_appends":0,"p50_latency_secs":0.001,
+            "store_hits":3,"store_misses":1,"store_appends":0,"p50_latency_secs":0.001,
             "p99_latency_secs":0.002,"p999_latency_secs":0.004,"max_latency_secs":0.005,
             "hit_lane":{"count":0,"p50_secs":0.0,"p99_secs":0.0,"p999_secs":0.0,"max_secs":0.0},
             "synth_lane":{"count":0,"p50_secs":0.0,"p99_secs":0.0,"p999_secs":0.0,"max_secs":0.0}}"#;
@@ -257,5 +261,6 @@ mod tests {
         assert!(line.contains("2 shed"), "{line}");
         assert!(line.contains("latency p50 1.0ms"), "{line}");
         assert!(line.contains("compile cache 0.0% hit"), "{line}");
+        assert!(line.ends_with("| store tier 3 of 4 hit"), "{line}");
     }
 }

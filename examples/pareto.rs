@@ -5,9 +5,7 @@
 //! Run with `cargo run --release --example pareto`.
 
 use pchls::cdfg::benchmarks::cosine;
-use pchls::core::{
-    pareto_front, Engine, SweepPoint, SweepSpec, SynthesisConstraints, SynthesisOptions,
-};
+use pchls::core::{Engine, SweepPoint, SweepSpec, SynthesisConstraints, SynthesisOptions};
 use pchls::fulib::paper_library;
 
 fn main() {
@@ -26,11 +24,22 @@ fn main() {
                 .into_points(),
         );
     }
-    let front = pareto_front(&all);
+    // The front: feasible points no other feasible point matches or
+    // beats on all of (T, P<, area).
+    let feasible: Vec<&SweepPoint> = all.iter().filter(|p| p.is_feasible()).collect();
+    let axes = |p: &SweepPoint| (p.latency_bound, p.power_bound, p.area);
+    let dominates = |b: &SweepPoint, a: &SweepPoint| {
+        let ((bt, bp, ba), (at, ap, aa)) = (axes(b), axes(a));
+        bt <= at && bp <= ap && ba <= aa && (bt, bp, ba) != (at, ap, aa)
+    };
+    let mut sorted: Vec<&SweepPoint> = feasible
+        .iter()
+        .copied()
+        .filter(|a| !feasible.iter().any(|b| dominates(b, a)))
+        .collect();
 
     println!("pareto front over (T, P<, area) for `{}`:", graph.name());
     println!("{:>4} {:>7} {:>7}", "T", "P<", "area");
-    let mut sorted = front.clone();
     sorted.sort_by(|a, b| {
         a.latency_bound
             .cmp(&b.latency_bound)
