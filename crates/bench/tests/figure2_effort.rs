@@ -1,0 +1,62 @@
+//! Pins the kernel's attempt sequence over Figure 2's raw points.
+//!
+//! The design bytes pinned elsewhere (`figure2_raw`, `golden_trace`)
+//! only see each iteration's committed decision. This test sums the
+//! [`SynthesisStats`](pchls_core::SynthesisStats) of every feasible raw
+//! [`Session::synthesize`](pchls_core::Session::synthesize) answer on
+//! the 6 curves × 60-point grid, so a kernel change that attempts
+//! candidates in a different order — or a different number of them —
+//! moves a total here even when the committed decision stays the same.
+//! rand200 rejects no candidate at all, so this is the pin on every
+//! attempt past the first.
+
+use pchls_bench::{figure2_curves, figure2_power_grid};
+use pchls_core::{Engine, SynthesisConstraints, SynthesisOptions};
+use pchls_fulib::paper_library;
+
+/// Feasible raw answers among the 360 points.
+const FEASIBLE: usize = 323;
+/// Summed over the feasible answers: decisions committed, backtracks,
+/// candidates rejected by the feasibility check, and commits proven
+/// without re-running the scheduler.
+const DECISIONS: usize = 15_086;
+const BACKTRACKS: usize = 5;
+const REJECTED: usize = 4_723;
+const FAST_COMMITS: usize = 7_498;
+
+#[test]
+fn figure2_raw_kernel_effort_is_pinned() {
+    let engine = Engine::new(paper_library());
+    let options = SynthesisOptions::default();
+    let mut feasible = 0;
+    let mut totals = [0usize; 4];
+    for (graph, latency) in figure2_curves() {
+        let compiled = engine.compile(&graph);
+        let session = engine.session(&compiled);
+        for power in figure2_power_grid() {
+            let Ok(design) =
+                session.synthesize(SynthesisConstraints::new(latency, power), &options)
+            else {
+                continue;
+            };
+            feasible += 1;
+            let s = design.stats;
+            for (total, x) in totals.iter_mut().zip([
+                s.decisions,
+                s.backtracks,
+                s.rejected_candidates,
+                s.fast_commits,
+            ]) {
+                *total += x;
+            }
+        }
+    }
+    assert_eq!(
+        (feasible, totals),
+        (
+            FEASIBLE,
+            [DECISIONS, BACKTRACKS, REJECTED, FAST_COMMITS]
+        ),
+        "Figure 2's raw kernel effort (feasible, [decisions, backtracks, rejected, fast commits]) moved"
+    );
+}
