@@ -12,15 +12,22 @@ use pchls_fulib::paper_library;
 
 /// Figure 2's 360 points in six shuffled batches run the kernel 78
 /// times, count the other 282 as reused, and each answer equals a
-/// one-at-a-time `synthesize` at its own point.
+/// one-at-a-time `synthesize` at its own point. The 78 runs rank a
+/// first block in each of their iterations and fall back to a full
+/// ranking in the few whose first block is rejected whole.
 #[test]
 fn shuffled_figure2_batches_run_the_kernel_once_per_distinct_answer() {
     let engine = Engine::new(paper_library());
     let options = SynthesisOptions::default();
     let global = pchls_obs::global();
     let counts = || {
-        ["pchls_kernel_runs_total", "pchls_sweep_points_reused_total"]
-            .map(|name| global.counter(name).get())
+        [
+            "pchls_kernel_runs_total",
+            "pchls_sweep_points_reused_total",
+            "pchls_kernel_rankings_total{block=\"first\"}",
+            "pchls_kernel_rankings_total{block=\"full\"}",
+        ]
+        .map(|name| global.counter(name).get())
     };
     let grid = figure2_power_grid();
     // A fixed shuffle: stride 37 is coprime to the grid's 60 points.
@@ -42,10 +49,11 @@ fn shuffled_figure2_batches_run_the_kernel_once_per_distinct_answer() {
         })
         .collect();
     let after = counts();
+    let moved: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);
     assert_eq!(
-        [after[0] - before[0], after[1] - before[1]],
-        [78, 282],
-        "kernel runs and reused requests"
+        moved,
+        [78, 282, 1_785, 287],
+        "kernel runs, reused requests, first-block and full rankings"
     );
 
     for ((compiled, latency), results) in compiled.iter().zip(&batches) {

@@ -12,7 +12,7 @@
 //! different Figure 2. The same run with the `pchls-obs` tracer enabled
 //! must serialize to the same bytes without dropping a span, and each
 //! run must add the same pinned totals to the kernel's effort counters
-//! (pair walk and placement orders).
+//! (pair walk, placement orders and rankings).
 //!
 //! To regenerate the golden after an *intentional* trace change (none
 //! are expected — the trace has been stable since PR 2), run:
@@ -31,21 +31,30 @@ use pchls_fulib::paper_library;
 /// on their score bound or rank key, as `pchls_kernel_pair_probes_total`
 /// and `pchls_kernel_pairs_pruned_total` count them. Their sum is every
 /// (pair, module) slot the walk's entries cover, whatever is pruned.
-const RAND200_PAIR_PROBES: u64 = 14_662;
-const RAND200_PAIRS_PRUNED: u64 = 784_972;
+const RAND200_PAIR_PROBES: u64 = 180;
+const RAND200_PAIRS_PRUNED: u64 = 799_454;
 const RAND200_PAIR_SLOTS: u64 = 799_634;
+
+/// Rankings one rand200 run computes, as
+/// `pchls_kernel_rankings_total{block="first"|"full"}` count them: one
+/// first block per iteration, and no full ranking, since every
+/// iteration commits a decision of its first block.
+const RAND200_RANKINGS: [u64; 2] = [192, 0];
 
 /// pasap/palap placement orders one rand200 run computes, as
 /// `pchls_kernel_placement_orders_total` counts them.
 const RAND200_PLACEMENT_ORDERS: u64 = 2;
 
-/// The global kernel effort counters `(probes, pruned, orders)`.
-fn effort_counters() -> [u64; 3] {
+/// The global kernel effort counters `(probes, pruned, orders, first
+/// rankings, full rankings)`.
+fn effort_counters() -> [u64; 5] {
     let global = pchls_obs::global();
     [
         "pchls_kernel_pair_probes_total",
         "pchls_kernel_pairs_pruned_total",
         "pchls_kernel_placement_orders_total",
+        "pchls_kernel_rankings_total{block=\"first\"}",
+        "pchls_kernel_rankings_total{block=\"full\"}",
     ]
     .map(|name| global.counter(name).get())
 }
@@ -62,7 +71,7 @@ fn rand200_trace() -> String {
         .synthesize(constraints, &SynthesisOptions::default())
         .unwrap_or_else(|e| panic!("{name} must be feasible: {e}"));
     let after = effort_counters();
-    let [probes, pruned, orders] = [0, 1, 2].map(|i| after[i] - before[i]);
+    let [probes, pruned, orders, first, full] = [0, 1, 2, 3, 4].map(|i| after[i] - before[i]);
     assert_eq!(
         probes + pruned,
         RAND200_PAIR_SLOTS,
@@ -76,6 +85,11 @@ fn rand200_trace() -> String {
     assert_eq!(
         orders, RAND200_PLACEMENT_ORDERS,
         "rand200's placement-order computations moved"
+    );
+    assert_eq!(
+        [first, full],
+        RAND200_RANKINGS,
+        "rand200's (first block, full) ranking counts moved"
     );
     let mut trace = serde_json::to_string_pretty(&design).expect("design serializes");
     trace.push('\n');

@@ -147,32 +147,38 @@ impl<'g> Recorders<'g> {
 
 /// Kernel effort summed over one synthesize call: pair merges whose
 /// exact score was computed (ledger probes), pair merges skipped on
-/// their score bound or rank key, and pasap/palap placement orders
-/// computed. Published to the global registry once per call, not per
-/// pair or schedule.
+/// their score bound or rank key, pasap/palap placement orders computed,
+/// and rankings of each [`Block`]. Published to the global registry once
+/// per call, not per pair or schedule.
 #[derive(Debug, Default)]
 struct Tally {
     probed: u64,
     pruned: u64,
     orders: u64,
+    first_rankings: u64,
+    full_rankings: u64,
 }
 
 impl Tally {
     fn publish(&self) {
-        static COUNTERS: OnceLock<[pchls_obs::Counter; 4]> = OnceLock::new();
-        let [runs, probes, pruned, orders] = COUNTERS.get_or_init(|| {
+        static COUNTERS: OnceLock<[pchls_obs::Counter; 6]> = OnceLock::new();
+        let [runs, probes, pruned, orders, first, full] = COUNTERS.get_or_init(|| {
             let global = pchls_obs::global();
             [
                 global.counter("pchls_kernel_runs_total"),
                 global.counter("pchls_kernel_pair_probes_total"),
                 global.counter("pchls_kernel_pairs_pruned_total"),
                 global.counter("pchls_kernel_placement_orders_total"),
+                global.counter("pchls_kernel_rankings_total{block=\"first\"}"),
+                global.counter("pchls_kernel_rankings_total{block=\"full\"}"),
             ]
         });
         runs.inc();
         probes.add(self.probed);
         pruned.add(self.pruned);
         orders.add(self.orders);
+        first.add(self.first_rankings);
+        full.add(self.full_rankings);
     }
 }
 
@@ -288,53 +294,97 @@ fn greedy(
         // paper's feasibility check). Rejected candidates are undone and
         // skipped; attempts are capped so a pathological iteration stays
         // cheap.
-        let mut ctx = Context {
-            graph,
-            library,
-            options,
-            reach,
-            timing: &timing,
-            est_modules: &est_modules,
-            kind_modules,
-            binding: &binding,
-            locked: &locked,
-            ledger,
-            busy: &scratch.busy,
-            by_module: &scratch.by_module,
-            provisional: &provisional,
-            late,
-            constraints,
-            start0: std::mem::take(&mut scratch.start0),
-            avoided: std::mem::take(&mut scratch.avoided),
-        };
-        let order = score_and_rank(
-            &mut ctx,
-            &scratch.unbound_vec,
-            &mut scratch.walk,
-            &mut scratch.top,
-            tally,
-        );
-        // Hand the score tables back for the next iteration and release
-        // every `ctx` borrow before the attempts mutate state.
-        scratch.start0 = std::mem::take(&mut ctx.start0);
-        scratch.avoided = std::mem::take(&mut ctx.avoided);
-        drop(ctx);
-        let committed = run_attempts(
-            order.iter(),
-            placer,
-            library,
-            constraints,
-            budget,
-            &provisional,
-            &mut binding,
-            &mut locked,
-            &mut timing,
-            ledger,
-            &mut unbound,
-            &mut unbound_count,
-            &mut stats,
-            &mut dirty,
-        );
+        //
+        // Most iterations commit their best candidate, so only the best
+        // `FIRST_BLOCK` are ranked first; the full `MAX_ATTEMPTS` are
+        // ranked only once every one of those is rejected, and attempted
+        // from position `FIRST_BLOCK + 1` on. That runs exactly the
+        // attempts one `MAX_ATTEMPTS`-deep ranking would: `rank_total` is
+        // a total order that does not depend on which decisions were
+        // scored, `undo` restores locks, timing and the ledger exactly,
+        // and the full ranking reads this iteration's pre-attempt
+        // `busy`/`by_module` rows and score tables. `by_module` must not
+        // be rebuilt: a rejected fresh attempt leaves an empty instance
+        // behind, and offering merges onto it would rank decisions the
+        // block never saw.
+        let mut committed = None;
+        let mut attempted = 0;
+        for block in [Block::First, Block::Full] {
+            let mut ctx = Context {
+                graph,
+                library,
+                options,
+                reach,
+                timing: &timing,
+                est_modules: &est_modules,
+                kind_modules,
+                binding: &binding,
+                locked: &locked,
+                ledger,
+                busy: &scratch.busy,
+                by_module: &scratch.by_module,
+                provisional: &provisional,
+                late,
+                constraints,
+                start0: std::mem::take(&mut scratch.start0),
+                avoided: std::mem::take(&mut scratch.avoided),
+            };
+            let unbound_vec = &scratch.unbound_vec;
+            let ranked = match block {
+                Block::First => score_and_rank(
+                    &mut ctx,
+                    unbound_vec,
+                    &mut scratch.walk,
+                    &mut scratch.first,
+                    block,
+                    tally,
+                ),
+                Block::Full => {
+                    let full = score_and_rank(
+                        &mut ctx,
+                        unbound_vec,
+                        &mut scratch.walk,
+                        &mut scratch.full,
+                        block,
+                        tally,
+                    );
+                    debug_assert_eq!(
+                        full[..FIRST_BLOCK],
+                        *scratch.first.sorted(rank_total),
+                        "the full ranking does not extend the first block"
+                    );
+                    full
+                }
+            };
+            // Hand the score tables back (the full ranking reuses them)
+            // and release every `ctx` borrow before the attempts mutate
+            // state.
+            scratch.start0 = std::mem::take(&mut ctx.start0);
+            scratch.avoided = std::mem::take(&mut ctx.avoided);
+            drop(ctx);
+            committed = run_attempts(
+                ranked[attempted..].iter(),
+                placer,
+                library,
+                constraints,
+                budget,
+                &provisional,
+                &mut binding,
+                &mut locked,
+                &mut timing,
+                ledger,
+                &mut unbound,
+                &mut unbound_count,
+                &mut stats,
+                &mut dirty,
+            );
+            // A block shorter than its length already holds every
+            // decision there is.
+            if committed.is_some() || ranked.len() < block.len() {
+                break;
+            }
+            attempted = ranked.len();
+        }
         if committed.is_none() {
             backtrack_all(
                 graph,
@@ -499,6 +549,39 @@ fn backtrack_all(
 /// pathological iteration must stay cheap.
 const MAX_ATTEMPTS: usize = 64;
 
+/// Decisions ranked first in every iteration; the full `MAX_ATTEMPTS`
+/// are ranked only when all of them are rejected. Chosen from a
+/// measurement of 1, 2, 4 and 8 (EXPERIMENTS.md, "Lazy ranking").
+const FIRST_BLOCK: usize = 1;
+
+/// One of an iteration's two rankings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Block {
+    /// The best `FIRST_BLOCK` decisions, ranked every iteration.
+    First,
+    /// The best `MAX_ATTEMPTS`, ranked only after the first block was
+    /// rejected whole.
+    Full,
+}
+
+impl Block {
+    /// Decisions the ranking keeps.
+    fn len(self) -> usize {
+        match self {
+            Block::First => FIRST_BLOCK,
+            Block::Full => MAX_ATTEMPTS,
+        }
+    }
+
+    /// The `block` label of the ranking counter and span arg.
+    fn name(self) -> &'static str {
+        match self {
+            Block::First => "first",
+            Block::Full => "full",
+        }
+    }
+}
+
 /// Read-only state shared by the candidate scoring helpers, plus
 /// per-iteration score tables (every tabulated quantity depends only on
 /// state that is fixed for the whole scoring pass, so the tables are
@@ -598,8 +681,11 @@ struct Scratch {
     by_module: Vec<Vec<InstanceId>>,
     /// The pair walk's buckets and entries.
     walk: PairWalk,
-    /// Bounded best-`MAX_ATTEMPTS` ranking of the offered decisions.
-    top: TopK<Decision>,
+    /// Bounded best-`FIRST_BLOCK` ranking of the offered decisions.
+    first: TopK<Decision>,
+    /// Bounded best-`MAX_ATTEMPTS` ranking, filled only when every
+    /// decision of `first` was rejected.
+    full: TopK<Decision>,
     /// `Context::start0` score table, handed back after each iteration.
     start0: Vec<Option<u32>>,
     /// `Context::avoided` score table, handed back after each iteration.
@@ -613,7 +699,8 @@ impl Scratch {
             busy: Vec::new(),
             by_module: vec![Vec::new(); lib_len],
             walk: PairWalk::default(),
-            top: TopK::new(MAX_ATTEMPTS),
+            first: TopK::new(FIRST_BLOCK),
+            full: TopK::new(MAX_ATTEMPTS),
             start0: Vec::new(),
             avoided: Vec::new(),
         }
@@ -759,31 +846,41 @@ impl Context<'_> {
     }
 }
 
-/// Ranks the iteration's best `MAX_ATTEMPTS` decisions into `top` and
-/// returns them best-first.
+/// Ranks the iteration's best `block.len()` decisions into `top` (whose
+/// capacity that is) and returns them best-first. The first block also
+/// fills `ctx`'s score tables; the full ranking reuses them.
 ///
 /// Every single decision is scored and offered. Pair merges are not
 /// enumerated exhaustively: [`offer_pairs`] walks them best-first by an
 /// upper bound on their score and skips every pair whose bound falls
 /// strictly below the worst decision a full `top` keeps — such a pair
-/// can never be kept.
+/// can never be kept. The smaller the block, the higher that bar.
 ///
 /// Deterministic order: [`rank_total`], whose structural [`Key`]
 /// tie-break makes it a *total* order that does not depend on which
 /// decisions were scored or in what order. The kept set is therefore
-/// exactly the full ranking of every feasible decision truncated to
-/// `MAX_ATTEMPTS` (checked against a brute-force enumeration in test
-/// builds).
+/// exactly the full ranking of every feasible decision truncated to the
+/// block's length (checked against a brute-force enumeration in test
+/// builds), and the full ranking's first `FIRST_BLOCK` entries are the
+/// first block.
 fn score_and_rank<'t>(
     ctx: &mut Context<'_>,
     unbound_vec: &[NodeId],
     walk: &mut PairWalk,
     top: &'t mut TopK<Decision>,
+    block: Block,
     tally: &mut Tally,
 ) -> &'t [Decision] {
     {
         let mut score_span = pchls_obs::span!("kernel.score");
-        ctx.precompute_tables(unbound_vec);
+        score_span.arg("block", block.name());
+        match block {
+            Block::First => {
+                ctx.precompute_tables(unbound_vec);
+                tally.first_rankings += 1;
+            }
+            Block::Full => tally.full_rankings += 1,
+        }
         top.clear();
         let mut offered = 0usize;
         for &u in unbound_vec {
@@ -798,14 +895,13 @@ fn score_and_rank<'t>(
         score_span.arg("candidates", offered + walked.offered);
         score_span.arg("pairs_probed", walked.probed);
         score_span.arg("pairs_pruned", walked.pruned);
-        score_span.arg("buckets", walk.buckets.len());
     }
     let _span = pchls_obs::span!("kernel.topk");
     let ranked = top.sorted(rank_total);
     #[cfg(test)]
     assert_eq!(
         ranked,
-        tests::brute_force_ranking(ctx, unbound_vec).as_slice(),
+        tests::brute_force_ranking(ctx, unbound_vec, block.len()).as_slice(),
         "the pair walk's ranking diverged from the exhaustive one"
     );
     ranked
@@ -1423,8 +1519,12 @@ mod tests {
 
     /// The reference ranking `score_and_rank` is checked against in test
     /// builds: every single and every pair decision (each unordered pair,
-    /// each of `first`'s modules), fully sorted, truncated.
-    pub(super) fn brute_force_ranking(ctx: &Context<'_>, unbound_vec: &[NodeId]) -> Vec<Decision> {
+    /// each of `first`'s modules), fully sorted, truncated to `len`.
+    pub(super) fn brute_force_ranking(
+        ctx: &Context<'_>,
+        unbound_vec: &[NodeId],
+        len: usize,
+    ) -> Vec<Decision> {
         let mut all = Vec::new();
         for &u in unbound_vec {
             single_decisions(ctx, u, &mut |d| all.push(d));
@@ -1443,7 +1543,7 @@ mod tests {
             }
         }
         all.sort_by(rank_total);
-        all.truncate(MAX_ATTEMPTS);
+        all.truncate(len);
         all
     }
 
@@ -1522,6 +1622,22 @@ mod tests {
             // failure was still checked.
             let _ = synth_tally(paper_library(), &graph, &constraints, &options);
         }
+    }
+
+    #[test]
+    fn a_rejected_first_block_falls_back_to_the_full_ranking() {
+        // hal at T=10, P=20 rejects its whole first block in some
+        // iterations, so the brute-force check above also compares full
+        // rankings (and the debug assertion that they extend the block).
+        let (result, tally) = synth_tally(
+            paper_library(),
+            &benchmarks::hal(),
+            &SynthesisConstraints::new(10, 20.0),
+            &SynthesisOptions::default(),
+        );
+        result.unwrap();
+        assert_eq!(tally.first_rankings, 16, "one first block per iteration");
+        assert!(tally.full_rankings > 0, "{tally:?}");
     }
 
     #[test]

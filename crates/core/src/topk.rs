@@ -1,14 +1,17 @@
 //! A flat bounded "best-k" heap with a reusable buffer.
 //!
 //! The synthesis kernel offers an iteration's candidate decisions to a
-//! [`TopK`] but only ever *attempts* the best `MAX_ATTEMPTS` (64) of
-//! them. The heap is a flat array of at most `k` items whose **root is
-//! the worst kept item**, so each offer either replaces the root (one
-//! sift-down) or is discarded with a single comparison. Once the heap
-//! is full, [`TopK::worst`] is the bar every later offer must beat: the
-//! kernel's pair walk stops scoring candidates whose score bound falls
-//! strictly below it. The buffer persists across iterations
-//! ([`TopK::clear`], not a fresh allocation).
+//! [`TopK`] but only ever *attempts* a few of them: each iteration
+//! ranks a first block of the best `FIRST_BLOCK` (1), and ranks the
+//! best `MAX_ATTEMPTS` (64) into a second heap only when the whole
+//! block is rejected. The heap is a flat array of at most `k` items whose
+//! **root is the worst kept item**, so each offer either replaces the
+//! root (one sift-down) or is discarded with a single comparison. Once
+//! the heap is full, [`TopK::worst`] is the bar every later offer must
+//! beat: the kernel's pair walk stops scoring candidates whose score
+//! bound falls strictly below it, so the smaller `k`, the fewer it
+//! scores. The buffer persists across iterations ([`TopK::clear`], not
+//! a fresh allocation).
 //!
 //! Under a **total** order (the kernel's score, start, op, then
 //! structural-key comparator) the kept set is exactly the k smallest
