@@ -4,9 +4,9 @@
 //! [`TopK`] but only ever *attempts* a few of them: each iteration
 //! ranks a first block of the best `FIRST_BLOCK` (1), and ranks the
 //! best `MAX_ATTEMPTS` (64) into a second heap only when the whole
-//! block is rejected. The heap is a flat array of at most `k` items whose
-//! **root is the worst kept item**, so each offer either replaces the
-//! root (one sift-down) or is discarded with a single comparison. Once
+//! block is rejected. The heap is a flat array of at most `k` items
+//! whose **root is the worst kept item**, so each offer either replaces
+//! the root (one sift-down) or is discarded with a single comparison. Once
 //! the heap is full, [`TopK::worst`] is the bar every later offer must
 //! beat: the kernel's pair walk stops scoring candidates whose score
 //! bound falls strictly below it, so the smaller `k`, the fewer it
