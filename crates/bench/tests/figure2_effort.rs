@@ -8,7 +8,9 @@
 //! candidates in a different order — or a different number of them —
 //! moves a total here even when the committed decision stays the same.
 //! rand200 rejects no candidate at all, so this is the pin on every
-//! attempt past the first.
+//! attempt past the first. It also pins the pair walk's global probe
+//! and prune counters over the same calls: rand200 never ranks a full
+//! block, so this is the walk's only pin under a rejected first block.
 
 use pchls_bench::{figure2_curves, figure2_power_grid};
 use pchls_core::{Engine, SynthesisConstraints, SynthesisOptions};
@@ -24,8 +26,27 @@ const BACKTRACKS: usize = 5;
 const REJECTED: usize = 4_723;
 const FAST_COMMITS: usize = 7_498;
 
+/// Summed over all 360 calls: pair merges scored exactly (ledger
+/// probes) and skipped on their score bound or rank key, as
+/// `pchls_kernel_pair_probes_total` and
+/// `pchls_kernel_pairs_pruned_total` count them.
+const PAIR_PROBES: u64 = 163_431;
+const PAIRS_PRUNED: u64 = 2_354_974;
+
+/// The global pair-walk counters `(probes, pruned)`. This binary holds
+/// one test, so their deltas count its own calls only.
+fn pair_counters() -> [u64; 2] {
+    let global = pchls_obs::global();
+    [
+        "pchls_kernel_pair_probes_total",
+        "pchls_kernel_pairs_pruned_total",
+    ]
+    .map(|name| global.counter(name).get())
+}
+
 #[test]
 fn figure2_raw_kernel_effort_is_pinned() {
+    let before = pair_counters();
     let engine = Engine::new(paper_library());
     let options = SynthesisOptions::default();
     let mut feasible = 0;
@@ -58,5 +79,11 @@ fn figure2_raw_kernel_effort_is_pinned() {
             [DECISIONS, BACKTRACKS, REJECTED, FAST_COMMITS]
         ),
         "Figure 2's raw kernel effort (feasible, [decisions, backtracks, rejected, fast commits]) moved"
+    );
+    let after = pair_counters();
+    assert_eq!(
+        [after[0] - before[0], after[1] - before[1]],
+        [PAIR_PROBES, PAIRS_PRUNED],
+        "Figure 2's raw pair-walk effort [probes, pruned] moved"
     );
 }
