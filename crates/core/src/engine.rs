@@ -58,7 +58,7 @@ use crate::error::SynthesisError;
 use crate::explore::{envelope, latency_order, power_order, SweepAxis, SweepPoint};
 use crate::options::SynthesisOptions;
 use crate::refine::{portfolio_session, refined_session};
-use crate::synthesis::{synthesize_recorded, synthesize_session};
+use crate::synthesis::synthesize_recorded;
 
 /// The per-library half of the synthesis state: owns the immutable
 /// module library plus every index derived from it alone.
@@ -285,7 +285,7 @@ impl<'e> Session<'e> {
         constraints: SynthesisConstraints,
         options: &SynthesisOptions,
     ) -> Result<SynthesizedDesign, SynthesisError> {
-        synthesize_session(self.engine, self.compiled, &constraints, options, None)
+        synthesize_recorded(self.engine, self.compiled, &constraints, options, None).0
     }
 
     /// [`synthesize`](Session::synthesize), also reporting the run's
@@ -326,13 +326,14 @@ impl<'e> Session<'e> {
         options: &SynthesisOptions,
         hook: &mut dyn FnMut(Progress) -> ControlFlow<()>,
     ) -> Result<SynthesizedDesign, SynthesisError> {
-        synthesize_session(
+        synthesize_recorded(
             self.engine,
             self.compiled,
             &constraints,
             options,
             Some(hook),
         )
+        .0
     }
 
     /// The self-tightening refinement loop over this session's shared

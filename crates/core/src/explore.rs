@@ -14,7 +14,7 @@ use pchls_fulib::ModuleLibrary;
 use crate::constraints::SynthesisConstraints;
 use crate::engine::{CompiledGraph, Engine};
 use crate::options::SynthesisOptions;
-use crate::synthesis::synthesize_session;
+use crate::synthesis::synthesize_recorded;
 
 /// One point of a constraint sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -173,7 +173,7 @@ pub(crate) fn run_point(
     options: &SynthesisOptions,
 ) -> SweepPoint {
     use crate::engine::{SynthesisRequest, SynthesisResult};
-    let outcome = synthesize_session(engine, compiled, &constraints, options, None);
+    let outcome = synthesize_recorded(engine, compiled, &constraints, options, None).0;
     SynthesisResult {
         request: SynthesisRequest::new(constraints).with_options(*options),
         outcome,

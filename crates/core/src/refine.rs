@@ -16,7 +16,7 @@ use crate::design::SynthesizedDesign;
 use crate::engine::{CompiledGraph, Engine};
 use crate::error::SynthesisError;
 use crate::options::SynthesisOptions;
-use crate::synthesis::synthesize_session;
+use crate::synthesis::synthesize_recorded;
 
 /// Upper bound on ratchet iterations; each strictly lowers the internal
 /// power bound, so termination is guaranteed anyway (peaks live on the
@@ -38,7 +38,7 @@ pub(crate) fn refined_session(
     options: &SynthesisOptions,
 ) -> Result<SynthesizedDesign, SynthesisError> {
     let (graph, library) = (compiled.graph(), engine.library());
-    let mut best = synthesize_session(engine, compiled, constraints, options, None)?;
+    let mut best = synthesize_recorded(engine, compiled, constraints, options, None).0?;
     // The achieved peak in quanta: every ratchet step lowers it.
     let mut peak = bound_quanta(best.peak_power);
     for _ in 0..MAX_RATCHETS {
@@ -49,7 +49,7 @@ pub(crate) fn refined_session(
         // (forbidding the previous placement) instead of replacing it:
         // an envelope constraint keeps every tighter phase, so the
         // candidate stays feasible under the original envelope.
-        let Ok(candidate) = synthesize_session(
+        let Ok(candidate) = synthesize_recorded(
             engine,
             compiled,
             &SynthesisConstraints::new(
@@ -58,7 +58,9 @@ pub(crate) fn refined_session(
             ),
             options,
             None,
-        ) else {
+        )
+        .0
+        else {
             break;
         };
         let next_peak = bound_quanta(candidate.peak_power);

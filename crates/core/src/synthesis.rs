@@ -64,20 +64,10 @@ enum Target {
 /// library indexes and the compiled graph's reachability/bootstrap
 /// state. All public entry points
 /// ([`Session::synthesize`](crate::Session::synthesize), sweeps,
-/// batches) funnel here.
-pub(crate) fn synthesize_session(
-    engine: &Engine,
-    compiled: &CompiledGraph,
-    constraints: &SynthesisConstraints,
-    options: &SynthesisOptions,
-    hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    synthesize_recorded(engine, compiled, constraints, options, hook).0
-}
-
-/// [`synthesize_session`], also returning every bound comparison the
-/// run decided: under a constant budget, the [`PowerInterval`] of bound
-/// quanta over which this same answer comes back (an error included).
+/// batches) funnel here. Besides the answer, it returns every bound
+/// comparison the run decided: under a constant budget, the
+/// [`PowerInterval`] of bound quanta over which this same answer comes
+/// back (an error included).
 pub(crate) fn synthesize_recorded(
     engine: &Engine,
     compiled: &CompiledGraph,
@@ -90,59 +80,10 @@ pub(crate) fn synthesize_recorded(
     if let Err(e) = options.check_weights() {
         return (Err(e), PowerInterval::EVERY);
     }
-    let mut tally = Tally::default();
-    let mut run = Recorders::new(compiled.graph(), constraints);
-    let result = greedy(
-        engine,
-        compiled,
-        constraints,
-        options,
-        hook,
-        &mut run,
-        &mut tally,
-    );
-    tally.orders = run.placer.orders_computed();
+    let (result, interval, tally) =
+        Kernel::new(engine, compiled, constraints, options).synthesize(hook);
     tally.publish();
-    (result, run.interval())
-}
-
-/// Everything in one kernel run that compares the power bound. Each
-/// keeps the record of the comparisons it decided, and outlives the
-/// loop, so the record survives every exit path, errors included.
-struct Recorders<'g> {
-    /// Bootstrap's pasap runs: a cache of its own, whose placement
-    /// orders are not the kernel's and are not counted.
-    boot: PlacementCache<'g>,
-    /// Every locked pasap/palap of the loop.
-    placer: PlacementCache<'g>,
-    /// The per-cycle power reserved by locked operations, maintained
-    /// incrementally: candidate attempts reserve on apply and release
-    /// (exactly, in integer quanta) on undo, instead of rebuilding the
-    /// ledger from the whole locked set every iteration. A backtrack
-    /// rebuilds it in place.
-    ledger: PowerLedger,
-    /// The final validation's comparisons.
-    seen: PowerInterval,
-}
-
-impl<'g> Recorders<'g> {
-    fn new(graph: &'g Cdfg, constraints: &SynthesisConstraints) -> Recorders<'g> {
-        Recorders {
-            boot: PlacementCache::new(graph),
-            placer: PlacementCache::new(graph),
-            ledger: PowerLedger::under(constraints.latency, &constraints.budget),
-            seen: PowerInterval::EVERY,
-        }
-    }
-
-    /// The run's interval: every recorder's comparisons.
-    fn interval(&self) -> PowerInterval {
-        let mut seen = self.seen;
-        seen.merge(self.boot.interval());
-        seen.merge(self.placer.interval());
-        seen.merge(self.ledger.interval());
-        seen
-    }
+    (result, interval)
 }
 
 /// Kernel effort summed over one synthesize call: pair merges whose
@@ -182,245 +123,403 @@ impl Tally {
     }
 }
 
-/// The greedy loop behind [`synthesize_session`], over validated
-/// options. Every locked pasap/palap runs through `run.placer`, which
-/// reuses the placement order while the delays stay put; every power
-/// comparison lands in one of `run`'s recorders.
-fn greedy(
-    engine: &Engine,
-    compiled: &CompiledGraph,
-    constraints: &SynthesisConstraints,
-    options: &SynthesisOptions,
-    mut hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
-    run: &mut Recorders<'_>,
-    tally: &mut Tally,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    let Recorders {
-        boot,
-        placer,
-        ledger,
-        seen,
-    } = run;
-    let graph = compiled.graph();
-    let library = engine.library();
-    let reach = compiled.reachability();
-    // Per-kind module candidate lists are owned by the engine —
-    // computed once per library, not per point.
-    let kind_modules = engine.kind_modules();
-    let n = graph.len();
-    let budget = &constraints.budget;
-    let _synth_span = pchls_obs::span!("kernel.synthesize", "ops" => n);
-    let (mut timing, est_modules) = {
-        let _span = pchls_obs::span!("kernel.bootstrap");
-        bootstrap(graph, library, constraints, ledger, boot, reach, compiled)?
-    };
+/// One kernel run: the whole state of the greedy loop. Each iteration
+/// ranks the decisions ([`Kernel::rank`]), commits the best one that
+/// leaves the rest power-feasible ([`Kernel::attempt`]), and when every
+/// one fails locks the remaining operations ([`Kernel::backtrack`]).
+/// Every power comparison lands in `boot`, `placer` or `ledger`, which
+/// outlive the loop, so the record survives every exit path.
+struct Kernel<'a> {
+    graph: &'a Cdfg,
+    library: &'a ModuleLibrary,
+    reach: &'a Reachability,
+    /// Per-kind module candidate lists, indexed by [`OpKind::index`]:
+    /// owned by the engine, computed once per library, not per point.
+    kind_modules: &'a [Vec<ModuleId>],
+    constraints: &'a SynthesisConstraints,
+    options: &'a SynthesisOptions,
+    /// Bootstrap's pasap runs: a cache of its own, whose placement
+    /// orders are not the kernel's and are not counted.
+    boot: PlacementCache<'a>,
+    /// Every locked pasap/palap of the loop, reusing the placement order
+    /// while the delays stay put.
+    placer: PlacementCache<'a>,
+    /// The per-cycle power reserved by locked operations, maintained
+    /// incrementally: candidate attempts reserve on apply and release
+    /// (exactly, in integer quanta) on undo, instead of rebuilding the
+    /// ledger from the whole locked set every iteration. A backtrack
+    /// rebuilds it in place.
+    ledger: PowerLedger,
+    timing: TimingMap,
+    /// Per-operation module estimates, chosen by bootstrap.
+    est_modules: Vec<ModuleId>,
+    binding: Binding,
+    locked: LockedStarts,
+    /// Membership of the not-yet-bound operations; `unbound_vec`
+    /// re-materializes the ascending-id order scoring iterates in.
+    unbound: NodeSet,
+    unbound_count: usize,
+    /// Power-feasible early starts under the current locks (see
+    /// [`Kernel::refit`]).
+    provisional: Schedule,
+    /// Whether a commit displaced an operation or changed its module
+    /// timing since `provisional` was computed.
+    dirty: bool,
+    /// The reversed heuristic's late starts under the current locks;
+    /// `None` when it failed, and `provisional` stands in.
+    palap: Option<Schedule>,
+    stats: SynthesisStats,
+    tally: Tally,
+    // Iteration-scoped work buffers, allocated once per run and
+    // `clear()`ed and refilled each iteration instead of reallocated —
+    // the loop runs `n/2`–`n` times per run.
+    /// Unbound ops in ascending id order (the scoring iteration order).
+    unbound_vec: Vec<NodeId>,
+    /// Busy intervals per instance, indexed by instance id.
+    busy: Vec<Vec<(u32, u32)>>,
+    /// Open instances per library module, ascending instance id.
+    by_module: Vec<Vec<InstanceId>>,
+    /// Tabulated `candidate_start(op, m, 0)`, flattened as
+    /// `op.index() * library.len() + m.index()`; filled for every unbound
+    /// op over its kind's candidate modules (the only entries scoring
+    /// reads). The pair walk may query these O(n²·modules) times for
+    /// only O(n·modules) distinct answers.
+    start0: Vec<Option<u32>>,
+    /// Tabulated [`Kernel::avoided_area`] per unbound operation.
+    avoided: Vec<f64>,
+}
 
-    let mut binding = Binding::new(n);
-    let mut locked = LockedStarts::none(n);
-    // Membership of the not-yet-bound operations; `scratch.unbound_vec`
-    // below re-materializes the ascending-id order the scoring pass
-    // iterates in.
-    let mut unbound = NodeSet::full(n);
-    let mut unbound_count = n;
-    let mut stats = SynthesisStats::default();
-    // Iteration-scoped work buffers, allocated once per synthesize call
-    // and `clear()`ed per iteration instead of rebuilt.
-    let mut scratch = Scratch::new(library.len());
-
-    // Power-feasible early starts under the current commitments. A
-    // commitment that locks operations exactly at their provisional
-    // starts with unchanged timing leaves `pasap_locked`'s greedy output
-    // unchanged (locked reservations are placed where the greedy itself
-    // put them, and placement order is timing-determined), so the
-    // schedule is only recomputed when a commit actually displaced an
-    // operation or changed its module timing — the "dirty" commits.
-    let mut provisional = {
-        // The `fds.*` span names are historical: perfbench and `chrome_golden` read them.
-        let _span = pchls_obs::span!("fds.refit");
-        placer
-            .pasap_locked(&timing, budget, constraints.latency, &locked)
-            .map_err(|cause| SynthesisError::Infeasible { cause })?
-    };
-    let mut dirty = false;
-
-    while unbound_count > 0 {
-        // Progress/cancel hook: one event per greedy iteration. `None`
-        // (every batch/sweep path) costs nothing.
-        if let Some(h) = hook.as_deref_mut() {
-            let snapshot = Progress {
-                bound_ops: n - unbound_count,
-                total_ops: n,
-                backtracks: stats.backtracks,
-                rejected_candidates: stats.rejected_candidates,
-            };
-            if h(snapshot).is_break() {
-                return Err(SynthesisError::Cancelled);
-            }
-        }
-        if dirty {
-            let _span = pchls_obs::span!("fds.refit");
-            provisional = placer
-                .pasap_locked(&timing, budget, constraints.latency, &locked)
-                .map_err(|cause| SynthesisError::Infeasible { cause })?;
-            dirty = false;
-        }
-        // The soft deadlines must track every lock, so the reversed
-        // heuristic is recomputed each iteration. It can fail where the
-        // forward one succeeded; fall back to zero mobility (late =
-        // early, the provisional schedule itself), which is always safe
-        // — borrowed, not cloned.
-        let palap = {
-            let _span = pchls_obs::span!("fds.palap");
-            placer
-                .palap_locked(&timing, budget, constraints.latency, &locked)
-                .ok()
-        };
-        let late = palap.as_ref().unwrap_or(&provisional);
-
-        scratch.unbound_vec.clear();
-        scratch.unbound_vec.extend(unbound.iter());
-        instance_busy_into(&binding, &locked, &timing, &mut scratch.busy);
-        // Open instances bucketed by module (ascending instance id per
-        // row), so a candidate (op, module) only visits the instances it
-        // could actually merge onto.
-        for row in &mut scratch.by_module {
-            row.clear();
-        }
-        for iid in binding.instance_ids() {
-            scratch.by_module[binding.instance(iid).module().index()].push(iid);
-        }
-        // Try candidates best-first; a candidate commits only if the
-        // remaining operations still admit a power-feasible schedule (the
-        // paper's feasibility check). Rejected candidates are undone and
-        // skipped; attempts are capped so a pathological iteration stays
-        // cheap.
-        //
-        // Most iterations commit their best candidate, so only the best
-        // `FIRST_BLOCK` are ranked first; the full `MAX_ATTEMPTS` are
-        // ranked only once every one of those is rejected, and attempted
-        // from position `FIRST_BLOCK + 1` on. That runs exactly the
-        // attempts one `MAX_ATTEMPTS`-deep ranking would: `rank_total` is
-        // a total order that does not depend on which decisions were
-        // scored, `undo` restores locks, timing and the ledger exactly,
-        // and the full ranking reads this iteration's pre-attempt
-        // `busy`/`by_module` rows and score tables. `by_module` must not
-        // be rebuilt: a rejected fresh attempt leaves an empty instance
-        // behind, and offering merges onto it would rank decisions the
-        // block never saw.
-        let mut committed = None;
-        let mut attempted = 0;
-        for block in [Block::First, Block::Full] {
-            let mut ctx = Context {
-                graph,
-                library,
-                options,
-                reach,
-                timing: &timing,
-                est_modules: &est_modules,
-                kind_modules,
-                binding: &binding,
-                locked: &locked,
-                ledger,
-                busy: &scratch.busy,
-                by_module: &scratch.by_module,
-                provisional: &provisional,
-                late,
-                constraints,
-                start0: std::mem::take(&mut scratch.start0),
-                avoided: std::mem::take(&mut scratch.avoided),
-            };
-            let unbound_vec = &scratch.unbound_vec;
-            let ranked = match block {
-                Block::First => score_and_rank(
-                    &mut ctx,
-                    unbound_vec,
-                    &mut scratch.walk,
-                    &mut scratch.first,
-                    block,
-                    tally,
-                ),
-                Block::Full => {
-                    let full = score_and_rank(
-                        &mut ctx,
-                        unbound_vec,
-                        &mut scratch.walk,
-                        &mut scratch.full,
-                        block,
-                        tally,
-                    );
-                    debug_assert_eq!(
-                        full[..FIRST_BLOCK],
-                        *scratch.first.sorted(rank_total),
-                        "the full ranking does not extend the first block"
-                    );
-                    full
-                }
-            };
-            // Hand the score tables back (the full ranking reuses them)
-            // and release every `ctx` borrow before the attempts mutate
-            // state.
-            scratch.start0 = std::mem::take(&mut ctx.start0);
-            scratch.avoided = std::mem::take(&mut ctx.avoided);
-            drop(ctx);
-            committed = run_attempts(
-                ranked[attempted..].iter(),
-                placer,
-                library,
-                constraints,
-                budget,
-                &provisional,
-                &mut binding,
-                &mut locked,
-                &mut timing,
-                ledger,
-                &mut unbound,
-                &mut unbound_count,
-                &mut stats,
-                &mut dirty,
-            );
-            // A block shorter than its length already holds every
-            // decision there is.
-            if committed.is_some() || ranked.len() < block.len() {
-                break;
-            }
-            attempted = ranked.len();
-        }
-        if committed.is_none() {
-            backtrack_all(
-                graph,
-                &timing,
-                constraints,
-                budget,
-                options,
-                &scratch.unbound_vec,
-                &provisional,
-                &mut locked,
-                ledger,
-                &mut stats,
-            )?;
+impl<'a> Kernel<'a> {
+    fn new(
+        engine: &'a Engine,
+        compiled: &'a CompiledGraph,
+        constraints: &'a SynthesisConstraints,
+        options: &'a SynthesisOptions,
+    ) -> Kernel<'a> {
+        let graph = compiled.graph();
+        let n = graph.len();
+        let library = engine.library();
+        Kernel {
+            graph,
+            library,
+            reach: compiled.reachability(),
+            kind_modules: engine.kind_modules(),
+            constraints,
+            options,
+            boot: PlacementCache::new(graph),
+            placer: PlacementCache::new(graph),
+            ledger: PowerLedger::under(constraints.latency, &constraints.budget),
+            // Bootstrap's seed: the compiled min-area modules, whose
+            // timing is the compiled min-area timing map.
+            timing: compiled.min_area_timing().clone(),
+            est_modules: compiled.seed_modules().to_vec(),
+            binding: Binding::new(n),
+            locked: LockedStarts::none(n),
+            unbound: NodeSet::full(n),
+            unbound_count: n,
+            // Replaced by the first refit, before anything reads it.
+            provisional: Schedule::new(Vec::new()),
+            dirty: false,
+            palap: None,
+            stats: SynthesisStats::default(),
+            tally: Tally::default(),
+            unbound_vec: Vec::new(),
+            busy: Vec::new(),
+            by_module: vec![Vec::new(); library.len()],
+            start0: Vec::new(),
+            avoided: Vec::new(),
         }
     }
 
-    // All operations bound and locked: the locked schedule is final.
-    let final_schedule = if dirty {
+    /// Runs the loop and assembles the validated design. Returns it with
+    /// the interval of every bound comparison the run decided and the
+    /// run's effort, on every exit path, errors included.
+    fn synthesize(
+        mut self,
+        hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
+    ) -> (
+        Result<SynthesizedDesign, SynthesisError>,
+        PowerInterval,
+        Tally,
+    ) {
+        let _synth_span = pchls_obs::span!("kernel.synthesize", "ops" => self.graph.len());
+        let run = self.run(hook);
+        let mut seen = self.boot.interval();
+        seen.merge(self.placer.interval());
+        seen.merge(self.ledger.interval());
+        self.tally.orders = self.placer.orders_computed();
+        let result = run.and_then(|()| {
+            self.binding.prune_empty();
+            let mut design = SynthesizedDesign::assemble(
+                self.provisional,
+                self.timing,
+                self.binding,
+                self.library,
+                self.constraints.clone(),
+            );
+            design.stats = self.stats;
+            design.validate_recording(self.graph, self.library, &mut seen)?;
+            Ok(design)
+        });
+        (result, seen, self.tally)
+    }
+
+    /// The greedy loop: bootstrap, then one committed decision (or a
+    /// backtrack) per iteration until every operation is bound and
+    /// locked at its final start in `provisional`.
+    fn run(
+        &mut self,
+        mut hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
+    ) -> Result<(), SynthesisError> {
+        {
+            let _span = pchls_obs::span!("kernel.bootstrap");
+            self.bootstrap()?;
+        }
+        self.refit()
+            .map_err(|cause| SynthesisError::Infeasible { cause })?;
+        // The rankings' buffers belong to the loop, not the kernel, so a
+        // ranking reads the kernel while it fills them.
+        let mut walk = PairWalk::default();
+        let mut first = TopK::new(FIRST_BLOCK);
+        let mut full = TopK::new(MAX_ATTEMPTS);
+        let n = self.graph.len();
+        while self.unbound_count > 0 {
+            // Progress/cancel hook: one event per greedy iteration. `None`
+            // (every batch/sweep path) costs nothing.
+            if let Some(h) = hook.as_deref_mut() {
+                let snapshot = Progress {
+                    bound_ops: n - self.unbound_count,
+                    total_ops: n,
+                    backtracks: self.stats.backtracks,
+                    rejected_candidates: self.stats.rejected_candidates,
+                };
+                if h(snapshot).is_break() {
+                    return Err(SynthesisError::Cancelled);
+                }
+            }
+            if self.dirty {
+                self.refit()
+                    .map_err(|cause| SynthesisError::Infeasible { cause })?;
+            }
+            // The soft deadlines must track every lock, so the reversed
+            // heuristic is recomputed each iteration. It can fail where
+            // the forward one succeeded; `candidate_start` then falls
+            // back to zero mobility (late = early, the provisional
+            // schedule itself), which is always safe.
+            self.palap = {
+                let _span = pchls_obs::span!("fds.palap");
+                self.placer
+                    .palap_locked(
+                        &self.timing,
+                        &self.constraints.budget,
+                        self.constraints.latency,
+                        &self.locked,
+                    )
+                    .ok()
+            };
+            self.gather();
+            // Try candidates best-first; a candidate commits only if the
+            // remaining operations still admit a power-feasible schedule
+            // (the paper's feasibility check). Rejected candidates are
+            // undone and skipped; attempts are capped so a pathological
+            // iteration stays cheap.
+            //
+            // Most iterations commit their best candidate, so only the
+            // best `FIRST_BLOCK` are ranked first; the full `MAX_ATTEMPTS`
+            // are ranked only once every one of those is rejected, and
+            // attempted from position `FIRST_BLOCK + 1` on. That runs
+            // exactly the attempts one `MAX_ATTEMPTS`-deep ranking would:
+            // `rank_total` is a total order that does not depend on which
+            // decisions were scored, `undo` restores locks, timing and
+            // the ledger exactly, and the full ranking reads this
+            // iteration's pre-attempt `busy`/`by_module` rows and score
+            // tables. `by_module` must not be rebuilt: a rejected fresh
+            // attempt leaves an empty instance behind, and offering
+            // merges onto it would rank decisions the block never saw.
+            let mut committed = false;
+            let mut attempted = 0;
+            for block in [Block::First, Block::Full] {
+                let ranked = match block {
+                    Block::First => self.rank(block, &mut walk, &mut first),
+                    Block::Full => {
+                        let ranked = self.rank(block, &mut walk, &mut full);
+                        debug_assert_eq!(
+                            ranked[..FIRST_BLOCK],
+                            *first.sorted(rank_total),
+                            "the full ranking does not extend the first block"
+                        );
+                        ranked
+                    }
+                };
+                committed = self.attempt(&ranked[attempted..]);
+                // A block shorter than its length already holds every
+                // decision there is.
+                if committed || ranked.len() < block.len() {
+                    break;
+                }
+                attempted = ranked.len();
+            }
+            if !committed {
+                self.backtrack()?;
+            }
+        }
+        // All operations bound and locked: the locked schedule is final.
+        if self.dirty {
+            self.refit().map_err(SynthesisError::Schedule)?;
+        }
+        Ok(())
+    }
+
+    /// Recomputes `provisional`: the power-feasible early starts under
+    /// the current locks. A commitment that locks operations exactly at
+    /// their provisional starts with unchanged timing leaves
+    /// `pasap_locked`'s greedy output unchanged (locked reservations are
+    /// placed where the greedy itself put them, and placement order is
+    /// timing-determined), so the loop refits only after a "dirty"
+    /// commit, one that displaced an operation or changed its timing.
+    fn refit(&mut self) -> Result<(), ScheduleError> {
+        // The `fds.*` span names are historical: perfbench and `chrome_golden` read them.
         let _span = pchls_obs::span!("fds.refit");
-        placer
-            .pasap_locked(&timing, budget, constraints.latency, &locked)
-            .map_err(SynthesisError::Schedule)?
-    } else {
-        provisional
-    };
-    binding.prune_empty();
-    let mut design = SynthesizedDesign::assemble(
-        final_schedule,
-        timing,
-        binding,
-        library,
-        constraints.clone(),
-    );
-    design.stats = stats;
-    design.validate_recording(graph, library, seen)?;
-    Ok(design)
+        self.provisional = self.placer.pasap_locked(
+            &self.timing,
+            &self.constraints.budget,
+            self.constraints.latency,
+            &self.locked,
+        )?;
+        self.dirty = false;
+        Ok(())
+    }
+
+    /// Refills the iteration's buffers: the unbound operations in
+    /// ascending id, each instance's busy intervals (bound ops are always
+    /// locked), and the open instances bucketed by module (ascending
+    /// instance id per row), so a candidate (op, module) only visits the
+    /// instances it could actually merge onto.
+    fn gather(&mut self) {
+        self.unbound_vec.clear();
+        self.unbound_vec.extend(self.unbound.iter());
+        let count = self.binding.instance_ids().count();
+        self.busy.truncate(count);
+        for row in &mut self.busy {
+            row.clear();
+        }
+        self.busy.resize_with(count, Vec::new);
+        for row in &mut self.by_module {
+            row.clear();
+        }
+        for iid in self.binding.instance_ids() {
+            let instance = self.binding.instance(iid);
+            let row = &mut self.busy[iid.index()];
+            for &op in instance.ops() {
+                let s = self.locked.get(op).expect("bound ops are locked");
+                row.push((s, s + self.timing.delay(op)));
+            }
+            self.by_module[instance.module().index()].push(iid);
+        }
+    }
+
+    /// Attempts `cands` best-first until one commits: apply, prove
+    /// feasibility (fast-path for clean commits), keep or undo. Returns
+    /// whether one committed.
+    fn attempt(&mut self, cands: &[Decision]) -> bool {
+        let mut span = pchls_obs::span!("kernel.commit");
+        let mut attempts = 0u64;
+        let mut committed = false;
+        for cand in cands {
+            attempts += 1;
+            let saved = self.save(cand);
+            self.apply(cand, &saved);
+            // A candidate that locks its operation(s) exactly at their
+            // provisional starts with unchanged timing cannot invalidate
+            // the provisional schedule — it is feasible by construction
+            // and the expensive re-schedule is skipped.
+            let clean = is_clean(cand, &saved, &self.provisional);
+            let feasible = clean
+                || self
+                    .placer
+                    .pasap_locked(
+                        &self.timing,
+                        &self.constraints.budget,
+                        self.constraints.latency,
+                        &self.locked,
+                    )
+                    .is_ok();
+            if feasible {
+                self.unbound.remove(cand.op);
+                self.unbound_count -= 1;
+                self.stats.decisions += 1;
+                if let Target::FreshPair { partner, .. } = cand.target {
+                    self.unbound.remove(partner);
+                    self.unbound_count -= 1;
+                    self.stats.decisions += 1;
+                }
+                if clean {
+                    self.stats.fast_commits += 1;
+                } else {
+                    self.dirty = true;
+                }
+                committed = true;
+                break;
+            }
+            self.undo(cand, &saved);
+            self.stats.rejected_candidates += 1;
+        }
+        span.arg("attempts", attempts);
+        committed
+    }
+
+    /// Every candidate stranded the remaining operations. The paper's
+    /// repair: backtrack (all failed decisions are already undone) and
+    /// lock every unscheduled operation to the last valid pasap schedule,
+    /// then continue with binding-only decisions. Locks land exactly at
+    /// provisional starts, so the provisional schedule remains valid (not
+    /// dirty).
+    fn backtrack(&mut self) -> Result<(), SynthesisError> {
+        if !self.options.backtracking {
+            return Err(SynthesisError::Infeasible {
+                cause: ScheduleError::Infeasible {
+                    node: self.unbound_vec[0],
+                    horizon: self.constraints.latency,
+                    max_power: self.constraints.max_power(),
+                },
+            });
+        }
+        for &v in &self.unbound_vec {
+            self.locked.lock(v, self.provisional.start(v));
+        }
+        // Rebuild the ledger from the full locked set (the newly locked
+        // operations were not reserved incrementally).
+        self.reserve_locked()?;
+        self.stats.backtracks += 1;
+        Ok(())
+    }
+
+    /// Rebuilds `ledger` in place as the per-cycle power reserved by the
+    /// locked operations; its record of comparisons survives.
+    fn reserve_locked(&mut self) -> Result<(), SynthesisError> {
+        self.ledger.clear();
+        for id in self.graph.node_ids() {
+            if let Some(s) = self.locked.get(id) {
+                let t = self.timing.of(id);
+                if !self.ledger.fits(s, t.delay, t.power) {
+                    // As in `pasap`'s locked pass: name the cycle that
+                    // actually rejects the reservation, not the interval's
+                    // start (they differ under an envelope).
+                    let v = self
+                        .ledger
+                        .first_unfit_cycle(s, t.delay, t.power)
+                        .expect("fits just failed");
+                    return Err(SynthesisError::Schedule(ScheduleError::PowerExceeded {
+                        cycle: v,
+                        power: pchls_fulib::units(self.ledger.used(v) + t.power),
+                        bound: self.constraints.budget.bound_at(v),
+                    }));
+                }
+                self.ledger.reserve(s, t.delay, t.power);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Whether a just-applied decision is guaranteed not to invalidate the
@@ -446,103 +545,6 @@ fn is_clean(cand: &Decision, saved: &Saved, provisional: &Schedule) -> bool {
         }
         _ => op_clean,
     }
-}
-
-/// Attempts candidates best-first until one commits: apply, prove
-/// feasibility (fast-path for clean commits), keep or undo.
-#[allow(clippy::too_many_arguments)]
-fn run_attempts<'d>(
-    cands: impl Iterator<Item = &'d Decision>,
-    placer: &mut PlacementCache<'_>,
-    library: &ModuleLibrary,
-    constraints: &SynthesisConstraints,
-    budget: &pchls_sched::PowerBudget,
-    provisional: &Schedule,
-    binding: &mut Binding,
-    locked: &mut LockedStarts,
-    timing: &mut TimingMap,
-    ledger: &mut PowerLedger,
-    unbound: &mut NodeSet,
-    unbound_count: &mut usize,
-    stats: &mut SynthesisStats,
-    dirty: &mut bool,
-) -> Option<Decision> {
-    let mut span = pchls_obs::span!("kernel.commit");
-    let mut attempts = 0u64;
-    let mut committed = None;
-    for cand in cands {
-        attempts += 1;
-        let saved = saved_state(cand, library, timing, locked);
-        apply(cand, binding, locked, timing, ledger, &saved);
-        // A candidate that locks its operation(s) exactly at their
-        // provisional starts with unchanged timing cannot invalidate
-        // the provisional schedule — it is feasible by construction
-        // and the expensive re-schedule is skipped.
-        let clean = is_clean(cand, &saved, provisional);
-        let feasible = clean
-            || placer
-                .pasap_locked(timing, budget, constraints.latency, locked)
-                .is_ok();
-        if feasible {
-            unbound.remove(cand.op);
-            *unbound_count -= 1;
-            stats.decisions += 1;
-            if let Target::FreshPair { partner, .. } = cand.target {
-                unbound.remove(partner);
-                *unbound_count -= 1;
-                stats.decisions += 1;
-            }
-            if clean {
-                stats.fast_commits += 1;
-            } else {
-                *dirty = true;
-            }
-            committed = Some(*cand);
-            break;
-        }
-        undo(cand, binding, locked, timing, ledger, &saved);
-        stats.rejected_candidates += 1;
-    }
-    span.arg("attempts", attempts);
-    committed
-}
-
-/// Every candidate stranded the remaining operations. The paper's
-/// repair: backtrack (all failed decisions are already undone) and lock
-/// every unscheduled operation to the last valid pasap schedule, then
-/// continue with binding-only decisions. Locks land exactly at
-/// provisional starts, so the provisional schedule remains valid (not
-/// dirty).
-#[allow(clippy::too_many_arguments)]
-fn backtrack_all(
-    graph: &Cdfg,
-    timing: &TimingMap,
-    constraints: &SynthesisConstraints,
-    budget: &pchls_sched::PowerBudget,
-    options: &SynthesisOptions,
-    unbound_vec: &[NodeId],
-    provisional: &Schedule,
-    locked: &mut LockedStarts,
-    ledger: &mut PowerLedger,
-    stats: &mut SynthesisStats,
-) -> Result<(), SynthesisError> {
-    if !options.backtracking {
-        return Err(SynthesisError::Infeasible {
-            cause: ScheduleError::Infeasible {
-                node: unbound_vec[0],
-                horizon: constraints.latency,
-                max_power: constraints.max_power(),
-            },
-        });
-    }
-    for &v in unbound_vec {
-        locked.lock(v, provisional.start(v));
-    }
-    // Rebuild the ledger from the full locked set (the newly locked
-    // operations were not reserved incrementally).
-    reserve_locked(graph, timing, locked, budget, ledger)?;
-    stats.backtracks += 1;
-    Ok(())
 }
 
 /// Candidate attempts per iteration: commits are tried best-first and a
@@ -582,162 +584,95 @@ impl Block {
     }
 }
 
-/// Read-only state shared by the candidate scoring helpers, plus
-/// per-iteration score tables (every tabulated quantity depends only on
-/// state that is fixed for the whole scoring pass, so the tables are
-/// filled up-front).
-struct Context<'a> {
-    graph: &'a Cdfg,
-    library: &'a ModuleLibrary,
-    options: &'a SynthesisOptions,
-    reach: &'a Reachability,
-    timing: &'a TimingMap,
-    est_modules: &'a [ModuleId],
-    /// Per-kind module candidate lists, indexed by [`OpKind::index`].
-    kind_modules: &'a [Vec<ModuleId>],
-    binding: &'a Binding,
-    locked: &'a LockedStarts,
-    ledger: &'a PowerLedger,
-    busy: &'a [Vec<(u32, u32)>],
-    /// Open instances per library module, ascending instance id.
-    by_module: &'a [Vec<InstanceId>],
-    provisional: &'a Schedule,
-    late: &'a Schedule,
-    constraints: &'a SynthesisConstraints,
-    /// Tabulated `candidate_start(op, m, 0)`, flattened as
-    /// `op.index() * library.len() + m.index()`; filled for every unbound
-    /// op over its kind's candidate modules (the only entries scoring
-    /// reads). The pair walk may query these O(n²·modules) times for
-    /// only O(n·modules) distinct answers.
-    start0: Vec<Option<u32>>,
-    /// Tabulated [`Context::avoided_area`] per unbound operation.
-    avoided: Vec<f64>,
-}
-
-/// Rebuilds `ledger` in place as the per-cycle power reserved by the
-/// locked operations; its record of comparisons survives.
-fn reserve_locked(
-    graph: &Cdfg,
-    timing: &TimingMap,
-    locked: &LockedStarts,
-    budget: &pchls_sched::PowerBudget,
-    ledger: &mut PowerLedger,
-) -> Result<(), SynthesisError> {
-    ledger.clear();
-    for id in graph.node_ids() {
-        if let Some(s) = locked.get(id) {
-            let t = timing.of(id);
-            if !ledger.fits(s, t.delay, t.power) {
-                // As in `pasap`'s locked pass: name the cycle that
-                // actually rejects the reservation, not the interval's
-                // start (they differ under an envelope).
-                let v = ledger
-                    .first_unfit_cycle(s, t.delay, t.power)
-                    .expect("fits just failed");
-                return Err(SynthesisError::Schedule(ScheduleError::PowerExceeded {
-                    cycle: v,
-                    power: pchls_fulib::units(ledger.used(v) + t.power),
-                    bound: budget.bound_at(v),
-                }));
+impl Kernel<'_> {
+    /// Ranks the iteration's best `block.len()` decisions into `top`
+    /// (whose capacity that is) and returns them best-first. The first
+    /// block also fills the `start0`/`avoided` score tables; the full
+    /// ranking reuses them.
+    ///
+    /// Every single decision is scored and offered. Pair merges are not
+    /// enumerated exhaustively: [`Kernel::offer_pairs`] walks them
+    /// best-first by an upper bound on their score and skips every pair
+    /// whose bound falls strictly below the worst decision a full `top`
+    /// keeps — such a pair can never be kept. The smaller the block, the
+    /// higher that bar.
+    ///
+    /// Deterministic order: [`rank_total`], whose structural [`Key`]
+    /// tie-break makes it a *total* order that does not depend on which
+    /// decisions were scored or in what order. The kept set is therefore
+    /// exactly the full ranking of every feasible decision truncated to
+    /// the block's length (checked against a brute-force enumeration in
+    /// test builds), and the full ranking's first `FIRST_BLOCK` entries
+    /// are the first block.
+    fn rank<'t>(
+        &mut self,
+        block: Block,
+        walk: &mut PairWalk,
+        top: &'t mut TopK<Decision>,
+    ) -> &'t [Decision] {
+        {
+            let mut score_span = pchls_obs::span!("kernel.score");
+            score_span.arg("block", block.name());
+            match block {
+                Block::First => {
+                    self.fill_tables();
+                    self.tally.first_rankings += 1;
+                }
+                Block::Full => self.tally.full_rankings += 1,
             }
-            ledger.reserve(s, t.delay, t.power);
+            top.clear();
+            let mut offered = 0usize;
+            for &u in &self.unbound_vec {
+                self.single_decisions(u, &mut |d| {
+                    offered += 1;
+                    top.push(d, rank_total);
+                });
+            }
+            let walked = self.offer_pairs(walk, top);
+            self.tally.probed += walked.probed;
+            self.tally.pruned += walked.pruned;
+            score_span.arg("candidates", offered + walked.offered);
+            score_span.arg("pairs_probed", walked.probed);
+            score_span.arg("pairs_pruned", walked.pruned);
         }
+        let _span = pchls_obs::span!("kernel.topk");
+        let ranked = top.sorted(rank_total);
+        #[cfg(test)]
+        assert_eq!(
+            ranked,
+            tests::brute_force_ranking(self, block.len()).as_slice(),
+            "the pair walk's ranking diverged from the exhaustive one"
+        );
+        ranked
     }
-    Ok(())
-}
 
-/// Busy intervals of each instance (bound ops are always locked),
-/// rebuilt into `busy` — rows are cleared and reused, not reallocated.
-fn instance_busy_into(
-    binding: &Binding,
-    locked: &LockedStarts,
-    timing: &TimingMap,
-    busy: &mut Vec<Vec<(u32, u32)>>,
-) {
-    let count = binding.instance_ids().count();
-    busy.truncate(count);
-    for row in busy.iter_mut() {
-        row.clear();
-    }
-    busy.resize_with(count, Vec::new);
-    for iid in binding.instance_ids() {
-        let row = &mut busy[iid.index()];
-        for &op in binding.instance(iid).ops() {
-            let s = locked.get(op).expect("bound ops are locked");
-            row.push((s, s + timing.delay(op)));
-        }
-    }
-}
-
-/// Per-call work buffers for the greedy iteration loop, `clear()`ed and
-/// refilled each iteration instead of reallocated — the iteration loop
-/// runs `n/2`–`n` times per synthesize call.
-struct Scratch {
-    /// Unbound ops in ascending id order (the scoring iteration order).
-    unbound_vec: Vec<NodeId>,
-    /// Busy intervals per instance, indexed by instance id.
-    busy: Vec<Vec<(u32, u32)>>,
-    /// Open instances per library module, ascending instance id.
-    by_module: Vec<Vec<InstanceId>>,
-    /// The pair walk's buckets and entries.
-    walk: PairWalk,
-    /// Bounded best-`FIRST_BLOCK` ranking of the offered decisions.
-    first: TopK<Decision>,
-    /// Bounded best-`MAX_ATTEMPTS` ranking, filled only when every
-    /// decision of `first` was rejected.
-    full: TopK<Decision>,
-    /// `Context::start0` score table, handed back after each iteration.
-    start0: Vec<Option<u32>>,
-    /// `Context::avoided` score table, handed back after each iteration.
-    avoided: Vec<f64>,
-}
-
-impl Scratch {
-    fn new(lib_len: usize) -> Scratch {
-        Scratch {
-            unbound_vec: Vec::new(),
-            busy: Vec::new(),
-            by_module: vec![Vec::new(); lib_len],
-            walk: PairWalk::default(),
-            first: TopK::new(FIRST_BLOCK),
-            full: TopK::new(MAX_ATTEMPTS),
-            start0: Vec::new(),
-            avoided: Vec::new(),
-        }
-    }
-}
-
-impl Context<'_> {
     /// Fills the `start0`/`avoided` score tables for the unbound
-    /// operations.
-    fn precompute_tables(&mut self, unbound: &[NodeId]) {
+    /// operations. Every tabulated quantity depends only on state fixed
+    /// for the whole iteration. Clear + resize reuses the tables'
+    /// capacity while resetting every entry (only unbound rows are ever
+    /// read, and those are all rewritten below).
+    fn fill_tables(&mut self) {
         let lib_len = self.library.len();
-        // The tables live in the caller's scratch between iterations:
-        // clear + resize reuses their capacity while resetting every
-        // entry (only unbound rows are ever read, and those are all
-        // rewritten below).
-        let mut start0 = std::mem::take(&mut self.start0);
-        start0.clear();
-        start0.resize(self.graph.len() * lib_len, None);
-        for &u in unbound {
-            for &m in self.kind_list(u) {
-                start0[u.index() * lib_len + m.index()] = self.candidate_start(u, m, 0);
+        let kind_modules = self.kind_modules;
+        self.start0.clear();
+        self.start0.resize(self.graph.len() * lib_len, None);
+        self.avoided.clear();
+        self.avoided.resize(self.graph.len(), 0.0);
+        for &u in &self.unbound_vec {
+            let row = &kind_modules[self.graph.node(u).kind().index()];
+            for &m in row {
+                let start = self.candidate_start(u, m, 0);
+                self.start0[u.index() * lib_len + m.index()] = start;
             }
-        }
-        let mut avoided = std::mem::take(&mut self.avoided);
-        avoided.clear();
-        avoided.resize(self.graph.len(), 0.0);
-        for &u in unbound {
-            let row = self.kind_list(u);
             // Area of the cheapest library module that could *feasibly*
             // execute `u` in the current state — the unit a successful
             // merge avoids opening. Feasibility matters: when the latency
             // bound rules the serial multiplier out for an operation,
             // merging it onto a parallel multiplier avoids a 339-area
             // unit, not a 103-area one.
-            avoided[u.index()] = row
+            self.avoided[u.index()] = row
                 .iter()
-                .filter(|&&m| start0[u.index() * lib_len + m.index()].is_some())
+                .filter(|&&m| self.start0[u.index() * lib_len + m.index()].is_some())
                 .map(|&m| self.library.module(m).area())
                 .min()
                 .or_else(|| {
@@ -748,8 +683,6 @@ impl Context<'_> {
                 .map(f64::from)
                 .expect("library coverage checked at bootstrap");
         }
-        self.start0 = start0;
-        self.avoided = avoided;
     }
 
     /// The candidate modules of `op`'s kind.
@@ -794,7 +727,8 @@ impl Context<'_> {
             .unwrap_or(0)
             .max(not_before);
         // Soft palap deadline: never tighter than the provisional slot.
-        let soft_deadline = (self.late.start(op) + self.timing.delay(op))
+        let late = self.palap.as_ref().unwrap_or(&self.provisional);
+        let soft_deadline = (late.start(op) + self.timing.delay(op))
             .max(self.provisional.start(op) + self.timing.delay(op));
         // Hard bounds: the latency constraint and locked successors.
         let deadline = self
@@ -844,67 +778,277 @@ impl Context<'_> {
             std::slice::from_ref(&self.est_modules[op.index()])
         }
     }
-}
 
-/// Ranks the iteration's best `block.len()` decisions into `top` (whose
-/// capacity that is) and returns them best-first. The first block also
-/// fills `ctx`'s score tables; the full ranking reuses them.
-///
-/// Every single decision is scored and offered. Pair merges are not
-/// enumerated exhaustively: [`offer_pairs`] walks them best-first by an
-/// upper bound on their score and skips every pair whose bound falls
-/// strictly below the worst decision a full `top` keeps — such a pair
-/// can never be kept. The smaller the block, the higher that bar.
-///
-/// Deterministic order: [`rank_total`], whose structural [`Key`]
-/// tie-break makes it a *total* order that does not depend on which
-/// decisions were scored or in what order. The kept set is therefore
-/// exactly the full ranking of every feasible decision truncated to the
-/// block's length (checked against a brute-force enumeration in test
-/// builds), and the full ranking's first `FIRST_BLOCK` entries are the
-/// first block.
-fn score_and_rank<'t>(
-    ctx: &mut Context<'_>,
-    unbound_vec: &[NodeId],
-    walk: &mut PairWalk,
-    top: &'t mut TopK<Decision>,
-    block: Block,
-    tally: &mut Tally,
-) -> &'t [Decision] {
-    {
-        let mut score_span = pchls_obs::span!("kernel.score");
-        score_span.arg("block", block.name());
-        match block {
-            Block::First => {
-                ctx.precompute_tables(unbound_vec);
-                tally.first_rankings += 1;
+    /// Emits the decisions binding one unbound operation on its own:
+    /// merges onto each compatible existing instance, plus the
+    /// dedicated-instance fallback.
+    fn single_decisions(&self, u: NodeId, emit: &mut impl FnMut(Decision)) {
+        for (pos, &m) in (0u32..).zip(self.modules_for(u)) {
+            // (1) Merge onto an existing instance: earliest start at
+            // which the instance is free and power fits. Starting later
+            // than the op's free earliest start consumes schedule slack
+            // and is penalized (see `CostWeights::displacement`).
+            for (slot, &iid) in (0u32..).zip(&self.by_module[m.index()]) {
+                if let Some(d) = self.existing_decision(u, m, iid, (0, u.index() as u32, pos, slot))
+                {
+                    emit(d);
+                }
             }
-            Block::Full => tally.full_rankings += 1,
+            // (3) Dedicated instance (fallback).
+            if let Some(d) = self.fresh_decision(u, m, (0, u.index() as u32, pos, u32::MAX)) {
+                emit(d);
+            }
         }
-        top.clear();
-        let mut offered = 0usize;
-        for &u in unbound_vec {
-            single_decisions(ctx, u, &mut |d| {
-                offered += 1;
-                top.push(d, rank_total);
-            });
-        }
-        let walked = offer_pairs(ctx, unbound_vec, walk, top);
-        tally.probed += walked.probed;
-        tally.pruned += walked.pruned;
-        score_span.arg("candidates", offered + walked.offered);
-        score_span.arg("pairs_probed", walked.probed);
-        score_span.arg("pairs_pruned", walked.pruned);
     }
-    let _span = pchls_obs::span!("kernel.topk");
-    let ranked = top.sorted(rank_total);
-    #[cfg(test)]
-    assert_eq!(
-        ranked,
-        tests::brute_force_ranking(ctx, unbound_vec, block.len()).as_slice(),
-        "the pair walk's ranking diverged from the exhaustive one"
-    );
-    ranked
+
+    /// The decision merging unbound `u` onto existing instance `iid` of
+    /// module `m`, if it fits.
+    fn existing_decision(
+        &self,
+        u: NodeId,
+        m: ModuleId,
+        iid: InstanceId,
+        key: Key,
+    ) -> Option<Decision> {
+        let s = self.earliest_instance_fit(u, m, iid)?;
+        let free_start = self.candidate_start0(u, m);
+        let displaced = f64::from(s - free_start.expect("fit implies a free start"));
+        let inst = self.binding.instance(iid);
+        let weights = &self.options.weights;
+        // The +1 bonus breaks ties against pair merges: growing an
+        // existing clique saves one unit per *one* operation consumed, a
+        // pair saves one unit per two — without the bonus the greedy
+        // fragments large op classes into many two-op instances.
+        Some(Decision {
+            op: u,
+            module: m,
+            start: s,
+            target: Target::Existing(iid),
+            score: weights.area * self.avoided_area(u) + self.interconnect(u, inst.ops())
+                - weights.displacement * displaced
+                + 1.0,
+            key,
+        })
+    }
+
+    /// The decision opening a dedicated instance of module `m` for `u`,
+    /// if a power-feasible start exists.
+    fn fresh_decision(&self, u: NodeId, m: ModuleId, key: Key) -> Option<Decision> {
+        let s = self.candidate_start0(u, m)?;
+        let area = f64::from(self.library.module(m).area());
+        Some(Decision {
+            op: u,
+            module: m,
+            start: s,
+            target: Target::Fresh,
+            score: -self.options.weights.area * area,
+            key,
+        })
+    }
+
+    /// Offers the pair merges that can still make `top`, best bound
+    /// first.
+    ///
+    /// A pair merge of `first` then `second` on module `m` scores
+    /// `w_area·gain + interconnect − w_disp·displaced`, where
+    /// `gain = avoided(first) + avoided(second) − area(m)` must be
+    /// positive. Its bound:
+    ///
+    /// * the area term is exact per bucket pair (buckets share an
+    ///   avoided area);
+    /// * `interconnect` counts `first`'s operands and successors found in
+    ///   `second`'s, so it is at most `max(0, w_ic)` times the larger of
+    ///   the two buckets' degrees (`first` may come from either), and 0
+    ///   when interconnect scoring is off;
+    /// * `0 ≤ displaced ≤ T`, so the displacement term adds at most
+    ///   `max(0, −w_disp)·T`.
+    ///
+    /// Entries are walked by bound, highest first, until a bound falls
+    /// strictly below the worst decision a full `top` keeps; within an
+    /// entry, each pair's exact `w_area·gain + interconnect` (plus the
+    /// displacement cap) is checked the same way before the ledger probe.
+    ///
+    /// A pair whose bound *ties* the worst kept score is cut on the rest
+    /// of its [`rank_total`] key, which is known before the probe: its
+    /// start is exactly the tabulated `start0(first, m)`, its op is
+    /// `first` and its [`Key`] is structural. It is skipped when that
+    /// start is `None` (no decision) or `(start, first, key)` ranks after
+    /// the worst's — its exact score is at most the bound, so it could
+    /// never be kept. With the default weights (`displacement = 0`) every
+    /// bound is exact and most probes would otherwise be such ties.
+    fn offer_pairs(&self, walk: &mut PairWalk, top: &mut TopK<Decision>) -> Walked {
+        let weights = &self.options.weights;
+        let ic_weight = if self.options.interconnect_scoring {
+            weights.interconnect.max(0.0)
+        } else {
+            0.0
+        };
+        let disp_cap = (-weights.displacement).max(0.0) * f64::from(self.constraints.latency);
+
+        walk.buckets.clear();
+        for &u in &self.unbound_vec {
+            let kind = self.graph.node(u).kind();
+            let avoided = self.avoided_area(u);
+            let degree = self.graph.operands(u).len() + self.graph.successors(u).len();
+            let b = match walk
+                .buckets
+                .iter()
+                .position(|b| b.kind == kind && b.avoided == avoided)
+            {
+                Some(b) => b,
+                None => {
+                    walk.buckets.push(Bucket {
+                        kind,
+                        avoided,
+                        degree: 0,
+                        ops: Vec::new(),
+                    });
+                    walk.buckets.len() - 1
+                }
+            };
+            let bucket = &mut walk.buckets[b];
+            bucket.degree = bucket.degree.max(degree);
+            bucket.ops.push(u);
+        }
+
+        walk.entries.clear();
+        for (lo, a) in walk.buckets.iter().enumerate() {
+            for (hi, b) in walk.buckets.iter().enumerate().skip(lo) {
+                if lo == hi && a.ops.len() < 2 {
+                    continue;
+                }
+                for &m in &self.kind_modules[a.kind.index()] {
+                    let spec = self.library.module(m);
+                    if !spec.implements(b.kind) {
+                        continue;
+                    }
+                    // The same sum `pair_decision` forms (addition
+                    // commutes, whichever bucket `first` comes from).
+                    let gain = a.avoided + b.avoided - f64::from(spec.area());
+                    if gain <= 0.0 {
+                        continue;
+                    }
+                    let area_term = weights.area * gain;
+                    let ic_cap = ic_weight * a.degree.max(b.degree) as f64;
+                    walk.entries.push(Entry {
+                        lo,
+                        hi,
+                        module: m,
+                        area_term,
+                        bound: area_term + ic_cap + disp_cap,
+                    });
+                }
+            }
+        }
+        walk.entries.sort_by(|x, y| y.bound.total_cmp(&x.bound));
+
+        let mut out = Walked::default();
+        for (i, e) in walk.entries.iter().enumerate() {
+            if top.worst().is_some_and(|w| e.bound < w.score) {
+                // Sorted by bound: no later entry can beat the bar either.
+                out.pruned += walk.entries[i..].iter().map(|e| walk.pairs(e)).sum::<u64>();
+                break;
+            }
+            let (a, b) = (&walk.buckets[e.lo].ops, &walk.buckets[e.hi].ops);
+            for (x, &p) in a.iter().enumerate() {
+                let partners = if e.lo == e.hi { &a[x + 1..] } else { &b[..] };
+                for &q in partners {
+                    let (u, v) = if p < q { (p, q) } else { (q, p) };
+                    // Serialize in dependence order if one exists.
+                    let (first, second) = if self.reach.reaches(v, u) {
+                        (v, u)
+                    } else {
+                        (u, v)
+                    };
+                    let Some(pos) = self.modules_for(first).iter().position(|&x| x == e.module)
+                    else {
+                        continue; // module selection off: `first` keeps its estimate
+                    };
+                    let bound = e.area_term + self.interconnect(first, &[second]) + disp_cap;
+                    let key = (1, u.index() as u32, v.index() as u32, pos as u32);
+                    if top.worst().is_some_and(|w| {
+                        bound < w.score
+                            || (bound == w.score
+                                && self
+                                    .candidate_start0(first, e.module)
+                                    .is_none_or(|s| (s, first, key) > (w.start, w.op, w.key)))
+                    }) {
+                        out.pruned += 1;
+                        continue;
+                    }
+                    out.probed += 1;
+                    if let Some(d) = self.pair_decision(first, second, e.module, key) {
+                        out.offered += 1;
+                        top.push(d, rank_total);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The decision opening one shared instance of module `m` for the
+    /// dependence-ordered pair `(first, second)`, if the merge is
+    /// profitable and feasible.
+    fn pair_decision(
+        &self,
+        first: NodeId,
+        second: NodeId,
+        m: ModuleId,
+        key: Key,
+    ) -> Option<Decision> {
+        let spec = self.library.module(m);
+        if !spec.implements(self.graph.node(second).kind()) {
+            return None;
+        }
+        let gain = self.avoided_area(first) + self.avoided_area(second) - f64::from(spec.area());
+        if gain <= 0.0 {
+            return None; // two dedicated cheapest units are no worse
+        }
+        let s1 = self.candidate_start0(first, m)?;
+        let s2_free = self.candidate_start0(second, m)?;
+        let s2 = self.candidate_start(second, m, s1 + spec.latency())?;
+        // Dependence-ordered pairs serialize for free (s2 at its natural
+        // slot); concurrent siblings pay for the slack their
+        // serialization consumes.
+        let displaced = f64::from(s2 - s2_free);
+        Some(Decision {
+            op: first,
+            module: m,
+            start: s1,
+            target: Target::FreshPair {
+                partner: second,
+                partner_start: s2,
+            },
+            score: self.options.weights.area * gain + self.interconnect(first, &[second])
+                - self.options.weights.displacement * displaced,
+            key,
+        })
+    }
+
+    /// Earliest start at which `u` can execute on instance `iid` of
+    /// module `m`: power-feasible and not overlapping the instance's busy
+    /// intervals.
+    fn earliest_instance_fit(&self, u: NodeId, m: ModuleId, iid: InstanceId) -> Option<u32> {
+        let delay = self.library.module(m).latency();
+        let busy = &self.busy[iid.index()];
+        let mut s = self.candidate_start0(u, m)?;
+        loop {
+            // First busy interval overlapping [s, s+delay), if any.
+            match busy
+                .iter()
+                .filter(|&&(bs, bf)| s < bf && bs < s + delay)
+                .map(|&(_, bf)| bf)
+                .max()
+            {
+                None => return Some(s),
+                Some(resume) => {
+                    // Skip past the collision and re-check power/deadline.
+                    s = self.candidate_start(u, m, resume)?;
+                }
+            }
+        }
+    }
 }
 
 /// The ranking order on decisions: best score first, then earlier
@@ -920,71 +1064,6 @@ fn rank_order(a: &Decision, b: &Decision) -> std::cmp::Ordering {
 /// [`rank_order`] made total by the structural [`Key`].
 fn rank_total(a: &Decision, b: &Decision) -> std::cmp::Ordering {
     rank_order(a, b).then(a.key.cmp(&b.key))
-}
-
-/// Emits the decisions binding one unbound operation on its own:
-/// merges onto each compatible existing instance, plus the
-/// dedicated-instance fallback.
-fn single_decisions(ctx: &Context<'_>, u: NodeId, emit: &mut impl FnMut(Decision)) {
-    for (pos, &m) in (0u32..).zip(ctx.modules_for(u)) {
-        // (1) Merge onto an existing instance: earliest start at which
-        // the instance is free and power fits. Starting later than the
-        // op's free earliest start consumes schedule slack and is
-        // penalized (see `CostWeights::displacement`).
-        for (slot, &iid) in (0u32..).zip(&ctx.by_module[m.index()]) {
-            if let Some(d) = existing_decision(ctx, u, m, iid, (0, u.index() as u32, pos, slot)) {
-                emit(d);
-            }
-        }
-        // (3) Dedicated instance (fallback).
-        if let Some(d) = fresh_decision(ctx, u, m, (0, u.index() as u32, pos, u32::MAX)) {
-            emit(d);
-        }
-    }
-}
-
-/// The decision merging unbound `u` onto existing instance `iid` of
-/// module `m`, if it fits.
-fn existing_decision(
-    ctx: &Context<'_>,
-    u: NodeId,
-    m: ModuleId,
-    iid: InstanceId,
-    key: Key,
-) -> Option<Decision> {
-    let s = earliest_instance_fit(ctx, u, m, iid)?;
-    let free_start = ctx.candidate_start0(u, m);
-    let displaced = f64::from(s - free_start.expect("fit implies a free start"));
-    let inst = ctx.binding.instance(iid);
-    // The +1 bonus breaks ties against pair merges: growing an existing
-    // clique saves one unit per *one* operation consumed, a pair saves
-    // one unit per two — without the bonus the greedy fragments large
-    // op classes into many two-op instances.
-    Some(Decision {
-        op: u,
-        module: m,
-        start: s,
-        target: Target::Existing(iid),
-        score: ctx.options.weights.area * ctx.avoided_area(u) + ctx.interconnect(u, inst.ops())
-            - ctx.options.weights.displacement * displaced
-            + 1.0,
-        key,
-    })
-}
-
-/// The decision opening a dedicated instance of module `m` for `u`, if
-/// a power-feasible start exists.
-fn fresh_decision(ctx: &Context<'_>, u: NodeId, m: ModuleId, key: Key) -> Option<Decision> {
-    let s = ctx.candidate_start0(u, m)?;
-    let area = f64::from(ctx.library.module(m).area());
-    Some(Decision {
-        op: u,
-        module: m,
-        start: s,
-        target: Target::Fresh,
-        score: -ctx.options.weights.area * area,
-        key,
-    })
 }
 
 /// Unbound operations with one kind and one tabulated avoided area:
@@ -1014,39 +1093,11 @@ struct Entry {
     bound: f64,
 }
 
-/// Reusable buffers of [`offer_pairs`].
+/// Reusable buffers of [`Kernel::offer_pairs`].
 #[derive(Debug, Default)]
 struct PairWalk {
     buckets: Vec<Bucket>,
     entries: Vec<Entry>,
-    /// `stamp[q] == generation` marks the operations sharing an operand
-    /// producer or a result consumer with the walk's current `p`.
-    stamp: Vec<u32>,
-    generation: u32,
-}
-
-/// Stamps every operation that shares an operand producer or a result
-/// consumer with `p` — the only partners whose interconnect with `p` is
-/// not 0 — with a fresh generation, returned.
-fn stamp_neighbours(graph: &Cdfg, p: NodeId, stamp: &mut Vec<u32>, generation: &mut u32) -> u32 {
-    if stamp.len() != graph.len() || *generation == u32::MAX {
-        stamp.clear();
-        stamp.resize(graph.len(), 0);
-        *generation = 0;
-    }
-    *generation += 1;
-    let g = *generation;
-    for &o in graph.operands(p) {
-        for &q in graph.successors(o) {
-            stamp[q.index()] = g;
-        }
-    }
-    for &c in graph.successors(p) {
-        for &q in graph.operands(c) {
-            stamp[q.index()] = g;
-        }
-    }
-    g
 }
 
 impl PairWalk {
@@ -1064,8 +1115,8 @@ impl PairWalk {
     }
 }
 
-/// What one [`offer_pairs`] pass did, counted in (pair, module) slots
-/// of the entries.
+/// What one [`Kernel::offer_pairs`] pass did, counted in (pair, module)
+/// slots of the entries.
 #[derive(Debug, Default)]
 struct Walked {
     /// Exact scores computed (each costs ledger probes).
@@ -1076,244 +1127,6 @@ struct Walked {
     pruned: u64,
     /// Feasible pair decisions offered to `top`.
     offered: usize,
-}
-
-/// Offers the pair merges that can still make `top`, best bound first.
-///
-/// A pair merge of `first` then `second` on module `m` scores
-/// `w_area·gain + interconnect − w_disp·displaced`, where
-/// `gain = avoided(first) + avoided(second) − area(m)` must be positive.
-/// Its bound:
-///
-/// * the area term is exact per bucket pair (buckets share an avoided
-///   area);
-/// * `interconnect` counts `first`'s operands and successors found in
-///   `second`'s, so it is at most `max(0, w_ic)` times the larger of the
-///   two buckets' degrees (`first` may come from either), and 0 when
-///   interconnect scoring is off;
-/// * `0 ≤ displaced ≤ T`, so the displacement term adds at most
-///   `max(0, −w_disp)·T`.
-///
-/// Entries are walked by bound, highest first, until a bound falls
-/// strictly below the worst decision a full `top` keeps; within an
-/// entry, each pair's exact `w_area·gain + interconnect` (plus the
-/// displacement cap) is checked the same way before the ledger probe.
-///
-/// A pair whose bound *ties* the worst kept score is cut on the rest of
-/// its [`rank_total`] key, which is known before the probe: its start
-/// is exactly the tabulated `start0(first, m)`, its op is `first` and
-/// its [`Key`] is structural. It is skipped when that start is `None`
-/// (no decision) or `(start, first, key)` ranks after the worst's — its
-/// exact score is at most the bound, so it could never be kept. With
-/// the default weights (`displacement = 0`) every bound is exact and
-/// most probes would otherwise be such ties.
-///
-/// Most partners share no connection with `p` at all: their
-/// interconnect is 0 and their bound is the entry's `area_term +
-/// disp_cap` exactly. [`stamp_neighbours`] marks the others once per
-/// `p`, so an unmarked pair is cut (or tie-checked) without computing
-/// its interconnect, and — when module selection guarantees `first`
-/// offers the entry's module — without ordering the pair either.
-fn offer_pairs(
-    ctx: &Context<'_>,
-    unbound_vec: &[NodeId],
-    walk: &mut PairWalk,
-    top: &mut TopK<Decision>,
-) -> Walked {
-    let weights = &ctx.options.weights;
-    let ic_weight = if ctx.options.interconnect_scoring {
-        weights.interconnect.max(0.0)
-    } else {
-        0.0
-    };
-    let disp_cap = (-weights.displacement).max(0.0) * f64::from(ctx.constraints.latency);
-
-    walk.buckets.clear();
-    for &u in unbound_vec {
-        let kind = ctx.graph.node(u).kind();
-        let avoided = ctx.avoided_area(u);
-        let degree = ctx.graph.operands(u).len() + ctx.graph.successors(u).len();
-        let b = match walk
-            .buckets
-            .iter()
-            .position(|b| b.kind == kind && b.avoided == avoided)
-        {
-            Some(b) => b,
-            None => {
-                walk.buckets.push(Bucket {
-                    kind,
-                    avoided,
-                    degree: 0,
-                    ops: Vec::new(),
-                });
-                walk.buckets.len() - 1
-            }
-        };
-        let bucket = &mut walk.buckets[b];
-        bucket.degree = bucket.degree.max(degree);
-        bucket.ops.push(u);
-    }
-
-    walk.entries.clear();
-    for (lo, a) in walk.buckets.iter().enumerate() {
-        for (hi, b) in walk.buckets.iter().enumerate().skip(lo) {
-            if lo == hi && a.ops.len() < 2 {
-                continue;
-            }
-            for &m in &ctx.kind_modules[a.kind.index()] {
-                let spec = ctx.library.module(m);
-                if !spec.implements(b.kind) {
-                    continue;
-                }
-                // The same sum `pair_decision` forms (addition commutes,
-                // whichever bucket `first` comes from).
-                let gain = a.avoided + b.avoided - f64::from(spec.area());
-                if gain <= 0.0 {
-                    continue;
-                }
-                let area_term = weights.area * gain;
-                let ic_cap = ic_weight * a.degree.max(b.degree) as f64;
-                walk.entries.push(Entry {
-                    lo,
-                    hi,
-                    module: m,
-                    area_term,
-                    bound: area_term + ic_cap + disp_cap,
-                });
-            }
-        }
-    }
-    walk.entries.sort_by(|x, y| y.bound.total_cmp(&x.bound));
-
-    let ic_on = ctx.options.interconnect_scoring;
-    let mut out = Walked::default();
-    for (i, e) in walk.entries.iter().enumerate() {
-        if top.worst().is_some_and(|w| e.bound < w.score) {
-            // Sorted by bound: no later entry can beat the bar either.
-            out.pruned += walk.entries[i..].iter().map(|e| walk.pairs(e)).sum::<u64>();
-            break;
-        }
-        // The bound of a pair sharing no connection.
-        let base = e.area_term + disp_cap;
-        let (a, b) = (&walk.buckets[e.lo].ops, &walk.buckets[e.hi].ops);
-        for (x, &p) in a.iter().enumerate() {
-            let partners = if e.lo == e.hi { &a[x + 1..] } else { &b[..] };
-            let marked = if ic_on {
-                stamp_neighbours(ctx.graph, p, &mut walk.stamp, &mut walk.generation)
-            } else {
-                0
-            };
-            for &q in partners {
-                let shares = ic_on && walk.stamp[q.index()] == marked;
-                if !shares
-                    && ctx.options.module_selection
-                    && top.worst().is_some_and(|w| base < w.score)
-                {
-                    out.pruned += 1;
-                    continue;
-                }
-                let (u, v) = if p < q { (p, q) } else { (q, p) };
-                // Serialize in dependence order if one exists.
-                let (first, second) = if ctx.reach.reaches(v, u) {
-                    (v, u)
-                } else {
-                    (u, v)
-                };
-                let Some(pos) = ctx.modules_for(first).iter().position(|&x| x == e.module) else {
-                    continue; // module selection off: `first` keeps its estimate
-                };
-                let bound = if shares {
-                    e.area_term + ctx.interconnect(first, &[second]) + disp_cap
-                } else {
-                    base
-                };
-                let key = (1, u.index() as u32, v.index() as u32, pos as u32);
-                if top.worst().is_some_and(|w| {
-                    bound < w.score
-                        || (bound == w.score
-                            && ctx
-                                .candidate_start0(first, e.module)
-                                .is_none_or(|s| (s, first, key) > (w.start, w.op, w.key)))
-                }) {
-                    out.pruned += 1;
-                    continue;
-                }
-                out.probed += 1;
-                if let Some(d) = pair_decision(ctx, first, second, e.module, key) {
-                    out.offered += 1;
-                    top.push(d, rank_total);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The decision opening one shared instance of module `m` for the
-/// dependence-ordered pair `(first, second)`, if the merge is
-/// profitable and feasible.
-fn pair_decision(
-    ctx: &Context<'_>,
-    first: NodeId,
-    second: NodeId,
-    m: ModuleId,
-    key: Key,
-) -> Option<Decision> {
-    let spec = ctx.library.module(m);
-    if !spec.implements(ctx.graph.node(second).kind()) {
-        return None;
-    }
-    let gain = ctx.avoided_area(first) + ctx.avoided_area(second) - f64::from(spec.area());
-    if gain <= 0.0 {
-        return None; // two dedicated cheapest units are no worse
-    }
-    let s1 = ctx.candidate_start0(first, m)?;
-    let s2_free = ctx.candidate_start0(second, m)?;
-    let s2 = ctx.candidate_start(second, m, s1 + spec.latency())?;
-    // Dependence-ordered pairs serialize for free (s2 at its natural
-    // slot); concurrent siblings pay for the slack their serialization
-    // consumes.
-    let displaced = f64::from(s2 - s2_free);
-    Some(Decision {
-        op: first,
-        module: m,
-        start: s1,
-        target: Target::FreshPair {
-            partner: second,
-            partner_start: s2,
-        },
-        score: ctx.options.weights.area * gain + ctx.interconnect(first, &[second])
-            - ctx.options.weights.displacement * displaced,
-        key,
-    })
-}
-
-/// Earliest start at which `u` can execute on instance `iid` of module
-/// `m`: power-feasible and not overlapping the instance's busy intervals.
-fn earliest_instance_fit(
-    ctx: &Context<'_>,
-    u: NodeId,
-    m: ModuleId,
-    iid: InstanceId,
-) -> Option<u32> {
-    let delay = ctx.library.module(m).latency();
-    let busy = &ctx.busy[iid.index()];
-    let mut s = ctx.candidate_start0(u, m)?;
-    loop {
-        // First busy interval overlapping [s, s+delay), if any.
-        match busy
-            .iter()
-            .filter(|&&(bs, bf)| s < bf && bs < s + delay)
-            .map(|&(_, bf)| bf)
-            .max()
-        {
-            None => return Some(s),
-            Some(resume) => {
-                // Skip past the collision and re-check power/deadline.
-                s = ctx.candidate_start(u, m, resume)?;
-            }
-        }
-    }
 }
 
 /// State saved for undoing a decision: previous timing entries and
@@ -1330,182 +1143,158 @@ struct Saved {
     partner_was_locked: bool,
 }
 
-fn saved_state(
-    cand: &Decision,
-    library: &ModuleLibrary,
-    timing: &TimingMap,
-    locked: &LockedStarts,
-) -> Saved {
-    let spec = library.module(cand.module);
-    let (partner_timing, partner_was_locked) = match cand.target {
-        Target::FreshPair { partner, .. } => (
-            Some((partner, timing.of(partner))),
-            locked.is_locked(partner),
-        ),
-        _ => (None, false),
-    };
-    Saved {
-        op_timing: timing.of(cand.op),
-        applied_timing: OpTiming {
-            delay: spec.latency(),
-            power: spec.power(),
-        },
-        op_was_locked: locked.is_locked(cand.op),
-        partner_timing,
-        partner_was_locked,
-    }
-}
-
-fn apply(
-    cand: &Decision,
-    binding: &mut Binding,
-    locked: &mut LockedStarts,
-    timing: &mut TimingMap,
-    ledger: &mut PowerLedger,
-    saved: &Saved,
-) {
-    let t = saved.applied_timing;
-    timing.set(cand.op, t);
-    locked.lock(cand.op, cand.start);
-    if !saved.op_was_locked {
-        ledger.reserve(cand.start, t.delay, t.power);
-    }
-    match cand.target {
-        Target::Existing(i) => binding.bind(cand.op, i),
-        Target::Fresh => {
-            let i = binding.new_instance(cand.module);
-            binding.bind(cand.op, i);
+impl Kernel<'_> {
+    fn save(&self, cand: &Decision) -> Saved {
+        let spec = self.library.module(cand.module);
+        let (partner_timing, partner_was_locked) = match cand.target {
+            Target::FreshPair { partner, .. } => (
+                Some((partner, self.timing.of(partner))),
+                self.locked.is_locked(partner),
+            ),
+            _ => (None, false),
+        };
+        Saved {
+            op_timing: self.timing.of(cand.op),
+            applied_timing: OpTiming {
+                delay: spec.latency(),
+                power: spec.power(),
+            },
+            op_was_locked: self.locked.is_locked(cand.op),
+            partner_timing,
+            partner_was_locked,
         }
-        Target::FreshPair {
-            partner,
-            partner_start,
-        } => {
-            let i = binding.new_instance(cand.module);
-            binding.bind(cand.op, i);
-            timing.set(partner, t);
-            locked.lock(partner, partner_start);
-            if !saved.partner_was_locked {
-                ledger.reserve(partner_start, t.delay, t.power);
+    }
+
+    fn apply(&mut self, cand: &Decision, saved: &Saved) {
+        let t = saved.applied_timing;
+        self.timing.set(cand.op, t);
+        self.locked.lock(cand.op, cand.start);
+        if !saved.op_was_locked {
+            self.ledger.reserve(cand.start, t.delay, t.power);
+        }
+        match cand.target {
+            Target::Existing(i) => self.binding.bind(cand.op, i),
+            Target::Fresh => {
+                let i = self.binding.new_instance(cand.module);
+                self.binding.bind(cand.op, i);
             }
-            binding.bind(partner, i);
+            Target::FreshPair {
+                partner,
+                partner_start,
+            } => {
+                let i = self.binding.new_instance(cand.module);
+                self.binding.bind(cand.op, i);
+                self.timing.set(partner, t);
+                self.locked.lock(partner, partner_start);
+                if !saved.partner_was_locked {
+                    self.ledger.reserve(partner_start, t.delay, t.power);
+                }
+                self.binding.bind(partner, i);
+            }
         }
     }
-}
 
-fn undo(
-    cand: &Decision,
-    binding: &mut Binding,
-    locked: &mut LockedStarts,
-    timing: &mut TimingMap,
-    ledger: &mut PowerLedger,
-    saved: &Saved,
-) {
-    binding.unbind(cand.op);
-    if !saved.op_was_locked {
-        locked.unlock(cand.op);
-    }
-    timing.set(cand.op, saved.op_timing);
-    if let Some((partner, t)) = saved.partner_timing {
-        binding.unbind(partner);
-        if !saved.partner_was_locked {
-            locked.unlock(partner);
+    fn undo(&mut self, cand: &Decision, saved: &Saved) {
+        self.binding.unbind(cand.op);
+        if !saved.op_was_locked {
+            self.locked.unlock(cand.op);
         }
-        timing.set(partner, t);
-    }
-    let t = saved.applied_timing;
-    if !saved.op_was_locked {
-        ledger.release(cand.start, t.delay, t.power);
-    }
-    if let Target::FreshPair { partner_start, .. } = cand.target {
-        if !saved.partner_was_locked {
-            ledger.release(partner_start, t.delay, t.power);
+        self.timing.set(cand.op, saved.op_timing);
+        if let Some((partner, t)) = saved.partner_timing {
+            self.binding.unbind(partner);
+            if !saved.partner_was_locked {
+                self.locked.unlock(partner);
+            }
+            self.timing.set(partner, t);
         }
+        let t = saved.applied_timing;
+        if !saved.op_was_locked {
+            self.ledger.release(cand.start, t.delay, t.power);
+        }
+        if let Target::FreshPair { partner_start, .. } = cand.target {
+            if !saved.partner_was_locked {
+                self.ledger.release(partner_start, t.delay, t.power);
+            }
+        }
+        // A fresh instance allocated for this decision stays empty and is
+        // pruned at the end; ids of other instances are unaffected.
     }
-    // A fresh instance allocated for this decision stays empty and is
-    // pruned at the end; ids of other instances are unaffected.
-}
 
-/// Chooses initial per-operation module estimates: minimum area (also the
-/// low-power choice in realistic libraries — precomputed once per graph
-/// as [`CompiledGraph`]'s seed), then upgrades operations to their
-/// fastest module along infeasible critical paths until a power-feasible
-/// schedule exists. The pasap runs go through `placer`, and the upgrade
-/// filter compares module powers against the kernel's still-empty
-/// `ledger`, so both record their comparisons.
-fn bootstrap(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    constraints: &SynthesisConstraints,
-    ledger: &PowerLedger,
-    placer: &mut PlacementCache<'_>,
-    reach: &Reachability,
-    compiled: &CompiledGraph,
-) -> Result<(TimingMap, Vec<ModuleId>), SynthesisError> {
-    let mut modules: Vec<ModuleId> = compiled.seed_modules().to_vec();
-    // The seed timing equals the compiled min-area timing map (same
-    // per-node MinArea selection), so start from a clone instead of
-    // rebuilding it on every constraint point.
-    let mut timing = compiled.min_area_timing().clone();
-
-    let unlocked = LockedStarts::none(graph.len());
-    loop {
-        let err =
-            match placer.pasap_locked(&timing, &constraints.budget, constraints.latency, &unlocked)
-            {
-                Ok(_) => return Ok((timing, modules)),
+    /// Chooses the per-operation module estimates: minimum area (also
+    /// the low-power choice in realistic libraries — precomputed once per
+    /// graph as [`CompiledGraph`]'s seed, which `Kernel::new` starts
+    /// from), then upgrades operations to their fastest module along
+    /// infeasible critical paths until a power-feasible schedule exists.
+    /// The pasap runs go through `boot`, and the upgrade filter compares
+    /// module powers against the still-empty `ledger`, so both record
+    /// their comparisons.
+    fn bootstrap(&mut self) -> Result<(), SynthesisError> {
+        let (graph, library) = (self.graph, self.library);
+        let unlocked = LockedStarts::none(graph.len());
+        loop {
+            let err = match self.boot.pasap_locked(
+                &self.timing,
+                &self.constraints.budget,
+                self.constraints.latency,
+                &unlocked,
+            ) {
+                Ok(_) => return Ok(()),
                 Err(e) => e,
             };
-        // Power alone can never be fixed by a faster (more power-hungry)
-        // module.
-        if matches!(err, ScheduleError::OpExceedsBudget { .. }) {
-            return Err(SynthesisError::Infeasible { cause: err });
-        }
-        let failing = match err {
-            ScheduleError::Infeasible { node, .. } => Some(node),
-            _ => None,
-        };
-        // Upgradeable ops: a strictly faster module exists whose power
-        // still fits the budget.
-        let upgrade_of = |v: NodeId| -> Option<ModuleId> {
-            let cur = timing.delay(v);
-            library
-                .candidates(graph.node(v).kind())
-                .filter(|&m| {
-                    library.module(m).latency() < cur && ledger.admits(library.module(m).power())
-                })
-                .min_by_key(|&m| (library.module(m).latency(), library.module(m).area()))
-        };
-        let mut upgradeable: Vec<NodeId> = graph
-            .node_ids()
-            .filter(|&v| upgrade_of(v).is_some())
-            .collect();
-        if let Some(f) = failing {
-            // Prefer the failing op itself or one of its ancestors — the
-            // delay on the path into `f` is what broke the horizon.
-            let on_path: Vec<NodeId> = upgradeable
-                .iter()
-                .copied()
-                .filter(|&v| v == f || reach.reaches(v, f))
-                .collect();
-            if !on_path.is_empty() {
-                upgradeable = on_path;
+            // Power alone can never be fixed by a faster (more
+            // power-hungry) module.
+            if matches!(err, ScheduleError::OpExceedsBudget { .. }) {
+                return Err(SynthesisError::Infeasible { cause: err });
             }
+            let failing = match err {
+                ScheduleError::Infeasible { node, .. } => Some(node),
+                _ => None,
+            };
+            // Upgradeable ops: a strictly faster module exists whose
+            // power still fits the budget.
+            let upgrade_of = |v: NodeId| -> Option<ModuleId> {
+                let cur = self.timing.delay(v);
+                library
+                    .candidates(graph.node(v).kind())
+                    .filter(|&m| {
+                        library.module(m).latency() < cur
+                            && self.ledger.admits(library.module(m).power())
+                    })
+                    .min_by_key(|&m| (library.module(m).latency(), library.module(m).area()))
+            };
+            let mut upgradeable: Vec<NodeId> = graph
+                .node_ids()
+                .filter(|&v| upgrade_of(v).is_some())
+                .collect();
+            if let Some(f) = failing {
+                // Prefer the failing op itself or one of its ancestors —
+                // the delay on the path into `f` is what broke the
+                // horizon.
+                let on_path: Vec<NodeId> = upgradeable
+                    .iter()
+                    .copied()
+                    .filter(|&v| v == f || self.reach.reaches(v, f))
+                    .collect();
+                if !on_path.is_empty() {
+                    upgradeable = on_path;
+                }
+            }
+            // Upgrade the slowest candidate first (largest delay win).
+            let Some(&pick) = upgradeable.iter().max_by_key(|&&v| {
+                self.timing.delay(v) - library.module(upgrade_of(v).expect("filtered")).latency()
+            }) else {
+                return Err(SynthesisError::Infeasible { cause: err });
+            };
+            let m = upgrade_of(pick).expect("pick is upgradeable");
+            self.est_modules[pick.index()] = m;
+            self.timing.set(
+                pick,
+                OpTiming {
+                    delay: library.module(m).latency(),
+                    power: library.module(m).power(),
+                },
+            );
         }
-        // Upgrade the slowest candidate first (largest delay win).
-        let Some(&pick) = upgradeable.iter().max_by_key(|&&v| {
-            timing.delay(v) - library.module(upgrade_of(v).expect("filtered")).latency()
-        }) else {
-            return Err(SynthesisError::Infeasible { cause: err });
-        };
-        let m = upgrade_of(pick).expect("pick is upgradeable");
-        modules[pick.index()] = m;
-        timing.set(
-            pick,
-            OpTiming {
-                delay: library.module(m).latency(),
-                power: library.module(m).power(),
-            },
-        );
     }
 }
 
@@ -1520,25 +1309,22 @@ mod tests {
     /// The reference ranking `score_and_rank` is checked against in test
     /// builds: every single and every pair decision (each unordered pair,
     /// each of `first`'s modules), fully sorted, truncated to `len`.
-    pub(super) fn brute_force_ranking(
-        ctx: &Context<'_>,
-        unbound_vec: &[NodeId],
-        len: usize,
-    ) -> Vec<Decision> {
+    pub(super) fn brute_force_ranking(kernel: &Kernel<'_>, len: usize) -> Vec<Decision> {
+        let unbound_vec = &kernel.unbound_vec;
         let mut all = Vec::new();
         for &u in unbound_vec {
-            single_decisions(ctx, u, &mut |d| all.push(d));
+            kernel.single_decisions(u, &mut |d| all.push(d));
         }
         for (i, &u) in unbound_vec.iter().enumerate() {
             for &v in &unbound_vec[i + 1..] {
-                let (first, second) = if ctx.reach.reaches(v, u) {
+                let (first, second) = if kernel.reach.reaches(v, u) {
                     (v, u)
                 } else {
                     (u, v)
                 };
-                for (pos, &m) in (0u32..).zip(ctx.modules_for(first)) {
+                for (pos, &m) in (0u32..).zip(kernel.modules_for(first)) {
                     let key = (1, u.index() as u32, v.index() as u32, pos);
-                    all.extend(pair_decision(ctx, first, second, m, key));
+                    all.extend(kernel.pair_decision(first, second, m, key));
                 }
             }
         }
@@ -1547,7 +1333,8 @@ mod tests {
         all
     }
 
-    /// Runs the greedy loop directly, returning its pair-walk tally.
+    /// Runs the kernel directly, returning its effort tally with the
+    /// answer (the entry point publishes it to the global registry).
     fn synth_tally(
         library: ModuleLibrary,
         graph: &Cdfg,
@@ -1556,18 +1343,8 @@ mod tests {
     ) -> (Result<SynthesizedDesign, SynthesisError>, Tally) {
         let engine = Engine::new(library);
         let compiled = engine.compile(graph);
-        let mut tally = Tally::default();
-        let mut run = Recorders::new(graph, constraints);
-        let result = greedy(
-            &engine,
-            &compiled,
-            constraints,
-            options,
-            None,
-            &mut run,
-            &mut tally,
-        );
-        tally.orders = run.placer.orders_computed();
+        let (result, _, tally) =
+            Kernel::new(&engine, &compiled, constraints, options).synthesize(None);
         (result, tally)
     }
 
@@ -1749,13 +1526,14 @@ mod tests {
     ) -> Result<SynthesizedDesign, SynthesisError> {
         let engine = Engine::new(paper_library());
         let compiled = engine.compile(graph);
-        synthesize_session(
+        synthesize_recorded(
             &engine,
             &compiled,
             &SynthesisConstraints::new(latency, power),
             options,
             None,
         )
+        .0
     }
 
     fn synth(graph: &Cdfg, latency: u32, power: f64) -> Result<SynthesizedDesign, SynthesisError> {
