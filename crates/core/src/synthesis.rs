@@ -584,7 +584,7 @@ impl Block {
     }
 }
 
-impl Kernel<'_> {
+impl<'a> Kernel<'a> {
     /// Ranks the iteration's best `block.len()` decisions into `top`
     /// (whose capacity that is) and returns them best-first. The first
     /// block also fills the `start0`/`avoided` score tables; the full
@@ -653,13 +653,12 @@ impl Kernel<'_> {
     /// read, and those are all rewritten below).
     fn fill_tables(&mut self) {
         let lib_len = self.library.len();
-        let kind_modules = self.kind_modules;
         self.start0.clear();
         self.start0.resize(self.graph.len() * lib_len, None);
         self.avoided.clear();
         self.avoided.resize(self.graph.len(), 0.0);
         for &u in &self.unbound_vec {
-            let row = &kind_modules[self.graph.node(u).kind().index()];
+            let row = self.kind_list(u);
             for &m in row {
                 let start = self.candidate_start(u, m, 0);
                 self.start0[u.index() * lib_len + m.index()] = start;
@@ -686,7 +685,7 @@ impl Kernel<'_> {
     }
 
     /// The candidate modules of `op`'s kind.
-    fn kind_list(&self, op: NodeId) -> &[ModuleId] {
+    fn kind_list(&self, op: NodeId) -> &'a [ModuleId] {
         &self.kind_modules[self.graph.node(op).kind().index()]
     }
 
@@ -1306,7 +1305,7 @@ mod tests {
     use pchls_fulib::{paper_library, ModuleSpec};
     use proptest::prelude::*;
 
-    /// The reference ranking `score_and_rank` is checked against in test
+    /// The reference ranking `Kernel::rank` is checked against in test
     /// builds: every single and every pair decision (each unordered pair,
     /// each of `first`'s modules), fully sorted, truncated to `len`.
     pub(super) fn brute_force_ranking(kernel: &Kernel<'_>, len: usize) -> Vec<Decision> {
@@ -1359,7 +1358,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Every iteration's pruned ranking equals the exhaustive one
-        /// (`score_and_rank` asserts it in test builds) under weights
+        /// (`Kernel::rank` asserts it in test builds) under weights
         /// of either sign and every ablation switch. Interconnect and
         /// displacement weights are exactly 0 in about half the cases:
         /// the default weights' regime, where bounds are exact and the
