@@ -380,14 +380,19 @@ impl<'a> Kernel<'a> {
     fn refit(&mut self) -> Result<(), ScheduleError> {
         // The `fds.*` span names are historical: perfbench and `chrome_golden` read them.
         let _span = pchls_obs::span!("fds.refit");
-        self.provisional = self.placer.pasap_locked(
+        self.provisional = self.pasap()?;
+        self.dirty = false;
+        Ok(())
+    }
+
+    /// The locked pasap of the current state, through `placer`.
+    fn pasap(&mut self) -> Result<Schedule, ScheduleError> {
+        self.placer.pasap_locked(
             &self.timing,
             &self.constraints.budget,
             self.constraints.latency,
             &self.locked,
-        )?;
-        self.dirty = false;
-        Ok(())
+        )
     }
 
     /// Refills the iteration's buffers: the unbound operations in
@@ -434,16 +439,7 @@ impl<'a> Kernel<'a> {
             // the provisional schedule — it is feasible by construction
             // and the expensive re-schedule is skipped.
             let clean = is_clean(cand, &saved, &self.provisional);
-            let feasible = clean
-                || self
-                    .placer
-                    .pasap_locked(
-                        &self.timing,
-                        &self.constraints.budget,
-                        self.constraints.latency,
-                        &self.locked,
-                    )
-                    .is_ok();
+            let feasible = clean || self.pasap().is_ok();
             if feasible {
                 self.unbound.remove(cand.op);
                 self.unbound_count -= 1;
