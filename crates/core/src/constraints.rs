@@ -4,11 +4,12 @@ use serde::{Deserialize, Serialize};
 
 use pchls_sched::PowerBudget;
 
-/// The largest latency bound any entry point (CLI flag, points file,
-/// wire request) accepts. The kernel allocates per-cycle power-ledger
-/// rows on every feasibility probe, so a latency near `u32::MAX` would
-/// ask for tens of gigabytes and abort the process; 65,536 cycles stays
-/// far above any schedule the built-in or random graphs need.
+/// The largest latency bound a constraint point may carry, whatever
+/// spells it (CLI flag, points file, wire request, library caller).
+/// The kernel allocates per-cycle power-ledger rows on every
+/// feasibility probe, so a latency near `u32::MAX` would ask for tens
+/// of gigabytes and abort the process; 65,536 cycles stays far above
+/// any schedule the built-in or random graphs need.
 pub const MAX_LATENCY: u32 = 1 << 16;
 
 /// The constraints of the paper, generalized: a latency bound `T`
@@ -36,14 +37,37 @@ impl SynthesisConstraints {
     ///
     /// # Panics
     ///
-    /// Panics if `latency` is zero or the budget contains a NaN or
-    /// negative bound.
+    /// Where [`SynthesisConstraints::try_new`] errs, or when a scalar
+    /// `budget` is NaN or negative ([`PowerBudget::constant`]).
     #[must_use]
     pub fn new(latency: u32, budget: impl Into<PowerBudget>) -> SynthesisConstraints {
-        assert!(latency > 0, "latency bound must be positive");
-        SynthesisConstraints {
-            latency,
-            budget: budget.into(),
+        SynthesisConstraints::try_new(latency, budget.into()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a constraint pair, or says why `latency` is out of range.
+    ///
+    /// # Errors
+    ///
+    /// See [`SynthesisConstraints::check_latency`].
+    pub fn try_new(latency: u32, budget: PowerBudget) -> Result<SynthesisConstraints, String> {
+        SynthesisConstraints::check_latency(latency)?;
+        Ok(SynthesisConstraints { latency, budget })
+    }
+
+    /// The latency rule every entry point shares: `1 ..= MAX_LATENCY`
+    /// cycles. Front ends that validate a budget against the latency
+    /// apply this first.
+    ///
+    /// # Errors
+    ///
+    /// The rule, in words.
+    pub fn check_latency(latency: u32) -> Result<u32, String> {
+        if (1..=MAX_LATENCY).contains(&latency) {
+            Ok(latency)
+        } else {
+            Err(format!(
+                "latency must be between 1 and {MAX_LATENCY} cycles"
+            ))
         }
     }
 

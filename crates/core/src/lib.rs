@@ -76,5 +76,5 @@ pub use engine::{
 pub use error::SynthesisError;
 pub use explore::{latency_sweep_serial, power_sweep_serial, SweepPoint};
 pub use options::{SynthesisOptions, SynthesisOptionsBuilder};
-pub use pchls_sched::PowerBudget;
+pub use pchls_sched::{BudgetError, PowerBudget};
 pub use topk::TopK;

@@ -494,27 +494,15 @@ impl<'a> Kernel<'a> {
     /// locked operations; its record of comparisons survives.
     fn reserve_locked(&mut self) -> Result<(), SynthesisError> {
         self.ledger.clear();
-        for id in self.graph.node_ids() {
-            if let Some(s) = self.locked.get(id) {
-                let t = self.timing.of(id);
-                if !self.ledger.fits(s, t.delay, t.power) {
-                    // As in `pasap`'s locked pass: name the cycle that
-                    // actually rejects the reservation, not the interval's
-                    // start (they differ under an envelope).
-                    let v = self
-                        .ledger
-                        .first_unfit_cycle(s, t.delay, t.power)
-                        .expect("fits just failed");
-                    return Err(SynthesisError::Schedule(ScheduleError::PowerExceeded {
-                        cycle: v,
-                        power: pchls_fulib::units(self.ledger.used(v) + t.power),
-                        bound: self.constraints.budget.bound_at(v),
-                    }));
-                }
-                self.ledger.reserve(s, t.delay, t.power);
-            }
-        }
-        Ok(())
+        let locked = &self.locked;
+        pchls_sched::reserve_locked(
+            &mut self.ledger,
+            self.graph.len(),
+            &self.timing,
+            &self.constraints.budget,
+            |id| locked.get(id),
+        )
+        .map_err(SynthesisError::Schedule)
     }
 }
 
@@ -959,7 +947,8 @@ impl<'a> Kernel<'a> {
                     else {
                         continue; // module selection off: `first` keeps its estimate
                     };
-                    let bound = e.area_term + self.interconnect(first, &[second]) + disp_cap;
+                    let ic = self.interconnect(first, &[second]);
+                    let bound = e.area_term + ic + disp_cap;
                     let key = (1, u.index() as u32, v.index() as u32, pos as u32);
                     if top.worst().is_some_and(|w| {
                         bound < w.score
@@ -972,7 +961,7 @@ impl<'a> Kernel<'a> {
                         continue;
                     }
                     out.probed += 1;
-                    if let Some(d) = self.pair_decision(first, second, e.module, key) {
+                    if let Some(d) = self.pair_decision(first, second, e.module, ic, key) {
                         out.offered += 1;
                         top.push(d, rank_total);
                     }
@@ -984,12 +973,14 @@ impl<'a> Kernel<'a> {
 
     /// The decision opening one shared instance of module `m` for the
     /// dependence-ordered pair `(first, second)`, if the merge is
-    /// profitable and feasible.
+    /// profitable and feasible. `ic` is the pair's interconnect term,
+    /// `interconnect(first, &[second])`, which the caller has in hand.
     fn pair_decision(
         &self,
         first: NodeId,
         second: NodeId,
         m: ModuleId,
+        ic: f64,
         key: Key,
     ) -> Option<Decision> {
         let spec = self.library.module(m);
@@ -1015,7 +1006,7 @@ impl<'a> Kernel<'a> {
                 partner: second,
                 partner_start: s2,
             },
-            score: self.options.weights.area * gain + self.interconnect(first, &[second])
+            score: self.options.weights.area * gain + ic
                 - self.options.weights.displacement * displaced,
             key,
         })
@@ -1317,9 +1308,10 @@ mod tests {
                 } else {
                     (u, v)
                 };
+                let ic = kernel.interconnect(first, &[second]);
                 for (pos, &m) in (0u32..).zip(kernel.modules_for(first)) {
                     let key = (1, u.index() as u32, v.index() as u32, pos);
-                    all.extend(kernel.pair_decision(first, second, m, key));
+                    all.extend(kernel.pair_decision(first, second, m, ic, key));
                 }
             }
         }

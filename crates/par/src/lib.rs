@@ -66,10 +66,10 @@ fn effective_thread_count() -> usize {
 /// Runs `f` with every [`par_map`] fan-out *started on this thread*
 /// capped at `threads` workers (clamped to `[1, MAX_THREADS]`).
 ///
-/// This is the in-process knob behind the `scaling` benchmark's
-/// per-thread-count curves: the cached [`thread_count`] resolves the
-/// `PCHLS_THREADS` environment once per process, so curves over 1/2/4/8
-/// workers need a scoped override instead. `with_thread_count(1, f)` is
+/// This is the in-process knob behind perfbench's per-thread-count
+/// runs and the determinism tests: the cached [`thread_count`] resolves
+/// the `PCHLS_THREADS` environment once per process, so comparing
+/// 1/2/4 workers in one process needs a scoped override instead. `with_thread_count(1, f)` is
 /// the in-process serial switch (every `par_map` degenerates to the
 /// serial map), and results are byte-identical at every cap because
 /// [`par_map`] is order-preserving.
@@ -186,7 +186,7 @@ impl WorkerPool {
 /// item count; the `PCHLS_THREADS` environment variable overrides it,
 /// clamped to `[1, MAX_THREADS]` (`PCHLS_THREADS=1` forces serial
 /// execution, handy for profiling, A/B-testing parallel speedups, and
-/// pinning CI scaling runs to a reproducible width).
+/// pinning CI runs to a reproducible width).
 ///
 /// Resolved **once per process** and cached: both the env lookup and
 /// `available_parallelism` (which re-parses cgroup limits on Linux —

@@ -30,9 +30,11 @@ use serde::{Deserialize, Serialize};
 /// paper's scalar `P<` constraint.
 ///
 /// Bounds may be `f64::INFINITY` (unconstrained cycles) but never NaN
-/// or negative — the constructors panic, and the hand-written
-/// [`Deserialize`] impl rejects such values, so a `PowerBudget` in hand
-/// is always valid.
+/// or negative. One rule set decides validity: the constructors panic
+/// where it refuses, and [`PowerBudget::try_constant`],
+/// [`PowerBudget::from_json`] and the hand-written [`Deserialize`] impl
+/// return its [`BudgetError`], so a `PowerBudget` in hand is always
+/// valid.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PowerBudget {
     /// The same bound in every cycle (the paper's scalar `P<`).
@@ -48,10 +50,139 @@ pub enum PowerBudget {
     PerCycle(Vec<f64>),
 }
 
-/// A single bound is valid if it is non-negative and not NaN
-/// (`+inf` allowed: an unconstrained cycle).
-fn valid_bound(b: f64) -> bool {
-    !b.is_nan() && b >= 0.0
+/// Why a budget, or a scalar bound, was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BudgetError {
+    /// The document-order index of the rejected number in the budget's
+    /// JSON spelling (a step is two numbers, its cycle then its bound; a
+    /// scalar is number 0), or `None` when no single number is at fault.
+    pub element: Option<usize>,
+    /// The broken rule, in words.
+    pub message: String,
+}
+
+impl BudgetError {
+    fn at(element: usize, message: impl Into<String>) -> BudgetError {
+        BudgetError {
+            element: Some(element),
+            message: message.into(),
+        }
+    }
+
+    fn whole(message: impl Into<String>) -> BudgetError {
+        BudgetError {
+            element: None,
+            message: message.into(),
+        }
+    }
+}
+
+impl std::fmt::Display for BudgetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+impl std::error::Error for BudgetError {}
+
+// The rules. Each is written once; the constructors, `try_constant`,
+// `from_json` (and so `Deserialize`) and `check_horizon` all apply them.
+
+/// A bound is valid if it is non-negative and not NaN (`+inf` allowed:
+/// an unconstrained cycle).
+fn bound(b: f64, element: usize) -> Result<f64, BudgetError> {
+    if b >= 0.0 {
+        Ok(b)
+    } else {
+        Err(BudgetError::at(
+            element,
+            format!("power bound {b} must be non-negative"),
+        ))
+    }
+}
+
+/// Step `i`, at `cycle`, must start inside a horizon of `latency` cycles.
+fn step_within(i: usize, cycle: u32, latency: u32) -> Result<(), BudgetError> {
+    if cycle < latency {
+        Ok(())
+    } else {
+        Err(BudgetError::at(
+            2 * i,
+            format!("step at cycle {cycle} is at or past the latency bound {latency}"),
+        ))
+    }
+}
+
+/// A per-cycle envelope must cover exactly `latency` cycles.
+fn covers(len: usize, latency: u32) -> Result<(), BudgetError> {
+    if len == latency as usize {
+        Ok(())
+    } else {
+        Err(BudgetError::whole(format!(
+            "per-cycle budget covers {len} cycle(s) but the latency bound is {latency}"
+        )))
+    }
+}
+
+/// Collects `(cycle, bound)` steps as they are read, stopping at the
+/// first that breaks a rule: read order decides which error a document
+/// with several faults reports.
+fn read_steps(
+    items: impl IntoIterator<Item = Result<(u32, f64), BudgetError>>,
+    horizon: Option<u32>,
+) -> Result<Vec<(u32, f64)>, BudgetError> {
+    let mut steps: Vec<(u32, f64)> = Vec::new();
+    for (i, item) in items.into_iter().enumerate() {
+        let (cycle, b) = item?;
+        if let Some(latency) = horizon {
+            step_within(i, cycle, latency)?;
+        }
+        if let Some(&(prev, _)) = steps.last() {
+            if cycle <= prev {
+                return Err(BudgetError::at(
+                    2 * i,
+                    format!("step cycles must be strictly increasing ({prev} then {cycle})"),
+                ));
+            }
+        }
+        steps.push((cycle, bound(b, 2 * i + 1)?));
+    }
+    if steps.is_empty() {
+        return Err(BudgetError::whole(
+            "`steps` must contain at least one [cycle, bound] pair",
+        ));
+    }
+    Ok(steps)
+}
+
+/// Collects per-cycle bounds as they are read (see [`read_steps`]).
+fn read_bounds(
+    items: impl IntoIterator<Item = Result<f64, BudgetError>>,
+    horizon: Option<u32>,
+) -> Result<Vec<f64>, BudgetError> {
+    let bounds = items
+        .into_iter()
+        .enumerate()
+        .map(|(i, b)| bound(b?, i))
+        .collect::<Result<Vec<f64>, BudgetError>>()?;
+    if bounds.is_empty() {
+        return Err(BudgetError::whole(
+            "`per_cycle` must contain at least one bound",
+        ));
+    }
+    if let Some(latency) = horizon {
+        covers(bounds.len(), latency)?;
+    }
+    Ok(bounds)
+}
+
+/// Numeric view of a parsed JSON scalar.
+fn number(v: &serde::Value) -> Option<f64> {
+    match v {
+        serde::Value::Int(i) => Some(*i as f64),
+        serde::Value::Float(f) => Some(*f),
+        _ => None,
+    }
 }
 
 impl PowerBudget {
@@ -59,11 +190,20 @@ impl PowerBudget {
     ///
     /// # Panics
     ///
-    /// Panics if `bound` is NaN or negative.
+    /// Where [`PowerBudget::try_constant`] errs.
     #[must_use]
     pub fn constant(bound: f64) -> PowerBudget {
-        assert!(valid_bound(bound), "power bound must be non-negative");
-        PowerBudget::Constant(bound)
+        PowerBudget::try_constant(bound).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A constant budget, or why `bound` (a NaN or negative number) is
+    /// none.
+    ///
+    /// # Errors
+    ///
+    /// The rejected bound, as element 0.
+    pub fn try_constant(b: f64) -> Result<PowerBudget, BudgetError> {
+        bound(b, 0).map(PowerBudget::Constant)
     }
 
     /// A stepwise budget from `(start_cycle, bound)` breakpoints.
@@ -74,22 +214,8 @@ impl PowerBudget {
     /// or any bound is NaN or negative.
     #[must_use]
     pub fn steps(steps: Vec<(u32, f64)>) -> PowerBudget {
-        assert!(
-            !steps.is_empty(),
-            "a stepwise budget needs at least one step"
-        );
-        for w in steps.windows(2) {
-            assert!(
-                w[0].0 < w[1].0,
-                "step cycles must be strictly increasing ({} then {})",
-                w[0].0,
-                w[1].0
-            );
-        }
-        for &(_, b) in &steps {
-            assert!(valid_bound(b), "power bound must be non-negative");
-        }
-        PowerBudget::Steps(steps)
+        read_steps(steps.into_iter().map(Ok), None)
+            .map_or_else(|e| panic!("{e}"), PowerBudget::Steps)
     }
 
     /// An explicit per-cycle budget.
@@ -99,14 +225,73 @@ impl PowerBudget {
     /// Panics if `bounds` is empty or any entry is NaN or negative.
     #[must_use]
     pub fn per_cycle(bounds: Vec<f64>) -> PowerBudget {
-        assert!(
-            !bounds.is_empty(),
-            "a per-cycle budget needs at least one entry"
-        );
-        for &b in &bounds {
-            assert!(valid_bound(b), "power bound must be non-negative");
+        read_bounds(bounds.into_iter().map(Ok), None)
+            .map_or_else(|e| panic!("{e}"), PowerBudget::PerCycle)
+    }
+
+    /// Reads a budget from its parsed JSON spelling (the `--budget` file
+    /// format and the `pchls-serve` wire field, shown at the
+    /// [`Serialize`] impl), applying every rule. With a `horizon`, the
+    /// shape must also fit a latency of that many cycles
+    /// ([`PowerBudget::check_horizon`]), checked step by step as the
+    /// document is read.
+    ///
+    /// # Errors
+    ///
+    /// The first rule the document breaks, in document order, naming the
+    /// offending number when there is one.
+    pub fn from_json(
+        value: &serde::Value,
+        horizon: Option<u32>,
+    ) -> Result<PowerBudget, BudgetError> {
+        let shape = || {
+            BudgetError::whole(
+                "budget must be a JSON object with exactly one of `constant`, `steps`, `per_cycle`",
+            )
+        };
+        let [(key, inner)] = value.as_object().ok_or_else(shape)? else {
+            return Err(shape());
+        };
+        match key.as_str() {
+            "constant" => {
+                let b = number(inner)
+                    .ok_or_else(|| BudgetError::whole("`constant` must be a number"))?;
+                PowerBudget::try_constant(b)
+            }
+            "steps" => {
+                let items = inner
+                    .as_array()
+                    .ok_or_else(|| BudgetError::whole("`steps` must be an array"))?;
+                let step = |(i, item): (usize, &serde::Value)| {
+                    let at = |message: &str| BudgetError::at(2 * i, message);
+                    let Some([cycle, b]) = item.as_array() else {
+                        return Err(at("each step must be [cycle, bound]"));
+                    };
+                    // Integer-*typed*: `0.0` is no cycle.
+                    let serde::Value::Int(cycle) = cycle else {
+                        return Err(at("step cycle must be a non-negative integer"));
+                    };
+                    let cycle = u32::try_from(*cycle)
+                        .map_err(|_| at("step cycle must be a non-negative integer"))?;
+                    let b = number(b).ok_or_else(|| at("step bound must be a number"))?;
+                    Ok((cycle, b))
+                };
+                read_steps(items.iter().enumerate().map(step), horizon).map(PowerBudget::Steps)
+            }
+            "per_cycle" => {
+                let items = inner
+                    .as_array()
+                    .ok_or_else(|| BudgetError::whole("`per_cycle` must be an array"))?;
+                let b = |(i, item): (usize, &serde::Value)| {
+                    number(item)
+                        .ok_or_else(|| BudgetError::at(i, "per-cycle bound must be a number"))
+                };
+                read_bounds(items.iter().enumerate().map(b), horizon).map(PowerBudget::PerCycle)
+            }
+            other => Err(BudgetError::whole(format!(
+                "unknown budget kind `{other}` (expected `constant`, `steps` or `per_cycle`)"
+            ))),
         }
-        PowerBudget::PerCycle(bounds)
     }
 
     /// An unconstrained budget (`P< = ∞` in every cycle).
@@ -214,7 +399,10 @@ impl PowerBudget {
     /// Panics if `factor` is NaN or negative.
     #[must_use]
     pub fn scaled(&self, factor: f64) -> PowerBudget {
-        assert!(valid_bound(factor), "scale factor must be non-negative");
+        assert!(
+            bound(factor, 0).is_ok(),
+            "scale factor must be non-negative"
+        );
         // `0 × ∞` is NaN in IEEE-754 but a zero bound in constraint
         // terms (no headroom stays no headroom; an unbounded phase
         // scaled to nothing is closed): pin both zero cases so a valid
@@ -247,7 +435,7 @@ impl PowerBudget {
     /// Panics if `cap` is NaN or negative.
     #[must_use]
     pub fn clamped(&self, cap: f64) -> PowerBudget {
-        assert!(valid_bound(cap), "cap must be non-negative");
+        assert!(bound(cap, 0).is_ok(), "cap must be non-negative");
         match self {
             PowerBudget::Constant(b) => PowerBudget::Constant(b.min(cap)),
             PowerBudget::Steps(steps) => {
@@ -283,32 +471,20 @@ impl PowerBudget {
     /// Checks that the budget is shaped for a horizon of `latency`
     /// cycles: a per-cycle envelope must cover exactly `latency` cycles
     /// and no step may start at or past the horizon (constant budgets
-    /// fit every horizon). This is the one source of truth for the
-    /// wrong-horizon rules the CLI's `--budget` validation and the
-    /// `pchls-serve` wire layer both enforce.
+    /// fit every horizon). [`PowerBudget::from_json`] applies the same
+    /// rules while it reads a document.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the mismatch.
-    pub fn check_horizon(&self, latency: u32) -> Result<(), String> {
+    /// The mismatch, naming the first late step's cycle as its element.
+    pub fn check_horizon(&self, latency: u32) -> Result<(), BudgetError> {
         match self {
             PowerBudget::Constant(_) => Ok(()),
-            PowerBudget::Steps(steps) => match steps.iter().find(|&&(c, _)| c >= latency) {
-                Some(&(c, _)) => Err(format!(
-                    "budget step at cycle {c} is at or past the latency bound {latency}"
-                )),
-                None => Ok(()),
-            },
-            PowerBudget::PerCycle(bounds) => {
-                if bounds.len() == latency as usize {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "per-cycle budget covers {} cycle(s) but the latency bound is {latency}",
-                        bounds.len()
-                    ))
-                }
-            }
+            PowerBudget::Steps(steps) => steps
+                .iter()
+                .enumerate()
+                .try_for_each(|(i, &(cycle, _))| step_within(i, cycle, latency)),
+            PowerBudget::PerCycle(bounds) => covers(bounds.len(), latency),
         }
     }
 
@@ -379,7 +555,7 @@ impl From<f64> for PowerBudget {
 // ```
 //
 // This doubles as the `--budget` file format and the `pchls-serve` wire
-// field. Deserialization re-validates every bound, so budgets arriving
+// field. Deserialization is `PowerBudget::from_json`, so budgets arriving
 // off the wire hold the same invariants the constructors enforce.
 impl Serialize for PowerBudget {
     fn to_value(&self) -> serde::Value {
@@ -394,60 +570,7 @@ impl Serialize for PowerBudget {
 
 impl Deserialize for PowerBudget {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let Some(fields) = value.as_object() else {
-            return Err(serde::Error::custom(
-                "expected an object with one of `constant`, `steps`, `per_cycle`",
-            ));
-        };
-        let [(key, inner)] = fields else {
-            return Err(serde::Error::custom(format!(
-                "expected exactly one of `constant`, `steps`, `per_cycle`, got {} key(s)",
-                fields.len()
-            )));
-        };
-        let check = |b: f64| -> Result<f64, serde::Error> {
-            if valid_bound(b) {
-                Ok(b)
-            } else {
-                Err(serde::Error::custom(format!(
-                    "power bound {b} must be non-negative"
-                )))
-            }
-        };
-        match key.as_str() {
-            "constant" => Ok(PowerBudget::Constant(check(f64::from_value(inner)?)?)),
-            "steps" => {
-                let steps = Vec::<(u32, f64)>::from_value(inner)?;
-                if steps.is_empty() {
-                    return Err(serde::Error::custom("`steps` must not be empty"));
-                }
-                for w in steps.windows(2) {
-                    if w[0].0 >= w[1].0 {
-                        return Err(serde::Error::custom(format!(
-                            "step cycles must be strictly increasing ({} then {})",
-                            w[0].0, w[1].0
-                        )));
-                    }
-                }
-                for &(_, b) in &steps {
-                    check(b)?;
-                }
-                Ok(PowerBudget::Steps(steps))
-            }
-            "per_cycle" => {
-                let bounds = Vec::<f64>::from_value(inner)?;
-                if bounds.is_empty() {
-                    return Err(serde::Error::custom("`per_cycle` must not be empty"));
-                }
-                for &b in &bounds {
-                    check(b)?;
-                }
-                Ok(PowerBudget::PerCycle(bounds))
-            }
-            other => Err(serde::Error::custom(format!(
-                "unknown budget kind `{other}` (expected `constant`, `steps` or `per_cycle`)"
-            ))),
-        }
+        PowerBudget::from_json(value, None).map_err(serde::Error::custom)
     }
 }
 
@@ -530,14 +653,16 @@ mod tests {
             .is_ok());
         let err = PowerBudget::steps(vec![(0, 5.0), (9, 1.0)])
             .check_horizon(9)
-            .unwrap_err();
+            .unwrap_err()
+            .message;
         assert!(err.contains("cycle 9"), "{err}");
         assert!(PowerBudget::per_cycle(vec![1.0; 4])
             .check_horizon(4)
             .is_ok());
         let err = PowerBudget::per_cycle(vec![1.0; 4])
             .check_horizon(5)
-            .unwrap_err();
+            .unwrap_err()
+            .message;
         assert!(err.contains("4 cycle(s)"), "{err}");
     }
 

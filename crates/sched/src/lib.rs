@@ -67,12 +67,14 @@ mod twostep;
 
 pub use alap::alap;
 pub use asap::asap;
-pub use budget::PowerBudget;
+pub use budget::{BudgetError, PowerBudget};
 pub use error::ScheduleError;
 pub use exact::{minimal_latency_exact, ExactLimits};
 pub use interval::PowerInterval;
 pub use list::{list_schedule, Allocation};
-pub use pasap::{palap, palap_locked, pasap, pasap_locked, LockedStarts, PlacementCache};
+pub use pasap::{
+    palap, palap_locked, pasap, pasap_locked, reserve_locked, LockedStarts, PlacementCache,
+};
 pub use power::{NaivePowerLedger, PowerLedger, PowerProfile};
 pub use schedule::Schedule;
 pub use timing::{OpTiming, TimingMap};

@@ -423,6 +423,50 @@ fn place<'a>(
     placed
 }
 
+/// Reserves the power of every locked operation among the first `nodes`
+/// ids on `ledger`, in ascending id order — the pass `pasap`, `palap`
+/// and the synthesis kernel's backtrack all start from. `budget` is the
+/// envelope `ledger` was built under, in its time orientation.
+///
+/// # Errors
+///
+/// [`ScheduleError::Infeasible`] for a lock that ends past the ledger's
+/// horizon, or [`ScheduleError::PowerExceeded`] at the cycle that
+/// actually rejects a lock: under an envelope that can be deep inside
+/// its interval, with a tighter bound than the start's.
+pub fn reserve_locked(
+    ledger: &mut PowerLedger,
+    nodes: usize,
+    timing: &TimingMap,
+    budget: &PowerBudget,
+    locked: impl Fn(NodeId) -> Option<u32>,
+) -> Result<(), ScheduleError> {
+    let horizon = ledger.horizon();
+    for id in (0..nodes as u32).map(NodeId::new) {
+        let Some(s) = locked(id) else { continue };
+        let t = timing.of(id);
+        if s + t.delay > horizon {
+            return Err(ScheduleError::Infeasible {
+                node: id,
+                horizon,
+                max_power: budget.peak_within(horizon),
+            });
+        }
+        if !ledger.fits(s, t.delay, t.power) {
+            let v = ledger
+                .first_unfit_cycle(s, t.delay, t.power)
+                .expect("fits just failed");
+            return Err(ScheduleError::PowerExceeded {
+                cycle: v,
+                power: units(ledger.used(v) + t.power),
+                bound: budget.bound_at(v),
+            });
+        }
+        ledger.reserve(s, t.delay, t.power);
+    }
+    Ok(())
+}
+
 /// [`place`] on a fresh `ledger`.
 fn place_on<'a>(
     ledger: &mut PowerLedger,
@@ -440,36 +484,15 @@ fn place_on<'a>(
         horizon,
         max_power: budget.peak_within(horizon),
     };
+    // Locked operations reserve power first, whatever their order.
+    reserve_locked(ledger, order.len(), timing, budget, &locked)?;
     let mut starts = vec![0u32; order.len()];
 
-    // Locked operations reserve power first, whatever their order.
-    for i in 0..order.len() {
-        let id = NodeId::new(i as u32);
-        if let Some(s) = locked(id) {
-            let t = timing.of(id);
-            if s + t.delay > horizon {
-                return Err(infeasible(id));
-            }
-            if !ledger.fits(s, t.delay, t.power) {
-                // Point at the cycle that actually rejects the lock —
-                // under an envelope that can be deep inside the
-                // interval, with a tighter bound than the start's.
-                let v = ledger
-                    .first_unfit_cycle(s, t.delay, t.power)
-                    .expect("fits just failed");
-                return Err(ScheduleError::PowerExceeded {
-                    cycle: v,
-                    power: units(ledger.used(v) + t.power),
-                    bound: budget.bound_at(v),
-                });
-            }
-            ledger.reserve(s, t.delay, t.power);
-            starts[id.index()] = s;
-        }
-    }
-
+    // `order` is topological, so a locked operation's start is recorded
+    // before any successor reads it.
     for &id in order {
-        if locked(id).is_some() {
+        if let Some(s) = locked(id) {
+            starts[id.index()] = s;
             continue;
         }
         let t = timing.of(id);

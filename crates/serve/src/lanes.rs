@@ -170,6 +170,7 @@ impl<T> LaneQueues<T> {
     }
 
     /// Jobs waiting in `lane`.
+    #[cfg(test)]
     pub(crate) fn depth(&self, lane: Lane) -> usize {
         let inner = self.inner.lock().expect("lane queue lock");
         match lane {

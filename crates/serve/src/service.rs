@@ -39,8 +39,8 @@ use std::time::{Duration, Instant};
 
 use pchls_cdfg::{benchmarks, graph_fingerprint, parse_cdfg, Cdfg};
 use pchls_core::{
-    Engine, SynthesisConstraints, SynthesisError, SynthesisOptions, SynthesisRequest,
-    SynthesisResult, MAX_LATENCY,
+    Engine, PowerBudget, SynthesisConstraints, SynthesisError, SynthesisOptions, SynthesisRequest,
+    SynthesisResult,
 };
 use pchls_obs::{Arg, Counter, Histogram, MetricsRegistry};
 use pchls_par::WorkerPool;
@@ -80,10 +80,6 @@ pub struct ServiceConfig {
     /// at 4). Each shard owns a compile cache, a result tier, a
     /// two-lane queue and its workers.
     pub shards: usize,
-    /// Synth-lane depth at which the network front ends start
-    /// shedding, per shard (0 = the lane's capacity, i.e. shed only
-    /// when full). Lower values trade queueing delay for shed rate.
-    pub shed_depth: usize,
     /// Per-connection token-bucket refill rate for `synth` requests on
     /// the TCP front end, in requests per second (0 = unlimited).
     pub rate_per_sec: f64,
@@ -114,7 +110,6 @@ impl Default for ServiceConfig {
             result_cap: 4096,
             store_dir: None,
             shards: 0,
-            shed_depth: 0,
             rate_per_sec: 0.0,
             burst: 32.0,
             max_line_bytes: 1 << 20,
@@ -205,8 +200,6 @@ struct Shard {
     cache: CompileCache,
     results: ResultTier,
     lanes: LaneQueues<Job>,
-    /// Synth-lane depth at which `submit_sink` sheds.
-    shed_depth: usize,
 }
 
 /// State shared between the front ends, the shards and the workers.
@@ -302,11 +295,6 @@ impl Service {
         };
         let per = |total: usize| (total / shard_count).max(1);
         let lane_cap = per(config.queue_cap);
-        let shed_depth = if config.shed_depth == 0 {
-            lane_cap
-        } else {
-            config.shed_depth.min(lane_cap)
-        };
         let metrics = MetricsRegistry::new();
         let store = config
             .store_dir
@@ -318,7 +306,6 @@ impl Service {
                 cache: CompileCache::new(per(config.cache_cap), &metrics),
                 results: ResultTier::with_store(per(config.result_cap), store.clone(), &metrics),
                 lanes: LaneQueues::new(lane_cap, lane_cap),
-                shed_depth,
             })
             .collect();
         // Spread the synth workers over the shards, at least one each.
@@ -424,13 +411,7 @@ impl Service {
         let (shard_idx, job) = self.shared.admit(request, sink);
         let shard = &self.shared.shards[shard_idx];
         let cancel = Arc::clone(&job.cancel);
-        let pushed =
-            if job.lane == Lane::Synth && shard.lanes.depth(Lane::Synth) >= shard.shed_depth {
-                Err(PushRefusal::Full(job))
-            } else {
-                shard.lanes.try_push(job.lane, job)
-            };
-        match pushed {
+        match shard.lanes.try_push(job.lane, job) {
             Ok(()) => {
                 self.shared.requests.inc();
                 SubmitOutcome::Accepted(cancel)
@@ -831,31 +812,20 @@ impl Shared {
     }
 }
 
-/// Checks the request's constraint point and materializes it. (A budget
-/// envelope's values are already validated by its `Deserialize` impl;
-/// only the horizon fit remains to be checked here.)
+/// The request's constraint point, checked by the rules that own it in
+/// the order a front end reads them: the latency, the scalar bound (even
+/// when an envelope replaces it), then the envelope's fit to the latency.
 fn validated_constraints(req: &SubmitRequest) -> Result<SynthesisConstraints, String> {
-    if req.latency == 0 {
-        return Err("latency must be a positive cycle count".into());
-    }
-    if req.latency > MAX_LATENCY {
-        return Err(format!(
-            "latency {} exceeds the {MAX_LATENCY}-cycle limit",
-            req.latency
-        ));
-    }
-    if req.power.is_nan() || req.power < 0.0 {
-        return Err("power bound must be non-negative".into());
-    }
-    if let Some(budget) = &req.budget {
-        // Shape-vs-horizon rules live on `PowerBudget` itself (one
-        // source of truth with the CLI's `--budget` validation).
-        budget.check_horizon(req.latency)?;
-    }
-    Ok(match &req.budget {
-        Some(budget) => SynthesisConstraints::new(req.latency, budget.clone()),
-        None => SynthesisConstraints::new(req.latency, req.power),
-    })
+    let latency = SynthesisConstraints::check_latency(req.latency)?;
+    let scalar = PowerBudget::try_constant(req.power).map_err(|e| e.message)?;
+    let budget = match &req.budget {
+        None => scalar,
+        Some(budget) => {
+            budget.check_horizon(latency).map_err(|e| e.message)?;
+            budget.clone()
+        }
+    };
+    SynthesisConstraints::try_new(latency, budget)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! pchls batch <graph> --points <file> [--budget <file>] [--store <dir>]
 //! pchls battery <graph> -T <cycles> (-P <power> | --budget <file>) [--capacity <charge>]
 //! pchls serve (--stdio | --addr <host:port>) [--workers <n>] [--shards <n>] [--cache-cap <n>] [--queue-cap <n>]
-//!             [--shed-depth <n>] [--rate <req/s>] [--burst <n>] [--max-line-bytes <n>] [--store <dir>]
+//!             [--rate <req/s>] [--burst <n>] [--max-line-bytes <n>] [--store <dir>]
 //!             [--stats-interval <secs>] [--metrics]
 //! pchls simulate <graph> -T <cycles> -P <power> --set name=value ...
 //! pchls vcd <graph> -T <cycles> -P <power> --set name=value ... [--out <file>]
@@ -60,7 +60,7 @@ use pchls::battery::battery_report;
 use pchls::cdfg::{benchmarks, parse_cdfg, write_cdfg, Cdfg, GraphStats, Interpreter};
 use pchls::core::{
     CompiledGraph, Engine, PowerBudget, Session, SweepPoint, SweepSpec, SynthesisConstraints,
-    SynthesisOptions, SynthesisRequest, MAX_LATENCY,
+    SynthesisOptions, SynthesisRequest,
 };
 use pchls::fulib::{paper_library, parse_library, units, ModuleLibrary};
 use pchls::rtl::{simulate, to_structural_hdl, Datapath};
@@ -91,7 +91,7 @@ usage:
   pchls batch <graph> --points <file> [--budget <file>] [--store <dir>] [--trace-out <file>]   # one `T P` pair per line; with --budget, P scales the envelope
   pchls battery <graph> -T <cycles> (-P <power> | --budget <file>) [--capacity <charge>]
   pchls serve (--stdio | --addr <host:port>) [--workers <n>] [--shards <n>] [--cache-cap <n>] [--queue-cap <n>]
-              [--shed-depth <n>] [--rate <req/s>] [--burst <n>] [--max-line-bytes <n>] [--store <dir>]
+              [--rate <req/s>] [--burst <n>] [--max-line-bytes <n>] [--store <dir>]
               [--stats-interval <secs>] [--metrics]
   pchls simulate <graph> -T <cycles> -P <power> --set name=value ...
   pchls vcd <graph> -T <cycles> -P <power> --set name=value ... [--out <file>]
@@ -163,6 +163,26 @@ fn load_library(flags: &Flags) -> Result<ModuleLibrary, String> {
     }
 }
 
+/// The graph and library a command names, compiled once. With
+/// `optimize` the optimizer runs first and its report goes to stderr.
+fn open_graph(flags: &Flags, optimize: bool) -> Result<(Engine, CompiledGraph), String> {
+    let spec = flags.positionals.first().ok_or("missing graph")?;
+    let g = load_graph(spec)?;
+    let engine = Engine::new(load_library(flags)?);
+    let compiled = if optimize {
+        let c = engine.compile_optimized(&g).map_err(|e| e.to_string())?;
+        let stats = c.optimize_stats().expect("optimized compile keeps stats");
+        eprintln!(
+            "optimize: merged {} duplicate op(s), eliminated {} dead op(s)",
+            stats.merged, stats.eliminated
+        );
+        c
+    } else {
+        engine.try_compile(&g).map_err(|e| e.to_string())?
+    };
+    Ok((engine, compiled))
+}
+
 /// Minimal flag parser: positionals, `--flag`, `--key value` / `-K value`
 /// and repeatable `--set name=value`.
 #[derive(Debug, Default)]
@@ -188,8 +208,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--library" | "--steps" | "--out" | "--points" | "--addr" | "--workers"
             | "--cache-cap" | "--queue-cap" | "--budget" | "--capacity" | "--store"
-            | "--shards" | "--shed-depth" | "--rate" | "--burst" | "--max-line-bytes"
-            | "--trace-out" | "--stats-interval" => {
+            | "--shards" | "--rate" | "--burst" | "--max-line-bytes" | "--trace-out"
+            | "--stats-interval" => {
                 let key = a.trim_start_matches('-').to_owned();
                 let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
                 f.options.insert(key, v.clone());
@@ -247,8 +267,7 @@ fn open_store(flags: &Flags) -> Result<Option<Store>, String> {
     }
 }
 
-/// The `-T <cycles>` flag, validated against the cycle range every
-/// entry point shares (`1 ..= MAX_LATENCY`).
+/// The `-T <cycles>` flag, validated by the latency rule.
 fn required_latency(flags: &Flags) -> Result<u32, String> {
     let latency: u32 = flags
         .options
@@ -256,30 +275,21 @@ fn required_latency(flags: &Flags) -> Result<u32, String> {
         .ok_or("missing -T <cycles>")?
         .parse()
         .map_err(|_| "-T <cycles> must be a positive integer")?;
-    if latency == 0 || latency > MAX_LATENCY {
-        return Err(format!("-T must be between 1 and {MAX_LATENCY} cycles"));
-    }
-    Ok(latency)
-}
-
-fn required_f64(flags: &Flags, key: &str, flag: &str) -> Result<f64, String> {
-    flags
-        .options
-        .get(key)
-        .ok_or_else(|| format!("missing {flag}"))?
-        .parse()
-        .map_err(|_| format!("{flag} must be a number"))
+    SynthesisConstraints::check_latency(latency).map_err(|e| format!("-T: {e}"))
 }
 
 /// The `(T, P<)` pair of a command line, validated so the constraints
 /// constructor can never panic on user input.
 fn required_constraints(flags: &Flags) -> Result<SynthesisConstraints, String> {
     let latency = required_latency(flags)?;
-    let power = required_f64(flags, "power", "-P <power>")?;
-    if power.is_nan() || power < 0.0 {
-        return Err("-P must be a non-negative power bound".into());
-    }
-    Ok(SynthesisConstraints::new(latency, power))
+    let power: f64 = flags
+        .options
+        .get("power")
+        .ok_or("missing -P <power>")?
+        .parse()
+        .map_err(|_| "-P <power> must be a number")?;
+    let budget = PowerBudget::try_constant(power).map_err(|e| format!("-P: {e}"))?;
+    Ok(SynthesisConstraints::new(latency, budget))
 }
 
 /// The constraint point of a `synth`-shaped command: `-T` plus either a
@@ -307,10 +317,9 @@ fn load_budget(flags: &Flags, latency: Option<u32>) -> Result<Option<PowerBudget
 }
 
 /// 1-based line numbers of every JSON number token in `text`, in
-/// document order. The parsed value tree preserves object order, so a
-/// depth-first walk visits numbers in exactly this order — which lets
-/// the validators below point at the offending *line* of the budget
-/// file, matching the `batch` points-file error style.
+/// document order — the order in which a `BudgetError` counts the
+/// number it rejects, which is how an error finds its *line* of the
+/// budget file, matching the `batch` points-file error style.
 fn number_token_lines(text: &str) -> Vec<usize> {
     let mut out = Vec::new();
     let mut line = 1usize;
@@ -349,18 +358,10 @@ fn number_token_lines(text: &str) -> Vec<usize> {
     out
 }
 
-/// Numeric view of a parsed JSON scalar.
-fn as_number(v: &serde::Value) -> Option<f64> {
-    match v {
-        serde::Value::Int(i) => Some(*i as f64),
-        serde::Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// Parses and validates a `--budget` JSON envelope: NaN, negative, and
-/// (when a horizon is given) wrong-horizon budgets are rejected with
-/// the offending line number.
+/// Parses a `--budget` JSON envelope. [`PowerBudget::from_json`]
+/// decides validity (and, given a horizon, the fit to `-T`); this only
+/// finds the line to report: the rejected number's, or the budget-kind
+/// key's when no single number is at fault.
 fn parse_budget_json(text: &str, latency: Option<u32>) -> Result<PowerBudget, String> {
     // NaN/Infinity are not JSON; catch them up front so the error names
     // the line instead of surfacing a generic parse failure.
@@ -379,111 +380,21 @@ fn parse_budget_json(text: &str, latency: Option<u32>) -> Result<PowerBudget, St
     }
     let value: serde::Value =
         serde_json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let shape_err = || {
-        "budget must be a JSON object with exactly one of `constant`, `steps`, `per_cycle`"
-            .to_string()
-    };
-    let fields = value.as_object().ok_or_else(shape_err)?;
-    let [(key, inner)] = fields else {
-        return Err(shape_err());
-    };
-    let num_lines = number_token_lines(text);
-    let line_of = |num_idx: usize| num_lines.get(num_idx).copied().unwrap_or(1);
-    let check_bound = |b: f64, num_idx: usize| -> Result<f64, String> {
-        if b.is_nan() || b < 0.0 {
-            Err(format!(
-                "line {}: power bound {b} must be non-negative",
-                line_of(num_idx)
-            ))
-        } else {
-            Ok(b)
+    PowerBudget::from_json(&value, latency).map_err(|e| {
+        let line = match (e.element, value.as_object()) {
+            (Some(i), _) => Some(number_token_lines(text).get(i).copied().unwrap_or(1)),
+            (None, Some([(key, _)])) => Some(
+                text.lines()
+                    .position(|l| l.contains(key.as_str()))
+                    .map_or(1, |i| i + 1),
+            ),
+            (None, _) => None,
+        };
+        match line {
+            Some(line) => format!("line {line}: {e}"),
+            None => e.message,
         }
-    };
-    // The walk below exists to attach *line numbers* to the common
-    // mistakes; the construction at the end funnels the accepted
-    // document through the `PowerBudget` deserializer — the
-    // authoritative validator shared with the `pchls-serve` wire layer
-    // — so the CLI can never accept a budget the service would reject.
-    match key.as_str() {
-        "constant" => {
-            let b = as_number(inner).ok_or("`constant` must be a number")?;
-            check_bound(b, 0)?;
-        }
-        "steps" => {
-            let arr = inner.as_array().ok_or("`steps` must be an array")?;
-            if arr.is_empty() {
-                return Err("`steps` must contain at least one [cycle, bound] pair".into());
-            }
-            let mut steps: Vec<(u32, f64)> = Vec::with_capacity(arr.len());
-            for (i, item) in arr.iter().enumerate() {
-                let err_line = line_of(2 * i);
-                let pair = item
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| format!("line {err_line}: each step must be [cycle, bound]"))?;
-                // Integer-*typed*, matching the wire deserializer's
-                // `u32` exactly — `0.0` is rejected in both places.
-                let serde::Value::Int(raw_cycle) = pair[0] else {
-                    return Err(format!(
-                        "line {err_line}: step cycle must be a non-negative integer"
-                    ));
-                };
-                let cycle = u32::try_from(raw_cycle).map_err(|_| {
-                    format!("line {err_line}: step cycle must be a non-negative integer")
-                })?;
-                if let Some(t) = latency {
-                    if cycle >= t {
-                        return Err(format!(
-                            "line {err_line}: step at cycle {cycle} is at or past the latency \
-                             bound {t}"
-                        ));
-                    }
-                }
-                if let Some(&(prev, _)) = steps.last() {
-                    if cycle <= prev {
-                        return Err(format!(
-                            "line {err_line}: step cycles must be strictly increasing \
-                             ({prev} then {cycle})"
-                        ));
-                    }
-                }
-                let bound = as_number(&pair[1])
-                    .ok_or_else(|| format!("line {err_line}: step bound must be a number"))?;
-                steps.push((cycle, check_bound(bound, 2 * i + 1)?));
-            }
-        }
-        "per_cycle" => {
-            let arr = inner.as_array().ok_or("`per_cycle` must be an array")?;
-            if arr.is_empty() {
-                return Err("`per_cycle` must contain at least one bound".into());
-            }
-            let mut bounds = Vec::with_capacity(arr.len());
-            for (i, item) in arr.iter().enumerate() {
-                let b = as_number(item).ok_or_else(|| {
-                    format!("line {}: per-cycle bound must be a number", line_of(i))
-                })?;
-                bounds.push(check_bound(b, i)?);
-            }
-            if let Some(t) = latency {
-                if bounds.len() != t as usize {
-                    let key_line = text
-                        .lines()
-                        .position(|l| l.contains("per_cycle"))
-                        .map_or(1, |i| i + 1);
-                    return Err(format!(
-                        "line {key_line}: per-cycle budget covers {} cycle(s) but -T is {t}",
-                        bounds.len()
-                    ));
-                }
-            }
-        }
-        other => {
-            return Err(format!(
-                "unknown budget kind `{other}` (expected `constant`, `steps` or `per_cycle`)"
-            ))
-        }
-    }
-    serde::Deserialize::from_value(&value).map_err(|e| format!("invalid budget: {e}"))
+    })
 }
 
 fn dump(args: &[String]) -> Result<String, String> {
@@ -501,22 +412,8 @@ fn dump(args: &[String]) -> Result<String, String> {
 
 fn synth(args: &[String]) -> Result<String, String> {
     let flags = parse_flags(args)?;
-    let spec = flags.positionals.first().ok_or("missing graph")?;
-    let g = load_graph(spec)?;
-    let lib = load_library(&flags)?;
     let trace_path = trace_out(&flags);
-    let engine = Engine::new(lib);
-    let compiled = if flags.switches.iter().any(|s| s == "optimize") {
-        let c = engine.compile_optimized(&g).map_err(|e| e.to_string())?;
-        let stats = c.optimize_stats().expect("optimized compile keeps stats");
-        eprintln!(
-            "optimize: merged {} duplicate op(s), eliminated {} dead op(s)",
-            stats.merged, stats.eliminated
-        );
-        c
-    } else {
-        engine.try_compile(&g).map_err(|e| e.to_string())?
-    };
+    let (engine, compiled) = open_graph(&flags, flags.switches.iter().any(|s| s == "optimize"))?;
     let session = engine.session(&compiled);
     let (g, lib) = (compiled.graph(), engine.library());
     let constraints = budget_or_scalar_constraints(&flags)?;
@@ -659,18 +556,14 @@ fn resume_from_store(
 
 fn sweep(args: &[String]) -> Result<String, String> {
     let flags = parse_flags(args)?;
-    let spec = flags.positionals.first().ok_or("missing graph")?;
-    let g = load_graph(spec)?;
-    let lib = load_library(&flags)?;
+    let (engine, compiled) = open_graph(&flags, false)?;
+    let session = engine.session(&compiled);
     let latency = required_latency(&flags)?;
     let steps: usize = flags
         .options
         .get("steps")
         .map_or(Ok(12), |s| s.parse())
         .map_err(|_| "--steps must be a positive integer")?;
-    let engine = Engine::new(lib);
-    let compiled = engine.try_compile(&g).map_err(|e| e.to_string())?;
-    let session = engine.session(&compiled);
     let spec = match load_budget(&flags, Some(latency))? {
         // Envelope mode: sweep scale factors — "how much of the
         // envelope can the supply actually deliver" — instead of a
@@ -734,27 +627,15 @@ fn parse_points(text: &str) -> Result<Vec<SynthesisConstraints>, String> {
         let (Some(t), Some(p), None) = (fields.next(), fields.next(), fields.next()) else {
             return Err(format!("line {}: expected `T P`, got `{line}`", lineno + 1));
         };
+        let at = |e: String| format!("line {}: {e}", lineno + 1);
         let t: u32 = t
             .parse()
-            .map_err(|_| format!("line {}: `{t}` is not a latency", lineno + 1))?;
-        // Validate the parsed values here, with the line number: the
-        // constraints constructor asserts on nonsense and a malformed
-        // points file must be a clean error, not a panic.
-        if t == 0 || t > MAX_LATENCY {
-            return Err(format!(
-                "line {}: latency must be between 1 and {MAX_LATENCY} cycles",
-                lineno + 1
-            ));
-        }
+            .map_err(|_| at(format!("`{t}` is not a latency")))?;
+        let t = SynthesisConstraints::check_latency(t).map_err(at)?;
         let p: f64 = p
             .parse()
-            .map_err(|_| format!("line {}: `{p}` is not a power bound", lineno + 1))?;
-        if p.is_nan() || p < 0.0 {
-            return Err(format!(
-                "line {}: power bound `{p}` must be non-negative",
-                lineno + 1
-            ));
-        }
+            .map_err(|_| at(format!("`{p}` is not a power bound")))?;
+        let p = PowerBudget::try_constant(p).map_err(|e| at(e.message))?;
         points.push(SynthesisConstraints::new(t, p));
     }
     if points.is_empty() {
@@ -770,9 +651,9 @@ fn parse_points(text: &str) -> Result<Vec<SynthesisConstraints>, String> {
 /// (`T 1.0` = the envelope as written, `T 0.5` = half of it).
 fn batch(args: &[String]) -> Result<String, String> {
     let flags = parse_flags(args)?;
-    let spec = flags.positionals.first().ok_or("missing graph")?;
-    let g = load_graph(spec)?;
-    let lib = load_library(&flags)?;
+    let trace_path = trace_out(&flags);
+    let (engine, compiled) = open_graph(&flags, false)?;
+    let session = engine.session(&compiled);
     let path = flags
         .options
         .get("points")
@@ -796,11 +677,6 @@ fn batch(args: &[String]) -> Result<String, String> {
             })
             .collect::<Result<Vec<_>, String>>()?,
     };
-
-    let trace_path = trace_out(&flags);
-    let engine = Engine::new(lib);
-    let compiled = engine.try_compile(&g).map_err(|e| e.to_string())?;
-    let session = engine.session(&compiled);
     let out_points: Vec<SweepPoint> = match open_store(&flags)? {
         None => session
             .batch(points.into_iter().map(SynthesisRequest::new))
@@ -832,9 +708,8 @@ fn batch(args: &[String]) -> Result<String, String> {
 /// runnable from the command line.
 fn battery(args: &[String]) -> Result<String, String> {
     let flags = parse_flags(args)?;
-    let spec = flags.positionals.first().ok_or("missing graph")?;
-    let g = load_graph(spec)?;
-    let lib = load_library(&flags)?;
+    let (engine, compiled) = open_graph(&flags, false)?;
+    let session = engine.session(&compiled);
     let constraints = budget_or_scalar_constraints(&flags)?;
     let capacity: f64 = match flags.options.get("capacity") {
         None => 20_000.0,
@@ -844,10 +719,6 @@ fn battery(args: &[String]) -> Result<String, String> {
             .filter(|c| c.is_finite() && *c > 0.0)
             .ok_or("--capacity must be a positive charge")?,
     };
-
-    let engine = Engine::new(lib);
-    let compiled = engine.try_compile(&g).map_err(|e| e.to_string())?;
-    let session = engine.session(&compiled);
     let opts = SynthesisOptions::default();
     let constrained = session
         .synthesize(constraints.clone(), &opts)
@@ -905,7 +776,6 @@ fn serve(args: &[String]) -> Result<String, String> {
         shards: usize_option("shards", defaults.shards)?,
         cache_cap: usize_option("cache-cap", defaults.cache_cap)?,
         queue_cap: usize_option("queue-cap", defaults.queue_cap)?,
-        shed_depth: usize_option("shed-depth", defaults.shed_depth)?,
         rate_per_sec: f64_option("rate", defaults.rate_per_sec)?,
         burst: f64_option("burst", defaults.burst)?,
         max_line_bytes: usize_option("max-line-bytes", defaults.max_line_bytes)?,
@@ -1003,21 +873,18 @@ fn render_store_stat(stat: &StoreStat, path: &std::path::Path) -> String {
 
 fn run_simulation(args: &[String]) -> Result<String, String> {
     let flags = parse_flags(args)?;
-    let spec = flags.positionals.first().ok_or("missing graph")?;
-    let g = load_graph(spec)?;
-    let lib = load_library(&flags)?;
+    let (engine, compiled) = open_graph(&flags, false)?;
     let constraints = required_constraints(&flags)?;
     let stim: pchls::cdfg::Stimulus = flags.sets.iter().cloned().collect();
 
-    let engine = Engine::new(lib);
-    let compiled = engine.try_compile(&g).map_err(|e| e.to_string())?;
     let design = engine
         .session(&compiled)
         .synthesize(constraints, &SynthesisOptions::default())
         .map_err(|e| e.to_string())?;
-    let dp = Datapath::build(&g, &design, engine.library());
-    let run = simulate(&g, &dp, &stim).map_err(|e| e.to_string())?;
-    let reference = Interpreter::new(&g).run(&stim).map_err(|e| e.to_string())?;
+    let g = compiled.graph();
+    let dp = Datapath::build(g, &design, engine.library());
+    let run = simulate(g, &dp, &stim).map_err(|e| e.to_string())?;
+    let reference = Interpreter::new(g).run(&stim).map_err(|e| e.to_string())?;
     let mut out = format!(
         "simulated {} on the synthesized datapath ({} cycles):\n",
         g.name(),
@@ -1041,20 +908,17 @@ fn run_simulation(args: &[String]) -> Result<String, String> {
 
 fn run_vcd(args: &[String]) -> Result<String, String> {
     let flags = parse_flags(args)?;
-    let spec = flags.positionals.first().ok_or("missing graph")?;
-    let g = load_graph(spec)?;
-    let lib = load_library(&flags)?;
+    let (engine, compiled) = open_graph(&flags, false)?;
     let constraints = required_constraints(&flags)?;
     let stim: pchls::cdfg::Stimulus = flags.sets.iter().cloned().collect();
 
-    let engine = Engine::new(lib);
-    let compiled = engine.try_compile(&g).map_err(|e| e.to_string())?;
     let design = engine
         .session(&compiled)
         .synthesize(constraints, &SynthesisOptions::default())
         .map_err(|e| e.to_string())?;
-    let dp = Datapath::build(&g, &design, engine.library());
-    let wave = pchls::rtl::trace(&g, &dp, &stim).map_err(|e| e.to_string())?;
+    let g = compiled.graph();
+    let dp = Datapath::build(g, &design, engine.library());
+    let wave = pchls::rtl::trace(g, &dp, &stim).map_err(|e| e.to_string())?;
     let vcd = pchls::rtl::to_vcd(&wave, g.name());
     match flags.options.get("out") {
         Some(path) => {
@@ -1669,8 +1533,6 @@ mod tests {
         // Admission knobs validate before any socket is touched.
         let err = run(&argv("serve --stdio --shards x")).unwrap_err();
         assert!(err.contains("--shards"), "{err}");
-        let err = run(&argv("serve --stdio --shed-depth -3")).unwrap_err();
-        assert!(err.contains("--shed-depth"), "{err}");
         let err = run(&argv("serve --stdio --rate fast")).unwrap_err();
         assert!(err.contains("--rate"), "{err}");
         let err = run(&argv("serve --stdio --burst -1")).unwrap_err();
@@ -1698,5 +1560,137 @@ mod tests {
     fn set_parsing_rejects_garbage() {
         let err = run(&argv("simulate hal -T 17 -P 25 --set x")).unwrap_err();
         assert!(err.contains("name=value"));
+    }
+
+    /// Budget documents the tests above hand the CLI, both valid and
+    /// not: the seeds the hostile-input property mutates.
+    const BUDGET_CORPUS: &[&str] = &[
+        "{\"constant\": 25.0}",
+        "{\"steps\": [[0, 30.0], [8, 12.0]]}",
+        "{\"per_cycle\": [1.0, 2.0]}",
+        "{\"per_cycle\": [30.0,\n  -5.0,\n  20.0]}\n",
+        "{\"steps\": [[0, 30.0],\n  [40, 10.0]]}\n",
+        "{\"steps\": [[5, 30.0],\n  [2, 10.0]]}\n",
+        "{\"steps\": [[0.0, 30.0]]}",
+        "{\"steps\": []}",
+        "{\"bogus\": 1.0}",
+    ];
+
+    /// Spliced into documents: numbers past every range, wrong types
+    /// and stray structure.
+    const HOSTILE_TOKENS: &[&str] = &[
+        "-1",
+        "-0",
+        "0.0",
+        "1e999",
+        "-1e999",
+        "4294967296",
+        "1e308",
+        "[]",
+        "{}",
+        "null",
+        "\"x\"",
+        "[0, 1.0]",
+        ",",
+        "]",
+        "99999999999999999999999999999999999999999",
+    ];
+
+    /// A power bound from raw bits, weighted towards the values a
+    /// validator must refuse or survive.
+    fn hostile_power(bits: u64) -> f64 {
+        match bits % 8 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -((bits >> 3) as f64),
+            4 => f64::MAX,
+            5 => -0.0,
+            6 => (bits >> 3) as f64 / 1e3,
+            _ => f64::from_bits(bits),
+        }
+    }
+
+    /// `doc` after `edits`: each replaces, deletes or inserts at a
+    /// position picked by its first value.
+    fn mutate(doc: &str, edits: &[(u64, u64)]) -> String {
+        let mut chars: Vec<char> = doc.chars().collect();
+        for &(at, what) in edits {
+            let at = (at % (chars.len() as u64 + 1)) as usize;
+            let token = HOSTILE_TOKENS[(what % HOSTILE_TOKENS.len() as u64) as usize];
+            match what % 3 {
+                0 if at < chars.len() => {
+                    chars.remove(at);
+                }
+                1 if at < chars.len() => {
+                    chars.splice(at..=at, token.chars());
+                }
+                _ => {
+                    chars.splice(at..at, token.chars());
+                }
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// No latency, power bound or budget document panics the one
+        /// validator: each is refused or accepted, and every accepted
+        /// point builds with `SynthesisConstraints::new`.
+        #[test]
+        fn hostile_constraint_inputs_are_refused_or_build(
+            raw_latency in proptest::any::<u64>(),
+            power_bits in proptest::any::<u64>(),
+            seed in proptest::any::<u64>(),
+            edits in proptest::collection::vec(
+                (proptest::any::<u64>(), proptest::any::<u64>()),
+                0usize..4,
+            ),
+        ) {
+            let latency = if raw_latency.is_multiple_of(2) {
+                (raw_latency >> 1) as u32 % (pchls::core::MAX_LATENCY + 2)
+            } else {
+                (raw_latency >> 32) as u32
+            };
+            let power = hostile_power(power_bits);
+            let latency_ok = SynthesisConstraints::check_latency(latency).is_ok();
+            proptest::prop_assert_eq!(
+                latency_ok,
+                (1..=pchls::core::MAX_LATENCY).contains(&latency)
+            );
+            let scalar = PowerBudget::try_constant(power);
+            proptest::prop_assert_eq!(scalar.is_ok(), power >= 0.0, "P={}", power);
+            if let Ok(budget) = scalar {
+                let point = SynthesisConstraints::try_new(latency, budget);
+                proptest::prop_assert_eq!(point.is_ok(), latency_ok);
+                if latency_ok {
+                    let _ = SynthesisConstraints::new(latency, power);
+                }
+            }
+            // The points file reads the same pair through the same rules.
+            let points = parse_points(&format!("{latency} {power}\n"));
+            proptest::prop_assert_eq!(points.is_ok(), latency_ok && power >= 0.0);
+
+            let doc = mutate(BUDGET_CORPUS[(seed % BUDGET_CORPUS.len() as u64) as usize], &edits);
+            let horizon = latency_ok.then_some(latency);
+            let Ok(value) = serde_json::parse(&doc) else {
+                return Ok(());
+            };
+            let read = PowerBudget::from_json(&value, horizon);
+            let wire: Result<PowerBudget, _> = serde::Deserialize::from_value(&value);
+            if let Ok(budget) = &read {
+                proptest::prop_assert!(wire.is_ok(), "{}", doc);
+                if let Some(t) = horizon {
+                    proptest::prop_assert!(budget.check_horizon(t).is_ok(), "{}", doc);
+                    let _ = SynthesisConstraints::new(t, budget.clone());
+                }
+            }
+            // The CLI only adds a line to the same verdict (its NaN/Inf
+            // pre-scan may refuse a document the parser never sees).
+            let cli = parse_budget_json(&doc, horizon);
+            proptest::prop_assert!(cli.is_err() || read.is_ok(), "{}: {:?}", doc, cli);
+        }
     }
 }
