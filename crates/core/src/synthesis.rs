@@ -142,7 +142,8 @@ struct Kernel<'a> {
     /// orders are not the kernel's and are not counted.
     boot: PlacementCache<'a>,
     /// Every locked pasap/palap of the loop, reusing the placement order
-    /// while the delays stay put.
+    /// while the delays stay put, and each direction's ledger for the
+    /// whole run (the budget and horizon never change).
     placer: PlacementCache<'a>,
     /// The per-cycle power reserved by locked operations, maintained
     /// incrementally: candidate attempts reserve on apply and release

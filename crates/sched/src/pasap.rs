@@ -162,13 +162,19 @@ pub fn palap_locked(
 
 /// [`pasap_locked`] and [`palap_locked`] over one graph, reusing each
 /// direction's placement order while the delays it was computed for are
-/// unchanged.
+/// unchanged, and each direction's ledger while the budget and horizon
+/// it was built for are.
 ///
 /// The order in which the placement loop visits operations depends only
 /// on the graph and the delays — never on locks, starts or the budget —
 /// so a caller scheduling one graph many times under changing locks (the
-/// synthesis loop) pays for it only when a delay changes. Every answer
-/// equals that of a fresh cache, which is what the free functions use.
+/// synthesis loop) pays for it only when a delay changes. The ledger
+/// depends only on the budget and the horizon: each direction keeps one
+/// (the reverse one under the time-mirrored envelope, which it keeps
+/// too) and clears it before the next placement, so the per-cycle bounds
+/// are converted, and an envelope mirrored, only when the budget or the
+/// horizon changes. Every answer equals that of a fresh cache, which is
+/// what the free functions use.
 ///
 /// The cache also accumulates the bound comparisons of every placement
 /// it ran, failed ones included ([`interval`](PlacementCache::interval)).
@@ -177,7 +183,10 @@ pub struct PlacementCache<'g> {
     graph: &'g Cdfg,
     forward: CachedOrder,
     reverse: CachedOrder,
+    forward_ledger: KeptLedger,
+    reverse_ledger: KeptLedger,
     computed: u64,
+    built: u64,
     seen: PowerInterval,
 }
 
@@ -209,6 +218,50 @@ impl CachedOrder {
     }
 }
 
+/// One direction's ledger, the budget and horizon it was built for, and
+/// that budget in the ledger's time orientation.
+#[derive(Debug, Default)]
+struct KeptLedger(Option<Kept>);
+
+#[derive(Debug)]
+struct Kept {
+    budget: PowerBudget,
+    horizon: u32,
+    oriented: PowerBudget,
+    ledger: PowerLedger,
+}
+
+impl KeptLedger {
+    /// An empty ledger under `budget` over `horizon` cycles, with the
+    /// oriented budget it was built under: the kept ledger cleared, or
+    /// one built under `orient(budget)` (and counted in `built`) when it
+    /// was kept for another budget or horizon. Its record of comparisons
+    /// survives a clear.
+    fn refresh(
+        &mut self,
+        budget: &PowerBudget,
+        horizon: u32,
+        built: &mut u64,
+        orient: impl FnOnce() -> PowerBudget,
+    ) -> (&mut PowerLedger, &PowerBudget) {
+        match &mut self.0 {
+            Some(kept) if kept.horizon == horizon && kept.budget == *budget => kept.ledger.clear(),
+            slot => {
+                let oriented = orient();
+                *built += 1;
+                *slot = Some(Kept {
+                    budget: budget.clone(),
+                    horizon,
+                    ledger: PowerLedger::under(horizon, &oriented),
+                    oriented,
+                });
+            }
+        }
+        let kept = self.0.as_mut().expect("kept or just built");
+        (&mut kept.ledger, &kept.oriented)
+    }
+}
+
 impl<'g> PlacementCache<'g> {
     /// An empty cache over `graph`.
     #[must_use]
@@ -217,7 +270,10 @@ impl<'g> PlacementCache<'g> {
             graph,
             forward: CachedOrder::default(),
             reverse: CachedOrder::default(),
+            forward_ledger: KeptLedger::default(),
+            reverse_ledger: KeptLedger::default(),
             computed: 0,
+            built: 0,
             seen: PowerInterval::EVERY,
         }
     }
@@ -244,16 +300,20 @@ impl<'g> PlacementCache<'g> {
                 timing,
             )
         });
-        let starts = place(
+        let (ledger, budget) =
+            self.forward_ledger
+                .refresh(budget, horizon, &mut self.built, || budget.clone());
+        let placed = place_on(
+            ledger,
             order,
             |id| graph.operands(id),
             timing,
             budget,
             horizon,
             |id| locked.get(id),
-            &mut self.seen,
-        )?;
-        let schedule = Schedule::new(starts);
+        );
+        self.seen.merge(ledger.interval());
+        let schedule = Schedule::new(placed?);
         schedule.validate(graph, timing, None, None)?;
         Ok(schedule)
     }
@@ -281,6 +341,11 @@ impl<'g> PlacementCache<'g> {
                 timing,
             )
         });
+        let (ledger, rev_budget) =
+            self.reverse_ledger
+                .refresh(budget, latency, &mut self.built, || {
+                    budget.reversed(latency)
+                });
         // A forward start `s` with delay `d` maps to the reversed start
         // `latency - s - d`; a lock outside `[0, latency - d]` can never
         // fit.
@@ -296,27 +361,27 @@ impl<'g> PlacementCache<'g> {
                 }
             }
         }
-        let rev_budget = budget.reversed(latency);
         let flip = |start: u32, delay: u32| -> Option<u32> { (latency - start).checked_sub(delay) };
-        let rev_starts = place(
+        let placed = place_on(
+            ledger,
             order,
             |id| graph.successors(id),
             timing,
-            &rev_budget,
+            rev_budget,
             latency,
             |id| {
                 locked
                     .get(id)
                     .map(|s| flip(s, timing.delay(id)).expect("lock range checked above"))
             },
-            &mut self.seen,
-        )?;
-        let starts: Vec<u32> = rev_starts
+        );
+        self.seen.merge(ledger.interval());
+        let starts: Vec<u32> = placed?
             .iter()
             .enumerate()
             .map(|(i, &rs)| {
                 let id = NodeId::new(i as u32);
-                flip(rs, timing.delay(id)).ok_or(ScheduleError::Infeasible {
+                flip(rs, timing.delay(id)).ok_or_else(|| ScheduleError::Infeasible {
                     node: id,
                     horizon: latency,
                     max_power: budget.peak_within(latency),
@@ -334,6 +399,14 @@ impl<'g> PlacementCache<'g> {
         self.computed
     }
 
+    /// Ledgers built so far, over both directions: one for each
+    /// placement whose budget or horizon differs from its direction's
+    /// previous placement, the first included.
+    #[must_use]
+    pub fn ledgers_built(&self) -> u64 {
+        self.built
+    }
+
     /// Every bound comparison of the placements run so far (see
     /// [`PowerLedger::interval`]).
     #[must_use]
@@ -342,7 +415,7 @@ impl<'g> PlacementCache<'g> {
     }
 }
 
-/// The order in which [`place`] visits the operations of one orientation
+/// The order in which [`place_on`] visits the operations of one orientation
 /// of the graph.
 ///
 /// `preds` and `succs` describe the DAG being scheduled (forward for
@@ -401,28 +474,6 @@ fn placement_order<'a>(
     order
 }
 
-/// The placement loop shared by every power-constrained ASAP/ALAP form:
-/// locked operations reserve their power first, then every unlocked
-/// operation of `order` (see [`placement_order`]) takes its earliest
-/// power-feasible start at or after its data-ready time. `order` holds
-/// every node once; `preds` and `locked` are in the oriented time axis.
-/// The ledger's bound comparisons are added to `seen`, whatever the
-/// outcome.
-fn place<'a>(
-    order: &[NodeId],
-    preds: impl Fn(NodeId) -> &'a [NodeId],
-    timing: &TimingMap,
-    budget: &PowerBudget,
-    horizon: u32,
-    locked: impl Fn(NodeId) -> Option<u32>,
-    seen: &mut PowerInterval,
-) -> Result<Vec<u32>, ScheduleError> {
-    let mut ledger = PowerLedger::under(horizon, budget);
-    let placed = place_on(&mut ledger, order, preds, timing, budget, horizon, locked);
-    seen.merge(ledger.interval());
-    placed
-}
-
 /// Reserves the power of every locked operation among the first `nodes`
 /// ids on `ledger`, in ascending id order — the pass `pasap`, `palap`
 /// and the synthesis kernel's backtrack all start from. `budget` is the
@@ -467,7 +518,12 @@ pub fn reserve_locked(
     Ok(())
 }
 
-/// [`place`] on a fresh `ledger`.
+/// The placement loop shared by every power-constrained ASAP/ALAP form:
+/// locked operations reserve their power first, then every unlocked
+/// operation of `order` (see [`placement_order`]) takes its earliest
+/// power-feasible start at or after its data-ready time. `order` holds
+/// every node once; `preds` and `locked` are in the oriented time axis.
+/// `ledger` is empty, built under `budget` over `horizon` cycles.
 fn place_on<'a>(
     ledger: &mut PowerLedger,
     order: &[NodeId],

@@ -231,7 +231,9 @@ mod locked_props {
 
 mod placement_cache_props {
     use super::*;
-    use pchls_sched::{palap_locked, pasap_locked, LockedStarts, OpTiming, PlacementCache};
+    use pchls_sched::{
+        palap_locked, pasap_locked, LockedStarts, OpTiming, PlacementCache, PowerInterval,
+    };
 
     /// Locks the ops picked by `mask` (bit `i % 64` for node `i`): at
     /// their start in `base` when there is one, nudged one cycle later
@@ -266,7 +268,11 @@ mod placement_cache_props {
         /// One `PlacementCache` reused across lock sets, budgets and a
         /// delay change answers every `pasap_locked` / `palap_locked`
         /// call exactly like the free functions, `Ok` schedule or `Err`,
-        /// and recomputes its orders only when a delay changes.
+        /// records exactly the comparisons fresh caches record over the
+        /// same calls, recomputes its orders only when a delay changes,
+        /// and rebuilds its ledgers only when the budget or horizon does:
+        /// each (budget, horizon) serves two consecutive lock sets, so the
+        /// second one runs on a kept, cleared ledger.
         #[test]
         fn cached_placement_orders_match_the_free_functions(
             cfg in config(),
@@ -289,7 +295,9 @@ mod placement_cache_props {
                     .collect(),
             );
             let mut cache = PlacementCache::new(&g);
-            for round in 0..4usize {
+            let mut fresh_seen = PowerInterval::EVERY;
+            const ROUNDS: usize = 5;
+            for round in 0..ROUNDS {
                 if round == 2 {
                     // Every delay moves (1→2→3→4→1): both cached orders
                     // are stale and must be recomputed.
@@ -301,11 +309,17 @@ mod placement_cache_props {
                 let single = units(t.max_single_op_power());
                 let bound = single * frac;
                 // Constant budgets on even rounds, stepwise (tight
-                // opening, looser tail) on odd ones.
-                let budget = if round % 2 == 0 {
-                    PowerBudget::constant(bound)
-                } else {
-                    PowerBudget::steps(vec![(0, bound), (stretch, bound + single)])
+                // opening, looser tail) on odd ones, and a last round
+                // whose per-cycle bounds alternate at random between the
+                // two. No two consecutive rounds share a budget.
+                let budget = match round {
+                    4 => PowerBudget::per_cycle(
+                        (0..64)
+                            .map(|c| if masks[c % 4] >> c & 1 == 1 { bound + single } else { bound })
+                            .collect(),
+                    ),
+                    r if r % 2 == 0 => PowerBudget::constant(bound),
+                    _ => PowerBudget::steps(vec![(0, bound), (stretch, bound + single)]),
                 };
                 // From a little below the unlocked pasap latency up to
                 // twice it; an unplaceable op falls back to the asap one.
@@ -314,24 +328,29 @@ mod placement_cache_props {
                     .latency(&t);
                 let horizon = (natural * stretch / 8).max(1);
                 let base = pasap(&g, &t, &budget, horizon).ok();
-                // About a quarter of the ops locked, an eighth of those
-                // nudged.
-                let word = |w: &[u64], k: usize| w[(round + k) % 4];
-                let mask = word(&masks, 0) & word(&masks, 1);
-                let nudge = word(&nudges, 0) & word(&nudges, 1) & word(&nudges, 2);
-                let locked = lock_set(n, base.as_ref(), horizon, mask, nudge);
-                prop_assert_eq!(
-                    cache.pasap_locked(&t, &budget, horizon, &locked),
-                    pasap_locked(&g, &t, &budget, horizon, &locked)
-                );
-                prop_assert_eq!(
-                    cache.palap_locked(&t, &budget, horizon, &locked),
-                    palap_locked(&g, &t, &budget, horizon, &locked)
-                );
+                for repeat in 0..2 {
+                    // About a quarter of the ops locked, an eighth of
+                    // those nudged.
+                    let word = |w: &[u64], k: usize| w[(round + repeat + k) % 4];
+                    let mask = word(&masks, 0) & word(&masks, 1);
+                    let nudge = word(&nudges, 0) & word(&nudges, 1) & word(&nudges, 2);
+                    let locked = lock_set(n, base.as_ref(), horizon, mask, nudge);
+                    let mut fresh = PlacementCache::new(&g);
+                    let early = fresh.pasap_locked(&t, &budget, horizon, &locked);
+                    prop_assert_eq!(&early, &pasap_locked(&g, &t, &budget, horizon, &locked));
+                    prop_assert_eq!(cache.pasap_locked(&t, &budget, horizon, &locked), early);
+                    let late = fresh.palap_locked(&t, &budget, horizon, &locked);
+                    prop_assert_eq!(&late, &palap_locked(&g, &t, &budget, horizon, &locked));
+                    prop_assert_eq!(cache.palap_locked(&t, &budget, horizon, &locked), late);
+                    fresh_seen.merge(fresh.interval());
+                }
             }
+            prop_assert_eq!(cache.interval(), fresh_seen);
             // One order per direction, then one more each after the
             // delay change.
             prop_assert_eq!(cache.orders_computed(), 4);
+            // One ledger per direction and round: the repeat reuses it.
+            prop_assert_eq!(cache.ledgers_built(), 2 * ROUNDS as u64);
         }
     }
 }

@@ -173,10 +173,11 @@ fn route_frame(
     let request: SubmitRequest = match serde_json::from_slice(&line) {
         Ok(r) => r,
         Err(e) => {
+            service.note_bad_request();
             return Routed::Reply(SubmitResponse::error(
                 salvaged_id(&line),
                 format!("bad request: {e}"),
-            ))
+            ));
         }
     };
     match request.op.as_str() {
@@ -696,6 +697,27 @@ mod tests {
         let mistyped = responses.iter().find(|r| r.id == 5).unwrap();
         assert!(!mistyped.ok);
         assert!(mistyped.error.as_ref().unwrap().contains("bad request"));
+    }
+
+    #[test]
+    fn unparseable_lines_count_as_failed_requests() {
+        let service = service();
+        let script = concat!(
+            "this is not json\n",
+            r#"{"op":"synth","id":2,"graph":"hal","latency":17,"power":-1}"#,
+            "\n",
+        );
+        let responses = drive(&service, script);
+        assert_eq!(responses.len(), 2);
+        assert!(responses.iter().all(|r| !r.ok));
+        assert_eq!(service.stats().failed, 2);
+        assert!(
+            service
+                .metrics_text()
+                .lines()
+                .any(|l| l == "pchls_requests_failed_total 2"),
+            "the scrape agrees with stats"
+        );
     }
 
     #[test]

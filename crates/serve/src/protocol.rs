@@ -19,10 +19,10 @@
 //!   name) or `graph_text` (an inline `.dfg` document) under
 //!   `(latency, power)`. An optional `budget` object — the
 //!   [`PowerBudget`] JSON shape, `{"constant":…}` / `{"steps":[[c,b],…]}`
-//!   / `{"per_cycle":[…]}` — replaces the scalar `power` with a
-//!   time-varying envelope; requests without it (or with it `null`)
-//!   behave exactly as before, keeping the scalar wire format
-//!   compatible byte for byte. Optional `deadline_ms` bounds the
+//!   / `{"per_cycle":[…]}` — replaces the scalar `power` (still
+//!   validated) with a time-varying envelope; requests without it (or
+//!   with it `null`) behave exactly as before, keeping the scalar wire
+//!   format compatible byte for byte. Optional `deadline_ms` bounds the
 //!   wall-clock time from acceptance; an overrun cancels the run
 //!   mid-iteration. The reply's `point` is **byte-identical** to what
 //!   `pchls batch` / `Session::synthesize` would emit for the same
@@ -62,8 +62,9 @@ pub struct SubmitRequest {
     /// Latency bound `T` in cycles (must be ≥ 1).
     #[serde(default)]
     pub latency: u32,
-    /// Power bound `P<` (must be ≥ 0 and not NaN). Ignored when
-    /// `budget` is set.
+    /// Power bound `P<` (must be ≥ 0 and not NaN). Validated even when
+    /// `budget` is set, though the envelope then replaces it as the
+    /// bound.
     #[serde(default)]
     pub power: f64,
     /// Optional time-varying budget envelope; when set it replaces the

@@ -440,6 +440,12 @@ impl Service {
         pchls_obs::event!("serve.rate_limited");
     }
 
+    /// Records one wire line that failed to parse (the front end answers
+    /// it with a `bad request` error): a failed request.
+    pub(crate) fn note_bad_request(&self) {
+        self.shared.failed.inc();
+    }
+
     /// The admission knobs the network front ends apply per connection.
     pub(crate) fn limits(&self) -> &FrontendLimits {
         &self.shared.limits
