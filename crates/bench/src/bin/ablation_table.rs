@@ -12,17 +12,24 @@ fn main() {
         ("full", SynthesisOptions::default()),
         (
             "-modsel",
-            SynthesisOptions::builder().module_selection(false).build(),
+            SynthesisOptions {
+                module_selection: false,
+                ..SynthesisOptions::default()
+            },
         ),
         (
             "-interc",
-            SynthesisOptions::builder()
-                .interconnect_scoring(false)
-                .build(),
+            SynthesisOptions {
+                interconnect_scoring: false,
+                ..SynthesisOptions::default()
+            },
         ),
         (
             "-backtr",
-            SynthesisOptions::builder().backtracking(false).build(),
+            SynthesisOptions {
+                backtracking: false,
+                ..SynthesisOptions::default()
+            },
         ),
     ];
     println!("Ablation: functional-unit area per heuristic variant (P<=40)\n");

@@ -158,10 +158,11 @@ proptest! {
         let engine = Engine::new(paper_library());
         let compiled = engine.compile(&graph);
         let latency = compiled.min_latency() * (2 + stretch) / 2;
-        let options = SynthesisOptions::builder()
-            .module_selection(module_selection)
-            .backtracking(backtracking)
-            .build();
+        let options = SynthesisOptions {
+            module_selection,
+            backtracking,
+            ..SynthesisOptions::default()
+        };
         check_interval(&engine.session(&compiled), latency, power, pick, &options)?;
     }
 
@@ -277,19 +278,13 @@ fn figure2_runs_the_kernel_once_per_distinct_answer() {
     }
 }
 
-/// Latency and envelope sweeps have no interval to reuse: every grid
-/// point runs.
+/// Envelope sweeps have no interval to reuse: every grid point runs.
 #[test]
 fn other_sweeps_run_every_point() {
     let engine = Engine::new(paper_library());
     let compiled = engine.compile(&pchls_cdfg::benchmarks::hal());
     let session = engine.session(&compiled);
     let options = SynthesisOptions::default();
-    let latency = SweepSpec::Latency {
-        power: 25.0,
-        latencies: vec![10, 12, 17, 25],
-    };
-    assert_eq!(session.sweep(&latency, &options).kernel_runs, 4);
     let budget = pchls_sched::PowerBudget::steps(vec![(0, 40.0), (5, 15.0)]);
     let scale = SweepSpec::budget_scale(10, budget.clone(), vec![0.5, 1.0, 1.0, 2.0]);
     assert_eq!(session.sweep(&scale, &options).kernel_runs, 4);

@@ -32,7 +32,7 @@ pub struct BaselineDesign {
 ///
 /// Returns [`SynthesisError::Infeasible`] when even the unconstrained
 /// schedule misses the latency bound, and propagates binding failures.
-pub fn two_step_bind(
+pub(crate) fn two_step_bind(
     graph: &Cdfg,
     library: &ModuleLibrary,
     constraints: SynthesisConstraints,
@@ -64,7 +64,7 @@ pub fn two_step_bind(
 ///
 /// Returns [`SynthesisError::Infeasible`] when the critical path misses
 /// the latency bound, and propagates binding failures.
-pub fn unconstrained_bind(
+pub(crate) fn unconstrained_bind(
     graph: &Cdfg,
     library: &ModuleLibrary,
     latency: u32,

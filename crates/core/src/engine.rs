@@ -18,7 +18,8 @@
 //!   [`batch`](Session::batch) calls share every compiled artifact
 //!   across thousands of constraint points with **no per-point
 //!   recompute** — and produce output byte-identical to the serial
-//!   reference sweeps (enforced by `tests/engine_equivalence.rs`).
+//!   reference [`power_sweep_serial`](crate::power_sweep_serial)
+//!   (enforced by `tests/engine_equivalence.rs`).
 //!
 //! # Example
 //!
@@ -55,7 +56,7 @@ use crate::baseline::{trimmed_allocation_bind, two_step_bind, unconstrained_bind
 use crate::constraints::SynthesisConstraints;
 use crate::design::SynthesizedDesign;
 use crate::error::SynthesisError;
-use crate::explore::{envelope, latency_order, power_order, SweepAxis, SweepPoint};
+use crate::explore::{envelope, power_order, SweepPoint};
 use crate::options::SynthesisOptions;
 use crate::refine::{portfolio_session, refined_session};
 use crate::synthesis::synthesize_recorded;
@@ -367,12 +368,11 @@ impl<'e> Session<'e> {
         portfolio_session(self.engine, self.compiled, &constraints, options)
     }
 
-    /// Sweeps one constraint axis, reusing the compiled graph for every
-    /// grid point: the grid's requests go through
+    /// Sweeps the power bound at a fixed latency, reusing the compiled
+    /// graph for every grid point: the grid's requests go through
     /// [`batch`](Session::batch) and [`SweepSpec::envelope`] finishes the
-    /// curve — output byte-identical to the serial references
-    /// [`power_sweep_serial`](crate::power_sweep_serial) /
-    /// [`latency_sweep_serial`](crate::latency_sweep_serial).
+    /// curve — output byte-identical to the serial reference
+    /// [`power_sweep_serial`](crate::power_sweep_serial).
     #[must_use]
     pub fn sweep(&self, spec: &SweepSpec, options: &SynthesisOptions) -> SweepResult {
         let name = self.compiled.name();
@@ -536,11 +536,15 @@ impl<'e> Session<'e> {
     }
 
     /// The two-step baseline (paper refs [1, 2]) on this session's
-    /// graph and library.
+    /// graph and library: a time-constrained ASAP schedule, a
+    /// mobility-based power-flattening pass, then clique-partitioning
+    /// binding on the fixed resulting schedule, with one up-front module
+    /// `policy`.
     ///
     /// # Errors
     ///
-    /// As [`two_step_bind`].
+    /// [`SynthesisError::Infeasible`] when even the unconstrained
+    /// schedule misses the latency bound; binding failures propagate.
     pub fn two_step(
         &self,
         constraints: SynthesisConstraints,
@@ -555,11 +559,13 @@ impl<'e> Session<'e> {
     }
 
     /// The power-oblivious ASAP baseline on this session's graph and
-    /// library.
+    /// library: plain ASAP scheduling plus clique-partitioning binding,
+    /// ignoring `P<` entirely.
     ///
     /// # Errors
     ///
-    /// As [`unconstrained_bind`].
+    /// [`SynthesisError::Infeasible`] when the critical path misses
+    /// `latency`; binding failures propagate.
     pub fn unconstrained(
         &self,
         latency: u32,
@@ -588,7 +594,8 @@ impl<'e> Session<'e> {
     }
 }
 
-/// One constraint-axis sweep over a compiled graph.
+/// One power sweep at a fixed latency over a compiled graph: a grid of
+/// constant bounds or of scale factors on one budget envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepSpec {
     /// Fixed latency, varying power bounds (one Figure 2 curve).
@@ -597,13 +604,6 @@ pub enum SweepSpec {
         latency: u32,
         /// Power bounds of the grid.
         powers: Vec<f64>,
-    },
-    /// Fixed power bound, varying latencies (the orthogonal cut).
-    Latency {
-        /// Power constraint `P<` for every point.
-        power: f64,
-        /// Latency bounds of the grid.
-        latencies: Vec<u32>,
     },
     /// Fixed latency, one budget *envelope* swept over scale factors:
     /// grid point `i` synthesizes under `budget.scaled(scales[i])`. The
@@ -643,7 +643,6 @@ impl SweepSpec {
     pub fn len(&self) -> usize {
         match self {
             SweepSpec::Power { powers, .. } => powers.len(),
-            SweepSpec::Latency { latencies, .. } => latencies.len(),
             SweepSpec::BudgetScale { scales, .. } => scales.len(),
         }
     }
@@ -668,19 +667,12 @@ impl SweepSpec {
     pub fn envelope(&self, raw: Vec<SweepPoint>) -> Vec<SweepPoint> {
         assert_eq!(raw.len(), self.len(), "one raw point per grid point");
         match self {
-            SweepSpec::Power { powers, .. } => {
-                envelope(raw, &power_order(powers), SweepAxis::Power)
-            }
-            SweepSpec::Latency { latencies, .. } => {
-                envelope(raw, &latency_order(latencies), SweepAxis::Latency)
-            }
+            SweepSpec::Power { powers, .. } => envelope(raw, &power_order(powers)),
             // A design feasible at scale `s` stays feasible at every larger
             // scale (the envelope only grows pointwise), so the monotone
             // carry applies along ascending scales; the carried label is
-            // the point's own peak bound (`SweepAxis::Power`).
-            SweepSpec::BudgetScale { scales, .. } => {
-                envelope(raw, &power_order(scales), SweepAxis::Power)
-            }
+            // the point's own peak bound.
+            SweepSpec::BudgetScale { scales, .. } => envelope(raw, &power_order(scales)),
         }
     }
 
@@ -693,9 +685,6 @@ impl SweepSpec {
     pub fn constraints(&self, i: usize) -> SynthesisConstraints {
         match self {
             SweepSpec::Power { latency, powers } => SynthesisConstraints::new(*latency, powers[i]),
-            SweepSpec::Latency { power, latencies } => {
-                SynthesisConstraints::new(latencies[i], *power)
-            }
             SweepSpec::BudgetScale {
                 latency,
                 budget,

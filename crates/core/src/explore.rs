@@ -1,10 +1,11 @@
-//! Design-space exploration: the sweeps behind Figure 2.
+//! Design-space exploration: the power sweeps behind Figure 2 (area
+//! against the power bound at a fixed latency `T`).
 //!
 //! [`Session::sweep`](crate::Session::sweep) runs the grid points in
 //! parallel through [`Session::batch`](crate::Session::batch) and then
 //! applies [`SweepSpec::envelope`](crate::SweepSpec::envelope); the
-//! serial reference sweeps here are the baseline the determinism tests
-//! compare against.
+//! serial reference [`power_sweep_serial`] is the baseline the
+//! determinism tests compare against.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,15 +44,6 @@ impl SweepPoint {
     }
 }
 
-/// Which constraint axis a sweep varies (and therefore which field the
-/// monotone-envelope pass rewrites when it carries a better design
-/// forward).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SweepAxis {
-    Power,
-    Latency,
-}
-
 /// Synthesizes `graph` at a fixed latency for every power bound in
 /// `powers`, one synthesis at a time, producing one curve of Figure 2.
 ///
@@ -87,39 +79,7 @@ pub fn power_sweep_serial(
             )
         })
         .collect();
-    envelope(raw, &power_order(powers), SweepAxis::Power)
-}
-
-/// Synthesizes `graph` at a fixed power bound for every latency in
-/// `latencies` (the orthogonal cut through the constraint space), one
-/// synthesis at a time.
-///
-/// Each point reports the best design found at any latency `≤ T` — a
-/// design meeting a tighter deadline meets every looser one. The serial
-/// reference for [`Session::sweep`](crate::Session::sweep) with
-/// [`SweepSpec::Latency`](crate::SweepSpec::Latency).
-#[must_use]
-pub fn latency_sweep_serial(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    power: f64,
-    latencies: &[u32],
-    options: &SynthesisOptions,
-) -> Vec<SweepPoint> {
-    let engine = Engine::new(library.clone());
-    let compiled = engine.compile(graph);
-    let raw = latencies
-        .iter()
-        .map(|&t| {
-            run_point(
-                &engine,
-                &compiled,
-                SynthesisConstraints::new(t, power),
-                options,
-            )
-        })
-        .collect();
-    envelope(raw, &latency_order(latencies), SweepAxis::Latency)
+    envelope(raw, &power_order(powers))
 }
 
 /// Ascending visit order over a float grid.
@@ -129,19 +89,12 @@ pub(crate) fn power_order(powers: &[f64]) -> Vec<usize> {
     order
 }
 
-/// Ascending visit order over a latency grid.
-pub(crate) fn latency_order(latencies: &[u32]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..latencies.len()).collect();
-    order.sort_by_key(|&i| latencies[i]);
-    order
-}
-
 /// The sequential monotone-envelope pass: visiting raw points in
-/// ascending-constraint `order`, replaces any point worse than the best
-/// seen so far with that best design (re-labelled to the point's own
-/// bound). Points are moved, not cloned; only an actual carry copies the
-/// best design into the slot.
-pub(crate) fn envelope(raw: Vec<SweepPoint>, order: &[usize], axis: SweepAxis) -> Vec<SweepPoint> {
+/// ascending-bound `order`, replaces any point worse than the best seen
+/// so far with that best design (re-labelled to the point's own power
+/// bound). Points are moved, not cloned; only an actual carry copies
+/// the best design into the slot.
+pub(crate) fn envelope(raw: Vec<SweepPoint>, order: &[usize]) -> Vec<SweepPoint> {
     let mut points = raw;
     let mut best: Option<usize> = None;
     for &i in order {
@@ -149,10 +102,7 @@ pub(crate) fn envelope(raw: Vec<SweepPoint>, order: &[usize], axis: SweepAxis) -
             let best_area = points[b].area.expect("best is feasible");
             if best_area < points[i].area.unwrap_or(u64::MAX) {
                 let mut carried = points[b].clone();
-                match axis {
-                    SweepAxis::Power => carried.power_bound = points[i].power_bound,
-                    SweepAxis::Latency => carried.latency_bound = points[i].latency_bound,
-                }
+                carried.power_bound = points[i].power_bound;
                 points[i] = carried;
             }
         }
@@ -189,17 +139,6 @@ mod tests {
     use pchls_fulib::paper_library;
 
     /// The parallel session sweep over a fresh compile.
-    fn session_sweep(
-        graph: &Cdfg,
-        library: &ModuleLibrary,
-        spec: &SweepSpec,
-        options: &SynthesisOptions,
-    ) -> Vec<SweepPoint> {
-        let engine = Engine::new(library.clone());
-        let compiled = engine.compile(graph);
-        engine.session(&compiled).sweep(spec, options).into_points()
-    }
-
     fn power_sweep(
         graph: &Cdfg,
         library: &ModuleLibrary,
@@ -207,30 +146,13 @@ mod tests {
         powers: &[f64],
         options: &SynthesisOptions,
     ) -> Vec<SweepPoint> {
-        session_sweep(
-            graph,
-            library,
-            &SweepSpec::power(latency, powers.to_vec()),
-            options,
-        )
-    }
-
-    fn latency_sweep(
-        graph: &Cdfg,
-        library: &ModuleLibrary,
-        power: f64,
-        latencies: &[u32],
-        options: &SynthesisOptions,
-    ) -> Vec<SweepPoint> {
-        session_sweep(
-            graph,
-            library,
-            &SweepSpec::Latency {
-                power,
-                latencies: latencies.to_vec(),
-            },
-            options,
-        )
+        let engine = Engine::new(library.clone());
+        let compiled = engine.compile(graph);
+        let spec = SweepSpec::power(latency, powers.to_vec());
+        engine
+            .session(&compiled)
+            .sweep(&spec, options)
+            .into_points()
     }
 
     #[test]
@@ -283,25 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_sweep_runs_and_is_monotone() {
-        let g = benchmarks::hal();
-        let lib = paper_library();
-        let pts = latency_sweep(
-            &g,
-            &lib,
-            25.0,
-            &[8, 12, 17, 25],
-            &SynthesisOptions::default(),
-        );
-        assert_eq!(pts.len(), 4);
-        assert!(pts.iter().skip(1).all(SweepPoint::is_feasible));
-        let areas: Vec<u64> = pts.iter().filter_map(|p| p.area).collect();
-        for w in areas.windows(2) {
-            assert!(w[1] <= w[0], "{areas:?}");
-        }
-    }
-
-    #[test]
     fn parallel_power_sweep_equals_serial() {
         let g = benchmarks::hal();
         let lib = paper_library();
@@ -312,15 +215,5 @@ mod tests {
             let ser = power_sweep_serial(&g, &lib, t, &grid, &SynthesisOptions::default());
             assert_eq!(par, ser, "T={t}");
         }
-    }
-
-    #[test]
-    fn parallel_latency_sweep_equals_serial() {
-        let g = benchmarks::cosine();
-        let lib = paper_library();
-        let lats = [10, 12, 15, 19, 25];
-        let par = latency_sweep(&g, &lib, 30.0, &lats, &SynthesisOptions::default());
-        let ser = latency_sweep_serial(&g, &lib, 30.0, &lats, &SynthesisOptions::default());
-        assert_eq!(par, ser);
     }
 }

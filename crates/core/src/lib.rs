@@ -25,9 +25,9 @@
 //! per-library indexes, [`Engine::compile`] owns the per-graph analyses
 //! (reachability bitsets, bootstrap estimates, schedule skeletons), and
 //! a [`Session`] synthesizes under any number of `(T, P<)` constraint
-//! points — one at a time ([`Session::synthesize`]), as a constraint
-//! sweep ([`Session::sweep`]), or as an arbitrary batched request list
-//! ([`Session::batch`]) — without recomputing any of it.
+//! points — one at a time ([`Session::synthesize`]), as a power sweep
+//! at a fixed latency ([`Session::sweep`]), or as an arbitrary batched
+//! request list ([`Session::batch`]) — without recomputing any of it.
 //!
 //! # Example
 //!
@@ -66,7 +66,7 @@ mod synthesis;
 mod topk;
 
 pub use area::{area_breakdown, AreaBreakdown, AreaModel};
-pub use baseline::{two_step_bind, unconstrained_bind, BaselineDesign};
+pub use baseline::BaselineDesign;
 pub use constraints::{SynthesisConstraints, MAX_LATENCY};
 pub use design::{SynthesisStats, SynthesizedDesign};
 pub use engine::{
@@ -74,7 +74,7 @@ pub use engine::{
     SynthesisResult,
 };
 pub use error::SynthesisError;
-pub use explore::{latency_sweep_serial, power_sweep_serial, SweepPoint};
-pub use options::{SynthesisOptions, SynthesisOptionsBuilder};
+pub use explore::{power_sweep_serial, SweepPoint};
+pub use options::SynthesisOptions;
 pub use pchls_sched::{BudgetError, PowerBudget};
 pub use topk::TopK;

@@ -17,23 +17,21 @@ pub(crate) const MAX_WEIGHT: f64 = 1e100;
 /// exist for the ablation studies in `EXPERIMENTS.md` (what each
 /// ingredient of the heuristic buys).
 ///
-/// The struct is `#[non_exhaustive]` so future knobs can be added
-/// without breaking callers: construct it with
-/// [`SynthesisOptions::default`] or the
-/// [`builder`](SynthesisOptions::builder):
+/// Every field is public: start from the paper defaults and change the
+/// knobs a run needs with struct-update syntax:
 ///
 /// ```
 /// use pchls_core::SynthesisOptions;
 ///
-/// let opts = SynthesisOptions::builder()
-///     .backtracking(false)
-///     .interconnect_scoring(false)
-///     .build();
+/// let opts = SynthesisOptions {
+///     backtracking: false,
+///     interconnect_scoring: false,
+///     ..SynthesisOptions::default()
+/// };
 /// assert!(!opts.backtracking);
 /// assert!(opts.module_selection, "untouched knobs keep their defaults");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub struct SynthesisOptions {
     /// Relative weight of area vs. interconnect in decision scoring.
     pub weights: CostWeights,
@@ -79,54 +77,6 @@ impl SynthesisOptions {
         }
         Ok(())
     }
-
-    /// A builder starting from the paper defaults.
-    pub fn builder() -> SynthesisOptionsBuilder {
-        SynthesisOptionsBuilder {
-            options: SynthesisOptions::default(),
-        }
-    }
-}
-
-/// Builder for [`SynthesisOptions`] (the only way to construct
-/// non-default options outside this crate, since the struct is
-/// `#[non_exhaustive]`).
-#[derive(Debug, Clone)]
-#[must_use = "call .build() to obtain the options"]
-pub struct SynthesisOptionsBuilder {
-    options: SynthesisOptions,
-}
-
-impl SynthesisOptionsBuilder {
-    /// Sets the decision-scoring weights.
-    pub fn weights(mut self, weights: CostWeights) -> Self {
-        self.options.weights = weights;
-        self
-    }
-
-    /// Enables or disables the paper's backtracking rule.
-    pub fn backtracking(mut self, on: bool) -> Self {
-        self.options.backtracking = on;
-        self
-    }
-
-    /// Enables or disables module-selection exploration.
-    pub fn module_selection(mut self, on: bool) -> Self {
-        self.options.module_selection = on;
-        self
-    }
-
-    /// Enables or disables interconnect-aware scoring.
-    pub fn interconnect_scoring(mut self, on: bool) -> Self {
-        self.options.interconnect_scoring = on;
-        self
-    }
-
-    /// Finishes the builder.
-    #[must_use]
-    pub fn build(self) -> SynthesisOptions {
-        self.options
-    }
 }
 
 #[cfg(test)]
@@ -137,24 +87,5 @@ mod tests {
     fn defaults_enable_everything() {
         let o = SynthesisOptions::default();
         assert!(o.backtracking && o.module_selection && o.interconnect_scoring);
-    }
-
-    #[test]
-    fn builder_defaults_match_default() {
-        assert_eq!(
-            SynthesisOptions::builder().build(),
-            SynthesisOptions::default()
-        );
-    }
-
-    #[test]
-    fn builder_flips_only_requested_knobs() {
-        let o = SynthesisOptions::builder()
-            .backtracking(false)
-            .module_selection(false)
-            .build();
-        assert!(!o.backtracking && !o.module_selection);
-        assert!(o.interconnect_scoring);
-        assert_eq!(o.weights, CostWeights::default());
     }
 }

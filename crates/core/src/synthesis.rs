@@ -1376,12 +1376,12 @@ mod tests {
                 seed,
             });
             let min_latency = Engine::new(paper_library()).compile(&graph).min_latency();
-            let options = SynthesisOptions::builder()
-                .weights(CostWeights { area, interconnect, displacement })
-                .module_selection(module_selection)
-                .interconnect_scoring(interconnect_scoring)
-                .backtracking(backtracking)
-                .build();
+            let options = SynthesisOptions {
+                weights: CostWeights { area, interconnect, displacement },
+                backtracking,
+                module_selection,
+                interconnect_scoring,
+            };
             let constraints = SynthesisConstraints::new(min_latency * (1 + slack), power);
             // Infeasible points are fine: every ranking before the
             // failure was still checked.
@@ -1451,13 +1451,14 @@ mod tests {
             b.output(format!("y{i}_out"), y);
         }
         let graph = b.finish().unwrap();
-        let options = SynthesisOptions::builder()
-            .weights(CostWeights {
+        let options = SynthesisOptions {
+            weights: CostWeights {
                 area: 1.0,
                 interconnect: 10.0,
                 displacement: 0.0,
-            })
-            .build();
+            },
+            ..SynthesisOptions::default()
+        };
         let (result, _) = synth_tally(
             library,
             &graph,
@@ -1494,7 +1495,10 @@ mod tests {
                     },
                 ),
             ] {
-                let opts = SynthesisOptions::builder().weights(weights).build();
+                let opts = SynthesisOptions {
+                    weights,
+                    ..SynthesisOptions::default()
+                };
                 match synth_opts(&g, 17, 25.0, &opts) {
                     Err(SynthesisError::InvalidWeight { field, value }) => {
                         assert_eq!(field, name);

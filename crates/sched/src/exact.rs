@@ -1,5 +1,7 @@
 //! Exact minimal-latency power-constrained scheduling by branch and
-//! bound — the optimality yardstick for `pasap`.
+//! bound — the optimality yardstick for `pasap`. A test-only reference:
+//! it is compiled only under `cfg(test)`, where the tests below compare
+//! `pasap` against it.
 //!
 //! `pasap` is a greedy heuristic; this module computes, for small
 //! graphs, the *true* minimum latency achievable under the per-cycle
@@ -26,11 +28,11 @@ use pchls_fulib::bound_quanta;
 
 /// Effort limits for the exact search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExactLimits {
+pub(crate) struct ExactLimits {
     /// Maximum search-tree nodes to expand before giving up.
-    pub max_nodes: u64,
+    pub(crate) max_nodes: u64,
     /// Hard cap on the latency considered (search space horizon).
-    pub max_latency: u32,
+    pub(crate) max_latency: u32,
 }
 
 impl Default for ExactLimits {
@@ -50,7 +52,7 @@ impl Default for ExactLimits {
 /// The returned latency is achievable: the search only accepts complete,
 /// validated placements.
 #[must_use]
-pub fn minimal_latency_exact(
+pub(crate) fn minimal_latency_exact(
     graph: &Cdfg,
     timing: &TimingMap,
     max_power: f64,

@@ -56,6 +56,7 @@ mod alap;
 mod asap;
 mod budget;
 mod error;
+#[cfg(test)]
 mod exact;
 mod interval;
 mod list;
@@ -69,7 +70,6 @@ pub use alap::alap;
 pub use asap::asap;
 pub use budget::{BudgetError, PowerBudget};
 pub use error::ScheduleError;
-pub use exact::{minimal_latency_exact, ExactLimits};
 pub use interval::PowerInterval;
 pub use list::{list_schedule, Allocation};
 pub use pasap::{

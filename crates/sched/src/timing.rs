@@ -165,7 +165,9 @@ impl TimingMap {
 
     /// Sum over all operations of `delay × power`, in quanta-cycles: the
     /// total energy of one execution of the graph, which is
-    /// schedule-invariant.
+    /// schedule-invariant. Only the exact scheduler's energy bound
+    /// reads it.
+    #[cfg(test)]
     #[must_use]
     pub(crate) fn total_energy(&self) -> u64 {
         self.entries

@@ -165,7 +165,10 @@ fn route_frame(
         // The oversized line was discarded by the codec — answer with a
         // parseable error instead of letting the buffer grow without
         // bound.
-        Err(e) => return Routed::Reply(SubmitResponse::error(0, e.to_string())),
+        Err(e) => {
+            service.note_bad_request();
+            return Routed::Reply(SubmitResponse::error(0, e.to_string()));
+        }
     };
     if line.iter().all(u8::is_ascii_whitespace) {
         return Routed::Skip;
@@ -204,10 +207,13 @@ fn route_frame(
         // overload it is diagnosing, not be shed by it.
         "stats" => Routed::Reply(SubmitResponse::stats(request.id, service.stats())),
         "metrics" => Routed::Reply(SubmitResponse::metrics(request.id, service.metrics_text())),
-        other => Routed::Reply(SubmitResponse::error(
-            request.id,
-            format!("unknown op `{other}`"),
-        )),
+        other => {
+            service.note_bad_request();
+            Routed::Reply(SubmitResponse::error(
+                request.id,
+                format!("unknown op `{other}`"),
+            ))
+        }
     }
 }
 
@@ -701,21 +707,29 @@ mod tests {
 
     #[test]
     fn unparseable_lines_count_as_failed_requests() {
-        let service = service();
-        let script = concat!(
-            "this is not json\n",
-            r#"{"op":"synth","id":2,"graph":"hal","latency":17,"power":-1}"#,
-            "\n",
+        let service = Service::start(
+            Engine::new(paper_library()),
+            ServiceConfig {
+                workers: 2,
+                max_line_bytes: 128,
+                ..ServiceConfig::default()
+            },
         );
-        let responses = drive(&service, script);
-        assert_eq!(responses.len(), 2);
+        let script = format!(
+            "this is not json\n{}\n{}\n{}\n",
+            r#"{"op":"frobnicate","id":3}"#,
+            "x".repeat(256),
+            r#"{"op":"synth","id":2,"graph":"hal","latency":17,"power":-1}"#,
+        );
+        let responses = drive(&service, &script);
+        assert_eq!(responses.len(), 4);
         assert!(responses.iter().all(|r| !r.ok));
-        assert_eq!(service.stats().failed, 2);
+        assert_eq!(service.stats().failed, 4);
         assert!(
             service
                 .metrics_text()
                 .lines()
-                .any(|l| l == "pchls_requests_failed_total 2"),
+                .any(|l| l == "pchls_requests_failed_total 4"),
             "the scrape agrees with stats"
         );
     }

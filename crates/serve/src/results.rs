@@ -4,10 +4,10 @@
 //! this module amortizes the *synthesis outcome itself*, which is safe
 //! because the engine is deterministic: one `(graph_fingerprint,
 //! latency_bound, budget_digest)` key ([`StoreKey`]) names exactly one
-//! result for a fixed [`SynthesisOptions`](pchls_core::SynthesisOptions)
-//! configuration (a service applies one options value to every request,
-//! so the key never needs to carry it; callers mixing options must use
-//! separate store directories).
+//! result. Every store writer — the service, `batch --store` and
+//! `sweep --store` — synthesizes under the paper-default
+//! [`SynthesisOptions`](pchls_core::SynthesisOptions), so the key needs
+//! no options field.
 //!
 //! * **Tier 1** — a bounded in-memory [`Lru`] of [`StoreRecord`]s, the
 //!   same LRU the compile cache uses. A hit skips compile *and*

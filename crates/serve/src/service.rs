@@ -94,11 +94,6 @@ pub struct ServiceConfig {
     /// loop waits at most until the next line is due, so an idle server
     /// still reports.
     pub stats_interval: u64,
-    /// Synthesis options applied to every request (the CLI and batch
-    /// path use the default paper configuration). Result-cache keys do
-    /// not carry options — point one store directory at one options
-    /// configuration.
-    pub options: SynthesisOptions,
 }
 
 impl Default for ServiceConfig {
@@ -114,7 +109,6 @@ impl Default for ServiceConfig {
             burst: 32.0,
             max_line_bytes: 1 << 20,
             stats_interval: 0,
-            options: SynthesisOptions::default(),
         }
     }
 }
@@ -205,7 +199,6 @@ struct Shard {
 /// State shared between the front ends, the shards and the workers.
 struct Shared {
     engine: Engine,
-    options: SynthesisOptions,
     shards: Vec<Shard>,
     /// This service's own metrics registry (per-instance, not global,
     /// so exact-count tests never observe another service's traffic):
@@ -328,7 +321,6 @@ impl Service {
             .collect();
         let shared = Arc::new(Shared {
             engine,
-            options: config.options,
             shards,
             latency: metrics.histogram("pchls_request_latency_seconds"),
             hit_latency: metrics.histogram("pchls_lane_latency_seconds{lane=\"hit\"}"),
@@ -440,8 +432,9 @@ impl Service {
         pchls_obs::event!("serve.rate_limited");
     }
 
-    /// Records one wire line that failed to parse (the front end answers
-    /// it with a `bad request` error): a failed request.
+    /// Records one wire line the front end answers inline with an error
+    /// (unparseable, over-long, or an unknown op): a failed request that
+    /// never reached a queue.
     pub(crate) fn note_bad_request(&self) {
         self.shared.failed.inc();
     }
@@ -751,16 +744,14 @@ impl Shared {
         let deadline =
             (req.deadline_ms > 0).then(|| job.accepted + Duration::from_millis(req.deadline_ms));
         let session = self.engine.session(&compiled);
-        let outcome =
-            session.synthesize_with_progress(constraints.clone(), &self.options, &mut |_| {
-                if job.cancel.load(Ordering::Relaxed)
-                    || deadline.is_some_and(|d| Instant::now() >= d)
-                {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            });
+        let options = SynthesisOptions::default();
+        let outcome = session.synthesize_with_progress(constraints.clone(), &options, &mut |_| {
+            if job.cancel.load(Ordering::Relaxed) || deadline.is_some_and(|d| Instant::now() >= d) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
 
         match outcome {
             Err(SynthesisError::Cancelled) => {
@@ -783,7 +774,7 @@ impl Shared {
                     .map(|d| pchls_store::trace_bytes(&d.schedule))
                     .unwrap_or_default();
                 let point = SynthesisResult {
-                    request: SynthesisRequest::new(constraints).with_options(self.options),
+                    request: SynthesisRequest::new(constraints),
                     outcome,
                 }
                 .to_point(compiled.name());
@@ -893,33 +884,6 @@ mod tests {
         let direct =
             serde_json::to_string(&direct_point(service.engine(), "hal", 17, 1.0)).unwrap();
         assert_eq!(served, direct);
-    }
-
-    #[test]
-    fn non_finite_weights_fail_requests_without_killing_the_worker() {
-        let options = SynthesisOptions::builder()
-            .weights(pchls_bind::CostWeights {
-                area: f64::NAN,
-                ..pchls_bind::CostWeights::default()
-            })
-            .build();
-        let service = Service::start(
-            Engine::new(paper_library()),
-            ServiceConfig {
-                workers: 1,
-                options,
-                ..ServiceConfig::default()
-            },
-        );
-        // The second call reaches the same (sole) worker: it survived.
-        for id in 0..2 {
-            let resp = service.call(SubmitRequest::synth(id, "hal", 17, 25.0));
-            assert!(!resp.ok, "NaN weights must fail the request");
-            let error = resp.error.unwrap();
-            assert!(error.contains("`area`"), "{error}");
-        }
-        let stats = service.stats();
-        assert_eq!((stats.completed, stats.failed), (0, 2));
     }
 
     #[test]

@@ -46,12 +46,15 @@ impl LaneSnapshot {
 /// wire (the protocol's `Stats` message payload).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServiceStats {
-    /// Requests accepted into the queues since start.
+    /// Requests accepted into the queues since start. Counts queued jobs
+    /// only: a wire line answered inline with an error never reaches a
+    /// queue, so [`failed`](ServiceStats::failed) can exceed this.
     pub requests: u64,
     /// Requests answered with a synthesis point (feasible or not).
     pub completed: u64,
-    /// Requests answered with an error (bad request, unknown graph,
-    /// compile failure).
+    /// Requests answered with an error: queued jobs that failed (bad
+    /// constraints, unknown graph, compile failure) and wire lines the
+    /// front end answers inline (unparseable, over-long, unknown op).
     pub failed: u64,
     /// Requests cancelled by the client or their deadline.
     pub cancelled: u64,

@@ -5,7 +5,7 @@
 
 use pchls::cdfg::benchmarks;
 use pchls::core::{
-    two_step_bind, Engine, SynthesisConstraints, SynthesisError, SynthesisOptions,
+    BaselineDesign, Engine, SynthesisConstraints, SynthesisError, SynthesisOptions,
     SynthesizedDesign,
 };
 use pchls::fulib::{paper_library, SelectionPolicy};
@@ -22,6 +22,16 @@ fn synth(
         .synthesize(c, &SynthesisOptions::default())
 }
 
+/// The two-step baseline with fastest modules, through the session API.
+fn two_step(g: &pchls::cdfg::Cdfg, c: SynthesisConstraints) -> BaselineDesign {
+    let engine = Engine::new(paper_library());
+    let compiled = engine.compile(g);
+    engine
+        .session(&compiled)
+        .two_step(c, SelectionPolicy::Fastest)
+        .expect("latency feasible")
+}
+
 #[test]
 fn two_step_fails_where_combined_succeeds() {
     // hal at T=12, P<=15: the ASAP schedule with fastest modules peaks
@@ -32,8 +42,7 @@ fn two_step_fails_where_combined_succeeds() {
     let g = benchmarks::hal();
     let c = SynthesisConstraints::new(12, 15.0);
 
-    let two =
-        two_step_bind(&g, &lib, c.clone(), SelectionPolicy::Fastest).expect("latency feasible");
+    let two = two_step(&g, c.clone());
     assert!(
         !two.met_power,
         "expected the two-step baseline to miss the power bound"
@@ -49,12 +58,10 @@ fn combined_design_is_smaller_when_power_binds() {
     // hal at T=17, P<=12: both succeed, but the two-step flow is stuck
     // with the fastest-module selection it started from, while the
     // combined algorithm swaps in serial multipliers.
-    let lib = paper_library();
     let g = benchmarks::hal();
     let c = SynthesisConstraints::new(17, 12.0);
 
-    let two =
-        two_step_bind(&g, &lib, c.clone(), SelectionPolicy::Fastest).expect("latency feasible");
+    let two = two_step(&g, c.clone());
     let combined = synth(&g, c).expect("feasible");
     assert!(two.met_power, "baseline meets power at this point");
     assert!(
@@ -95,10 +102,13 @@ fn combined_never_reports_a_violating_design() {
 fn unconstrained_baseline_shows_the_spikes() {
     // Figure 1's premise: the power-oblivious design has a worse
     // peak-to-average ratio than any power-constrained one.
-    let lib = paper_library();
     let g = benchmarks::hal();
-    let oblivious =
-        pchls::core::unconstrained_bind(&g, &lib, 20, SelectionPolicy::Fastest).unwrap();
+    let engine = Engine::new(paper_library());
+    let compiled = engine.compile(&g);
+    let oblivious = engine
+        .session(&compiled)
+        .unconstrained(20, SelectionPolicy::Fastest)
+        .unwrap();
     let constrained = synth(&g, SynthesisConstraints::new(20, 12.0)).unwrap();
     assert!(
         oblivious.power_profile().peak_to_average() > constrained.power_profile().peak_to_average()

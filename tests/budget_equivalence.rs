@@ -13,7 +13,7 @@
 use pchls::battery::budget_from_model;
 use pchls::cdfg::{benchmarks, random_dag, RandomDagConfig};
 use pchls::core::{
-    Engine, PowerBudget, Session, SweepSpec, SynthesisConstraints, SynthesisError,
+    Engine, PowerBudget, Session, SweepPoint, SweepSpec, SynthesisConstraints, SynthesisError,
     SynthesisOptions, SynthesisRequest, SynthesizedDesign,
 };
 use pchls::fulib::paper_library;
@@ -232,6 +232,23 @@ fn budget_scale_sweeps_cover_the_floor_to_peak_transition() {
     for w in areas.windows(2) {
         assert!(w[1] <= w[0], "{areas:?}");
     }
+    // Every point, carried or not, is labelled with its own peak bound.
+    for (i, p) in result.points.iter().enumerate() {
+        assert_eq!(p.power_bound, spec.constraints(i).max_power(), "point {i}");
+    }
+    // The raw greedy lands on a larger design at scale 1.5 than at 1.0,
+    // so the sweep carries 1.0's design, relabelled to 1.5's bound.
+    let raw: Vec<SweepPoint> = session
+        .batch((0..spec.len()).map(|i| SynthesisRequest::new(spec.constraints(i))))
+        .iter()
+        .map(|r| r.to_point(compiled.name()))
+        .collect();
+    assert!(raw[3].area > raw[2].area, "{raw:?}");
+    let carried = SweepPoint {
+        power_bound: raw[3].power_bound,
+        ..raw[2].clone()
+    };
+    assert_eq!(result.points[3], carried);
 }
 
 #[test]

@@ -87,12 +87,14 @@ fn extra_benchmarks_synthesize_too() {
 fn flattened_designs_extend_battery_life() {
     // The full chain of the paper's argument: a power-constrained design
     // must beat the unconstrained one on a low-quality battery.
-    let lib = paper_library();
     let g = benchmarks::hal();
     let latency = 20;
-    let oblivious =
-        pchls::core::unconstrained_bind(&g, &lib, latency, pchls::fulib::SelectionPolicy::Fastest)
-            .expect("latency is generous");
+    let engine = Engine::new(paper_library());
+    let compiled = engine.compile(&g);
+    let oblivious = engine
+        .session(&compiled)
+        .unconstrained(latency, pchls::fulib::SelectionPolicy::Fastest)
+        .expect("latency is generous");
     let constrained = synth(&g, SynthesisConstraints::new(latency, 12.0)).expect("feasible");
     let battery = RateCapacityBattery::low_quality(1_000_000.0);
     let cmp = compare_profiles(
