@@ -1,43 +1,19 @@
-//! The power-aware time-extended compatibility graph (`V1`).
+//! The power-aware time-extended compatibility graph (`V1`), and the
+//! one merge-scoring weight, [`INTERCONNECT_WEIGHT`].
 
 use pchls_cdfg::{Cdfg, NodeId, Reachability};
 use pchls_fulib::{ModuleId, ModuleLibrary};
 use pchls_sched::{Schedule, TimingMap};
 
-/// Weights combining area savings and interconnect savings into one merge
-/// gain, mirroring the "minimum area … using least interconnect"
-/// objective of the paper (and of Jou et al.'s partitioning).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostWeights {
-    /// Weight of the functional-unit area saved by a merge.
-    pub area: f64,
-    /// Weight of each shared operand source / result consumer (a proxy
-    /// for multiplexer inputs saved).
-    pub interconnect: f64,
-    /// Penalty per cycle an operation is displaced past its earliest
-    /// feasible start by a sharing decision. Serializing two
-    /// dependence-ordered operations is free; serializing two concurrent
-    /// siblings consumes schedule slack that later (often more valuable)
-    /// merges may need. This term makes the greedy prefer free
-    /// serializations among otherwise equal-area merges.
-    pub displacement: f64,
-}
-
-impl Default for CostWeights {
-    /// Area dominates; interconnect breaks ties (one shared connection is
-    /// worth a tenth of an area unit). The displacement penalty defaults
-    /// to **off**: measured across the Figure 2 curves it helps some
-    /// points and hurts others (greedy trajectories are highly sensitive
-    /// to tie-breaks — see the ablation section of `EXPERIMENTS.md`), so
-    /// it is left as an experimentation knob.
-    fn default() -> Self {
-        CostWeights {
-            area: 1.0,
-            interconnect: 0.1,
-            displacement: 0.0,
-        }
-    }
-}
+/// Weight of each shared operand source / result consumer (a proxy for a
+/// multiplexer input saved) in a merge's score; the area weight is 1.
+/// A score is the functional-unit area a merge saves plus this weight
+/// times its shared connections. The paper's objective is "minimum area
+/// … using least interconnect": module areas are whole numbers, so a
+/// merge saving one area unit more outranks any merge sharing fewer than
+/// ten connections more, and interconnect in effect only breaks ties
+/// between merges that save the same area.
+pub const INTERCONNECT_WEIGHT: f64 = 0.1;
 
 /// The compatibility graph over the operations of one CDFG.
 ///
@@ -56,14 +32,11 @@ pub struct CompatibilityGraph {
     n: usize,
     words: usize,
     bits: Vec<u64>,
-    weights: Vec<f64>,
 }
 
 impl CompatibilityGraph {
     /// Builds the compatibility graph. See the type-level documentation
-    /// for the compatibility rule; edge weights are
-    /// `weights.area × (area of the cheapest module covering both kinds)`
-    /// `+ weights.interconnect × (shared sources + shared sinks)`.
+    /// for the compatibility rule.
     ///
     /// # Panics
     ///
@@ -76,22 +49,20 @@ impl CompatibilityGraph {
         late: &Schedule,
         timing: &TimingMap,
         reach: &Reachability,
-        weights: &CostWeights,
     ) -> CompatibilityGraph {
         let n = graph.len();
         assert_eq!(early.len(), n, "early schedule covers the graph");
         assert_eq!(late.len(), n, "late schedule covers the graph");
         let words = n.div_ceil(64);
         let mut bits = vec![0u64; n * words];
-        let mut wts = vec![0.0f64; n * n];
 
         for i in 0..n {
             let a = NodeId::new(i as u32);
             for j in (i + 1)..n {
                 let b = NodeId::new(j as u32);
-                let Some(gain_area) = shared_module_area(graph, library, timing, a, b) else {
+                if cheapest_common_module(graph, library, timing, &[a, b]).is_none() {
                     continue;
-                };
+                }
                 let serializable = reach.ordered(a, b)
                     || early.finish(a, timing) <= late.start(b)
                     || early.finish(b, timing) <= late.start(a);
@@ -100,18 +71,9 @@ impl CompatibilityGraph {
                 }
                 bits[i * words + j / 64] |= 1 << (j % 64);
                 bits[j * words + i / 64] |= 1 << (i % 64);
-                let shared = shared_connections(graph, a, b);
-                let w = weights.area * f64::from(gain_area) + weights.interconnect * shared as f64;
-                wts[i * n + j] = w;
-                wts[j * n + i] = w;
             }
         }
-        CompatibilityGraph {
-            n,
-            words,
-            bits,
-            weights: wts,
-        }
+        CompatibilityGraph { n, words, bits }
     }
 
     /// Number of operations covered.
@@ -129,24 +91,6 @@ impl CompatibilityGraph {
         let (i, j) = (a.index(), b.index());
         self.bits[i * self.words + j / 64] & (1 << (j % 64)) != 0
     }
-
-    /// Merge gain of `a` and `b` (0 if incompatible).
-    #[must_use]
-    pub fn weight(&self, a: NodeId, b: NodeId) -> f64 {
-        self.weights[a.index() * self.n + b.index()]
-    }
-}
-
-/// Area of the cheapest module that implements both operations' kinds
-/// *with their scheduled timing*, or `None` if no such module exists.
-pub(crate) fn shared_module_area(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    timing: &TimingMap,
-    a: NodeId,
-    b: NodeId,
-) -> Option<u32> {
-    cheapest_common_module(graph, library, timing, &[a, b]).map(|m| library.module(m).area())
 }
 
 /// The cheapest module implementing every op in `ops` with each op's
@@ -173,7 +117,7 @@ pub(crate) fn cheapest_common_module(
 
 /// Shared operand producers plus shared result consumers — each saves a
 /// multiplexer input when the two operations share a unit.
-fn shared_connections(graph: &Cdfg, a: NodeId, b: NodeId) -> usize {
+pub(crate) fn shared_connections(graph: &Cdfg, a: NodeId, b: NodeId) -> usize {
     let count_common = |xs: &[NodeId], ys: &[NodeId]| xs.iter().filter(|x| ys.contains(x)).count();
     count_common(graph.operands(a), graph.operands(b))
         + count_common(graph.successors(a), graph.successors(b))
@@ -192,7 +136,7 @@ mod tests {
         let t = TimingMap::from_policy(g, &lib, SelectionPolicy::Fastest);
         let s = asap(g, &t);
         let r = Reachability::new(g);
-        let c = CompatibilityGraph::build(g, &lib, &s, &s, &t, &r, &CostWeights::default());
+        let c = CompatibilityGraph::build(g, &lib, &s, &s, &t, &r);
         (c, t)
     }
 
@@ -207,7 +151,6 @@ mod tests {
         let g = b.finish().unwrap();
         let (c, _) = fixed_compat(&g);
         assert!(c.compatible(a1, a2));
-        assert!(c.weight(a1, a2) > 0.0);
     }
 
     #[test]
@@ -240,7 +183,7 @@ mod tests {
         let early = asap(&g, &t);
         let late = alap(&g, &t, 6).unwrap(); // slack lets one slide past the other
         let r = Reachability::new(&g);
-        let c = CompatibilityGraph::build(&g, &lib, &early, &late, &t, &r, &CostWeights::default());
+        let c = CompatibilityGraph::build(&g, &lib, &early, &late, &t, &r);
         assert!(c.compatible(a1, a2));
     }
 
@@ -269,8 +212,6 @@ mod tests {
         let g = b.finish().unwrap();
         let (c, _) = fixed_compat(&g);
         assert!(c.compatible(a, s));
-        // Gain reflects the ALU area (97), the cheapest {+,−} module.
-        assert!((c.weight(a, s) - (97.0 + 0.1 * 1.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -295,7 +236,7 @@ mod tests {
         );
         let s = asap(&g, &t);
         let r = Reachability::new(&g);
-        let c = CompatibilityGraph::build(&g, &lib, &s, &s, &t, &r, &CostWeights::default());
+        let c = CompatibilityGraph::build(&g, &lib, &s, &s, &t, &r);
         assert!(!c.compatible(m1, m2));
     }
 

@@ -19,7 +19,7 @@ use crate::binding::Binding;
 /// # Example
 ///
 /// ```
-/// use pchls_bind::{bind_schedule, gantt, CostWeights};
+/// use pchls_bind::{bind_schedule, gantt};
 /// use pchls_cdfg::benchmarks::hal;
 /// use pchls_fulib::{paper_library, SelectionPolicy};
 /// use pchls_sched::{asap, TimingMap};
@@ -29,7 +29,7 @@ use crate::binding::Binding;
 /// let lib = paper_library();
 /// let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
 /// let s = asap(&g, &t);
-/// let b = bind_schedule(&g, &lib, &s, &t, &CostWeights::default())?;
+/// let b = bind_schedule(&g, &lib, &s, &t)?;
 /// let chart = gantt(&g, &lib, &b, &s, &t);
 /// assert!(chart.contains("mult_par"));
 /// # Ok(())
@@ -93,7 +93,6 @@ pub fn gantt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compat::CostWeights;
     use crate::partition::bind_schedule;
     use pchls_cdfg::benchmarks::hal;
     use pchls_fulib::{paper_library, SelectionPolicy};
@@ -104,7 +103,7 @@ mod tests {
         let lib = paper_library();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let s = asap(&g, &t);
-        let b = bind_schedule(&g, &lib, &s, &t, &CostWeights::default()).unwrap();
+        let b = bind_schedule(&g, &lib, &s, &t).unwrap();
         (g, lib, b, s, t)
     }
 

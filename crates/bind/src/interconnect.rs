@@ -81,7 +81,6 @@ impl InterconnectEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compat::CostWeights;
     use crate::partition::bind_schedule;
     use pchls_cdfg::benchmarks;
     use pchls_fulib::{paper_library, SelectionPolicy};
@@ -111,7 +110,7 @@ mod tests {
         let lib = paper_library();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let s = asap(&g, &t);
-        let shared = bind_schedule(&g, &lib, &s, &t, &CostWeights::default()).unwrap();
+        let shared = bind_schedule(&g, &lib, &s, &t).unwrap();
         let regs = RegisterAllocation::left_edge(&g, &s, &t);
         let est = InterconnectEstimate::of(&g, &shared, &regs);
         assert!(est.fu_mux_inputs > 0, "sharing must introduce muxes");
@@ -124,7 +123,7 @@ mod tests {
         let lib = paper_library();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let s = asap(&g, &t);
-        let b = bind_schedule(&g, &lib, &s, &t, &CostWeights::default()).unwrap();
+        let b = bind_schedule(&g, &lib, &s, &t).unwrap();
         let regs = RegisterAllocation::left_edge(&g, &s, &t);
         let a = InterconnectEstimate::of(&g, &b, &regs);
         let c = InterconnectEstimate::of(&g, &b, &regs);

@@ -31,7 +31,7 @@ mod partition;
 mod regalloc;
 
 pub use binding::{Binding, FuInstance, InstanceId};
-pub use compat::{CompatibilityGraph, CostWeights};
+pub use compat::{CompatibilityGraph, INTERCONNECT_WEIGHT};
 pub use error::BindError;
 pub use gantt::gantt;
 pub use interconnect::InterconnectEstimate;

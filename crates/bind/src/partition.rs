@@ -5,7 +5,9 @@ use pchls_fulib::ModuleLibrary;
 use pchls_sched::{Schedule, TimingMap};
 
 use crate::binding::Binding;
-use crate::compat::{cheapest_common_module, CompatibilityGraph, CostWeights};
+use crate::compat::{
+    cheapest_common_module, shared_connections, CompatibilityGraph, INTERCONNECT_WEIGHT,
+};
 use crate::error::BindError;
 
 /// Partitions the operations into cliques of the compatibility graph and
@@ -14,8 +16,8 @@ use crate::error::BindError;
 ///
 /// The greedy rule follows Jou et al.: repeatedly merge the pair of
 /// cliques with the largest gain (cheapest-common-module area saved plus
-/// weighted shared interconnect), until no merge is possible. Singleton
-/// cliques remain for operations that cannot share.
+/// [`INTERCONNECT_WEIGHT`] per shared connection), until no merge is
+/// possible. Singleton cliques remain for operations that cannot share.
 ///
 /// This is the *fixed-schedule* partitioner used by the baselines; the
 /// full synthesis algorithm in `pchls-core` interleaves partitioning with
@@ -30,7 +32,6 @@ pub(crate) fn partition_cliques(
     library: &ModuleLibrary,
     compat: &CompatibilityGraph,
     timing: &TimingMap,
-    weights: &CostWeights,
 ) -> Binding {
     assert_eq!(compat.len(), graph.len(), "compatibility graph mismatch");
     let mut cliques: Vec<Vec<NodeId>> = graph.node_ids().map(|id| vec![id]).collect();
@@ -39,15 +40,9 @@ pub(crate) fn partition_cliques(
         let mut best: Option<(f64, usize, usize)> = None;
         for i in 0..cliques.len() {
             for j in (i + 1)..cliques.len() {
-                let Some(gain) = merge_gain(
-                    graph,
-                    library,
-                    compat,
-                    timing,
-                    weights,
-                    &cliques[i],
-                    &cliques[j],
-                ) else {
+                let Some(gain) =
+                    merge_gain(graph, library, compat, timing, &cliques[i], &cliques[j])
+                else {
                     continue;
                 };
                 if gain <= 0.0 {
@@ -80,14 +75,13 @@ pub(crate) fn partition_cliques(
 ///
 /// Merging is allowed when every cross pair is compatible and one module
 /// covers the union. The gain is the area no longer duplicated:
-/// `area(module(a)) + area(module(b)) − area(module(a ∪ b))`, plus the
-/// weighted pairwise interconnect sharing across the cut.
+/// `area(module(a)) + area(module(b)) − area(module(a ∪ b))`, plus
+/// [`INTERCONNECT_WEIGHT`] per connection shared across the cut.
 fn merge_gain(
     graph: &Cdfg,
     library: &ModuleLibrary,
     compat: &CompatibilityGraph,
     timing: &TimingMap,
-    weights: &CostWeights,
     a: &[NodeId],
     b: &[NodeId],
 ) -> Option<f64> {
@@ -107,16 +101,9 @@ fn merge_gain(
     let interconnect: f64 = a
         .iter()
         .flat_map(|&x| b.iter().map(move |&y| (x, y)))
-        .map(|(x, y)| {
-            compat.weight(x, y)
-                - weights.area
-                    * f64::from(
-                        crate::compat::shared_module_area(graph, library, timing, x, y)
-                            .unwrap_or(0),
-                    )
-        })
+        .map(|(x, y)| INTERCONNECT_WEIGHT * shared_connections(graph, x, y) as f64)
         .sum();
-    Some(weights.area * area_gain + interconnect)
+    Some(area_gain + interconnect)
 }
 
 /// Binds a *fixed* schedule: builds the interval compatibility graph
@@ -132,12 +119,10 @@ pub fn bind_schedule(
     library: &ModuleLibrary,
     schedule: &Schedule,
     timing: &TimingMap,
-    weights: &CostWeights,
 ) -> Result<Binding, BindError> {
     let reach = Reachability::new(graph);
-    let compat =
-        CompatibilityGraph::build(graph, library, schedule, schedule, timing, &reach, weights);
-    let binding = partition_cliques(graph, library, &compat, timing, weights);
+    let compat = CompatibilityGraph::build(graph, library, schedule, schedule, timing, &reach);
+    let binding = partition_cliques(graph, library, &compat, timing);
     binding.validate(graph, library, schedule, timing)?;
     Ok(binding)
 }
@@ -157,11 +142,31 @@ mod tests {
             for policy in [SelectionPolicy::Fastest, SelectionPolicy::MinArea] {
                 let t = TimingMap::from_policy(&g, &lib, policy);
                 let s = asap(&g, &t);
-                let b = bind_schedule(&g, &lib, &s, &t, &CostWeights::default())
-                    .unwrap_or_else(|e| panic!("{}: {e}", g.name()));
+                let b =
+                    bind_schedule(&g, &lib, &s, &t).unwrap_or_else(|e| panic!("{}: {e}", g.name()));
                 assert!(b.is_complete());
             }
         }
+    }
+
+    #[test]
+    fn merge_gain_is_area_saved_plus_shared_interconnect() {
+        let mut builder = pchls_cdfg::CdfgBuilder::new("g");
+        let x = builder.input("x");
+        let y = builder.input("y");
+        let a = builder.add(x, y);
+        let s = builder.sub(a, y);
+        builder.output("o", s);
+        let g = builder.finish().unwrap();
+        let lib = paper_library();
+        let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
+        let sched = asap(&g, &t);
+        let compat =
+            CompatibilityGraph::build(&g, &lib, &sched, &sched, &t, &Reachability::new(&g));
+        let gain = merge_gain(&g, &lib, &compat, &t, &[a], &[s]).unwrap();
+        // One ALU (97), the cheapest {+,−} module, replaces an adder and
+        // a subtractor (87 each); the pair shares one operand, `y`.
+        assert!((gain - (87.0 + 87.0 - 97.0 + 0.1 * 1.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -170,7 +175,7 @@ mod tests {
         let g = benchmarks::elliptic();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let s = asap(&g, &t);
-        let b = bind_schedule(&g, &lib, &s, &t, &CostWeights::default()).unwrap();
+        let b = bind_schedule(&g, &lib, &s, &t).unwrap();
         let no_sharing: u64 = g
             .nodes()
             .iter()
@@ -202,7 +207,7 @@ mod tests {
         let lib = paper_library();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let s = asap(&g, &t);
-        let b = bind_schedule(&g, &lib, &s, &t, &CostWeights::default()).unwrap();
+        let b = bind_schedule(&g, &lib, &s, &t).unwrap();
         let adders = b
             .instances()
             .iter()
@@ -221,7 +226,7 @@ mod tests {
         let g = benchmarks::hal();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let s = asap(&g, &t);
-        let b = bind_schedule(&g, &lib, &s, &t, &CostWeights::default()).unwrap();
+        let b = bind_schedule(&g, &lib, &s, &t).unwrap();
         let mults = b
             .instances()
             .iter()
@@ -248,7 +253,7 @@ mod tests {
         }
         let s = Schedule::new(starts);
         s.validate(&g, &t, None, None).unwrap();
-        let b = bind_schedule(&g, &lib, &s, &t, &CostWeights::default()).unwrap();
+        let b = bind_schedule(&g, &lib, &s, &t).unwrap();
         let inputs = b
             .instances()
             .iter()

@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 
-use pchls_bind::{
-    bind_schedule, CompatibilityGraph, CostWeights, InterconnectEstimate, RegisterAllocation,
-};
+use pchls_bind::{bind_schedule, CompatibilityGraph, InterconnectEstimate, RegisterAllocation};
 use pchls_cdfg::{random_dag, RandomDagConfig, Reachability};
 use pchls_fulib::{paper_library, SelectionPolicy};
 use pchls_sched::{alap, asap, TimingMap};
@@ -38,7 +36,7 @@ proptest! {
         let policy = if policy_min_area { SelectionPolicy::MinArea } else { SelectionPolicy::Fastest };
         let t = TimingMap::from_policy(&g, &lib, policy);
         let s = asap(&g, &t);
-        let b = bind_schedule(&g, &lib, &s, &t, &CostWeights::default()).unwrap();
+        let b = bind_schedule(&g, &lib, &s, &t).unwrap();
         prop_assert!(b.is_complete());
         let dedicated: u64 = g
             .nodes()
@@ -57,7 +55,7 @@ proptest! {
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let s = asap(&g, &t);
         let r = Reachability::new(&g);
-        let c = CompatibilityGraph::build(&g, &lib, &s, &s, &t, &r, &CostWeights::default());
+        let c = CompatibilityGraph::build(&g, &lib, &s, &s, &t, &r);
         for a in g.node_ids() {
             prop_assert!(!c.compatible(a, a));
             for b in g.node_ids() {
@@ -67,7 +65,6 @@ proptest! {
                     // execution intervals.
                     let disjoint = s.finish(a, &t) <= s.start(b) || s.finish(b, &t) <= s.start(a);
                     prop_assert!(disjoint, "{a} and {b} compatible but overlap");
-                    prop_assert!(c.weight(a, b) > 0.0);
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! Baseline flows the paper compares against.
 
-use pchls_bind::{bind_schedule, CostWeights};
+use pchls_bind::bind_schedule;
 use pchls_cdfg::Cdfg;
 use pchls_fulib::{ModuleLibrary, SelectionPolicy};
 use pchls_sched::{asap, two_step, PowerProfile, TimingMap};
@@ -41,13 +41,7 @@ pub(crate) fn two_step_bind(
     let timing = TimingMap::from_policy(graph, library, policy);
     let outcome = two_step(graph, &timing, constraints.latency, &constraints.budget)
         .map_err(|cause| SynthesisError::Infeasible { cause })?;
-    let binding = bind_schedule(
-        graph,
-        library,
-        &outcome.schedule,
-        &timing,
-        &CostWeights::default(),
-    )?;
+    let binding = bind_schedule(graph, library, &outcome.schedule, &timing)?;
     let design =
         SynthesizedDesign::assemble(outcome.schedule, timing, binding, library, constraints);
     Ok(BaselineDesign {
@@ -81,7 +75,7 @@ pub(crate) fn unconstrained_bind(
             },
         });
     }
-    let binding = bind_schedule(graph, library, &schedule, &timing, &CostWeights::default())?;
+    let binding = bind_schedule(graph, library, &schedule, &timing)?;
     let peak = PowerProfile::of(&schedule, &timing).peak();
     Ok(SynthesizedDesign::assemble(
         schedule,
@@ -173,7 +167,7 @@ pub(crate) fn trimmed_allocation_bind(
         }
     }
 
-    let binding = bind_schedule(graph, library, &schedule, &timing, &CostWeights::default())?;
+    let binding = bind_schedule(graph, library, &schedule, &timing)?;
     Ok(SynthesizedDesign::assemble(
         schedule,
         timing,

@@ -144,7 +144,6 @@ impl SynthesizedDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pchls_bind::CostWeights;
     use pchls_cdfg::benchmarks::hal;
     use pchls_fulib::{paper_library, SelectionPolicy};
     use pchls_sched::asap;
@@ -154,7 +153,7 @@ mod tests {
         let lib = paper_library();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let s = asap(&g, &t);
-        let b = pchls_bind::bind_schedule(&g, &lib, &s, &t, &CostWeights::default()).unwrap();
+        let b = pchls_bind::bind_schedule(&g, &lib, &s, &t).unwrap();
         let c = SynthesisConstraints::new(20, f64::INFINITY);
         let d = SynthesizedDesign::assemble(s, t, b, &lib, c);
         (g, lib, d)

@@ -426,14 +426,12 @@ impl<'e> Session<'e> {
             .iter()
             .map(|r| {
                 let SynthesisOptions {
-                    weights: w,
                     backtracking,
                     module_selection,
                     interconnect_scoring,
                 } = r.options;
                 let class = (
                     r.constraints.latency,
-                    [w.area, w.interconnect, w.displacement].map(f64::to_bits),
                     [backtracking, module_selection, interconnect_scoring],
                 );
                 let quanta = r.constraints.budget.as_constant().map(bound_quanta);

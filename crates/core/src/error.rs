@@ -30,16 +30,6 @@ pub enum SynthesisError {
     /// A progress hook requested cancellation
     /// ([`std::ops::ControlFlow::Break`]); no design was produced.
     Cancelled,
-    /// A decision-scoring weight
-    /// ([`SynthesisOptions::weights`](crate::SynthesisOptions::weights))
-    /// is NaN, infinite, or larger in magnitude than
-    /// `1e100`, so candidate scores could not be ranked.
-    InvalidWeight {
-        /// The offending [`CostWeights`](pchls_bind::CostWeights) field.
-        field: &'static str,
-        /// Its value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for SynthesisError {
@@ -54,13 +44,6 @@ impl fmt::Display for SynthesisError {
                 write!(f, "library does not cover operation kind {kind}")
             }
             SynthesisError::Cancelled => write!(f, "synthesis cancelled by progress hook"),
-            SynthesisError::InvalidWeight { field, value } => {
-                write!(
-                    f,
-                    "cost weight `{field}` must be finite and at most {:e} in magnitude, got {value}",
-                    crate::options::MAX_WEIGHT
-                )
-            }
         }
     }
 }
@@ -70,9 +53,7 @@ impl std::error::Error for SynthesisError {
         match self {
             SynthesisError::Infeasible { cause } | SynthesisError::Schedule(cause) => Some(cause),
             SynthesisError::Bind(e) => Some(e),
-            SynthesisError::Uncovered { .. }
-            | SynthesisError::Cancelled
-            | SynthesisError::InvalidWeight { .. } => None,
+            SynthesisError::Uncovered { .. } | SynthesisError::Cancelled => None,
         }
     }
 }

@@ -1,15 +1,7 @@
-//! Tunable knobs of the synthesis heuristic (including ablation switches).
-
-use pchls_bind::CostWeights;
-
-use crate::error::SynthesisError;
-
-/// Largest accepted magnitude of a decision-scoring weight. Far beyond
-/// any meaningful trade-off between the score terms, and small enough
-/// that no score or score bound — a few weights times `u32`-sized areas,
-/// connection counts and cycle counts, summed — can overflow to an
-/// infinity or NaN.
-pub(crate) const MAX_WEIGHT: f64 = 1e100;
+//! The ablation switches of the synthesis heuristic. Decision scoring
+//! itself is fixed: saved area plus
+//! [`INTERCONNECT_WEIGHT`](pchls_bind::INTERCONNECT_WEIGHT) per shared
+//! connection, the paper's "minimum area … using least interconnect".
 
 /// Options controlling the greedy synthesis loop.
 ///
@@ -33,8 +25,6 @@ pub(crate) const MAX_WEIGHT: f64 = 1e100;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthesisOptions {
-    /// Relative weight of area vs. interconnect in decision scoring.
-    pub weights: CostWeights,
     /// Paper's backtracking rule: on infeasibility, undo the last
     /// decision and lock all unscheduled operations to the last valid
     /// `pasap` schedule. With `false`, a failing decision is simply
@@ -53,29 +43,10 @@ pub struct SynthesisOptions {
 impl Default for SynthesisOptions {
     fn default() -> Self {
         SynthesisOptions {
-            weights: CostWeights::default(),
             backtracking: true,
             module_selection: true,
             interconnect_scoring: true,
         }
-    }
-}
-
-impl SynthesisOptions {
-    /// Rejects NaN, infinite and overflow-prone decision-scoring weights:
-    /// candidate scores must stay totally ordered.
-    pub(crate) fn check_weights(&self) -> Result<(), SynthesisError> {
-        let w = &self.weights;
-        for (field, value) in [
-            ("area", w.area),
-            ("interconnect", w.interconnect),
-            ("displacement", w.displacement),
-        ] {
-            if !value.is_finite() || value.abs() > MAX_WEIGHT {
-                return Err(SynthesisError::InvalidWeight { field, value });
-            }
-        }
-        Ok(())
     }
 }
 

@@ -1,6 +1,6 @@
 //! The combined power-constrained scheduling/allocation/binding loop.
 
-use pchls_bind::{Binding, InstanceId};
+use pchls_bind::{Binding, InstanceId, INTERCONNECT_WEIGHT};
 use pchls_cdfg::{Cdfg, NodeId, NodeSet, OpKind, Reachability};
 use pchls_fulib::{ModuleId, ModuleLibrary};
 use pchls_sched::{
@@ -75,11 +75,6 @@ pub(crate) fn synthesize_recorded(
     options: &SynthesisOptions,
     hook: Option<&mut dyn FnMut(Progress) -> ControlFlow<()>>,
 ) -> (Result<SynthesizedDesign, SynthesisError>, PowerInterval) {
-    // Scores must be totally ordered: a NaN, infinite or overflowing
-    // weight would poison the ranking (and the pair walk's bounds).
-    if let Err(e) = options.check_weights() {
-        return (Err(e), PowerInterval::EVERY);
-    }
     let (result, interval, tally) =
         Kernel::new(engine, compiled, constraints, options).synthesize(hook);
     tally.publish();
@@ -750,7 +745,7 @@ impl<'a> Kernel<'a> {
                 .filter(|c| self.graph.successors(v).contains(c))
                 .count();
         }
-        shared as f64 * self.options.weights.interconnect
+        shared as f64 * INTERCONNECT_WEIGHT
     }
 
     /// Modules allowed for `op` under the ablation switches (borrowed —
@@ -769,9 +764,7 @@ impl<'a> Kernel<'a> {
     fn single_decisions(&self, u: NodeId, emit: &mut impl FnMut(Decision)) {
         for (pos, &m) in (0u32..).zip(self.modules_for(u)) {
             // (1) Merge onto an existing instance: earliest start at
-            // which the instance is free and power fits. Starting later
-            // than the op's free earliest start consumes schedule slack
-            // and is penalized (see `CostWeights::displacement`).
+            // which the instance is free and power fits.
             for (slot, &iid) in (0u32..).zip(&self.by_module[m.index()]) {
                 if let Some(d) = self.existing_decision(u, m, iid, (0, u.index() as u32, pos, slot))
                 {
@@ -795,22 +788,21 @@ impl<'a> Kernel<'a> {
         key: Key,
     ) -> Option<Decision> {
         let s = self.earliest_instance_fit(u, m, iid)?;
-        let free_start = self.candidate_start0(u, m);
-        let displaced = f64::from(s - free_start.expect("fit implies a free start"));
         let inst = self.binding.instance(iid);
-        let weights = &self.options.weights;
         // The +1 bonus breaks ties against pair merges: growing an
         // existing clique saves one unit per *one* operation consumed, a
         // pair saves one unit per two — without the bonus the greedy
-        // fragments large op classes into many two-op instances.
+        // fragments large op classes into many two-op instances. It is
+        // also paid for an instance that saves no unit at all: `undo`
+        // leaves a rejected fresh attempt's instance empty and `gather`
+        // still lists it, so a merge onto it scores `avoided + 1` as if
+        // it spared a unit (ROADMAP item 6).
         Some(Decision {
             op: u,
             module: m,
             start: s,
             target: Target::Existing(iid),
-            score: weights.area * self.avoided_area(u) + self.interconnect(u, inst.ops())
-                - weights.displacement * displaced
-                + 1.0,
+            score: self.avoided_area(u) + self.interconnect(u, inst.ops()) + 1.0,
             key,
         })
     }
@@ -825,7 +817,7 @@ impl<'a> Kernel<'a> {
             module: m,
             start: s,
             target: Target::Fresh,
-            score: -self.options.weights.area * area,
+            score: -area,
             key,
         })
     }
@@ -834,23 +826,20 @@ impl<'a> Kernel<'a> {
     /// first.
     ///
     /// A pair merge of `first` then `second` on module `m` scores
-    /// `w_area·gain + interconnect − w_disp·displaced`, where
+    /// `gain + interconnect`, where
     /// `gain = avoided(first) + avoided(second) − area(m)` must be
     /// positive. Its bound:
     ///
-    /// * the area term is exact per bucket pair (buckets share an
-    ///   avoided area);
+    /// * `gain` is exact per bucket pair (buckets share an avoided area);
     /// * `interconnect` counts `first`'s operands and successors found in
-    ///   `second`'s, so it is at most `max(0, w_ic)` times the larger of
-    ///   the two buckets' degrees (`first` may come from either), and 0
-    ///   when interconnect scoring is off;
-    /// * `0 ≤ displaced ≤ T`, so the displacement term adds at most
-    ///   `max(0, −w_disp)·T`.
+    ///   `second`'s, so it is at most [`INTERCONNECT_WEIGHT`] times the
+    ///   larger of the two buckets' degrees (`first` may come from
+    ///   either), and 0 when interconnect scoring is off.
     ///
     /// Entries are walked by bound, highest first, until a bound falls
     /// strictly below the worst decision a full `top` keeps; within an
-    /// entry, each pair's exact `w_area·gain + interconnect` (plus the
-    /// displacement cap) is checked the same way before the ledger probe.
+    /// entry, each pair's exact score `gain + interconnect` is checked
+    /// the same way before the ledger probe.
     ///
     /// A pair whose bound *ties* the worst kept score is cut on the rest
     /// of its [`rank_total`] key, which is known before the probe: its
@@ -858,16 +847,14 @@ impl<'a> Kernel<'a> {
     /// `first` and its [`Key`] is structural. It is skipped when that
     /// start is `None` (no decision) or `(start, first, key)` ranks after
     /// the worst's — its exact score is at most the bound, so it could
-    /// never be kept. With the default weights (`displacement = 0`) every
-    /// bound is exact and most probes would otherwise be such ties.
+    /// never be kept. The per-pair bound is the exact score, so most
+    /// probes would otherwise be such ties.
     fn offer_pairs(&self, walk: &mut PairWalk, top: &mut TopK<Decision>) -> Walked {
-        let weights = &self.options.weights;
         let ic_weight = if self.options.interconnect_scoring {
-            weights.interconnect.max(0.0)
+            INTERCONNECT_WEIGHT
         } else {
             0.0
         };
-        let disp_cap = (-weights.displacement).max(0.0) * f64::from(self.constraints.latency);
 
         walk.buckets.clear();
         for &u in &self.unbound_vec {
@@ -912,14 +899,13 @@ impl<'a> Kernel<'a> {
                     if gain <= 0.0 {
                         continue;
                     }
-                    let area_term = weights.area * gain;
                     let ic_cap = ic_weight * a.degree.max(b.degree) as f64;
                     walk.entries.push(Entry {
                         lo,
                         hi,
                         module: m,
-                        area_term,
-                        bound: area_term + ic_cap + disp_cap,
+                        gain,
+                        bound: gain + ic_cap,
                     });
                 }
             }
@@ -949,7 +935,7 @@ impl<'a> Kernel<'a> {
                         continue; // module selection off: `first` keeps its estimate
                     };
                     let ic = self.interconnect(first, &[second]);
-                    let bound = e.area_term + ic + disp_cap;
+                    let bound = e.gain + ic;
                     let key = (1, u.index() as u32, v.index() as u32, pos as u32);
                     if top.worst().is_some_and(|w| {
                         bound < w.score
@@ -993,12 +979,7 @@ impl<'a> Kernel<'a> {
             return None; // two dedicated cheapest units are no worse
         }
         let s1 = self.candidate_start0(first, m)?;
-        let s2_free = self.candidate_start0(second, m)?;
         let s2 = self.candidate_start(second, m, s1 + spec.latency())?;
-        // Dependence-ordered pairs serialize for free (s2 at its natural
-        // slot); concurrent siblings pay for the slack their
-        // serialization consumes.
-        let displaced = f64::from(s2 - s2_free);
         Some(Decision {
             op: first,
             module: m,
@@ -1007,8 +988,7 @@ impl<'a> Kernel<'a> {
                 partner: second,
                 partner_start: s2,
             },
-            score: self.options.weights.area * gain + ic
-                - self.options.weights.displacement * displaced,
+            score: gain + ic,
             key,
         })
     }
@@ -1074,9 +1054,9 @@ struct Entry {
     lo: usize,
     hi: usize,
     module: ModuleId,
-    /// `w_area · gain`, exact for every pair of the entry.
-    area_term: f64,
-    /// `area_term` plus the interconnect and displacement caps.
+    /// The area the merge saves, exact for every pair of the entry.
+    gain: f64,
+    /// `gain` plus the interconnect cap.
     bound: f64,
 }
 
@@ -1288,7 +1268,6 @@ impl Kernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pchls_bind::CostWeights;
     use pchls_cdfg::{benchmarks, random_dag, CdfgBuilder, RandomDagConfig};
     use pchls_fulib::{paper_library, ModuleSpec};
     use proptest::prelude::*;
@@ -1336,22 +1315,13 @@ mod tests {
         (result, tally)
     }
 
-    prop_compose! {
-        /// `0.0` or a draw from `[−1, 1)`, evenly.
-        fn zero_or_unit()(zero in any::<bool>(), x in -1.0f64..1.0) -> f64 {
-            if zero { 0.0 } else { x }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Every iteration's pruned ranking equals the exhaustive one
-        /// (`Kernel::rank` asserts it in test builds) under weights
-        /// of either sign and every ablation switch. Interconnect and
-        /// displacement weights are exactly 0 in about half the cases:
-        /// the default weights' regime, where bounds are exact and the
-        /// walk's rank-key cut decides ties.
+        /// (`Kernel::rank` asserts it in test builds) under every
+        /// ablation switch. Pair bounds are exact scores, so the walk's
+        /// rank-key cut decides every tie.
         #[test]
         fn pair_walk_ranks_exactly_like_brute_force(
             ops in 10usize..61,
@@ -1360,9 +1330,6 @@ mod tests {
             depth_bias in 0u32..4,
             slack in 0u32..3,
             power in 4.0f64..80.0,
-            area in -2.0f64..2.0,
-            interconnect in zero_or_unit(),
-            displacement in zero_or_unit(),
             module_selection in any::<bool>(),
             interconnect_scoring in any::<bool>(),
             backtracking in any::<bool>(),
@@ -1377,7 +1344,6 @@ mod tests {
             });
             let min_latency = Engine::new(paper_library()).compile(&graph).min_latency();
             let options = SynthesisOptions {
-                weights: CostWeights { area, interconnect, displacement },
                 backtracking,
                 module_selection,
                 interconnect_scoring,
@@ -1429,41 +1395,38 @@ mod tests {
     #[test]
     fn interconnect_cap_takes_the_larger_bucket_degree() {
         // `a = x*x` repeats its operand, so against the unary `out(x)` it
-        // shares two connections — more than `out(x)`'s whole degree of
-        // 1. With a heavy interconnect weight that pair (score 5 + 10·2)
-        // outranks the 78 output pairs (20 each) even though its area
-        // gain alone (5) is far below them; a cap using the smaller
-        // bucket degree (5 + 10·1 < 20) would prune it.
+        // shares two connections — more than the output bucket's degree
+        // of 1. That pair scores 20 + 0.1·2 on `mul_out`, and so does
+        // `add1` with `add2` (both `y0 + y1`); the tie goes to `a`, the
+        // lower op id. A cap from the smaller bucket degree would bound
+        // the `mul_out` entry at 20 + 0.1·1 and walk the adder entry
+        // (20 + 0.1·3) first, and the adder pair kept from it would then
+        // prune `a`'s pair.
         let library = ModuleLibrary::new([
-            ModuleSpec::new("in", [OpKind::Input], 16, 1, 0.2),
+            ModuleSpec::new("in", [OpKind::Input], 1, 1, 0.2),
             ModuleSpec::new("out", [OpKind::Output], 20, 1, 0.2),
             ModuleSpec::new("mul", [OpKind::Mul], 100, 1, 1.0),
-            ModuleSpec::new("mul_out", [OpKind::Mul, OpKind::Output], 115, 1, 1.0),
+            ModuleSpec::new("mul_out", [OpKind::Mul, OpKind::Output], 100, 1, 1.0),
+            ModuleSpec::new("adder", [OpKind::Add], 20, 1, 0.2),
         ])
         .unwrap();
         let mut b = CdfgBuilder::new("square_fanout");
         let x = b.input("x");
-        let ys: Vec<NodeId> = (0..11).map(|i| b.input(format!("y{i}"))).collect();
+        let y0 = b.input("y0");
+        let y1 = b.input("y1");
         let a = b.mul(x, x);
         b.output("a", a);
         let out_x = b.output("x_out", x);
-        for (i, &y) in ys.iter().enumerate() {
-            b.output(format!("y{i}_out"), y);
-        }
+        let add1 = b.add(y0, y1);
+        let add2 = b.add(y0, y1);
+        b.output("add1", add1);
+        b.output("add2", add2);
         let graph = b.finish().unwrap();
-        let options = SynthesisOptions {
-            weights: CostWeights {
-                area: 1.0,
-                interconnect: 10.0,
-                displacement: 0.0,
-            },
-            ..SynthesisOptions::default()
-        };
         let (result, _) = synth_tally(
             library,
             &graph,
             &SynthesisConstraints::new(20, 1000.0),
-            &options,
+            &SynthesisOptions::default(),
         );
         let design = result.unwrap();
         assert_eq!(
@@ -1471,43 +1434,6 @@ mod tests {
             design.binding.instance_of(out_x),
             "the best-scoring pair merge was not committed"
         );
-    }
-
-    #[test]
-    fn non_finite_and_overflowing_weights_are_rejected() {
-        let g = benchmarks::hal();
-        let ok = CostWeights::default();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e300] {
-            for (name, weights) in [
-                ("area", CostWeights { area: bad, ..ok }),
-                (
-                    "interconnect",
-                    CostWeights {
-                        interconnect: bad,
-                        ..ok
-                    },
-                ),
-                (
-                    "displacement",
-                    CostWeights {
-                        displacement: bad,
-                        ..ok
-                    },
-                ),
-            ] {
-                let opts = SynthesisOptions {
-                    weights,
-                    ..SynthesisOptions::default()
-                };
-                match synth_opts(&g, 17, 25.0, &opts) {
-                    Err(SynthesisError::InvalidWeight { field, value }) => {
-                        assert_eq!(field, name);
-                        assert_eq!(value.to_bits(), bad.to_bits());
-                    }
-                    other => panic!("{name}={bad}: {other:?}"),
-                }
-            }
-        }
     }
 
     fn synth_opts(

@@ -762,9 +762,6 @@ impl Shared {
                 };
                 (SubmitResponse::error(req.id, why), Disposition::Cancelled)
             }
-            // Options the kernel rejects say nothing about the point:
-            // fail the request and cache nothing.
-            Err(e @ SynthesisError::InvalidWeight { .. }) => fail(e.to_string()),
             // Feasible or not, the point is exactly what a direct
             // `Session::batch` would emit — including the null-field
             // shape for infeasible constraints.

@@ -871,18 +871,28 @@ fn render_store_stat(stat: &StoreStat, path: &std::path::Path) -> String {
     out
 }
 
-fn run_simulation(args: &[String]) -> Result<String, String> {
+/// The prologue `simulate` and `vcd` share: parses the flags,
+/// synthesizes the required constraint point and builds its datapath.
+/// Returns the flags, the compiled graph, the datapath and the `--set`
+/// stimulus.
+fn synthesized_datapath(
+    args: &[String],
+) -> Result<(Flags, CompiledGraph, Datapath, pchls::cdfg::Stimulus), String> {
     let flags = parse_flags(args)?;
     let (engine, compiled) = open_graph(&flags, false)?;
     let constraints = required_constraints(&flags)?;
-    let stim: pchls::cdfg::Stimulus = flags.sets.iter().cloned().collect();
-
+    let stim = flags.sets.iter().cloned().collect();
     let design = engine
         .session(&compiled)
         .synthesize(constraints, &SynthesisOptions::default())
         .map_err(|e| e.to_string())?;
+    let dp = Datapath::build(compiled.graph(), &design, engine.library());
+    Ok((flags, compiled, dp, stim))
+}
+
+fn run_simulation(args: &[String]) -> Result<String, String> {
+    let (_, compiled, dp, stim) = synthesized_datapath(args)?;
     let g = compiled.graph();
-    let dp = Datapath::build(g, &design, engine.library());
     let run = simulate(g, &dp, &stim).map_err(|e| e.to_string())?;
     let reference = Interpreter::new(g).run(&stim).map_err(|e| e.to_string())?;
     let mut out = format!(
@@ -907,17 +917,8 @@ fn run_simulation(args: &[String]) -> Result<String, String> {
 }
 
 fn run_vcd(args: &[String]) -> Result<String, String> {
-    let flags = parse_flags(args)?;
-    let (engine, compiled) = open_graph(&flags, false)?;
-    let constraints = required_constraints(&flags)?;
-    let stim: pchls::cdfg::Stimulus = flags.sets.iter().cloned().collect();
-
-    let design = engine
-        .session(&compiled)
-        .synthesize(constraints, &SynthesisOptions::default())
-        .map_err(|e| e.to_string())?;
+    let (flags, compiled, dp, stim) = synthesized_datapath(args)?;
     let g = compiled.graph();
-    let dp = Datapath::build(g, &design, engine.library());
     let wave = pchls::rtl::trace(g, &dp, &stim).map_err(|e| e.to_string())?;
     let vcd = pchls::rtl::to_vcd(&wave, g.name());
     match flags.options.get("out") {
