@@ -12,7 +12,7 @@
 //! different Figure 2. The same run with the `pchls-obs` tracer enabled
 //! must serialize to the same bytes without dropping a span, and each
 //! run must add the same pinned totals to the kernel's effort counters
-//! (pair walk, placement orders and rankings).
+//! (pair walk, placement orders, rankings and kept tables).
 //!
 //! To regenerate the golden after an *intentional* trace change (none
 //! are expected — the trace has been stable since PR 2), run:
@@ -45,9 +45,17 @@ const RAND200_RANKINGS: [u64; 2] = [192, 0];
 /// `pchls_kernel_placement_orders_total` counts them.
 const RAND200_PLACEMENT_ORDERS: u64 = 2;
 
+/// `start0` entries and instance fits one rand200 run keeps and
+/// recomputes across its rankings, as
+/// `pchls_kernel_table_entries_total{outcome="kept"|"recomputed"}` and
+/// `pchls_kernel_instance_fits_total{outcome="kept"|"recomputed"}`
+/// count them: `[entries kept, recomputed, fits kept, recomputed]`.
+const RAND200_KEPT_TABLES: [u64; 4] = [34_382, 4_156, 5_903, 986];
+
 /// The global kernel effort counters `(probes, pruned, orders, first
-/// rankings, full rankings)`.
-fn effort_counters() -> [u64; 5] {
+/// rankings, full rankings, entries kept, entries recomputed, fits
+/// kept, fits recomputed)`.
+fn effort_counters() -> [u64; 9] {
     let global = pchls_obs::global();
     [
         "pchls_kernel_pair_probes_total",
@@ -55,6 +63,10 @@ fn effort_counters() -> [u64; 5] {
         "pchls_kernel_placement_orders_total",
         "pchls_kernel_rankings_total{block=\"first\"}",
         "pchls_kernel_rankings_total{block=\"full\"}",
+        "pchls_kernel_table_entries_total{outcome=\"kept\"}",
+        "pchls_kernel_table_entries_total{outcome=\"recomputed\"}",
+        "pchls_kernel_instance_fits_total{outcome=\"kept\"}",
+        "pchls_kernel_instance_fits_total{outcome=\"recomputed\"}",
     ]
     .map(|name| global.counter(name).get())
 }
@@ -71,7 +83,8 @@ fn rand200_trace() -> String {
         .synthesize(constraints, &SynthesisOptions::default())
         .unwrap_or_else(|e| panic!("{name} must be feasible: {e}"));
     let after = effort_counters();
-    let [probes, pruned, orders, first, full] = [0, 1, 2, 3, 4].map(|i| after[i] - before[i]);
+    let [probes, pruned, orders, first, full, entries_kept, entries_recomputed, fits_kept, fits_recomputed] =
+        [0, 1, 2, 3, 4, 5, 6, 7, 8].map(|i| after[i] - before[i]);
     assert_eq!(
         probes + pruned,
         RAND200_PAIR_SLOTS,
@@ -90,6 +103,11 @@ fn rand200_trace() -> String {
         [first, full],
         RAND200_RANKINGS,
         "rand200's (first block, full) ranking counts moved"
+    );
+    assert_eq!(
+        [entries_kept, entries_recomputed, fits_kept, fits_recomputed],
+        RAND200_KEPT_TABLES,
+        "rand200's kept-table counts (entries kept, recomputed, fits kept, recomputed) moved"
     );
     let mut trace = serde_json::to_string_pretty(&design).expect("design serializes");
     trace.push('\n');

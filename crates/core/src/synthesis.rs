@@ -84,8 +84,9 @@ pub(crate) fn synthesize_recorded(
 /// Kernel effort summed over one synthesize call: pair merges whose
 /// exact score was computed (ledger probes), pair merges skipped on
 /// their score bound or rank key, pasap/palap placement orders computed,
-/// and rankings of each [`Block`]. Published to the global registry once
-/// per call, not per pair or schedule.
+/// rankings of each [`Block`], and the kept tables' `start0` entries and
+/// instance fits, kept or recomputed. Published to the global registry
+/// once per call, not per pair or schedule.
 #[derive(Debug, Default)]
 struct Tally {
     probed: u64,
@@ -93,28 +94,45 @@ struct Tally {
     orders: u64,
     first_rankings: u64,
     full_rankings: u64,
+    entries_kept: u64,
+    entries_recomputed: u64,
+    fits_kept: u64,
+    fits_recomputed: u64,
 }
 
 impl Tally {
     fn publish(&self) {
-        static COUNTERS: OnceLock<[pchls_obs::Counter; 6]> = OnceLock::new();
-        let [runs, probes, pruned, orders, first, full] = COUNTERS.get_or_init(|| {
-            let global = pchls_obs::global();
+        static COUNTERS: OnceLock<[pchls_obs::Counter; 10]> = OnceLock::new();
+        let counters = COUNTERS.get_or_init(|| {
             [
-                global.counter("pchls_kernel_runs_total"),
-                global.counter("pchls_kernel_pair_probes_total"),
-                global.counter("pchls_kernel_pairs_pruned_total"),
-                global.counter("pchls_kernel_placement_orders_total"),
-                global.counter("pchls_kernel_rankings_total{block=\"first\"}"),
-                global.counter("pchls_kernel_rankings_total{block=\"full\"}"),
+                "pchls_kernel_runs_total",
+                "pchls_kernel_pair_probes_total",
+                "pchls_kernel_pairs_pruned_total",
+                "pchls_kernel_placement_orders_total",
+                "pchls_kernel_rankings_total{block=\"first\"}",
+                "pchls_kernel_rankings_total{block=\"full\"}",
+                "pchls_kernel_table_entries_total{outcome=\"kept\"}",
+                "pchls_kernel_table_entries_total{outcome=\"recomputed\"}",
+                "pchls_kernel_instance_fits_total{outcome=\"kept\"}",
+                "pchls_kernel_instance_fits_total{outcome=\"recomputed\"}",
             ]
+            .map(|name| pchls_obs::global().counter(name))
         });
-        runs.inc();
-        probes.add(self.probed);
-        pruned.add(self.pruned);
-        orders.add(self.orders);
-        first.add(self.first_rankings);
-        full.add(self.full_rankings);
+        let values = [
+            1,
+            self.probed,
+            self.pruned,
+            self.orders,
+            self.first_rankings,
+            self.full_rankings,
+            self.entries_kept,
+            self.entries_recomputed,
+            self.fits_kept,
+            self.fits_recomputed,
+        ];
+        for (counter, value) in counters.iter().zip(values) {
+            counter.add(value);
+        }
     }
 }
 
@@ -171,18 +189,50 @@ struct Kernel<'a> {
     // the loop runs `n/2`–`n` times per run.
     /// Unbound ops in ascending id order (the scoring iteration order).
     unbound_vec: Vec<NodeId>,
+    // The rest only grows: bound ops never move or change timing, and
+    // instances are never dropped before the end.
     /// Busy intervals per instance, indexed by instance id.
     busy: Vec<Vec<(u32, u32)>>,
     /// Open instances per library module, ascending instance id.
     by_module: Vec<Vec<InstanceId>>,
-    /// Tabulated `candidate_start(op, m, 0)`, flattened as
-    /// `op.index() * library.len() + m.index()`; filled for every unbound
-    /// op over its kind's candidate modules (the only entries scoring
-    /// reads). The pair walk may query these O(n²·modules) times for
-    /// only O(n·modules) distinct answers.
+    /// Instances listed in `by_module` (every id below it).
+    listed: usize,
+    // The kept single-decision tables (DESIGN.md §6, "Kept tables"):
+    // each ranking's `fill_tables` recomputes only the entries the
+    // commits since the previous one can have changed.
+    /// What each commit since the last `fill_tables` locked: the
+    /// instance and the window `[start, start + delay)` of every op it
+    /// bound (the op, plus the partner of a `FreshPair`). Every
+    /// reservation the ledger gains and every busy interval an instance
+    /// gains is one of these windows.
+    committed: Vec<(InstanceId, u32, u32)>,
+    /// Set by a backtrack (and at the start): the next `fill_tables`
+    /// keeps nothing.
+    stale: bool,
+    /// Each unbound op's [`Kernel::window`] at the last `fill_tables`.
+    windows: Vec<(u32, u32)>,
+    /// `candidate_start(op, m, 0)`, flattened as
+    /// `op.index() * library.len() + m.index()`; current for every
+    /// unbound op over its kind's candidate modules (the only entries
+    /// scoring reads). The pair walk may query these O(n²·modules)
+    /// times for only O(n·modules) distinct answers.
     start0: Vec<Option<u32>>,
-    /// Tabulated [`Kernel::avoided_area`] per unbound operation.
+    /// [`Kernel::avoided_area`] per unbound operation.
     avoided: Vec<f64>,
+    /// Column count of `fits` and `shared`: the instance capacity,
+    /// doubled when an instance id reaches it.
+    cap: usize,
+    /// [`Kernel::earliest_instance_fit`] per (op, instance), flattened
+    /// as `op.index() * cap + instance.index()`; current for every
+    /// unbound op and every listed instance of its candidate modules.
+    fits: Vec<Option<u32>>,
+    /// Instances whose `fits` column the last `fill_tables` filled.
+    fitted: usize,
+    /// Connections each op shares with each instance's ops (operand
+    /// producers plus result consumers, counted as
+    /// [`Kernel::shared_connections`] does), laid out as `fits`. Kept
+    /// only under interconnect scoring.
+    shared: Vec<u32>,
 }
 
 impl<'a> Kernel<'a> {
@@ -222,8 +272,16 @@ impl<'a> Kernel<'a> {
             unbound_vec: Vec::new(),
             busy: Vec::new(),
             by_module: vec![Vec::new(); library.len()],
-            start0: Vec::new(),
-            avoided: Vec::new(),
+            listed: 0,
+            committed: Vec::new(),
+            stale: true,
+            windows: vec![(0, 0); n],
+            start0: vec![None; n * library.len()],
+            avoided: vec![0.0; n],
+            cap: 0,
+            fits: Vec::new(),
+            fitted: 0,
+            shared: Vec::new(),
         }
     }
 
@@ -328,9 +386,9 @@ impl<'a> Kernel<'a> {
             // `rank_total` is a total order that does not depend on which
             // decisions were scored, `undo` restores locks, timing and
             // the ledger exactly, and the full ranking reads this
-            // iteration's pre-attempt `busy`/`by_module` rows and score
-            // tables. `by_module` must not be rebuilt: a rejected fresh
-            // attempt leaves an empty instance behind, and offering
+            // iteration's pre-attempt `busy`/`by_module` rows and kept
+            // tables. `by_module` must grow only in `gather`: a rejected
+            // fresh attempt leaves an empty instance behind, and offering
             // merges onto it would rank decisions the block never saw.
             let mut committed = false;
             let mut attempted = 0;
@@ -391,32 +449,27 @@ impl<'a> Kernel<'a> {
         )
     }
 
-    /// Refills the iteration's buffers: the unbound operations in
-    /// ascending id, each instance's busy intervals (bound ops are always
-    /// locked), and the open instances bucketed by module (ascending
-    /// instance id per row), so a candidate (op, module) only visits the
-    /// instances it could actually merge onto.
+    /// Brings the iteration's buffers up to date: the unbound operations
+    /// in ascending id, each instance's busy intervals, and the open
+    /// instances bucketed by module (ascending instance id per row), so a
+    /// candidate (op, module) only visits the instances it could
+    /// actually merge onto. Busy rows gain the last commit's windows and
+    /// `by_module` every instance opened since the last gather, the empty
+    /// one a rejected fresh attempt leaves included: bound ops never move
+    /// and instances are never dropped before the end.
     fn gather(&mut self) {
         self.unbound_vec.clear();
         self.unbound_vec.extend(self.unbound.iter());
-        let count = self.binding.instance_ids().count();
-        self.busy.truncate(count);
-        for row in &mut self.busy {
-            row.clear();
-        }
+        let count = self.binding.instances().len();
         self.busy.resize_with(count, Vec::new);
-        for row in &mut self.by_module {
-            row.clear();
+        for &(iid, start, finish) in &self.committed {
+            self.busy[iid.index()].push((start, finish));
         }
-        for iid in self.binding.instance_ids() {
-            let instance = self.binding.instance(iid);
-            let row = &mut self.busy[iid.index()];
-            for &op in instance.ops() {
-                let s = self.locked.get(op).expect("bound ops are locked");
-                row.push((s, s + self.timing.delay(op)));
-            }
-            self.by_module[instance.module().index()].push(iid);
+        for iid in self.binding.instance_ids().skip(self.listed) {
+            let module = self.binding.instance(iid).module();
+            self.by_module[module.index()].push(iid);
         }
+        self.listed = count;
     }
 
     /// Attempts `cands` best-first until one commits: apply, prove
@@ -450,6 +503,7 @@ impl<'a> Kernel<'a> {
                 } else {
                     self.dirty = true;
                 }
+                self.record_commit(cand);
                 committed = true;
                 break;
             }
@@ -483,7 +537,88 @@ impl<'a> Kernel<'a> {
         // operations were not reserved incrementally).
         self.reserve_locked()?;
         self.stats.backtracks += 1;
+        // The new locks change the newly locked ops' starts and reserve
+        // power no commit recorded.
+        self.stale = true;
         Ok(())
+    }
+
+    /// Records what a commit locked (see `committed`) and counts the
+    /// connections its ops bring to their instance: for every op `u`
+    /// (only unbound ones are read), one per operand of `u` found among
+    /// a joining op's operands and one per consumer of `u` found among
+    /// its consumers, as [`Kernel::shared_connections`] counts them.
+    /// Each `u` sharing producer `p` is listed in `successors(p)` once
+    /// per port `p` feeds, and each `u` sharing consumer `c` in
+    /// `operands(c)` once per port it feeds, so visiting each distinct
+    /// `p` and `c` once keeps the multiplicities.
+    fn record_commit(&mut self, cand: &Decision) {
+        let iid = self
+            .binding
+            .instance_of(cand.op)
+            .expect("a committed op is bound");
+        let delay = self.library.module(cand.module).latency();
+        self.committed.push((iid, cand.start, cand.start + delay));
+        if let Target::FreshPair { partner_start, .. } = cand.target {
+            self.committed
+                .push((iid, partner_start, partner_start + delay));
+        }
+        self.reserve_columns(iid.index() + 1);
+        if !self.options.interconnect_scoring {
+            return;
+        }
+        let joined = match cand.target {
+            Target::FreshPair { partner, .. } => [Some(cand.op), Some(partner)],
+            _ => [Some(cand.op), None],
+        };
+        let (graph, cap) = (self.graph, self.cap);
+        for w in joined.into_iter().flatten() {
+            let operands = graph.operands(w);
+            for (i, &p) in operands.iter().enumerate() {
+                if !operands[..i].contains(&p) {
+                    for &u in graph.successors(p) {
+                        self.shared[u.index() * cap + iid.index()] += 1;
+                    }
+                }
+            }
+            let consumers = graph.successors(w);
+            for (j, &c) in consumers.iter().enumerate() {
+                if !consumers[..j].contains(&c) {
+                    for &u in graph.operands(c) {
+                        self.shared[u.index() * cap + iid.index()] += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Grows `fits` and `shared` to at least `instances` columns,
+    /// doubling, so a run re-lays them out O(log instances) times.
+    fn reserve_columns(&mut self, instances: usize) {
+        if instances <= self.cap {
+            return;
+        }
+        let cap = instances.max(2 * self.cap).max(8);
+        let n = self.graph.len();
+        let mut fits = vec![None; n * cap];
+        let mut shared = vec![0; n * cap];
+        if self.cap > 0 {
+            for (row, old) in fits
+                .chunks_exact_mut(cap)
+                .zip(self.fits.chunks_exact(self.cap))
+            {
+                row[..self.cap].copy_from_slice(old);
+            }
+            for (row, old) in shared
+                .chunks_exact_mut(cap)
+                .zip(self.shared.chunks_exact(self.cap))
+            {
+                row[..self.cap].copy_from_slice(old);
+            }
+        }
+        self.fits = fits;
+        self.shared = shared;
+        self.cap = cap;
     }
 
     /// Rebuilds `ledger` in place as the per-cycle power reserved by the
@@ -567,8 +702,8 @@ impl Block {
 impl<'a> Kernel<'a> {
     /// Ranks the iteration's best `block.len()` decisions into `top`
     /// (whose capacity that is) and returns them best-first. The first
-    /// block also fills the `start0`/`avoided` score tables; the full
-    /// ranking reuses them.
+    /// block also brings the kept tables up to date
+    /// ([`Kernel::fill_tables`]); the full ranking reuses them.
     ///
     /// Every single decision is scored and offered. Pair merges are not
     /// enumerated exhaustively: [`Kernel::offer_pairs`] walks them
@@ -626,22 +761,44 @@ impl<'a> Kernel<'a> {
         ranked
     }
 
-    /// Fills the `start0`/`avoided` score tables for the unbound
-    /// operations. Every tabulated quantity depends only on state fixed
-    /// for the whole iteration. Clear + resize reuses the tables'
-    /// capacity while resetting every entry (only unbound rows are ever
-    /// read, and those are all rewritten below).
+    /// Brings the kept tables up to date for the unbound operations:
+    /// `start0` and `avoided` over each op's kind's candidate modules,
+    /// and `fits` over the listed instances of its allowed modules. Every
+    /// entry depends only on state fixed for the whole iteration.
+    ///
+    /// An entry is kept, not recomputed, when the op's
+    /// [`Kernel::window`] is unchanged since the last fill and its answer
+    /// is `None` or a start whose window `[s, s + delay)` overlaps no
+    /// window `committed` since then (DESIGN.md §6, "Kept tables").
+    /// Locked ops' `start0` entries, fits on instances opened since, and
+    /// everything after a backtrack are recomputed.
     fn fill_tables(&mut self) {
         let lib_len = self.library.len();
-        self.start0.clear();
-        self.start0.resize(self.graph.len() * lib_len, None);
-        self.avoided.clear();
-        self.avoided.resize(self.graph.len(), 0.0);
+        let (stale, fitted) = (self.stale, self.fitted);
+        self.reserve_columns(self.listed);
+        let cap = self.cap;
+        // The tables are filled out of place, so the fill can read the
+        // rest of the kernel while it writes them.
+        let mut start0 = std::mem::take(&mut self.start0);
+        let mut avoided = std::mem::take(&mut self.avoided);
+        let mut windows = std::mem::take(&mut self.windows);
+        let mut fits = std::mem::take(&mut self.fits);
+        let mut tally = std::mem::take(&mut self.tally);
         for &u in &self.unbound_vec {
+            let window = self.window(u);
+            let same = !stale && windows[u.index()] == window;
+            windows[u.index()] = window;
+            let locked = self.locked.is_locked(u);
             let row = self.kind_list(u);
+            let starts = &mut start0[u.index() * lib_len..][..lib_len];
             for &m in row {
-                let start = self.candidate_start(u, m, 0);
-                self.start0[u.index() * lib_len + m.index()] = start;
+                let entry = &mut starts[m.index()];
+                if same && !locked && self.untouched(*entry, m) {
+                    tally.entries_kept += 1;
+                } else {
+                    *entry = self.start_within(u, m, 0, window);
+                    tally.entries_recomputed += 1;
+                }
             }
             // Area of the cheapest library module that could *feasibly*
             // execute `u` in the current state — the unit a successful
@@ -649,9 +806,9 @@ impl<'a> Kernel<'a> {
             // bound rules the serial multiplier out for an operation,
             // merging it onto a parallel multiplier avoids a 339-area
             // unit, not a 103-area one.
-            self.avoided[u.index()] = row
+            avoided[u.index()] = row
                 .iter()
-                .filter(|&&m| self.start0[u.index() * lib_len + m.index()].is_some())
+                .filter(|&&m| starts[m.index()].is_some())
                 .map(|&m| self.library.module(m).area())
                 .min()
                 .or_else(|| {
@@ -661,7 +818,94 @@ impl<'a> Kernel<'a> {
                 })
                 .map(f64::from)
                 .expect("library coverage checked at bootstrap");
+            let row_fits = &mut fits[u.index() * cap..][..cap];
+            for &m in self.modules_for(u) {
+                for &iid in &self.by_module[m.index()] {
+                    let fit = &mut row_fits[iid.index()];
+                    if same && iid.index() < fitted && self.untouched(*fit, m) {
+                        tally.fits_kept += 1;
+                    } else {
+                        *fit = self.earliest_instance_fit(u, m, iid, window, starts[m.index()]);
+                        tally.fits_recomputed += 1;
+                    }
+                }
+            }
         }
+        self.start0 = start0;
+        self.avoided = avoided;
+        self.windows = windows;
+        self.fits = fits;
+        self.tally = tally;
+        self.fitted = self.listed;
+        self.stale = false;
+        self.committed.clear();
+        #[cfg(debug_assertions)]
+        self.check_tables();
+    }
+
+    /// Whether a kept answer on module `m` still holds: `None`, or a
+    /// start whose window overlaps no window committed since it was
+    /// computed.
+    fn untouched(&self, answer: Option<u32>, m: ModuleId) -> bool {
+        answer.is_none_or(|s| {
+            let finish = s + self.library.module(m).latency();
+            self.committed
+                .iter()
+                .all(|&(_, a, b)| finish <= a || b <= s)
+        })
+    }
+
+    /// Asserts every kept table entry equal to a full recompute, without
+    /// recording the recompute's ledger comparisons: they would narrow
+    /// the run's interval in debug builds only.
+    #[cfg(debug_assertions)]
+    fn check_tables(&self) {
+        let lib_len = self.library.len();
+        self.ledger.unrecorded(|| {
+            for &u in &self.unbound_vec {
+                let window = self.window(u);
+                for &m in self.kind_list(u) {
+                    assert_eq!(
+                        self.start0[u.index() * lib_len + m.index()],
+                        self.start_within(u, m, 0, window),
+                        "kept start0 of {u} on module {} is stale",
+                        m.index()
+                    );
+                }
+                for &m in self.modules_for(u) {
+                    for &iid in &self.by_module[m.index()] {
+                        let f = u.index() * self.cap + iid.index();
+                        assert_eq!(
+                            self.fits[f],
+                            self.earliest_instance_fit(
+                                u,
+                                m,
+                                iid,
+                                window,
+                                self.candidate_start0(u, m)
+                            ),
+                            "kept fit of {u} on instance {} is stale",
+                            iid.index()
+                        );
+                        if self.options.interconnect_scoring {
+                            let recount: usize = self
+                                .binding
+                                .instance(iid)
+                                .ops()
+                                .iter()
+                                .map(|&v| self.shared_connections(u, v))
+                                .sum();
+                            assert_eq!(
+                                self.shared[f] as usize,
+                                recount,
+                                "shared connections of {u} with instance {} are stale",
+                                iid.index()
+                            );
+                        }
+                    }
+                }
+            }
+        });
     }
 
     /// The candidate modules of `op`'s kind.
@@ -687,6 +931,17 @@ impl<'a> Kernel<'a> {
     /// qualifies), locked direct successors, and — for locked ops — the
     /// fixed slot and timing.
     fn candidate_start(&self, op: NodeId, m: ModuleId, not_before: u32) -> Option<u32> {
+        self.start_within(op, m, not_before, self.window(op))
+    }
+
+    /// `candidate_start` given `op`'s [`Kernel::window`].
+    fn start_within(
+        &self,
+        op: NodeId,
+        m: ModuleId,
+        not_before: u32,
+        (ready, deadline): (u32, u32),
+    ) -> Option<u32> {
         let spec = self.library.module(m);
         if let Some(s) = self.locked.get(op) {
             let cur = self.timing.of(op);
@@ -695,16 +950,30 @@ impl<'a> Kernel<'a> {
             }
             return (s >= not_before).then_some(s);
         }
-        let delay = spec.latency();
-        let power = spec.power();
+        // Deadline-bounded offset search on the ledger (log-time skips,
+        // identical result to the old cycle-by-cycle scan); it rejects a
+        // module over the peak bound before searching.
+        self.ledger.earliest_fit_by(
+            ready.max(not_before),
+            spec.latency(),
+            spec.power(),
+            deadline,
+        )
+    }
+
+    /// The two numbers `candidate_start` derives for an unlocked `op`
+    /// whatever the module: its ready time (the latest provisional finish
+    /// of its operands) and its deadline (the soft palap deadline, never
+    /// tighter than the provisional slot, capped by the latency
+    /// constraint and locked direct successors).
+    fn window(&self, op: NodeId) -> (u32, u32) {
         let ready = self
             .graph
             .operands(op)
             .iter()
             .map(|&p| self.provisional.start(p) + self.timing.delay(p))
             .max()
-            .unwrap_or(0)
-            .max(not_before);
+            .unwrap_or(0);
         // Soft palap deadline: never tighter than the provisional slot.
         let late = self.palap.as_ref().unwrap_or(&self.provisional);
         let soft_deadline = (late.start(op) + self.timing.delay(op))
@@ -719,33 +988,35 @@ impl<'a> Kernel<'a> {
             .unwrap_or(u32::MAX)
             .min(soft_deadline)
             .min(self.constraints.latency);
-        // Deadline-bounded offset search on the ledger (log-time skips,
-        // identical result to the old cycle-by-cycle scan); it rejects a
-        // module over the peak bound before searching.
-        self.ledger.earliest_fit_by(ready, delay, power, deadline)
+        (ready, deadline)
     }
 
-    /// Interconnect bonus: shared operand producers / result consumers.
-    fn interconnect(&self, u: NodeId, others: &[NodeId]) -> f64 {
-        if !self.options.interconnect_scoring {
-            return 0.0;
-        }
-        let mut shared = 0usize;
-        for &v in others {
-            shared += self
-                .graph
-                .operands(u)
-                .iter()
-                .filter(|p| self.graph.operands(v).contains(p))
-                .count();
-            shared += self
+    /// Connections `u` shares with `v`: each operand of `u` found among
+    /// `v`'s operands, and each consumer of `u` found among `v`'s
+    /// consumers (with multiplicity on `u`'s side).
+    fn shared_connections(&self, u: NodeId, v: NodeId) -> usize {
+        let operands = self.graph.operands(v);
+        let consumers = self.graph.successors(v);
+        self.graph
+            .operands(u)
+            .iter()
+            .filter(|p| operands.contains(p))
+            .count()
+            + self
                 .graph
                 .successors(u)
                 .iter()
-                .filter(|c| self.graph.successors(v).contains(c))
-                .count();
+                .filter(|c| consumers.contains(c))
+                .count()
+    }
+
+    /// Interconnect bonus of the pair `(u, v)`: its shared connections,
+    /// weighted, or 0 with interconnect scoring off.
+    fn interconnect(&self, u: NodeId, v: NodeId) -> f64 {
+        if !self.options.interconnect_scoring {
+            return 0.0;
         }
-        shared as f64 * INTERCONNECT_WEIGHT
+        self.shared_connections(u, v) as f64 * INTERCONNECT_WEIGHT
     }
 
     /// Modules allowed for `op` under the ablation switches (borrowed —
@@ -779,7 +1050,8 @@ impl<'a> Kernel<'a> {
     }
 
     /// The decision merging unbound `u` onto existing instance `iid` of
-    /// module `m`, if it fits.
+    /// module `m`, if it fits: the kept fit, scored with the kept
+    /// shared-connection count.
     fn existing_decision(
         &self,
         u: NodeId,
@@ -787,8 +1059,8 @@ impl<'a> Kernel<'a> {
         iid: InstanceId,
         key: Key,
     ) -> Option<Decision> {
-        let s = self.earliest_instance_fit(u, m, iid)?;
-        let inst = self.binding.instance(iid);
+        let f = u.index() * self.cap + iid.index();
+        let s = self.fits[f]?;
         // The +1 bonus breaks ties against pair merges: growing an
         // existing clique saves one unit per *one* operation consumed, a
         // pair saves one unit per two — without the bonus the greedy
@@ -797,12 +1069,17 @@ impl<'a> Kernel<'a> {
         // leaves a rejected fresh attempt's instance empty and `gather`
         // still lists it, so a merge onto it scores `avoided + 1` as if
         // it spared a unit (ROADMAP item 6).
+        let ic = if self.options.interconnect_scoring {
+            f64::from(self.shared[f]) * INTERCONNECT_WEIGHT
+        } else {
+            0.0
+        };
         Some(Decision {
             op: u,
             module: m,
             start: s,
             target: Target::Existing(iid),
-            score: self.avoided_area(u) + self.interconnect(u, inst.ops()) + 1.0,
+            score: self.avoided_area(u) + ic + 1.0,
             key,
         })
     }
@@ -934,7 +1211,7 @@ impl<'a> Kernel<'a> {
                     else {
                         continue; // module selection off: `first` keeps its estimate
                     };
-                    let ic = self.interconnect(first, &[second]);
+                    let ic = self.interconnect(first, second);
                     let bound = e.gain + ic;
                     let key = (1, u.index() as u32, v.index() as u32, pos as u32);
                     if top.worst().is_some_and(|w| {
@@ -961,7 +1238,7 @@ impl<'a> Kernel<'a> {
     /// The decision opening one shared instance of module `m` for the
     /// dependence-ordered pair `(first, second)`, if the merge is
     /// profitable and feasible. `ic` is the pair's interconnect term,
-    /// `interconnect(first, &[second])`, which the caller has in hand.
+    /// `interconnect(first, second)`, which the caller has in hand.
     fn pair_decision(
         &self,
         first: NodeId,
@@ -995,11 +1272,19 @@ impl<'a> Kernel<'a> {
 
     /// Earliest start at which `u` can execute on instance `iid` of
     /// module `m`: power-feasible and not overlapping the instance's busy
-    /// intervals.
-    fn earliest_instance_fit(&self, u: NodeId, m: ModuleId, iid: InstanceId) -> Option<u32> {
+    /// intervals. `window` is `u`'s [`Kernel::window`] and `start0` its
+    /// `candidate_start(u, m, 0)`.
+    fn earliest_instance_fit(
+        &self,
+        u: NodeId,
+        m: ModuleId,
+        iid: InstanceId,
+        window: (u32, u32),
+        start0: Option<u32>,
+    ) -> Option<u32> {
         let delay = self.library.module(m).latency();
         let busy = &self.busy[iid.index()];
-        let mut s = self.candidate_start0(u, m)?;
+        let mut s = start0?;
         loop {
             // First busy interval overlapping [s, s+delay), if any.
             match busy
@@ -1011,7 +1296,7 @@ impl<'a> Kernel<'a> {
                 None => return Some(s),
                 Some(resume) => {
                     // Skip past the collision and re-check power/deadline.
-                    s = self.candidate_start(u, m, resume)?;
+                    s = self.start_within(u, m, resume, window)?;
                 }
             }
         }
@@ -1270,6 +1555,7 @@ mod tests {
     use super::*;
     use pchls_cdfg::{benchmarks, random_dag, CdfgBuilder, RandomDagConfig};
     use pchls_fulib::{paper_library, ModuleSpec};
+    use pchls_sched::PowerBudget;
     use proptest::prelude::*;
 
     /// The reference ranking `Kernel::rank` is checked against in test
@@ -1288,7 +1574,7 @@ mod tests {
                 } else {
                     (u, v)
                 };
-                let ic = kernel.interconnect(first, &[second]);
+                let ic = kernel.interconnect(first, second);
                 for (pos, &m) in (0u32..).zip(kernel.modules_for(first)) {
                     let key = (1, u.index() as u32, v.index() as u32, pos);
                     all.extend(kernel.pair_decision(first, second, m, ic, key));
@@ -1321,7 +1607,9 @@ mod tests {
         /// Every iteration's pruned ranking equals the exhaustive one
         /// (`Kernel::rank` asserts it in test builds) under every
         /// ablation switch. Pair bounds are exact scores, so the walk's
-        /// rank-key cut decides every tie.
+        /// rank-key cut decides every tie. Debug builds also check every
+        /// kept table entry, fit and shared count against a recompute,
+        /// under constant and stepwise budgets alike.
         #[test]
         fn pair_walk_ranks_exactly_like_brute_force(
             ops in 10usize..61,
@@ -1330,6 +1618,9 @@ mod tests {
             depth_bias in 0u32..4,
             slack in 0u32..3,
             power in 4.0f64..80.0,
+            stepwise in any::<bool>(),
+            step_permille in 0u32..1000,
+            later_power in 4.0f64..80.0,
             module_selection in any::<bool>(),
             interconnect_scoring in any::<bool>(),
             backtracking in any::<bool>(),
@@ -1348,7 +1639,17 @@ mod tests {
                 module_selection,
                 interconnect_scoring,
             };
-            let constraints = SynthesisConstraints::new(min_latency * (1 + slack), power);
+            let latency = min_latency * (1 + slack);
+            // Stepwise: a second bound from a cycle inside the horizon on.
+            let budget = if stepwise {
+                PowerBudget::steps(vec![
+                    (0, power),
+                    (1 + (latency - 1) * step_permille / 1000, later_power),
+                ])
+            } else {
+                PowerBudget::constant(power)
+            };
+            let constraints = SynthesisConstraints::new(latency, budget);
             // Infeasible points are fine: every ranking before the
             // failure was still checked.
             let _ = synth_tally(paper_library(), &graph, &constraints, &options);

@@ -244,6 +244,16 @@ impl PowerLedger {
         self.seen.set(seen);
     }
 
+    /// Runs `probe`, then forgets every comparison it recorded here: for
+    /// a check that re-derives answers the run already has, and must not
+    /// narrow the run's interval.
+    pub fn unrecorded<R>(&self, probe: impl FnOnce() -> R) -> R {
+        let seen = self.seen.get();
+        let out = probe();
+        self.seen.set(seen);
+        out
+    }
+
     /// Whether an operation drawing `power` quanta fits under the peak
     /// bound at all — the can-never-fit quick reject, recorded.
     #[must_use]
@@ -691,6 +701,16 @@ mod tests {
         l.clear();
         assert_eq!(l, constant(8, 10.0));
         assert_eq!(l.interval(), interval(0, 10_500));
+    }
+
+    #[test]
+    fn unrecorded_probes_leave_the_record_alone() {
+        let l = reserved();
+        assert!(!l.fits(1, 2, 3_000));
+        let before = l.interval();
+        let (fit, unfit) = l.unrecorded(|| (l.earliest_fit(0, 3, 3_000), l.admits(11_000)));
+        assert_eq!((fit, unfit), (Some(4), false));
+        assert_eq!(l.interval(), before);
     }
 
     #[test]
