@@ -558,21 +558,20 @@ impl<'a> Kernel<'a> {
             .instance_of(cand.op)
             .expect("a committed op is bound");
         let delay = self.library.module(cand.module).latency();
-        self.committed.push((iid, cand.start, cand.start + delay));
-        if let Target::FreshPair { partner_start, .. } = cand.target {
-            self.committed
-                .push((iid, partner_start, partner_start + delay));
-        }
-        self.reserve_columns(iid.index() + 1);
-        if !self.options.interconnect_scoring {
-            return;
-        }
-        let joined = match cand.target {
-            Target::FreshPair { partner, .. } => [Some(cand.op), Some(partner)],
-            _ => [Some(cand.op), None],
+        let partner = match cand.target {
+            Target::FreshPair {
+                partner,
+                partner_start,
+            } => Some((partner, partner_start)),
+            _ => None,
         };
+        self.reserve_columns(iid.index() + 1);
         let (graph, cap) = (self.graph, self.cap);
-        for w in joined.into_iter().flatten() {
+        for (w, start) in std::iter::once((cand.op, cand.start)).chain(partner) {
+            self.committed.push((iid, start, start + delay));
+            if !self.options.interconnect_scoring {
+                continue;
+            }
             let operands = graph.operands(w);
             for (i, &p) in operands.iter().enumerate() {
                 if !operands[..i].contains(&p) {
@@ -600,24 +599,8 @@ impl<'a> Kernel<'a> {
         }
         let cap = instances.max(2 * self.cap).max(8);
         let n = self.graph.len();
-        let mut fits = vec![None; n * cap];
-        let mut shared = vec![0; n * cap];
-        if self.cap > 0 {
-            for (row, old) in fits
-                .chunks_exact_mut(cap)
-                .zip(self.fits.chunks_exact(self.cap))
-            {
-                row[..self.cap].copy_from_slice(old);
-            }
-            for (row, old) in shared
-                .chunks_exact_mut(cap)
-                .zip(self.shared.chunks_exact(self.cap))
-            {
-                row[..self.cap].copy_from_slice(old);
-            }
-        }
-        self.fits = fits;
-        self.shared = shared;
+        self.fits = widen(&self.fits, n, self.cap, cap);
+        self.shared = widen(&self.shared, n, self.cap, cap);
         self.cap = cap;
     }
 
@@ -635,6 +618,18 @@ impl<'a> Kernel<'a> {
         )
         .map_err(SynthesisError::Schedule)
     }
+}
+
+/// `table`'s `rows` rows of `from` columns, widened to `to` columns; the
+/// new columns hold the default.
+fn widen<T: Copy + Default>(table: &[T], rows: usize, from: usize, to: usize) -> Vec<T> {
+    let mut wide = vec![T::default(); rows * to];
+    if from > 0 {
+        for (row, old) in wide.chunks_exact_mut(to).zip(table.chunks_exact(from)) {
+            row[..from].copy_from_slice(old);
+        }
+    }
+    wide
 }
 
 /// Whether a just-applied decision is guaranteed not to invalidate the
@@ -860,13 +855,12 @@ impl<'a> Kernel<'a> {
     /// the run's interval in debug builds only.
     #[cfg(debug_assertions)]
     fn check_tables(&self) {
-        let lib_len = self.library.len();
         self.ledger.unrecorded(|| {
             for &u in &self.unbound_vec {
                 let window = self.window(u);
                 for &m in self.kind_list(u) {
                     assert_eq!(
-                        self.start0[u.index() * lib_len + m.index()],
+                        self.candidate_start0(u, m),
                         self.start_within(u, m, 0, window),
                         "kept start0 of {u} on module {} is stale",
                         m.index()
