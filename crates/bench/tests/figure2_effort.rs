@@ -11,6 +11,8 @@
 //! attempt past the first. It also pins the pair walk's global probe
 //! and prune counters over the same calls: rand200 never ranks a full
 //! block, so this is the walk's only pin under a rejected first block.
+//! And it pins the placement orders those calls compute, bootstrap's
+//! included.
 
 use pchls_bench::{figure2_curves, figure2_power_grid};
 use pchls_core::{Engine, SynthesisConstraints, SynthesisOptions};
@@ -32,21 +34,25 @@ const FAST_COMMITS: usize = 7_498;
 /// `pchls_kernel_pairs_pruned_total` count them.
 const PAIR_PROBES: u64 = 163_431;
 const PAIRS_PRUNED: u64 = 2_354_974;
+/// Summed over all 360 calls: pasap/palap placement orders computed, as
+/// `pchls_kernel_placement_orders_total` counts them.
+const PLACEMENT_ORDERS: u64 = 3_643;
 
-/// The global pair-walk counters `(probes, pruned)`. This binary holds
-/// one test, so their deltas count its own calls only.
-fn pair_counters() -> [u64; 2] {
+/// The global kernel counters `(probes, pruned, orders)`. This binary
+/// holds one test, so their deltas count its own calls only.
+fn effort_counters() -> [u64; 3] {
     let global = pchls_obs::global();
     [
         "pchls_kernel_pair_probes_total",
         "pchls_kernel_pairs_pruned_total",
+        "pchls_kernel_placement_orders_total",
     ]
     .map(|name| global.counter(name).get())
 }
 
 #[test]
 fn figure2_raw_kernel_effort_is_pinned() {
-    let before = pair_counters();
+    let before = effort_counters();
     let engine = Engine::new(paper_library());
     let options = SynthesisOptions::default();
     let mut feasible = 0;
@@ -80,10 +86,10 @@ fn figure2_raw_kernel_effort_is_pinned() {
         ),
         "Figure 2's raw kernel effort (feasible, [decisions, backtracks, rejected, fast commits]) moved"
     );
-    let after = pair_counters();
+    let after = effort_counters();
     assert_eq!(
-        [after[0] - before[0], after[1] - before[1]],
-        [PAIR_PROBES, PAIRS_PRUNED],
-        "Figure 2's raw pair-walk effort [probes, pruned] moved"
+        [0, 1, 2].map(|i| after[i] - before[i]),
+        [PAIR_PROBES, PAIRS_PRUNED, PLACEMENT_ORDERS],
+        "Figure 2's raw kernel effort [probes, pruned, placement orders] moved"
     );
 }

@@ -2,8 +2,8 @@
 
 use crate::graph::{Cdfg, NodeId};
 
-/// Dense transitive-closure over a [`Cdfg`], answering ancestor /
-/// descendant queries in O(1) after O(V·E/64) construction.
+/// Dense transitive-closure over a [`Cdfg`], answering reachability
+/// queries in O(1) after O(V·E/64) construction.
 ///
 /// Binding uses this heavily: two dependence-ordered operations can always
 /// share a functional unit because their execution intervals can never
@@ -34,10 +34,6 @@ pub struct Reachability {
     words: usize,
     /// `desc[i]` = bitset of nodes reachable from `i` (excluding `i`).
     desc: Vec<u64>,
-    /// `anc[i]` = bitset of nodes that reach `i` (excluding `i`) — the
-    /// transpose of `desc`, so an operation's ancestor cone is one word
-    /// slice instead of a graph traversal.
-    anc: Vec<u64>,
 }
 
 impl Reachability {
@@ -56,55 +52,7 @@ impl Reachability {
                 desc[i * words + si / 64] |= 1u64 << (si % 64);
             }
         }
-        // `anc[s] |= anc[i] | {i}` for each edge i→s, predecessors first.
-        let mut anc = vec![0u64; n * words];
-        for &id in graph.topological() {
-            let i = id.index();
-            for &s in graph.successors(id) {
-                let si = s.index();
-                union_row(&mut anc, words, si, i);
-                anc[si * words + i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        Reachability {
-            n,
-            words,
-            desc,
-            anc,
-        }
-    }
-
-    /// Number of nodes in the analyzed graph.
-    #[must_use]
-    pub(crate) fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Bitset of the nodes that reach `id` (excluding `id`), one bit per
-    /// node index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range for the analyzed graph.
-    #[must_use]
-    pub fn ancestor_words(&self, id: NodeId) -> &[u64] {
-        assert!(id.index() < self.n, "foreign id");
-        &self.anc[id.index() * self.words..(id.index() + 1) * self.words]
-    }
-
-    /// Iterates the node ids set in a bitset row, in ascending order.
-    pub(crate) fn iter_row(row: &[u64]) -> impl Iterator<Item = NodeId> + '_ {
-        row.iter().enumerate().flat_map(|(w, &bits)| {
-            let mut rest = bits;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let b = rest.trailing_zeros();
-                rest &= rest - 1;
-                Some(NodeId::new((w * 64) as u32 + b))
-            })
-        })
+        Reachability { n, words, desc }
     }
 
     /// Whether a directed path from `from` to `to` exists (`from != to`
@@ -125,23 +73,10 @@ impl Reachability {
     pub fn ordered(&self, a: NodeId, b: NodeId) -> bool {
         self.reaches(a, b) || self.reaches(b, a)
     }
-
-    /// Number of descendants of `id`.
-    #[must_use]
-    pub(crate) fn descendant_count(&self, id: NodeId) -> usize {
-        let i = id.index();
-        self.desc[i * self.words..(i + 1) * self.words]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
 }
 
 /// A fixed-capacity set of [`NodeId`]s stored as packed `u64` words —
 /// the word-parallel replacement for a `Vec<bool>` membership array.
-///
-/// [`NodeSet::words`] exposes the same packed layout as
-/// [`Reachability::ancestor_words`].
 ///
 /// Trailing bits beyond `len` are kept zero as an invariant, so whole-word
 /// operations (`count`, intersection walks) never see phantom members.
@@ -235,8 +170,7 @@ impl NodeSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// The packed word row — same layout as the [`Reachability`] rows, so
-    /// the two can be `AND`ed word-for-word.
+    /// The packed word row: bit `i % 64` of word `i / 64` for id `i`.
     #[must_use]
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -244,7 +178,17 @@ impl NodeSet {
 
     /// Iterates the members in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        Reachability::iter_row(&self.words)
+        self.words.iter().enumerate().flat_map(|(w, &bits)| {
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let b = rest.trailing_zeros();
+                rest &= rest - 1;
+                Some(NodeId::new((w * 64) as u32 + b))
+            })
+        })
     }
 }
 
@@ -381,19 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn descendant_counts() {
-        let g = sample();
-        let r = Reachability::new(&g);
-        let ids: Vec<NodeId> = g.node_ids().collect();
-        // x reaches a, m, o
-        assert_eq!(r.descendant_count(ids[0]), 3);
-        // y reaches a, m, o
-        assert_eq!(r.descendant_count(ids[1]), 3);
-        // o reaches nothing
-        assert_eq!(r.descendant_count(ids[4]), 0);
-    }
-
-    #[test]
     fn reachability_agrees_with_dfs_on_wide_graph() {
         // A graph wider than 64 nodes exercises the multi-word bitset path.
         let mut b = CdfgBuilder::new("wide");
@@ -439,12 +370,15 @@ mod tests {
             }
         }
 
-        // The ancestor bitsets are the exact transpose of the descendant
-        // bitsets, and row iteration enumerates exactly the set bits.
+        // Over a universe wider than 64, iteration enumerates exactly
+        // the members, in ascending order: here each node's ancestors.
         for c in g.node_ids() {
-            let iterated: Vec<NodeId> = Reachability::iter_row(r.ancestor_words(c)).collect();
             let expected: Vec<NodeId> = g.node_ids().filter(|&a| r.reaches(a, c)).collect();
-            assert_eq!(iterated, expected);
+            let mut ancestors = NodeSet::empty(g.len());
+            for &a in &expected {
+                ancestors.insert(a);
+            }
+            assert_eq!(ancestors.iter().collect::<Vec<_>>(), expected);
         }
     }
 }

@@ -7,8 +7,9 @@
 //! The cone's contract: a node outside the cone has a bit-for-bit
 //! identical ancestor subgraph and descendant subgraph in both graphs (under the node mapping), so any
 //! per-node artifact derived purely from those cones — reachability
-//! rows, ASAP levels, [`cone_fingerprints`](crate::cone_fingerprints)
-//! — can be reused from the base graph without recomputation. The cone
+//! rows, ASAP levels, the per-node canonical hashes behind
+//! [`graph_fingerprint`](crate::graph_fingerprint) — can be reused from
+//! the base graph without recomputation. The cone
 //! is a conservative superset of where such artifacts change: staying
 //! outside it is proof of reuse, being inside it is only suspicion of
 //! change.
@@ -361,8 +362,6 @@ pub fn diff(base: &Cdfg, edited: &Cdfg) -> GraphDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::Reachability;
-    use crate::fingerprint::cone_fingerprints;
     use crate::{benchmarks, CdfgBuilder, GraphEdit};
 
     fn sample() -> Cdfg {
@@ -462,8 +461,7 @@ mod tests {
     #[test]
     fn cone_fingerprints_stable_outside_cone() {
         let g = benchmarks::hal();
-        let reach = Reachability::new(&g);
-        let base_fps = cone_fingerprints(&g, &reach);
+        let base_fps = canonical_hashes(&g);
         // Rewire one edge of some compute node.
         let target = g
             .nodes()
@@ -481,7 +479,7 @@ mod tests {
         edit.rewire_edge(target, 0, donor).unwrap();
         let edited = edit.finish().unwrap();
         let d = diff(&g, &edited);
-        let edited_fps = cone_fingerprints(&edited, &Reachability::new(&edited));
+        let edited_fps = canonical_hashes(&edited);
         let mut changed_inside = 0;
         for id in edited.node_ids() {
             let Some(b) = d.map_edited(id) else { continue };
@@ -489,7 +487,7 @@ mod tests {
                 assert_eq!(
                     edited_fps[id.index()],
                     base_fps[b.index()],
-                    "cone fingerprint changed outside the edit cone at {id}"
+                    "canonical hash changed outside the edit cone at {id}"
                 );
             } else if edited_fps[id.index()] != base_fps[b.index()] {
                 changed_inside += 1;
@@ -509,9 +507,9 @@ mod tests {
             for id in b.node_ids() {
                 if d.map_edited(id).is_some() && !d.cone().contains(id) {
                     // Clean survivors must genuinely have identical
-                    // cones — spot-check via cone fingerprints.
-                    let fa = cone_fingerprints(&a, &Reachability::new(&a));
-                    let fb = cone_fingerprints(&b, &Reachability::new(&b));
+                    // cones — spot-check via their canonical hashes.
+                    let fa = canonical_hashes(&a);
+                    let fb = canonical_hashes(&b);
                     assert_eq!(fb[id.index()], fa[d.map_edited(id).unwrap().index()]);
                 }
             }

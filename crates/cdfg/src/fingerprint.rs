@@ -59,7 +59,6 @@
 //! # }
 //! ```
 
-use crate::analysis::Reachability;
 use crate::graph::Cdfg;
 
 /// An incremental, order-sensitive stable hasher built from the same
@@ -241,54 +240,6 @@ pub(crate) fn canonical_hashes(graph: &Cdfg) -> Vec<u64> {
     }
 
     (0..n).map(|i| fold(fwd[i], bwd[i])).collect()
-}
-
-/// Per-node *cone fingerprints*: a stable hash of each node's full
-/// ancestor/descendant dependence cone.
-///
-/// `cone[i]` folds the node's canonical structural hash (which already
-/// encodes the shape of both cones — the same per-node hash that feeds
-/// [`graph_fingerprint`]) with the ancestor and descendant populations
-/// taken from the precomputed [`Reachability`] bitsets. Two uses:
-///
-/// * **permutation invariance**: relabeling the nodes permutes the
-///   returned vector but never changes the multiset of values, so cone
-///   fingerprints can be compared across graphs built in different
-///   insertion orders;
-/// * **edit locality**: an edit changes the cone fingerprints of
-///   exactly the nodes whose dependence cone the edit intersects —
-///   nodes outside the edit cone of [`diff`](crate::diff) keep their
-///   value bit-for-bit, which is what lets delta compilation certify
-///   reuse.
-///
-/// Like [`graph_fingerprint`] this is a hash, not a proof: act on a
-/// match only after a full verify.
-///
-/// # Panics
-///
-/// Panics if `reach` was built for a different node count than `graph`.
-#[must_use]
-pub fn cone_fingerprints(graph: &Cdfg, reach: &Reachability) -> Vec<u64> {
-    assert_eq!(
-        reach.node_count(),
-        graph.len(),
-        "reachability built for a different graph"
-    );
-    let canon = canonical_hashes(graph);
-    graph
-        .node_ids()
-        .map(|id| {
-            let anc: usize = reach
-                .ancestor_words(id)
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum();
-            let desc: usize = reach.descendant_count(id);
-            let mut h = fold(0x636f_6e65_2d66_7030, canon[id.index()]);
-            h = fold(h, anc as u64);
-            fold(h, desc as u64)
-        })
-        .collect()
 }
 
 /// For each entry of `graph.successors(id)` (in order), the operand

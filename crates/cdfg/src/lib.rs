@@ -52,7 +52,7 @@ pub use builder::CdfgBuilder;
 pub use delta::{diff, GraphDelta};
 pub use edit::{EditError, GraphEdit};
 pub use error::CdfgError;
-pub use fingerprint::{cone_fingerprints, graph_fingerprint, StableHasher};
+pub use fingerprint::{graph_fingerprint, StableHasher};
 pub use graph::{Cdfg, Edge, Node, NodeId};
 pub use interp::{Interpreter, Stimulus, Value};
 pub use op::OpKind;

@@ -10,9 +10,9 @@
 //!   module candidate lists — computed once for the library's lifetime.
 //! * [`Engine::compile`] produces a [`CompiledGraph`] owning the
 //!   **per-graph** artifacts — the transitive-closure
-//!   [`Reachability`] bitsets, min-area bootstrap module estimates,
-//!   fastest/min-area timing maps and the ASAP/ALAP schedule skeletons —
-//!   computed once per graph.
+//!   [`Reachability`] bitsets, min-area bootstrap module estimates and
+//!   timing map, and the fastest modules' minimum latency, ASAP power
+//!   peak and largest single-operation power — computed once per graph.
 //! * [`Engine::session`] pairs the two into a [`Session`] whose
 //!   [`synthesize`](Session::synthesize), [`sweep`](Session::sweep) and
 //!   [`batch`](Session::batch) calls share every compiled artifact
@@ -101,7 +101,8 @@ impl Engine {
 
     /// Compiles `graph` into the per-graph artifacts every subsequent
     /// synthesis call reuses: reachability bitsets, bootstrap module
-    /// estimates, timing maps and the ASAP/ALAP skeletons.
+    /// estimates and timing map, and what the fastest modules' ASAP
+    /// schedule gives (minimum latency and power peak).
     ///
     /// # Errors
     ///
@@ -133,7 +134,7 @@ impl Engine {
             graph: graph.clone(),
             reachability: Reachability::new(graph),
             seed_modules,
-            fastest_timing,
+            max_op_power: fastest_timing.max_single_op_power(),
             min_area_timing,
             min_latency,
             asap_peak,
@@ -189,7 +190,9 @@ pub struct CompiledGraph {
     reachability: Reachability,
     /// Min-area module estimate per operation — the bootstrap seed.
     seed_modules: Vec<ModuleId>,
-    fastest_timing: TimingMap,
+    /// The largest single-operation power under the fastest modules, in
+    /// quanta: the floor of [`Session::auto_power_grid`].
+    max_op_power: u64,
     min_area_timing: TimingMap,
     min_latency: u32,
     asap_peak: f64,
@@ -519,13 +522,13 @@ impl<'e> Session<'e> {
     }
 
     /// A sensible power grid for sweeping this graph: `steps` evenly
-    /// spaced bounds from just under the cheapest single operation's
-    /// power up to the peak of the power-oblivious ASAP design (beyond
-    /// which the constraint stops binding) plus one step of headroom,
-    /// read from the compile-time skeletons.
+    /// spaced bounds from the largest single operation's power under the
+    /// fastest modules up to the peak of the power-oblivious ASAP design
+    /// (beyond which the constraint stops binding) plus one step of
+    /// headroom, both read at compile time.
     #[must_use]
     pub fn auto_power_grid(&self, steps: usize) -> Vec<f64> {
-        let lo = pchls_fulib::units(self.compiled.fastest_timing.max_single_op_power());
+        let lo = pchls_fulib::units(self.compiled.max_op_power);
         let hi = self.compiled.asap_peak * 1.1;
         let steps = steps.max(2);
         (0..steps)
@@ -883,6 +886,10 @@ mod tests {
         assert_eq!(
             compiled.asap_peak_power(),
             PowerProfile::of(&skeleton, &fastest).peak()
+        );
+        assert_eq!(
+            engine.session(&compiled).auto_power_grid(2)[0],
+            pchls_fulib::units(fastest.max_single_op_power())
         );
         assert!(compiled.optimize_stats().is_none());
     }

@@ -23,7 +23,8 @@
 //!
 //! Synthesis state is split by lifetime: [`Engine::new`] owns the
 //! per-library indexes, [`Engine::compile`] owns the per-graph analyses
-//! (reachability bitsets, bootstrap estimates, schedule skeletons), and
+//! (reachability bitsets, bootstrap estimates, the fastest ASAP
+//! schedule's latency and power peak), and
 //! a [`Session`] synthesizes under any number of `(T, P<)` constraint
 //! points — one at a time ([`Session::synthesize`]), as a power sweep
 //! at a fixed latency ([`Session::sweep`]), or as an arbitrary batched

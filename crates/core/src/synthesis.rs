@@ -83,10 +83,11 @@ pub(crate) fn synthesize_recorded(
 
 /// Kernel effort summed over one synthesize call: pair merges whose
 /// exact score was computed (ledger probes), pair merges skipped on
-/// their score bound or rank key, pasap/palap placement orders computed,
-/// rankings of each [`Block`], and the kept tables' `start0` entries and
-/// instance fits, kept or recomputed. Published to the global registry
-/// once per call, not per pair or schedule.
+/// their score bound or rank key, pasap/palap placement orders computed
+/// (every one the run's [`PlacementCache`] computes, bootstrap's
+/// included), rankings of each [`Block`], and the kept tables' `start0`
+/// entries and instance fits, kept or recomputed. Published to the global
+/// registry once per call, not per pair or schedule.
 #[derive(Debug, Default)]
 struct Tally {
     probed: u64,
@@ -140,8 +141,8 @@ impl Tally {
 /// ranks the decisions ([`Kernel::rank`]), commits the best one that
 /// leaves the rest power-feasible ([`Kernel::attempt`]), and when every
 /// one fails locks the remaining operations ([`Kernel::backtrack`]).
-/// Every power comparison lands in `boot`, `placer` or `ledger`, which
-/// outlive the loop, so the record survives every exit path.
+/// Every power comparison lands in `placer` or `ledger`, which outlive
+/// the loop, so the record survives every exit path.
 struct Kernel<'a> {
     graph: &'a Cdfg,
     library: &'a ModuleLibrary,
@@ -151,12 +152,9 @@ struct Kernel<'a> {
     kind_modules: &'a [Vec<ModuleId>],
     constraints: &'a SynthesisConstraints,
     options: &'a SynthesisOptions,
-    /// Bootstrap's pasap runs: a cache of its own, whose placement
-    /// orders are not the kernel's and are not counted.
-    boot: PlacementCache<'a>,
-    /// Every locked pasap/palap of the loop, reusing the placement order
-    /// while the delays stay put, and each direction's ledger for the
-    /// whole run (the budget and horizon never change).
+    /// Every pasap/palap of the run, bootstrap's included, under the
+    /// run's budget and latency: the placement order is reused while the
+    /// delays stay put, and each direction's ledger for the whole run.
     placer: PlacementCache<'a>,
     /// The per-cycle power reserved by locked operations, maintained
     /// incrementally: candidate attempts reserve on apply and release
@@ -252,8 +250,7 @@ impl<'a> Kernel<'a> {
             kind_modules: engine.kind_modules(),
             constraints,
             options,
-            boot: PlacementCache::new(graph),
-            placer: PlacementCache::new(graph),
+            placer: PlacementCache::new(graph, &constraints.budget, constraints.latency),
             ledger: PowerLedger::under(constraints.latency, &constraints.budget),
             // Bootstrap's seed: the compiled min-area modules, whose
             // timing is the compiled min-area timing map.
@@ -298,8 +295,7 @@ impl<'a> Kernel<'a> {
     ) {
         let _synth_span = pchls_obs::span!("kernel.synthesize", "ops" => self.graph.len());
         let run = self.run(hook);
-        let mut seen = self.boot.interval();
-        seen.merge(self.placer.interval());
+        let mut seen = self.placer.interval();
         seen.merge(self.ledger.interval());
         self.tally.orders = self.placer.orders_computed();
         let result = run.and_then(|()| {
@@ -362,14 +358,7 @@ impl<'a> Kernel<'a> {
             // schedule itself), which is always safe.
             self.palap = {
                 let _span = pchls_obs::span!("fds.palap");
-                self.placer
-                    .palap_locked(
-                        &self.timing,
-                        &self.constraints.budget,
-                        self.constraints.latency,
-                        &self.locked,
-                    )
-                    .ok()
+                self.placer.palap_locked(&self.timing, &self.locked).ok()
             };
             self.gather();
             // Try candidates best-first; a candidate commits only if the
@@ -441,12 +430,7 @@ impl<'a> Kernel<'a> {
 
     /// The locked pasap of the current state, through `placer`.
     fn pasap(&mut self) -> Result<Schedule, ScheduleError> {
-        self.placer.pasap_locked(
-            &self.timing,
-            &self.constraints.budget,
-            self.constraints.latency,
-            &self.locked,
-        )
+        self.placer.pasap_locked(&self.timing, &self.locked)
     }
 
     /// Brings the iteration's buffers up to date: the unbound operations
@@ -1471,19 +1455,15 @@ impl Kernel<'_> {
     /// graph as [`CompiledGraph`]'s seed, which `Kernel::new` starts
     /// from), then upgrades operations to their fastest module along
     /// infeasible critical paths until a power-feasible schedule exists.
-    /// The pasap runs go through `boot`, and the upgrade filter compares
-    /// module powers against the still-empty `ledger`, so both record
-    /// their comparisons.
+    /// Nothing is locked yet, so the pasap runs are the kernel's own
+    /// ([`Kernel::pasap`]) and the first refit reuses the last one's
+    /// placement order. The upgrade filter compares module powers
+    /// against the still-empty `ledger`, so both record their
+    /// comparisons.
     fn bootstrap(&mut self) -> Result<(), SynthesisError> {
         let (graph, library) = (self.graph, self.library);
-        let unlocked = LockedStarts::none(graph.len());
         loop {
-            let err = match self.boot.pasap_locked(
-                &self.timing,
-                &self.constraints.budget,
-                self.constraints.latency,
-                &unlocked,
-            ) {
+            let err = match self.pasap() {
                 Ok(_) => return Ok(()),
                 Err(e) => e,
             };

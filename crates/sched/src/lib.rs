@@ -8,8 +8,9 @@
 //!   if power is available* over their whole execution interval,
 //!   otherwise they are delayed cycle by cycle ("stretching" the
 //!   schedule to fit under the per-cycle power budget).
-//!   [`PlacementCache`] runs their locked forms over one graph many
-//!   times, computing the placement order only when a delay changes.
+//!   [`PlacementCache`] runs their locked forms over one graph, budget
+//!   and horizon many times, computing the placement order only when a
+//!   delay changes.
 //! * [`list_schedule`] — resource-constrained list scheduling (baseline).
 //! * [`two_step`] — the two-phase schedule-then-flatten approach the
 //!   paper contrasts itself with (refs [1, 2]): first a purely
@@ -72,9 +73,7 @@ pub use budget::{BudgetError, PowerBudget};
 pub use error::ScheduleError;
 pub use interval::PowerInterval;
 pub use list::{list_schedule, Allocation};
-pub use pasap::{
-    palap, palap_locked, pasap, pasap_locked, reserve_locked, LockedStarts, PlacementCache,
-};
+pub use pasap::{palap, pasap, reserve_locked, LockedStarts, PlacementCache};
 pub use power::{NaivePowerLedger, PowerLedger, PowerProfile};
 pub use schedule::Schedule;
 pub use timing::{OpTiming, TimingMap};

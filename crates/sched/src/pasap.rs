@@ -82,38 +82,8 @@ pub fn pasap(
     budget: &PowerBudget,
     horizon: u32,
 ) -> Result<Schedule, ScheduleError> {
-    pasap_locked(
-        graph,
-        timing,
-        budget,
-        horizon,
-        &LockedStarts::none(graph.len()),
-    )
-}
-
-/// Power-constrained ASAP honouring locked start times.
-///
-/// Locked operations reserve their power up front and are never moved;
-/// unlocked operations are placed at their earliest power-feasible start.
-/// The returned schedule is fully validated against precedence, so a lock
-/// combination that forces a violation (e.g. a locked consumer whose
-/// producer cannot finish in time) is reported as an error — this is the
-/// infeasibility signal that triggers the synthesizer's backtracking.
-///
-/// # Errors
-///
-/// As [`pasap`], plus [`ScheduleError::PrecedenceViolated`] when locked
-/// starts are inconsistent with the dependences, and
-/// [`ScheduleError::PowerExceeded`] when the locked operations alone
-/// overflow the budget.
-pub fn pasap_locked(
-    graph: &Cdfg,
-    timing: &TimingMap,
-    budget: &PowerBudget,
-    horizon: u32,
-    locked: &LockedStarts,
-) -> Result<Schedule, ScheduleError> {
-    PlacementCache::new(graph).pasap_locked(timing, budget, horizon, locked)
+    PlacementCache::new(graph, budget, horizon)
+        .pasap_locked(timing, &LockedStarts::none(graph.len()))
 }
 
 /// Power-constrained ALAP without locked operations: the latest
@@ -129,64 +99,38 @@ pub fn palap(
     budget: &PowerBudget,
     latency: u32,
 ) -> Result<Schedule, ScheduleError> {
-    palap_locked(
-        graph,
-        timing,
-        budget,
-        latency,
-        &LockedStarts::none(graph.len()),
-    )
+    PlacementCache::new(graph, budget, latency)
+        .palap_locked(timing, &LockedStarts::none(graph.len()))
 }
 
-/// Power-constrained ALAP honouring locked start times.
-///
-/// Implemented by running the `pasap` placement on the time-reversed
-/// graph: a forward interval `[s, s+d)` corresponds to the reversed
-/// interval `[latency-s-d, latency-s)`, so locks and power reservations
-/// mirror exactly. The placement runs against the **time-mirrored**
-/// envelope (`PowerBudget::reversed`), so a forward cycle's bound
-/// constrains exactly the reversed cycle it maps to.
-///
-/// # Errors
-///
-/// As [`pasap_locked`].
-pub fn palap_locked(
-    graph: &Cdfg,
-    timing: &TimingMap,
-    budget: &PowerBudget,
-    latency: u32,
-    locked: &LockedStarts,
-) -> Result<Schedule, ScheduleError> {
-    PlacementCache::new(graph).palap_locked(timing, budget, latency, locked)
-}
-
-/// [`pasap_locked`] and [`palap_locked`] over one graph, reusing each
+/// The locked forms of [`pasap`] and [`palap`] over one graph, one
+/// budget and one horizon (`palap`'s latency bound), reusing each
 /// direction's placement order while the delays it was computed for are
-/// unchanged, and each direction's ledger while the budget and horizon
-/// it was built for are.
+/// unchanged.
 ///
 /// The order in which the placement loop visits operations depends only
 /// on the graph and the delays — never on locks, starts or the budget —
 /// so a caller scheduling one graph many times under changing locks (the
-/// synthesis loop) pays for it only when a delay changes. The ledger
-/// depends only on the budget and the horizon: each direction keeps one
-/// (the reverse one under the time-mirrored envelope, which it keeps
-/// too) and clears it before the next placement, so the per-cycle bounds
-/// are converted, and an envelope mirrored, only when the budget or the
-/// horizon changes. Every answer equals that of a fresh cache, which is
-/// what the free functions use.
+/// synthesis loop) pays for it only when a delay changes. The ledgers
+/// depend only on the budget and the horizon, which a cache never
+/// changes: it builds one per direction (the reverse one under the
+/// time-mirrored envelope) at construction and clears it before each
+/// placement. Every answer equals that of a fresh cache.
 ///
 /// The cache also accumulates the bound comparisons of every placement
 /// it ran, failed ones included ([`interval`](PlacementCache::interval)).
 #[derive(Debug)]
 pub struct PlacementCache<'g> {
     graph: &'g Cdfg,
+    budget: &'g PowerBudget,
+    /// `budget` mirrored over the horizon: the reverse ledger's envelope.
+    reversed: PowerBudget,
+    horizon: u32,
     forward: CachedOrder,
     reverse: CachedOrder,
-    forward_ledger: KeptLedger,
-    reverse_ledger: KeptLedger,
+    forward_ledger: PowerLedger,
+    reverse_ledger: PowerLedger,
     computed: u64,
-    built: u64,
     seen: PowerInterval,
 }
 
@@ -218,76 +162,45 @@ impl CachedOrder {
     }
 }
 
-/// One direction's ledger, the budget and horizon it was built for, and
-/// that budget in the ledger's time orientation.
-#[derive(Debug, Default)]
-struct KeptLedger(Option<Kept>);
-
-#[derive(Debug)]
-struct Kept {
-    budget: PowerBudget,
-    horizon: u32,
-    oriented: PowerBudget,
-    ledger: PowerLedger,
-}
-
-impl KeptLedger {
-    /// An empty ledger under `budget` over `horizon` cycles, with the
-    /// oriented budget it was built under: the kept ledger cleared, or
-    /// one built under `orient(budget)` (and counted in `built`) when it
-    /// was kept for another budget or horizon. Its record of comparisons
-    /// survives a clear.
-    fn refresh(
-        &mut self,
-        budget: &PowerBudget,
-        horizon: u32,
-        built: &mut u64,
-        orient: impl FnOnce() -> PowerBudget,
-    ) -> (&mut PowerLedger, &PowerBudget) {
-        match &mut self.0 {
-            Some(kept) if kept.horizon == horizon && kept.budget == *budget => kept.ledger.clear(),
-            slot => {
-                let oriented = orient();
-                *built += 1;
-                *slot = Some(Kept {
-                    budget: budget.clone(),
-                    horizon,
-                    ledger: PowerLedger::under(horizon, &oriented),
-                    oriented,
-                });
-            }
-        }
-        let kept = self.0.as_mut().expect("kept or just built");
-        (&mut kept.ledger, &kept.oriented)
-    }
-}
-
 impl<'g> PlacementCache<'g> {
-    /// An empty cache over `graph`.
+    /// A cache placing `graph` under `budget` over `horizon` cycles, with
+    /// both directions' ledgers built.
     #[must_use]
-    pub fn new(graph: &'g Cdfg) -> PlacementCache<'g> {
+    pub fn new(graph: &'g Cdfg, budget: &'g PowerBudget, horizon: u32) -> PlacementCache<'g> {
+        let reversed = budget.reversed(horizon);
         PlacementCache {
             graph,
+            forward_ledger: PowerLedger::under(horizon, budget),
+            reverse_ledger: PowerLedger::under(horizon, &reversed),
+            budget,
+            reversed,
+            horizon,
             forward: CachedOrder::default(),
             reverse: CachedOrder::default(),
-            forward_ledger: KeptLedger::default(),
-            reverse_ledger: KeptLedger::default(),
             computed: 0,
-            built: 0,
             seen: PowerInterval::EVERY,
         }
     }
 
-    /// [`pasap_locked`] over the cached graph.
+    /// Power-constrained ASAP honouring locked start times.
+    ///
+    /// Locked operations reserve their power up front and are never
+    /// moved; unlocked operations are placed at their earliest
+    /// power-feasible start. The returned schedule is fully validated
+    /// against precedence, so a lock combination that forces a violation
+    /// (e.g. a locked consumer whose producer cannot finish in time) is
+    /// reported as an error — this is the infeasibility signal that
+    /// triggers the synthesizer's backtracking.
     ///
     /// # Errors
     ///
-    /// As [`pasap_locked`].
+    /// As [`pasap`], plus [`ScheduleError::PrecedenceViolated`] when
+    /// locked starts are inconsistent with the dependences, and
+    /// [`ScheduleError::PowerExceeded`] when the locked operations alone
+    /// overflow the budget.
     pub fn pasap_locked(
         &mut self,
         timing: &TimingMap,
-        budget: &PowerBudget,
-        horizon: u32,
         locked: &LockedStarts,
     ) -> Result<Schedule, ScheduleError> {
         let graph = self.graph;
@@ -300,16 +213,15 @@ impl<'g> PlacementCache<'g> {
                 timing,
             )
         });
-        let (ledger, budget) =
-            self.forward_ledger
-                .refresh(budget, horizon, &mut self.built, || budget.clone());
+        let ledger = &mut self.forward_ledger;
+        ledger.clear();
         let placed = place_on(
             ledger,
             order,
             |id| graph.operands(id),
             timing,
-            budget,
-            horizon,
+            self.budget,
+            self.horizon,
             |id| locked.get(id),
         );
         self.seen.merge(ledger.interval());
@@ -318,20 +230,26 @@ impl<'g> PlacementCache<'g> {
         Ok(schedule)
     }
 
-    /// [`palap_locked`] over the cached graph: the placement runs on the
-    /// time-reversed graph.
+    /// Power-constrained ALAP honouring locked start times, finishing by
+    /// the cache's horizon.
+    ///
+    /// Implemented by running the `pasap` placement on the time-reversed
+    /// graph: a forward interval `[s, s+d)` corresponds to the reversed
+    /// interval `[latency-s-d, latency-s)`, so locks and power
+    /// reservations mirror exactly. The placement runs against the
+    /// **time-mirrored** envelope, so a forward cycle's bound constrains
+    /// exactly the reversed cycle it maps to.
     ///
     /// # Errors
     ///
-    /// As [`palap_locked`].
+    /// As [`pasap_locked`](PlacementCache::pasap_locked).
     pub fn palap_locked(
         &mut self,
         timing: &TimingMap,
-        budget: &PowerBudget,
-        latency: u32,
         locked: &LockedStarts,
     ) -> Result<Schedule, ScheduleError> {
         let graph = self.graph;
+        let (budget, latency) = (self.budget, self.horizon);
         let order = self.reverse.refresh(timing, &mut self.computed, || {
             placement_order(
                 |id| graph.successors(id),
@@ -341,11 +259,6 @@ impl<'g> PlacementCache<'g> {
                 timing,
             )
         });
-        let (ledger, rev_budget) =
-            self.reverse_ledger
-                .refresh(budget, latency, &mut self.built, || {
-                    budget.reversed(latency)
-                });
         // A forward start `s` with delay `d` maps to the reversed start
         // `latency - s - d`; a lock outside `[0, latency - d]` can never
         // fit.
@@ -361,13 +274,15 @@ impl<'g> PlacementCache<'g> {
                 }
             }
         }
+        let ledger = &mut self.reverse_ledger;
+        ledger.clear();
         let flip = |start: u32, delay: u32| -> Option<u32> { (latency - start).checked_sub(delay) };
         let placed = place_on(
             ledger,
             order,
             |id| graph.successors(id),
             timing,
-            rev_budget,
+            &self.reversed,
             latency,
             |id| {
                 locked
@@ -397,14 +312,6 @@ impl<'g> PlacementCache<'g> {
     #[must_use]
     pub fn orders_computed(&self) -> u64 {
         self.computed
-    }
-
-    /// Ledgers built so far, over both directions: one for each
-    /// placement whose budget or horizon differs from its direction's
-    /// previous placement, the first included.
-    #[must_use]
-    pub fn ledgers_built(&self) -> u64 {
-        self.built
     }
 
     /// Every bound comparison of the placements run so far (see
@@ -689,7 +596,9 @@ mod tests {
         let shifted = base.start(victim) + 3;
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, shifted);
-        let s = pasap_locked(&g, &t, &c(12.0), 100, &locked).unwrap();
+        let s = PlacementCache::new(&g, &c(12.0), 100)
+            .pasap_locked(&t, &locked)
+            .unwrap();
         assert_eq!(s.start(victim), shifted);
         s.validate(&g, &t, None, Some(&c(12.0))).unwrap();
     }
@@ -701,7 +610,9 @@ mod tests {
         let out = g.outputs().next().unwrap().id();
         let mut locked = LockedStarts::none(g.len());
         locked.lock(out, 0);
-        let err = pasap_locked(&g, &t, &PowerBudget::unbounded(), 100, &locked).unwrap_err();
+        let err = PlacementCache::new(&g, &PowerBudget::unbounded(), 100)
+            .pasap_locked(&t, &locked)
+            .unwrap_err();
         assert!(matches!(err, ScheduleError::PrecedenceViolated { .. }));
     }
 
@@ -720,7 +631,9 @@ mod tests {
         let mut locked = LockedStarts::none(g.len());
         locked.lock(muls[0], 1);
         locked.lock(muls[1], 1);
-        let err = pasap_locked(&g, &t, &c(10.0), 100, &locked).unwrap_err();
+        let err = PlacementCache::new(&g, &c(10.0), 100)
+            .pasap_locked(&t, &locked)
+            .unwrap_err();
         assert!(matches!(err, ScheduleError::PowerExceeded { .. }));
     }
 
@@ -744,7 +657,9 @@ mod tests {
         let victim = g.topological()[4];
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, base.start(victim));
-        let s = palap_locked(&g, &t, &c(12.0), latency, &locked).unwrap();
+        let s = PlacementCache::new(&g, &c(12.0), latency)
+            .palap_locked(&t, &locked)
+            .unwrap();
         assert_eq!(s.start(victim), base.start(victim));
         s.validate(&g, &t, Some(latency), Some(&c(12.0))).unwrap();
     }
@@ -759,7 +674,9 @@ mod tests {
         let target = base.start(victim) - 1;
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, target);
-        let s = palap_locked(&g, &t, &PowerBudget::unbounded(), latency, &locked).unwrap();
+        let s = PlacementCache::new(&g, &PowerBudget::unbounded(), latency)
+            .palap_locked(&t, &locked)
+            .unwrap();
         assert_eq!(s.start(victim), target);
         s.validate(&g, &t, Some(latency), None).unwrap();
     }
@@ -770,7 +687,9 @@ mod tests {
         let victim = g.outputs().next().unwrap().id();
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, 100);
-        let err = palap_locked(&g, &t, &PowerBudget::unbounded(), 12, &locked).unwrap_err();
+        let err = PlacementCache::new(&g, &PowerBudget::unbounded(), 12)
+            .palap_locked(&t, &locked)
+            .unwrap_err();
         assert!(matches!(err, ScheduleError::Infeasible { .. }));
     }
 
@@ -833,7 +752,9 @@ mod tests {
         let budget = PowerBudget::steps(vec![(0, 40.0), (5, 15.0)]);
         let mut locked = LockedStarts::none(g.len());
         locked.lock(g.topological()[0], 0);
-        let err = pasap_locked(&g, &t, &budget, 20, &locked).unwrap_err();
+        let err = PlacementCache::new(&g, &budget, 20)
+            .pasap_locked(&t, &locked)
+            .unwrap_err();
         match err {
             ScheduleError::PowerExceeded {
                 cycle,

@@ -189,7 +189,7 @@ proptest! {
 
 mod locked_props {
     use super::*;
-    use pchls_sched::{pasap_locked, LockedStarts};
+    use pchls_sched::{LockedStarts, PlacementCache};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -217,7 +217,8 @@ mod locked_props {
                     locked.lock(id, base.start(id));
                 }
             }
-            let s = pasap_locked(&g, &t, &PowerBudget::constant(bound), horizon, &locked)
+            let s = PlacementCache::new(&g, &PowerBudget::constant(bound), horizon)
+                .pasap_locked(&t, &locked)
                 .expect("relocking a valid schedule stays feasible");
             for id in g.node_ids() {
                 if let Some(fixed) = locked.get(id) {
@@ -231,9 +232,7 @@ mod locked_props {
 
 mod placement_cache_props {
     use super::*;
-    use pchls_sched::{
-        palap_locked, pasap_locked, LockedStarts, OpTiming, PlacementCache, PowerInterval,
-    };
+    use pchls_sched::{LockedStarts, OpTiming, PlacementCache, PowerInterval};
 
     /// Locks the ops picked by `mask` (bit `i % 64` for node `i`): at
     /// their start in `base` when there is one, nudged one cycle later
@@ -265,16 +264,15 @@ mod placement_cache_props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// One `PlacementCache` reused across lock sets, budgets and a
-        /// delay change answers every `pasap_locked` / `palap_locked`
-        /// call exactly like the free functions, `Ok` schedule or `Err`,
-        /// records exactly the comparisons fresh caches record over the
-        /// same calls, recomputes its orders only when a delay changes,
-        /// and rebuilds its ledgers only when the budget or horizon does:
-        /// each (budget, horizon) serves two consecutive lock sets, so the
-        /// second one runs on a kept, cleared ledger.
+        /// One `PlacementCache` per (budget, horizon), reused across
+        /// three lock sets, answers every `pasap_locked` /
+        /// `palap_locked` call exactly like a fresh cache, `Ok` schedule
+        /// or `Err`, records exactly the comparisons the fresh caches
+        /// record over the same calls, and recomputes its orders only
+        /// when a delay changes. The second lock set runs on kept orders
+        /// and cleared ledgers; every delay moves before the third.
         #[test]
-        fn cached_placement_orders_match_the_free_functions(
+        fn cached_placements_match_fresh_caches(
             cfg in config(),
             delays in proptest::collection::vec(1u32..5, 64),
             powers in proptest::collection::vec(0u64..6_000, 64),
@@ -294,32 +292,20 @@ mod placement_cache_props {
                     })
                     .collect(),
             );
-            let mut cache = PlacementCache::new(&g);
-            let mut fresh_seen = PowerInterval::EVERY;
-            const ROUNDS: usize = 5;
-            for round in 0..ROUNDS {
-                if round == 2 {
-                    // Every delay moves (1→2→3→4→1): both cached orders
-                    // are stale and must be recomputed.
-                    for id in g.node_ids() {
-                        let old = t.of(id);
-                        t.set(id, OpTiming { delay: old.delay % 4 + 1, ..old });
-                    }
-                }
+            for round in 0..3 {
                 let single = units(t.max_single_op_power());
                 let bound = single * frac;
-                // Constant budgets on even rounds, stepwise (tight
-                // opening, looser tail) on odd ones, and a last round
-                // whose per-cycle bounds alternate at random between the
-                // two. No two consecutive rounds share a budget.
+                // A constant budget, then a stepwise one (tight opening,
+                // looser tail), then one whose per-cycle bounds alternate
+                // at random between the two.
                 let budget = match round {
-                    4 => PowerBudget::per_cycle(
+                    0 => PowerBudget::constant(bound),
+                    1 => PowerBudget::steps(vec![(0, bound), (stretch, bound + single)]),
+                    _ => PowerBudget::per_cycle(
                         (0..64)
                             .map(|c| if masks[c % 4] >> c & 1 == 1 { bound + single } else { bound })
                             .collect(),
                     ),
-                    r if r % 2 == 0 => PowerBudget::constant(bound),
-                    _ => PowerBudget::steps(vec![(0, bound), (stretch, bound + single)]),
                 };
                 // From a little below the unlocked pasap latency up to
                 // twice it; an unplaceable op falls back to the asap one.
@@ -328,29 +314,35 @@ mod placement_cache_props {
                     .latency(&t);
                 let horizon = (natural * stretch / 8).max(1);
                 let base = pasap(&g, &t, &budget, horizon).ok();
-                for repeat in 0..2 {
+                let mut cache = PlacementCache::new(&g, &budget, horizon);
+                let mut fresh_seen = PowerInterval::EVERY;
+                for repeat in 0..3 {
+                    if repeat == 2 {
+                        // Every delay moves (1→2→3→4→1): both cached
+                        // orders are stale and must be recomputed.
+                        for id in g.node_ids() {
+                            let old = t.of(id);
+                            t.set(id, OpTiming { delay: old.delay % 4 + 1, ..old });
+                        }
+                    }
                     // About a quarter of the ops locked, an eighth of
                     // those nudged.
                     let word = |w: &[u64], k: usize| w[(round + repeat + k) % 4];
                     let mask = word(&masks, 0) & word(&masks, 1);
                     let nudge = word(&nudges, 0) & word(&nudges, 1) & word(&nudges, 2);
                     let locked = lock_set(n, base.as_ref(), horizon, mask, nudge);
-                    let mut fresh = PlacementCache::new(&g);
-                    let early = fresh.pasap_locked(&t, &budget, horizon, &locked);
-                    prop_assert_eq!(&early, &pasap_locked(&g, &t, &budget, horizon, &locked));
-                    prop_assert_eq!(cache.pasap_locked(&t, &budget, horizon, &locked), early);
-                    let late = fresh.palap_locked(&t, &budget, horizon, &locked);
-                    prop_assert_eq!(&late, &palap_locked(&g, &t, &budget, horizon, &locked));
-                    prop_assert_eq!(cache.palap_locked(&t, &budget, horizon, &locked), late);
+                    let mut fresh = PlacementCache::new(&g, &budget, horizon);
+                    let early = fresh.pasap_locked(&t, &locked);
+                    prop_assert_eq!(cache.pasap_locked(&t, &locked), early);
+                    let late = fresh.palap_locked(&t, &locked);
+                    prop_assert_eq!(cache.palap_locked(&t, &locked), late);
                     fresh_seen.merge(fresh.interval());
                 }
+                prop_assert_eq!(cache.interval(), fresh_seen);
+                // One order per direction, then one more each after the
+                // delay change.
+                prop_assert_eq!(cache.orders_computed(), 4);
             }
-            prop_assert_eq!(cache.interval(), fresh_seen);
-            // One order per direction, then one more each after the
-            // delay change.
-            prop_assert_eq!(cache.orders_computed(), 4);
-            // One ledger per direction and round: the repeat reuses it.
-            prop_assert_eq!(cache.ledgers_built(), 2 * ROUNDS as u64);
         }
     }
 }
