@@ -12,7 +12,7 @@
 //! different Figure 2. The same run with the `pchls-obs` tracer enabled
 //! must serialize to the same bytes without dropping a span, and each
 //! run must add the same pinned totals to the kernel's effort counters
-//! (pair walk, placement orders, rankings and kept tables).
+//! (pair walk, placement orders, rankings, kept tables and op rows).
 //!
 //! To regenerate the golden after an *intentional* trace change (none
 //! are expected — the trace has been stable since PR 2), run:
@@ -52,10 +52,15 @@ const RAND200_PLACEMENT_ORDERS: u64 = 2;
 /// count them: `[entries kept, recomputed, fits kept, recomputed]`.
 const RAND200_KEPT_TABLES: [u64; 4] = [34_382, 4_156, 5_903, 986];
 
+/// Op rows one rand200 run's first-block fills skip whole and re-derive
+/// entry by entry, as `pchls_kernel_op_rows_total{outcome="skipped"|"visited"}`
+/// count them: `[skipped, visited]`.
+const RAND200_OP_ROWS: [u64; 2] = [17_432, 2_544];
+
 /// The global kernel effort counters `(probes, pruned, orders, first
 /// rankings, full rankings, entries kept, entries recomputed, fits
-/// kept, fits recomputed)`.
-fn effort_counters() -> [u64; 9] {
+/// kept, fits recomputed, rows skipped, rows visited)`.
+fn effort_counters() -> [u64; 11] {
     let global = pchls_obs::global();
     [
         "pchls_kernel_pair_probes_total",
@@ -67,6 +72,8 @@ fn effort_counters() -> [u64; 9] {
         "pchls_kernel_table_entries_total{outcome=\"recomputed\"}",
         "pchls_kernel_instance_fits_total{outcome=\"kept\"}",
         "pchls_kernel_instance_fits_total{outcome=\"recomputed\"}",
+        "pchls_kernel_op_rows_total{outcome=\"skipped\"}",
+        "pchls_kernel_op_rows_total{outcome=\"visited\"}",
     ]
     .map(|name| global.counter(name).get())
 }
@@ -83,8 +90,8 @@ fn rand200_trace() -> String {
         .synthesize(constraints, &SynthesisOptions::default())
         .unwrap_or_else(|e| panic!("{name} must be feasible: {e}"));
     let after = effort_counters();
-    let [probes, pruned, orders, first, full, entries_kept, entries_recomputed, fits_kept, fits_recomputed] =
-        [0, 1, 2, 3, 4, 5, 6, 7, 8].map(|i| after[i] - before[i]);
+    let [probes, pruned, orders, first, full, entries_kept, entries_recomputed, fits_kept, fits_recomputed, rows_skipped, rows_visited] =
+        std::array::from_fn(|i| after[i] - before[i]);
     assert_eq!(
         probes + pruned,
         RAND200_PAIR_SLOTS,
@@ -108,6 +115,11 @@ fn rand200_trace() -> String {
         [entries_kept, entries_recomputed, fits_kept, fits_recomputed],
         RAND200_KEPT_TABLES,
         "rand200's kept-table counts (entries kept, recomputed, fits kept, recomputed) moved"
+    );
+    assert_eq!(
+        [rows_skipped, rows_visited],
+        RAND200_OP_ROWS,
+        "rand200's first-block op rows (skipped, visited) moved"
     );
     let mut trace = serde_json::to_string_pretty(&design).expect("design serializes");
     trace.push('\n');

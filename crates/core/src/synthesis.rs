@@ -85,9 +85,11 @@ pub(crate) fn synthesize_recorded(
 /// exact score was computed (ledger probes), pair merges skipped on
 /// their score bound or rank key, pasap/palap placement orders computed
 /// (every one the run's [`PlacementCache`] computes, bootstrap's
-/// included), rankings of each [`Block`], and the kept tables' `start0`
-/// entries and instance fits, kept or recomputed. Published to the global
-/// registry once per call, not per pair or schedule.
+/// included), rankings of each [`Block`], the kept tables' `start0`
+/// entries and instance fits, kept or recomputed, and the op rows a
+/// first-block fill skipped whole or re-derived entry by entry.
+/// Published to the global registry once per call, not per pair or
+/// schedule.
 #[derive(Debug, Default)]
 struct Tally {
     probed: u64,
@@ -99,11 +101,13 @@ struct Tally {
     entries_recomputed: u64,
     fits_kept: u64,
     fits_recomputed: u64,
+    rows_skipped: u64,
+    rows_visited: u64,
 }
 
 impl Tally {
     fn publish(&self) {
-        static COUNTERS: OnceLock<[pchls_obs::Counter; 10]> = OnceLock::new();
+        static COUNTERS: OnceLock<[pchls_obs::Counter; 12]> = OnceLock::new();
         let counters = COUNTERS.get_or_init(|| {
             [
                 "pchls_kernel_runs_total",
@@ -116,6 +120,8 @@ impl Tally {
                 "pchls_kernel_table_entries_total{outcome=\"recomputed\"}",
                 "pchls_kernel_instance_fits_total{outcome=\"kept\"}",
                 "pchls_kernel_instance_fits_total{outcome=\"recomputed\"}",
+                "pchls_kernel_op_rows_total{outcome=\"skipped\"}",
+                "pchls_kernel_op_rows_total{outcome=\"visited\"}",
             ]
             .map(|name| pchls_obs::global().counter(name))
         });
@@ -130,6 +136,8 @@ impl Tally {
             self.entries_recomputed,
             self.fits_kept,
             self.fits_recomputed,
+            self.rows_skipped,
+            self.rows_visited,
         ];
         for (counter, value) in counters.iter().zip(values) {
             counter.add(value);
@@ -196,7 +204,7 @@ struct Kernel<'a> {
     /// Instances listed in `by_module` (every id below it).
     listed: usize,
     // The kept single-decision tables (DESIGN.md §6, "Kept tables"):
-    // each ranking's `fill_tables` recomputes only the entries the
+    // each first block's `fill_tables` re-derives only the ops the
     // commits since the previous one can have changed.
     /// What each commit since the last `fill_tables` locked: the
     /// instance and the window `[start, start + delay)` of every op it
@@ -207,8 +215,17 @@ struct Kernel<'a> {
     /// Set by a backtrack (and at the start): the next `fill_tables`
     /// keeps nothing.
     stale: bool,
-    /// Each unbound op's [`Kernel::window`] at the last `fill_tables`.
-    windows: Vec<(u32, u32)>,
+    /// What the fills keep per op, indexed by op.
+    rows: Vec<OpRow>,
+    /// Fills so far. A fill numbers itself `fills` and re-derives the
+    /// ops whose row's `mark` equals that; a commit marks for the next
+    /// fill, `fills + 1`.
+    fills: u32,
+    /// Every op's provisional start at the last fill.
+    kept_starts: Vec<u32>,
+    /// Every op's late start at the last fill: its palap start, or its
+    /// provisional one when palap failed.
+    kept_lates: Vec<u32>,
     /// `candidate_start(op, m, 0)`, flattened as
     /// `op.index() * library.len() + m.index()`; current for every
     /// unbound op over its kind's candidate modules (the only entries
@@ -231,6 +248,55 @@ struct Kernel<'a> {
     /// [`Kernel::shared_connections`] does), laid out as `fits`. Kept
     /// only under interconnect scoring.
     shared: Vec<u32>,
+    /// Each unbound op's best single decision under [`rank_total`],
+    /// rescored only when its row asks: the first block keeps one
+    /// decision, and the best single is the best of these.
+    bests: Vec<Option<Decision>>,
+}
+
+// `bests` holds one decision per op, which serves only a first block
+// of one decision.
+const _: () = assert!(FIRST_BLOCK == 1);
+
+/// What the kept tables remember about one op between two fills.
+#[derive(Debug, Clone, Copy)]
+struct OpRow {
+    /// Its delay and lock as the marks last saw them: refreshed by a
+    /// stale fill, and by [`Kernel::record_commit`] for the ops a
+    /// commit binds, the only ops whose delay or lock a commit changes.
+    delay: u32,
+    lock: Option<u32>,
+    /// The fill that last marked the op: its window may have moved.
+    mark: u32,
+    /// Its [`Kernel::window`] at the last fill (unbound ops only).
+    window: (u32, u32),
+    /// `[lo, hi)` spanning the window `[s, s + delay)` of every `Some`
+    /// `start0` entry and fit it has; [`EMPTY_HULL`] when none is.
+    hull: (u32, u32),
+    /// Its fits: the listed instances of its allowed modules.
+    fits: u32,
+    /// Whether an entry, fit or shared count of it changed since its
+    /// best single decision was scored.
+    rescore: bool,
+}
+
+/// Copies `now` into `kept`, calling `moved` with the index of every
+/// element that changed.
+fn diff(kept: &mut [u32], now: &[u32], mut moved: impl FnMut(usize)) {
+    for (i, (old, &new)) in kept.iter_mut().zip(now).enumerate() {
+        if *old != new {
+            *old = new;
+            moved(i);
+        }
+    }
+}
+
+/// The hull of no window: it overlaps nothing.
+const EMPTY_HULL: (u32, u32) = (u32::MAX, 0);
+
+/// `hull` widened to span `[s, s + delay)` when `answer` is `Some(s)`.
+fn cover(hull: (u32, u32), answer: Option<u32>, delay: u32) -> (u32, u32) {
+    answer.map_or(hull, |s| (hull.0.min(s), hull.1.max(s + delay)))
 }
 
 impl<'a> Kernel<'a> {
@@ -260,7 +326,8 @@ impl<'a> Kernel<'a> {
             locked: LockedStarts::none(n),
             unbound: NodeSet::full(n),
             unbound_count: n,
-            // Replaced by the first refit, before anything reads it.
+            // Replaced by bootstrap's feasible schedule, before anything
+            // reads it.
             provisional: Schedule::new(Vec::new()),
             dirty: false,
             palap: None,
@@ -272,13 +339,28 @@ impl<'a> Kernel<'a> {
             listed: 0,
             committed: Vec::new(),
             stale: true,
-            windows: vec![(0, 0); n],
+            rows: vec![
+                OpRow {
+                    delay: 0,
+                    lock: None,
+                    mark: 0,
+                    window: (0, 0),
+                    hull: EMPTY_HULL,
+                    fits: 0,
+                    rescore: true,
+                };
+                n
+            ],
+            fills: 0,
+            kept_starts: vec![0; n],
+            kept_lates: vec![0; n],
             start0: vec![None; n * library.len()],
             avoided: vec![0.0; n],
             cap: 0,
             fits: Vec::new(),
             fitted: 0,
             shared: Vec::new(),
+            bests: vec![None; n],
         }
     }
 
@@ -325,8 +407,6 @@ impl<'a> Kernel<'a> {
             let _span = pchls_obs::span!("kernel.bootstrap");
             self.bootstrap()?;
         }
-        self.refit()
-            .map_err(|cause| SynthesisError::Infeasible { cause })?;
         // The rankings' buffers belong to the loop, not the kernel, so a
         // ranking reads the kernel while it fills them.
         let mut walk = PairWalk::default();
@@ -527,15 +607,18 @@ impl<'a> Kernel<'a> {
         Ok(())
     }
 
-    /// Records what a commit locked (see `committed`) and counts the
-    /// connections its ops bring to their instance: for every op `u`
-    /// (only unbound ones are read), one per operand of `u` found among
-    /// a joining op's operands and one per consumer of `u` found among
-    /// its consumers, as [`Kernel::shared_connections`] counts them.
+    /// Records what a commit locked (see `committed`), marks the ops
+    /// whose window its ops' new delays and locks can move (see
+    /// [`Kernel::mark_moved`]), and counts the connections its ops bring
+    /// to their instance: for every op `u` (only unbound ones are read),
+    /// one per operand of `u` found among a joining op's operands and one
+    /// per consumer of `u` found among its consumers, as
+    /// [`Kernel::shared_connections`] counts them.
     /// Each `u` sharing producer `p` is listed in `successors(p)` once
     /// per port `p` feeds, and each `u` sharing consumer `c` in
     /// `operands(c)` once per port it feeds, so visiting each distinct
-    /// `p` and `c` once keeps the multiplicities.
+    /// `p` and `c` once keeps the multiplicities. A changed count asks
+    /// for the op's best single decision to be rescored.
     fn record_commit(&mut self, cand: &Decision) {
         let iid = self
             .binding
@@ -550,9 +633,25 @@ impl<'a> Kernel<'a> {
             _ => None,
         };
         self.reserve_columns(iid.index() + 1);
-        let (graph, cap) = (self.graph, self.cap);
+        let (graph, cap, next) = (self.graph, self.cap, self.fills + 1);
         for (w, start) in std::iter::once((cand.op, cand.start)).chain(partner) {
             self.committed.push((iid, start, start + delay));
+            // `w` now runs on the module, locked at `start`. A moved delay
+            // moves its successors' ready times, a new lock its operands'
+            // deadlines.
+            let row = &mut self.rows[w.index()];
+            let delay_moved = std::mem::replace(&mut row.delay, delay) != delay;
+            let lock_moved = row.lock.replace(start) != Some(start);
+            if delay_moved {
+                for &s in graph.successors(w) {
+                    self.rows[s.index()].mark = next;
+                }
+            }
+            if lock_moved {
+                for &p in graph.operands(w) {
+                    self.rows[p.index()].mark = next;
+                }
+            }
             if !self.options.interconnect_scoring {
                 continue;
             }
@@ -561,6 +660,7 @@ impl<'a> Kernel<'a> {
                 if !operands[..i].contains(&p) {
                     for &u in graph.successors(p) {
                         self.shared[u.index() * cap + iid.index()] += 1;
+                        self.rows[u.index()].rescore = true;
                     }
                 }
             }
@@ -569,6 +669,7 @@ impl<'a> Kernel<'a> {
                 if !consumers[..j].contains(&c) {
                     for &u in graph.operands(c) {
                         self.shared[u.index() * cap + iid.index()] += 1;
+                        self.rows[u.index()].rescore = true;
                     }
                 }
             }
@@ -681,15 +782,16 @@ impl Block {
 impl<'a> Kernel<'a> {
     /// Ranks the iteration's best `block.len()` decisions into `top`
     /// (whose capacity that is) and returns them best-first. The first
-    /// block also brings the kept tables up to date
-    /// ([`Kernel::fill_tables`]); the full ranking reuses them.
+    /// block brings the kept tables up to date ([`Kernel::fill_tables`])
+    /// and offers each unbound op's kept best single decision
+    /// ([`Kernel::offer_bests`]); the full ranking reuses the tables and
+    /// the pair walk's buckets, and offers every single decision.
     ///
-    /// Every single decision is scored and offered. Pair merges are not
-    /// enumerated exhaustively: [`Kernel::offer_pairs`] walks them
-    /// best-first by an upper bound on their score and skips every pair
-    /// whose bound falls strictly below the worst decision a full `top`
-    /// keeps — such a pair can never be kept. The smaller the block, the
-    /// higher that bar.
+    /// Pair merges are not enumerated exhaustively:
+    /// [`Kernel::offer_pairs`] walks them best-first by an upper bound on
+    /// their score and skips every pair whose bound falls strictly below
+    /// the worst decision a full `top` keeps — such a pair can never be
+    /// kept. The smaller the block, the higher that bar.
     ///
     /// Deterministic order: [`rank_total`], whose structural [`Key`]
     /// tie-break makes it a *total* order that does not depend on which
@@ -697,7 +799,9 @@ impl<'a> Kernel<'a> {
     /// exactly the full ranking of every feasible decision truncated to
     /// the block's length (checked against a brute-force enumeration in
     /// test builds), and the full ranking's first `FIRST_BLOCK` entries
-    /// are the first block.
+    /// are the first block. The `kernel.score` span's `candidates` arg
+    /// counts the decisions offered: per-op bests plus pairs on the
+    /// first block, every single plus pairs on the full ranking.
     fn rank<'t>(
         &mut self,
         block: Block,
@@ -707,22 +811,27 @@ impl<'a> Kernel<'a> {
         {
             let mut score_span = pchls_obs::span!("kernel.score");
             score_span.arg("block", block.name());
+            top.clear();
+            let mut offered = 0usize;
             match block {
                 Block::First => {
                     self.fill_tables();
                     self.tally.first_rankings += 1;
+                    offered = self.offer_bests(top);
+                    #[cfg(debug_assertions)]
+                    self.check_tables();
                 }
-                Block::Full => self.tally.full_rankings += 1,
+                Block::Full => {
+                    self.tally.full_rankings += 1;
+                    for &u in &self.unbound_vec {
+                        self.single_decisions(u, &mut |d| {
+                            offered += 1;
+                            top.push(d, rank_total);
+                        });
+                    }
+                }
             }
-            top.clear();
-            let mut offered = 0usize;
-            for &u in &self.unbound_vec {
-                self.single_decisions(u, &mut |d| {
-                    offered += 1;
-                    top.push(d, rank_total);
-                });
-            }
-            let walked = self.offer_pairs(walk, top);
+            let walked = self.offer_pairs(block, walk, top);
             self.tally.probed += walked.probed;
             self.tally.pruned += walked.pruned;
             score_span.arg("candidates", offered + walked.offered);
@@ -740,44 +849,112 @@ impl<'a> Kernel<'a> {
         ranked
     }
 
+    /// Offers each unbound op's best single decision to the first block,
+    /// rescoring first the ops whose row asks for it, and returns how
+    /// many it offered. The block keeps one decision, and the best of
+    /// all single decisions is the best of the per-op bests.
+    fn offer_bests(&mut self, top: &mut TopK<Decision>) -> usize {
+        let mut offered = 0;
+        for i in 0..self.unbound_vec.len() {
+            let u = self.unbound_vec[i];
+            if std::mem::take(&mut self.rows[u.index()].rescore) {
+                self.bests[u.index()] = self.best_single(u);
+            }
+            if let Some(d) = self.bests[u.index()] {
+                offered += 1;
+                top.push(d, rank_total);
+            }
+        }
+        offered
+    }
+
+    /// The best of `u`'s single decisions under [`rank_total`].
+    fn best_single(&self, u: NodeId) -> Option<Decision> {
+        let mut best: Option<Decision> = None;
+        self.single_decisions(u, &mut |d| {
+            if best.is_none_or(|b| rank_total(&d, &b).is_lt()) {
+                best = Some(d);
+            }
+        });
+        best
+    }
+
     /// Brings the kept tables up to date for the unbound operations:
     /// `start0` and `avoided` over each op's kind's candidate modules,
     /// and `fits` over the listed instances of its allowed modules. Every
     /// entry depends only on state fixed for the whole iteration.
     ///
-    /// An entry is kept, not recomputed, when the op's
-    /// [`Kernel::window`] is unchanged since the last fill and its answer
-    /// is `None` or a start whose window `[s, s + delay)` overlaps no
-    /// window `committed` since then (DESIGN.md §6, "Kept tables").
-    /// Locked ops' `start0` entries, fits on instances opened since, and
-    /// everything after a backtrack are recomputed.
+    /// An op that [`Kernel::mark_moved`] left unmarked has the window it
+    /// had at the last fill. When it is also unlocked and the hull of its
+    /// cached answers overlaps no window `committed` since, every entry
+    /// and fit it has is kept without a visit: only its fits on instances
+    /// listed since are computed. Every other op is re-derived entry by
+    /// entry: an entry is kept, not recomputed, when the op's window is
+    /// unchanged and its answer is `None` or a start whose window
+    /// `[s, s + delay)` overlaps no committed window (DESIGN.md §6, "Kept
+    /// tables"). Locked ops' `start0` entries, fits on instances listed
+    /// since, and everything after a backtrack are recomputed. An op
+    /// whose entry or fit changed value (a new `Some` fit included) has
+    /// its best single decision rescored.
     fn fill_tables(&mut self) {
         let lib_len = self.library.len();
-        let (stale, fitted) = (self.stale, self.fitted);
-        self.reserve_columns(self.listed);
-        let cap = self.cap;
+        let (stale, fitted, listed) = (self.stale, self.fitted, self.listed);
+        self.reserve_columns(listed);
+        self.mark_moved(stale);
+        let (cap, fill) = (self.cap, self.fills);
+        let fresh: Vec<(InstanceId, ModuleId)> = self
+            .binding
+            .instance_ids()
+            .take(listed)
+            .skip(fitted)
+            .map(|iid| (iid, self.binding.instance(iid).module()))
+            .collect();
         // The tables are filled out of place, so the fill can read the
         // rest of the kernel while it writes them.
         let mut start0 = std::mem::take(&mut self.start0);
         let mut avoided = std::mem::take(&mut self.avoided);
-        let mut windows = std::mem::take(&mut self.windows);
+        let mut rows = std::mem::take(&mut self.rows);
         let mut fits = std::mem::take(&mut self.fits);
         let mut tally = std::mem::take(&mut self.tally);
         for &u in &self.unbound_vec {
-            let window = self.window(u);
-            let same = !stale && windows[u.index()] == window;
-            windows[u.index()] = window;
-            let locked = self.locked.is_locked(u);
-            let row = self.kind_list(u);
+            let row = &mut rows[u.index()];
+            let locked = row.lock.is_some();
             let starts = &mut start0[u.index() * lib_len..][..lib_len];
-            for &m in row {
+            let row_fits = &mut fits[u.index() * cap..][..cap];
+            if !stale && !locked && row.mark != fill && !self.overlaps_committed(row.hull) {
+                tally.rows_skipped += 1;
+                tally.entries_kept += self.kind_list(u).len() as u64;
+                tally.fits_kept += u64::from(row.fits);
+                for &(iid, m) in &fresh {
+                    if !self.modules_for(u).contains(&m) {
+                        continue;
+                    }
+                    let fit = self.earliest_instance_fit(u, m, iid, row.window, starts[m.index()]);
+                    row_fits[iid.index()] = fit;
+                    tally.fits_recomputed += 1;
+                    row.fits += 1;
+                    row.hull = cover(row.hull, fit, self.library.module(m).latency());
+                    row.rescore |= fit.is_some();
+                }
+                continue;
+            }
+            tally.rows_visited += 1;
+            let window = self.window(u);
+            let same = !stale && row.window == window;
+            row.window = window;
+            let mut changed = false;
+            let mut hull = EMPTY_HULL;
+            let kinds = self.kind_list(u);
+            for &m in kinds {
                 let entry = &mut starts[m.index()];
                 if same && !locked && self.untouched(*entry, m) {
                     tally.entries_kept += 1;
                 } else {
-                    *entry = self.start_within(u, m, 0, window);
+                    let answer = self.start_within(u, m, 0, window);
+                    changed |= answer != std::mem::replace(entry, answer);
                     tally.entries_recomputed += 1;
                 }
+                hull = cover(hull, *entry, self.library.module(m).latency());
             }
             // Area of the cheapest library module that could *feasibly*
             // execute `u` in the current state — the unit a successful
@@ -785,7 +962,7 @@ impl<'a> Kernel<'a> {
             // bound rules the serial multiplier out for an operation,
             // merging it onto a parallel multiplier avoids a 339-area
             // unit, not a 103-area one.
-            avoided[u.index()] = row
+            avoided[u.index()] = kinds
                 .iter()
                 .filter(|&&m| starts[m.index()].is_some())
                 .map(|&m| self.library.module(m).area())
@@ -793,55 +970,116 @@ impl<'a> Kernel<'a> {
                 .or_else(|| {
                     // Nothing currently fits (rare, mid-backtrack): fall
                     // back to the global cheapest so scoring stays total.
-                    row.iter().map(|&m| self.library.module(m).area()).min()
+                    kinds.iter().map(|&m| self.library.module(m).area()).min()
                 })
                 .map(f64::from)
                 .expect("library coverage checked at bootstrap");
-            let row_fits = &mut fits[u.index() * cap..][..cap];
+            let mut count = 0;
             for &m in self.modules_for(u) {
                 for &iid in &self.by_module[m.index()] {
                     let fit = &mut row_fits[iid.index()];
                     if same && iid.index() < fitted && self.untouched(*fit, m) {
                         tally.fits_kept += 1;
                     } else {
-                        *fit = self.earliest_instance_fit(u, m, iid, window, starts[m.index()]);
+                        let answer =
+                            self.earliest_instance_fit(u, m, iid, window, starts[m.index()]);
+                        changed |= answer != std::mem::replace(fit, answer);
                         tally.fits_recomputed += 1;
                     }
+                    count += 1;
+                    hull = cover(hull, *fit, self.library.module(m).latency());
                 }
             }
+            row.hull = hull;
+            row.fits = count;
+            row.rescore |= changed;
         }
         self.start0 = start0;
         self.avoided = avoided;
-        self.windows = windows;
+        self.rows = rows;
         self.fits = fits;
         self.tally = tally;
-        self.fitted = self.listed;
+        self.fitted = listed;
         self.stale = false;
         self.committed.clear();
-        #[cfg(debug_assertions)]
-        self.check_tables();
+    }
+
+    /// Marks the ops whose [`Kernel::window`] may have moved since the
+    /// last fill, and keeps every op's window inputs for the next one.
+    /// An op's window reads its own provisional start, delay and late
+    /// start, its operands' provisional starts and delays (its ready
+    /// time) and its successors' locks (its deadline). So an op is
+    /// marked when its own inputs changed, when an operand's start or
+    /// delay moved, or when a successor's lock changed. Starts move in
+    /// refits and late starts in every palap, so the two kept slices are
+    /// diffed here; delays and locks change between fills only where a
+    /// commit binds an op, which [`Kernel::record_commit`] marks (a bound
+    /// op's own mark is never read), or in a backtrack, whose stale fill
+    /// refreshes them all.
+    fn mark_moved(&mut self, stale: bool) {
+        self.fills += 1;
+        let (graph, fill) = (self.graph, self.fills);
+        let late = self.palap.as_ref().unwrap_or(&self.provisional);
+        let rows = &mut self.rows;
+        if stale {
+            self.kept_starts.copy_from_slice(self.provisional.starts());
+            self.kept_lates.copy_from_slice(late.starts());
+            for (v, row) in graph.node_ids().zip(rows.iter_mut()) {
+                (row.delay, row.lock) = (self.timing.delay(v), self.locked.get(v));
+            }
+            return;
+        }
+        diff(&mut self.kept_starts, self.provisional.starts(), |v| {
+            rows[v].mark = fill;
+            for &s in graph.successors(NodeId::new(v as u32)) {
+                rows[s.index()].mark = fill;
+            }
+        });
+        diff(&mut self.kept_lates, late.starts(), |v| rows[v].mark = fill);
+    }
+
+    /// Whether a window committed since the last fill overlaps
+    /// `[lo, hi)`.
+    fn overlaps_committed(&self, (lo, hi): (u32, u32)) -> bool {
+        self.committed.iter().any(|&(_, a, b)| a < hi && lo < b)
     }
 
     /// Whether a kept answer on module `m` still holds: `None`, or a
     /// start whose window overlaps no window committed since it was
     /// computed.
     fn untouched(&self, answer: Option<u32>, m: ModuleId) -> bool {
-        answer.is_none_or(|s| {
-            let finish = s + self.library.module(m).latency();
-            self.committed
-                .iter()
-                .all(|&(_, a, b)| finish <= a || b <= s)
-        })
+        answer.is_none_or(|s| !self.overlaps_committed((s, s + self.library.module(m).latency())))
     }
 
-    /// Asserts every kept table entry equal to a full recompute, without
-    /// recording the recompute's ledger comparisons: they would narrow
-    /// the run's interval in debug builds only.
+    /// Asserts every kept table entry, window and best single decision
+    /// equal to a full recompute, without recording the recompute's
+    /// ledger comparisons: they would narrow the run's interval in debug
+    /// builds only.
     #[cfg(debug_assertions)]
     fn check_tables(&self) {
+        let late = self.palap.as_ref().unwrap_or(&self.provisional);
+        assert_eq!(
+            self.kept_starts,
+            self.provisional.starts(),
+            "kept starts are stale"
+        );
+        assert_eq!(self.kept_lates, late.starts(), "kept late starts are stale");
+        for v in self.graph.node_ids() {
+            let row = &self.rows[v.index()];
+            assert_eq!(
+                (row.delay, row.lock),
+                (self.timing.delay(v), self.locked.get(v)),
+                "kept delay or lock of {v} is stale"
+            );
+        }
         self.ledger.unrecorded(|| {
             for &u in &self.unbound_vec {
                 let window = self.window(u);
+                assert_eq!(
+                    self.rows[u.index()].window,
+                    window,
+                    "kept window of {u} is stale"
+                );
                 for &m in self.kind_list(u) {
                     assert_eq!(
                         self.candidate_start0(u, m),
@@ -882,6 +1120,11 @@ impl<'a> Kernel<'a> {
                         }
                     }
                 }
+                assert_eq!(
+                    self.bests[u.index()],
+                    self.best_single(u),
+                    "kept best single decision of {u} is stale"
+                );
             }
         });
     }
@@ -1078,7 +1321,9 @@ impl<'a> Kernel<'a> {
     }
 
     /// Offers the pair merges that can still make `top`, best bound
-    /// first.
+    /// first. The first block sorts the unbound ops into buckets and
+    /// lists their entries ([`Kernel::bucket_pairs`]); the full ranking
+    /// walks the same ones, since nothing they read changes in between.
     ///
     /// A pair merge of `first` then `second` on module `m` scores
     /// `gain + interconnect`, where
@@ -1104,69 +1349,10 @@ impl<'a> Kernel<'a> {
     /// the worst's — its exact score is at most the bound, so it could
     /// never be kept. The per-pair bound is the exact score, so most
     /// probes would otherwise be such ties.
-    fn offer_pairs(&self, walk: &mut PairWalk, top: &mut TopK<Decision>) -> Walked {
-        let ic_weight = if self.options.interconnect_scoring {
-            INTERCONNECT_WEIGHT
-        } else {
-            0.0
-        };
-
-        walk.buckets.clear();
-        for &u in &self.unbound_vec {
-            let kind = self.graph.node(u).kind();
-            let avoided = self.avoided_area(u);
-            let degree = self.graph.operands(u).len() + self.graph.successors(u).len();
-            let b = match walk
-                .buckets
-                .iter()
-                .position(|b| b.kind == kind && b.avoided == avoided)
-            {
-                Some(b) => b,
-                None => {
-                    walk.buckets.push(Bucket {
-                        kind,
-                        avoided,
-                        degree: 0,
-                        ops: Vec::new(),
-                    });
-                    walk.buckets.len() - 1
-                }
-            };
-            let bucket = &mut walk.buckets[b];
-            bucket.degree = bucket.degree.max(degree);
-            bucket.ops.push(u);
+    fn offer_pairs(&self, block: Block, walk: &mut PairWalk, top: &mut TopK<Decision>) -> Walked {
+        if block == Block::First {
+            self.bucket_pairs(walk);
         }
-
-        walk.entries.clear();
-        for (lo, a) in walk.buckets.iter().enumerate() {
-            for (hi, b) in walk.buckets.iter().enumerate().skip(lo) {
-                if lo == hi && a.ops.len() < 2 {
-                    continue;
-                }
-                for &m in &self.kind_modules[a.kind.index()] {
-                    let spec = self.library.module(m);
-                    if !spec.implements(b.kind) {
-                        continue;
-                    }
-                    // The same sum `pair_decision` forms (addition
-                    // commutes, whichever bucket `first` comes from).
-                    let gain = a.avoided + b.avoided - f64::from(spec.area());
-                    if gain <= 0.0 {
-                        continue;
-                    }
-                    let ic_cap = ic_weight * a.degree.max(b.degree) as f64;
-                    walk.entries.push(Entry {
-                        lo,
-                        hi,
-                        module: m,
-                        gain,
-                        bound: gain + ic_cap,
-                    });
-                }
-            }
-        }
-        walk.entries.sort_by(|x, y| y.bound.total_cmp(&x.bound));
-
         let mut out = Walked::default();
         for (i, e) in walk.entries.iter().enumerate() {
             if top.worst().is_some_and(|w| e.bound < w.score) {
@@ -1211,6 +1397,80 @@ impl<'a> Kernel<'a> {
             }
         }
         out
+    }
+
+    /// Sorts the unbound operations into `walk`'s buckets, in order of
+    /// first appearance by ascending id, and lists every entry with a
+    /// positive gain, highest bound first. Bucket `ops` vectors are
+    /// reused across rankings.
+    fn bucket_pairs(&self, walk: &mut PairWalk) {
+        let ic_weight = if self.options.interconnect_scoring {
+            INTERCONNECT_WEIGHT
+        } else {
+            0.0
+        };
+
+        walk.live = 0;
+        for &u in &self.unbound_vec {
+            let kind = self.graph.node(u).kind();
+            let avoided = self.avoided_area(u);
+            let degree = self.graph.operands(u).len() + self.graph.successors(u).len();
+            let b = match walk.buckets[..walk.live]
+                .iter()
+                .position(|b| b.kind == kind && b.avoided == avoided)
+            {
+                Some(b) => b,
+                None => {
+                    if walk.live == walk.buckets.len() {
+                        walk.buckets.push(Bucket {
+                            kind,
+                            avoided,
+                            degree: 0,
+                            ops: Vec::new(),
+                        });
+                    }
+                    let spare = &mut walk.buckets[walk.live];
+                    (spare.kind, spare.avoided, spare.degree) = (kind, avoided, 0);
+                    spare.ops.clear();
+                    walk.live += 1;
+                    walk.live - 1
+                }
+            };
+            let bucket = &mut walk.buckets[b];
+            bucket.degree = bucket.degree.max(degree);
+            bucket.ops.push(u);
+        }
+
+        walk.entries.clear();
+        let live = &walk.buckets[..walk.live];
+        for (lo, a) in live.iter().enumerate() {
+            for (hi, b) in live.iter().enumerate().skip(lo) {
+                if lo == hi && a.ops.len() < 2 {
+                    continue;
+                }
+                for &m in &self.kind_modules[a.kind.index()] {
+                    let spec = self.library.module(m);
+                    if !spec.implements(b.kind) {
+                        continue;
+                    }
+                    // The same sum `pair_decision` forms (addition
+                    // commutes, whichever bucket `first` comes from).
+                    let gain = a.avoided + b.avoided - f64::from(spec.area());
+                    if gain <= 0.0 {
+                        continue;
+                    }
+                    let ic_cap = ic_weight * a.degree.max(b.degree) as f64;
+                    walk.entries.push(Entry {
+                        lo,
+                        hi,
+                        module: m,
+                        gain,
+                        bound: gain + ic_cap,
+                    });
+                }
+            }
+        }
+        walk.entries.sort_by(|x, y| y.bound.total_cmp(&x.bound));
     }
 
     /// The decision opening one shared instance of module `m` for the
@@ -1323,10 +1583,15 @@ struct Entry {
     bound: f64,
 }
 
-/// Reusable buffers of [`Kernel::offer_pairs`].
+/// Reusable buffers of [`Kernel::offer_pairs`], filled by
+/// [`Kernel::bucket_pairs`].
 #[derive(Debug, Default)]
 struct PairWalk {
+    /// The ranking's buckets, then spares whose `ops` vectors wait for
+    /// reuse.
     buckets: Vec<Bucket>,
+    /// Buckets in use.
+    live: usize,
     entries: Vec<Entry>,
 }
 
@@ -1454,17 +1719,20 @@ impl Kernel<'_> {
     /// the low-power choice in realistic libraries — precomputed once per
     /// graph as [`CompiledGraph`]'s seed, which `Kernel::new` starts
     /// from), then upgrades operations to their fastest module along
-    /// infeasible critical paths until a power-feasible schedule exists.
-    /// Nothing is locked yet, so the pasap runs are the kernel's own
-    /// ([`Kernel::pasap`]) and the first refit reuses the last one's
-    /// placement order. The upgrade filter compares module powers
+    /// infeasible critical paths until a power-feasible schedule exists,
+    /// which becomes `provisional`: nothing is locked yet, so it is
+    /// what a refit would compute. The pasap runs are the kernel's own
+    /// ([`Kernel::pasap`]) and the upgrade filter compares module powers
     /// against the still-empty `ledger`, so both record their
     /// comparisons.
     fn bootstrap(&mut self) -> Result<(), SynthesisError> {
         let (graph, library) = (self.graph, self.library);
         loop {
             let err = match self.pasap() {
-                Ok(_) => return Ok(()),
+                Ok(schedule) => {
+                    self.provisional = schedule;
+                    return Ok(());
+                }
                 Err(e) => e,
             };
             // Power alone can never be fixed by a faster (more
@@ -1628,6 +1896,33 @@ mod tests {
             // failure was still checked.
             let _ = synth_tally(paper_library(), &graph, &constraints, &options);
         }
+    }
+
+    #[test]
+    fn a_commit_that_changes_a_delay_marks_the_successors() {
+        // Some commit here binds an op to a module of another delay
+        // while the refit leaves the op's provisional start, and a
+        // successor's, where they were: only the commit's own marking
+        // tells the next fill that the successor's ready time moved
+        // (debug builds check every kept window after each fill).
+        let graph = random_dag(&RandomDagConfig {
+            ops: 41,
+            inputs: 4,
+            outputs: 3,
+            mul_permille: 352,
+            depth_bias: 3,
+            seed: 12_026_496_503_943_690_672,
+        });
+        let latency = Engine::new(paper_library()).compile(&graph).min_latency();
+        let options = SynthesisOptions {
+            backtracking: false,
+            module_selection: true,
+            interconnect_scoring: true,
+        };
+        let constraints = SynthesisConstraints::new(latency, 17.730_829_042_676_476);
+        // Infeasible without backtracking; every ranking before the
+        // failure was still checked.
+        let _ = synth_tally(paper_library(), &graph, &constraints, &options);
     }
 
     #[test]
