@@ -11,8 +11,9 @@
 //! attempt past the first. It also pins the pair walk's global probe
 //! and prune counters over the same calls: rand200 never ranks a full
 //! block, so this is the walk's only pin under a rejected first block.
-//! And it pins the placement orders those calls compute, bootstrap's
-//! included, and the op rows their first-block fills skip and visit.
+//! And it pins the placement orders and placements those calls run,
+//! bootstrap's included, and the op rows their first-block fills skip
+//! and visit.
 
 use pchls_bench::{figure2_curves, figure2_power_grid};
 use pchls_core::{Engine, SynthesisConstraints, SynthesisOptions};
@@ -37,21 +38,32 @@ const PAIRS_PRUNED: u64 = 2_354_974;
 /// Summed over all 360 calls: pasap/palap placement orders computed, as
 /// `pchls_kernel_placement_orders_total` counts them.
 const PLACEMENT_ORDERS: u64 = 3_643;
+/// Summed over all 360 calls: pasap and palap placements and the
+/// unlocked ops they search a start for, as
+/// `pchls_kernel_placements_total{direction="pasap"|"palap"}` and
+/// `pchls_kernel_ops_placed_total` count them.
+const PASAP_PLACEMENTS: u64 = 15_380;
+const PALAP_PLACEMENTS: u64 = 12_191;
+const OPS_PLACED: u64 = 805_924;
 /// Summed over all 360 calls: op rows the first-block fills skipped
 /// whole and re-derived entry by entry, as
 /// `pchls_kernel_op_rows_total{outcome="skipped"|"visited"}` count them.
 const OP_ROWS_SKIPPED: u64 = 234_413;
 const OP_ROWS_VISITED: u64 = 91_176;
 
-/// The global kernel counters `(probes, pruned, orders, rows skipped,
-/// rows visited)`. This binary holds one test, so their deltas count its
-/// own calls only.
-fn effort_counters() -> [u64; 5] {
+/// The global kernel counters `(probes, pruned, orders, pasap
+/// placements, palap placements, ops placed, rows skipped, rows
+/// visited)`. This binary holds one test, so their deltas count its own
+/// calls only.
+fn effort_counters() -> [u64; 8] {
     let global = pchls_obs::global();
     [
         "pchls_kernel_pair_probes_total",
         "pchls_kernel_pairs_pruned_total",
         "pchls_kernel_placement_orders_total",
+        "pchls_kernel_placements_total{direction=\"pasap\"}",
+        "pchls_kernel_placements_total{direction=\"palap\"}",
+        "pchls_kernel_ops_placed_total",
         "pchls_kernel_op_rows_total{outcome=\"skipped\"}",
         "pchls_kernel_op_rows_total{outcome=\"visited\"}",
     ]
@@ -96,14 +108,18 @@ fn figure2_raw_kernel_effort_is_pinned() {
     );
     let after = effort_counters();
     assert_eq!(
-        [0, 1, 2, 3, 4].map(|i| after[i] - before[i]),
+        std::array::from_fn::<_, 8, _>(|i| after[i] - before[i]),
         [
             PAIR_PROBES,
             PAIRS_PRUNED,
             PLACEMENT_ORDERS,
+            PASAP_PLACEMENTS,
+            PALAP_PLACEMENTS,
+            OPS_PLACED,
             OP_ROWS_SKIPPED,
             OP_ROWS_VISITED
         ],
-        "Figure 2's raw kernel effort [probes, pruned, placement orders, op rows skipped, visited] moved"
+        "Figure 2's raw kernel effort [probes, pruned, placement orders, pasap placements, \
+         palap placements, ops placed, op rows skipped, visited] moved"
     );
 }

@@ -12,7 +12,8 @@
 //! different Figure 2. The same run with the `pchls-obs` tracer enabled
 //! must serialize to the same bytes without dropping a span, and each
 //! run must add the same pinned totals to the kernel's effort counters
-//! (pair walk, placement orders, rankings, kept tables and op rows).
+//! (pair walk, placement orders and placements, rankings, kept tables
+//! and op rows).
 //!
 //! To regenerate the golden after an *intentional* trace change (none
 //! are expected — the trace has been stable since PR 2), run:
@@ -45,6 +46,12 @@ const RAND200_RANKINGS: [u64; 2] = [192, 0];
 /// `pchls_kernel_placement_orders_total` counts them.
 const RAND200_PLACEMENT_ORDERS: u64 = 2;
 
+/// pasap and palap placements one rand200 run makes and the unlocked ops
+/// they search a start for, as
+/// `pchls_kernel_placements_total{direction="pasap"|"palap"}` and
+/// `pchls_kernel_ops_placed_total` count them: `[pasap, palap, ops]`.
+const RAND200_PLACEMENTS: [u64; 3] = [139, 192, 37_829];
+
 /// `start0` entries and instance fits one rand200 run keeps and
 /// recomputes across its rankings, as
 /// `pchls_kernel_table_entries_total{outcome="kept"|"recomputed"}` and
@@ -57,15 +64,19 @@ const RAND200_KEPT_TABLES: [u64; 4] = [34_382, 4_156, 5_903, 986];
 /// count them: `[skipped, visited]`.
 const RAND200_OP_ROWS: [u64; 2] = [17_432, 2_544];
 
-/// The global kernel effort counters `(probes, pruned, orders, first
-/// rankings, full rankings, entries kept, entries recomputed, fits
-/// kept, fits recomputed, rows skipped, rows visited)`.
-fn effort_counters() -> [u64; 11] {
+/// The global kernel effort counters `(probes, pruned, orders, pasap
+/// placements, palap placements, ops placed, first rankings, full
+/// rankings, entries kept, entries recomputed, fits kept, fits
+/// recomputed, rows skipped, rows visited)`.
+fn effort_counters() -> [u64; 14] {
     let global = pchls_obs::global();
     [
         "pchls_kernel_pair_probes_total",
         "pchls_kernel_pairs_pruned_total",
         "pchls_kernel_placement_orders_total",
+        "pchls_kernel_placements_total{direction=\"pasap\"}",
+        "pchls_kernel_placements_total{direction=\"palap\"}",
+        "pchls_kernel_ops_placed_total",
         "pchls_kernel_rankings_total{block=\"first\"}",
         "pchls_kernel_rankings_total{block=\"full\"}",
         "pchls_kernel_table_entries_total{outcome=\"kept\"}",
@@ -90,7 +101,7 @@ fn rand200_trace() -> String {
         .synthesize(constraints, &SynthesisOptions::default())
         .unwrap_or_else(|e| panic!("{name} must be feasible: {e}"));
     let after = effort_counters();
-    let [probes, pruned, orders, first, full, entries_kept, entries_recomputed, fits_kept, fits_recomputed, rows_skipped, rows_visited] =
+    let [probes, pruned, orders, pasaps, palaps, ops_placed, first, full, entries_kept, entries_recomputed, fits_kept, fits_recomputed, rows_skipped, rows_visited] =
         std::array::from_fn(|i| after[i] - before[i]);
     assert_eq!(
         probes + pruned,
@@ -105,6 +116,11 @@ fn rand200_trace() -> String {
     assert_eq!(
         orders, RAND200_PLACEMENT_ORDERS,
         "rand200's placement-order computations moved"
+    );
+    assert_eq!(
+        [pasaps, palaps, ops_placed],
+        RAND200_PLACEMENTS,
+        "rand200's placements (pasap, palap, ops placed) moved"
     );
     assert_eq!(
         [first, full],

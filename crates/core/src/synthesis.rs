@@ -83,18 +83,21 @@ pub(crate) fn synthesize_recorded(
 
 /// Kernel effort summed over one synthesize call: pair merges whose
 /// exact score was computed (ledger probes), pair merges skipped on
-/// their score bound or rank key, pasap/palap placement orders computed
-/// (every one the run's [`PlacementCache`] computes, bootstrap's
-/// included), rankings of each [`Block`], the kept tables' `start0`
-/// entries and instance fits, kept or recomputed, and the op rows a
-/// first-block fill skipped whole or re-derived entry by entry.
-/// Published to the global registry once per call, not per pair or
-/// schedule.
+/// their score bound or rank key, the run's [`PlacementCache`] work
+/// (bootstrap's included: placement orders computed, pasap and palap
+/// placements, and the unlocked ops they searched a start for),
+/// rankings of each [`Block`], the kept tables' `start0` entries and
+/// instance fits, kept or recomputed, and the op rows a first-block
+/// fill skipped whole or re-derived entry by entry. Published to the
+/// global registry once per call, not per pair or schedule.
 #[derive(Debug, Default)]
 struct Tally {
     probed: u64,
     pruned: u64,
     orders: u64,
+    /// `[pasap, palap]` placements.
+    placements: [u64; 2],
+    ops_placed: u64,
     first_rankings: u64,
     full_rankings: u64,
     entries_kept: u64,
@@ -107,13 +110,16 @@ struct Tally {
 
 impl Tally {
     fn publish(&self) {
-        static COUNTERS: OnceLock<[pchls_obs::Counter; 12]> = OnceLock::new();
+        static COUNTERS: OnceLock<[pchls_obs::Counter; 15]> = OnceLock::new();
         let counters = COUNTERS.get_or_init(|| {
             [
                 "pchls_kernel_runs_total",
                 "pchls_kernel_pair_probes_total",
                 "pchls_kernel_pairs_pruned_total",
                 "pchls_kernel_placement_orders_total",
+                "pchls_kernel_placements_total{direction=\"pasap\"}",
+                "pchls_kernel_placements_total{direction=\"palap\"}",
+                "pchls_kernel_ops_placed_total",
                 "pchls_kernel_rankings_total{block=\"first\"}",
                 "pchls_kernel_rankings_total{block=\"full\"}",
                 "pchls_kernel_table_entries_total{outcome=\"kept\"}",
@@ -130,6 +136,9 @@ impl Tally {
             self.probed,
             self.pruned,
             self.orders,
+            self.placements[0],
+            self.placements[1],
+            self.ops_placed,
             self.first_rankings,
             self.full_rankings,
             self.entries_kept,
@@ -168,7 +177,7 @@ struct Kernel<'a> {
     /// incrementally: candidate attempts reserve on apply and release
     /// (exactly, in integer quanta) on undo, instead of rebuilding the
     /// ledger from the whole locked set every iteration. A backtrack
-    /// rebuilds it in place.
+    /// rebuilds it in place. Every placement starts from it.
     ledger: PowerLedger,
     timing: TimingMap,
     /// Per-operation module estimates, chosen by bootstrap.
@@ -380,6 +389,8 @@ impl<'a> Kernel<'a> {
         let mut seen = self.placer.interval();
         seen.merge(self.ledger.interval());
         self.tally.orders = self.placer.orders_computed();
+        self.tally.placements = self.placer.placements();
+        self.tally.ops_placed = self.placer.searched();
         let result = run.and_then(|()| {
             self.binding.prune_empty();
             let mut design = SynthesizedDesign::assemble(
@@ -438,7 +449,10 @@ impl<'a> Kernel<'a> {
             // schedule itself), which is always safe.
             self.palap = {
                 let _span = pchls_obs::span!("fds.palap");
-                self.placer.palap_locked(&self.timing, &self.locked).ok()
+                self.check_held();
+                self.placer
+                    .palap_locked(&self.timing, &self.locked, &self.ledger)
+                    .ok()
             };
             self.gather();
             // Try candidates best-first; a candidate commits only if the
@@ -510,7 +524,28 @@ impl<'a> Kernel<'a> {
 
     /// The locked pasap of the current state, through `placer`.
     fn pasap(&mut self) -> Result<Schedule, ScheduleError> {
-        self.placer.pasap_locked(&self.timing, &self.locked)
+        self.check_held();
+        self.placer
+            .pasap_locked(&self.timing, &self.locked, &self.ledger)
+    }
+
+    /// Debug builds: `ledger`, which every placement starts from, holds
+    /// exactly the reservations a `reserve_locked` pass over the current
+    /// locks makes (`PowerLedger`'s `==` ignores the records).
+    fn check_held(&self) {
+        if cfg!(debug_assertions) {
+            let budget = &self.constraints.budget;
+            let mut rebuilt = PowerLedger::under(self.constraints.latency, budget);
+            pchls_sched::reserve_locked(
+                &mut rebuilt,
+                self.graph.len(),
+                &self.timing,
+                budget,
+                |id| self.locked.get(id),
+            )
+            .expect("the locks fit the budget");
+            assert_eq!(rebuilt, self.ledger, "the kernel's ledger left its locks");
+        }
     }
 
     /// Brings the iteration's buffers up to date: the unbound operations
@@ -1844,7 +1879,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Every iteration's pruned ranking equals the exhaustive one
         /// (`Kernel::rank` asserts it in test builds) under every

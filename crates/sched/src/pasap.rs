@@ -82,8 +82,11 @@ pub fn pasap(
     budget: &PowerBudget,
     horizon: u32,
 ) -> Result<Schedule, ScheduleError> {
-    PlacementCache::new(graph, budget, horizon)
-        .pasap_locked(timing, &LockedStarts::none(graph.len()))
+    PlacementCache::new(graph, budget, horizon).pasap_locked(
+        timing,
+        &LockedStarts::none(graph.len()),
+        &PowerLedger::under(horizon, budget),
+    )
 }
 
 /// Power-constrained ALAP without locked operations: the latest
@@ -99,8 +102,11 @@ pub fn palap(
     budget: &PowerBudget,
     latency: u32,
 ) -> Result<Schedule, ScheduleError> {
-    PlacementCache::new(graph, budget, latency)
-        .palap_locked(timing, &LockedStarts::none(graph.len()))
+    PlacementCache::new(graph, budget, latency).palap_locked(
+        timing,
+        &LockedStarts::none(graph.len()),
+        &PowerLedger::under(latency, budget),
+    )
 }
 
 /// The locked forms of [`pasap`] and [`palap`] over one graph, one
@@ -114,23 +120,31 @@ pub fn palap(
 /// synthesis loop) pays for it only when a delay changes. The ledgers
 /// depend only on the budget and the horizon, which a cache never
 /// changes: it builds one per direction (the reverse one under the
-/// time-mirrored envelope) at construction and clears it before each
-/// placement. Every answer equals that of a fresh cache.
+/// time-mirrored envelope) at construction.
+///
+/// The locked operations' power comes from the caller, as a forward-time
+/// ledger holding exactly their reservations (the synthesis loop keeps
+/// one; [`reserve_locked`] builds one). A placement loads it into its
+/// direction's ledger in O(horizon), so it pays only for the unlocked
+/// operations, the edges into locked ones and its offset searches.
+/// Every answer equals that of a fresh cache.
 ///
 /// The cache also accumulates the bound comparisons of every placement
-/// it ran, failed ones included ([`interval`](PlacementCache::interval)).
+/// it ran, failed ones included ([`interval`](PlacementCache::interval)),
+/// and counts its placements and offset searches.
 #[derive(Debug)]
 pub struct PlacementCache<'g> {
     graph: &'g Cdfg,
     budget: &'g PowerBudget,
-    /// `budget` mirrored over the horizon: the reverse ledger's envelope.
-    reversed: PowerBudget,
     horizon: u32,
     forward: CachedOrder,
     reverse: CachedOrder,
     forward_ledger: PowerLedger,
+    /// Built under `budget` mirrored over the horizon.
     reverse_ledger: PowerLedger,
     computed: u64,
+    placements: [u64; 2],
+    searched: u64,
     seen: PowerInterval,
 }
 
@@ -167,41 +181,45 @@ impl<'g> PlacementCache<'g> {
     /// both directions' ledgers built.
     #[must_use]
     pub fn new(graph: &'g Cdfg, budget: &'g PowerBudget, horizon: u32) -> PlacementCache<'g> {
-        let reversed = budget.reversed(horizon);
         PlacementCache {
             graph,
             forward_ledger: PowerLedger::under(horizon, budget),
-            reverse_ledger: PowerLedger::under(horizon, &reversed),
+            reverse_ledger: PowerLedger::under(horizon, &budget.reversed(horizon)),
             budget,
-            reversed,
             horizon,
             forward: CachedOrder::default(),
             reverse: CachedOrder::default(),
             computed: 0,
+            placements: [0; 2],
+            searched: 0,
             seen: PowerInterval::EVERY,
         }
     }
 
     /// Power-constrained ASAP honouring locked start times.
     ///
-    /// Locked operations reserve their power up front and are never
-    /// moved; unlocked operations are placed at their earliest
-    /// power-feasible start. The returned schedule is fully validated
-    /// against precedence, so a lock combination that forces a violation
-    /// (e.g. a locked consumer whose producer cannot finish in time) is
-    /// reported as an error — this is the infeasibility signal that
-    /// triggers the synthesizer's backtracking.
+    /// `held` holds exactly the locked operations' reservations, built
+    /// over the cache's horizon under its budget (see
+    /// [`reserve_locked`]). Locked operations are never moved; unlocked
+    /// operations are placed at their earliest power-feasible start. A
+    /// lock combination that forces a precedence violation (e.g. a
+    /// locked consumer whose producer cannot finish in time) is reported
+    /// as an error — this is the infeasibility signal that triggers the
+    /// synthesizer's backtracking.
     ///
     /// # Errors
     ///
     /// As [`pasap`], plus [`ScheduleError::PrecedenceViolated`] when
-    /// locked starts are inconsistent with the dependences, and
-    /// [`ScheduleError::PowerExceeded`] when the locked operations alone
-    /// overflow the budget.
+    /// locked starts are inconsistent with the dependences.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `held` spans another horizon.
     pub fn pasap_locked(
         &mut self,
         timing: &TimingMap,
         locked: &LockedStarts,
+        held: &PowerLedger,
     ) -> Result<Schedule, ScheduleError> {
         let graph = self.graph;
         let order = self.forward.refresh(timing, &mut self.computed, || {
@@ -213,25 +231,26 @@ impl<'g> PlacementCache<'g> {
                 timing,
             )
         });
+        self.placements[0] += 1;
         let ledger = &mut self.forward_ledger;
-        ledger.clear();
+        ledger.load(held);
         let placed = place_on(
             ledger,
             order,
             |id| graph.operands(id),
             timing,
             self.budget,
-            self.horizon,
+            &mut self.searched,
             |id| locked.get(id),
         );
         self.seen.merge(ledger.interval());
-        let schedule = Schedule::new(placed?);
-        schedule.validate(graph, timing, None, None)?;
-        Ok(schedule)
+        let (starts, precedes) = placed?;
+        valid(graph, Schedule::new(starts), timing, None, precedes)
     }
 
     /// Power-constrained ALAP honouring locked start times, finishing by
-    /// the cache's horizon.
+    /// the cache's horizon; `held` as for
+    /// [`pasap_locked`](PlacementCache::pasap_locked).
     ///
     /// Implemented by running the `pasap` placement on the time-reversed
     /// graph: a forward interval `[s, s+d)` corresponds to the reversed
@@ -243,10 +262,16 @@ impl<'g> PlacementCache<'g> {
     /// # Errors
     ///
     /// As [`pasap_locked`](PlacementCache::pasap_locked).
+    ///
+    /// # Panics
+    ///
+    /// As [`pasap_locked`](PlacementCache::pasap_locked), and on a lock
+    /// ending past the horizon, which `held` cannot reserve.
     pub fn palap_locked(
         &mut self,
         timing: &TimingMap,
         locked: &LockedStarts,
+        held: &PowerLedger,
     ) -> Result<Schedule, ScheduleError> {
         let graph = self.graph;
         let (budget, latency) = (self.budget, self.horizon);
@@ -259,53 +284,42 @@ impl<'g> PlacementCache<'g> {
                 timing,
             )
         });
-        // A forward start `s` with delay `d` maps to the reversed start
-        // `latency - s - d`; a lock outside `[0, latency - d]` can never
-        // fit.
-        for i in 0..graph.len() {
-            let id = NodeId::new(i as u32);
-            if let Some(s) = locked.get(id) {
-                if s + timing.delay(id) > latency {
-                    return Err(ScheduleError::Infeasible {
-                        node: id,
-                        horizon: latency,
-                        max_power: budget.peak_within(latency),
-                    });
-                }
-            }
-        }
+        self.placements[1] += 1;
         let ledger = &mut self.reverse_ledger;
-        ledger.clear();
-        let flip = |start: u32, delay: u32| -> Option<u32> { (latency - start).checked_sub(delay) };
+        ledger.load_mirrored(held);
+        // A forward start `s` with delay `d` maps to the reversed start
+        // `latency - s - d`.
+        let flip = |start: u32, delay: u32| latency.checked_sub(start)?.checked_sub(delay);
         let placed = place_on(
             ledger,
             order,
             |id| graph.successors(id),
             timing,
-            &self.reversed,
-            latency,
+            budget,
+            &mut self.searched,
             |id| {
                 locked
                     .get(id)
-                    .map(|s| flip(s, timing.delay(id)).expect("lock range checked above"))
+                    .map(|s| flip(s, timing.delay(id)).expect("a held lock ends by the horizon"))
             },
         );
         self.seen.merge(ledger.interval());
-        let starts: Vec<u32> = placed?
-            .iter()
-            .enumerate()
-            .map(|(i, &rs)| {
-                let id = NodeId::new(i as u32);
-                flip(rs, timing.delay(id)).ok_or_else(|| ScheduleError::Infeasible {
-                    node: id,
-                    horizon: latency,
-                    max_power: budget.peak_within(latency),
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let schedule = Schedule::new(starts);
-        schedule.validate(graph, timing, Some(latency), None)?;
-        Ok(schedule)
+        let (mut starts, precedes) = placed?;
+        for (i, start) in starts.iter_mut().enumerate() {
+            let id = NodeId::new(i as u32);
+            *start = flip(*start, timing.delay(id)).ok_or_else(|| ScheduleError::Infeasible {
+                node: id,
+                horizon: latency,
+                max_power: budget.peak_within(latency),
+            })?;
+        }
+        valid(
+            graph,
+            Schedule::new(starts),
+            timing,
+            Some(latency),
+            precedes,
+        )
     }
 
     /// Placement orders computed so far, over both directions.
@@ -314,12 +328,50 @@ impl<'g> PlacementCache<'g> {
         self.computed
     }
 
+    /// Placements run so far, failed ones included: `[pasap, palap]`.
+    #[must_use]
+    pub fn placements(&self) -> [u64; 2] {
+        self.placements
+    }
+
+    /// Unlocked operations whose start the placements so far searched
+    /// for, over both directions (a failed search included).
+    #[must_use]
+    pub fn searched(&self) -> u64 {
+        self.searched
+    }
+
     /// Every bound comparison of the placements run so far (see
     /// [`PowerLedger::interval`]).
     #[must_use]
     pub fn interval(&self) -> PowerInterval {
         self.seen
     }
+}
+
+/// `schedule`, placed by [`place_on`], once it is known valid against
+/// precedence and `latency`. Every unlocked operation starts at or after
+/// its data-ready time, and a reversed start that flips back finishes by
+/// the latency bound, so only an edge into a locked operation can fail:
+/// `precedes` says none did. [`Schedule::validate`] runs in full only
+/// when one did, so the error is the one it names first.
+fn valid(
+    graph: &Cdfg,
+    schedule: Schedule,
+    timing: &TimingMap,
+    latency: Option<u32>,
+    precedes: bool,
+) -> Result<Schedule, ScheduleError> {
+    if precedes {
+        debug_assert_eq!(
+            schedule.validate(graph, timing, latency, None),
+            Ok(()),
+            "a placement valid by construction is not"
+        );
+    } else {
+        schedule.validate(graph, timing, latency, None)?;
+    }
+    Ok(schedule)
 }
 
 /// The order in which [`place_on`] visits the operations of one orientation
@@ -382,9 +434,10 @@ fn placement_order<'a>(
 }
 
 /// Reserves the power of every locked operation among the first `nodes`
-/// ids on `ledger`, in ascending id order — the pass `pasap`, `palap`
-/// and the synthesis kernel's backtrack all start from. `budget` is the
-/// envelope `ledger` was built under, in its time orientation.
+/// ids on `ledger`, in ascending id order: the ledger of locked
+/// reservations [`PlacementCache`]'s placements start from, which the
+/// synthesis kernel's backtrack rebuilds in place. `budget` is the
+/// envelope `ledger` was built under.
 ///
 /// # Errors
 ///
@@ -426,20 +479,26 @@ pub fn reserve_locked(
 }
 
 /// The placement loop shared by every power-constrained ASAP/ALAP form:
-/// locked operations reserve their power first, then every unlocked
-/// operation of `order` (see [`placement_order`]) takes its earliest
-/// power-feasible start at or after its data-ready time. `order` holds
-/// every node once; `preds` and `locked` are in the oriented time axis.
-/// `ledger` is empty, built under `budget` over `horizon` cycles.
+/// every unlocked operation of `order` (see [`placement_order`]) takes
+/// its earliest power-feasible start at or after its data-ready time,
+/// counted in `searched`. `order` holds every node once; `preds` and
+/// `locked` are in the oriented time axis. `ledger`, built under
+/// `budget` in that orientation, already holds the locked operations'
+/// reservations.
+///
+/// Returns the starts, and whether every locked operation starts at or
+/// after its own data-ready time: with the unlocked ones placed there,
+/// whether every edge meets precedence.
 fn place_on<'a>(
     ledger: &mut PowerLedger,
     order: &[NodeId],
     preds: impl Fn(NodeId) -> &'a [NodeId],
     timing: &TimingMap,
     budget: &PowerBudget,
-    horizon: u32,
+    searched: &mut u64,
     locked: impl Fn(NodeId) -> Option<u32>,
-) -> Result<Vec<u32>, ScheduleError> {
+) -> Result<(Vec<u32>, bool), ScheduleError> {
+    let horizon = ledger.horizon();
     // The scalar every error message reports: the bound itself for a
     // constant budget, the envelope's peak otherwise.
     let infeasible = |node: NodeId| ScheduleError::Infeasible {
@@ -447,17 +506,26 @@ fn place_on<'a>(
         horizon,
         max_power: budget.peak_within(horizon),
     };
-    // Locked operations reserve power first, whatever their order.
-    reserve_locked(ledger, order.len(), timing, budget, &locked)?;
     let mut starts = vec![0u32; order.len()];
+    let mut precedes = true;
 
-    // `order` is topological, so a locked operation's start is recorded
-    // before any successor reads it.
+    // `order` is topological, so every start is recorded before any
+    // successor reads it.
     for &id in order {
+        // Data-ready time: all predecessors (in this orientation) done.
+        let ready = || {
+            preds(id)
+                .iter()
+                .map(|&p| starts[p.index()] + timing.delay(p))
+                .max()
+                .unwrap_or(0)
+        };
         if let Some(s) = locked(id) {
+            precedes &= ready() <= s;
             starts[id.index()] = s;
             continue;
         }
+        *searched += 1;
         let t = timing.of(id);
         if !ledger.admits(t.power) {
             return Err(ScheduleError::OpExceedsBudget {
@@ -466,19 +534,13 @@ fn place_on<'a>(
                 max_power: budget.peak_within(horizon),
             });
         }
-        // Data-ready time: all predecessors (in this orientation) done.
-        let ready = preds(id)
-            .iter()
-            .map(|&p| starts[p.index()] + timing.delay(p))
-            .max()
-            .unwrap_or(0);
         let start = ledger
-            .earliest_fit(ready, t.delay, t.power)
+            .earliest_fit(ready(), t.delay, t.power)
             .ok_or_else(|| infeasible(id))?;
         ledger.reserve(start, t.delay, t.power);
         starts[id.index()] = start;
     }
-    Ok(starts)
+    Ok((starts, precedes))
 }
 
 #[cfg(test)]
@@ -497,6 +559,32 @@ mod tests {
         let g = benchmarks::hal();
         let t = TimingMap::from_policy(&g, &paper_library(), SelectionPolicy::Fastest);
         (g, t)
+    }
+
+    /// `place` (a locked placement of either direction) on a fresh cache,
+    /// from the ledger [`reserve_locked`] builds for `locked`: the path
+    /// every caller but the synthesis kernel takes.
+    fn placed<'g>(
+        g: &'g Cdfg,
+        t: &TimingMap,
+        budget: &'g PowerBudget,
+        horizon: u32,
+        locked: &LockedStarts,
+        place: impl FnOnce(
+            &mut PlacementCache<'g>,
+            &TimingMap,
+            &LockedStarts,
+            &PowerLedger,
+        ) -> Result<Schedule, ScheduleError>,
+    ) -> Result<Schedule, ScheduleError> {
+        let mut held = PowerLedger::under(horizon, budget);
+        reserve_locked(&mut held, g.len(), t, budget, |id| locked.get(id))?;
+        place(
+            &mut PlacementCache::new(g, budget, horizon),
+            t,
+            locked,
+            &held,
+        )
     }
 
     #[test]
@@ -596,9 +684,7 @@ mod tests {
         let shifted = base.start(victim) + 3;
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, shifted);
-        let s = PlacementCache::new(&g, &c(12.0), 100)
-            .pasap_locked(&t, &locked)
-            .unwrap();
+        let s = placed(&g, &t, &c(12.0), 100, &locked, PlacementCache::pasap_locked).unwrap();
         assert_eq!(s.start(victim), shifted);
         s.validate(&g, &t, None, Some(&c(12.0))).unwrap();
     }
@@ -606,14 +692,34 @@ mod tests {
     #[test]
     fn impossible_lock_reports_precedence_violation() {
         let (g, t) = hal_timing();
+        let unbounded = PowerBudget::unbounded();
         // Lock an output to cycle 0: its producers cannot finish by then.
         let out = g.outputs().next().unwrap().id();
         let mut locked = LockedStarts::none(g.len());
         locked.lock(out, 0);
-        let err = PlacementCache::new(&g, &PowerBudget::unbounded(), 100)
-            .pasap_locked(&t, &locked)
-            .unwrap_err();
-        assert!(matches!(err, ScheduleError::PrecedenceViolated { .. }));
+        let err = placed(
+            &g,
+            &t,
+            &unbounded,
+            100,
+            &locked,
+            PlacementCache::pasap_locked,
+        );
+        assert!(matches!(err, Err(ScheduleError::PrecedenceViolated { .. })));
+        // Lock an input to the last cycle: its consumers cannot start
+        // after it finishes.
+        let input = g.inputs().next().unwrap().id();
+        let mut locked = LockedStarts::none(g.len());
+        locked.lock(input, 100 - t.delay(input));
+        let err = placed(
+            &g,
+            &t,
+            &unbounded,
+            100,
+            &locked,
+            PlacementCache::palap_locked,
+        );
+        assert!(matches!(err, Err(ScheduleError::PrecedenceViolated { .. })));
     }
 
     #[test]
@@ -631,10 +737,8 @@ mod tests {
         let mut locked = LockedStarts::none(g.len());
         locked.lock(muls[0], 1);
         locked.lock(muls[1], 1);
-        let err = PlacementCache::new(&g, &c(10.0), 100)
-            .pasap_locked(&t, &locked)
-            .unwrap_err();
-        assert!(matches!(err, ScheduleError::PowerExceeded { .. }));
+        let err = placed(&g, &t, &c(10.0), 100, &locked, PlacementCache::pasap_locked);
+        assert!(matches!(err, Err(ScheduleError::PowerExceeded { .. })));
     }
 
     #[test]
@@ -657,9 +761,15 @@ mod tests {
         let victim = g.topological()[4];
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, base.start(victim));
-        let s = PlacementCache::new(&g, &c(12.0), latency)
-            .palap_locked(&t, &locked)
-            .unwrap();
+        let s = placed(
+            &g,
+            &t,
+            &c(12.0),
+            latency,
+            &locked,
+            PlacementCache::palap_locked,
+        )
+        .unwrap();
         assert_eq!(s.start(victim), base.start(victim));
         s.validate(&g, &t, Some(latency), Some(&c(12.0))).unwrap();
     }
@@ -674,9 +784,16 @@ mod tests {
         let target = base.start(victim) - 1;
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, target);
-        let s = PlacementCache::new(&g, &PowerBudget::unbounded(), latency)
-            .palap_locked(&t, &locked)
-            .unwrap();
+        let unbounded = PowerBudget::unbounded();
+        let s = placed(
+            &g,
+            &t,
+            &unbounded,
+            latency,
+            &locked,
+            PlacementCache::palap_locked,
+        )
+        .unwrap();
         assert_eq!(s.start(victim), target);
         s.validate(&g, &t, Some(latency), None).unwrap();
     }
@@ -687,10 +804,16 @@ mod tests {
         let victim = g.outputs().next().unwrap().id();
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, 100);
-        let err = PlacementCache::new(&g, &PowerBudget::unbounded(), 12)
-            .palap_locked(&t, &locked)
-            .unwrap_err();
-        assert!(matches!(err, ScheduleError::Infeasible { .. }));
+        let unbounded = PowerBudget::unbounded();
+        let err = placed(
+            &g,
+            &t,
+            &unbounded,
+            12,
+            &locked,
+            PlacementCache::palap_locked,
+        );
+        assert!(matches!(err, Err(ScheduleError::Infeasible { .. })));
     }
 
     #[test]
@@ -734,7 +857,8 @@ mod tests {
         use pchls_cdfg::CdfgBuilder;
         // A 6-cycle op locked at 0 under [(0,40),(5,15)]: the rejection
         // happens at cycle 5 (bound 15), and the diagnostic must say
-        // so rather than reporting the start cycle's loose 40 bound.
+        // so rather than reporting the start cycle's loose 40 bound, in
+        // either direction (not palap's mirrored cycle 14).
         let mut b = CdfgBuilder::new("one");
         let x = b.input("x");
         b.output("o", x);
@@ -752,20 +876,22 @@ mod tests {
         let budget = PowerBudget::steps(vec![(0, 40.0), (5, 15.0)]);
         let mut locked = LockedStarts::none(g.len());
         locked.lock(g.topological()[0], 0);
-        let err = PlacementCache::new(&g, &budget, 20)
-            .pasap_locked(&t, &locked)
-            .unwrap_err();
-        match err {
-            ScheduleError::PowerExceeded {
-                cycle,
-                power,
-                bound,
-            } => {
-                assert_eq!(cycle, 5);
-                assert_eq!(bound, 15.0);
-                assert!(power > bound, "diagnostic must be self-consistent");
+        for err in [
+            placed(&g, &t, &budget, 20, &locked, PlacementCache::pasap_locked),
+            placed(&g, &t, &budget, 20, &locked, PlacementCache::palap_locked),
+        ] {
+            match err {
+                Err(ScheduleError::PowerExceeded {
+                    cycle,
+                    power,
+                    bound,
+                }) => {
+                    assert_eq!(cycle, 5);
+                    assert_eq!(bound, 15.0);
+                    assert!(power > bound, "diagnostic must be self-consistent");
+                }
+                other => panic!("unexpected answer {other:?}"),
             }
-            other => panic!("unexpected error {other}"),
         }
     }
 

@@ -270,6 +270,69 @@ impl PowerLedger {
         self.slack.copy_from_slice(&self.bounds);
     }
 
+    /// Replaces every reservation with `held`'s, built over the same
+    /// horizon under the same envelope, in O(horizon). Records one
+    /// passing comparison for them, the held peak `peak − s`, `s` the
+    /// smallest slack over the cycles `held` reserves power in: under a
+    /// constant budget, the largest comparison that the
+    /// [`reserve_locked`](crate::reserve_locked) pass building `held`
+    /// recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the horizons differ.
+    pub fn load(&mut self, held: &PowerLedger) {
+        assert_eq!(self.horizon(), held.horizon(), "load across horizons");
+        debug_assert_eq!(self.bounds, held.bounds, "load across envelopes");
+        self.slack.copy_from_slice(&held.slack);
+        self.note_held(held);
+    }
+
+    /// As [`load`](PowerLedger::load), time-mirrored: cycle `c` takes
+    /// the reservation of `held`'s cycle `horizon − 1 − c`. This ledger
+    /// is built under `held`'s envelope mirrored over the horizon, as the
+    /// power-constrained ALAP's reversed placement runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the horizons differ.
+    pub fn load_mirrored(&mut self, held: &PowerLedger) {
+        assert_eq!(self.horizon(), held.horizon(), "load across horizons");
+        debug_assert!(
+            self.bounds.iter().eq(held.bounds.iter().rev()),
+            "mirrored load across envelopes"
+        );
+        for (slack, &h) in self.slack.iter_mut().zip(held.slack.iter().rev()) {
+            *slack = h;
+        }
+        self.note_held(held);
+    }
+
+    /// Records the one comparison a load stands for: the held peak
+    /// `x = peak − s` passed, `s` the smallest slack over the cycles
+    /// `held` reserves power in (nothing when it reserves none).
+    ///
+    /// A [`reserve_locked`](crate::reserve_locked) pass builds `held`
+    /// and records only passes. Under a constant budget its largest is
+    /// this one: each lock records the largest usage its window reaches
+    /// once it is reserved, which is never above the final peak usage,
+    /// and the last lock covering the fullest cycle records exactly that
+    /// cycle's final usage. Under an envelope a cycle covered only by
+    /// zero-power locks can record more, and such a record means nothing
+    /// anyway (see [`PowerInterval`]).
+    fn note_held(&self, held: &PowerLedger) {
+        let min = held
+            .bounds
+            .iter()
+            .zip(&held.slack)
+            .filter(|&(bound, slack)| slack < bound)
+            .map(|(_, &slack)| slack)
+            .min();
+        if let Some(min) = min {
+            self.note(0, min, true);
+        }
+    }
+
     /// The scheduling horizon in cycles.
     #[must_use]
     pub fn horizon(&self) -> u32 {
@@ -701,6 +764,27 @@ mod tests {
         l.clear();
         assert_eq!(l, constant(8, 10.0));
         assert_eq!(l.interval(), interval(0, 10_500));
+    }
+
+    #[test]
+    fn loads_copy_the_reservations_and_record_the_held_peak() {
+        // `reserved()` holds 9.0 at its fullest cycle (3).
+        let held = reserved();
+        let mut forward = constant(8, 10.0);
+        forward.load(&held);
+        assert_eq!(forward, held);
+        assert_eq!(forward.interval(), interval(9_000, u64::MAX));
+        let mut mirrored = constant(8, 10.0);
+        mirrored.load_mirrored(&held);
+        assert_eq!(
+            (0..8).map(|c| mirrored.used(c)).collect::<Vec<_>>(),
+            [0, 0, 0, 0, 9_000, 5_000, 7_500, 0]
+        );
+        assert_eq!(mirrored.interval(), interval(9_000, u64::MAX));
+        // Loading an empty ledger records nothing and releases all.
+        forward.load(&constant(8, 10.0));
+        assert_eq!(forward, constant(8, 10.0));
+        assert_eq!(forward.interval(), interval(9_000, u64::MAX));
     }
 
     #[test]

@@ -187,6 +187,21 @@ proptest! {
     }
 }
 
+/// The ledger holding `locked`'s reservations over `horizon` cycles
+/// under `budget`, as `reserve_locked` builds it for every locked
+/// placement outside the synthesis kernel.
+fn held(
+    g: &pchls_cdfg::Cdfg,
+    t: &TimingMap,
+    budget: &PowerBudget,
+    horizon: u32,
+    locked: &pchls_sched::LockedStarts,
+) -> Result<pchls_sched::PowerLedger, pchls_sched::ScheduleError> {
+    let mut ledger = pchls_sched::PowerLedger::under(horizon, budget);
+    pchls_sched::reserve_locked(&mut ledger, g.len(), t, budget, |id| locked.get(id))?;
+    Ok(ledger)
+}
+
 mod locked_props {
     use super::*;
     use pchls_sched::{LockedStarts, PlacementCache};
@@ -208,8 +223,9 @@ mod locked_props {
             let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
             let peak = PowerProfile::of(&asap(&g, &t), &t).peak();
             let bound = (peak * frac).max(units(t.max_single_op_power()));
+            let budget = PowerBudget::constant(bound);
             let horizon = 10_000;
-            let base = pasap(&g, &t, &PowerBudget::constant(bound), horizon).unwrap();
+            let base = pasap(&g, &t, &budget, horizon).unwrap();
 
             let mut locked = LockedStarts::none(g.len());
             for id in g.node_ids() {
@@ -217,22 +233,23 @@ mod locked_props {
                     locked.lock(id, base.start(id));
                 }
             }
-            let s = PlacementCache::new(&g, &PowerBudget::constant(bound), horizon)
-                .pasap_locked(&t, &locked)
+            let held = held(&g, &t, &budget, horizon, &locked).expect("a valid schedule's locks fit");
+            let s = PlacementCache::new(&g, &budget, horizon)
+                .pasap_locked(&t, &locked, &held)
                 .expect("relocking a valid schedule stays feasible");
             for id in g.node_ids() {
                 if let Some(fixed) = locked.get(id) {
                     prop_assert_eq!(s.start(id), fixed);
                 }
             }
-            s.validate(&g, &t, None, Some(&PowerBudget::constant(bound))).unwrap();
+            s.validate(&g, &t, None, Some(&budget)).unwrap();
         }
     }
 }
 
 mod placement_cache_props {
     use super::*;
-    use pchls_sched::{LockedStarts, OpTiming, PlacementCache, PowerInterval};
+    use pchls_sched::{LockedStarts, OpTiming, PlacementCache, PowerInterval, PowerLedger};
 
     /// Locks the ops picked by `mask` (bit `i % 64` for node `i`): at
     /// their start in `base` when there is one, nudged one cycle later
@@ -261,16 +278,34 @@ mod placement_cache_props {
         locked
     }
 
+    /// A timing map over `n` ops from 64 delays and powers, the ops
+    /// `zero_power` picks drawing none.
+    fn timing(n: usize, delays: &[u32], powers: &[u64], zero_power: u64) -> TimingMap {
+        TimingMap::from_entries(
+            (0..n)
+                .map(|i| OpTiming {
+                    delay: delays[i % 64],
+                    power: if zero_power >> (i % 64) & 1 == 1 {
+                        0
+                    } else {
+                        powers[i % 64]
+                    },
+                })
+                .collect(),
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// One `PlacementCache` per (budget, horizon), reused across
         /// three lock sets, answers every `pasap_locked` /
         /// `palap_locked` call exactly like a fresh cache, `Ok` schedule
-        /// or `Err`, records exactly the comparisons the fresh caches
-        /// record over the same calls, and recomputes its orders only
-        /// when a delay changes. The second lock set runs on kept orders
-        /// and cleared ledgers; every delay moves before the third.
+        /// or `Err` (the held ledger's own included), records exactly the
+        /// comparisons the fresh caches record over the same calls, and
+        /// recomputes its orders only when a delay changes. The second
+        /// lock set runs on kept orders and reloaded ledgers; every delay
+        /// moves before the third.
         #[test]
         fn cached_placements_match_fresh_caches(
             cfg in config(),
@@ -284,14 +319,7 @@ mod placement_cache_props {
         ) {
             let g = random_dag(&cfg);
             let n = g.len();
-            let mut t = TimingMap::from_entries(
-                (0..n)
-                    .map(|i| OpTiming {
-                        delay: delays[i % 64],
-                        power: if zero_power >> (i % 64) & 1 == 1 { 0 } else { powers[i % 64] },
-                    })
-                    .collect(),
-            );
+            let mut t = timing(n, &delays, &powers, zero_power);
             for round in 0..3 {
                 let single = units(t.max_single_op_power());
                 let bound = single * frac;
@@ -316,6 +344,9 @@ mod placement_cache_props {
                 let base = pasap(&g, &t, &budget, horizon).ok();
                 let mut cache = PlacementCache::new(&g, &budget, horizon);
                 let mut fresh_seen = PowerInterval::EVERY;
+                // Placements run before and after the delay change: each
+                // computes one order per direction.
+                let mut placed = [false; 2];
                 for repeat in 0..3 {
                     if repeat == 2 {
                         // Every delay moves (1→2→3→4→1): both cached
@@ -331,18 +362,58 @@ mod placement_cache_props {
                     let mask = word(&masks, 0) & word(&masks, 1);
                     let nudge = word(&nudges, 0) & word(&nudges, 1) & word(&nudges, 2);
                     let locked = lock_set(n, base.as_ref(), horizon, mask, nudge);
+                    let held = held(&g, &t, &budget, horizon, &locked);
+                    placed[repeat / 2] |= held.is_ok();
                     let mut fresh = PlacementCache::new(&g, &budget, horizon);
-                    let early = fresh.pasap_locked(&t, &locked);
-                    prop_assert_eq!(cache.pasap_locked(&t, &locked), early);
-                    let late = fresh.palap_locked(&t, &locked);
-                    prop_assert_eq!(cache.palap_locked(&t, &locked), late);
+                    let early = held.clone().and_then(|h| fresh.pasap_locked(&t, &locked, &h));
+                    let cached = held.clone().and_then(|h| cache.pasap_locked(&t, &locked, &h));
+                    prop_assert_eq!(cached, early);
+                    let late = held.clone().and_then(|h| fresh.palap_locked(&t, &locked, &h));
+                    let cached = held.and_then(|h| cache.palap_locked(&t, &locked, &h));
+                    prop_assert_eq!(cached, late);
                     fresh_seen.merge(fresh.interval());
                 }
                 prop_assert_eq!(cache.interval(), fresh_seen);
-                // One order per direction, then one more each after the
-                // delay change.
-                prop_assert_eq!(cache.orders_computed(), 4);
+                let epochs = placed.iter().filter(|&&p| p).count() as u64;
+                prop_assert_eq!(cache.orders_computed(), 2 * epochs);
             }
+        }
+
+        /// Under a constant budget, the one comparison a load records
+        /// (the held peak) is the interval `reserve_locked` leaves on
+        /// the ledger it builds, in either time direction, and a forward
+        /// load reserves what that ledger does.
+        #[test]
+        fn a_load_records_what_reserve_locked_records(
+            cfg in config(),
+            delays in proptest::collection::vec(1u32..5, 64),
+            powers in proptest::collection::vec(0u64..6_000, 64),
+            zero_power in any::<u64>(),
+            mask in any::<u64>(),
+            frac in 1.0f64..3.0,
+            unbounded in any::<bool>(),
+            slack in 0u32..8,
+        ) {
+            let g = random_dag(&cfg);
+            let t = timing(g.len(), &delays, &powers, zero_power);
+            let budget = if unbounded {
+                PowerBudget::unbounded()
+            } else {
+                PowerBudget::constant(units(t.max_single_op_power()) * frac)
+            };
+            // A subset of a valid schedule's ops, locked where it starts
+            // them, always fits.
+            let base = pasap(&g, &t, &budget, 10_000).expect("every op fits the bound");
+            let horizon = base.latency(&t) + slack;
+            let locked = lock_set(g.len(), Some(&base), horizon, mask, 0);
+            let fresh = held(&g, &t, &budget, horizon, &locked).expect("a valid schedule's locks fit");
+            let mut forward = PowerLedger::under(horizon, &budget);
+            forward.load(&fresh);
+            prop_assert_eq!(&forward, &fresh);
+            prop_assert_eq!(forward.interval(), fresh.interval());
+            let mut mirrored = PowerLedger::under(horizon, &budget);
+            mirrored.load_mirrored(&fresh);
+            prop_assert_eq!(mirrored.interval(), fresh.interval());
         }
     }
 }
