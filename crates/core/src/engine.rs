@@ -10,9 +10,9 @@
 //!   module candidate lists — computed once for the library's lifetime.
 //! * [`Engine::compile`] produces a [`CompiledGraph`] owning the
 //!   **per-graph** artifacts — the transitive-closure
-//!   [`Reachability`] bitsets, min-area bootstrap module estimates and
-//!   timing map, and the fastest modules' minimum latency, ASAP power
-//!   peak and largest single-operation power — computed once per graph.
+//!   [`Reachability`] bitsets, min-area bootstrap module estimates, and
+//!   the fastest modules' minimum latency, ASAP power peak and largest
+//!   single-operation power — computed once per graph.
 //! * [`Engine::session`] pairs the two into a [`Session`] whose
 //!   [`synthesize`](Session::synthesize), [`sweep`](Session::sweep) and
 //!   [`batch`](Session::batch) calls share every compiled artifact
@@ -101,8 +101,8 @@ impl Engine {
 
     /// Compiles `graph` into the per-graph artifacts every subsequent
     /// synthesis call reuses: reachability bitsets, bootstrap module
-    /// estimates and timing map, and what the fastest modules' ASAP
-    /// schedule gives (minimum latency and power peak).
+    /// estimates, and what the fastest modules' ASAP schedule gives
+    /// (minimum latency and power peak).
     ///
     /// # Errors
     ///
@@ -125,8 +125,6 @@ impl Engine {
             })
             .collect();
         let fastest_timing = TimingMap::from_policy(graph, &self.library, SelectionPolicy::Fastest);
-        let min_area_timing =
-            TimingMap::from_policy(graph, &self.library, SelectionPolicy::MinArea);
         let asap_fastest = asap(graph, &fastest_timing);
         let min_latency = asap_fastest.latency(&fastest_timing);
         let asap_peak = PowerProfile::of(&asap_fastest, &fastest_timing).peak();
@@ -135,7 +133,6 @@ impl Engine {
             reachability: Reachability::new(graph),
             seed_modules,
             max_op_power: fastest_timing.max_single_op_power(),
-            min_area_timing,
             min_latency,
             asap_peak,
             optimize_stats: None,
@@ -193,7 +190,6 @@ pub struct CompiledGraph {
     /// The largest single-operation power under the fastest modules, in
     /// quanta: the floor of [`Session::auto_power_grid`].
     max_op_power: u64,
-    min_area_timing: TimingMap,
     min_latency: u32,
     asap_peak: f64,
     optimize_stats: Option<OptimizeStats>,
@@ -220,12 +216,6 @@ impl CompiledGraph {
 
     pub(crate) fn seed_modules(&self) -> &[ModuleId] {
         &self.seed_modules
-    }
-
-    /// Per-operation timing under the min-area-module policy.
-    #[must_use]
-    pub(crate) fn min_area_timing(&self) -> &TimingMap {
-        &self.min_area_timing
     }
 
     /// The minimum achievable latency (fastest modules, no power bound):

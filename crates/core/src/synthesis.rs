@@ -1,7 +1,7 @@
 //! The combined power-constrained scheduling/allocation/binding loop.
 
 use pchls_bind::{Binding, InstanceId, INTERCONNECT_WEIGHT};
-use pchls_cdfg::{Cdfg, NodeId, NodeSet, OpKind, Reachability};
+use pchls_cdfg::{Cdfg, NodeId, OpKind, Reachability};
 use pchls_fulib::{ModuleId, ModuleLibrary};
 use pchls_sched::{
     LockedStarts, OpTiming, PlacementCache, PowerInterval, PowerLedger, Schedule, ScheduleError,
@@ -35,7 +35,7 @@ struct Decision {
     start: u32,
     target: Target,
     score: f64,
-    /// Completes [`rank_order`] into a total order (see [`Key`]).
+    /// Completes [`rank_total`]'s order (see [`Key`]).
     key: Key,
 }
 
@@ -48,7 +48,7 @@ struct Decision {
 ///
 /// Module positions index `modules_for` of the decision's `op` (a pair's
 /// `first`); instance positions index the module's open instances in
-/// ascending id. Among decisions tied on [`rank_order`], every single
+/// ascending id. Among decisions tied on score, start and op, every single
 /// thus ranks before every pair; singles by op, then module, then
 /// instance before the fallback; pairs by their two ids, then module.
 type Key = (u8, u32, u32, u32);
@@ -90,7 +90,7 @@ pub(crate) fn synthesize_recorded(
 /// instance fits, kept or recomputed, and the op rows a first-block
 /// fill skipped whole or re-derived entry by entry. Published to the
 /// global registry once per call, not per pair or schedule.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct Tally {
     probed: u64,
     pruned: u64,
@@ -169,6 +169,10 @@ struct Kernel<'a> {
     kind_modules: &'a [Vec<ModuleId>],
     constraints: &'a SynthesisConstraints,
     options: &'a SynthesisOptions,
+    /// The weight of a shared connection in a score:
+    /// [`INTERCONNECT_WEIGHT`], or 0 with interconnect scoring off (a
+    /// count times +0.0 is +0.0, the score's bits without the term).
+    ic_weight: f64,
     /// Every pasap/palap of the run, bootstrap's included, under the
     /// run's budget and latency: the placement order is reused while the
     /// delays stay put, and each direction's ledger for the whole run.
@@ -184,10 +188,9 @@ struct Kernel<'a> {
     est_modules: Vec<ModuleId>,
     binding: Binding,
     locked: LockedStarts,
-    /// Membership of the not-yet-bound operations; `unbound_vec`
-    /// re-materializes the ascending-id order scoring iterates in.
-    unbound: NodeSet,
-    unbound_count: usize,
+    /// The not-yet-bound operations in ascending id order (the scoring
+    /// iteration order); a commit removes the ops it binds.
+    unbound_vec: Vec<NodeId>,
     /// Power-feasible early starts under the current locks (see
     /// [`Kernel::refit`]).
     provisional: Schedule,
@@ -199,13 +202,9 @@ struct Kernel<'a> {
     palap: Option<Schedule>,
     stats: SynthesisStats,
     tally: Tally,
-    // Iteration-scoped work buffers, allocated once per run and
-    // `clear()`ed and refilled each iteration instead of reallocated —
-    // the loop runs `n/2`–`n` times per run.
-    /// Unbound ops in ascending id order (the scoring iteration order).
-    unbound_vec: Vec<NodeId>,
-    // The rest only grows: bound ops never move or change timing, and
-    // instances are never dropped before the end.
+    // Iteration-scoped work buffers, allocated once per run. They only
+    // grow: bound ops never move or change timing, and instances are
+    // never dropped before the end.
     /// Busy intervals per instance, indexed by instance id.
     busy: Vec<Vec<(u32, u32)>>,
     /// Open instances per library module, ascending instance id.
@@ -254,8 +253,7 @@ struct Kernel<'a> {
     fitted: usize,
     /// Connections each op shares with each instance's ops (operand
     /// producers plus result consumers, counted as
-    /// [`Kernel::shared_connections`] does), laid out as `fits`. Kept
-    /// only under interconnect scoring.
+    /// [`Kernel::shared_connections`] does), laid out as `fits`.
     shared: Vec<u32>,
     /// Each unbound op's best single decision under [`rank_total`],
     /// rescored only when its row asks: the first block keeps one
@@ -270,11 +268,6 @@ const _: () = assert!(FIRST_BLOCK == 1);
 /// What the kept tables remember about one op between two fills.
 #[derive(Debug, Clone, Copy)]
 struct OpRow {
-    /// Its delay and lock as the marks last saw them: refreshed by a
-    /// stale fill, and by [`Kernel::record_commit`] for the ops a
-    /// commit binds, the only ops whose delay or lock a commit changes.
-    delay: u32,
-    lock: Option<u32>,
     /// The fill that last marked the op: its window may have moved.
     mark: u32,
     /// Its [`Kernel::window`] at the last fill (unbound ops only).
@@ -325,16 +318,19 @@ impl<'a> Kernel<'a> {
             kind_modules: engine.kind_modules(),
             constraints,
             options,
+            ic_weight: if options.interconnect_scoring {
+                INTERCONNECT_WEIGHT
+            } else {
+                0.0
+            },
             placer: PlacementCache::new(graph, &constraints.budget, constraints.latency),
             ledger: PowerLedger::under(constraints.latency, &constraints.budget),
-            // Bootstrap's seed: the compiled min-area modules, whose
-            // timing is the compiled min-area timing map.
-            timing: compiled.min_area_timing().clone(),
+            // Bootstrap's seed: the compiled min-area modules.
+            timing: TimingMap::from_modules(graph, library, compiled.seed_modules()),
             est_modules: compiled.seed_modules().to_vec(),
             binding: Binding::new(n),
             locked: LockedStarts::none(n),
-            unbound: NodeSet::full(n),
-            unbound_count: n,
+            unbound_vec: graph.node_ids().collect(),
             // Replaced by bootstrap's feasible schedule, before anything
             // reads it.
             provisional: Schedule::new(Vec::new()),
@@ -342,7 +338,6 @@ impl<'a> Kernel<'a> {
             palap: None,
             stats: SynthesisStats::default(),
             tally: Tally::default(),
-            unbound_vec: Vec::new(),
             busy: Vec::new(),
             by_module: vec![Vec::new(); library.len()],
             listed: 0,
@@ -350,8 +345,6 @@ impl<'a> Kernel<'a> {
             stale: true,
             rows: vec![
                 OpRow {
-                    delay: 0,
-                    lock: None,
                     mark: 0,
                     window: (0, 0),
                     hull: EMPTY_HULL,
@@ -424,12 +417,12 @@ impl<'a> Kernel<'a> {
         let mut first = TopK::new(FIRST_BLOCK);
         let mut full = TopK::new(MAX_ATTEMPTS);
         let n = self.graph.len();
-        while self.unbound_count > 0 {
+        while !self.unbound_vec.is_empty() {
             // Progress/cancel hook: one event per greedy iteration. `None`
             // (every batch/sweep path) costs nothing.
             if let Some(h) = hook.as_deref_mut() {
                 let snapshot = Progress {
-                    bound_ops: n - self.unbound_count,
+                    bound_ops: n - self.unbound_vec.len(),
                     total_ops: n,
                     backtracks: self.stats.backtracks,
                     rejected_candidates: self.stats.rejected_candidates,
@@ -548,17 +541,15 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Brings the iteration's buffers up to date: the unbound operations
-    /// in ascending id, each instance's busy intervals, and the open
-    /// instances bucketed by module (ascending instance id per row), so a
-    /// candidate (op, module) only visits the instances it could
-    /// actually merge onto. Busy rows gain the last commit's windows and
-    /// `by_module` every instance opened since the last gather, the empty
-    /// one a rejected fresh attempt leaves included: bound ops never move
-    /// and instances are never dropped before the end.
+    /// Brings the iteration's buffers up to date: each instance's busy
+    /// intervals, and the open instances bucketed by module (ascending
+    /// instance id per row), so a candidate (op, module) only visits the
+    /// instances it could actually merge onto. Busy rows gain the last
+    /// commit's windows and `by_module` every instance opened since the
+    /// last gather, the empty one a rejected fresh attempt leaves
+    /// included: bound ops never move and instances are never dropped
+    /// before the end.
     fn gather(&mut self) {
-        self.unbound_vec.clear();
-        self.unbound_vec.extend(self.unbound.iter());
         let count = self.binding.instances().len();
         self.busy.resize_with(count, Vec::new);
         for &(iid, start, finish) in &self.committed {
@@ -589,20 +580,19 @@ impl<'a> Kernel<'a> {
             let clean = is_clean(cand, &saved, &self.provisional);
             let feasible = clean || self.pasap().is_ok();
             if feasible {
-                self.unbound.remove(cand.op);
-                self.unbound_count -= 1;
-                self.stats.decisions += 1;
-                if let Target::FreshPair { partner, .. } = cand.target {
-                    self.unbound.remove(partner);
-                    self.unbound_count -= 1;
-                    self.stats.decisions += 1;
-                }
+                let partner = match cand.target {
+                    Target::FreshPair { partner, .. } => Some(partner),
+                    _ => None,
+                };
+                self.unbound_vec
+                    .retain(|&v| v != cand.op && Some(v) != partner);
+                self.stats.decisions += 1 + usize::from(partner.is_some());
                 if clean {
                     self.stats.fast_commits += 1;
                 } else {
                     self.dirty = true;
                 }
-                self.record_commit(cand);
+                self.record_commit(cand, &saved);
                 committed = true;
                 break;
             }
@@ -644,7 +634,8 @@ impl<'a> Kernel<'a> {
 
     /// Records what a commit locked (see `committed`), marks the ops
     /// whose window its ops' new delays and locks can move (see
-    /// [`Kernel::mark_moved`]), and counts the connections its ops bring
+    /// [`Kernel::mark_moved`]; `saved` holds their delays and lock
+    /// states before it), and counts the connections its ops bring
     /// to their instance: for every op `u` (only unbound ones are read),
     /// one per operand of `u` found among a joining op's operands and one
     /// per consumer of `u` found among its consumers, as
@@ -654,29 +645,33 @@ impl<'a> Kernel<'a> {
     /// `operands(c)` once per port it feeds, so visiting each distinct
     /// `p` and `c` once keeps the multiplicities. A changed count asks
     /// for the op's best single decision to be rescored.
-    fn record_commit(&mut self, cand: &Decision) {
+    fn record_commit(&mut self, cand: &Decision, saved: &Saved) {
         let iid = self
             .binding
             .instance_of(cand.op)
             .expect("a committed op is bound");
-        let delay = self.library.module(cand.module).latency();
-        let partner = match cand.target {
-            Target::FreshPair {
-                partner,
-                partner_start,
-            } => Some((partner, partner_start)),
+        let delay = saved.applied_timing.delay;
+        let partner = match (cand.target, saved.partner_timing) {
+            (
+                Target::FreshPair {
+                    partner,
+                    partner_start,
+                },
+                Some(before),
+            ) => Some((partner, partner_start, before, saved.partner_was_locked)),
             _ => None,
         };
         self.reserve_columns(iid.index() + 1);
         let (graph, cap, next) = (self.graph, self.cap, self.fills + 1);
-        for (w, start) in std::iter::once((cand.op, cand.start)).chain(partner) {
+        let op = (cand.op, cand.start, saved.op_timing, saved.op_was_locked);
+        for (w, start, before, was_locked) in std::iter::once(op).chain(partner) {
             self.committed.push((iid, start, start + delay));
             // `w` now runs on the module, locked at `start`. A moved delay
             // moves its successors' ready times, a new lock its operands'
-            // deadlines.
-            let row = &mut self.rows[w.index()];
-            let delay_moved = std::mem::replace(&mut row.delay, delay) != delay;
-            let lock_moved = row.lock.replace(start) != Some(start);
+            // deadlines. An already-locked op's lock stays: a locked op
+            // only starts at its lock (see `start_within`).
+            let delay_moved = before.delay != delay;
+            let lock_moved = !was_locked;
             if delay_moved {
                 for &s in graph.successors(w) {
                     self.rows[s.index()].mark = next;
@@ -686,9 +681,6 @@ impl<'a> Kernel<'a> {
                 for &p in graph.operands(w) {
                     self.rows[p.index()].mark = next;
                 }
-            }
-            if !self.options.interconnect_scoring {
-                continue;
             }
             let operands = graph.operands(w);
             for (i, &p) in operands.iter().enumerate() {
@@ -766,12 +758,9 @@ fn is_clean(cand: &Decision, saved: &Saved, provisional: &Schedule) -> bool {
             partner_start,
         } => {
             op_clean
-                && saved
-                    .partner_timing
-                    .map(|(_, before)| {
-                        unchanged(partner, partner_start, before, saved.applied_timing)
-                    })
-                    .unwrap_or(false)
+                && saved.partner_timing.is_some_and(|before| {
+                    unchanged(partner, partner_start, before, saved.applied_timing)
+                })
         }
         _ => op_clean,
     }
@@ -876,11 +865,7 @@ impl<'a> Kernel<'a> {
         let _span = pchls_obs::span!("kernel.topk");
         let ranked = top.sorted(rank_total);
         #[cfg(test)]
-        assert_eq!(
-            ranked,
-            tests::brute_force_ranking(self, block.len()).as_slice(),
-            "the pair walk's ranking diverged from the exhaustive one"
-        );
+        tests::check_ranking(self, block.len(), ranked);
         ranked
     }
 
@@ -953,7 +938,7 @@ impl<'a> Kernel<'a> {
         let mut tally = std::mem::take(&mut self.tally);
         for &u in &self.unbound_vec {
             let row = &mut rows[u.index()];
-            let locked = row.lock.is_some();
+            let locked = self.locked.is_locked(u);
             let starts = &mut start0[u.index() * lib_len..][..lib_len];
             let row_fits = &mut fits[u.index() * cap..][..cap];
             if !stale && !locked && row.mark != fill && !self.overlaps_committed(row.hull) {
@@ -1050,7 +1035,7 @@ impl<'a> Kernel<'a> {
     /// diffed here; delays and locks change between fills only where a
     /// commit binds an op, which [`Kernel::record_commit`] marks (a bound
     /// op's own mark is never read), or in a backtrack, whose stale fill
-    /// refreshes them all.
+    /// keeps nothing.
     fn mark_moved(&mut self, stale: bool) {
         self.fills += 1;
         let (graph, fill) = (self.graph, self.fills);
@@ -1059,9 +1044,6 @@ impl<'a> Kernel<'a> {
         if stale {
             self.kept_starts.copy_from_slice(self.provisional.starts());
             self.kept_lates.copy_from_slice(late.starts());
-            for (v, row) in graph.node_ids().zip(rows.iter_mut()) {
-                (row.delay, row.lock) = (self.timing.delay(v), self.locked.get(v));
-            }
             return;
         }
         diff(&mut self.kept_starts, self.provisional.starts(), |v| {
@@ -1099,14 +1081,6 @@ impl<'a> Kernel<'a> {
             "kept starts are stale"
         );
         assert_eq!(self.kept_lates, late.starts(), "kept late starts are stale");
-        for v in self.graph.node_ids() {
-            let row = &self.rows[v.index()];
-            assert_eq!(
-                (row.delay, row.lock),
-                (self.timing.delay(v), self.locked.get(v)),
-                "kept delay or lock of {v} is stale"
-            );
-        }
         self.ledger.unrecorded(|| {
             for &u in &self.unbound_vec {
                 let window = self.window(u);
@@ -1138,21 +1112,19 @@ impl<'a> Kernel<'a> {
                             "kept fit of {u} on instance {} is stale",
                             iid.index()
                         );
-                        if self.options.interconnect_scoring {
-                            let recount: usize = self
-                                .binding
-                                .instance(iid)
-                                .ops()
-                                .iter()
-                                .map(|&v| self.shared_connections(u, v))
-                                .sum();
-                            assert_eq!(
-                                self.shared[f] as usize,
-                                recount,
-                                "shared connections of {u} with instance {} are stale",
-                                iid.index()
-                            );
-                        }
+                        let recount: usize = self
+                            .binding
+                            .instance(iid)
+                            .ops()
+                            .iter()
+                            .map(|&v| self.shared_connections(u, v))
+                            .sum();
+                        assert_eq!(
+                            self.shared[f] as usize,
+                            recount,
+                            "shared connections of {u} with instance {} are stale",
+                            iid.index()
+                        );
                     }
                 }
                 assert_eq!(
@@ -1267,12 +1239,9 @@ impl<'a> Kernel<'a> {
     }
 
     /// Interconnect bonus of the pair `(u, v)`: its shared connections,
-    /// weighted, or 0 with interconnect scoring off.
+    /// weighted by `ic_weight`.
     fn interconnect(&self, u: NodeId, v: NodeId) -> f64 {
-        if !self.options.interconnect_scoring {
-            return 0.0;
-        }
-        self.shared_connections(u, v) as f64 * INTERCONNECT_WEIGHT
+        self.shared_connections(u, v) as f64 * self.ic_weight
     }
 
     /// Modules allowed for `op` under the ablation switches (borrowed —
@@ -1325,11 +1294,7 @@ impl<'a> Kernel<'a> {
         // leaves a rejected fresh attempt's instance empty and `gather`
         // still lists it, so a merge onto it scores `avoided + 1` as if
         // it spared a unit (ROADMAP item 6).
-        let ic = if self.options.interconnect_scoring {
-            f64::from(self.shared[f]) * INTERCONNECT_WEIGHT
-        } else {
-            0.0
-        };
+        let ic = f64::from(self.shared[f]) * self.ic_weight;
         Some(Decision {
             op: u,
             module: m,
@@ -1439,12 +1404,6 @@ impl<'a> Kernel<'a> {
     /// positive gain, highest bound first. Bucket `ops` vectors are
     /// reused across rankings.
     fn bucket_pairs(&self, walk: &mut PairWalk) {
-        let ic_weight = if self.options.interconnect_scoring {
-            INTERCONNECT_WEIGHT
-        } else {
-            0.0
-        };
-
         walk.live = 0;
         for &u in &self.unbound_vec {
             let kind = self.graph.node(u).kind();
@@ -1494,7 +1453,7 @@ impl<'a> Kernel<'a> {
                     if gain <= 0.0 {
                         continue;
                     }
-                    let ic_cap = ic_weight * a.degree.max(b.degree) as f64;
+                    let ic_cap = self.ic_weight * a.degree.max(b.degree) as f64;
                     walk.entries.push(Entry {
                         lo,
                         hi,
@@ -1577,18 +1536,14 @@ impl<'a> Kernel<'a> {
 }
 
 /// The ranking order on decisions: best score first, then earlier
-/// start, then smaller op id. [`rank_total`] completes it.
-fn rank_order(a: &Decision, b: &Decision) -> std::cmp::Ordering {
+/// start, then smaller op id, made total by the structural [`Key`].
+fn rank_total(a: &Decision, b: &Decision) -> std::cmp::Ordering {
     b.score
         .partial_cmp(&a.score)
         .expect("scores are finite")
         .then(a.start.cmp(&b.start))
         .then(a.op.cmp(&b.op))
-}
-
-/// [`rank_order`] made total by the structural [`Key`].
-fn rank_total(a: &Decision, b: &Decision) -> std::cmp::Ordering {
-    rank_order(a, b).then(a.key.cmp(&b.key))
+        .then(a.key.cmp(&b.key))
 }
 
 /// Unbound operations with one kind and one tabulated avoided area:
@@ -1661,7 +1616,8 @@ struct Walked {
 
 /// State saved for undoing a decision: previous timing entries and
 /// previous lock state. The ledger needs nothing saved: undo releases
-/// exactly what `apply` reserved.
+/// exactly what `apply` reserved. A commit's marks read the same record
+/// ([`Kernel::record_commit`]).
 struct Saved {
     op_timing: OpTiming,
     /// Timing written by `apply` (the module spec's delay/power).
@@ -1669,7 +1625,8 @@ struct Saved {
     /// Whether the op was already locked (then its power is already in
     /// the ledger and must be neither re-reserved nor released).
     op_was_locked: bool,
-    partner_timing: Option<(NodeId, OpTiming)>,
+    /// The partner's timing, for a [`Target::FreshPair`].
+    partner_timing: Option<OpTiming>,
     partner_was_locked: bool,
 }
 
@@ -1678,7 +1635,7 @@ impl Kernel<'_> {
         let spec = self.library.module(cand.module);
         let (partner_timing, partner_was_locked) = match cand.target {
             Target::FreshPair { partner, .. } => (
-                Some((partner, self.timing.of(partner))),
+                Some(self.timing.of(partner)),
                 self.locked.is_locked(partner),
             ),
             _ => (None, false),
@@ -1730,21 +1687,24 @@ impl Kernel<'_> {
             self.locked.unlock(cand.op);
         }
         self.timing.set(cand.op, saved.op_timing);
-        if let Some((partner, t)) = saved.partner_timing {
-            self.binding.unbind(partner);
-            if !saved.partner_was_locked {
-                self.locked.unlock(partner);
-            }
-            self.timing.set(partner, t);
-        }
         let t = saved.applied_timing;
         if !saved.op_was_locked {
             self.ledger.release(cand.start, t.delay, t.power);
         }
-        if let Target::FreshPair { partner_start, .. } = cand.target {
+        if let (
+            Target::FreshPair {
+                partner,
+                partner_start,
+            },
+            Some(before),
+        ) = (cand.target, saved.partner_timing)
+        {
+            self.binding.unbind(partner);
             if !saved.partner_was_locked {
+                self.locked.unlock(partner);
                 self.ledger.release(partner_start, t.delay, t.power);
             }
+            self.timing.set(partner, before);
         }
         // A fresh instance allocated for this decision stays empty and is
         // pruned at the end; ids of other instances are unaffected.
@@ -1830,15 +1790,34 @@ impl Kernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pchls_cdfg::{benchmarks, random_dag, CdfgBuilder, RandomDagConfig};
+    use pchls_cdfg::{benchmarks, random_dag, CdfgBuilder, Edge, RandomDagConfig};
     use pchls_fulib::{paper_library, ModuleSpec};
     use pchls_sched::PowerBudget;
     use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Whether this test thread checks each ranking against
+        /// [`brute_force_ranking`].
+        static BRUTE_FORCE: Cell<bool> = const { Cell::new(true) };
+    }
+
+    /// `Kernel::rank`'s test-build check: `ranked` is the brute-force
+    /// ranking truncated to `len`, unless this thread switched it off.
+    pub(super) fn check_ranking(kernel: &Kernel<'_>, len: usize, ranked: &[Decision]) {
+        if BRUTE_FORCE.get() {
+            assert_eq!(
+                ranked,
+                brute_force_ranking(kernel, len).as_slice(),
+                "the pair walk's ranking diverged from the exhaustive one"
+            );
+        }
+    }
 
     /// The reference ranking `Kernel::rank` is checked against in test
     /// builds: every single and every pair decision (each unordered pair,
     /// each of `first`'s modules), fully sorted, truncated to `len`.
-    pub(super) fn brute_force_ranking(kernel: &Kernel<'_>, len: usize) -> Vec<Decision> {
+    fn brute_force_ranking(kernel: &Kernel<'_>, len: usize) -> Vec<Decision> {
         let unbound_vec = &kernel.unbound_vec;
         let mut all = Vec::new();
         for &u in unbound_vec {
@@ -1878,6 +1857,46 @@ mod tests {
         (result, tally)
     }
 
+    /// `graph` with its node ids relabelled by a permutation drawn from
+    /// `seed` (Fisher–Yates over a splitmix64 stream): structurally the
+    /// same graph, but an operand's id may now exceed its consumer's.
+    fn relabelled(graph: &Cdfg, seed: u64) -> Cdfg {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let n = graph.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        let mut new_id = vec![0; n];
+        for (new, &old) in order.iter().enumerate() {
+            new_id[old] = new as u32;
+        }
+        let nodes = order
+            .iter()
+            .map(|&old| {
+                let node = &graph.nodes()[old];
+                (node.kind(), node.label().to_owned())
+            })
+            .collect();
+        let edges = graph
+            .edges()
+            .iter()
+            .map(|e| Edge {
+                from: NodeId::new(new_id[e.from.index()]),
+                to: NodeId::new(new_id[e.to.index()]),
+                port: e.port,
+            })
+            .collect();
+        Cdfg::from_parts(graph.name(), nodes, edges).expect("a relabelling keeps the graph valid")
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1886,7 +1905,10 @@ mod tests {
         /// ablation switch. Pair bounds are exact scores, so the walk's
         /// rank-key cut decides every tie. Debug builds also check every
         /// kept table entry, fit and shared count against a recompute,
-        /// under constant and stepwise budgets alike.
+        /// under constant and stepwise budgets alike. `random_dag` ids
+        /// are topological; `permute` relabels them, so some pairs are
+        /// serialized with the higher id first and bootstrap's ancestor
+        /// filter sees forward operand ids.
         #[test]
         fn pair_walk_ranks_exactly_like_brute_force(
             ops in 10usize..61,
@@ -1901,6 +1923,7 @@ mod tests {
             module_selection in any::<bool>(),
             interconnect_scoring in any::<bool>(),
             backtracking in any::<bool>(),
+            permute in any::<bool>(),
         ) {
             let graph = random_dag(&RandomDagConfig {
                 ops,
@@ -1910,6 +1933,7 @@ mod tests {
                 depth_bias,
                 seed,
             });
+            let graph = if permute { relabelled(&graph, seed) } else { graph };
             let min_latency = Engine::new(paper_library()).compile(&graph).min_latency();
             let options = SynthesisOptions {
                 backtracking,
@@ -1930,6 +1954,111 @@ mod tests {
             // Infeasible points are fine: every ranking before the
             // failure was still checked.
             let _ = synth_tally(paper_library(), &graph, &constraints, &options);
+        }
+    }
+
+    #[test]
+    fn four_hundred_ops_keep_their_effort() {
+        // Every debug check of the kept tables, windows, bests and held
+        // ledger runs after each fill, at twice the size of any other
+        // tier-1 graph, and the pins catch a skip rule that changes the
+        // work done without changing the design. The brute-force
+        // ranking is off here: it is cubic in the op count, and the
+        // pair walk's exactness is the property test's.
+        BRUTE_FORCE.set(false);
+        let graph = random_dag(&RandomDagConfig {
+            ops: 400,
+            seed: 1,
+            ..RandomDagConfig::default()
+        });
+        let min_latency = Engine::new(paper_library()).compile(&graph).min_latency();
+        assert_eq!(min_latency, 59);
+        let cases = [
+            // A constant budget: one first block rejected.
+            (
+                SynthesisConstraints::new(118, 30.0),
+                SynthesisStats {
+                    decisions: 406,
+                    backtracks: 0,
+                    rejected_candidates: 1,
+                    fast_commits: 210,
+                },
+                Tally {
+                    probed: 181,
+                    pruned: 5_927_821,
+                    orders: 2,
+                    placements: [360, 389],
+                    ops_placed: 161_150,
+                    first_rankings: 389,
+                    full_rankings: 1,
+                    entries_kept: 140_427,
+                    entries_recomputed: 15_422,
+                    fits_kept: 30_309,
+                    fits_recomputed: 4_417,
+                    rows_skipped: 68_780,
+                    rows_visited: 10_129,
+                },
+            ),
+            // A stepwise envelope: one backtrack, 150 full rankings.
+            (
+                SynthesisConstraints::new(118, PowerBudget::steps(vec![(0, 40.0), (59, 25.0)])),
+                SynthesisStats {
+                    decisions: 406,
+                    backtracks: 1,
+                    rejected_candidates: 1_791,
+                    fast_commits: 261,
+                },
+                Tally {
+                    probed: 6_070,
+                    pruned: 8_054_880,
+                    orders: 2,
+                    placements: [2_048, 390],
+                    ops_placed: 456_243,
+                    first_rankings: 390,
+                    full_rankings: 150,
+                    entries_kept: 126_274,
+                    entries_recomputed: 29_746,
+                    fits_kept: 37_031,
+                    fits_recomputed: 4_659,
+                    rows_skipped: 61_200,
+                    rows_visited: 17_888,
+                },
+            ),
+            // A tighter latency: one backtrack, 17 full rankings.
+            (
+                SynthesisConstraints::new(88, 40.0),
+                SynthesisStats {
+                    decisions: 406,
+                    backtracks: 1,
+                    rejected_candidates: 267,
+                    fast_commits: 335,
+                },
+                Tally {
+                    probed: 12_192,
+                    pruned: 6_148_068,
+                    orders: 378,
+                    placements: [422, 377],
+                    ops_placed: 169_221,
+                    first_rankings: 377,
+                    full_rankings: 17,
+                    entries_kept: 48_802,
+                    entries_recomputed: 103_608,
+                    fits_kept: 49_558,
+                    fits_recomputed: 5_886,
+                    rows_skipped: 22_449,
+                    rows_visited: 54_783,
+                },
+            ),
+        ];
+        for (constraints, stats, tally) in cases {
+            let (result, effort) = synth_tally(
+                paper_library(),
+                &graph,
+                &constraints,
+                &SynthesisOptions::default(),
+            );
+            let design = result.unwrap();
+            assert_eq!((design.stats, effort), (stats, tally), "{constraints:?}");
         }
     }
 

@@ -24,9 +24,7 @@ use std::cmp::Ordering;
 
 /// A bounded max-heap keeping the `k` smallest items under a
 /// caller-supplied comparator (`Ordering::Less` = ranks earlier =
-/// better). The comparator is passed per call — not stored — so it can
-/// borrow data the heap's items index into (the kernel's candidates
-/// vector).
+/// better). The comparator is passed per call, not stored.
 ///
 /// # Example
 ///
