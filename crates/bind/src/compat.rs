@@ -1,7 +1,7 @@
-//! The power-aware time-extended compatibility graph (`V1`), and the
-//! one merge-scoring weight, [`INTERCONNECT_WEIGHT`].
+//! The compatibility graph of a fixed schedule, and the one
+//! merge-scoring weight, [`INTERCONNECT_WEIGHT`].
 
-use pchls_cdfg::{Cdfg, NodeId, Reachability};
+use pchls_cdfg::{Cdfg, NodeId};
 use pchls_fulib::{ModuleId, ModuleLibrary};
 use pchls_sched::{Schedule, TimingMap};
 
@@ -15,18 +15,20 @@ use pchls_sched::{Schedule, TimingMap};
 /// between merges that save the same area.
 pub const INTERCONNECT_WEIGHT: f64 = 0.1;
 
-/// The compatibility graph over the operations of one CDFG.
+/// The compatibility graph over the operations of one CDFG under one
+/// fixed schedule.
 ///
 /// Two operations are *compatible* (may share a functional unit) when
 ///
 /// 1. some library module implements both kinds with exactly the delay
 ///    and power each operation is scheduled with, **and**
-/// 2. their executions can be serialized: they are dependence-ordered, or
-///    one's earliest possible finish (from `pasap`) is no later than the
-///    other's latest possible start (from `palap`).
+/// 2. their execution intervals `[start, finish)` are disjoint.
 ///
-/// Passing the same schedule as both `early` and `late` yields the
-/// classical fixed-schedule compatibility (disjoint execution intervals).
+/// The schedule must meet every dependence (an op starts no earlier
+/// than each operand finishes), as `asap`, `list_schedule` and
+/// `two_step` schedules do. Then two dependence-ordered ops always have
+/// disjoint intervals, so the interval test alone admits every
+/// serializable pair.
 #[derive(Debug, Clone)]
 pub struct CompatibilityGraph {
     n: usize,
@@ -40,19 +42,16 @@ impl CompatibilityGraph {
     ///
     /// # Panics
     ///
-    /// Panics if the schedules or timing do not cover the graph.
+    /// Panics if the schedule or timing does not cover the graph.
     #[must_use]
     pub fn build(
         graph: &Cdfg,
         library: &ModuleLibrary,
-        early: &Schedule,
-        late: &Schedule,
+        schedule: &Schedule,
         timing: &TimingMap,
-        reach: &Reachability,
     ) -> CompatibilityGraph {
         let n = graph.len();
-        assert_eq!(early.len(), n, "early schedule covers the graph");
-        assert_eq!(late.len(), n, "late schedule covers the graph");
+        assert_eq!(schedule.len(), n, "the schedule covers the graph");
         let words = n.div_ceil(64);
         let mut bits = vec![0u64; n * words];
 
@@ -63,10 +62,9 @@ impl CompatibilityGraph {
                 if cheapest_common_module(graph, library, timing, &[a, b]).is_none() {
                     continue;
                 }
-                let serializable = reach.ordered(a, b)
-                    || early.finish(a, timing) <= late.start(b)
-                    || early.finish(b, timing) <= late.start(a);
-                if !serializable {
+                let disjoint = schedule.finish(a, timing) <= schedule.start(b)
+                    || schedule.finish(b, timing) <= schedule.start(a);
+                if !disjoint {
                     continue;
                 }
                 bits[i * words + j / 64] |= 1 << (j % 64);
@@ -129,14 +127,13 @@ mod tests {
     use pchls_cdfg::benchmarks::hal;
     use pchls_cdfg::{CdfgBuilder, OpKind};
     use pchls_fulib::{paper_library, SelectionPolicy};
-    use pchls_sched::{alap, asap};
+    use pchls_sched::asap;
 
     fn fixed_compat(g: &Cdfg) -> (CompatibilityGraph, TimingMap) {
         let lib = paper_library();
         let t = TimingMap::from_policy(g, &lib, SelectionPolicy::Fastest);
         let s = asap(g, &t);
-        let r = Reachability::new(g);
-        let c = CompatibilityGraph::build(g, &lib, &s, &s, &t, &r);
+        let c = CompatibilityGraph::build(g, &lib, &s, &t);
         (c, t)
     }
 
@@ -166,25 +163,6 @@ mod tests {
         let g = b.finish().unwrap();
         let (c, _) = fixed_compat(&g);
         assert!(!c.compatible(a1, a2));
-    }
-
-    #[test]
-    fn concurrent_ops_with_slack_windows_become_compatible() {
-        let mut b = CdfgBuilder::new("g");
-        let x = b.input("x");
-        let y = b.input("y");
-        let a1 = b.add(x, y);
-        let a2 = b.add(y, x);
-        b.output("o1", a1);
-        b.output("o2", a2);
-        let g = b.finish().unwrap();
-        let lib = paper_library();
-        let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
-        let early = asap(&g, &t);
-        let late = alap(&g, &t, 6).unwrap(); // slack lets one slide past the other
-        let r = Reachability::new(&g);
-        let c = CompatibilityGraph::build(&g, &lib, &early, &late, &t, &r);
-        assert!(c.compatible(a1, a2));
     }
 
     #[test]
@@ -235,8 +213,7 @@ mod tests {
             },
         );
         let s = asap(&g, &t);
-        let r = Reachability::new(&g);
-        let c = CompatibilityGraph::build(&g, &lib, &s, &s, &t, &r);
+        let c = CompatibilityGraph::build(&g, &lib, &s, &t);
         assert!(!c.compatible(m1, m2));
     }
 

@@ -6,10 +6,10 @@
 //!
 //! * [`Binding`] — functional-unit instances and the operation → instance
 //!   map, with structural validation.
-//! * [`CompatibilityGraph`] — the paper's power-aware *time-extended
-//!   compatibility graph* `V1`: two operations are compatible when some
-//!   library module implements both **and** their power-feasible execution
-//!   windows (from `pasap`/`palap`) allow serialization on one unit.
+//! * [`CompatibilityGraph`] — the compatibility graph of one fixed
+//!   schedule: two operations are compatible when some library module
+//!   implements both, as scheduled, **and** their execution intervals
+//!   are disjoint.
 //! * [`bind_schedule`] — greedy partial clique partitioning of a
 //!   compatibility graph into functional-unit instances, minimizing area
 //!   and interconnect (the baseline binder for fixed schedules).

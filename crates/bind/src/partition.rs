@@ -1,6 +1,6 @@
 //! Greedy partial clique partitioning of the compatibility graph.
 
-use pchls_cdfg::{Cdfg, NodeId, Reachability};
+use pchls_cdfg::{Cdfg, NodeId};
 use pchls_fulib::ModuleLibrary;
 use pchls_sched::{Schedule, TimingMap};
 
@@ -106,8 +106,9 @@ fn merge_gain(
     Some(area_gain + interconnect)
 }
 
-/// Binds a *fixed* schedule: builds the interval compatibility graph
-/// (early = late = `schedule`) and clique-partitions it.
+/// Binds a *fixed* schedule: builds its interval compatibility graph
+/// and clique-partitions it. `schedule` must meet every dependence
+/// (see [`CompatibilityGraph`]).
 ///
 /// # Errors
 ///
@@ -120,8 +121,7 @@ pub fn bind_schedule(
     schedule: &Schedule,
     timing: &TimingMap,
 ) -> Result<Binding, BindError> {
-    let reach = Reachability::new(graph);
-    let compat = CompatibilityGraph::build(graph, library, schedule, schedule, timing, &reach);
+    let compat = CompatibilityGraph::build(graph, library, schedule, timing);
     let binding = partition_cliques(graph, library, &compat, timing);
     binding.validate(graph, library, schedule, timing)?;
     Ok(binding)
@@ -161,8 +161,7 @@ mod tests {
         let lib = paper_library();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let sched = asap(&g, &t);
-        let compat =
-            CompatibilityGraph::build(&g, &lib, &sched, &sched, &t, &Reachability::new(&g));
+        let compat = CompatibilityGraph::build(&g, &lib, &sched, &t);
         let gain = merge_gain(&g, &lib, &compat, &t, &[a], &[s]).unwrap();
         // One ALU (97), the cheapest {+,−} module, replaces an adder and
         // a subtractor (87 each); the pair shares one operand, `y`.

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use pchls_bind::{bind_schedule, CompatibilityGraph, InterconnectEstimate, RegisterAllocation};
-use pchls_cdfg::{random_dag, RandomDagConfig, Reachability};
+use pchls_cdfg::{random_dag, RandomDagConfig};
 use pchls_fulib::{paper_library, SelectionPolicy};
 use pchls_sched::{alap, asap, TimingMap};
 
@@ -54,8 +54,7 @@ proptest! {
         let lib = paper_library();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let s = asap(&g, &t);
-        let r = Reachability::new(&g);
-        let c = CompatibilityGraph::build(&g, &lib, &s, &s, &t, &r);
+        let c = CompatibilityGraph::build(&g, &lib, &s, &t);
         for a in g.node_ids() {
             prop_assert!(!c.compatible(a, a));
             for b in g.node_ids() {

@@ -1,79 +1,6 @@
-//! Graph analyses: reachability (transitive closure) and critical path.
+//! Graph analyses: node sets and critical path.
 
 use crate::graph::{Cdfg, NodeId};
-
-/// Dense transitive-closure over a [`Cdfg`], answering reachability
-/// queries in O(1) after O(V·E/64) construction.
-///
-/// Binding uses this heavily: two dependence-ordered operations can always
-/// share a functional unit because their execution intervals can never
-/// overlap.
-///
-/// # Example
-///
-/// ```
-/// use pchls_cdfg::{CdfgBuilder, Reachability};
-///
-/// # fn main() -> Result<(), pchls_cdfg::CdfgError> {
-/// let mut b = CdfgBuilder::new("chain");
-/// let x = b.input("x");
-/// let y = b.input("y");
-/// let a = b.add(x, y);
-/// let m = b.mul(a, y);
-/// b.output("o", m);
-/// let g = b.finish()?;
-/// let r = Reachability::new(&g);
-/// assert!(r.reaches(x, m));
-/// assert!(!r.reaches(m, x));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reachability {
-    n: usize,
-    words: usize,
-    /// `desc[i]` = bitset of nodes reachable from `i` (excluding `i`).
-    desc: Vec<u64>,
-}
-
-impl Reachability {
-    /// Computes the transitive closure of `graph`.
-    #[must_use]
-    pub fn new(graph: &Cdfg) -> Reachability {
-        let n = graph.len();
-        let words = n.div_ceil(64);
-        // `desc[i] |= desc[s] | {s}` for each edge i→s, successors first.
-        let mut desc = vec![0u64; n * words];
-        for &id in graph.topological().iter().rev() {
-            let i = id.index();
-            for &s in graph.successors(id) {
-                let si = s.index();
-                union_row(&mut desc, words, i, si);
-                desc[i * words + si / 64] |= 1u64 << (si % 64);
-            }
-        }
-        Reachability { n, words, desc }
-    }
-
-    /// Whether a directed path from `from` to `to` exists (`from != to`
-    /// required for a `true` result; a node does not reach itself).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range for the analyzed graph.
-    #[must_use]
-    pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
-        assert!(from.index() < self.n && to.index() < self.n, "foreign id");
-        let ti = to.index();
-        self.desc[from.index() * self.words + ti / 64] & (1u64 << (ti % 64)) != 0
-    }
-
-    /// Whether `a` and `b` are dependence-ordered in either direction.
-    #[must_use]
-    pub fn ordered(&self, a: NodeId, b: NodeId) -> bool {
-        self.reaches(a, b) || self.reaches(b, a)
-    }
-}
 
 /// A fixed-capacity set of [`NodeId`]s stored as packed `u64` words —
 /// the word-parallel replacement for a `Vec<bool>` membership array.
@@ -192,21 +119,6 @@ impl NodeSet {
     }
 }
 
-/// `rows[dst] |= rows[src]`, borrowing both rows disjointly.
-fn union_row(rows: &mut [u64], words: usize, dst: usize, src: usize) {
-    debug_assert_ne!(dst, src, "a DAG has no self edges");
-    let (lo, hi) = if dst < src { (dst, src) } else { (src, dst) };
-    let (a, b) = rows.split_at_mut(hi * words);
-    let (d, s) = if dst < src {
-        (&mut a[lo * words..lo * words + words], &b[..words])
-    } else {
-        (&mut b[..words], &a[lo * words..lo * words + words])
-    };
-    for w in 0..words {
-        d[w] |= s[w];
-    }
-}
-
 /// Longest-path (critical path) analysis under a per-node delay function.
 ///
 /// `level_from_source(v)` is the earliest cycle `v` could start if every
@@ -301,32 +213,8 @@ mod tests {
     }
 
     #[test]
-    fn reachability_chain() {
-        let g = sample();
-        let r = Reachability::new(&g);
-        let ids: Vec<NodeId> = g.node_ids().collect();
-        let (x, y, a, m, o) = (ids[0], ids[1], ids[2], ids[3], ids[4]);
-        assert!(r.reaches(x, o));
-        assert!(r.reaches(y, m));
-        assert!(r.reaches(a, m));
-        assert!(!r.reaches(m, a));
-        assert!(!r.reaches(x, y));
-        assert!(r.ordered(a, o));
-        assert!(!r.ordered(x, y));
-    }
-
-    #[test]
-    fn node_does_not_reach_itself() {
-        let g = sample();
-        let r = Reachability::new(&g);
-        for id in g.node_ids() {
-            assert!(!r.reaches(id, id));
-        }
-    }
-
-    #[test]
     fn reachability_agrees_with_dfs_on_wide_graph() {
-        // A graph wider than 64 nodes exercises the multi-word bitset path.
+        // A universe wider than 64 nodes exercises the multi-word path.
         let mut b = CdfgBuilder::new("wide");
         let x = b.input("x");
         let y = b.input("y");
@@ -345,7 +233,6 @@ mod tests {
         }
         b.output("o", layer[0]);
         let g = b.finish().unwrap();
-        let r = Reachability::new(&g);
 
         // DFS-based oracle.
         let reaches_dfs = |from: NodeId, to: NodeId| -> bool {
@@ -364,20 +251,15 @@ mod tests {
             }
             false
         };
-        for a in g.node_ids().step_by(7) {
-            for c in g.node_ids().step_by(5) {
-                assert_eq!(r.reaches(a, c), reaches_dfs(a, c), "{a} -> {c}");
-            }
-        }
-
-        // Over a universe wider than 64, iteration enumerates exactly
-        // the members, in ascending order: here each node's ancestors.
+        // Iteration enumerates exactly the members, in ascending order:
+        // here each node's ancestors.
         for c in g.node_ids() {
-            let expected: Vec<NodeId> = g.node_ids().filter(|&a| r.reaches(a, c)).collect();
+            let expected: Vec<NodeId> = g.node_ids().filter(|&a| reaches_dfs(a, c)).collect();
             let mut ancestors = NodeSet::empty(g.len());
             for &a in &expected {
                 ancestors.insert(a);
             }
+            assert_eq!(ancestors.count(), expected.len());
             assert_eq!(ancestors.iter().collect::<Vec<_>>(), expected);
         }
     }

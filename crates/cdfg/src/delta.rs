@@ -6,10 +6,9 @@
 //!
 //! The cone's contract: a node outside the cone has a bit-for-bit
 //! identical ancestor subgraph and descendant subgraph in both graphs (under the node mapping), so any
-//! per-node artifact derived purely from those cones — reachability
-//! rows, ASAP levels, the per-node canonical hashes behind
-//! [`graph_fingerprint`](crate::graph_fingerprint) — can be reused from
-//! the base graph without recomputation. The cone
+//! per-node artifact derived purely from those cones — ancestor sets,
+//! ASAP levels, the per-node canonical hashes [`diff`] matches on — can
+//! be reused from the base graph without recomputation. The cone
 //! is a conservative superset of where such artifacts change: staying
 //! outside it is proof of reuse, being inside it is only suspicion of
 //! change.
@@ -177,8 +176,7 @@ impl GraphDelta {
 /// [`GraphDelta`]: added/removed/rewired operations and the edit cone.
 ///
 /// Matching is structural, not positional: nodes pair up by their
-/// canonical dependence-cone hash (the per-node hash underlying
-/// [`graph_fingerprint`](crate::graph_fingerprint)) first, then
+/// canonical dependence-cone hash (independent of node ids) first, then
 /// leftovers pair by `(kind, label)` so the directly edited operations
 /// still map when their cones changed. Graph names are ignored. The
 /// result is exact for the edit APIs in this crate

@@ -1,45 +1,36 @@
-//! Content-addressed structural fingerprinting of CDFGs.
+//! Content-addressed fingerprinting of CDFGs.
 //!
-//! [`graph_fingerprint`] maps a [`Cdfg`] to a stable 64-bit hash of its
-//! *structure*: the same value on every run, every platform and every
-//! build (no [`std::collections::hash_map::RandomState`] seeding), and
-//! invariant under the insertion order of operations and edges — two
-//! graphs that differ only in the order their nodes/edges were pushed
-//! through the builder fingerprint identically. A compile cache (e.g.
-//! `pchls-serve`) can therefore address compiled artifacts by content
-//! rather than by name or by pointer.
+//! [`graph_fingerprint`] maps a [`Cdfg`] to a stable 64-bit hash of the
+//! graph *as spelled*: its name and, per node in id order, its kind, its
+//! io label and its port-ordered operand ids. The value is the same on
+//! every run, every platform and every build (no
+//! [`std::collections::hash_map::RandomState`] seeding), so a compile
+//! cache, a result tier or an on-disk store can address what it keeps
+//! by content rather than by name or by pointer.
 //!
-//! The hash is *not* a proof of equality: structurally different graphs
-//! can collide (both the generic 64-bit birthday bound and the classic
-//! Weisfeiler–Lehman blind spots on highly symmetric graphs). Callers
-//! that act on a fingerprint match must verify with a full equality
-//! check, exactly like a hash map verifies keys within a bucket.
+//! The hash keeps node ids because synthesis answers depend on them: the
+//! kernel breaks ties by id and serializes a pair merge in rank order,
+//! which follows the ids. Two spellings of one dataflow whose ids differ
+//! (a relabelling) can get different designs, so they must not share a
+//! key. What does not change an answer stays out of the hash: the order
+//! the edges were added in, and compute-op labels (generated from the
+//! id by [`CdfgBuilder::op`](crate::CdfgBuilder::op)). A graph and its
+//! [`write_cdfg`](crate::write_cdfg) text therefore share a key.
 //!
-//! # How it works
+//! The hash is *not* a proof of equality: different graphs can collide
+//! (the 64-bit birthday bound). A caller that shares a compiled graph on
+//! a fingerprint match verifies it with a full equality check, exactly
+//! like a hash map verifies keys within a bucket.
 //!
-//! Every node gets a canonical hash independent of its [`NodeId`]:
-//!
-//! 1. a **forward** pass in topological order hashes each node from its
-//!    kind, its io label (compute-op labels are generated from the id by
-//!    [`CdfgBuilder::op`](crate::CdfgBuilder::op) and are therefore
-//!    excluded), and the port-ordered forward hashes of its operands;
-//! 2. a **backward** pass in reverse topological order hashes each node
-//!    from its kind and the *sorted multiset* of `(successor hash,
-//!    operand port)` pairs of its out-edges;
-//! 3. the node's canonical hash mixes the two, so a node is identified
-//!    by its whole dependence cone in both directions.
-//!
-//! The fingerprint then combines the graph name, the node- and
-//! edge-hash multisets (sorted, so insertion order cannot matter) and
-//! the counts into one 64-bit value.
+//! [`diff`](crate::diff) matches nodes by a different, id-free hash:
+//! each node's dependence cone in both directions (`canonical_hashes`).
 //!
 //! # Example
 //!
 //! ```
-//! use pchls_cdfg::{graph_fingerprint, CdfgBuilder, OpKind};
+//! use pchls_cdfg::{graph_fingerprint, parse_cdfg, write_cdfg, CdfgBuilder, OpKind};
 //!
 //! # fn main() -> Result<(), pchls_cdfg::CdfgError> {
-//! // The same dataflow, built in two different insertion orders.
 //! let mut b = CdfgBuilder::new("g");
 //! let x = b.input("x");
 //! let y = b.input("y");
@@ -47,14 +38,18 @@
 //! b.output("o", s);
 //! let first = b.finish()?;
 //!
+//! // The same spelling read back from text: the same key.
+//! let text = parse_cdfg(&write_cdfg(&first))?;
+//! assert_eq!(graph_fingerprint(&text), graph_fingerprint(&first));
+//!
+//! // The same dataflow with the inputs' ids swapped: another key.
 //! let mut b = CdfgBuilder::new("g");
 //! let y = b.input("y");
 //! let x = b.input("x");
 //! let s = b.op(OpKind::Add, &[x, y]);
 //! b.output("o", s);
-//! let second = b.finish()?;
-//!
-//! assert_eq!(graph_fingerprint(&first), graph_fingerprint(&second));
+//! let relabelled = b.finish()?;
+//! assert_ne!(graph_fingerprint(&relabelled), graph_fingerprint(&first));
 //! # Ok(())
 //! # }
 //! ```
@@ -139,57 +134,50 @@ fn hash_str(s: &str) -> u64 {
     mix(h)
 }
 
-/// A stable, structural, order-insensitive 64-bit fingerprint of
-/// `graph`.
+/// A stable 64-bit fingerprint of `graph` as spelled.
 ///
-/// Guarantees (see the module docs for the construction):
+/// Guarantees (see the module docs for why):
 ///
 /// * **deterministic** across processes, platforms and builds;
-/// * **insertion-order-insensitive**: permuting the order in which
-///   operations or edges were added — which relabels every
-///   [`NodeId`](crate::NodeId) — does not change the fingerprint;
-/// * **structural**: the graph name, every operation kind, the io port
-///   labels, and the full dependence relation (with operand ports) all
-///   feed the hash, so any structural mutation changes the fingerprint
-///   with overwhelming probability.
+/// * **spelling-exact**: the graph name and, per node in id order, its
+///   kind, io label and port-ordered operand ids feed the hash, so a
+///   relabelling of the node ids or any structural mutation changes the
+///   fingerprint with overwhelming probability;
+/// * **edge-order-insensitive**: the order the edges were added in, and
+///   compute-op labels, do not feed the hash.
 ///
-/// Compute-op labels are excluded (they embed the insertion index), and
-/// equal fingerprints do **not** prove equal graphs: follow a match
+/// Equal fingerprints do **not** prove equal graphs: follow a match
 /// with a full equality verify before sharing anything derived from the
 /// graph.
 #[must_use]
 pub fn graph_fingerprint(graph: &Cdfg) -> u64 {
-    let n = graph.len();
-    let canon = canonical_hashes(graph);
-    let mut nodes: Vec<u64> = canon.clone();
-    nodes.sort_unstable();
-    let mut edges: Vec<u64> = graph
-        .edges()
-        .iter()
-        .map(|e| {
-            let mut h = fold(0x6564_6765, canon[e.from.index()]);
-            h = fold(h, canon[e.to.index()]);
-            fold(h, e.port as u64)
-        })
-        .collect();
-    edges.sort_unstable();
-
-    let mut fp = fold(0x7063_686c_732d_6664, hash_str(graph.name()));
-    fp = fold(fp, n as u64);
-    fp = fold(fp, graph.edges().len() as u64);
-    for h in nodes {
-        fp = fold(fp, h);
+    let mut h = StableHasher::new(0x7063_686c_732d_6670);
+    h.write_str(graph.name());
+    h.write_u64(graph.len() as u64);
+    // A kind fixes its arity, so the words below parse one way.
+    for node in graph.nodes() {
+        h.write_u64(node.kind().index() as u64);
+        if node.kind().is_io() {
+            h.write_str(node.label());
+        }
+        for &src in graph.operands(node.id()) {
+            h.write_u64(src.index() as u64);
+        }
     }
-    for h in edges {
-        fp = fold(fp, h);
-    }
-    fp
+    h.finish()
 }
 
-/// The canonical per-node hash used by [`graph_fingerprint`]: a node is
-/// identified by its whole dependence cone in both directions,
-/// independently of its [`NodeId`](crate::NodeId). See the module docs
-/// for the construction.
+/// The canonical per-node hash [`diff`](crate::diff) matches on: a node
+/// is identified by its whole dependence cone in both directions,
+/// independently of its [`NodeId`](crate::NodeId).
+///
+/// 1. A **forward** pass in topological order hashes each node from its
+///    kind, its io label (compute-op labels embed the id and are
+///    excluded) and the port-ordered forward hashes of its operands.
+/// 2. A **backward** pass in reverse topological order hashes each node
+///    from its kind and the *sorted multiset* of `(successor hash,
+///    operand port)` pairs of its out-edges.
+/// 3. The node's canonical hash mixes the two.
 pub(crate) fn canonical_hashes(graph: &Cdfg) -> Vec<u64> {
     let n = graph.len();
 
@@ -301,7 +289,9 @@ mod tests {
     }
 
     #[test]
-    fn node_insertion_order_is_ignored() {
+    fn node_relabelling_changes_the_fingerprint() {
+        // The kernel's answer depends on node ids, so a relabelled
+        // spelling of one dataflow must not share its key.
         let g = benchmarks::hal();
         let n = g.len();
         // Reverse the node order (a valid relabeling permutation).
@@ -328,7 +318,10 @@ mod tests {
             .collect();
         let permuted = Cdfg::from_parts(g.name(), nodes, edges).unwrap();
         assert_ne!(permuted, g, "node order differs under full equality");
-        assert_eq!(graph_fingerprint(&permuted), graph_fingerprint(&g));
+        assert_ne!(graph_fingerprint(&permuted), graph_fingerprint(&g));
+        // Its text round trip is the same spelling again.
+        let back = crate::parse_cdfg(&crate::write_cdfg(&permuted)).unwrap();
+        assert_eq!(graph_fingerprint(&back), graph_fingerprint(&permuted));
     }
 
     #[test]
@@ -392,8 +385,8 @@ mod tests {
     #[test]
     fn compute_labels_do_not_feed_the_hash() {
         // The same structure with hand-picked compute labels must
-        // fingerprint identically (labels of compute ops come from the
-        // insertion index and would break permutation invariance).
+        // fingerprint identically: labels of compute ops come from the
+        // insertion index, and no answer reads them.
         let mut b = CdfgBuilder::new("g");
         let x = b.input("x");
         let y = b.input("y");

@@ -4,7 +4,7 @@
 //! This crate provides the graph substrate used by every other `pchls`
 //! crate: operation nodes ([`OpKind`]), data-dependence edges with operand
 //! ports, structural validation, graph analyses (topological order,
-//! transitive closure, critical path), a reference interpreter used to
+//! node sets, critical path), a reference interpreter used to
 //! verify synthesized datapaths, textual and DOT serialization, a seeded
 //! random-DAG generator for property tests, and the standard high-level
 //! synthesis benchmark graphs evaluated in the paper (`hal`, `cosine`,
@@ -47,7 +47,7 @@ mod random;
 mod stats;
 mod text;
 
-pub use analysis::{CriticalPath, NodeSet, Reachability};
+pub use analysis::{CriticalPath, NodeSet};
 pub use builder::CdfgBuilder;
 pub use delta::{diff, GraphDelta};
 pub use edit::{EditError, GraphEdit};

@@ -3,16 +3,17 @@
 //!
 //! The paper's exploration workflow (its Figure 2) synthesizes the
 //! *same* CDFG under dozens of `(T, P<)` constraint points. Library
-//! indexes, reachability bitsets and bootstrap module estimates do not
+//! indexes, the topological rank and bootstrap module estimates do not
 //! depend on the point, so this module splits those costs by lifetime:
 //!
 //! * [`Engine::new`] owns the **per-library** artifacts — kind-bucketed
 //!   module candidate lists — computed once for the library's lifetime.
 //! * [`Engine::compile`] produces a [`CompiledGraph`] owning the
-//!   **per-graph** artifacts — the transitive-closure
-//!   [`Reachability`] bitsets, min-area bootstrap module estimates, and
-//!   the fastest modules' minimum latency, ASAP power peak and largest
-//!   single-operation power — computed once per graph.
+//!   **per-graph** artifacts — a topological rank of the nodes (the
+//!   order a pair merge serializes in), min-area bootstrap module
+//!   estimates, and the fastest modules' minimum latency, ASAP power
+//!   peak and largest single-operation power — computed once per graph,
+//!   in O(n + e) memory.
 //! * [`Engine::session`] pairs the two into a [`Session`] whose
 //!   [`synthesize`](Session::synthesize), [`sweep`](Session::sweep) and
 //!   [`batch`](Session::batch) calls share every compiled artifact
@@ -48,7 +49,7 @@
 use std::ops::ControlFlow;
 use std::sync::OnceLock;
 
-use pchls_cdfg::{optimize, Cdfg, OpKind, OptimizeStats, Reachability};
+use pchls_cdfg::{optimize, Cdfg, NodeId, OpKind, OptimizeStats};
 use pchls_fulib::{bound_quanta, ModuleId, ModuleLibrary, SelectionPolicy};
 use pchls_sched::{asap, PowerBudget, PowerInterval, PowerProfile, ScheduleError, TimingMap};
 
@@ -100,7 +101,7 @@ impl Engine {
     }
 
     /// Compiles `graph` into the per-graph artifacts every subsequent
-    /// synthesis call reuses: reachability bitsets, bootstrap module
+    /// synthesis call reuses: the topological rank, bootstrap module
     /// estimates, and what the fastest modules' ASAP schedule gives
     /// (minimum latency and power peak).
     ///
@@ -130,7 +131,7 @@ impl Engine {
         let asap_peak = PowerProfile::of(&asap_fastest, &fastest_timing).peak();
         Ok(CompiledGraph {
             graph: graph.clone(),
-            reachability: Reachability::new(graph),
+            rank: topological_rank(graph),
             seed_modules,
             max_op_power: fastest_timing.max_single_op_power(),
             min_latency,
@@ -182,9 +183,10 @@ impl Engine {
 #[derive(Debug)]
 pub struct CompiledGraph {
     graph: Cdfg,
-    /// The transitive closure, built at compile time so sessions only
-    /// read it.
-    reachability: Reachability,
+    /// Each node's position in a topological order (see
+    /// [`topological_rank`]): a pair merge runs its lower-ranked op
+    /// first.
+    rank: Vec<u32>,
     /// Min-area module estimate per operation — the bootstrap seed.
     seed_modules: Vec<ModuleId>,
     /// The largest single-operation power under the fastest modules, in
@@ -208,10 +210,9 @@ impl CompiledGraph {
         self.graph.name()
     }
 
-    /// The graph's transitive closure, computed once at compile time.
-    #[must_use]
-    pub fn reachability(&self) -> &Reachability {
-        &self.reachability
+    /// Each node's topological rank, indexed by node id.
+    pub(crate) fn rank(&self) -> &[u32] {
+        &self.rank
     }
 
     pub(crate) fn seed_modules(&self) -> &[ModuleId] {
@@ -240,6 +241,42 @@ impl CompiledGraph {
     }
 }
 
+/// Each node's position in a topological order of `graph`, indexed by
+/// node id. The order lists the nodes in id order, each preceded by its
+/// operands not yet listed (an iterative depth-first walk over
+/// operands), so an edge `u → v` gives `rank[u] < rank[v]`, and a graph
+/// whose every operand id is below its consumer's gets `rank[v] == v`.
+/// O(n + e) time and memory.
+fn topological_rank(graph: &Cdfg) -> Vec<u32> {
+    const UNLISTED: u32 = u32::MAX;
+    let mut rank = vec![UNLISTED; graph.len()];
+    let mut next = 0;
+    // Each entry: a node and how many of its operands are walked.
+    let mut stack: Vec<(NodeId, usize)> = Vec::new();
+    for root in graph.node_ids() {
+        if rank[root.index()] == UNLISTED {
+            stack.push((root, 0));
+        }
+        while let Some(top) = stack.last_mut() {
+            let (v, walked) = *top;
+            match graph.operands(v).get(walked) {
+                Some(&p) => {
+                    top.1 += 1;
+                    if rank[p.index()] == UNLISTED {
+                        stack.push((p, 0));
+                    }
+                }
+                None => {
+                    rank[v.index()] = next;
+                    next += 1;
+                    stack.pop();
+                }
+            }
+        }
+    }
+    rank
+}
+
 /// One iteration snapshot handed to a progress hook (see
 /// [`Session::synthesize_with_progress`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,7 +294,7 @@ pub struct Progress {
 
 /// A synthesis session: an [`Engine`] paired with one of its
 /// [`CompiledGraph`]s. Every call shares the compiled artifacts; none
-/// recomputes reachability, library indexes or bootstrap seeds.
+/// recomputes the rank, library indexes or bootstrap seeds.
 #[derive(Debug, Clone, Copy)]
 pub struct Session<'e> {
     engine: &'e Engine,

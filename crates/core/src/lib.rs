@@ -23,7 +23,7 @@
 //!
 //! Synthesis state is split by lifetime: [`Engine::new`] owns the
 //! per-library indexes, [`Engine::compile`] owns the per-graph analyses
-//! (reachability bitsets, bootstrap estimates, the fastest ASAP
+//! (a topological rank, bootstrap estimates, the fastest ASAP
 //! schedule's latency and power peak), and
 //! a [`Session`] synthesizes under any number of `(T, P<)` constraint
 //! points — one at a time ([`Session::synthesize`]), as a power sweep

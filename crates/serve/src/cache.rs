@@ -4,11 +4,12 @@
 //! dataflow graphs over and over — the whole point of the session API
 //! is that compiling ([`Engine::try_compile`]) is the expensive step
 //! worth amortizing. This cache keys compiled graphs by
-//! [`graph_fingerprint`] — a stable, structural, insertion-order-
-//! insensitive 64-bit hash — so *any* client submitting a structurally
-//! identical graph shares one [`Arc<CompiledGraph>`], no matter how the
-//! graph reached the service (benchmark name, inline text, different
-//! process).
+//! [`graph_fingerprint`] — a stable 64-bit hash of the graph as
+//! spelled, node ids included, edge order left out — so *any* client
+//! submitting the same spelling shares one [`Arc<CompiledGraph>`], no
+//! matter how the graph reached the service (benchmark name, its
+//! `dump` text, different process). A relabelled spelling keys its own
+//! slot: node ids can change the answer.
 //!
 //! Three properties matter for correctness and are enforced here:
 //!

@@ -10,7 +10,8 @@
 //! and amortizes compilation *across clients*:
 //!
 //! * A compile cache — compiled graphs addressed by **content**
-//!   ([`pchls_cdfg::graph_fingerprint`], a stable structural hash),
+//!   ([`pchls_cdfg::graph_fingerprint`], a stable hash of the graph as
+//!   spelled, node ids included),
 //!   verified by full equality, bounded LRU, with identical in-flight
 //!   compiles coalesced so N clients submitting the same graph trigger
 //!   one compile.

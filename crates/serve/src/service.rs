@@ -844,7 +844,12 @@ mod tests {
             .into_iter()
             .find(|g| g.name() == graph)
             .unwrap();
-        let compiled = engine.compile(&g);
+        direct_point_of(engine, &g, latency, power)
+    }
+
+    /// [`direct_point`] for a graph in hand.
+    fn direct_point_of(engine: &Engine, g: &Cdfg, latency: u32, power: f64) -> SweepPoint {
+        let compiled = engine.compile(g);
         let session = engine.session(&compiled);
         let constraints = SynthesisConstraints::new(latency, power);
         SynthesisResult {
@@ -1023,7 +1028,7 @@ mod tests {
         let via_text = service.call(SubmitRequest::synth_text(1, &text, 17, 25.0));
         let via_name = service.call(SubmitRequest::synth(2, "hal", 17, 25.0));
         assert_eq!(via_text.point, via_name.point);
-        // Same structure ⇒ same fingerprint ⇒ same shard and same
+        // Same spelling ⇒ same fingerprint ⇒ same shard and same
         // result key: the second call is a tier-1 result hit and never
         // even reaches the compile cache.
         let stats = service.stats();
@@ -1031,6 +1036,45 @@ mod tests {
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.result_hits, 1);
         assert_eq!(stats.result_misses, 1);
+    }
+
+    #[test]
+    fn a_relabelled_spelling_is_served_its_own_answer() {
+        // hal with its node ids reversed: the same dataflow, spelled
+        // with forward operand ids. Ids steer the kernel, so the two
+        // spellings answer differently and must not share a result key.
+        let hal = benchmarks::hal();
+        let n = hal.len();
+        let flip = |id: pchls_cdfg::NodeId| pchls_cdfg::NodeId::new((n - 1 - id.index()) as u32);
+        let nodes = hal
+            .nodes()
+            .iter()
+            .rev()
+            .map(|nd| (nd.kind(), nd.label().to_owned()))
+            .collect();
+        let edges = hal
+            .edges()
+            .iter()
+            .map(|e| pchls_cdfg::Edge {
+                from: flip(e.from),
+                to: flip(e.to),
+                port: e.port,
+            })
+            .collect();
+        let reversed = Cdfg::from_parts(hal.name(), nodes, edges).unwrap();
+        let text = pchls_cdfg::write_cdfg(&reversed);
+        let (t, p) = (10, 40.0);
+        let service = service(1);
+        let json = |point: &SweepPoint| serde_json::to_string(point).unwrap();
+        let direct_hal = direct_point_of(service.engine(), &hal, t, p);
+        let direct_text = direct_point_of(service.engine(), &parse_cdfg(&text).unwrap(), t, p);
+        assert_ne!(json(&direct_hal), json(&direct_text), "the spellings agree");
+
+        let named = service.call(SubmitRequest::synth(1, "hal", t, p));
+        assert_eq!(json(&named.point.unwrap()), json(&direct_hal));
+        let served = service.call(SubmitRequest::synth_text(2, &text, t, p));
+        assert_eq!(json(&served.point.unwrap()), json(&direct_text));
+        assert_eq!(service.stats().result_hits, 0);
     }
 
     #[test]

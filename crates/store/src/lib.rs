@@ -8,10 +8,13 @@
 //! design outcomes on disk keyed by content, not by name:
 //!
 //! * [`StoreKey`] = `(graph_fingerprint, latency_bound, budget_digest)`
-//!   — the structural hash from [`pchls_cdfg::graph_fingerprint`] plus
+//!   — the hash of the graph as spelled from
+//!   [`pchls_cdfg::graph_fingerprint`] (name and node ids included,
+//!   since a relabelled graph can get another design) plus
 //!   [`PowerBudget::digest`](pchls_sched::PowerBudget::digest), so two
 //!   *spellings* of the same budget (a constant vs. an equivalent step
-//!   list) share one record, and renaming a graph does not.
+//!   list) share one record, and renaming or relabelling a graph does
+//!   not.
 //! * [`StoreRecord`] — the outcome: feasibility, applied power bound,
 //!   area, achieved latency, peak power, unit count, and an optional
 //!   delta-encoded schedule trace ([`trace_bytes`]/[`trace_starts`]).
