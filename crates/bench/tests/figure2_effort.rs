@@ -48,8 +48,8 @@ const OPS_PLACED: u64 = 805_924;
 /// Summed over all 360 calls: op rows the first-block fills skipped
 /// whole and re-derived entry by entry, as
 /// `pchls_kernel_op_rows_total{outcome="skipped"|"visited"}` count them.
-const OP_ROWS_SKIPPED: u64 = 234_413;
-const OP_ROWS_VISITED: u64 = 91_176;
+const OP_ROWS_SKIPPED: u64 = 242_764;
+const OP_ROWS_VISITED: u64 = 82_825;
 
 /// The global kernel counters `(probes, pruned, orders, pasap
 /// placements, palap placements, ops placed, rows skipped, rows

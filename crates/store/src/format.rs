@@ -27,8 +27,9 @@
 //! missing or mismatched (a crash mid-append) falls back to scanning
 //! blocks from the front, keeping every block whose header and body
 //! CRCs verify and dropping the torn tail. Committed records are never
-//! lost; a partially written block is never served. Every reader checks
-//! a block's body against its CRC before decoding any of its rows.
+//! lost; a partially written block is never served. Every reader goes
+//! through [`read_block`], which checks a block's magic, header CRC,
+//! header fields and body CRC before decoding any of its rows.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
@@ -313,6 +314,16 @@ pub(crate) fn read_at(file: &mut File, offset: u64, len: usize) -> io::Result<Op
     Ok(Some(buf))
 }
 
+/// The block header `header` (its 16 bytes) read at `offset`: `None`
+/// unless its magic and CRC hold and its fields are plausible.
+fn decode_header(header: &[u8], offset: u64) -> Option<BlockMeta> {
+    let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    if word(0) != BLOCK_MAGIC || word(12) != crc32(&header[4..12]) {
+        return None;
+    }
+    BlockMeta::new(offset, word(4).into(), word(8).into())
+}
+
 /// Parses and validates the block header at `offset`. `Ok(None)` means
 /// "no valid block here" — wrong magic, bad CRC, truncated, or a body
 /// extending past `file_len` — which a recovery scan treats as the end
@@ -328,33 +339,33 @@ pub(crate) fn parse_block_header(
     let Some(header) = read_at(file, offset, BLOCK_HEADER_LEN as usize)? else {
         return Ok(None);
     };
-    let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
-    if word(0) != BLOCK_MAGIC || word(12) != crc32(&header[4..12]) {
-        return Ok(None);
-    }
-    let meta = BlockMeta::new(offset, word(4).into(), word(8).into());
-    Ok(meta.filter(|m| m.end() <= file_len))
+    Ok(decode_header(&header, offset).filter(|m| m.end() <= file_len))
 }
 
-/// Reads one block's body in a single pass, checks it against its CRC
-/// and only then decodes its rows. `Ok(None)` marks a block that fails
-/// its checksum, runs past the end of the file or does not decode; no
-/// reader sees a row of such a block.
-pub(crate) fn read_records(
+/// Reads the block `meta` addresses in a single pass and checks it
+/// whole — magic, header CRC, header fields equal to `meta`'s, body
+/// CRC — before decoding its rows. `Ok(None)` marks a block that fails
+/// a check, runs past the end of the file or does not decode; no reader
+/// sees a row of such a block.
+pub(crate) fn read_block(
     file: &mut File,
     meta: &BlockMeta,
 ) -> io::Result<Option<Vec<StoreRecord>>> {
     let len = meta.body_len as usize;
-    let Some(mut body) = read_at(file, meta.offset + BLOCK_HEADER_LEN, len + 4)? else {
+    let Some(bytes) = read_at(file, meta.offset, BLOCK_HEADER_LEN as usize + len + 4)? else {
         return Ok(None);
     };
-    let crc = body.split_off(len);
-    if crc32(&body) != u32::from_le_bytes(crc.try_into().expect("4 crc bytes")) {
+    let (header, rest) = bytes.split_at(BLOCK_HEADER_LEN as usize);
+    if decode_header(header, meta.offset) != Some(*meta) {
+        return Ok(None);
+    }
+    let (body, crc) = rest.split_at(len);
+    if crc32(body) != u32::from_le_bytes(crc.try_into().expect("4 crc bytes")) {
         return Ok(None);
     }
     let mut pos = 0usize;
     let rows: Option<Vec<StoreRecord>> = (0..meta.records)
-        .map(|_| decode_row(&body, &mut pos))
+        .map(|_| decode_row(body, &mut pos))
         .collect();
     Ok(rows.filter(|_| pos == body.len()))
 }
@@ -482,7 +493,7 @@ mod tests {
             .unwrap()
             .expect("valid header");
         assert_eq!(parsed, meta);
-        let back = read_records(&mut file, &parsed)
+        let back = read_block(&mut file, &parsed)
             .unwrap()
             .expect("body checksum and rows");
         assert_eq!(back, records);

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::format::{
-    encode_block, encode_footer, parse_block_header, read_at, read_footer, read_records, BlockMeta,
+    encode_block, encode_footer, parse_block_header, read_at, read_block, read_footer, BlockMeta,
     StoreKey, StoreRecord, FILE_MAGIC,
 };
 
@@ -75,9 +75,9 @@ pub struct Store {
     /// Blocks appended since the footer was last written.
     dirty: bool,
     recovered: bool,
-    /// The first block whose body failed its checksum when the index was
-    /// built. While set, lookups refuse to answer: the block's keys, and
-    /// any older records it superseded, cannot be trusted.
+    /// The first block that failed its checks ([`read_block`]) when the
+    /// index was built. While set, lookups refuse to answer: the block's
+    /// keys, and any older records it superseded, cannot be trusted.
     corrupt: Option<u32>,
     obs: StoreObs,
 }
@@ -203,8 +203,8 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// I/O failures, or a block of this store that fails its checksum
-    /// (`verify` names it).
+    /// I/O failures, or a block of this store that fails its header or
+    /// body checks (`verify` names it).
     pub fn get(&mut self, key: &StoreKey) -> io::Result<Option<StoreRecord>> {
         if let Some(block) = self.corrupt {
             return Err(corrupt_block(block));
@@ -333,7 +333,7 @@ impl Store {
         let mut pos = FILE_MAGIC.len() as u64;
         while let Some(meta) = parse_block_header(&mut self.file, pos, file_len).map_err(io_err)? {
             let block = scanned.len() as u32;
-            let Some(decoded) = read_records(&mut self.file, &meta).map_err(io_err)? else {
+            let Some(decoded) = read_block(&mut self.file, &meta).map_err(io_err)? else {
                 return Err(format!(
                     "block {block} body fails its checksum or does not decode"
                 ));
@@ -400,15 +400,15 @@ impl Store {
 
     fn read_block_records(&mut self, block: u32) -> io::Result<Vec<StoreRecord>> {
         let meta = self.blocks[block as usize];
-        read_records(&mut self.file, &meta)?.ok_or_else(|| corrupt_block(block))
+        read_block(&mut self.file, &meta)?.ok_or_else(|| corrupt_block(block))
     }
 
-    /// Builds the key index by checking every block's body against its
-    /// CRC and decoding its rows. A block that fails either check is not
-    /// indexed; it marks the store corrupt instead.
+    /// Builds the key index by checking every block whole ([`read_block`])
+    /// and decoding its rows. A block that fails a check is not indexed;
+    /// it marks the store corrupt instead.
     fn build_index(&mut self) -> io::Result<()> {
         for block in 0..self.blocks.len() as u32 {
-            let Some(records) = read_records(&mut self.file, &self.blocks[block as usize])? else {
+            let Some(records) = read_block(&mut self.file, &self.blocks[block as usize])? else {
                 self.corrupt.get_or_insert(block);
                 continue;
             };
@@ -442,7 +442,7 @@ fn scan_blocks(file: &mut File, file_len: u64) -> io::Result<Vec<BlockMeta>> {
     let mut blocks = Vec::new();
     let mut pos = FILE_MAGIC.len() as u64;
     while let Some(meta) = parse_block_header(file, pos, file_len)? {
-        if read_records(file, &meta)?.is_none() {
+        if read_block(file, &meta)?.is_none() {
             break;
         }
         pos = meta.end();
@@ -649,6 +649,39 @@ mod tests {
             assert_eq!(store.cached.as_ref().unwrap().1.len(), 1);
         }
         assert_eq!(store.stat().unwrap().blocks, 41);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_block_with_a_corrupt_header_is_refused() {
+        // One bit of the second block's magic flipped: the footer still
+        // lists the block and its body still passes its CRC.
+        let dir = temp_dir("header");
+        let (a, b) = (record(1, 10, 1, 100), record(2, 10, 1, 200));
+        let second = {
+            let mut store = Store::open(&dir).unwrap();
+            store.append(std::slice::from_ref(&a)).unwrap();
+            store.append(std::slice::from_ref(&b)).unwrap();
+            store.flush().unwrap();
+            store.blocks[1].offset as usize
+        };
+        let path = dir.join(STORE_FILE_NAME);
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[second..second + 4], b"PCBK");
+        bytes[second] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut store = Store::open(&dir).unwrap();
+        for r in [&a, &b] {
+            assert!(store.get(&r.key).is_err(), "a lookup was answered");
+        }
+        assert!(store.compact().is_err(), "compact rewrote a corrupt block");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "compact touched the file"
+        );
+        assert!(store.verify().is_err());
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
