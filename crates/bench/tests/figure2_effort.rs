@@ -35,6 +35,9 @@ const FAST_COMMITS: usize = 7_498;
 /// `pchls_kernel_pairs_pruned_total` count them.
 const PAIR_PROBES: u64 = 163_431;
 const PAIRS_PRUNED: u64 = 2_354_974;
+/// Summed over all 360 calls: pairs the walk checked one by one, as
+/// `pchls_kernel_pairs_visited_total` counts them.
+const PAIRS_VISITED: u64 = 308_510;
 /// Summed over all 360 calls: pasap/palap placement orders computed, as
 /// `pchls_kernel_placement_orders_total` counts them.
 const PLACEMENT_ORDERS: u64 = 3_643;
@@ -51,15 +54,16 @@ const OPS_PLACED: u64 = 805_924;
 const OP_ROWS_SKIPPED: u64 = 242_764;
 const OP_ROWS_VISITED: u64 = 82_825;
 
-/// The global kernel counters `(probes, pruned, orders, pasap
+/// The global kernel counters `(probes, pruned, pairs visited, orders, pasap
 /// placements, palap placements, ops placed, rows skipped, rows
 /// visited)`. This binary holds one test, so their deltas count its own
 /// calls only.
-fn effort_counters() -> [u64; 8] {
+fn effort_counters() -> [u64; 9] {
     let global = pchls_obs::global();
     [
         "pchls_kernel_pair_probes_total",
         "pchls_kernel_pairs_pruned_total",
+        "pchls_kernel_pairs_visited_total",
         "pchls_kernel_placement_orders_total",
         "pchls_kernel_placements_total{direction=\"pasap\"}",
         "pchls_kernel_placements_total{direction=\"palap\"}",
@@ -108,10 +112,11 @@ fn figure2_raw_kernel_effort_is_pinned() {
     );
     let after = effort_counters();
     assert_eq!(
-        std::array::from_fn::<_, 8, _>(|i| after[i] - before[i]),
+        std::array::from_fn::<_, 9, _>(|i| after[i] - before[i]),
         [
             PAIR_PROBES,
             PAIRS_PRUNED,
+            PAIRS_VISITED,
             PLACEMENT_ORDERS,
             PASAP_PLACEMENTS,
             PALAP_PLACEMENTS,
@@ -119,7 +124,8 @@ fn figure2_raw_kernel_effort_is_pinned() {
             OP_ROWS_SKIPPED,
             OP_ROWS_VISITED
         ],
-        "Figure 2's raw kernel effort [probes, pruned, placement orders, pasap placements, \
+        "Figure 2's raw kernel effort [probes, pruned, pairs visited, placement orders, \
+         pasap placements, \
          palap placements, ops placed, op rows skipped, visited] moved"
     );
 }

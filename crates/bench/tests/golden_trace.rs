@@ -36,6 +36,12 @@ const RAND200_PAIR_PROBES: u64 = 180;
 const RAND200_PAIRS_PRUNED: u64 = 799_454;
 const RAND200_PAIR_SLOTS: u64 = 799_634;
 
+/// Pairs one rand200 run's walk checks one by one (probed, pruned one
+/// at a time, or skipped because `first` cannot take the entry's
+/// module), as `pchls_kernel_pairs_visited_total` counts them; the rest
+/// of the pruned slots are cut with their whole entry.
+const RAND200_PAIRS_VISITED: u64 = 8_527;
+
 /// Rankings one rand200 run computes, as
 /// `pchls_kernel_rankings_total{block="first"|"full"}` count them: one
 /// first block per iteration, and no full ranking, since every
@@ -64,15 +70,16 @@ const RAND200_KEPT_TABLES: [u64; 4] = [34_382, 4_156, 5_903, 986];
 /// count them: `[skipped, visited]`.
 const RAND200_OP_ROWS: [u64; 2] = [17_639, 2_337];
 
-/// The global kernel effort counters `(probes, pruned, orders, pasap
+/// The global kernel effort counters `(probes, pruned, pairs visited, orders, pasap
 /// placements, palap placements, ops placed, first rankings, full
 /// rankings, entries kept, entries recomputed, fits kept, fits
 /// recomputed, rows skipped, rows visited)`.
-fn effort_counters() -> [u64; 14] {
+fn effort_counters() -> [u64; 15] {
     let global = pchls_obs::global();
     [
         "pchls_kernel_pair_probes_total",
         "pchls_kernel_pairs_pruned_total",
+        "pchls_kernel_pairs_visited_total",
         "pchls_kernel_placement_orders_total",
         "pchls_kernel_placements_total{direction=\"pasap\"}",
         "pchls_kernel_placements_total{direction=\"palap\"}",
@@ -101,7 +108,7 @@ fn rand200_trace() -> String {
         .synthesize(constraints, &SynthesisOptions::default())
         .unwrap_or_else(|e| panic!("{name} must be feasible: {e}"));
     let after = effort_counters();
-    let [probes, pruned, orders, pasaps, palaps, ops_placed, first, full, entries_kept, entries_recomputed, fits_kept, fits_recomputed, rows_skipped, rows_visited] =
+    let [probes, pruned, visited, orders, pasaps, palaps, ops_placed, first, full, entries_kept, entries_recomputed, fits_kept, fits_recomputed, rows_skipped, rows_visited] =
         std::array::from_fn(|i| after[i] - before[i]);
     assert_eq!(
         probes + pruned,
@@ -112,6 +119,10 @@ fn rand200_trace() -> String {
         (probes, pruned),
         (RAND200_PAIR_PROBES, RAND200_PAIRS_PRUNED),
         "rand200's pair-walk effort (probes, pruned) moved"
+    );
+    assert_eq!(
+        visited, RAND200_PAIRS_VISITED,
+        "rand200's pairs checked one by one moved"
     );
     assert_eq!(
         orders, RAND200_PLACEMENT_ORDERS,

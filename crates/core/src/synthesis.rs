@@ -83,7 +83,8 @@ pub(crate) fn synthesize_recorded(
 
 /// Kernel effort summed over one synthesize call: pair merges whose
 /// exact score was computed (ledger probes), pair merges skipped on
-/// their score bound or rank key, the run's [`PlacementCache`] work
+/// their score bound or rank key, the pairs the walk checked one by one,
+/// the run's [`PlacementCache`] work
 /// (bootstrap's included: placement orders computed, pasap and palap
 /// placements, and the unlocked ops they searched a start for),
 /// rankings of each [`Block`], the kept tables' `start0` entries and
@@ -94,6 +95,7 @@ pub(crate) fn synthesize_recorded(
 struct Tally {
     probed: u64,
     pruned: u64,
+    visited: u64,
     orders: u64,
     /// `[pasap, palap]` placements.
     placements: [u64; 2],
@@ -110,12 +112,13 @@ struct Tally {
 
 impl Tally {
     fn publish(&self) {
-        static COUNTERS: OnceLock<[pchls_obs::Counter; 15]> = OnceLock::new();
+        static COUNTERS: OnceLock<[pchls_obs::Counter; 16]> = OnceLock::new();
         let counters = COUNTERS.get_or_init(|| {
             [
                 "pchls_kernel_runs_total",
                 "pchls_kernel_pair_probes_total",
                 "pchls_kernel_pairs_pruned_total",
+                "pchls_kernel_pairs_visited_total",
                 "pchls_kernel_placement_orders_total",
                 "pchls_kernel_placements_total{direction=\"pasap\"}",
                 "pchls_kernel_placements_total{direction=\"palap\"}",
@@ -135,6 +138,7 @@ impl Tally {
             1,
             self.probed,
             self.pruned,
+            self.visited,
             self.orders,
             self.placements[0],
             self.placements[1],
@@ -812,6 +816,7 @@ impl<'a> Kernel<'a> {
             let walked = self.offer_pairs(block, walk, top);
             self.tally.probed += walked.probed;
             self.tally.pruned += walked.pruned;
+            self.tally.visited += walked.visited;
             score_span.arg("candidates", offered + walked.offered);
             score_span.arg("pairs_probed", walked.probed);
             score_span.arg("pairs_pruned", walked.pruned);
@@ -1279,6 +1284,7 @@ impl<'a> Kernel<'a> {
             for (x, &p) in a.iter().enumerate() {
                 let partners = if e.lo == e.hi { &a[x + 1..] } else { &b[..] };
                 for &q in partners {
+                    out.visited += 1;
                     let (u, v) = if p < q { (p, q) } else { (q, p) };
                     let (first, second) = self.rank_order(u, v);
                     let Some(pos) = self.modules_for(first).iter().position(|&x| x == e.module)
@@ -1531,6 +1537,9 @@ struct Walked {
     /// kept decision, or tied it and their rank key ranks after it (an
     /// entry cut whole counts all its slots).
     pruned: u64,
+    /// Pairs checked one by one: probed, pruned one at a time, or
+    /// skipped because `first` cannot take the entry's module.
+    visited: u64,
     /// Feasible pair decisions offered to `top`.
     offered: usize,
 }
@@ -2028,6 +2037,7 @@ mod tests {
                 Tally {
                     probed: 181,
                     pruned: 5_927_821,
+                    visited: 162_926,
                     orders: 2,
                     placements: [360, 389],
                     ops_placed: 161_150,
@@ -2053,6 +2063,7 @@ mod tests {
                 Tally {
                     probed: 6_070,
                     pruned: 8_054_880,
+                    visited: 459_571,
                     orders: 2,
                     placements: [2_048, 390],
                     ops_placed: 456_243,
@@ -2078,6 +2089,7 @@ mod tests {
                 Tally {
                     probed: 12_192,
                     pruned: 6_148_068,
+                    visited: 127_086,
                     orders: 378,
                     placements: [422, 377],
                     ops_placed: 169_221,
@@ -2105,6 +2117,7 @@ mod tests {
             Tally {
                 probed: 2_650,
                 pruned: 6_689_263,
+                visited: 316_279,
                 orders: 2,
                 placements: [1_227, 387],
                 ops_placed: 369_431,
