@@ -6,14 +6,15 @@ use pchls_fulib::{ModuleId, ModuleLibrary};
 use pchls_sched::{Schedule, TimingMap};
 
 /// Weight of each shared operand source / result consumer (a proxy for a
-/// multiplexer input saved) in a merge's score; the area weight is 1.
-/// A score is the functional-unit area a merge saves plus this weight
-/// times its shared connections. The paper's objective is "minimum area
-/// … using least interconnect": module areas are whole numbers, so a
-/// merge saving one area unit more outranks any merge sharing fewer than
-/// ten connections more, and interconnect in effect only breaks ties
-/// between merges that save the same area.
-pub const INTERCONNECT_WEIGHT: f64 = 0.1;
+/// multiplexer input saved) in a merge's score. Scores are integers in
+/// tenths of an area unit: a score is ten times the functional-unit area
+/// a merge saves plus this weight times its shared connections, so a
+/// connection weighs a tenth of an area unit. The paper's objective is
+/// "minimum area … using least interconnect": module areas are whole
+/// numbers, so a merge saving one area unit more outranks any merge
+/// sharing fewer than ten connections more, and interconnect in effect
+/// only breaks ties between merges that save the same area.
+pub const INTERCONNECT_WEIGHT: i64 = 1;
 
 /// The compatibility graph over the operations of one CDFG under one
 /// fixed schedule.

@@ -37,7 +37,7 @@ pub(crate) fn partition_cliques(
     let mut cliques: Vec<Vec<NodeId>> = graph.node_ids().map(|id| vec![id]).collect();
 
     loop {
-        let mut best: Option<(f64, usize, usize)> = None;
+        let mut best: Option<(i64, usize, usize)> = None;
         for i in 0..cliques.len() {
             for j in (i + 1)..cliques.len() {
                 let Some(gain) =
@@ -45,10 +45,10 @@ pub(crate) fn partition_cliques(
                 else {
                     continue;
                 };
-                if gain <= 0.0 {
+                if gain <= 0 {
                     continue; // partial partitioning: never merge at a loss
                 }
-                if best.is_none_or(|(bg, _, _)| gain > bg + 1e-12) {
+                if best.is_none_or(|(bg, _, _)| gain > bg) {
                     best = Some((gain, i, j));
                 }
             }
@@ -71,12 +71,13 @@ pub(crate) fn partition_cliques(
     binding
 }
 
-/// Gain of merging cliques `a` and `b`, or `None` if they cannot merge.
+/// Gain of merging cliques `a` and `b` in tenths of an area unit, or
+/// `None` if they cannot merge.
 ///
 /// Merging is allowed when every cross pair is compatible and one module
-/// covers the union. The gain is the area no longer duplicated:
-/// `area(module(a)) + area(module(b)) − area(module(a ∪ b))`, plus
-/// [`INTERCONNECT_WEIGHT`] per connection shared across the cut.
+/// covers the union. The gain is ten times the area no longer
+/// duplicated, `area(module(a)) + area(module(b)) − area(module(a ∪ b))`,
+/// plus [`INTERCONNECT_WEIGHT`] per connection shared across the cut.
 fn merge_gain(
     graph: &Cdfg,
     library: &ModuleLibrary,
@@ -84,7 +85,7 @@ fn merge_gain(
     timing: &TimingMap,
     a: &[NodeId],
     b: &[NodeId],
-) -> Option<f64> {
+) -> Option<i64> {
     for &x in a {
         for &y in b {
             if !compat.compatible(x, y) {
@@ -96,14 +97,13 @@ fn merge_gain(
     let m_union = cheapest_common_module(graph, library, timing, &union)?;
     let m_a = cheapest_common_module(graph, library, timing, a).expect("clique invariant");
     let m_b = cheapest_common_module(graph, library, timing, b).expect("clique invariant");
-    let area_gain = f64::from(library.module(m_a).area()) + f64::from(library.module(m_b).area())
-        - f64::from(library.module(m_union).area());
-    let interconnect: f64 = a
+    let area_gain = i64::from(library.module(m_a).area()) + i64::from(library.module(m_b).area())
+        - i64::from(library.module(m_union).area());
+    let shared: usize = a
         .iter()
-        .flat_map(|&x| b.iter().map(move |&y| (x, y)))
-        .map(|(x, y)| INTERCONNECT_WEIGHT * shared_connections(graph, x, y) as f64)
+        .flat_map(|&x| b.iter().map(move |&y| shared_connections(graph, x, y)))
         .sum();
-    Some(area_gain + interconnect)
+    Some(10 * area_gain + INTERCONNECT_WEIGHT * shared as i64)
 }
 
 /// Binds a *fixed* schedule: builds its interval compatibility graph
@@ -165,7 +165,7 @@ mod tests {
         let gain = merge_gain(&g, &lib, &compat, &t, &[a], &[s]).unwrap();
         // One ALU (97), the cheapest {+,−} module, replaces an adder and
         // a subtractor (87 each); the pair shares one operand, `y`.
-        assert!((gain - (87.0 + 87.0 - 97.0 + 0.1 * 1.0)).abs() < 1e-9);
+        assert_eq!(gain, 10 * (87 + 87 - 97) + 1);
     }
 
     #[test]

@@ -64,7 +64,6 @@ mod explore;
 mod options;
 mod refine;
 mod synthesis;
-mod topk;
 
 pub use area::{area_breakdown, AreaBreakdown, AreaModel};
 pub use baseline::BaselineDesign;
@@ -78,4 +77,3 @@ pub use error::SynthesisError;
 pub use explore::{power_sweep_serial, SweepPoint};
 pub use options::SynthesisOptions;
 pub use pchls_sched::{BudgetError, PowerBudget};
-pub use topk::TopK;

@@ -1,5 +1,5 @@
 //! The ablation switches of the synthesis heuristic. Decision scoring
-//! itself is fixed: saved area plus
+//! itself is fixed: ten times the saved area plus
 //! [`INTERCONNECT_WEIGHT`](pchls_bind::INTERCONNECT_WEIGHT) per shared
 //! connection, the paper's "minimum area … using least interconnect".
 

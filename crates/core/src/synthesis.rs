@@ -8,6 +8,8 @@ use pchls_sched::{
     TimingMap,
 };
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 use std::sync::OnceLock;
 
@@ -16,7 +18,6 @@ use crate::design::{SynthesisStats, SynthesizedDesign};
 use crate::engine::{CompiledGraph, Engine, Progress};
 use crate::error::SynthesisError;
 use crate::options::SynthesisOptions;
-use crate::topk::TopK;
 
 /// One greedy decision over the compatibility structure, in decreasing
 /// order of preference:
@@ -28,15 +29,30 @@ use crate::topk::TopK;
 ///   schedule slack),
 /// * open a dedicated instance for one operation (fallback; negative
 ///   score so it only wins when nothing can be shared).
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Decisions rank in field order, which `Ord` derives: best score first,
+/// then earlier start, then smaller op id, made total by the structural
+/// [`Key`]. The order does not depend on which decisions were scored or
+/// in what order; `module` and `target` never decide it, since the key
+/// alone tells an iteration's decisions apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Decision {
-    op: NodeId,
-    module: ModuleId,
+    /// Ten times the area the decision saves plus `ic_weight` per shared
+    /// connection (see [`INTERCONNECT_WEIGHT`]), reversed so the highest
+    /// score ranks first.
+    score: Reverse<i64>,
     start: u32,
-    target: Target,
-    score: f64,
-    /// Completes [`rank_total`]'s order (see [`Key`]).
+    op: NodeId,
     key: Key,
+    module: ModuleId,
+    target: Target,
+}
+
+impl Decision {
+    /// The part of the order that decides it: `(score, start, op, key)`.
+    fn rank(&self) -> (Reverse<i64>, u32, NodeId, Key) {
+        (self.score, self.start, self.op, self.key)
+    }
 }
 
 /// The structural tie-break of a decision, independent of the order in
@@ -53,7 +69,7 @@ struct Decision {
 /// instance before the fallback; pairs by their two ids, then module.
 type Key = (u8, u32, u32, u32);
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Target {
     Existing(InstanceId),
     Fresh,
@@ -176,9 +192,8 @@ struct Kernel<'a> {
     constraints: &'a SynthesisConstraints,
     options: &'a SynthesisOptions,
     /// The weight of a shared connection in a score:
-    /// [`INTERCONNECT_WEIGHT`], or 0 with interconnect scoring off (a
-    /// count times +0.0 is +0.0, the score's bits without the term).
-    ic_weight: f64,
+    /// [`INTERCONNECT_WEIGHT`], or 0 with interconnect scoring off.
+    ic_weight: i64,
     /// Every pasap/palap of the run, bootstrap's included, under the
     /// run's budget and latency: the placement order is reused while the
     /// delays stay put, and each direction's ledger for the whole run.
@@ -239,7 +254,7 @@ struct Kernel<'a> {
     /// times for only O(n·modules) distinct answers.
     start0: Vec<Option<u32>>,
     /// [`Kernel::avoided_area`] per unbound operation.
-    avoided: Vec<f64>,
+    avoided: Vec<u32>,
     /// Column count of `fits` and `shared`: the instance capacity,
     /// doubled when an instance id reaches it.
     cap: usize,
@@ -253,7 +268,7 @@ struct Kernel<'a> {
     /// producers plus result consumers, counted as
     /// [`Kernel::shared_connections`] does), laid out as `fits`.
     shared: Vec<u32>,
-    /// Each unbound op's best single decision under [`rank_total`],
+    /// Each unbound op's best single decision under [`Decision`]'s order,
     /// rescored only when its row asks: the first block keeps one
     /// decision, and the best single is the best of these.
     bests: Vec<Option<Decision>>,
@@ -306,7 +321,7 @@ impl<'a> Kernel<'a> {
             ic_weight: if options.interconnect_scoring {
                 INTERCONNECT_WEIGHT
             } else {
-                0.0
+                0
             },
             placer: PlacementCache::new(graph, &constraints.budget, constraints.latency),
             ledger: PowerLedger::under(constraints.latency, &constraints.budget),
@@ -338,7 +353,7 @@ impl<'a> Kernel<'a> {
                 n
             ],
             start0: vec![None; n * library.len()],
-            avoided: vec![0.0; n],
+            avoided: vec![0; n],
             cap: 0,
             fits: Vec::new(),
             fitted: 0,
@@ -392,11 +407,9 @@ impl<'a> Kernel<'a> {
             let _span = pchls_obs::span!("kernel.bootstrap");
             self.bootstrap()?;
         }
-        // The rankings' buffers belong to the loop, not the kernel, so a
-        // ranking reads the kernel while it fills them.
+        // The pair walk's buffers belong to the loop, not the kernel, so
+        // a ranking reads the kernel while it fills them.
         let mut walk = PairWalk::default();
-        let mut first = TopK::new(FIRST_BLOCK);
-        let mut full = TopK::new(MAX_ATTEMPTS);
         let n = self.graph.len();
         while !self.unbound_vec.is_empty() {
             // Progress/cancel hook: one event per greedy iteration. `None`
@@ -440,7 +453,7 @@ impl<'a> Kernel<'a> {
             // are ranked only once every one of those is rejected, and
             // attempted from position `FIRST_BLOCK + 1` on. That runs
             // exactly the attempts one `MAX_ATTEMPTS`-deep ranking would:
-            // `rank_total` is a total order that does not depend on which
+            // `Decision`'s order is total and does not depend on which
             // decisions were scored, `undo` restores locks, timing and
             // the ledger exactly, and the full ranking reads this
             // iteration's pre-attempt `busy`/`by_module` rows and kept
@@ -448,27 +461,20 @@ impl<'a> Kernel<'a> {
             // fresh attempt leaves an empty instance behind, and offering
             // merges onto it would rank decisions the block never saw.
             let mut committed = false;
-            let mut attempted = 0;
+            let mut attempted = Vec::new();
             for block in [Block::First, Block::Full] {
-                let ranked = match block {
-                    Block::First => self.rank(block, &mut walk, &mut first),
-                    Block::Full => {
-                        let ranked = self.rank(block, &mut walk, &mut full);
-                        debug_assert_eq!(
-                            ranked[..FIRST_BLOCK],
-                            *first.sorted(rank_total),
-                            "the full ranking does not extend the first block"
-                        );
-                        ranked
-                    }
-                };
-                committed = self.attempt(&ranked[attempted..]);
+                let ranked = self.rank(block, &mut walk);
+                debug_assert!(
+                    ranked.starts_with(&attempted),
+                    "the full ranking does not extend the first block"
+                );
+                committed = self.attempt(&ranked[attempted.len()..]);
                 // A block shorter than its length already holds every
                 // decision there is.
                 if committed || ranked.len() < block.len() {
                     break;
                 }
-                attempted = ranked.len();
+                attempted = ranked;
             }
             if !committed {
                 self.backtrack()?;
@@ -761,9 +767,30 @@ impl Block {
     }
 }
 
+/// Offers `d` to `top`, which keeps the best `k` decisions offered: the
+/// max-heap's root is the worst one kept, and `d` replaces it when `d`
+/// ranks strictly before it. Under [`Decision`]'s total order the kept
+/// set is the best `k` of every decision offered, whatever the order of
+/// the offers.
+fn offer(top: &mut BinaryHeap<Decision>, k: usize, d: Decision) {
+    if top.len() < k {
+        top.push(d);
+    } else if let Some(mut worst) = top.peek_mut() {
+        if d < *worst {
+            *worst = d;
+        }
+    }
+}
+
+/// The worst decision `top` keeps once it holds `k`: an offer must rank
+/// strictly before it to be kept. `None` while there is still room.
+fn bar(top: &BinaryHeap<Decision>, k: usize) -> Option<&Decision> {
+    top.peek().filter(|_| top.len() == k)
+}
+
 impl<'a> Kernel<'a> {
-    /// Ranks the iteration's best `block.len()` decisions into `top`
-    /// (whose capacity that is) and returns them best-first. The first
+    /// Ranks the iteration's best `block.len()` decisions and returns
+    /// them best-first. The first
     /// block brings the kept tables up to date ([`Kernel::fill_tables`])
     /// and offers each unbound op's kept best single decision
     /// ([`Kernel::offer_bests`]); the full ranking reuses the tables and
@@ -772,10 +799,10 @@ impl<'a> Kernel<'a> {
     /// Pair merges are not enumerated exhaustively:
     /// [`Kernel::offer_pairs`] walks them best-first by an upper bound on
     /// their score and skips every pair whose bound falls strictly below
-    /// the worst decision a full `top` keeps — such a pair can never be
+    /// the worst decision a full ranking keeps — such a pair can never be
     /// kept. The smaller the block, the higher that bar.
     ///
-    /// Deterministic order: [`rank_total`], whose structural [`Key`]
+    /// Deterministic order: [`Decision`]'s, whose structural [`Key`]
     /// tie-break makes it a *total* order that does not depend on which
     /// decisions were scored or in what order. The kept set is therefore
     /// exactly the full ranking of every feasible decision truncated to
@@ -784,22 +811,17 @@ impl<'a> Kernel<'a> {
     /// are the first block. The `kernel.score` span's `candidates` arg
     /// counts the decisions offered: per-op bests plus pairs on the
     /// first block, every single plus pairs on the full ranking.
-    fn rank<'t>(
-        &mut self,
-        block: Block,
-        walk: &mut PairWalk,
-        top: &'t mut TopK<Decision>,
-    ) -> &'t [Decision] {
+    fn rank(&mut self, block: Block, walk: &mut PairWalk) -> Vec<Decision> {
+        let mut top = BinaryHeap::with_capacity(block.len());
         {
             let mut score_span = pchls_obs::span!("kernel.score");
             score_span.arg("block", block.name());
-            top.clear();
             let mut offered = 0usize;
             match block {
                 Block::First => {
                     self.fill_tables();
                     self.tally.first_rankings += 1;
-                    offered = self.offer_bests(top);
+                    offered = self.offer_bests(&mut top);
                     #[cfg(debug_assertions)]
                     self.check_tables();
                 }
@@ -808,12 +830,12 @@ impl<'a> Kernel<'a> {
                     for &u in &self.unbound_vec {
                         self.single_decisions(u, &mut |d| {
                             offered += 1;
-                            top.push(d, rank_total);
+                            offer(&mut top, MAX_ATTEMPTS, d);
                         });
                     }
                 }
             }
-            let walked = self.offer_pairs(block, walk, top);
+            let walked = self.offer_pairs(block, walk, &mut top);
             self.tally.probed += walked.probed;
             self.tally.pruned += walked.pruned;
             self.tally.visited += walked.visited;
@@ -822,9 +844,9 @@ impl<'a> Kernel<'a> {
             score_span.arg("pairs_pruned", walked.pruned);
         }
         let _span = pchls_obs::span!("kernel.topk");
-        let ranked = top.sorted(rank_total);
+        let ranked = top.into_sorted_vec();
         #[cfg(test)]
-        tests::check_ranking(self, block.len(), ranked);
+        tests::check_ranking(self, block.len(), &ranked);
         ranked
     }
 
@@ -832,7 +854,7 @@ impl<'a> Kernel<'a> {
     /// rescoring first the ops whose row asks for it, and returns how
     /// many it offered. The block keeps one decision, and the best of
     /// all single decisions is the best of the per-op bests.
-    fn offer_bests(&mut self, top: &mut TopK<Decision>) -> usize {
+    fn offer_bests(&mut self, top: &mut BinaryHeap<Decision>) -> usize {
         let mut offered = 0;
         for i in 0..self.unbound_vec.len() {
             let u = self.unbound_vec[i];
@@ -841,17 +863,17 @@ impl<'a> Kernel<'a> {
             }
             if let Some(d) = self.bests[u.index()] {
                 offered += 1;
-                top.push(d, rank_total);
+                offer(top, FIRST_BLOCK, d);
             }
         }
         offered
     }
 
-    /// The best of `u`'s single decisions under [`rank_total`].
+    /// The best of `u`'s single decisions.
     fn best_single(&self, u: NodeId) -> Option<Decision> {
         let mut best: Option<Decision> = None;
         self.single_decisions(u, &mut |d| {
-            if best.is_none_or(|b| rank_total(&d, &b).is_lt()) {
+            if best.is_none_or(|b| d < b) {
                 best = Some(d);
             }
         });
@@ -951,7 +973,6 @@ impl<'a> Kernel<'a> {
                     // back to the global cheapest so scoring stays total.
                     kinds.iter().map(|&m| self.library.module(m).area()).min()
                 })
-                .map(f64::from)
                 .expect("library coverage checked at bootstrap");
             let mut count = 0;
             for &m in self.modules_for(u) {
@@ -1069,7 +1090,7 @@ impl<'a> Kernel<'a> {
     }
 
     /// Tabulated avoided area of `op` (unbound ops only).
-    fn avoided_area(&self, op: NodeId) -> f64 {
+    fn avoided_area(&self, op: NodeId) -> u32 {
         self.avoided[op.index()]
     }
 
@@ -1160,8 +1181,8 @@ impl<'a> Kernel<'a> {
 
     /// Interconnect bonus of the pair `(u, v)`: its shared connections,
     /// weighted by `ic_weight`.
-    fn interconnect(&self, u: NodeId, v: NodeId) -> f64 {
-        self.shared_connections(u, v) as f64 * self.ic_weight
+    fn interconnect(&self, u: NodeId, v: NodeId) -> i64 {
+        self.shared_connections(u, v) as i64 * self.ic_weight
     }
 
     /// Modules allowed for `op` under the ablation switches (borrowed —
@@ -1206,22 +1227,23 @@ impl<'a> Kernel<'a> {
     ) -> Option<Decision> {
         let f = u.index() * self.cap + iid.index();
         let s = self.fits[f]?;
-        // The +1 bonus breaks ties against pair merges: growing an
-        // existing clique saves one unit per *one* operation consumed, a
-        // pair saves one unit per two — without the bonus the greedy
-        // fragments large op classes into many two-op instances. It is
-        // also paid for an instance that saves no unit at all: `undo`
-        // leaves a rejected fresh attempt's instance empty and `gather`
-        // still lists it, so a merge onto it scores `avoided + 1` as if
-        // it spared a unit (ROADMAP item 6).
-        let ic = f64::from(self.shared[f]) * self.ic_weight;
+        // The one-unit bonus (10 tenths) breaks ties against pair
+        // merges: growing an existing clique saves one unit per *one*
+        // operation consumed, a pair saves one unit per two — without
+        // the bonus the greedy fragments large op classes into many
+        // two-op instances. It is also paid for an instance that saves
+        // no unit at all: `undo` leaves a rejected fresh attempt's
+        // instance empty and `gather` still lists it, so a merge onto it
+        // scores `avoided + 1` units as if it spared a unit (ROADMAP
+        // item 6).
+        let ic = i64::from(self.shared[f]) * self.ic_weight;
         Some(Decision {
-            op: u,
-            module: m,
+            score: Reverse(10 * i64::from(self.avoided_area(u)) + ic + 10),
             start: s,
-            target: Target::Existing(iid),
-            score: self.avoided_area(u) + ic + 1.0,
+            op: u,
             key,
+            module: m,
+            target: Target::Existing(iid),
         })
     }
 
@@ -1229,14 +1251,13 @@ impl<'a> Kernel<'a> {
     /// if a power-feasible start exists.
     fn fresh_decision(&self, u: NodeId, m: ModuleId, key: Key) -> Option<Decision> {
         let s = self.candidate_start0(u, m)?;
-        let area = f64::from(self.library.module(m).area());
         Some(Decision {
-            op: u,
-            module: m,
+            score: Reverse(-10 * i64::from(self.library.module(m).area())),
             start: s,
-            target: Target::Fresh,
-            score: -area,
+            op: u,
             key,
+            module: m,
+            target: Target::Fresh,
         })
     }
 
@@ -1246,36 +1267,41 @@ impl<'a> Kernel<'a> {
     /// walks the same ones, since nothing they read changes in between.
     ///
     /// A pair merge of `first` then `second` on module `m` scores
-    /// `gain + interconnect`, where
+    /// `10·gain + interconnect`, where
     /// `gain = avoided(first) + avoided(second) − area(m)` must be
     /// positive. Its bound:
     ///
     /// * `gain` is exact per bucket pair (buckets share an avoided area);
     /// * `interconnect` counts `first`'s operands and successors found in
-    ///   `second`'s, so it is at most [`INTERCONNECT_WEIGHT`] times the
-    ///   larger of the two buckets' degrees (`first` may come from
-    ///   either), and 0 when interconnect scoring is off.
+    ///   `second`'s, so it is at most `ic_weight` times the larger of the
+    ///   two buckets' degrees (`first` may come from either).
     ///
     /// Entries are walked by bound, highest first, until a bound falls
     /// strictly below the worst decision a full `top` keeps; within an
-    /// entry, each pair's exact score `gain + interconnect` is checked
+    /// entry, each pair's exact score `10·gain + interconnect` is checked
     /// the same way before the ledger probe.
     ///
-    /// A pair whose bound *ties* the worst kept score is cut on the rest
-    /// of its [`rank_total`] key, which is known before the probe: its
-    /// start is exactly the tabulated `start0(first, m)`, its op is
-    /// `first` and its [`Key`] is structural. It is skipped when that
-    /// start is `None` (no decision) or `(start, first, key)` ranks after
-    /// the worst's — its exact score is at most the bound, so it could
-    /// never be kept. The per-pair bound is the exact score, so most
-    /// probes would otherwise be such ties.
-    fn offer_pairs(&self, block: Block, walk: &mut PairWalk, top: &mut TopK<Decision>) -> Walked {
+    /// A pair is cut on its whole rank, which is known before the probe:
+    /// its score is at most the exact score, its start is exactly the
+    /// tabulated `start0(first, m)`, its op is `first` and its [`Key`] is
+    /// structural. It is skipped when that rank orders after the worst
+    /// kept one, so it could never be kept; a `None` start makes no
+    /// decision and ranks as `u32::MAX`, after every kept start of its
+    /// score. The per-pair bound is the exact score, so most probes
+    /// would otherwise be ties on it.
+    fn offer_pairs(
+        &self,
+        block: Block,
+        walk: &mut PairWalk,
+        top: &mut BinaryHeap<Decision>,
+    ) -> Walked {
         if block == Block::First {
             self.bucket_pairs(walk);
         }
+        let k = block.len();
         let mut out = Walked::default();
         for (i, e) in walk.entries.iter().enumerate() {
-            if top.worst().is_some_and(|w| e.bound < w.score) {
+            if bar(top, k).is_some_and(|w| Reverse(e.bound) > w.score) {
                 // Sorted by bound: no later entry can beat the bar either.
                 out.pruned += walk.entries[i..].iter().map(|e| walk.pairs(e)).sum::<u64>();
                 break;
@@ -1292,22 +1318,17 @@ impl<'a> Kernel<'a> {
                         continue; // module selection off: `first` keeps its estimate
                     };
                     let ic = self.interconnect(first, second);
-                    let bound = e.gain + ic;
                     let key = (1, u.index() as u32, v.index() as u32, pos as u32);
-                    if top.worst().is_some_and(|w| {
-                        bound < w.score
-                            || (bound == w.score
-                                && self
-                                    .candidate_start0(first, e.module)
-                                    .is_none_or(|s| (s, first, key) > (w.start, w.op, w.key)))
-                    }) {
+                    let start = self.candidate_start0(first, e.module).unwrap_or(u32::MAX);
+                    let rank = (Reverse(e.gain + ic), start, first, key);
+                    if bar(top, k).is_some_and(|w| rank > w.rank()) {
                         out.pruned += 1;
                         continue;
                     }
                     out.probed += 1;
                     if let Some(d) = self.pair_decision(first, second, e.module, ic, key) {
                         out.offered += 1;
-                        top.push(d, rank_total);
+                        offer(top, k, d);
                     }
                 }
             }
@@ -1363,24 +1384,22 @@ impl<'a> Kernel<'a> {
                     if !spec.implements(b.kind) {
                         continue;
                     }
-                    // The same sum `pair_decision` forms (addition
-                    // commutes, whichever bucket `first` comes from).
-                    let gain = a.avoided + b.avoided - f64::from(spec.area());
-                    if gain <= 0.0 {
+                    let gain = i64::from(a.avoided) + i64::from(b.avoided) - i64::from(spec.area());
+                    if gain <= 0 {
                         continue;
                     }
-                    let ic_cap = self.ic_weight * a.degree.max(b.degree) as f64;
+                    let ic_cap = self.ic_weight * a.degree.max(b.degree) as i64;
                     walk.entries.push(Entry {
                         lo,
                         hi,
                         module: m,
-                        gain,
-                        bound: gain + ic_cap,
+                        gain: 10 * gain,
+                        bound: 10 * gain + ic_cap,
                     });
                 }
             }
         }
-        walk.entries.sort_by(|x, y| y.bound.total_cmp(&x.bound));
+        walk.entries.sort_by_key(|e| Reverse(e.bound));
     }
 
     /// The pair `{u, v}` in rank order: `first` runs before `second` on
@@ -1403,29 +1422,30 @@ impl<'a> Kernel<'a> {
         first: NodeId,
         second: NodeId,
         m: ModuleId,
-        ic: f64,
+        ic: i64,
         key: Key,
     ) -> Option<Decision> {
         let spec = self.library.module(m);
         if !spec.implements(self.graph.node(second).kind()) {
             return None;
         }
-        let gain = self.avoided_area(first) + self.avoided_area(second) - f64::from(spec.area());
-        if gain <= 0.0 {
+        let gain = i64::from(self.avoided_area(first)) + i64::from(self.avoided_area(second))
+            - i64::from(spec.area());
+        if gain <= 0 {
             return None; // two dedicated cheapest units are no worse
         }
         let s1 = self.candidate_start0(first, m)?;
         let s2 = self.candidate_start(second, m, s1 + spec.latency())?;
         Some(Decision {
-            op: first,
-            module: m,
+            score: Reverse(10 * gain + ic),
             start: s1,
+            op: first,
+            key,
+            module: m,
             target: Target::FreshPair {
                 partner: second,
                 partner_start: s2,
             },
-            score: gain + ic,
-            key,
         })
     }
 
@@ -1462,24 +1482,13 @@ impl<'a> Kernel<'a> {
     }
 }
 
-/// The ranking order on decisions: best score first, then earlier
-/// start, then smaller op id, made total by the structural [`Key`].
-fn rank_total(a: &Decision, b: &Decision) -> std::cmp::Ordering {
-    b.score
-        .partial_cmp(&a.score)
-        .expect("scores are finite")
-        .then(a.start.cmp(&b.start))
-        .then(a.op.cmp(&b.op))
-        .then(a.key.cmp(&b.key))
-}
-
 /// Unbound operations with one kind and one tabulated avoided area:
 /// every pair drawn from two buckets has the same area gain on a given
 /// module.
 #[derive(Debug)]
 struct Bucket {
     kind: OpKind,
-    avoided: f64,
+    avoided: u32,
     /// Largest operand-plus-successor count among the members: no pair
     /// whose `first` is a member shares more connections than this.
     degree: usize,
@@ -1494,10 +1503,11 @@ struct Entry {
     lo: usize,
     hi: usize,
     module: ModuleId,
-    /// The area the merge saves, exact for every pair of the entry.
-    gain: f64,
+    /// Ten times the area the merge saves, exact for every pair of the
+    /// entry.
+    gain: i64,
     /// `gain` plus the interconnect cap.
-    bound: f64,
+    bound: i64,
 }
 
 /// Reusable buffers of [`Kernel::offer_pairs`], filled by
@@ -1745,6 +1755,9 @@ mod tests {
         static BRUTE_FORCE_EVERY: Cell<u64> = const { Cell::new(1) };
         /// The rankings this test thread has made.
         static RANKINGS: Cell<u64> = const { Cell::new(0) };
+        /// The largest shared-connection count a checked ranking of this
+        /// thread scored, on a pair or a merge onto an instance.
+        static MAX_SHARED: Cell<u32> = const { Cell::new(0) };
     }
 
     /// `Kernel::rank`'s test-build check: `ranked` is the brute-force
@@ -1770,8 +1783,15 @@ mod tests {
         let unbound_vec = &kernel.unbound_vec;
         let reach = reachability(kernel.graph);
         let mut all = Vec::new();
+        let mut max_shared = MAX_SHARED.get();
         for &u in unbound_vec {
             kernel.single_decisions(u, &mut |d| all.push(d));
+            for &m in kernel.modules_for(u) {
+                for &iid in &kernel.by_module[m.index()] {
+                    max_shared =
+                        max_shared.max(kernel.shared[u.index() * kernel.cap + iid.index()]);
+                }
+            }
         }
         for (i, &u) in unbound_vec.iter().enumerate() {
             for &v in &unbound_vec[i + 1..] {
@@ -1785,9 +1805,11 @@ mod tests {
                     let key = (1, u.index() as u32, v.index() as u32, pos);
                     all.extend(kernel.pair_decision(first, second, m, ic, key));
                 }
+                max_shared = max_shared.max(kernel.shared_connections(first, second) as u32);
             }
         }
-        all.sort_by(rank_total);
+        MAX_SHARED.set(max_shared);
+        all.sort_unstable();
         all.truncate(len);
         all
     }
@@ -1871,6 +1893,47 @@ mod tests {
         Cdfg::from_parts(graph.name(), nodes, edges).expect("a relabelling keeps the graph valid")
     }
 
+    /// `graph` plus one new input feeding `fan` multiplies. Each multiply
+    /// also reads one of `graph`'s inputs, in turn, and feeds an output
+    /// of its own, so a multiply shares at least one connection with
+    /// each other one: a merge onto an instance of ten of them scores
+    /// ten shared connections or more.
+    fn with_fan_out(graph: &Cdfg, fan: usize) -> Cdfg {
+        let mut nodes: Vec<(OpKind, String)> = graph
+            .nodes()
+            .iter()
+            .map(|nd| (nd.kind(), nd.label().to_owned()))
+            .collect();
+        let mut edges = graph.edges().to_vec();
+        let inputs: Vec<NodeId> = graph.inputs().map(|nd| nd.id()).collect();
+        let id = |i: usize| NodeId::new(i as u32);
+        let producer = nodes.len();
+        nodes.push((OpKind::Input, "fan".into()));
+        for i in 0..fan {
+            let mul = nodes.len();
+            nodes.push((OpKind::Mul, format!("fan_mul{i}")));
+            nodes.push((OpKind::Output, format!("fan_out{i}")));
+            edges.extend([
+                Edge {
+                    from: id(producer),
+                    to: id(mul),
+                    port: 0,
+                },
+                Edge {
+                    from: inputs[i % inputs.len()],
+                    to: id(mul),
+                    port: 1,
+                },
+                Edge {
+                    from: id(mul),
+                    to: id(mul + 1),
+                    port: 0,
+                },
+            ]);
+        }
+        Cdfg::from_parts(graph.name(), nodes, edges).expect("a fan-out keeps the graph valid")
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1882,7 +1945,10 @@ mod tests {
         /// under constant and stepwise budgets alike. `random_dag` ids
         /// are topological; `permute` relabels them, so some pairs are
         /// serialized with the higher id first and bootstrap's ancestor
-        /// filter sees forward operand ids.
+        /// filter sees forward operand ids. `fan_out` adds one input
+        /// feeding 12 to 19 multiplies, whose merges share ten
+        /// connections or more (see
+        /// `a_fan_out_reaches_ten_shared_connections`).
         #[test]
         fn pair_walk_ranks_exactly_like_brute_force(
             ops in 10usize..61,
@@ -1898,6 +1964,7 @@ mod tests {
             interconnect_scoring in any::<bool>(),
             backtracking in any::<bool>(),
             permute in any::<bool>(),
+            fan_out in any::<bool>(),
         ) {
             let graph = random_dag(&RandomDagConfig {
                 ops,
@@ -1907,6 +1974,7 @@ mod tests {
                 depth_bias,
                 seed,
             });
+            let graph = if fan_out { with_fan_out(&graph, 12 + (seed % 8) as usize) } else { graph };
             let graph = if permute { relabelled(&graph, seed) } else { graph };
             let min_latency = Engine::new(paper_library()).compile(&graph).min_latency();
             let options = SynthesisOptions {
@@ -2175,6 +2243,41 @@ mod tests {
     }
 
     #[test]
+    fn a_fan_out_reaches_ten_shared_connections() {
+        // Integer scores rank exactly at every count, but float scores
+        // (`area + 0.1·shared`) can first tie or order differently at
+        // ten shared connections or more, which no other tier-1 graph
+        // reaches. Every ranking here is checked against the brute
+        // force, at a loose point where the multiplies fold onto few
+        // instances and at the graph's minimum latency.
+        BRUTE_FORCE_EVERY.set(1);
+        MAX_SHARED.set(0);
+        let graph = with_fan_out(
+            &random_dag(&RandomDagConfig {
+                ops: 20,
+                inputs: 4,
+                outputs: 3,
+                seed: 3,
+                ..RandomDagConfig::default()
+            }),
+            16,
+        );
+        let min_latency = Engine::new(paper_library()).compile(&graph).min_latency();
+        for (latency, power) in [(min_latency * 3, 80.0), (min_latency, 40.0)] {
+            for interconnect_scoring in [true, false] {
+                let options = SynthesisOptions {
+                    interconnect_scoring,
+                    ..SynthesisOptions::default()
+                };
+                let constraints = SynthesisConstraints::new(latency, power);
+                let (result, _) = synth_tally(paper_library(), &graph, &constraints, &options);
+                result.unwrap();
+            }
+        }
+        assert!(MAX_SHARED.get() >= 10, "largest count {}", MAX_SHARED.get());
+    }
+
+    #[test]
     fn a_rejected_first_block_falls_back_to_the_full_ranking() {
         // hal at T=10, P=20 rejects its whole first block in some
         // iterations, so the brute-force check above also compares full
@@ -2215,11 +2318,11 @@ mod tests {
     fn interconnect_cap_takes_the_larger_bucket_degree() {
         // `a = x*x` repeats its operand, so against the unary `out(x)` it
         // shares two connections — more than the output bucket's degree
-        // of 1. That pair scores 20 + 0.1·2 on `mul_out`, and so does
-        // `add1` with `add2` (both `y0 + y1`); the tie goes to `a`, the
-        // lower op id. A cap from the smaller bucket degree would bound
-        // the `mul_out` entry at 20 + 0.1·1 and walk the adder entry
-        // (20 + 0.1·3) first, and the adder pair kept from it would then
+        // of 1. That pair scores 10·20 + 2 tenths on `mul_out`, and so
+        // does `add1` with `add2` (both `y0 + y1`); the tie goes to `a`,
+        // the lower op id. A cap from the smaller bucket degree would
+        // bound the `mul_out` entry at 10·20 + 1 and walk the adder entry
+        // (10·20 + 3) first, and the adder pair kept from it would then
         // prune `a`'s pair.
         let library = ModuleLibrary::new([
             ModuleSpec::new("in", [OpKind::Input], 1, 1, 0.2),
