@@ -48,13 +48,6 @@ struct Decision {
     target: Target,
 }
 
-impl Decision {
-    /// The part of the order that decides it: `(score, start, op, key)`.
-    fn rank(&self) -> (Reverse<i64>, u32, NodeId, Key) {
-        (self.score, self.start, self.op, self.key)
-    }
-}
-
 /// The structural tie-break of a decision, independent of the order in
 /// which decisions are scored:
 ///
@@ -1321,7 +1314,7 @@ impl<'a> Kernel<'a> {
                     let key = (1, u.index() as u32, v.index() as u32, pos as u32);
                     let start = self.candidate_start0(first, e.module).unwrap_or(u32::MAX);
                     let rank = (Reverse(e.gain + ic), start, first, key);
-                    if bar(top, k).is_some_and(|w| rank > w.rank()) {
+                    if bar(top, k).is_some_and(|w| rank > (w.score, w.start, w.op, w.key)) {
                         out.pruned += 1;
                         continue;
                     }
@@ -1907,29 +1900,16 @@ mod tests {
         let mut edges = graph.edges().to_vec();
         let inputs: Vec<NodeId> = graph.inputs().map(|nd| nd.id()).collect();
         let id = |i: usize| NodeId::new(i as u32);
-        let producer = nodes.len();
+        let producer = id(nodes.len());
         nodes.push((OpKind::Input, "fan".into()));
         for i in 0..fan {
-            let mul = nodes.len();
+            let (mul, out) = (id(nodes.len()), id(nodes.len() + 1));
             nodes.push((OpKind::Mul, format!("fan_mul{i}")));
             nodes.push((OpKind::Output, format!("fan_out{i}")));
-            edges.extend([
-                Edge {
-                    from: id(producer),
-                    to: id(mul),
-                    port: 0,
-                },
-                Edge {
-                    from: inputs[i % inputs.len()],
-                    to: id(mul),
-                    port: 1,
-                },
-                Edge {
-                    from: id(mul),
-                    to: id(mul + 1),
-                    port: 0,
-                },
-            ]);
+            let operand = inputs[i % inputs.len()];
+            for (from, to, port) in [(producer, mul, 0), (operand, mul, 1), (mul, out, 0)] {
+                edges.push(Edge { from, to, port });
+            }
         }
         Cdfg::from_parts(graph.name(), nodes, edges).expect("a fan-out keeps the graph valid")
     }

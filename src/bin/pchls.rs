@@ -46,7 +46,8 @@
 //!
 //! `--trace-out <file>` on `synth`/`batch` enables the `pchls-obs`
 //! tracer for the run and writes every recorded span (compile,
-//! bootstrap, scoring, the palap and window-refit passes, TopK, commit)
+//! bootstrap, scoring, the palap and window-refit passes, top-k
+//! selection, commit)
 //! as Chrome trace-event JSON — load the file in Perfetto or
 //! `chrome://tracing`. On `serve`, `--stats-interval <secs>` prints the
 //! one-line stats summary to stderr periodically from the reactor loop,
@@ -69,17 +70,26 @@ use pchls::store::{trace_bytes, Store, StoreKey, StoreRecord, StoreStat, STORE_F
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    match outcome(&args) {
         Ok(output) => {
             print!("{output}");
             ExitCode::SUCCESS
         }
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
+        Err(text) => {
+            eprintln!("{text}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Runs a command line: the text to print, or what its failure prints on
+/// stderr. That is one `error:` line, followed by the usage text only
+/// when the command line itself is malformed ([`parse_command`]); a
+/// command that fails while it runs (a corrupt store, an infeasible
+/// point) prints its one line.
+fn outcome(args: &[String]) -> Result<String, String> {
+    let (command, rest) = parse_command(args).map_err(|msg| format!("error: {msg}\n{USAGE}"))?;
+    command(rest).map_err(|msg| format!("error: {msg}"))
 }
 
 const USAGE: &str = "\
@@ -103,22 +113,35 @@ budget files are JSON: {\"constant\": 25.0} | {\"steps\": [[0,30.0],[8,12.0]]} |
 --stats-interval <secs> makes serve print its one-line stats summary to stderr every <secs> seconds; --metrics dumps the
 Prometheus-style text exposition to stderr at exit (live scrape: send {\"op\":\"metrics\"} over the wire)";
 
-/// Executes a parsed command line, returning the text to print.
+/// A command: given the arguments after its name, the text to print.
+type Command = fn(&[String]) -> Result<String, String>;
+
+/// The command a command line names, with its arguments, once the
+/// line's shape checks: a known command and flags that parse.
+fn parse_command(args: &[String]) -> Result<(Command, &[String]), String> {
+    let (name, rest) = args.split_first().ok_or("missing command")?;
+    let command: Command = match name.as_str() {
+        "benchmarks" => |_| Ok(list_benchmarks()),
+        "dump" => dump,
+        "synth" => synth,
+        "sweep" => sweep,
+        "batch" => batch,
+        "battery" => battery,
+        "serve" => serve,
+        "store" => store_admin,
+        "simulate" => run_simulation,
+        "vcd" => run_vcd,
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    parse_flags(rest)?;
+    Ok((command, rest))
+}
+
+/// Executes a command line, returning the text to print.
+#[cfg(test)]
 fn run(args: &[String]) -> Result<String, String> {
-    let (cmd, rest) = args.split_first().ok_or("missing command")?;
-    match cmd.as_str() {
-        "benchmarks" => Ok(list_benchmarks()),
-        "dump" => dump(rest),
-        "synth" => synth(rest),
-        "sweep" => sweep(rest),
-        "batch" => batch(rest),
-        "battery" => battery(rest),
-        "serve" => serve(rest),
-        "store" => store_admin(rest),
-        "simulate" => run_simulation(rest),
-        "vcd" => run_vcd(rest),
-        other => Err(format!("unknown command `{other}`")),
-    }
+    let (command, rest) = parse_command(args)?;
+    command(rest)
 }
 
 fn list_benchmarks() -> String {
@@ -193,6 +216,12 @@ struct Flags {
     sets: Vec<(String, i64)>,
 }
 
+/// The `--switch` flags some command reads; any other `--name` that
+/// takes no value is a malformed command line.
+const SWITCHES: &[&str] = &[
+    "dot", "stats", "hdl", "profile", "gantt", "refine", "explain", "optimize", "stdio", "metrics",
+];
+
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut f = Flags::default();
     let mut it = args.iter().peekable();
@@ -224,7 +253,13 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .map_err(|_| format!("`{value}` is not an integer"))?;
                 f.sets.push((name.to_owned(), value));
             }
-            s if s.starts_with("--") => f.switches.push(s.trim_start_matches('-').to_owned()),
+            s if s.starts_with("--") => {
+                let name = s.trim_start_matches('-');
+                if !SWITCHES.contains(&name) {
+                    return Err(format!("unknown flag `{s}`"));
+                }
+                f.switches.push(name.to_owned());
+            }
             _ => f.positionals.push(a.clone()),
         }
     }
@@ -1549,6 +1584,45 @@ mod tests {
         assert!(run(&argv("synth")).unwrap_err().contains("graph"));
         assert!(run(&[]).unwrap_err().contains("command"));
         assert!(run(&argv("frobnicate")).unwrap_err().contains("frobnicate"));
+    }
+
+    #[test]
+    fn a_runtime_error_prints_one_line_without_the_usage() {
+        let dir = store_scratch("pchls-cli-corrupt-compact");
+        let points = dir.join("points.txt");
+        std::fs::write(&points, "17 25\n").unwrap();
+        let store_dir = dir.join("store");
+        run(&argv(&format!(
+            "batch hal --points {} --store {}",
+            points.display(),
+            store_dir.display()
+        )))
+        .unwrap();
+        // Flip a bit halfway between the block magic and the footer's.
+        let file = store_dir.join(STORE_FILE_NAME);
+        let mut bytes = std::fs::read(&file).unwrap();
+        let find = |magic: &[u8]| bytes.windows(4).rposition(|w| w == magic).unwrap();
+        let mid = (find(b"PCBK") + find(b"PCFT")) / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&file, bytes).unwrap();
+        let err = outcome(&argv(&format!("store compact {}", store_dir.display()))).unwrap_err();
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.starts_with("error: compacting: "), "{err}");
+    }
+
+    #[test]
+    fn a_malformed_command_line_prints_the_usage() {
+        for line in [
+            "synth hal -T 17 -P 25 --bogus",
+            "frobnicate",
+            "synth hal -T",
+        ] {
+            let err = outcome(&argv(line)).unwrap_err();
+            assert!(err.starts_with("error: "), "{err}");
+            assert!(err.ends_with(USAGE), "{line}: {err}");
+        }
+        let err = outcome(&argv("synth hal -T 17 -P 25 --bogus")).unwrap_err();
+        assert!(err.starts_with("error: unknown flag `--bogus`\n"), "{err}");
     }
 
     #[test]
