@@ -38,29 +38,41 @@ pub fn simulate(
     datapath: &Datapath,
     stimulus: &Stimulus,
 ) -> Result<SimulationRun, CdfgError> {
+    run_cycles(graph, datapath, stimulus, |_, _| {})
+}
+
+/// The cycle loop [`simulate`] and [`trace`](crate::trace) share. At
+/// each boundary `0..=latency` it commits the results finishing there,
+/// hands the register file to `at_boundary`, and, before the last
+/// boundary, launches the operations starting in that cycle.
+pub(crate) fn run_cycles(
+    graph: &Cdfg,
+    datapath: &Datapath,
+    stimulus: &Stimulus,
+    mut at_boundary: impl FnMut(u32, &[Option<Value>]),
+) -> Result<SimulationRun, CdfgError> {
     let mut registers: Vec<Option<Value>> = vec![None; datapath.register_count()];
     let mut outputs = BTreeMap::new();
     // Results computed at start, committed at finish.
     let mut in_flight: Vec<(u32, Option<usize>, NodeId, Value)> = Vec::new();
 
     for cycle in 0..=datapath.latency() {
-        // Commit results finishing at this boundary.
-        for (finish, dest, op, value) in &in_flight {
-            if *finish == cycle {
+        for &(finish, dest, op, value) in &in_flight {
+            if finish == cycle {
                 if let Some(r) = dest {
-                    registers[*r] = Some(*value);
+                    registers[r] = Some(value);
                 }
-                let node = graph.node(*op);
+                let node = graph.node(op);
                 if node.kind() == OpKind::Output {
-                    outputs.insert(node.label().to_owned(), *value);
+                    outputs.insert(node.label().to_owned(), value);
                 }
             }
         }
-        in_flight.retain(|(finish, ..)| *finish > cycle);
+        in_flight.retain(|&(finish, ..)| finish > cycle);
+        at_boundary(cycle, &registers);
         if cycle == datapath.latency() {
             break;
         }
-        // Launch operations starting this cycle.
         for step in datapath.steps_at(cycle) {
             let node = graph.node(step.op);
             let read = |port: usize| -> Value {
@@ -80,7 +92,6 @@ pub fn simulate(
             in_flight.push((cycle + step.delay, step.dest, step.op, value));
         }
     }
-
     Ok(SimulationRun {
         outputs,
         power_trace: datapath.power_trace(),

@@ -5,9 +5,10 @@
 
 use std::fmt::Write as _;
 
-use pchls_cdfg::{Cdfg, CdfgError, OpKind, Stimulus, Value};
+use pchls_cdfg::{Cdfg, CdfgError, Stimulus, Value};
 
 use crate::netlist::Datapath;
+use crate::sim::run_cycles;
 
 /// A per-cycle trace of the datapath's architectural state.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,52 +31,21 @@ pub fn trace(
     datapath: &Datapath,
     stimulus: &Stimulus,
 ) -> Result<Waveform, CdfgError> {
-    let mut registers: Vec<Option<Value>> = vec![None; datapath.register_count()];
-    let mut in_flight: Vec<(u32, Option<usize>, Value)> = Vec::new();
-    let mut snapshots = Vec::with_capacity(datapath.latency() as usize);
-    let power = datapath.power_trace();
-
-    for cycle in 0..datapath.latency() {
-        for &(finish, dest, value) in &in_flight {
-            if finish == cycle {
-                if let Some(r) = dest {
-                    registers[r] = Some(value);
-                }
-            }
+    let latency = datapath.latency();
+    let mut snapshots: Vec<Vec<Option<Value>>> = Vec::with_capacity(latency as usize);
+    let run = run_cycles(graph, datapath, stimulus, |cycle, registers| {
+        // Snapshot `c` is the register file once boundary `c` commits;
+        // the final boundary's commits fold into the last snapshot.
+        if cycle < latency {
+            snapshots.push(registers.to_vec());
+        } else if let Some(last) = snapshots.last_mut() {
+            last.copy_from_slice(registers);
         }
-        in_flight.retain(|&(finish, ..)| finish > cycle);
-        for step in datapath.steps_at(cycle) {
-            let node = graph.node(step.op);
-            let read = |port: usize| -> Value {
-                let reg = step.sources[port].expect("validated datapaths register all operands");
-                registers[reg].expect("register read before write")
-            };
-            let value = match node.kind() {
-                OpKind::Input => *stimulus.get(node.label()).ok_or_else(|| {
-                    CdfgError::UnknownOp(format!("missing input {}", node.label()))
-                })?,
-                OpKind::Add => read(0).wrapping_add(read(1)),
-                OpKind::Sub => read(0).wrapping_sub(read(1)),
-                OpKind::Mul => read(0).wrapping_mul(read(1)),
-                OpKind::Comp => Value::from(read(0) > read(1)),
-                OpKind::Output => read(0),
-            };
-            in_flight.push((cycle + step.delay, step.dest, value));
-        }
-        snapshots.push(registers.clone());
-    }
-    // Commit anything landing exactly at the final boundary.
-    for &(finish, dest, value) in &in_flight {
-        if finish == datapath.latency() {
-            if let Some(r) = dest {
-                registers[r] = Some(value);
-            }
-        }
-    }
-    if let Some(last) = snapshots.last_mut() {
-        *last = registers;
-    }
-    Ok(Waveform { snapshots, power })
+    })?;
+    Ok(Waveform {
+        snapshots,
+        power: run.power_trace,
+    })
 }
 
 /// Renders a [`Waveform`] as a VCD document with one 64-bit signal per
@@ -195,6 +165,42 @@ mod tests {
         }
         let run = crate::simulate(&g, &dp, &stim).unwrap();
         assert_eq!(w.power, run.power_trace);
+    }
+
+    #[test]
+    fn trace_ends_where_simulate_ends() {
+        let engine = Engine::new(paper_library());
+        for (g, latency, power) in [
+            (pchls_cdfg::benchmarks::hal(), 17, 25.0),
+            (pchls_cdfg::benchmarks::cosine(), 19, 40.0),
+            (pchls_cdfg::benchmarks::elliptic(), 22, 60.0),
+        ] {
+            let compiled = engine.compile(&g);
+            let design = engine
+                .session(&compiled)
+                .synthesize(
+                    SynthesisConstraints::new(latency, power),
+                    &SynthesisOptions::default(),
+                )
+                .unwrap();
+            let dp = Datapath::build(&g, &design, engine.library());
+            let stim: Stimulus = g
+                .inputs()
+                .zip(1..)
+                .map(|(n, i)| (n.label().to_owned(), 7 * i - 30))
+                .collect();
+            let w = trace(&g, &dp, &stim).unwrap();
+            let run = crate::simulate(&g, &dp, &stim).unwrap();
+            let last: Vec<Value> = w
+                .snapshots
+                .last()
+                .unwrap()
+                .iter()
+                .map(|v| v.unwrap_or(0))
+                .collect();
+            assert_eq!(last, run.registers, "{}", g.name());
+            assert_eq!(w.power, run.power_trace, "{}", g.name());
+        }
     }
 
     #[test]

@@ -1,20 +1,10 @@
 //! `pchls` — command-line front end for the power-constrained high-level
 //! synthesis library.
 //!
-//! ```text
-//! pchls benchmarks
-//! pchls dump <graph> [--dot]
-//! pchls synth <graph> -T <cycles> (-P <power> | --budget <file>) [--library <file>] [--hdl] [--profile] [--explain]
-//! pchls sweep <graph> -T <cycles> [--steps <n>] [--budget <file>] [--store <dir>]
-//! pchls batch <graph> --points <file> [--budget <file>] [--store <dir>]
-//! pchls battery <graph> -T <cycles> (-P <power> | --budget <file>) [--capacity <charge>]
-//! pchls serve (--stdio | --addr <host:port>) [--workers <n>] [--shards <n>] [--cache-cap <n>] [--queue-cap <n>]
-//!             [--rate <req/s>] [--burst <n>] [--max-line-bytes <n>] [--store <dir>]
-//!             [--stats-interval <secs>] [--metrics]
-//! pchls simulate <graph> -T <cycles> -P <power> --set name=value ...
-//! pchls vcd <graph> -T <cycles> -P <power> --set name=value ... [--out <file>]
-//! pchls store (stat|verify|compact) <dir>
-//! ```
+//! The synopsis is the `USAGE` text below; `pchls` run without a
+//! command prints it. Each command reads only the flags its usage line
+//! names, and a command line with any other flag, or with a positional
+//! too many, is refused with that text.
 //!
 //! `<graph>` is either a built-in benchmark name (`hal`, `cosine`,
 //! `elliptic`, `ar`, `fir16`, `fft_bfly`) or a path to a `.dfg` file in
@@ -55,6 +45,7 @@
 //! scrapes go through the protocol's `metrics` op.
 
 use std::collections::BTreeMap;
+use std::ops::{Bound, RangeBounds};
 use std::process::ExitCode;
 
 use pchls::battery::battery_report;
@@ -88,8 +79,8 @@ fn main() -> ExitCode {
 /// command that fails while it runs (a corrupt store, an infeasible
 /// point) prints its one line.
 fn outcome(args: &[String]) -> Result<String, String> {
-    let (command, rest) = parse_command(args).map_err(|msg| format!("error: {msg}\n{USAGE}"))?;
-    command(rest).map_err(|msg| format!("error: {msg}"))
+    let (handler, flags) = parse_command(args).map_err(|msg| format!("error: {msg}\n{USAGE}"))?;
+    handler(&flags).map_err(|msg| format!("error: {msg}"))
 }
 
 const USAGE: &str = "\
@@ -97,14 +88,14 @@ usage:
   pchls benchmarks
   pchls dump <graph> [--dot|--stats]
   pchls synth <graph> -T <cycles> (-P <power> | --budget <file>) [--library <file>] [--hdl] [--profile] [--gantt] [--refine | --explain] [--optimize] [--trace-out <file>]
-  pchls sweep <graph> -T <cycles> [--steps <n>] [--budget <file>] [--store <dir>]   # with --budget, sweeps envelope scale factors
-  pchls batch <graph> --points <file> [--budget <file>] [--store <dir>] [--trace-out <file>]   # one `T P` pair per line; with --budget, P scales the envelope
-  pchls battery <graph> -T <cycles> (-P <power> | --budget <file>) [--capacity <charge>]
+  pchls sweep <graph> -T <cycles> [--steps <n>] [--budget <file>] [--store <dir>] [--library <file>]   # with --budget, sweeps envelope scale factors
+  pchls batch <graph> --points <file> [--budget <file>] [--store <dir>] [--trace-out <file>] [--library <file>]   # one `T P` pair per line; with --budget, P scales the envelope
+  pchls battery <graph> -T <cycles> (-P <power> | --budget <file>) [--capacity <charge>] [--library <file>]
   pchls serve (--stdio | --addr <host:port>) [--workers <n>] [--shards <n>] [--cache-cap <n>] [--queue-cap <n>]
               [--rate <req/s>] [--burst <n>] [--max-line-bytes <n>] [--store <dir>]
-              [--stats-interval <secs>] [--metrics]
-  pchls simulate <graph> -T <cycles> -P <power> --set name=value ...
-  pchls vcd <graph> -T <cycles> -P <power> --set name=value ... [--out <file>]
+              [--stats-interval <secs>] [--metrics] [--library <file>]
+  pchls simulate <graph> -T <cycles> -P <power> --set name=value ... [--library <file>]
+  pchls vcd <graph> -T <cycles> -P <power> --set name=value ... [--out <file>] [--library <file>]
   pchls store (stat|verify|compact) <dir>
 
 budget files are JSON: {\"constant\": 25.0} | {\"steps\": [[0,30.0],[8,12.0]]} | {\"per_cycle\": [30.0,...]}
@@ -113,38 +104,53 @@ budget files are JSON: {\"constant\": 25.0} | {\"steps\": [[0,30.0],[8,12.0]]} |
 --stats-interval <secs> makes serve print its one-line stats summary to stderr every <secs> seconds; --metrics dumps the
 Prometheus-style text exposition to stderr at exit (live scrape: send {\"op\":\"metrics\"} over the wire)";
 
-/// A command: given the arguments after its name, the text to print.
-type Command = fn(&[String]) -> Result<String, String>;
+/// A command: given its parsed command line, the text to print.
+type Handler = fn(&Flags) -> Result<String, String>;
 
-/// The command a command line names, with its arguments, once the
-/// line's shape checks: a known command and flags that parse.
-fn parse_command(args: &[String]) -> Result<(Command, &[String]), String> {
+/// What a command reads from its command line: how many positionals,
+/// the flags that take a value (`--set` may repeat) and the switches.
+/// Anything else on the line makes it malformed.
+struct Shape(usize, &'static [&'static str], &'static [&'static str]);
+
+/// Every command: its name, handler and shape. Each `USAGE` line names
+/// exactly its command's flags.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, Handler, Shape)] = &[
+    ("benchmarks", list_benchmarks, Shape(0, &[], &[])),
+    ("dump", dump, Shape(1, &[], &["--dot", "--stats"])),
+    ("synth", synth, Shape(1, &["-T", "-P", "--budget", "--library", "--trace-out"],
+        &["--hdl", "--profile", "--gantt", "--refine", "--explain", "--optimize"])),
+    ("sweep", sweep, Shape(1, &["-T", "--steps", "--budget", "--store", "--library"], &[])),
+    ("batch", batch, Shape(1, &["--points", "--budget", "--store", "--trace-out", "--library"],
+        &[])),
+    ("battery", battery, Shape(1, &["-T", "-P", "--budget", "--capacity", "--library"], &[])),
+    ("simulate", run_simulation, Shape(1, &["-T", "-P", "--set", "--library"], &[])),
+    ("vcd", run_vcd, Shape(1, &["-T", "-P", "--set", "--library", "--out"], &[])),
+    ("serve", serve, Shape(0, &["--addr", "--workers", "--shards", "--cache-cap", "--queue-cap",
+        "--rate", "--burst", "--max-line-bytes", "--store", "--stats-interval", "--library"],
+        &["--stdio", "--metrics"])),
+    ("store", store_admin, Shape(2, &[], &[])),
+];
+
+/// The command a command line names, with its flags parsed against the
+/// command's shape.
+fn parse_command(args: &[String]) -> Result<(Handler, Flags), String> {
     let (name, rest) = args.split_first().ok_or("missing command")?;
-    let command: Command = match name.as_str() {
-        "benchmarks" => |_| Ok(list_benchmarks()),
-        "dump" => dump,
-        "synth" => synth,
-        "sweep" => sweep,
-        "batch" => batch,
-        "battery" => battery,
-        "serve" => serve,
-        "store" => store_admin,
-        "simulate" => run_simulation,
-        "vcd" => run_vcd,
-        other => return Err(format!("unknown command `{other}`")),
-    };
-    parse_flags(rest)?;
-    Ok((command, rest))
+    let (_, handler, shape) = COMMANDS
+        .iter()
+        .find(|(command, ..)| command == name)
+        .ok_or_else(|| format!("unknown command `{name}`"))?;
+    Ok((*handler, parse_flags(rest, shape)?))
 }
 
 /// Executes a command line, returning the text to print.
 #[cfg(test)]
 fn run(args: &[String]) -> Result<String, String> {
-    let (command, rest) = parse_command(args)?;
-    command(rest)
+    let (handler, flags) = parse_command(args)?;
+    handler(&flags)
 }
 
-fn list_benchmarks() -> String {
+fn list_benchmarks(_: &Flags) -> Result<String, String> {
     let mut s = String::from("built-in benchmark graphs:\n");
     for g in benchmarks::all() {
         let hist: Vec<String> = g
@@ -159,7 +165,7 @@ fn list_benchmarks() -> String {
             hist.join(" ")
         ));
     }
-    s
+    Ok(s)
 }
 
 /// Loads a graph by benchmark name or from a `.dfg` file.
@@ -177,7 +183,7 @@ fn load_graph(spec: &str) -> Result<Cdfg, String> {
 }
 
 fn load_library(flags: &Flags) -> Result<ModuleLibrary, String> {
-    match flags.options.get("library") {
+    match flags.values.get("--library") {
         None => Ok(paper_library()),
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -206,45 +212,62 @@ fn open_graph(flags: &Flags, optimize: bool) -> Result<(Engine, CompiledGraph), 
     Ok((engine, compiled))
 }
 
-/// Minimal flag parser: positionals, `--flag`, `--key value` / `-K value`
-/// and repeatable `--set name=value`.
+/// A parsed command line: its positionals, the switches it sets, the
+/// value of each value flag and every `--set name=value` stimulus, in
+/// order.
 #[derive(Debug, Default)]
 struct Flags {
     positionals: Vec<String>,
-    switches: Vec<String>,
-    options: BTreeMap<String, String>,
+    switches: Vec<&'static str>,
+    values: BTreeMap<&'static str, String>,
     sets: Vec<(String, i64)>,
 }
 
-/// The `--switch` flags some command reads; any other `--name` that
-/// takes no value is a malformed command line.
-const SWITCHES: &[&str] = &[
-    "dot", "stats", "hdl", "profile", "gantt", "refine", "explain", "optimize", "stdio", "metrics",
-];
+impl Flags {
+    /// Whether the command line sets `switch`.
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+    /// The number `flag` sets, or `default` without it. A value that does
+    /// not parse or falls outside `range` is refused as "`flag` must be
+    /// `what`".
+    fn number<N: std::str::FromStr + PartialOrd>(
+        &self,
+        flag: &str,
+        default: N,
+        range: impl RangeBounds<N>,
+        what: &str,
+    ) -> Result<N, String> {
+        match self.values.get(flag) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .ok()
+                .filter(|n| range.contains(n))
+                .ok_or_else(|| format!("{flag} must be {what}")),
+        }
+    }
+}
+
+/// Parses `args` against a command's shape: any flag the command does
+/// not read, a value flag given twice (`--set` aside) or a positional
+/// past its count is an error.
+fn parse_flags(
+    args: &[String],
+    Shape(positionals, values, switches): &Shape,
+) -> Result<Flags, String> {
     let mut f = Flags::default();
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "-T" | "--latency" => {
-                let v = it.next().ok_or("-T needs a value")?;
-                f.options.insert("latency".into(), v.clone());
+        if !a.starts_with('-') {
+            if f.positionals.len() == *positionals {
+                return Err(format!("unexpected argument `{a}`"));
             }
-            "-P" | "--power" => {
-                let v = it.next().ok_or("-P needs a value")?;
-                f.options.insert("power".into(), v.clone());
-            }
-            "--library" | "--steps" | "--out" | "--points" | "--addr" | "--workers"
-            | "--cache-cap" | "--queue-cap" | "--budget" | "--capacity" | "--store"
-            | "--shards" | "--rate" | "--burst" | "--max-line-bytes" | "--trace-out"
-            | "--stats-interval" => {
-                let key = a.trim_start_matches('-').to_owned();
-                let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
-                f.options.insert(key, v.clone());
-            }
-            "--set" => {
-                let v = it.next().ok_or("--set needs name=value")?;
+            f.positionals.push(a.clone());
+        } else if let Some(&flag) = values.iter().find(|&&v| v == a) {
+            let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+            if flag == "--set" {
                 let (name, value) = v
                     .split_once('=')
                     .ok_or_else(|| format!("--set expects name=value, got `{v}`"))?;
@@ -252,15 +275,13 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .parse()
                     .map_err(|_| format!("`{value}` is not an integer"))?;
                 f.sets.push((name.to_owned(), value));
+            } else if f.values.insert(flag, v.clone()).is_some() {
+                return Err(format!("{a} given twice"));
             }
-            s if s.starts_with("--") => {
-                let name = s.trim_start_matches('-');
-                if !SWITCHES.contains(&name) {
-                    return Err(format!("unknown flag `{s}`"));
-                }
-                f.switches.push(name.to_owned());
-            }
-            _ => f.positionals.push(a.clone()),
+        } else if let Some(&switch) = switches.iter().find(|&&s| s == a) {
+            f.switches.push(switch);
+        } else {
+            return Err(format!("unknown flag `{a}`"));
         }
     }
     Ok(f)
@@ -270,7 +291,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 /// returns the target path; the caller writes the snapshot out with
 /// [`write_trace`] once the traced work is done.
 fn trace_out(flags: &Flags) -> Option<String> {
-    let path = flags.options.get("trace-out").cloned();
+    let path = flags.values.get("--trace-out").cloned();
     if path.is_some() {
         pchls::obs::set_enabled(true);
     }
@@ -294,7 +315,7 @@ fn write_trace(path: &str) -> Result<(), String> {
 /// Opens (creating as needed) the `--store <dir>` result store, when
 /// the flag is present.
 fn open_store(flags: &Flags) -> Result<Option<Store>, String> {
-    match flags.options.get("store") {
+    match flags.values.get("--store") {
         None => Ok(None),
         Some(dir) => Store::open(std::path::Path::new(dir))
             .map(Some)
@@ -305,8 +326,8 @@ fn open_store(flags: &Flags) -> Result<Option<Store>, String> {
 /// The `-T <cycles>` flag, validated by the latency rule.
 fn required_latency(flags: &Flags) -> Result<u32, String> {
     let latency: u32 = flags
-        .options
-        .get("latency")
+        .values
+        .get("-T")
         .ok_or("missing -T <cycles>")?
         .parse()
         .map_err(|_| "-T <cycles> must be a positive integer")?;
@@ -318,8 +339,8 @@ fn required_latency(flags: &Flags) -> Result<u32, String> {
 fn required_constraints(flags: &Flags) -> Result<SynthesisConstraints, String> {
     let latency = required_latency(flags)?;
     let power: f64 = flags
-        .options
-        .get("power")
+        .values
+        .get("-P")
         .ok_or("missing -P <power>")?
         .parse()
         .map_err(|_| "-P <power> must be a number")?;
@@ -328,8 +349,11 @@ fn required_constraints(flags: &Flags) -> Result<SynthesisConstraints, String> {
 }
 
 /// The constraint point of a `synth`-shaped command: `-T` plus either a
-/// `--budget` envelope file or the scalar `-P` bound.
+/// `--budget` envelope file or the scalar `-P` bound, never both.
 fn budget_or_scalar_constraints(flags: &Flags) -> Result<SynthesisConstraints, String> {
+    if flags.values.contains_key("-P") && flags.values.contains_key("--budget") {
+        return Err("-P and --budget both bound the power; give one".into());
+    }
     let latency = required_latency(flags)?;
     match load_budget(flags, Some(latency))? {
         Some(budget) => Ok(SynthesisConstraints::new(latency, budget)),
@@ -342,7 +366,7 @@ fn budget_or_scalar_constraints(flags: &Flags) -> Result<SynthesisConstraints, S
 /// (`batch` passes `None` and re-checks per point, since each point has
 /// its own `T`).
 fn load_budget(flags: &Flags, latency: Option<u32>) -> Result<Option<PowerBudget>, String> {
-    let Some(path) = flags.options.get("budget") else {
+    let Some(path) = flags.values.get("--budget") else {
         return Ok(None);
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -432,28 +456,26 @@ fn parse_budget_json(text: &str, latency: Option<u32>) -> Result<PowerBudget, St
     })
 }
 
-fn dump(args: &[String]) -> Result<String, String> {
-    let flags = parse_flags(args)?;
+fn dump(flags: &Flags) -> Result<String, String> {
     let spec = flags.positionals.first().ok_or("missing graph")?;
     let g = load_graph(spec)?;
-    if flags.switches.iter().any(|s| s == "dot") {
+    if flags.has("--dot") {
         Ok(g.to_dot())
-    } else if flags.switches.iter().any(|s| s == "stats") {
+    } else if flags.has("--stats") {
         Ok(GraphStats::of(&g).to_report())
     } else {
         Ok(write_cdfg(&g))
     }
 }
 
-fn synth(args: &[String]) -> Result<String, String> {
-    let flags = parse_flags(args)?;
-    let trace_path = trace_out(&flags);
-    let (engine, compiled) = open_graph(&flags, flags.switches.iter().any(|s| s == "optimize"))?;
+fn synth(flags: &Flags) -> Result<String, String> {
+    let trace_path = trace_out(flags);
+    let (engine, compiled) = open_graph(flags, flags.has("--optimize"))?;
     let session = engine.session(&compiled);
     let (g, lib) = (compiled.graph(), engine.library());
-    let constraints = budget_or_scalar_constraints(&flags)?;
-    let refine = flags.switches.iter().any(|s| s == "refine");
-    let explain = flags.switches.iter().any(|s| s == "explain");
+    let constraints = budget_or_scalar_constraints(flags)?;
+    let refine = flags.has("--refine");
+    let explain = flags.has("--explain");
     if refine && explain {
         return Err("--explain reports one kernel run; it cannot be combined with --refine".into());
     }
@@ -502,7 +524,7 @@ fn synth(args: &[String]) -> Result<String, String> {
             ));
         }
     }
-    if flags.switches.iter().any(|s| s == "profile") {
+    if flags.has("--profile") {
         out.push_str("\nper-cycle power profile (| marks each cycle's budget bound):\n");
         out.push_str(
             &design
@@ -510,7 +532,7 @@ fn synth(args: &[String]) -> Result<String, String> {
                 .to_ascii_under(40, &design.constraints.budget),
         );
     }
-    if flags.switches.iter().any(|s| s == "gantt") {
+    if flags.has("--gantt") {
         out.push_str("\nschedule:\n");
         out.push_str(&pchls::bind::gantt(
             g,
@@ -520,7 +542,7 @@ fn synth(args: &[String]) -> Result<String, String> {
             &design.timing,
         ));
     }
-    if flags.switches.iter().any(|s| s == "hdl") {
+    if flags.has("--hdl") {
         out.push('\n');
         out.push_str(&to_structural_hdl(g, &design, lib));
     }
@@ -589,22 +611,16 @@ fn resume_from_store(
         .collect())
 }
 
-fn sweep(args: &[String]) -> Result<String, String> {
-    let flags = parse_flags(args)?;
-    let (engine, compiled) = open_graph(&flags, false)?;
+fn sweep(flags: &Flags) -> Result<String, String> {
+    let (engine, compiled) = open_graph(flags, false)?;
     let session = engine.session(&compiled);
-    let latency = required_latency(&flags)?;
-    let steps: usize = flags
-        .options
-        .get("steps")
-        .map_or(Ok(12), |s| s.parse())
-        .map_err(|_| "--steps must be a positive integer")?;
-    let spec = match load_budget(&flags, Some(latency))? {
+    let latency = required_latency(flags)?;
+    let steps = flags.number("--steps", 12, 2.., "an integer of at least 2")?;
+    let spec = match load_budget(flags, Some(latency))? {
         // Envelope mode: sweep scale factors — "how much of the
         // envelope can the supply actually deliver" — instead of a
         // scalar power grid.
         Some(budget) => {
-            let steps = steps.max(2);
             let scales: Vec<f64> = (0..steps)
                 .map(|i| 0.25 + (1.5 - 0.25) * i as f64 / (steps - 1) as f64)
                 .collect();
@@ -612,7 +628,7 @@ fn sweep(args: &[String]) -> Result<String, String> {
         }
         None => SweepSpec::power(latency, session.auto_power_grid(steps)),
     };
-    let points = match open_store(&flags)? {
+    let points = match open_store(flags)? {
         None => session
             .sweep(&spec, &SynthesisOptions::default())
             .into_points(),
@@ -684,18 +700,17 @@ fn parse_points(text: &str) -> Result<Vec<SynthesisConstraints>, String> {
 /// point (in file order). With `--budget <file>`, each point's `P`
 /// column is reinterpreted as a **scale factor** on the envelope
 /// (`T 1.0` = the envelope as written, `T 0.5` = half of it).
-fn batch(args: &[String]) -> Result<String, String> {
-    let flags = parse_flags(args)?;
-    let trace_path = trace_out(&flags);
-    let (engine, compiled) = open_graph(&flags, false)?;
+fn batch(flags: &Flags) -> Result<String, String> {
+    let trace_path = trace_out(flags);
+    let (engine, compiled) = open_graph(flags, false)?;
     let session = engine.session(&compiled);
     let path = flags
-        .options
-        .get("points")
+        .values
+        .get("--points")
         .ok_or("missing --points <file>")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let points = parse_points(&text)?;
-    let points = match load_budget(&flags, None)? {
+    let points = match load_budget(flags, None)? {
         None => points,
         Some(budget) => points
             .into_iter()
@@ -712,7 +727,7 @@ fn batch(args: &[String]) -> Result<String, String> {
             })
             .collect::<Result<Vec<_>, String>>()?,
     };
-    let out_points: Vec<SweepPoint> = match open_store(&flags)? {
+    let out_points: Vec<SweepPoint> = match open_store(flags)? {
         None => session
             .batch(points.into_iter().map(SynthesisRequest::new))
             .iter()
@@ -741,19 +756,12 @@ fn batch(args: &[String]) -> Result<String, String> {
 /// rate-capacity) survives on each profile, and the lifetime extension
 /// the constrained design buys. This is the paper's end-to-end claim,
 /// runnable from the command line.
-fn battery(args: &[String]) -> Result<String, String> {
-    let flags = parse_flags(args)?;
-    let (engine, compiled) = open_graph(&flags, false)?;
+fn battery(flags: &Flags) -> Result<String, String> {
+    let (engine, compiled) = open_graph(flags, false)?;
     let session = engine.session(&compiled);
-    let constraints = budget_or_scalar_constraints(&flags)?;
-    let capacity: f64 = match flags.options.get("capacity") {
-        None => 20_000.0,
-        Some(v) => v
-            .parse::<f64>()
-            .ok()
-            .filter(|c| c.is_finite() && *c > 0.0)
-            .ok_or("--capacity must be a positive charge")?,
-    };
+    let constraints = budget_or_scalar_constraints(flags)?;
+    let positive = (Bound::Excluded(0.0), Bound::Excluded(f64::INFINITY));
+    let capacity = flags.number("--capacity", 20_000.0, positive, "a positive charge")?;
     let opts = SynthesisOptions::default();
     let constrained = session
         .synthesize(constraints.clone(), &opts)
@@ -784,44 +792,33 @@ fn battery(args: &[String]) -> Result<String, String> {
 /// `pchls serve`: the long-running synthesis service (JSON-lines
 /// protocol over stdio or TCP; see `pchls-serve`). Returns at stdin EOF
 /// in `--stdio` mode; serves forever in `--addr` mode.
-fn serve(args: &[String]) -> Result<String, String> {
-    let flags = parse_flags(args)?;
-    let stdio = flags.switches.iter().any(|s| s == "stdio");
-    let addr = flags.options.get("addr");
+fn serve(flags: &Flags) -> Result<String, String> {
+    let stdio = flags.has("--stdio");
+    let addr = flags.values.get("--addr");
     if stdio == addr.is_some() {
         return Err("serve needs exactly one of --stdio or --addr <host:port>".into());
     }
-    let usize_option = |key: &str, default: usize| -> Result<usize, String> {
-        flags.options.get(key).map_or(Ok(default), |v| {
-            v.parse()
-                .map_err(|_| format!("--{key} must be a non-negative integer"))
-        })
-    };
-    let f64_option = |key: &str, default: f64| -> Result<f64, String> {
-        flags.options.get(key).map_or(Ok(default), |v| {
-            v.parse::<f64>()
-                .ok()
-                .filter(|x| x.is_finite() && *x >= 0.0)
-                .ok_or_else(|| format!("--{key} must be a non-negative number"))
-        })
-    };
+    let count = "a non-negative integer";
+    let rate = "a non-negative number";
     let defaults = ServiceConfig::default();
     let config = ServiceConfig {
-        workers: usize_option("workers", defaults.workers)?,
-        shards: usize_option("shards", defaults.shards)?,
-        cache_cap: usize_option("cache-cap", defaults.cache_cap)?,
-        queue_cap: usize_option("queue-cap", defaults.queue_cap)?,
-        rate_per_sec: f64_option("rate", defaults.rate_per_sec)?,
-        burst: f64_option("burst", defaults.burst)?,
-        max_line_bytes: usize_option("max-line-bytes", defaults.max_line_bytes)?,
-        store_dir: flags.options.get("store").map(std::path::PathBuf::from),
-        stats_interval: usize_option("stats-interval", defaults.stats_interval as usize)? as u64,
+        workers: flags.number("--workers", defaults.workers, .., count)?,
+        shards: flags.number("--shards", defaults.shards, .., count)?,
+        cache_cap: flags.number("--cache-cap", defaults.cache_cap, .., count)?,
+        queue_cap: flags.number("--queue-cap", defaults.queue_cap, .., count)?,
+        rate_per_sec: flags.number("--rate", defaults.rate_per_sec, 0.0..f64::INFINITY, rate)?,
+        burst: flags.number("--burst", defaults.burst, 0.0..f64::INFINITY, rate)?,
+        max_line_bytes: flags.number(
+            "--max-line-bytes",
+            defaults.max_line_bytes,
+            1..,
+            "a positive integer",
+        )?,
+        store_dir: flags.values.get("--store").map(std::path::PathBuf::from),
+        stats_interval: flags.number("--stats-interval", defaults.stats_interval, .., count)?,
         ..defaults
     };
-    if config.max_line_bytes == 0 {
-        return Err("--max-line-bytes must be at least 1".into());
-    }
-    let lib = load_library(&flags)?;
+    let lib = load_library(flags)?;
     let service = Service::try_start(Engine::new(lib), config)
         .map_err(|e| format!("opening result store: {e}"))?;
     match addr {
@@ -836,7 +833,7 @@ fn serve(args: &[String]) -> Result<String, String> {
     }
     // Final stats to stderr — stdout is (or was) the protocol channel.
     eprintln!("{}", render_serve_stats(&service.stats()));
-    if flags.switches.iter().any(|s| s == "metrics") {
+    if flags.has("--metrics") {
         eprint!("{}", service.metrics_text());
     }
     Ok(String::new())
@@ -845,8 +842,7 @@ fn serve(args: &[String]) -> Result<String, String> {
 /// `pchls store (stat|verify|compact) <dir>`: inspects and maintains a
 /// persistent result store directory (the `--store` target of
 /// `batch`/`sweep`/`serve`).
-fn store_admin(args: &[String]) -> Result<String, String> {
-    let flags = parse_flags(args)?;
+fn store_admin(flags: &Flags) -> Result<String, String> {
     let [action, dir] = flags.positionals.as_slice() else {
         return Err(
             "store needs an action and a directory: store (stat|verify|compact) <dir>".into(),
@@ -906,27 +902,25 @@ fn render_store_stat(stat: &StoreStat, path: &std::path::Path) -> String {
     out
 }
 
-/// The prologue `simulate` and `vcd` share: parses the flags,
-/// synthesizes the required constraint point and builds its datapath.
-/// Returns the flags, the compiled graph, the datapath and the `--set`
-/// stimulus.
+/// The prologue `simulate` and `vcd` share: synthesizes the required
+/// constraint point and builds its datapath. Returns the compiled graph,
+/// the datapath and the `--set` stimulus.
 fn synthesized_datapath(
-    args: &[String],
-) -> Result<(Flags, CompiledGraph, Datapath, pchls::cdfg::Stimulus), String> {
-    let flags = parse_flags(args)?;
-    let (engine, compiled) = open_graph(&flags, false)?;
-    let constraints = required_constraints(&flags)?;
+    flags: &Flags,
+) -> Result<(CompiledGraph, Datapath, pchls::cdfg::Stimulus), String> {
+    let (engine, compiled) = open_graph(flags, false)?;
+    let constraints = required_constraints(flags)?;
     let stim = flags.sets.iter().cloned().collect();
     let design = engine
         .session(&compiled)
         .synthesize(constraints, &SynthesisOptions::default())
         .map_err(|e| e.to_string())?;
     let dp = Datapath::build(compiled.graph(), &design, engine.library());
-    Ok((flags, compiled, dp, stim))
+    Ok((compiled, dp, stim))
 }
 
-fn run_simulation(args: &[String]) -> Result<String, String> {
-    let (_, compiled, dp, stim) = synthesized_datapath(args)?;
+fn run_simulation(flags: &Flags) -> Result<String, String> {
+    let (compiled, dp, stim) = synthesized_datapath(flags)?;
     let g = compiled.graph();
     let run = simulate(g, &dp, &stim).map_err(|e| e.to_string())?;
     let reference = Interpreter::new(g).run(&stim).map_err(|e| e.to_string())?;
@@ -951,12 +945,12 @@ fn run_simulation(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn run_vcd(args: &[String]) -> Result<String, String> {
-    let (flags, compiled, dp, stim) = synthesized_datapath(args)?;
+fn run_vcd(flags: &Flags) -> Result<String, String> {
+    let (compiled, dp, stim) = synthesized_datapath(flags)?;
     let g = compiled.graph();
     let wave = pchls::rtl::trace(g, &dp, &stim).map_err(|e| e.to_string())?;
     let vcd = pchls::rtl::to_vcd(&wave, g.name());
-    match flags.options.get("out") {
+    match flags.values.get("--out") {
         Some(path) => {
             std::fs::write(path, &vcd).map_err(|e| format!("writing {path}: {e}"))?;
             Ok(format!("wrote {} ({} bytes)\n", path, vcd.len()))
@@ -1623,6 +1617,79 @@ mod tests {
         }
         let err = outcome(&argv("synth hal -T 17 -P 25 --bogus")).unwrap_err();
         assert!(err.starts_with("error: unknown flag `--bogus`\n"), "{err}");
+    }
+
+    #[test]
+    fn a_line_outside_its_commands_shape_prints_the_usage() {
+        for (line, message) in [
+            ("synth hal -T 17 -P 25 -X 5 junk", "unknown flag `-X`"),
+            ("synth hal -T 17 -P 25 junk", "unexpected argument `junk`"),
+            ("benchmarks --dot", "unknown flag `--dot`"),
+            ("dump hal --library x.lib", "unknown flag `--library`"),
+            ("sweep hal -T 17 -P 5", "unknown flag `-P`"),
+            (
+                "simulate hal -T 17 -P 25 --budget f.json --set x=2 --set y=5 --set u=7 \
+                 --set dx=3 --set a=100 --set three=3",
+                "unknown flag `--budget`",
+            ),
+            (
+                "synth hal --latency 17 --power 25",
+                "unknown flag `--latency`",
+            ),
+            ("store stat dir extra", "unexpected argument `extra`"),
+            ("synth hal -T 17 -P 1 -P 25", "-P given twice"),
+        ] {
+            let err = outcome(&argv(line)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("error: {message}\n")),
+                "{line}: {err}"
+            );
+            assert!(err.ends_with(USAGE), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn usage_lines_name_exactly_the_flags_each_command_reads() {
+        let mut lines: BTreeMap<&str, String> = BTreeMap::new();
+        let mut current = "";
+        for line in USAGE.lines().skip(1).take_while(|l| !l.is_empty()) {
+            let line = line.split(" #").next().unwrap();
+            if let Some(rest) = line.strip_prefix("  pchls ") {
+                current = rest.split_whitespace().next().unwrap();
+            }
+            lines.entry(current).or_default().push_str(line);
+        }
+        // One usage line per command; indexing below finds each one.
+        assert_eq!(lines.len(), COMMANDS.len(), "{lines:?}");
+        for (name, _, Shape(_, values, switches)) in COMMANDS {
+            let named: std::collections::BTreeSet<&str> = lines[name]
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|t| t.starts_with('-'))
+                .collect();
+            let read = values.iter().chain(switches.iter()).copied().collect();
+            assert_eq!(named, read, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_scalar_bound_and_a_budget_file_are_not_both_taken() {
+        let path = budget_dir().join("both.json");
+        std::fs::write(&path, "{\"constant\": 25.0}\n").unwrap();
+        for command in ["synth", "battery"] {
+            let line = format!("{command} hal -T 17 -P 25 --budget {}", path.display());
+            let err = run(&argv(&line)).unwrap_err();
+            assert!(err.contains("-P") && err.contains("--budget"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_sweep_of_fewer_than_two_steps_is_refused() {
+        for steps in ["0", "1", "-1", "two"] {
+            let err = run(&argv(&format!("sweep hal -T 17 --steps {steps}"))).unwrap_err();
+            assert!(err.contains("--steps"), "{steps}: {err}");
+        }
+        let out = run(&argv("sweep hal -T 17 --steps 2")).unwrap();
+        assert_eq!(out.lines().count(), 4, "{out}");
     }
 
     #[test]
